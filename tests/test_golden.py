@@ -1,0 +1,141 @@
+"""Golden digests of the artifacts the emulator produces.
+
+For the default 64-QAM rate-3/4 configuration and for QPSK rate 1/2 this
+pins the sweep CSV and plot-data bytes of the three non-learned systems,
+the certified subcarrier selection, and the bytes the inverted sender
+and the emulated link produce at fixed seeds.  A refactor leaves every
+digest unchanged; a change meant to move one says why in CHANGES.md and
+re-pins it here.
+"""
+
+import hashlib
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from ofdmemu.cli import main
+from ofdmemu.config import PhyConfig
+from ofdmemu.harness import ExperimentSpec, csv_text, emit_plotdata, run_sweep
+from ofdmemu.link import EmulationSetup, TargetSymbols, emulated_link, sender_invert
+from ofdmemu.sources import gaussian_symbols
+
+CONFIGS = {
+    "64qam-r34": PhyConfig(),
+    "qpsk-r12": PhyConfig(modulation_order=4, coding_rate=Fraction(1, 2)),
+}
+
+SWEEP_SYSTEMS = ("ideal_analog", "emulated", "float_serial")
+SWEEP_SEED = 7
+TARGET_SEED = 11
+LINK_SEED = 13
+LINK_SNR_DB = 12.0
+
+GOLDEN = {
+    "64qam-r34": {
+        "chosen": (
+            39, 41, 44, 45, 46, 47, 48, 49, 51, 52, 53, 55, 56, 58, 59, 60, 61, 63,
+            2, 4, 5, 6, 10, 11, 12, 15, 16, 17, 18, 19, 20, 22, 23, 24, 25, 26,
+        ),
+        "swaps": [
+            (1, 20), (3, 22), (8, 23), (9, 24), (13, 25), (14, 26), (50, 39), (54, 41),
+            (62, 44),
+        ],
+        "sweep": "5981c5864893a23cecfccf14cf50a1a20824c9b4b9588501f1f03d9bc6cf92da",
+        "bitstream": "2c07f206c0580d454f4d0fb8451e3b009e90b6431f5f902a17ec78b10eb9efe8",
+        "incoming_states": "75d9f5f144d2e8b7ba4a31652ef7daa58a446c4af04d1e3d375263a950df41f9",
+        "soft_estimates": "ee1e74b84e191f009f6c4edc0b8e4f47a13796ac0e8dedb6f403f3e6e34bd4ee",
+        "hard_estimates": "e901561a7158b461b8eadf4ce867dc7e27f64d21c59519c3239613ce6935d280",
+        "tx_frame": "b610418532f2b9bf0d2cdd7c52ee2c01d530fe14cd49dbcfb0d1b3ff13fbe895",
+    },
+    "qpsk-r12": {
+        "chosen": (
+            39, 40, 44, 46, 47, 51, 52, 53, 55, 58, 61, 62, 63,
+            1, 2, 4, 6, 9, 10, 15, 19, 22, 24, 26,
+        ),
+        "swaps": [
+            (3, 15), (5, 19), (8, 22), (11, 24), (12, 26), (13, 39), (54, 40), (56, 44),
+            (59, 46), (60, 47),
+        ],
+        "sweep": "453eb5a9e84f6402c09f100da6df560cd3aa5ae3c010951bab30c897320b9aa8",
+        "bitstream": "b34c20c61908aba9e6cf7d0e80b2d597834c7a8c5e42fa763de2909bcb2a64d4",
+        "incoming_states": "e3e898d4d8f28ded9683ab30259587a3ce62ad333f85e7f71070ff5d89b2d8ea",
+        "soft_estimates": "bf656307d56e80d7474734d1120dfb1271ed4b86a55a0aa7c44266c761f55986",
+        "hard_estimates": "a5c2336fb9c1f610a04a6c717620b5d2747286f9d2d9a555633ff99aafb7624a",
+        "tx_frame": "e60979e0b15b35b6b57fe4b20bbcd0c4eb2ab8f3b8e18ae6262060f655bdc718",
+    },
+}
+
+CLI_GOLDEN = {
+    "emulate": "24103e036cf5e51b1a3b599084e27abb204025469cfc121068e769f33ba030b3",
+    "sweep": "6102d97d150e81d0686541ae0f4de937808e4c37f88dfce0edbd2a957edb8260",
+}
+
+
+def sha(*blobs: bytes) -> str:
+    h = hashlib.sha256()
+    for blob in blobs:
+        h.update(blob)
+    return h.hexdigest()
+
+
+def files_digest(paths) -> str:
+    return sha(*(p.name.encode() + b"\0" + p.read_bytes() for p in paths))
+
+
+@pytest.fixture(scope="module", params=sorted(CONFIGS))
+def golden_setup(request):
+    return request.param, EmulationSetup.build(CONFIGS[request.param])
+
+
+def test_certified_selection(golden_setup):
+    name, setup = golden_setup
+    assert setup.chosen == GOLDEN[name]["chosen"]
+    assert setup.swaps == GOLDEN[name]["swaps"]
+
+
+def test_sweep_bytes(golden_setup, tmp_path):
+    name, setup = golden_setup
+    spec = ExperimentSpec(
+        cfg=setup.cfg, n_symbols=200, systems=SWEEP_SYSTEMS, master_seed=SWEEP_SEED
+    )
+    rows = run_sweep(spec, setup)
+    written = emit_plotdata(rows, tmp_path)
+    assert sha(csv_text(rows).encode(), files_digest(written).encode()) == GOLDEN[name]["sweep"]
+
+
+def test_sender_and_link_bytes(golden_setup):
+    name, setup = golden_setup
+    symbols = gaussian_symbols(1000, np.random.default_rng(TARGET_SEED))
+    targets = TargetSymbols.unit_power(symbols, setup.cfg)
+    plan = sender_invert(targets, setup)
+    soft, record = emulated_link(targets, LINK_SNR_DB, LINK_SEED, setup, mode="soft")
+    hard, _ = emulated_link(targets, LINK_SNR_DB, LINK_SEED, setup, mode="hard")
+    got = {
+        "bitstream": sha(plan.bitstream.astype(np.uint8).tobytes()),
+        "incoming_states": sha(plan.incoming_states.astype("<i8").tobytes()),
+        "soft_estimates": sha(soft.astype("<c16").tobytes()),
+        "hard_estimates": sha(hard.astype("<c16").tobytes()),
+        "tx_frame": sha(record.tx_frame.astype("<c16").tobytes()),
+    }
+    assert got == {k: GOLDEN[name][k] for k in got}
+
+
+def test_cli_emulate_and_sweep_bytes(tmp_path, capsys):
+    emu = tmp_path / "emu"
+    rc = main(["emulate", "--symbols", "300", "--snr", "12", "--seed", "5", "--out", str(emu)])
+    assert rc == 0
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text(
+        "[phy]\nmodulation = qpsk\ncoding_rate = 1/2\n"
+        "[sweep]\nsnr_list = 0 10 20\nn_symbols = 200\nsystems = ideal_analog emulated\n"
+    )
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--config", str(cfgfile), "--seed", "3", "--out", str(out)])
+    assert rc == 0
+    plot = sorted((out / "plotdata").iterdir())
+    got = {
+        "emulate": files_digest([emu / "estimates.bin", emu / "tx_waveform.bin"]),
+        "sweep": files_digest([out / "sweep.csv", *plot]),
+    }
+    assert got == CLI_GOLDEN
