@@ -56,6 +56,7 @@ from .link import (
     awgn,
     box_edge,
     box_scale,
+    check_snr,
     emulated_link,
     float_serialization_link,
     ideal_analog_link,
@@ -65,7 +66,6 @@ from .link import (
 )
 from .phy import (
     BasebandFrame,
-    BitBlock,
     conv_encode,
     deinterleave,
     depuncture,
@@ -92,7 +92,6 @@ from .training import (
     stage2_train_proxy,
     stage3_alternate,
     train_jscc_ideal,
-    zero_shot_deploy,
 )
 
 __version__ = "0.1.0"

@@ -28,11 +28,12 @@ from .harness import (
     CheckpointMissing,
     ExperimentSpec,
     emit_plotdata,
+    gaussian_targets,
     run_sweep,
     selftest,
     write_csv,
 )
-from .link import EmulationSetup, TargetSymbols, box_scale, emulated_link
+from .link import EmulationSetup, TargetSymbols, box_scale, check_snr, emulated_link
 from .phy import BasebandFrame, rx_chain, tx_chain
 
 DEFAULT_OUT = "ofdmemu_out"
@@ -50,41 +51,52 @@ def _phy_config(args) -> PhyConfig:
     return PhyConfig()
 
 
+def _words(text: str) -> list[str]:
+    return text.replace(",", " ").split()
+
+
+# [sweep] key -> parser of its raw text
+_SWEEP_KEYS = {
+    "snr_list": lambda raw: tuple(float(t) for t in _words(raw)),
+    "n_symbols": int,
+    "n_images": int,
+    "systems": lambda raw: tuple(_words(raw)),
+}
+
+
+def _section_kwargs(sections: dict, name: str, parsers: dict) -> dict:
+    """Parse one config section, rejecting unknown keys and bad values."""
+    kwargs = {}
+    for key, raw in sections.get(name, {}).items():
+        if key not in parsers:
+            raise ConfigError(f"unknown [{name}] key {key!r}")
+        try:
+            kwargs[key] = parsers[key](raw)
+        except ValueError:
+            raise ConfigError(f"bad value for [{name}] {key}: {raw!r}") from None
+    return kwargs
+
+
 def _train_config(args, sections: dict):
     from .training import TrainConfig
 
-    fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
-    kwargs = {}
-    for key, raw in sections.get("train", {}).items():
-        if key not in fields:
-            raise ConfigError(f"unknown [train] key {key!r}")
-        ftype = fields[key].type
-        caster = float if "float" in str(ftype) else int
-        try:
-            kwargs[key] = caster(raw)
-        except ValueError:
-            raise ConfigError(f"bad value for [train] {key}: {raw!r}") from None
+    parsers = {
+        f.name: float if "float" in str(f.type) else int
+        for f in dataclasses.fields(TrainConfig)
+    }
+    kwargs = _section_kwargs(sections, "train", parsers)
     if args.seed is not None:
         kwargs["master_seed"] = args.seed
     return TrainConfig(**kwargs)
 
 
 def _experiment_spec(args, sections: dict, cfg: PhyConfig) -> ExperimentSpec:
-    kv = sections.get("sweep", {})
-    kwargs: dict = {"cfg": cfg}
-    if "snr_list" in kv:
-        kwargs["snr_list"] = tuple(float(t) for t in kv["snr_list"].replace(",", " ").split())
-    if "n_symbols" in kv:
-        kwargs["n_symbols"] = int(kv["n_symbols"])
-    if "n_images" in kv:
-        kwargs["n_images"] = int(kv["n_images"])
-    if "systems" in kv:
-        kwargs["systems"] = tuple(t for t in kv["systems"].replace(",", " ").split() if t)
+    kwargs = _section_kwargs(sections, "sweep", _SWEEP_KEYS)
     if args.systems:
         kwargs["systems"] = tuple(args.systems.split(","))
     if args.seed is not None:
         kwargs["master_seed"] = args.seed
-    return ExperimentSpec(**kwargs)
+    return ExperimentSpec(cfg=cfg, **kwargs)
 
 
 def _out_dir(args) -> Path:
@@ -134,16 +146,14 @@ def cmd_rx(args) -> int:
 
 
 def cmd_emulate(args) -> int:
+    check_snr(args.snr)
     cfg = _phy_config(args)
     setup = EmulationSetup.build(cfg)
     seed = args.seed if args.seed is not None else 0
     if args.infile:
         symbols = read_frame(args.infile)
     else:
-        rng = np.random.default_rng(seed)
-        symbols = (
-            rng.standard_normal(args.symbols) + 1j * rng.standard_normal(args.symbols)
-        ) / np.sqrt(2.0)
+        symbols = gaussian_targets(args.symbols, np.random.default_rng(seed))
     targets = TargetSymbols(symbols, box_scale(cfg))
     estimates, record = emulated_link(targets, args.snr, seed, setup, mode=args.mode)
     est = estimates[: symbols.size]
@@ -159,7 +169,7 @@ def cmd_emulate(args) -> int:
     return 0
 
 
-def _load_zero_shot(models_dir: str | None, setup: EmulationSetup):
+def _load_zero_shot(models_dir: str | None):
     from .nn import ToyJsccModel
 
     if models_dir is None:
@@ -183,13 +193,10 @@ def cmd_sweep(args) -> int:
     sections = _load_sections(args)
     cfg = _phy_config(args)
     spec = _experiment_spec(args, sections, cfg)
-    setup = None
     models = {}
-    if {"emulated", "zero_shot"} & set(spec.systems):
-        setup = EmulationSetup.build(cfg)
     if "zero_shot" in spec.systems:
-        models["zero_shot"] = _load_zero_shot(args.models, setup)
-    rows = run_sweep(spec, setup, models)
+        models["zero_shot"] = _load_zero_shot(args.models)
+    rows = run_sweep(spec, models=models)
     out = _out_dir(args)
     write_csv(rows, out / "sweep.csv")
     emit_plotdata(rows, out / "plotdata")

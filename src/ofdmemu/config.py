@@ -224,6 +224,9 @@ class PhyConfig:
 
     @classmethod
     def from_mapping(cls, kv: dict[str, str]) -> "PhyConfig":
+        unknown = sorted(set(kv) - _PHY_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown [phy] key {unknown[0]!r}")
         kwargs: dict = {}
         if "fft_size" in kv:
             kwargs["fft_size"] = _parse_int(kv["fft_size"], "fft_size")
@@ -262,6 +265,21 @@ class PhyConfig:
         kv = dict(sections.get("", {}))
         kv.update(sections.get("phy", {}))
         return cls.from_mapping(kv)
+
+
+_PHY_KEYS = {
+    "fft_size",
+    "cp_len",
+    "modulation",
+    "coding_rate",
+    "scrambler_seed",
+    "conv_g1",
+    "conv_g2",
+    "subcarrier_map",
+    "data_subcarriers",
+    "pilot_subcarriers",
+    "pilot_base",
+}
 
 
 def parse_modulation(text: str) -> int:

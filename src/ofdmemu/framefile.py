@@ -44,11 +44,10 @@ def frame_from_bytes(blob: bytes) -> np.ndarray:
         raise FramingError(f"bad frame magic {magic!r}")
     if version != FRAME_VERSION:
         raise FramingError(f"unsupported frame version {version}")
+    payload = len(blob) - _FRAME_HEADER.size
+    if payload != 16 * count:
+        raise FramingError(f"frame payload has {payload} bytes, header promised {16 * count}")
     body = np.frombuffer(blob, dtype="<f8", offset=_FRAME_HEADER.size)
-    if body.size != 2 * count:
-        raise FramingError(
-            f"frame payload has {body.size} floats, header promised {2 * count}"
-        )
     return body[0::2] + 1j * body[1::2]
 
 
@@ -84,10 +83,13 @@ def read_model_into(path: str | Path, model) -> None:
             f"architecture fingerprint {fp.decode()} does not match "
             f"model ({want.decode()})"
         )
-    state = np.frombuffer(blob, dtype="<f8", offset=_MODEL_HEADER.size)
-    if state.size != count:
-        raise FramingError(f"model payload has {state.size} floats, header promised {count}")
-    model.load_state_vector(np.array(state))
+    payload = len(blob) - _MODEL_HEADER.size
+    if payload != 8 * count or count != model.parameter_count():
+        raise FramingError(
+            f"model payload has {payload} bytes, header promised {8 * count}, "
+            f"model needs {8 * model.parameter_count()}"
+        )
+    model.load_state_vector(np.frombuffer(blob, dtype="<f8", offset=_MODEL_HEADER.size).copy())
 
 
 _RECORD_PARTS = ("tx", "ref", "out", "est", "clean")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import FramingError
 
-__all__ = ["Gf2Matrix", "Gf2Vector", "Unsolvable", "Gf2Solver", "rank", "solve"]
+__all__ = ["Gf2Matrix", "Gf2Vector", "Unsolvable", "Gf2Solver", "rank"]
 
 
 def _word_count(bits: int) -> int:
@@ -45,26 +45,10 @@ class Gf2Vector:
         raw = np.unpackbits(self.words.view(np.uint8), bitorder="little")
         return raw[: self.length].astype(np.uint8)
 
-    def get(self, i: int) -> int:
-        return int((self.words[i >> 6] >> np.uint64(i & 63)) & np.uint64(1))
-
-    def set(self, i: int, value: int) -> None:
-        mask = np.uint64(1) << np.uint64(i & 63)
-        if value & 1:
-            self.words[i >> 6] |= mask
-        else:
-            self.words[i >> 6] &= ~mask
-
     def __xor__(self, other: "Gf2Vector") -> "Gf2Vector":
         if self.length != other.length:
             raise FramingError("vector length mismatch")
         return Gf2Vector(self.length, self.words ^ other.words)
-
-    def any(self) -> bool:
-        return bool(np.any(self.words))
-
-    def popcount(self) -> int:
-        return int(np.bitwise_count(self.words).sum())
 
     def __eq__(self, other) -> bool:
         return (
@@ -120,24 +104,6 @@ class Gf2Matrix:
     def copy(self) -> "Gf2Matrix":
         return Gf2Matrix(self.rows, self.cols, self.data)
 
-    def get(self, i: int, j: int) -> int:
-        return int((self.data[i, j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
-
-    def set(self, i: int, j: int, value: int) -> None:
-        mask = np.uint64(1) << np.uint64(j & 63)
-        if value & 1:
-            self.data[i, j >> 6] |= mask
-        else:
-            self.data[i, j >> 6] &= ~mask
-
-    def row(self, i: int) -> Gf2Vector:
-        return Gf2Vector(self.cols, self.data[i])
-
-    def set_row(self, i: int, v: Gf2Vector) -> None:
-        if v.length != self.cols:
-            raise FramingError("row length mismatch")
-        self.data[i] = v.words
-
     def take_rows(self, indices) -> "Gf2Matrix":
         indices = np.asarray(indices, dtype=np.intp)
         return Gf2Matrix(indices.size, self.cols, self.data[indices])
@@ -152,23 +118,6 @@ class Gf2Matrix:
     def column_bits(self, j: int) -> np.ndarray:
         """Column j as a 0/1 array over all rows."""
         return ((self.data[:, j >> 6] >> np.uint64(j & 63)) & np.uint64(1)).astype(np.uint8)
-
-    def dump(self) -> str:
-        """Textual form: one row per line as 0/1 characters."""
-        dense = self.to_dense()
-        return "\n".join("".join("1" if b else "0" for b in row) for row in dense)
-
-    @classmethod
-    def parse(cls, text: str) -> "Gf2Matrix":
-        lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-        if not lines:
-            return cls(0, 0)
-        width = len(lines[0])
-        for ln in lines:
-            if len(ln) != width or set(ln) - {"0", "1"}:
-                raise FramingError("matrix dump rows must be equal-length 0/1 strings")
-        dense = np.array([[1 if ch == "1" else 0 for ch in ln] for ln in lines], dtype=np.uint8)
-        return cls.from_dense(dense)
 
     def __eq__(self, other) -> bool:
         return (
@@ -232,7 +181,6 @@ class Gf2Solver:
         self.rank = r
         self.pivot_cols = np.asarray(pivots, dtype=np.intp)
         self._transform = tr
-        self._reduced = red
         # Scatter tables: pivot bit i of the transformed target lands in
         # solution word/bit position of pivot column i.
         self._pivot_word = (self.pivot_cols >> 6).astype(np.intp)
@@ -252,10 +200,6 @@ class Gf2Solver:
         zp = z[: self.rank].astype(np.uint64)
         np.bitwise_or.at(x.words, self._pivot_word, zp << self._pivot_shift)
         return x
-
-    def residual(self, x: Gf2Vector, target: Gf2Vector) -> Gf2Vector:
-        """A*x XOR target, for verification."""
-        return self.matrix.matvec(x) ^ target
 
     def certify_unsolvable(self, cert: "Unsolvable", target: Gf2Vector | np.ndarray) -> bool:
         """Check the left-null-vector proof behind an Unsolvable result.
@@ -300,7 +244,3 @@ def rank(matrix: Gf2Matrix) -> int:
         r += 1
     return r
 
-
-def solve(matrix: Gf2Matrix, target: Gf2Vector | np.ndarray) -> Gf2Vector | Unsolvable:
-    """One-shot deterministic solve; see :class:`Gf2Solver` for batches."""
-    return Gf2Solver(matrix).solve(target)

@@ -27,6 +27,7 @@ from .link import (
     awgn,
     box_edge,
     box_scale,
+    check_snr,
     float_serialization_link,
     ideal_analog_link,
     receiver_recover_soft,
@@ -53,12 +54,13 @@ class ExperimentSpec:
     n_images: int = 256
     systems: tuple[str, ...] = SYSTEM_IDS
     master_seed: int = 0
-    out_dir: str | None = None
 
     def __post_init__(self) -> None:
         if not self.snr_list:
             raise ConfigError("snr_list must not be empty")
         snrs = tuple(float(s) for s in self.snr_list)
+        for snr in snrs:
+            check_snr(snr)
         if list(snrs) != sorted(snrs):
             raise ConfigError("snr_list must be sorted ascending")
         object.__setattr__(self, "snr_list", snrs)
@@ -108,16 +110,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(rows: list[MetricRow], path: str | Path) -> None:
-    """The stable 8-column schema; None renders as an empty field."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(getattr(row, c)) for c in CSV_COLUMNS])
-
-
 def csv_text(rows: list[MetricRow]) -> str:
+    """The stable 8-column schema; None renders as an empty field."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -126,7 +120,18 @@ def csv_text(rows: list[MetricRow]) -> str:
     return buf.getvalue()
 
 
-def _gaussian_symbols(n: int, rng: np.random.Generator) -> np.ndarray:
+def write_csv(rows: list[MetricRow], path: str | Path) -> None:
+    Path(path).write_text(csv_text(rows), newline="")
+
+
+def gaussian_targets(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit-power complex Gaussian targets for sweep cells and ``emulate``.
+
+    Draws all real parts, then all imaginary parts.
+    ``sources.gaussian_symbols`` interleaves the two draws instead, so the
+    same seed gives different symbols; the pinned sweep bytes follow this
+    order.
+    """
     return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
 
 
@@ -134,71 +139,57 @@ def _evm(err_power: float, ref_power: float) -> float:
     return float(np.sqrt(err_power / max(ref_power, 1e-300)) * 100.0)
 
 
-def _cell_ideal(spec: ExperimentSpec, snr: float, seed: int) -> MetricRow:
-    rng = np.random.default_rng(seed)
-    sym = _gaussian_symbols(spec.n_symbols, rng)
-    est = ideal_analog_link(sym, snr, rng)
-    sq = np.abs(est - sym) ** 2
-    return MetricRow(
-        system="ideal_analog",
-        snr_db=snr,
-        symbol_mse=float(sq.mean()),
-        image_mse=None,
-        evm_percent=_evm(sq.mean(), np.mean(np.abs(sym) ** 2)),
-        ber=None,
-        n=spec.n_symbols,
-        seed=seed,
-        mse_stderr=float(sq.std() / np.sqrt(sq.size)),
-    )
-
-
-def _cell_emulated(
-    spec: ExperimentSpec, setup: EmulationSetup, snr: float, seed: int
+def _metric_row(
+    system: str,
+    snr: float,
+    seed: int,
+    n: int,
+    errors: np.ndarray,
+    symbol_mse: float,
+    symbol_power: float,
+    ber: float | None = None,
+    image_mse: float | None = None,
 ) -> MetricRow:
-    rng = np.random.default_rng(seed)
-    sym = _gaussian_symbols(spec.n_symbols, rng)
-    plan = sender_invert(TargetSymbols(sym, box_scale(spec.cfg)), setup)
-    frame = tx_chain(plan.bitstream, spec.cfg)
-    noisy = awgn(frame, snr, seed)
-    est, _ = receiver_recover_soft(noisy, plan, setup)
-    est = est[: sym.size]
-    sq = np.abs(est - sym) ** 2
-    decoded = rx_chain(noisy, spec.cfg)
-    ber = float(np.mean(decoded != plan.bitstream))
+    """``errors`` holds the per-item squared errors behind the stderr."""
     return MetricRow(
-        system="emulated",
+        system=system,
         snr_db=snr,
-        symbol_mse=float(sq.mean()),
-        image_mse=None,
-        evm_percent=_evm(sq.mean(), np.mean(np.abs(sym) ** 2)),
+        symbol_mse=symbol_mse,
+        image_mse=image_mse,
+        evm_percent=_evm(symbol_mse, symbol_power),
         ber=ber,
-        n=spec.n_symbols,
+        n=n,
         seed=seed,
-        mse_stderr=float(sq.std() / np.sqrt(sq.size)),
+        mse_stderr=float(errors.std() / np.sqrt(errors.size)),
     )
 
 
-def _cell_float(spec: ExperimentSpec, snr: float, seed: int) -> MetricRow:
+def _cell_symbols(
+    system: str, spec: ExperimentSpec, setup: EmulationSetup | None, snr: float, seed: int
+) -> MetricRow:
+    """One cell of a symbol-level system: ideal_analog, emulated or float_serial."""
     rng = np.random.default_rng(seed)
-    sym = _gaussian_symbols(spec.n_symbols, rng)
-    values = np.empty(2 * sym.size)
-    values[0::2] = sym.real
-    values[1::2] = sym.imag
-    out, bits, got = float_serialization_link(
-        values, snr, seed, spec.cfg, return_bits=True
-    )
-    est = out[0::2] + 1j * out[1::2]
+    sym = gaussian_targets(spec.n_symbols, rng)
+    ber = None
+    if system == "ideal_analog":
+        est = ideal_analog_link(sym, snr, rng)
+    elif system == "emulated":
+        plan = sender_invert(TargetSymbols(sym, box_scale(spec.cfg)), setup)
+        noisy = awgn(tx_chain(plan.bitstream, spec.cfg), snr, seed)
+        est = receiver_recover_soft(noisy, plan, setup)[0][: sym.size]
+        ber = float(np.mean(rx_chain(noisy, spec.cfg) != plan.bitstream))
+    else:
+        values = np.empty(2 * sym.size)
+        values[0::2] = sym.real
+        values[1::2] = sym.imag
+        out, bits, got = float_serialization_link(
+            values, snr, seed, spec.cfg, return_bits=True
+        )
+        est = out[0::2] + 1j * out[1::2]
+        ber = float(np.mean(bits != got))
     sq = np.abs(est - sym) ** 2
-    return MetricRow(
-        system="float_serial",
-        snr_db=snr,
-        symbol_mse=float(sq.mean()),
-        image_mse=None,
-        evm_percent=_evm(sq.mean(), np.mean(np.abs(sym) ** 2)),
-        ber=float(np.mean(bits != got)),
-        n=spec.n_symbols,
-        seed=seed,
-        mse_stderr=float(sq.std() / np.sqrt(sq.size)),
+    return _metric_row(
+        system, snr, seed, spec.n_symbols, sq, float(sq.mean()), np.mean(np.abs(sym) ** 2), ber
     )
 
 
@@ -210,17 +201,15 @@ def _cell_zero_shot(
     rng = np.random.default_rng(seed)
     images = glyph_images(spec.n_images, rng)
     result = evaluate_image_link(jscc, setup, snr, seed, images)
-    per_image = result["per_image_sq_err"]
-    return MetricRow(
-        system="zero_shot",
-        snr_db=snr,
-        symbol_mse=result["symbol_mse"],
+    return _metric_row(
+        "zero_shot",
+        snr,
+        seed,
+        spec.n_images,
+        result["per_image_sq_err"],
+        result["symbol_mse"],
+        result["symbol_power"],
         image_mse=result["image_mse"],
-        evm_percent=_evm(result["symbol_mse"], result["symbol_power"]),
-        ber=None,
-        n=spec.n_images,
-        seed=seed,
-        mse_stderr=float(per_image.std() / np.sqrt(per_image.size)),
     )
 
 
@@ -249,18 +238,10 @@ def run_sweep(
         for snr_j, snr in enumerate(spec.snr_list):
             cell = sys_i * len(spec.snr_list) + snr_j
             seed = spec.master_seed ^ cell
-            if system == "ideal_analog":
-                rows.append(_cell_ideal(spec, snr, seed))
-            elif system == "emulated":
-                rows.append(_cell_emulated(spec, setup, snr, seed))
-            elif system == "float_serial":
-                rows.append(_cell_float(spec, snr, seed))
-            else:
+            if system == "zero_shot":
                 rows.append(_cell_zero_shot(spec, setup, snr, seed, models["zero_shot"]))
-    if spec.out_dir is not None:
-        out = Path(spec.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_csv(rows, out / "sweep.csv")
+            else:
+                rows.append(_cell_symbols(system, spec, setup, snr, seed))
     return rows
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import PUNCTURE_PATTERNS, PhyConfig, bin_to_logical
 from .errors import SelectionError
-from .gf2 import Gf2Matrix, Gf2Vector, Gf2Solver, rank
+from .gf2 import Gf2Matrix, Gf2Vector, rank
 from .phy import _interleave_perm, _taps, conv_encode, interleave, puncture
 
 __all__ = [

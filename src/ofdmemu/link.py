@@ -17,13 +17,13 @@ outer constellation level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import KMOD_SQUARED, PhyConfig
-from .errors import CapacityError, FramingError, SelectionError
-from .gf2 import Gf2Solver, Gf2Vector, Unsolvable
+from .errors import CapacityError, ConfigError, FramingError, SelectionError
+from .gf2 import Gf2Solver, Unsolvable
 from .inversion import (
     SymbolSystem,
     build_symbol_system,
@@ -41,7 +41,7 @@ from .phy import (
     rx_chain,
     scramble,
     tx_chain,
-    tx_chain_stages,
+    tx_grids,
 )
 
 __all__ = [
@@ -54,6 +54,7 @@ __all__ = [
     "sender_invert",
     "reference_waveform",
     "targets_from_waveform",
+    "check_snr",
     "awgn",
     "receiver_recover_soft",
     "receiver_recover_hard",
@@ -303,6 +304,28 @@ def targets_from_waveform(
 # channel
 # ---------------------------------------------------------------------------
 
+def check_snr(snr_db: float) -> None:
+    """Reject SNRs that would turn every noisy sample into NaN."""
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ConfigError(f"snr_db must be finite or +inf, got {snr_db}")
+
+
+def _add_noise(
+    x: np.ndarray, snr_db: float, seed: int | np.random.Generator, power: float | None
+) -> np.ndarray:
+    """x plus complex AWGN of variance power * 10^(-snr/10), split evenly
+    between axes; ``power`` None measures it from x.  +inf SNR copies x."""
+    check_snr(snr_db)
+    if snr_db == math.inf:
+        return x.copy()
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    if power is None:
+        power = float(np.mean(np.abs(x) ** 2))
+    var = power * 10.0 ** (-snr_db / 10.0)
+    noise = rng.normal(0.0, math.sqrt(var / 2.0), size=(x.size, 2))
+    return x + noise[:, 0] + 1j * noise[:, 1]
+
+
 def awgn(
     samples: np.ndarray | BasebandFrame,
     snr_db: float,
@@ -310,20 +333,12 @@ def awgn(
 ) -> np.ndarray | BasebandFrame:
     """Additive white Gaussian noise at a measured-signal-power SNR.
 
-    ``snr_db = inf`` returns the input unchanged.  Noise is complex with
-    total variance split evenly between axes; the draw is deterministic
-    in the seed.
+    ``snr_db = inf`` returns the input unchanged; NaN or -inf raise
+    ConfigError.  The draw is deterministic in the seed.
     """
     frame = isinstance(samples, BasebandFrame)
     x = samples.samples if frame else np.asarray(samples, dtype=np.complex128)
-    if math.isinf(snr_db) and snr_db > 0:
-        y = x.copy()
-        return BasebandFrame(y, samples.ofdm_symbol_count) if frame else y
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    power = float(np.mean(np.abs(x) ** 2))
-    var = power * 10.0 ** (-snr_db / 10.0)
-    noise = rng.normal(0.0, math.sqrt(var / 2.0), size=(x.size, 2))
-    y = x + noise[:, 0] + 1j * noise[:, 1]
+    y = _add_noise(x, snr_db, seed, power=None)
     return BasebandFrame(y, samples.ofdm_symbol_count) if frame else y
 
 
@@ -375,9 +390,7 @@ def receiver_recover_hard(
     the planned quantized points; past the code's cliff it collapses.
     """
     cfg = setup.cfg
-    decoded = rx_chain(frame, cfg)
-    stages = tx_chain_stages(decoded, cfg)
-    grids = stages["grids"]
+    grids = tx_grids(rx_chain(frame, cfg), cfg)
     vals = grids[:, setup.chosen_bins].reshape(-1) / plan.scale
     return vals[: plan.target_count]
 
@@ -478,13 +491,7 @@ def ideal_analog_link(
     unit-average-power convention, independent of the empirical power.
     """
     symbols = targets.symbols if isinstance(targets, TargetSymbols) else np.asarray(targets)
-    symbols = symbols.astype(np.complex128).ravel()
-    if math.isinf(snr_db) and snr_db > 0:
-        return symbols.copy()
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    var = 10.0 ** (-snr_db / 10.0)
-    noise = rng.normal(0.0, math.sqrt(var / 2.0), size=(symbols.size, 2))
-    return symbols + noise[:, 0] + 1j * noise[:, 1]
+    return _add_noise(symbols.astype(np.complex128).ravel(), snr_db, seed, power=1.0)
 
 
 def float_serialization_link(

@@ -1,7 +1,7 @@
 """Differentiable-computation core: tensors, layers, and the waveform
 models (compensator, link proxy, toy image codec)."""
 
-from .autodiff import Tensor, concat, conv2d, pad2d
+from .autodiff import Tensor, concat, conv2d
 from .gradcheck import GradCheckError, GradCheckReport, grad_check
 from .layers import Conv2d, Dense, Module, SGDMomentum
 from .models import (
@@ -10,8 +10,6 @@ from .models import (
     ProxyModel,
     ToyJsccModel,
     complex_to_wave,
-    inverse_reshape_trunc,
-    reshape_period,
     wave_to_complex,
 )
 
@@ -19,7 +17,6 @@ __all__ = [
     "Tensor",
     "concat",
     "conv2d",
-    "pad2d",
     "grad_check",
     "GradCheckError",
     "GradCheckReport",
@@ -33,6 +30,4 @@ __all__ = [
     "ToyJsccModel",
     "complex_to_wave",
     "wave_to_complex",
-    "reshape_period",
-    "inverse_reshape_trunc",
 ]

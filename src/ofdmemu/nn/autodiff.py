@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "conv2d", "concat", "pad2d"]
+__all__ = ["Tensor", "conv2d", "concat"]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -271,20 +271,6 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
                 t._accum(g[tuple(idx)])
 
     return Tensor._node(out_data, tuple(tensors), backward)
-
-
-def pad2d(x: Tensor, pad_h: tuple[int, int], pad_w: tuple[int, int]) -> Tensor:
-    """Zero-pad the two middle axes of a (B, H, W, C) tensor."""
-    spec = ((0, 0), pad_h, pad_w, (0, 0))
-    out_data = np.pad(x.data, spec)
-    h0, h1 = pad_h
-    w0, w1 = pad_w
-    _, H, W, _ = x.data.shape
-
-    def backward(g):
-        x._accum(g[:, h0 : h0 + H, w0 : w0 + W, :])
-
-    return Tensor._node(out_data, (x,), backward)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:

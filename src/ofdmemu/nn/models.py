@@ -1,5 +1,5 @@
-"""Waveform-domain models: periodicity folds, compensator, link proxy,
-and a toy image codec.
+"""Waveform-domain models: the periodicity-folding compensator, the link
+proxy, and a toy image codec.
 
 Waveforms travel as (N_s, 2) real arrays (I and Q columns); helpers
 convert to and from the complex vectors the link layer uses.  Batched
@@ -14,15 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import PhyConfig
-from .autodiff import Tensor, concat, conv2d
+from .autodiff import Tensor, concat
 from .layers import Conv2d, Dense, Module
 
 __all__ = [
     "PeriodSpec",
     "complex_to_wave",
     "wave_to_complex",
-    "reshape_period",
-    "inverse_reshape_trunc",
     "CompensatorModel",
     "ProxyModel",
     "ToyJsccModel",
@@ -60,29 +58,6 @@ class PeriodSpec:
     @property
     def periods(self) -> tuple[int, int]:
         return (self.ofdm_period, self.source_period)
-
-
-def reshape_period(wave: Tensor | np.ndarray, period: int) -> Tensor:
-    """Zero-pad an (N_s, 2) waveform to a period multiple and fold it
-    into (rows, period, 2)."""
-    w = wave if isinstance(wave, Tensor) else Tensor(wave)
-    if period < 1:
-        raise ValueError("period must be >= 1")
-    n = w.shape[0]
-    pad = (-n) % period
-    if pad:
-        w = concat([w, Tensor(np.zeros((pad, 2)))], axis=0)
-    return w.reshape((n + pad) // period, period, 2)
-
-
-def inverse_reshape_trunc(folded: Tensor | np.ndarray, n_samples: int) -> Tensor:
-    """Unfold (rows, period, 2) back to a waveform and drop the padding."""
-    t = folded if isinstance(folded, Tensor) else Tensor(folded)
-    rows, period, _ = t.shape
-    flat = t.reshape(rows * period, 2)
-    if rows * period == n_samples:
-        return flat
-    return flat[:n_samples]
 
 
 def _positional_channels(rows: int, period: int) -> np.ndarray:
@@ -142,19 +117,9 @@ class CompensatorModel(Module):
     ):
         super().__init__()
         self.period_spec = period_spec
-        self.channels = channels
-        self.depth = depth
-        self.kernel = tuple(kernel)
         self.residual = bool(residual)
         # input channels: I, Q, plus the two positional channels
         self.stack = self._sub("stack", _ConvStack(4, 2, channels, depth, kernel, rng))
-
-    def describe(self) -> str:
-        return (
-            f"compensator(periods={self.period_spec.periods},"
-            f" channels={self.channels}, depth={self.depth},"
-            f" kernel={self.kernel}, residual={self.residual})"
-        )
 
     def _branch(self, w: Tensor, period: int) -> Tensor:
         batch, n, _ = w.shape
@@ -211,21 +176,12 @@ class ProxyModel(Module):
         kernel_width: int = 9,
     ):
         super().__init__()
-        self.channels = channels
-        self.depth = depth
-        self.kernel_width = kernel_width
         self.noise_gain = 1.0
         self.noise_floor = 0.0
         kern = (1, kernel_width)
         self.sender = self._sub("sender", _ConvStack(2, 2, channels, depth, kern, rng))
         self.receiver = self._sub(
             "receiver", _ConvStack(2, 2, channels, depth, kern, rng)
-        )
-
-    def describe(self) -> str:
-        return (
-            f"proxy(channels={self.channels}, depth={self.depth},"
-            f" kernel_width={self.kernel_width})"
         )
 
     def _run(self, stack: _ConvStack, w: Tensor) -> Tensor:
@@ -286,7 +242,6 @@ class ToyJsccModel(Module):
         super().__init__()
         self.image_shape = tuple(image_shape)
         self.latent_pairs = int(latent_pairs)
-        self.hidden = int(hidden)
         self.latent_bound = float(latent_bound)
         pixels = int(np.prod(self.image_shape))
         self.pixels = pixels
@@ -295,12 +250,6 @@ class ToyJsccModel(Module):
         self.dec1 = self._sub("dec1", Dense(2 * latent_pairs, hidden, rng))
         self.dec2 = self._sub("dec2", Dense(hidden, pixels, rng))
         self._half = Tensor(np.sqrt(0.5))
-
-    def describe(self) -> str:
-        return (
-            f"jscc(image={self.image_shape}, pairs={self.latent_pairs},"
-            f" hidden={self.hidden}, bound={self.latent_bound})"
-        )
 
     def encode(self, images: Tensor) -> Tensor:
         """(B, pixels) -> (B, 2K) bounded near-unit-power latent reals."""

@@ -2,9 +2,9 @@
 
 Transmit order: scramble, rate-1/2 convolutional encode, puncture,
 block-interleave, QAM map, pilot insertion, unitary IFFT plus cyclic
-prefix.  Receive order mirrors it: FFT, (identity) equalization, hard
-QAM demap, deinterleave, depuncture with erasure marks, hard-decision
-Viterbi decode, descramble.
+prefix.  Receive order mirrors it: FFT, hard QAM demap (the channel is
+unit-gain, so there is nothing to equalize), deinterleave, depuncture
+with erasure marks, hard-decision Viterbi decode, descramble.
 
 Both DFTs carry the unitary 1/sqrt(fft_size) scale so Parseval holds
 exactly between grid and time domains.  Bits travel as uint8 arrays of
@@ -30,51 +30,27 @@ from .config import (
 from .errors import ConfigError, FramingError
 
 __all__ = [
-    "BitBlock",
     "BasebandFrame",
     "lfsr_sequence",
     "scramble",
     "conv_encode",
-    "conv_step_state",
     "puncture",
     "depuncture",
     "interleave",
     "deinterleave",
     "qam_map",
-    "qam_hard_demap",
     "qam_quantize",
     "assemble_grid",
     "extract_data",
-    "equalize",
     "ofdm_modulate",
     "ofdm_demodulate",
     "modulate_symbols",
     "demodulate_frame",
     "viterbi_decode",
-    "viterbi_path_metric",
     "tx_chain",
-    "tx_chain_stages",
+    "tx_grids",
     "rx_chain",
 ]
-
-
-@dataclass
-class BitBlock:
-    """A bit vector tagged with its position in the chain.
-
-    Roles: raw, scrambled, coded, punctured, interleaved, received.
-    """
-
-    bits: np.ndarray
-    role: str = "raw"
-
-    def __post_init__(self) -> None:
-        self.bits = np.asarray(self.bits)
-        if self.bits.ndim != 1:
-            raise FramingError("BitBlock expects a 1-D bit vector")
-
-    def __len__(self) -> int:
-        return int(self.bits.size)
 
 
 @dataclass
@@ -101,9 +77,6 @@ class BasebandFrame:
 
     def __len__(self) -> int:
         return int(self.samples.size)
-
-    def average_power(self) -> float:
-        return float(np.mean(np.abs(self.samples) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +139,6 @@ def conv_encode(
     for i in range(6):
         new_state |= int(tail[5 - i]) << i
     return coded, new_state
-
-
-def conv_step_state(state: int, bit: int) -> int:
-    """Register content after shifting one input bit in."""
-    return ((state << 1) | (bit & 1)) & 0x3F
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +304,6 @@ def qam_quantize(points: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return quantized, labels.reshape(-1)
 
 
-def qam_hard_demap(points: np.ndarray, m: int) -> np.ndarray:
-    """Per-axis nearest-level hard decisions, as a flat bit vector."""
-    _, labels = qam_quantize(points, m)
-    return labels
-
-
 # ---------------------------------------------------------------------------
 # T5: pilot insertion / grid handling
 # ---------------------------------------------------------------------------
@@ -364,11 +326,6 @@ def extract_data(grid: np.ndarray, cfg: PhyConfig) -> np.ndarray:
     if grid.shape[-1] != cfg.fft_size:
         raise FramingError(f"grid must hold {cfg.fft_size} bins")
     return grid[..., cfg.data_bin_array]
-
-
-def equalize(grid: np.ndarray, channel_gain: complex = 1.0) -> np.ndarray:
-    """Frequency-domain one-tap equalizer (identity for the unit channel)."""
-    return np.asarray(grid) / channel_gain
 
 
 # ---------------------------------------------------------------------------
@@ -495,42 +452,19 @@ def viterbi_decode(
     return bits
 
 
-def viterbi_path_metric(
-    received: np.ndarray,
-    candidate_bits: np.ndarray,
-    rate: Fraction | str = Fraction(1, 2),
-    g1: int = CONV_G1,
-    g2: int = CONV_G2,
-) -> float:
-    """Hamming cost of one candidate input sequence against ``received``.
-
-    Re-encodes from state 0 and counts disagreements on non-erased
-    positions, using the same depuncture convention as the decoder.
-    """
-    received = np.asarray(received)
-    rate = Fraction(rate)
-    if rate != Fraction(1, 2) and received.size and received.min() >= 0:
-        received = depuncture(received, rate)
-    received = received.astype(np.int8)
-    coded, _ = conv_encode(_as_bits(candidate_bits), 0, g1, g2)
-    if coded.size != received.size:
-        raise FramingError("candidate length does not match the received stream")
-    valid = received >= 0
-    return float(np.sum(valid & (coded != received)))
-
-
 # ---------------------------------------------------------------------------
 # full chains
 # ---------------------------------------------------------------------------
 
 def tx_chain(bits: np.ndarray, cfg: PhyConfig) -> BasebandFrame:
     """Information bits to a baseband frame of whole OFDM symbols."""
-    stages = tx_chain_stages(bits, cfg)
-    return stages["frame"]
+    grids = tx_grids(bits, cfg)
+    return BasebandFrame(modulate_symbols(grids, cfg), grids.shape[0])
 
 
-def tx_chain_stages(bits: np.ndarray, cfg: PhyConfig) -> dict:
-    """Run the transmit chain, keeping every labeled intermediate stage."""
+def tx_grids(bits: np.ndarray, cfg: PhyConfig) -> np.ndarray:
+    """Transmit chain up to the frequency domain: one fft_size grid per
+    OFDM symbol, data and pilots placed, as a (count, fft_size) stack."""
     bits = _as_bits(bits)
     if bits.size == 0 or bits.size % cfg.n_dbps != 0:
         raise FramingError(
@@ -539,34 +473,22 @@ def tx_chain_stages(bits: np.ndarray, cfg: PhyConfig) -> dict:
     n_sym = bits.size // cfg.n_dbps
     scrambled = scramble(bits, cfg.scrambler_seed)
     coded, _ = conv_encode(scrambled, 0, cfg.conv_g1, cfg.conv_g2)
-    punctured = puncture(coded, cfg.coding_rate)
-    blocks = punctured.reshape(n_sym, cfg.n_cbps)
-    interleaved = np.empty_like(blocks)
+    blocks = puncture(coded, cfg.coding_rate).reshape(n_sym, cfg.n_cbps)
     grids = np.empty((n_sym, cfg.fft_size), dtype=np.complex128)
     for s in range(n_sym):
-        interleaved[s] = interleave(blocks[s], cfg.n_cbps, cfg.n_bpsc)
-        points = qam_map(interleaved[s], cfg.modulation_order)
+        points = qam_map(interleave(blocks[s], cfg.n_cbps, cfg.n_bpsc), cfg.modulation_order)
         grids[s] = assemble_grid(points, s, cfg)
-    samples = modulate_symbols(grids, cfg)
-    return {
-        "raw": BitBlock(bits, "raw"),
-        "scrambled": BitBlock(scrambled, "scrambled"),
-        "coded": BitBlock(coded, "coded"),
-        "punctured": BitBlock(punctured, "punctured"),
-        "interleaved": BitBlock(interleaved.reshape(-1), "interleaved"),
-        "grids": grids,
-        "frame": BasebandFrame(samples, n_sym),
-    }
+    return grids
 
 
 def rx_chain(frame: BasebandFrame | np.ndarray, cfg: PhyConfig) -> np.ndarray:
     """Baseband frame back to information bits."""
     samples = frame.samples if isinstance(frame, BasebandFrame) else np.asarray(frame)
-    grids = equalize(demodulate_frame(samples, cfg))
+    grids = demodulate_frame(samples, cfg)
     n_sym = grids.shape[0]
     received = np.empty((n_sym, cfg.n_cbps), dtype=np.uint8)
     for s in range(n_sym):
-        hard = qam_hard_demap(extract_data(grids[s], cfg), cfg.modulation_order)
+        _, hard = qam_quantize(extract_data(grids[s], cfg), cfg.modulation_order)
         received[s] = deinterleave(hard, cfg.n_cbps, cfg.n_bpsc)
     mother = depuncture(received.reshape(-1), cfg.coding_rate)
     decoded = viterbi_decode(mother, Fraction(1, 2), cfg.conv_g1, cfg.conv_g2)

@@ -28,8 +28,6 @@ from .link import (
     box_scale,
     emulated_link,
     reference_waveform,
-    receiver_recover_soft,
-    sender_invert,
     targets_from_waveform,
 )
 from .nn import (
@@ -41,7 +39,7 @@ from .nn import (
     ToyJsccModel,
     complex_to_wave,
 )
-from .phy import demodulate_frame, tx_chain
+from .phy import demodulate_frame
 from .sources import gaussian_symbols, glyph_images, longest_chosen_run, smooth_waveform
 
 __all__ = [
@@ -54,7 +52,6 @@ __all__ = [
     "stage3_alternate",
     "train_jscc_ideal",
     "evaluate_image_link",
-    "zero_shot_deploy",
 ]
 
 # fixed child indices into the master SeedSequence spawn, so each
@@ -682,24 +679,6 @@ def evaluate_image_link(
         "per_image_sq_err": per_image,
         "symbol_power": float(np.mean(np.abs(symbols) ** 2)),
     }
-
-
-def zero_shot_deploy(
-    jscc: ToyJsccModel,
-    setup: EmulationSetup,
-    snr_list: list[float],
-    seed: int,
-    images: np.ndarray,
-    mode: str = "soft",
-) -> list[dict]:
-    """Evaluate an ideal-analog-trained codec on the real link, no
-    adaptation, one row per SNR point."""
-    rows = []
-    for i, snr in enumerate(snr_list):
-        result = evaluate_image_link(jscc, setup, snr, seed + i, images, mode=mode)
-        result["snr_db"] = float(snr)
-        rows.append(result)
-    return rows
 
 
 def clone_model(model):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ofdmemu.nn.autodiff import Tensor, concat, conv2d, pad2d
+from ofdmemu.nn.autodiff import Tensor, concat, conv2d
 
 
 def numeric_grad(fn, x, eps=1e-6):
@@ -115,15 +115,6 @@ def test_concat_grads(rng):
     (concat([ta, tb], axis=1) * 2.0).sum().backward()
     np.testing.assert_allclose(ta.grad, np.full((2, 3), 2.0))
     np.testing.assert_allclose(tb.grad, np.full((2, 5), 2.0))
-
-
-def test_pad2d_grads(rng):
-    x = rng.normal(size=(1, 3, 3, 2))
-    t = Tensor(x, requires_grad=True)
-    out = pad2d(t, (1, 1), (2, 0))
-    assert out.shape == (1, 5, 5, 2)
-    out.sum().backward()
-    np.testing.assert_allclose(t.grad, np.ones_like(x))
 
 
 def test_conv2d_matches_numeric(rng):

@@ -51,6 +51,12 @@ def test_tx_rx_roundtrip(tmp_path, capsys, rng):
     assert rc == 0
     decoded = (tmp_path / "rxout" / "decoded.bin").read_bytes()
     assert decoded[: len(data)] == data
+    # a stray trailing byte is a framing error, not a crash
+    wave = tmp_path / "txout" / "waveform.bin"
+    wave.write_bytes(wave.read_bytes() + b"\0")
+    rc = main(["rx", "--in", str(wave), "--out", str(tmp_path / "rxout")])
+    assert rc == 1
+    assert "error" in capsys.readouterr().err
 
 
 def test_emulate_generated_targets(tmp_path, capsys):
@@ -103,11 +109,28 @@ def test_sweep_zero_shot_without_models_exits_2(tmp_path, capsys):
 
 
 def test_bad_train_key_exits_2(tmp_path, capsys):
+    # unknown keys and unparsable values in every section are config errors
+    cases = [
+        ("train-comp", "[train]\nwarp_speed = 9\n"),
+        ("train-comp", "[phy]\nmodulaton = qpsk\n"),
+        ("train-comp", "modulaton = qpsk\n"),
+        ("sweep", "[sweep]\nsymbols_per_point = 100\n"),
+        ("sweep", "[sweep]\nn_symbols = many\n"),
+        ("sweep", "[sweep]\nsnr_list = 0 nan\n"),
+    ]
     cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text("[train]\nwarp_speed = 9\n")
-    rc = main(["train-comp", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    for command, text in cases:
+        cfgfile.write_text(text)
+        rc = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        assert rc == 2, text
+        assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("snr", ["nan", "-inf"])
+def test_emulate_bad_snr_exits_2(tmp_path, capsys, snr):
+    rc = main(["emulate", "--symbols", "10", f"--snr={snr}", "--out", str(tmp_path)])
     assert rc == 2
-    assert "configuration error" in capsys.readouterr().err
+    assert "snr" in capsys.readouterr().err
 
 
 def test_bad_phy_value_exits_2(tmp_path, capsys):

@@ -44,6 +44,10 @@ def test_frame_corruption_detected(rng):
         frame_from_bytes(blob[:-8])  # truncated payload
     with pytest.raises(FramingError):
         frame_from_bytes(blob[:6])  # truncated header
+    with pytest.raises(FramingError):
+        frame_from_bytes(blob + b"\0")  # one stray byte
+    with pytest.raises(FramingError):
+        frame_from_bytes(blob[:-3])  # tail cut inside a float
 
 
 def test_model_roundtrip(tmp_path, rng):
@@ -63,6 +67,17 @@ def test_model_fingerprint_mismatch(tmp_path, rng):
     write_model(p, a)
     with pytest.raises(FramingError):
         read_model_into(p, wrong)
+
+
+def test_model_payload_length_checked(tmp_path, rng):
+    a = Dense(5, 3, rng)
+    p = tmp_path / "dense.model"
+    write_model(p, a)
+    blob = p.read_bytes()
+    for bad in (blob + b"\0", blob[:-3], blob[:-8]):
+        p.write_bytes(bad)
+        with pytest.raises(FramingError):
+            read_model_into(p, a)
 
 
 def test_records_roundtrip(tmp_path, default_setup, rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ofdmemu.errors import FramingError
-from ofdmemu.gf2 import Gf2Matrix, Gf2Solver, Gf2Vector, Unsolvable, rank, solve
+from ofdmemu.gf2 import Gf2Matrix, Gf2Solver, Gf2Vector, Unsolvable, rank
 
 
 def random_matrix(rows, cols, rng):
@@ -89,20 +89,6 @@ def test_solver_rejects_bad_target_length(rng):
     solver = Gf2Solver(m)
     with pytest.raises(FramingError):
         solver.solve(np.zeros(17, dtype=np.uint8))
-
-
-def test_one_shot_solve_helper(rng):
-    m, bits = random_matrix(25, 31, rng)
-    x = rng.integers(0, 2, 31, dtype=np.uint8)
-    y = bits @ x % 2
-    got = solve(m, y)
-    assert not isinstance(got, Unsolvable)
-    assert np.array_equal(bits @ got.to_bits() % 2, y)
-
-
-def test_dump_parse_roundtrip(rng):
-    m, _ = random_matrix(7, 12, rng)
-    assert Gf2Matrix.parse(m.dump()) == m
 
 
 def test_take_rows_selects(rng):

@@ -39,6 +39,9 @@ def test_spec_validation():
         ExperimentSpec(snr_list=())
     with pytest.raises(ConfigError):
         ExperimentSpec(snr_list=(10.0, 0.0))
+    for bad in (float("nan"), float("-inf")):
+        with pytest.raises(ConfigError):
+            ExperimentSpec(snr_list=(0.0, bad))
     with pytest.raises(ConfigError):
         ExperimentSpec(n_symbols=0)
     with pytest.raises(ConfigError):

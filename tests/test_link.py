@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ofdmemu.config import PhyConfig
-from ofdmemu.errors import CapacityError, FramingError, SelectionError
+from ofdmemu.errors import CapacityError, ConfigError, FramingError, SelectionError
 from ofdmemu.link import (
     TargetSymbols,
     awgn,
@@ -128,6 +128,15 @@ def test_awgn_infinite_snr_is_identity(rng):
     out = awgn(frame, math.inf, 1)
     assert isinstance(out, BasebandFrame)
     assert np.array_equal(out.samples, x)
+
+
+@pytest.mark.parametrize("snr", [math.nan, -math.inf])
+def test_channels_reject_nan_and_minus_inf_snr(snr):
+    x = np.ones(8, dtype=np.complex128)
+    with pytest.raises(ConfigError):
+        awgn(x, snr, 1)
+    with pytest.raises(ConfigError):
+        ideal_analog_link(x, snr, 1)
 
 
 def test_ideal_analog_noise_law(rng):

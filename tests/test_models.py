@@ -11,8 +11,6 @@ from ofdmemu.nn.models import (
     ProxyModel,
     ToyJsccModel,
     complex_to_wave,
-    inverse_reshape_trunc,
-    reshape_period,
     wave_to_complex,
 )
 
@@ -33,25 +31,6 @@ def test_period_spec(default_cfg):
         PeriodSpec(0, 2)
     with pytest.raises(ValueError):
         PeriodSpec(80, 0)
-
-
-def test_reshape_period_roundtrip(rng):
-    w = rng.normal(size=(37, 2))
-    folded = reshape_period(w, 8)
-    assert folded.shape == (5, 8, 2)  # 37 -> padded to 40
-    back = inverse_reshape_trunc(folded, 37)
-    np.testing.assert_allclose(back.data, w)
-    exact = reshape_period(w[:32], 8)
-    np.testing.assert_allclose(inverse_reshape_trunc(exact, 32).data, w[:32])
-    with pytest.raises(ValueError):
-        reshape_period(w, 0)
-
-
-def test_reshape_gradient_flows(rng):
-    w = Tensor(rng.normal(size=(10, 2)), requires_grad=True)
-    out = inverse_reshape_trunc(reshape_period(w, 4), 10)
-    (out * out).sum().backward()
-    np.testing.assert_allclose(w.grad, 2 * w.data)
 
 
 def test_module_parameter_registry(rng):

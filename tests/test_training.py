@@ -16,7 +16,6 @@ from ofdmemu.training import (
     stage2_train_proxy,
     stage3_alternate,
     train_jscc_ideal,
-    zero_shot_deploy,
 )
 
 
@@ -192,15 +191,6 @@ def test_evaluate_image_link_deterministic(default_setup):
     assert a["image_mse"] == pytest.approx(float(np.mean(a["per_image_sq_err"])))
     assert 0.0 <= a["clip_rate"] <= 1.0
     assert a["symbol_power"] == pytest.approx(1.0, rel=0.2)
-
-
-def test_zero_shot_deploy_rows(default_setup):
-    cfg = quick_cfg()
-    jscc = ToyJsccModel(cfg.child_rng(0))
-    images = glyph_images(4, cfg.child_rng(3))
-    rows = zero_shot_deploy(jscc, default_setup, [5.0, 15.0], 7, images)
-    assert [r["snr_db"] for r in rows] == [5.0, 15.0]
-    assert all("image_mse" in r for r in rows)
 
 
 def test_clone_model_is_independent():
