@@ -6,6 +6,9 @@ the certified subcarrier selection, and the bytes the inverted sender
 and the emulated link produce at fixed seeds.  A refactor leaves every
 digest unchanged; a change meant to move one says why in CHANGES.md and
 re-pins it here.
+
+Learned outputs of a tiny training run are pinned to a relative 1e-9
+rather than to bytes, because a kernel rewrite may reorder sums.
 """
 
 import hashlib
@@ -18,7 +21,8 @@ from ofdmemu.cli import main
 from ofdmemu.config import PhyConfig
 from ofdmemu.harness import ExperimentSpec, csv_text, emit_plotdata, run_sweep
 from ofdmemu.link import EmulationSetup, TargetSymbols, emulated_link, sender_invert
-from ofdmemu.sources import gaussian_symbols
+from ofdmemu.sources import gaussian_symbols, glyph_images
+from ofdmemu.training import TrainConfig, evaluate_image_link, run_training_pipeline
 
 CONFIGS = {
     "64qam-r34": PhyConfig(),
@@ -139,3 +143,77 @@ def test_cli_emulate_and_sweep_bytes(tmp_path, capsys):
         "sweep": files_digest([out / "sweep.csv", *plot]),
     }
     assert got == CLI_GOLDEN
+
+
+TINY_TRAIN = TrainConfig(
+    master_seed=7,
+    batch_size=4,
+    image_batch_size=8,
+    stage1_epochs=2,
+    stage1_waveforms=8,
+    stage1_val_waveforms=4,
+    stage1_ofdm_symbols=2,
+    stage2_epochs=2,
+    stage2_records=8,
+    stage2_ofdm_symbols=2,
+    stage3_max_cycles=1,
+    stage3_phase_a_epochs=1,
+    stage3_images=16,
+    refresh_batch_count=4,
+    stage3_refresh_epochs=1,
+)
+
+LEARNED_GOLDEN = {
+    "stage1_trace": [0.3081446079632994, 0.3064503064827915],
+    "stage1_metrics": {
+        "val_mse_uncompensated": 0.24651945035258063,
+        "val_mse_compensated": 0.24535897682324506,
+        "improvement": 0.0047074319193711545,
+    },
+    "stage2_trace": [0.03026668380255347, 0.030588989504592462],
+    "stage2_metrics": {
+        "noise_gain": 0.8256672998277481,
+        "noise_floor": 0.03627720563883691,
+        "sigma_sq": 0.02610989256976835,
+        "held_out_mse": 0.05492509263069404,
+        "held_out_bound": 0.08373029310222566,
+        "held_out_sigma_sq": 0.026584661759903996,
+        "held_out_floor": 0.030560969582417656,
+        "within_bound": True,
+    },
+    "stage3_trace": [
+        (0, "probe", 0.16539791157034944),
+        (1, "A", 0.18777308470730683),
+        (1, "B", 0.10434278199030661),
+        (1, "probe", 0.14610674792189338),
+    ],
+    "stage3_metrics": {
+        "initial_joint_loss": 0.16539791157034944,
+        "final_joint_loss": 0.14610674792189338,
+        "cycles": 1,
+        "refresh_fidelity_pre": 0.06951019622244836,
+        "refresh_fidelity_post": 0.06916612890623934,
+    },
+    "zero_shot_trace": [0.17574508710448575],
+    "eval_image_mse": 0.20103939350765188,
+}
+
+
+def test_learned_outputs(default_setup):
+    result = run_training_pipeline(default_setup, TINY_TRAIN)
+    images = glyph_images(8, np.random.default_rng(5))
+    evaluation = evaluate_image_link(
+        result.jscc, default_setup, 12.0, 3, images, compensator=result.compensator
+    )
+    got = {
+        "stage1_trace": result.stage1.loss_trace,
+        "stage1_metrics": result.stage1.metrics,
+        "stage2_trace": result.stage2.loss_trace,
+        "stage2_metrics": result.stage2.metrics,
+        "stage3_trace": result.stage3.loss_trace,
+        "stage3_metrics": result.stage3.metrics,
+        "zero_shot_trace": result.zero_shot.loss_trace,
+        "eval_image_mse": evaluation["image_mse"],
+    }
+    for key, want in LEARNED_GOLDEN.items():
+        assert got[key] == pytest.approx(want, rel=1e-9), key
