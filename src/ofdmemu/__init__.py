@@ -10,7 +10,6 @@ surrogate of the whole link.
 
 from .config import PhyConfig, parse_config_file
 from .errors import (
-    CapacityError,
     ConfigError,
     FramingError,
     OfdmEmuError,

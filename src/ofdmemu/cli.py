@@ -147,6 +147,8 @@ def cmd_rx(args) -> int:
 
 def cmd_emulate(args) -> int:
     check_snr(args.snr)
+    if args.symbols < 1:
+        raise ConfigError(f"--symbols must be >= 1, got {args.symbols}")
     cfg = _phy_config(args)
     setup = EmulationSetup.build(cfg)
     seed = args.seed if args.seed is not None else 0

@@ -99,9 +99,8 @@ class PhyConfig:
 
     ``data_subcarriers`` and ``pilot_subcarriers`` hold FFT bin indices;
     the order of ``data_subcarriers`` fixes the order in which coded bits
-    fill the grid.  ``conv_g1``/``conv_g2`` default to the standard
-    generator polynomials and exist only as a debugging knob; the
-    conformance self-test pins the standard values.
+    fill the grid.  The convolutional code is always the standard one
+    (``CONV_G1``/``CONV_G2``).
     """
 
     fft_size: int = 64
@@ -112,8 +111,6 @@ class PhyConfig:
     data_subcarriers: tuple[int, ...] = field(default_factory=default_data_bins)
     pilot_subcarriers: tuple[int, ...] = field(default_factory=default_pilot_bins)
     pilot_base: tuple[int, ...] = PILOT_BASE
-    conv_g1: int = CONV_G1
-    conv_g2: int = CONV_G2
 
     def __post_init__(self) -> None:
         if self.fft_size <= 0 or (self.fft_size & (self.fft_size - 1)) != 0:
@@ -147,8 +144,6 @@ class PhyConfig:
             raise ConfigError("DC bin must stay null")
         if len(pilots) != len(self.pilot_base):
             raise ConfigError("pilot_base length must match pilot_subcarriers")
-        if not 0 < self.conv_g1 < 128 or not 0 < self.conv_g2 < 128:
-            raise ConfigError("generator polynomials must be 7-bit octal values")
         # Coded/info bits per OFDM symbol must come out integral, and the
         # puncture pattern must align with the per-symbol block boundary so
         # every OFDM symbol sees the same puncture phase.
@@ -216,7 +211,7 @@ class PhyConfig:
             f"data={','.join(map(str, self.data_subcarriers))};"
             f"pilots={','.join(map(str, self.pilot_subcarriers))};"
             f"base={','.join(map(str, self.pilot_base))};"
-            f"g1={self.conv_g1:o};g2={self.conv_g2:o}"
+            f"g1={CONV_G1:o};g2={CONV_G2:o}"
         )
         return hashlib.sha256(desc.encode()).hexdigest()[:16]
 
@@ -238,13 +233,11 @@ class PhyConfig:
             kwargs["coding_rate"] = parse_rate(kv["coding_rate"])
         if "scrambler_seed" in kv:
             kwargs["scrambler_seed"] = _parse_int(kv["scrambler_seed"], "scrambler_seed")
-        if "conv_g1" in kv:
-            kwargs["conv_g1"] = _parse_int(kv["conv_g1"], "conv_g1", base=8)
-        if "conv_g2" in kv:
-            kwargs["conv_g2"] = _parse_int(kv["conv_g2"], "conv_g2", base=8)
         smap = kv.get("subcarrier_map", "standard").strip().lower()
         if smap == "standard":
-            pass
+            layout = sorted(_LAYOUT_KEYS & set(kv))
+            if layout:
+                raise ConfigError(f"{layout[0]} needs subcarrier_map = custom")
         elif smap == "custom":
             try:
                 kwargs["data_subcarriers"] = _parse_int_list(kv["data_subcarriers"])
@@ -267,19 +260,16 @@ class PhyConfig:
         return cls.from_mapping(kv)
 
 
+# keys that only a custom subcarrier map reads
+_LAYOUT_KEYS = {"data_subcarriers", "pilot_subcarriers", "pilot_base"}
 _PHY_KEYS = {
     "fft_size",
     "cp_len",
     "modulation",
     "coding_rate",
     "scrambler_seed",
-    "conv_g1",
-    "conv_g2",
     "subcarrier_map",
-    "data_subcarriers",
-    "pilot_subcarriers",
-    "pilot_base",
-}
+} | _LAYOUT_KEYS
 
 
 def parse_modulation(text: str) -> int:
@@ -305,9 +295,9 @@ def parse_rate(text: str) -> Fraction:
     return r
 
 
-def _parse_int(text: str, name: str, base: int = 10) -> int:
+def _parse_int(text: str, name: str) -> int:
     try:
-        return int(str(text).strip(), base)
+        return int(str(text).strip())
     except ValueError:
         raise ConfigError(f"bad integer for {name}: {text!r}") from None
 

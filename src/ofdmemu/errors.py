@@ -22,10 +22,6 @@ class SelectionError(OfdmEmuError):
     """A subcarrier selection is invalid (duplicates, non-data bins)."""
 
 
-class CapacityError(OfdmEmuError):
-    """More payload was requested than the selection can carry."""
-
-
 class TrainingError(OfdmEmuError):
     """A training stage diverged, went non-finite, or lacked data.
 

@@ -80,8 +80,7 @@ def read_model_into(path: str | Path, model) -> None:
     want = model.architecture_fingerprint().encode("ascii")
     if fp != want:
         raise FramingError(
-            f"architecture fingerprint {fp.decode()} does not match "
-            f"model ({want.decode()})"
+            f"architecture fingerprint {fp!r} does not match model ({want.decode()})"
         )
     payload = len(blob) - _MODEL_HEADER.size
     if payload != 8 * count or count != model.parameter_count():
@@ -123,34 +122,51 @@ def write_records(directory: str | Path, records: list[LinkRecord]) -> None:
 
 
 def read_records(directory: str | Path) -> list[LinkRecord]:
+    """Records written by :func:`write_records`; any malformed manifest
+    line or missing part file raises FramingError."""
     directory = Path(directory)
     manifest = directory / "manifest.txt"
     if not manifest.exists():
         raise FramingError(f"no manifest.txt under {directory}")
+    try:
+        lines = manifest.read_text().splitlines()
+    except UnicodeDecodeError:
+        raise FramingError(f"{manifest} is not text") from None
     records = []
-    for line in manifest.read_text().splitlines():
+    for line in lines:
         if not line.strip():
             continue
-        kv = dict(tok.split("=", 1) for tok in line.split())
-        i = int(kv["record"])
-        parts = kv["parts"].split(",")
-        def load(part):
-            if part not in parts:
-                return None
-            return read_frame(directory / f"rec{i:04d}.{part}.bin")
-        records.append(
-            LinkRecord(
-                tx_frame=load("tx"),
-                reference=load("ref"),
-                output_waveform=load("out"),
-                estimates=load("est"),
+        try:
+            kv = dict(tok.split("=", 1) for tok in line.split())
+            i = int(kv["record"])
+            parts = kv["parts"].split(",")
+            fields = dict(
                 snr_db=float(kv["snr_db"]),
                 seed=int(kv["seed"]),
                 mode=kv["mode"],
                 config_fingerprint=kv["fingerprint"],
                 n_chosen=int(kv["n_chosen"]),
                 clip_rate=float(kv["clip_rate"]),
+            )
+        except (KeyError, ValueError) as exc:
+            raise FramingError(f"malformed manifest line {line!r}: {exc!r}") from None
+
+        def load(part):
+            if part not in parts:
+                return None
+            path = directory / f"rec{i:04d}.{part}.bin"
+            if not path.is_file():
+                raise FramingError(f"manifest names {path.name}, which is missing")
+            return read_frame(path)
+
+        records.append(
+            LinkRecord(
+                tx_frame=load("tx"),
+                reference=load("ref"),
+                output_waveform=load("out"),
+                estimates=load("est"),
                 clean_waveform=load("clean"),
+                **fields,
             )
         )
     return records

@@ -5,7 +5,7 @@ Every sweep cell derives its seed as master_seed XOR cell_index, so cells
 are order-independent and individually reproducible.  The self-test
 checks the coded chain against straight-line reference implementations
 written out longhand here, pinned to the standard polynomials, so a
-corrupted configuration cannot vouch for itself.
+broken production chain cannot vouch for itself.
 """
 
 from __future__ import annotations
@@ -182,9 +182,7 @@ def _cell_symbols(
         values = np.empty(2 * sym.size)
         values[0::2] = sym.real
         values[1::2] = sym.imag
-        out, bits, got = float_serialization_link(
-            values, snr, seed, spec.cfg, return_bits=True
-        )
+        out, bits, got = float_serialization_link(values, snr, seed, spec.cfg)
         est = out[0::2] + 1j * out[1::2]
         ber = float(np.mean(bits != got))
     sq = np.abs(est - sym) ** 2
@@ -372,8 +370,8 @@ def selftest(cfg: PhyConfig | None = None, quick: bool = False) -> SelfTestRepor
     """Conformance and sanity checks against the longhand references.
 
     The coded-chain checks pin the standard generator polynomials on the
-    reference side, so they fail loudly when a configuration ships
-    corrupted constants.
+    reference side, so they fail loudly when the production encoder
+    drifts from them.
     """
     from . import phy
     from .nn import Dense, Tensor, grad_check
@@ -402,13 +400,12 @@ def selftest(cfg: PhyConfig | None = None, quick: bool = False) -> SelfTestRepor
         )
     )
 
-    # convolutional encoder: production chain with the *configured*
-    # polynomials against the pinned standard ones
+    # convolutional encoder: production chain against the longhand one
     bad = 0
     for _ in range(vectors):
         bits = rng.integers(0, 2, 48, dtype=np.uint8)
         state = int(rng.integers(0, 64))
-        ours, _ = phy.conv_encode(bits, state, cfg.conv_g1, cfg.conv_g2)
+        ours, _ = phy.conv_encode(bits, state)
         ref = np.array(_ref_conv_encode(bits, state), dtype=np.uint8)
         bad += int(np.sum(ours != ref))
     checks.append(

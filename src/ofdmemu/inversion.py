@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import PUNCTURE_PATTERNS, PhyConfig, bin_to_logical
+from .config import CONV_G1, CONV_G2, PUNCTURE_PATTERNS, PhyConfig, bin_to_logical
 from .errors import SelectionError
 from .gf2 import Gf2Matrix, Gf2Vector, rank
 from .phy import _interleave_perm, _taps, conv_encode, interleave, puncture
@@ -84,8 +84,8 @@ class SymbolSystem:
 def build_symbol_system(cfg: PhyConfig) -> SymbolSystem:
     beta = cfg.n_dbps
     alpha = cfg.n_cbps
-    taps1 = _taps(cfg.conv_g1)
-    taps2 = _taps(cfg.conv_g2)
+    taps1 = _taps(CONV_G1)
+    taps2 = _taps(CONV_G2)
 
     # Mother-stream rows over [info bits | state bits]: output bit 2t (+1)
     # is the parity of taps applied to inputs t, t-1, ..., t-6, where
@@ -198,8 +198,12 @@ def _climb_to_full_rank(
     return chosen, swaps, r
 
 
+# seeded random restarts after the climb from the given selection stalls
+_RESTARTS = 8
+
+
 def certify_subset(
-    sys: SymbolSystem, chosen: tuple[int, ...], max_restarts: int = 8
+    sys: SymbolSystem, chosen: tuple[int, ...]
 ) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
     """Certify full row rank for a selection, swapping subcarriers if needed.
 
@@ -209,15 +213,21 @@ def certify_subset(
     encoder state rolls into the next symbol.  A deterministic
     first-improvement hill climb over single-subcarrier swaps repairs
     this; if it stalls in a local maximum, seeded random restarts
-    continue the search.  Returns the certified selection (sorted by
-    logical index) and the swaps applied to the original.
+    continue the search.  A selection with more rows than the symbol
+    has info bits cannot reach full row rank and is rejected at once.
+    Returns the certified selection (sorted by logical index) and the
+    swaps applied to the original.
     """
     _selection_rows(sys, chosen)  # validates bins and duplicates
-    nb = sys.cfg.n_bpsc
-    target = len(chosen) * nb
+    target = len(chosen) * sys.cfg.n_bpsc
+    if target > sys.beta:
+        raise SelectionError(
+            f"{len(chosen)} subcarriers need {target} independent rows, "
+            f"but a symbol has only {sys.beta} info bits"
+        )
     fixed, swaps, r = _climb_to_full_rank(sys, list(chosen), target)
     restart = 0
-    while r < target and restart < max_restarts:
+    while r < target and restart < _RESTARTS:
         rng = np.random.default_rng(restart)
         start = sorted(
             rng.choice(np.asarray(sys.cfg.data_subcarriers), len(chosen), replace=False).tolist()
@@ -250,7 +260,7 @@ def verify_against_pipeline(
     for _ in range(probes):
         x = rng.integers(0, 2, sys.beta, dtype=np.uint8)
         state = int(rng.integers(0, 64))
-        coded, _ = conv_encode(x, state, cfg.conv_g1, cfg.conv_g2)
+        coded, _ = conv_encode(x, state)
         actual = interleave(puncture(coded, cfg.coding_rate), cfg.n_cbps, cfg.n_bpsc)
         mismatches += int(np.sum(actual != sys.predict(x, state)))
     return mismatches

@@ -22,14 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import KMOD_SQUARED, PhyConfig
-from .errors import CapacityError, ConfigError, FramingError, SelectionError
+from .errors import ConfigError, FramingError, SelectionError
 from .gf2 import Gf2Solver, Unsolvable
 from .inversion import (
     SymbolSystem,
     build_symbol_system,
     certify_subset,
     default_subset,
-    max_usable_subcarriers,
     restrict_offsets,
     restrict_rows,
 )
@@ -106,7 +105,8 @@ class EmulationSetup:
 
     Holds the certified subcarrier selection, the factored restricted
     GF(2) system and the state-offset table, so a sweep pays the
-    certification and factorization cost once.
+    certification and factorization cost once.  The selection starts
+    from the capacity-sized default subset of the configuration.
     """
 
     _cache: dict = {}
@@ -122,12 +122,8 @@ class EmulationSetup:
         self.system = system
         self.chosen = chosen
         self.swaps = swaps
-        self.dummy = tuple(b for b in cfg.data_subcarriers if b not in chosen)
         self.solver = Gf2Solver(restrict_rows(system, chosen))
         self.offsets = restrict_offsets(system, chosen)
-        self.chosen_slots = np.asarray(
-            [system.data_positions[b] for b in chosen], dtype=np.intp
-        )
         self.chosen_bins = np.asarray(chosen, dtype=np.intp)
 
     @property
@@ -135,39 +131,20 @@ class EmulationSetup:
         return len(self.chosen)
 
     @classmethod
-    def build(
-        cls,
-        cfg: PhyConfig,
-        n_chosen: int | None = None,
-        chosen: tuple[int, ...] | None = None,
-        system: SymbolSystem | None = None,
-    ) -> "EmulationSetup":
-        if chosen is None:
-            if n_chosen is None:
-                n_chosen = max_usable_subcarriers(cfg)
-            if n_chosen > max_usable_subcarriers(cfg):
-                raise CapacityError(
-                    f"{n_chosen} subcarriers exceed the exactly-controllable bound "
-                    f"{max_usable_subcarriers(cfg)} = floor(R * data_count)"
-                )
-            chosen = default_subset(cfg, n_chosen)
-        else:
-            chosen = tuple(int(b) for b in chosen)
-            if len(chosen) > max_usable_subcarriers(cfg):
-                raise CapacityError(
-                    f"{len(chosen)} subcarriers exceed the exactly-controllable bound "
-                    f"{max_usable_subcarriers(cfg)}"
-                )
-        key = (cfg, chosen)
-        hit = cls._cache.get(key)
+    def build(cls, cfg: PhyConfig, system: SymbolSystem | None = None) -> "EmulationSetup":
+        """The setup for ``cfg``, built once and then served from the cache.
+
+        ``system`` spares a caller who already built the symbol system
+        the second build.
+        """
+        hit = cls._cache.get(cfg)
         if hit is not None:
             return hit
         if system is None:
             system = build_symbol_system(cfg)
-        certified, swaps = certify_subset(system, chosen)
+        certified, swaps = certify_subset(system, default_subset(cfg))
         setup = cls(cfg, system, certified, swaps)
-        cls._cache[key] = setup
-        cls._cache[(cfg, certified)] = setup
+        cls._cache[cfg] = setup
         return setup
 
 
@@ -175,8 +152,6 @@ class EmulationSetup:
 class EmulationPlan:
     """Everything the sender decided for one target batch."""
 
-    chosen: tuple[int, ...]
-    dummy: tuple[int, ...]
     scale: float
     target_count: int
     ofdm_symbols: int
@@ -185,11 +160,6 @@ class EmulationPlan:
     incoming_states: np.ndarray  # encoder state at each symbol boundary
     clip_count: int
     clip_rate: float
-    config_fingerprint: str
-
-    @property
-    def n_chosen(self) -> int:
-        return len(self.chosen)
 
 
 def sender_invert(targets: TargetSymbols, setup: EmulationSetup) -> EmulationPlan:
@@ -215,7 +185,6 @@ def sender_invert(targets: TargetSymbols, setup: EmulationSetup) -> EmulationPla
     x_blocks = np.empty((n_sym, setup.system.beta), dtype=np.uint8)
     states = np.empty(n_sym, dtype=np.int64)
     state = 0
-    nb = cfg.n_bpsc
     for s in range(n_sym):
         pts, labels = qam_quantize(padded[s * nch : (s + 1) * nch], cfg.modulation_order)
         quantized[s] = pts
@@ -233,8 +202,6 @@ def sender_invert(targets: TargetSymbols, setup: EmulationSetup) -> EmulationPla
 
     bitstream = scramble(x_blocks.reshape(-1), cfg.scrambler_seed)
     return EmulationPlan(
-        chosen=setup.chosen,
-        dummy=setup.dummy,
         scale=float(targets.scale),
         target_count=k,
         ofdm_symbols=n_sym,
@@ -243,7 +210,6 @@ def sender_invert(targets: TargetSymbols, setup: EmulationSetup) -> EmulationPla
         incoming_states=states,
         clip_count=int(over),
         clip_rate=float(over) / float(2 * k),
-        config_fingerprint=cfg.fingerprint(),
     )
 
 
@@ -494,20 +460,19 @@ def ideal_analog_link(
     return _add_noise(symbols.astype(np.complex128).ravel(), snr_db, seed, power=1.0)
 
 
+_FLOAT_BOUND = 1e3
+
+
 def float_serialization_link(
-    values: np.ndarray,
-    snr_db: float,
-    seed: int,
-    cfg: PhyConfig,
-    saturation: float = 1e3,
-    return_bits: bool = False,
-):
+    values: np.ndarray, snr_db: float, seed: int, cfg: PhyConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Digital baseline: float32 bit patterns through the coded chain.
 
     Values are serialized to float32, transmitted as bits, decoded, and
-    reassembled.  Non-finite reassembly results become 0 (NaN) or the
-    saturation bound (infinities); finite blowups clamp to the bound, so
-    a single flipped exponent bit cannot unboundedly distort metrics.
+    reassembled.  Non-finite reassembly results become 0 (NaN) or +-1e3
+    (infinities); finite blowups clamp to the same bound, so a single
+    flipped exponent bit cannot unboundedly distort metrics.
+    Returns (values, sent bits, decoded bits).
     """
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
@@ -525,8 +490,5 @@ def float_serialization_link(
     # cast flags; the values are replaced right after anyway
     with np.errstate(invalid="ignore"):
         out = np.frombuffer(out32, dtype=np.float32).astype(np.float64)
-    out = np.nan_to_num(out, nan=0.0, posinf=saturation, neginf=-saturation)
-    out = np.clip(out, -saturation, saturation)
-    if return_bits:
-        return out, bits, got
-    return out
+    out = np.nan_to_num(out, nan=0.0, posinf=_FLOAT_BOUND, neginf=-_FLOAT_BOUND)
+    return np.clip(out, -_FLOAT_BOUND, _FLOAT_BOUND), bits, got

@@ -101,9 +101,8 @@ class CompensatorModel(Module):
 
     One shared convolution stack runs over two foldings of the input
     waveform (OFDM-symbol period and source-symbol period); the branch
-    outputs are unfolded, truncated, and summed.  With the residual
-    flag the input is added, so the zero-initialized model is the
-    identity; without it the untrained model outputs zero.
+    outputs are unfolded, truncated, summed, and added to the input, so
+    the zero-initialized model is the identity.
     """
 
     def __init__(
@@ -113,11 +112,9 @@ class CompensatorModel(Module):
         channels: int = 8,
         depth: int = 3,
         kernel: tuple[int, int] = (5, 11),
-        residual: bool = True,
     ):
         super().__init__()
         self.period_spec = period_spec
-        self.residual = bool(residual)
         # input channels: I, Q, plus the two positional channels
         self.stack = self._sub("stack", _ConvStack(4, 2, channels, depth, kernel, rng))
 
@@ -142,9 +139,7 @@ class CompensatorModel(Module):
         if single:
             w = w.reshape(1, *w.shape)
         out = self._branch(w, self.period_spec.ofdm_period)
-        out = out + self._branch(w, self.period_spec.source_period)
-        if self.residual:
-            out = out + w
+        out = out + self._branch(w, self.period_spec.source_period) + w
         return out.reshape(out.shape[1], 2) if single else out
 
     def compensate_array(self, samples: np.ndarray) -> np.ndarray:
@@ -240,10 +235,9 @@ class ToyJsccModel(Module):
         latent_bound: float = 2.0,
     ):
         super().__init__()
-        self.image_shape = tuple(image_shape)
         self.latent_pairs = int(latent_pairs)
         self.latent_bound = float(latent_bound)
-        pixels = int(np.prod(self.image_shape))
+        pixels = int(np.prod(image_shape))
         self.pixels = pixels
         self.enc1 = self._sub("enc1", Dense(pixels, hidden, rng))
         self.enc2 = self._sub("enc2", Dense(hidden, 2 * latent_pairs, rng))
@@ -263,28 +257,3 @@ class ToyJsccModel(Module):
     def decode(self, latent: Tensor) -> Tensor:
         """(B, 2K) -> (B, pixels)."""
         return self.dec2(self.dec1(latent).tanh())
-
-    # -- numpy convenience for deployment ------------------------------------
-
-    def encode_symbols(self, image: np.ndarray) -> np.ndarray:
-        """Single image -> K unit-average-power complex symbols."""
-        flat = np.asarray(image, dtype=np.float64).reshape(1, -1)
-        if flat.size != self.pixels:
-            raise ValueError(
-                f"image has {flat.size} pixels, model expects {self.pixels}"
-            )
-        z = self.encode(Tensor(flat)).data[0]
-        return z[0::2] + 1j * z[1::2]
-
-    def decode_symbols(self, symbols: np.ndarray) -> np.ndarray:
-        """K complex symbol estimates -> image array."""
-        symbols = np.asarray(symbols, dtype=np.complex128).ravel()
-        if symbols.size != self.latent_pairs:
-            raise ValueError(
-                f"got {symbols.size} symbols, model expects {self.latent_pairs}"
-            )
-        z = np.empty(2 * self.latent_pairs)
-        z[0::2] = symbols.real
-        z[1::2] = symbols.imag
-        out = self.decode(Tensor(z.reshape(1, -1))).data[0]
-        return out.reshape(self.image_shape)

@@ -372,7 +372,7 @@ def demodulate_frame(samples: np.ndarray, cfg: PhyConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _trellis(g1: int, g2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _trellis() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Predecessor and output-pattern tables for the 64-state trellis.
 
     For each next state n the two predecessors are n >> 1 (lower) and
@@ -384,8 +384,8 @@ def _trellis(g1: int, g2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     prev0 = n >> 1
     prev1 = (n >> 1) | 32
     # Pack taps so bit j of the mask weights the input from j steps back.
-    g1m = int(sum(int(t) << j for j, t in enumerate(_taps(g1))))
-    g2m = int(sum(int(t) << j for j, t in enumerate(_taps(g2))))
+    g1m = int(sum(int(t) << j for j, t in enumerate(_taps(CONV_G1))))
+    g2m = int(sum(int(t) << j for j, t in enumerate(_taps(CONV_G2))))
 
     def out_pattern(prev: np.ndarray) -> np.ndarray:
         full = (prev << 1) | u
@@ -396,25 +396,15 @@ def _trellis(g1: int, g2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return prev0, prev1, out_pattern(prev0), out_pattern(prev1)
 
 
-def viterbi_decode(
-    received: np.ndarray,
-    rate: Fraction | str = Fraction(1, 2),
-    g1: int = CONV_G1,
-    g2: int = CONV_G2,
-) -> np.ndarray:
+def viterbi_decode(received: np.ndarray) -> np.ndarray:
     """Hard-decision Viterbi decode of the rate-1/2 mother stream.
 
-    ``received`` may carry -1 erasure marks (zero branch cost).  A plain
-    0/1 stream at a punctured rate is depunctured internally.  The
-    encoder is assumed to start in state 0; the survivor ends at the
-    best final state, ties broken toward the lower-numbered predecessor
-    and final state.
+    ``received`` may carry -1 erasure marks (zero branch cost), as
+    :func:`depuncture` leaves them.  The encoder is assumed to start in
+    state 0; the survivor ends at the best final state, ties broken
+    toward the lower-numbered predecessor and final state.
     """
-    received = np.asarray(received)
-    rate = Fraction(rate)
-    if rate != Fraction(1, 2) and received.size and received.min() >= 0:
-        received = depuncture(received, rate)
-    received = received.astype(np.int8)
+    received = np.asarray(received).astype(np.int8)
     if received.size % 2 != 0:
         raise FramingError("mother stream length must be even")
     steps = received.size // 2
@@ -432,7 +422,7 @@ def viterbi_decode(
             (r1 >= 0) & (r1 != b)
         )
 
-    prev0, prev1, pat0, pat1 = _trellis(g1, g2)
+    prev0, prev1, pat0, pat1 = _trellis()
     metric = np.full(64, np.inf)
     metric[0] = 0.0
     backptr = np.empty((steps, 64), dtype=np.uint8)
@@ -472,7 +462,7 @@ def tx_grids(bits: np.ndarray, cfg: PhyConfig) -> np.ndarray:
         )
     n_sym = bits.size // cfg.n_dbps
     scrambled = scramble(bits, cfg.scrambler_seed)
-    coded, _ = conv_encode(scrambled, 0, cfg.conv_g1, cfg.conv_g2)
+    coded, _ = conv_encode(scrambled)
     blocks = puncture(coded, cfg.coding_rate).reshape(n_sym, cfg.n_cbps)
     grids = np.empty((n_sym, cfg.fft_size), dtype=np.complex128)
     for s in range(n_sym):
@@ -491,7 +481,7 @@ def rx_chain(frame: BasebandFrame | np.ndarray, cfg: PhyConfig) -> np.ndarray:
         _, hard = qam_quantize(extract_data(grids[s], cfg), cfg.modulation_order)
         received[s] = deinterleave(hard, cfg.n_cbps, cfg.n_bpsc)
     mother = depuncture(received.reshape(-1), cfg.coding_rate)
-    decoded = viterbi_decode(mother, Fraction(1, 2), cfg.conv_g1, cfg.conv_g2)
+    decoded = viterbi_decode(mother)
     return scramble(decoded, cfg.scrambler_seed)
 
 

@@ -50,8 +50,7 @@ def smooth_waveform(
     rng: np.random.Generator,
     carrier: float,
     fft_size: int = 64,
-    envelope_sigma: float | None = None,
-    bandwidth_bins: float | None = None,
+    bandwidth_bins: float = 4.0,
 ) -> np.ndarray:
     """Temporally-correlated complex waveform centered on ``carrier``.
 
@@ -60,13 +59,9 @@ def smooth_waveform(
     then normalized to unit average power.  ``bandwidth_bins`` sets the
     envelope's approximate two-sided spectral occupancy.
     """
-    if envelope_sigma is None:
-        if bandwidth_bins is None:
-            bandwidth_bins = 4.0
-        # Gaussian kernel of std s has power spectrum ~ exp(-(2 pi f s)^2),
-        # so its two-sided -8.7 dB occupancy is about fft/(pi*s) bins.
-        envelope_sigma = fft_size / (np.pi * bandwidth_bins)
-    sigma = float(envelope_sigma)
+    # Gaussian kernel of std s has power spectrum ~ exp(-(2 pi f s)^2),
+    # so its two-sided -8.7 dB occupancy is about fft/(pi*s) bins.
+    sigma = float(fft_size / (np.pi * bandwidth_bins))
     half = int(np.ceil(4 * sigma))
     taps = np.exp(-0.5 * (np.arange(-half, half + 1) / sigma) ** 2)
     taps /= np.sqrt(np.sum(taps**2))

@@ -135,32 +135,21 @@ class TrainConfig:
 
 @dataclass
 class Curriculum:
-    """SNR sampling policy and target source for training batches."""
+    """Training SNRs, drawn uniformly from ``snr_range`` per batch."""
 
-    mode: str = "uniform"  # "uniform" or "fixed"
-    snr_db: float = 15.0
     snr_range: tuple[float, float] = (5.0, 25.0)
-    source: str = "gaussian"  # "gaussian" or "jscc"
 
     SWEEP_BOUNDS = (-5.0, 35.0)
 
     def __post_init__(self):
-        if self.mode not in ("uniform", "fixed"):
-            raise ConfigError(f"unknown curriculum mode {self.mode!r}")
-        if self.source not in ("gaussian", "jscc"):
-            raise ConfigError(f"unknown curriculum source {self.source!r}")
         lo, hi = self.snr_range
         bl, bh = self.SWEEP_BOUNDS
         if not (bl <= lo <= hi <= bh):
             raise ConfigError(
                 f"snr range {self.snr_range} outside sweep bounds {self.SWEEP_BOUNDS}"
             )
-        if self.mode == "fixed" and not (bl <= self.snr_db <= bh):
-            raise ConfigError(f"fixed snr {self.snr_db} outside sweep bounds")
 
     def sample(self, rng: np.random.Generator) -> float:
-        if self.mode == "fixed":
-            return self.snr_db
         lo, hi = self.snr_range
         return float(rng.uniform(lo, hi))
 
@@ -280,14 +269,12 @@ def collect_link_records(
     snr_db: float,
     rng: np.random.Generator,
     n_ofdm: int = 4,
-    symbols_fn=None,
 ) -> list[LinkRecord]:
     """Soft-mode link records (with noiseless replays) for proxy training."""
     k = n_ofdm * setup.n_chosen
     records = []
     for _ in range(count):
-        symbols = symbols_fn(k, rng) if symbols_fn else gaussian_symbols(k, rng)
-        targets = TargetSymbols.unit_power(symbols, setup.cfg)
+        targets = TargetSymbols.unit_power(gaussian_symbols(k, rng), setup.cfg)
         seed = int(rng.integers(2**63))
         _, record = emulated_link(
             targets, snr_db, seed, setup, mode="soft", with_clean_replay=True
@@ -324,14 +311,9 @@ def stage2_train_proxy(
     records: list[LinkRecord],
     train_cfg: TrainConfig,
     model: ProxyModel | None = None,
-    shuffle_labels: bool = False,
 ) -> StageResult:
     """Fit the proxy's deterministic part to link records and calibrate
-    its noise injection.
-
-    ``shuffle_labels`` deliberately mismatches input/output pairs; it
-    exists for the control experiment showing the fit is real.
-    """
+    its noise injection."""
     if len(records) < 8:
         raise TrainingError(f"need at least 8 records for a train/held-out split, got {len(records)}")
     n_held = max(2, len(records) // 4)
@@ -346,8 +328,6 @@ def stage2_train_proxy(
 
     xs = np.stack([complex_to_wave(r.reference) for r in train_recs])
     ys = np.stack([complex_to_wave(r.output_waveform) for r in train_recs])
-    if shuffle_labels:
-        ys = ys[train_cfg.child_rng(_S2_SHUFFLE).permutation(len(ys))]
 
     opt = SGDMomentum(model.parameters(), train_cfg.step_proxy, train_cfg.momentum)
     shuffle = train_cfg.child_rng(_S2_SHUFFLE)
@@ -492,11 +472,7 @@ def stage3_alternate(
 
     # fixed probe for the stopping rule: mid-curriculum SNR, frozen seed
     probe_imgs = flat_images[: train_cfg.image_batch_size]
-    probe_snr = (
-        curriculum.snr_db
-        if curriculum.mode == "fixed"
-        else sum(curriculum.snr_range) / 2.0
-    )
+    probe_snr = sum(curriculum.snr_range) / 2.0
 
     def probe() -> float:
         return joint_loss(probe_imgs, probe_snr, seed=0xC0FFEE).item()
@@ -638,9 +614,8 @@ def evaluate_image_link(
     seed: int,
     images: np.ndarray,
     compensator: CompensatorModel | None = None,
-    mode: str = "soft",
 ) -> dict:
-    """Image and symbol MSE through the real emulated link.
+    """Image and symbol MSE through the real (soft) emulated link.
 
     Each image rides its own one-body transmission, matching how the
     compensator and codec see waveforms during training.  Per-image noise
@@ -663,7 +638,6 @@ def evaluate_image_link(
             snr_db,
             np.random.default_rng(child),
             setup,
-            mode=mode,
             compensator=comp_fn,
         )
         clip_total += record.clip_rate

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ofdmemu import phy
 from ofdmemu.config import PhyConfig
 from ofdmemu.link import EmulationSetup
 
@@ -32,6 +33,17 @@ def default_cfg():
 @pytest.fixture(scope="session")
 def default_setup(default_cfg):
     return EmulationSetup.build(default_cfg)
+
+
+@pytest.fixture
+def corrupted_encoder(monkeypatch):
+    """Swap the production encoder for one with a wrong first polynomial."""
+    real = phy.conv_encode
+
+    def wrong_g1(bits, state=0, g1=phy.CONV_G1, g2=phy.CONV_G2):
+        return real(bits, state, 0o135, g2)
+
+    monkeypatch.setattr(phy, "conv_encode", wrong_g1)
 
 
 @pytest.fixture

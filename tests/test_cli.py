@@ -31,10 +31,8 @@ def test_selftest_quick(capsys):
     assert "[FAIL]" not in out
 
 
-def test_selftest_fails_on_corrupt_config(tmp_path, capsys):
-    cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text("conv_g1 = 0o135\n")
-    rc = main(["selftest", "--quick", "--config", str(cfgfile)])
+def test_selftest_fails_on_corrupt_config(corrupted_encoder, capsys):
+    rc = main(["selftest", "--quick"])
     assert rc == 1
     assert "[FAIL]" in capsys.readouterr().out
 
@@ -111,17 +109,21 @@ def test_sweep_zero_shot_without_models_exits_2(tmp_path, capsys):
 def test_bad_train_key_exits_2(tmp_path, capsys):
     # unknown keys and unparsable values in every section are config errors
     cases = [
-        ("train-comp", "[train]\nwarp_speed = 9\n"),
-        ("train-comp", "[phy]\nmodulaton = qpsk\n"),
-        ("train-comp", "modulaton = qpsk\n"),
-        ("sweep", "[sweep]\nsymbols_per_point = 100\n"),
-        ("sweep", "[sweep]\nn_symbols = many\n"),
-        ("sweep", "[sweep]\nsnr_list = 0 nan\n"),
+        (["train-comp"], "[train]\nwarp_speed = 9\n"),
+        (["train-comp"], "[phy]\nmodulaton = qpsk\n"),
+        (["train-comp"], "modulaton = qpsk\n"),
+        (["sweep"], "[sweep]\nsymbols_per_point = 100\n"),
+        (["sweep"], "[sweep]\nn_symbols = many\n"),
+        (["sweep"], "[sweep]\nsnr_list = 0 nan\n"),
+        # the code is fixed, so a polynomial is an unknown key
+        (["selftest", "--quick"], "[phy]\nconv_g1 = 0o135\n"),
+        # layout keys without the custom map would be silently ignored
+        (["selftest", "--quick"], "[phy]\ndata_subcarriers = 1 2 3\npilot_base = 1 1 1 1\n"),
     ]
     cfgfile = tmp_path / "bad.cfg"
     for command, text in cases:
         cfgfile.write_text(text)
-        rc = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        rc = main([*command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
         assert rc == 2, text
         assert "configuration error" in capsys.readouterr().err
 
@@ -131,6 +133,13 @@ def test_emulate_bad_snr_exits_2(tmp_path, capsys, snr):
     rc = main(["emulate", "--symbols", "10", f"--snr={snr}", "--out", str(tmp_path)])
     assert rc == 2
     assert "snr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_emulate_bad_symbols_exits_2(tmp_path, capsys, count):
+    rc = main(["emulate", f"--symbols={count}", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--symbols" in capsys.readouterr().err
 
 
 def test_bad_phy_value_exits_2(tmp_path, capsys):

@@ -62,7 +62,6 @@ def test_default_subcarrier_layout():
         dict(coding_rate=Fraction(4, 5)),
         dict(scrambler_seed=0),
         dict(scrambler_seed=128),
-        dict(conv_g1=0),
     ],
 )
 def test_invalid_fields_rejected(kwargs):

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ofdmemu.errors import FramingError
 from ofdmemu.framefile import (
     FRAME_MAGIC,
+    MODEL_MAGIC,
+    MODEL_VERSION,
     frame_bytes,
     frame_from_bytes,
     load_checkpoint,
@@ -16,7 +20,7 @@ from ofdmemu.framefile import (
     write_model,
     write_records,
 )
-from ofdmemu.link import TargetSymbols, emulated_link
+from ofdmemu.link import LinkRecord, TargetSymbols, emulated_link
 from ofdmemu.nn.layers import Dense
 from ofdmemu.sources import gaussian_symbols
 
@@ -110,6 +114,99 @@ def test_records_roundtrip(tmp_path, default_setup, rng):
 def test_read_records_missing_dir(tmp_path):
     with pytest.raises(FramingError):
         read_records(tmp_path / "nope")
+
+
+def test_read_records_malformed_manifest(tmp_path):
+    good = "record=0 snr_db=1.0 seed=2 mode=soft fingerprint=ab n_chosen=3 clip_rate=0.0"
+    for line in (
+        "record=0 garbage",  # a token without '='
+        "record=0 snr_db=1",  # no parts=
+        good + " parts=est",  # names a part file that is not there
+        good.replace("seed=2", "seed=two") + " parts=",
+    ):
+        (tmp_path / "manifest.txt").write_text(line + "\n")
+        with pytest.raises(FramingError):
+            read_records(tmp_path)
+
+
+# Readers on truncated or garbage input: they either succeed or raise
+# FramingError, never anything else.
+
+READER_PROPERTY = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def corrupted(blob: bytes, prefix: bytes = b""):
+    """Truncations of ``blob``, ``blob`` plus junk, and garbage after ``prefix``."""
+    return st.one_of(
+        st.integers(0, len(blob) - 1).map(lambda n: blob[:n]),
+        st.binary(min_size=1, max_size=24).map(lambda junk: blob + junk),
+        st.binary(max_size=2 * len(blob)).map(lambda junk: prefix + junk),
+    )
+
+
+FRAME_BLOB = frame_bytes(np.arange(4) * (1 + 2j))
+
+
+@READER_PROPERTY
+@given(corrupted(FRAME_BLOB, FRAME_MAGIC + FRAME_BLOB[4:8]))
+def test_frame_reader_rejects_only_with_framing_error(blob):
+    try:
+        frame_from_bytes(blob)
+    except FramingError:
+        pass
+
+
+@READER_PROPERTY
+@given(data=st.data())
+def test_model_reader_rejects_only_with_framing_error(tmp_path, data):
+    model = Dense(3, 2, np.random.default_rng(0))
+    path = tmp_path / "dense.model"
+    write_model(path, model)
+    prefix = MODEL_MAGIC + MODEL_VERSION.to_bytes(4, "little")
+    path.write_bytes(data.draw(corrupted(path.read_bytes(), prefix)))
+    try:
+        read_model_into(path, model)
+    except FramingError:
+        pass
+
+
+def tiny_record(seed: int) -> LinkRecord:
+    wave = np.arange(3) * (1 - 1j)
+    return LinkRecord(
+        tx_frame=wave,
+        reference=wave,
+        output_waveform=None,
+        estimates=wave[:2],
+        snr_db=12.0,
+        seed=seed,
+        mode="soft",
+        config_fingerprint="ab12",
+        n_chosen=2,
+        clip_rate=0.0,
+    )
+
+
+@READER_PROPERTY
+@given(data=st.data())
+def test_records_reader_rejects_only_with_framing_error(tmp_path, data):
+    write_records(tmp_path, [tiny_record(1), tiny_record(2)])
+    manifest = tmp_path / "manifest.txt"
+    text = manifest.read_text()
+    blob = data.draw(
+        st.one_of(
+            corrupted(text.encode()),
+            st.text(max_size=120).map(str.encode),
+        )
+    )
+    manifest.write_bytes(blob)
+    try:
+        read_records(tmp_path)
+    except FramingError:
+        pass
 
 
 def test_loss_trace_formats(tmp_path):

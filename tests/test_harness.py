@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ofdmemu.config import PhyConfig
 from ofdmemu.errors import ConfigError, OfdmEmuError
 from ofdmemu.harness import (
     CSV_COLUMNS,
@@ -123,9 +122,8 @@ def test_selftest_passes_on_clean_config():
     assert "[FAIL]" not in text
 
 
-def test_selftest_catches_corrupted_encoder():
-    bad = PhyConfig(conv_g1=0o135)
-    report = selftest(bad, quick=True)
+def test_selftest_catches_corrupted_encoder(corrupted_encoder):
+    report = selftest(quick=True)
     assert not report.passed
     failed = {c.name for c in report.checks if not c.passed}
     assert "conv_encoder" in failed

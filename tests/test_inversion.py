@@ -43,7 +43,7 @@ def test_offset_zero_for_zero_state(default_cfg):
 def test_outgoing_state_matches_encoder(default_cfg, rng):
     sys = build_symbol_system(default_cfg)
     x = rng.integers(0, 2, sys.beta, dtype=np.uint8)
-    _, end = conv_encode(x, 0, default_cfg.conv_g1, default_cfg.conv_g2)
+    _, end = conv_encode(x, 0)
     assert sys.outgoing_state(x) == end
 
 
@@ -131,4 +131,4 @@ def test_certify_rejects_oversized_selection(default_cfg):
     sys = build_symbol_system(default_cfg)
     over = default_subset(default_cfg, max_usable_subcarriers(default_cfg) + 2)
     with pytest.raises(SelectionError):
-        certify_subset(sys, over, max_restarts=1)
+        certify_subset(sys, over)

@@ -96,8 +96,8 @@ def test_sgd_momentum_minimizes_quadratic(rng):
     assert abs(float(p.data[0])) < 1e-3
 
 
-def fresh_compensator(rng, residual=True):
-    return CompensatorModel(PeriodSpec(80, 2), rng, channels=4, depth=2, residual=residual)
+def fresh_compensator(rng):
+    return CompensatorModel(PeriodSpec(80, 2), rng, channels=4, depth=2)
 
 
 def test_compensator_identity_at_init(rng):
@@ -106,12 +106,6 @@ def test_compensator_identity_at_init(rng):
     np.testing.assert_allclose(comp(Tensor(w)).data, w, atol=1e-12)
     z = rng.normal(size=100) + 1j * rng.normal(size=100)
     np.testing.assert_allclose(comp.compensate_array(z), z, atol=1e-12)
-
-
-def test_compensator_zero_at_init_without_residual(rng):
-    comp = fresh_compensator(rng, residual=False)
-    w = rng.normal(size=(160, 2))
-    np.testing.assert_allclose(comp(Tensor(w)).data, 0.0, atol=1e-12)
 
 
 def test_compensator_batched_matches_single(rng):
@@ -169,23 +163,3 @@ def test_jscc_latent_power_and_bound(rng):
     assert np.all(power <= 1.0 + 1e-9)
     assert np.all(power >= 0.7)
 
-
-def test_jscc_symbol_roundtrip_shapes(rng):
-    jscc = ToyJsccModel(rng, latent_pairs=24, hidden=32)
-    img = rng.uniform(0, 1, size=(8, 8, 1))
-    syms = jscc.encode_symbols(img)
-    assert syms.shape == (24,)
-    out = jscc.decode_symbols(syms)
-    assert out.shape == (8, 8, 1)
-    with pytest.raises(ValueError):
-        jscc.encode_symbols(np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        jscc.decode_symbols(np.zeros(7, dtype=complex))
-
-
-def test_jscc_encode_symbols_matches_batch_encode(rng):
-    jscc = ToyJsccModel(rng, latent_pairs=24, hidden=32)
-    img = rng.uniform(0, 1, size=(8, 8, 1))
-    syms = jscc.encode_symbols(img)
-    z = jscc.encode(Tensor(img.reshape(1, -1))).data[0]
-    np.testing.assert_allclose(syms, z[0::2] + 1j * z[1::2])

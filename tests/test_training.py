@@ -65,20 +65,16 @@ def test_child_rng_deterministic():
 
 def test_curriculum_validation():
     with pytest.raises(ConfigError):
-        Curriculum(mode="other")
-    with pytest.raises(ConfigError):
-        Curriculum(source="video")
-    with pytest.raises(ConfigError):
         Curriculum(snr_range=(-20.0, 10.0))
     with pytest.raises(ConfigError):
         Curriculum(snr_range=(10.0, 50.0))
     with pytest.raises(ConfigError):
-        Curriculum(mode="fixed", snr_db=99.0)
+        Curriculum(snr_range=(20.0, 10.0))
+    with pytest.raises(ConfigError):
+        Curriculum(snr_range=(float("nan"), 10.0))
 
 
 def test_curriculum_sampling(rng):
-    fixed = Curriculum(mode="fixed", snr_db=12.0)
-    assert fixed.sample(rng) == 12.0
     uni = Curriculum(snr_range=(5.0, 25.0))
     draws = [uni.sample(rng) for _ in range(100)]
     assert all(5.0 <= d <= 25.0 for d in draws)
@@ -142,13 +138,6 @@ def test_stage2_needs_enough_records(default_setup):
     recs = collect_link_records(default_setup, 4, 15.0, cfg.child_rng(0), n_ofdm=2)
     with pytest.raises(TrainingError):
         stage2_train_proxy(recs, cfg)
-
-
-def test_stage2_shuffled_labels_run(default_setup):
-    cfg = quick_cfg(stage2_epochs=1)
-    recs = collect_link_records(default_setup, 8, 15.0, cfg.child_rng(0), n_ofdm=2)
-    result = stage2_train_proxy(recs, cfg, shuffle_labels=True)
-    assert math.isfinite(result.metrics["held_out_mse"])
 
 
 def test_train_jscc_ideal_smoke():
