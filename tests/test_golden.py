@@ -1,9 +1,12 @@
 """Golden digests of the artifacts the emulator produces.
 
-For the default 64-QAM rate-3/4 configuration and for QPSK rate 1/2 this
-pins the sweep CSV and plot-data bytes of the three non-learned systems,
-the certified subcarrier selection, and the bytes the inverted sender
-and the emulated link produce at fixed seeds.  A refactor leaves every
+For every (modulation, rate) pair this pins the certified subcarrier
+selection and its swaps.  For the default 64-QAM rate-3/4 configuration
+and for QPSK rate 1/2 it pins the sweep CSV and plot-data bytes of the
+three non-learned systems and the bytes the inverted sender and the
+emulated link produce at fixed seeds.  The transmit grids of a 300-symbol
+payload, past the 127-symbol period of the scrambler and the pilot
+polarity, are pinned for 64-QAM rate 3/4 and BPSK rate 1/2.  A refactor leaves every
 digest unchanged; a change meant to move one says why in CHANGES.md and
 re-pins it here.
 
@@ -21,13 +24,19 @@ from ofdmemu.cli import main
 from ofdmemu.config import PhyConfig
 from ofdmemu.harness import ExperimentSpec, csv_text, emit_plotdata, run_sweep
 from ofdmemu.link import EmulationSetup, TargetSymbols, emulated_link, sender_invert
+from ofdmemu.phy import tx_grids
 from ofdmemu.sources import gaussian_symbols, glyph_images
 from ofdmemu.training import TrainConfig, evaluate_image_link, run_training_pipeline
 
-CONFIGS = {
-    "64qam-r34": PhyConfig(),
-    "qpsk-r12": PhyConfig(modulation_order=4, coding_rate=Fraction(1, 2)),
+MODULATION_IDS = {2: "bpsk", 4: "qpsk", 16: "16qam", 64: "64qam"}
+PAIRS = {
+    f"{MODULATION_IDS[m]}-r{r.numerator}{r.denominator}": PhyConfig(
+        modulation_order=m, coding_rate=r
+    )
+    for m in (2, 4, 16, 64)
+    for r in (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(5, 6))
 }
+CONFIGS = {name: PAIRS[name] for name in ("64qam-r34", "qpsk-r12")}
 
 SWEEP_SYSTEMS = ("ideal_analog", "emulated", "float_serial")
 SWEEP_SEED = 7
@@ -37,14 +46,6 @@ LINK_SNR_DB = 12.0
 
 GOLDEN = {
     "64qam-r34": {
-        "chosen": (
-            39, 41, 44, 45, 46, 47, 48, 49, 51, 52, 53, 55, 56, 58, 59, 60, 61, 63,
-            2, 4, 5, 6, 10, 11, 12, 15, 16, 17, 18, 19, 20, 22, 23, 24, 25, 26,
-        ),
-        "swaps": [
-            (1, 20), (3, 22), (8, 23), (9, 24), (13, 25), (14, 26), (50, 39), (54, 41),
-            (62, 44),
-        ],
         "sweep": "5981c5864893a23cecfccf14cf50a1a20824c9b4b9588501f1f03d9bc6cf92da",
         "bitstream": "2c07f206c0580d454f4d0fb8451e3b009e90b6431f5f902a17ec78b10eb9efe8",
         "incoming_states": "75d9f5f144d2e8b7ba4a31652ef7daa58a446c4af04d1e3d375263a950df41f9",
@@ -53,14 +54,6 @@ GOLDEN = {
         "tx_frame": "b610418532f2b9bf0d2cdd7c52ee2c01d530fe14cd49dbcfb0d1b3ff13fbe895",
     },
     "qpsk-r12": {
-        "chosen": (
-            39, 40, 44, 46, 47, 51, 52, 53, 55, 58, 61, 62, 63,
-            1, 2, 4, 6, 9, 10, 15, 19, 22, 24, 26,
-        ),
-        "swaps": [
-            (3, 15), (5, 19), (8, 22), (11, 24), (12, 26), (13, 39), (54, 40), (56, 44),
-            (59, 46), (60, 47),
-        ],
         "sweep": "453eb5a9e84f6402c09f100da6df560cd3aa5ae3c010951bab30c897320b9aa8",
         "bitstream": "b34c20c61908aba9e6cf7d0e80b2d597834c7a8c5e42fa763de2909bcb2a64d4",
         "incoming_states": "e3e898d4d8f28ded9683ab30259587a3ce62ad333f85e7f71070ff5d89b2d8ea",
@@ -68,6 +61,173 @@ GOLDEN = {
         "hard_estimates": "a5c2336fb9c1f610a04a6c717620b5d2747286f9d2d9a555633ff99aafb7624a",
         "tx_frame": "e60979e0b15b35b6b57fe4b20bbcd0c4eb2ab8f3b8e18ae6262060f655bdc718",
     },
+}
+
+# pair -> (certified chosen bins, swaps from the default subset)
+SELECTIONS = {
+    "bpsk-r12": (
+        (
+            39, 40, 52, 53, 56, 58, 59, 60, 62, 63, 1, 2, 3, 4, 5, 6, 8, 9,
+            10, 11, 12, 13, 16, 23,
+        ),
+        [
+            (51, 16), (54, 23), (55, 39), (61, 40),
+        ],
+    ),
+    "bpsk-r23": (
+        (
+            47, 49, 50, 52, 53, 54, 55, 56, 58, 59, 60, 61, 62, 63, 1, 2, 3, 4,
+            5, 6, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 19, 26,
+        ),
+        [
+            (48, 19), (51, 26),
+        ],
+    ),
+    "bpsk-r34": (
+        (
+            40, 46, 47, 49, 50, 51, 52, 53, 55, 56, 58, 59, 60, 61, 62, 63, 1, 2,
+            3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 23, 26,
+        ),
+        [
+            (45, 23), (48, 26), (54, 40),
+        ],
+    ),
+    "bpsk-r56": (
+        (
+            39, 42, 44, 46, 47, 49, 50, 51, 52, 53, 54, 55, 56, 59, 60, 61, 62, 63,
+            1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19,
+            20, 22, 23, 26,
+        ),
+        [
+            (45, 23), (48, 26), (58, 39),
+        ],
+    ),
+    "qpsk-r12": (
+        (
+            39, 40, 44, 46, 47, 51, 52, 53, 55, 58, 61, 62, 63, 1, 2, 4, 6, 9,
+            10, 15, 19, 22, 24, 26,
+        ),
+        [
+            (3, 15), (5, 19), (8, 22), (11, 24), (12, 26), (13, 39), (54, 40), (56, 44),
+            (59, 46), (60, 47),
+        ],
+    ),
+    "qpsk-r23": (
+        (
+            38, 39, 42, 44, 45, 47, 48, 49, 50, 53, 55, 56, 58, 59, 60, 61, 63, 3,
+            9, 10, 12, 13, 14, 15, 16, 17, 20, 22, 23, 24, 25, 26,
+        ),
+        [
+            (1, 20), (2, 22), (4, 23), (5, 24), (6, 25), (8, 26), (11, 38), (51, 39),
+            (52, 42), (54, 44), (62, 45),
+        ],
+    ),
+    "qpsk-r34": (
+        (
+            39, 41, 42, 44, 46, 47, 48, 50, 51, 52, 53, 54, 55, 56, 58, 59, 60, 61,
+            63, 3, 6, 8, 9, 10, 12, 13, 14, 16, 17, 19, 20, 22, 23, 24, 25, 26,
+        ),
+        [
+            (1, 20), (2, 22), (4, 23), (5, 24), (11, 25), (15, 26), (18, 39), (45, 41),
+            (49, 42), (62, 44),
+        ],
+    ),
+    "qpsk-r56": (
+        (
+            38, 39, 40, 42, 44, 46, 47, 48, 50, 51, 53, 54, 55, 56, 58, 59, 60, 61,
+            62, 63, 2, 3, 5, 6, 8, 9, 10, 11, 12, 14, 15, 16, 17, 18, 19, 20,
+            22, 23, 24, 26,
+        ),
+        [
+            (1, 23), (4, 24), (13, 26), (45, 38), (49, 39), (52, 40),
+        ],
+    ),
+    "16qam-r12": (
+        (
+            40, 45, 46, 47, 50, 51, 52, 53, 60, 62, 1, 3, 5, 9, 11, 12, 14, 17,
+            19, 20, 22, 23, 25, 26,
+        ),
+        [
+            (2, 14), (4, 17), (6, 19), (8, 20), (10, 22), (13, 23), (54, 25), (55, 26),
+            (56, 40), (58, 45), (59, 46), (61, 47), (63, 50),
+        ],
+    ),
+    "16qam-r23": (
+        (
+            38, 39, 42, 45, 47, 48, 49, 50, 53, 55, 56, 58, 59, 60, 61, 63, 3, 8,
+            9, 10, 11, 12, 13, 14, 15, 19, 20, 22, 23, 24, 25, 26,
+        ),
+        [
+            (1, 19), (2, 20), (4, 22), (5, 23), (6, 24), (16, 25), (17, 26), (51, 38),
+            (52, 39), (54, 42), (62, 45),
+        ],
+    ),
+    "16qam-r34": (
+        (
+            38, 40, 42, 44, 45, 46, 47, 49, 50, 51, 54, 55, 56, 58, 59, 61, 62, 63,
+            3, 5, 6, 8, 9, 10, 11, 13, 14, 17, 18, 19, 20, 22, 23, 24, 25, 26,
+        ),
+        [
+            (1, 20), (2, 22), (4, 23), (12, 24), (15, 25), (16, 26), (48, 38), (52, 40),
+            (53, 42), (60, 44),
+        ],
+    ),
+    "16qam-r56": (
+        (
+            38, 39, 40, 42, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 56, 58, 59,
+            60, 62, 63, 2, 3, 4, 5, 6, 9, 11, 13, 14, 15, 16, 17, 18, 19, 20,
+            23, 24, 25, 26,
+        ),
+        [
+            (1, 23), (8, 24), (10, 25), (12, 26), (22, 38), (55, 39), (61, 40),
+        ],
+    ),
+    "64qam-r12": (
+        (
+            39, 40, 42, 44, 45, 46, 47, 51, 52, 53, 55, 58, 61, 62, 63, 1, 6, 9,
+            10, 14, 19, 22, 24, 26,
+        ),
+        [
+            (2, 14), (3, 19), (4, 22), (5, 24), (8, 26), (11, 39), (12, 40), (13, 42),
+            (54, 44), (56, 45), (59, 46), (60, 47),
+        ],
+    ),
+    "64qam-r23": (
+        (
+            46, 48, 49, 50, 52, 54, 55, 56, 59, 60, 61, 62, 63, 1, 2, 3, 4, 5,
+            6, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 23, 24, 26,
+        ),
+        [
+            (47, 23), (51, 24), (53, 26), (58, 46),
+        ],
+    ),
+    "64qam-r34": (
+        (
+            39, 41, 44, 45, 46, 47, 48, 49, 51, 52, 53, 55, 56, 58, 59, 60, 61, 63,
+            2, 4, 5, 6, 10, 11, 12, 15, 16, 17, 18, 19, 20, 22, 23, 24, 25, 26,
+        ),
+        [
+            (1, 20), (3, 22), (8, 23), (9, 24), (13, 25), (14, 26), (50, 39), (54, 41),
+            (62, 44),
+        ],
+    ),
+    "64qam-r56": (
+        (
+            39, 40, 41, 42, 44, 45, 46, 47, 48, 49, 51, 52, 53, 54, 56, 58, 59, 60,
+            62, 63, 1, 2, 3, 4, 5, 6, 9, 10, 11, 14, 15, 16, 17, 18, 19, 20,
+            23, 24, 25, 26,
+        ),
+        [
+            (8, 23), (12, 24), (13, 25), (22, 26), (50, 39), (55, 40), (61, 41),
+        ],
+    ),
+}
+
+TX_GRIDS_SYMBOLS = 300
+TX_GRIDS_SEED = 17
+TX_GRIDS_GOLDEN = {
+    "64qam-r34": "b12bdbe7b031c01d1587771a47822cb45ad9bc2b2fab9292e26490c96ed65b41",
+    "bpsk-r12": "ca86179ffd4f89d2f45169ccf2fbfe4aa28ade23e99c078eb17bd19b98b73dc7",
 }
 
 CLI_GOLDEN = {
@@ -92,10 +252,18 @@ def golden_setup(request):
     return request.param, EmulationSetup.build(CONFIGS[request.param])
 
 
-def test_certified_selection(golden_setup):
-    name, setup = golden_setup
-    assert setup.chosen == GOLDEN[name]["chosen"]
-    assert setup.swaps == GOLDEN[name]["swaps"]
+@pytest.mark.parametrize("name", sorted(SELECTIONS))
+def test_certified_selection(name):
+    setup = EmulationSetup.build(PAIRS[name])
+    assert (setup.chosen, setup.swaps) == SELECTIONS[name]
+
+
+@pytest.mark.parametrize("name", sorted(TX_GRIDS_GOLDEN))
+def test_tx_grids_bytes(name):
+    cfg = PAIRS[name]
+    rng = np.random.default_rng(TX_GRIDS_SEED)
+    bits = rng.integers(0, 2, TX_GRIDS_SYMBOLS * cfg.n_dbps, dtype=np.uint8)
+    assert sha(tx_grids(bits, cfg).astype("<c16").tobytes()) == TX_GRIDS_GOLDEN[name]
 
 
 def test_sweep_bytes(golden_setup, tmp_path):
