@@ -57,22 +57,9 @@ _LOGICAL_PILOTS = (-21, -7, 7, 21)
 _LOGICAL_DATA = tuple(k for k in _LOGICAL_ACTIVE if k not in _LOGICAL_PILOTS)
 
 # Pilot amplitudes for logical bins (-21, -7, +7, +21), before the
-# per-symbol polarity sign.
+# per-symbol polarity sign (the scrambler stream from the all-ones state,
+# see phy.tx_grids).
 PILOT_BASE = (1, 1, 1, -1)
-
-
-def _pilot_polarity_sequence() -> np.ndarray:
-    """127-periodic pilot polarity signs from the all-ones scrambler state."""
-    reg = [1] * 7
-    seq = np.empty(127, dtype=np.int8)
-    for n in range(127):
-        fb = reg[6] ^ reg[3]
-        seq[n] = 1 if fb == 0 else -1
-        reg = [fb] + reg[:-1]
-    return seq
-
-
-PILOT_POLARITY = _pilot_polarity_sequence()
 
 
 def logical_to_bin(k: int, fft_size: int = 64) -> int:
@@ -186,14 +173,6 @@ class PhyConfig:
     def k_mod(self) -> float:
         """Amplitude scale of the constellation (1/sqrt of KMOD_SQUARED)."""
         return 1.0 / float(np.sqrt(KMOD_SQUARED[self.modulation_order]))
-
-    def pilot_polarity(self, symbol_index: int) -> int:
-        """Polarity sign applied to all pilots of one OFDM symbol."""
-        return int(PILOT_POLARITY[symbol_index % 127])
-
-    def pilot_values(self, symbol_index: int) -> np.ndarray:
-        p = self.pilot_polarity(symbol_index)
-        return np.asarray(self.pilot_base, dtype=np.complex128) * p
 
     @cached_property
     def data_bin_array(self) -> np.ndarray:

@@ -101,9 +101,6 @@ class Gf2Matrix:
         raw = np.unpackbits(self.data.view(np.uint8), axis=1, bitorder="little")
         return raw[:, : self.cols].astype(np.uint8)
 
-    def copy(self) -> "Gf2Matrix":
-        return Gf2Matrix(self.rows, self.cols, self.data)
-
     def take_rows(self, indices) -> "Gf2Matrix":
         indices = np.asarray(indices, dtype=np.intp)
         return Gf2Matrix(indices.size, self.cols, self.data[indices])
@@ -114,10 +111,6 @@ class Gf2Matrix:
             raise FramingError(f"vector length {v.length} != cols {self.cols}")
         bits = (np.bitwise_count(self.data & v.words[None, :]).sum(axis=1) & 1).astype(np.uint8)
         return Gf2Vector.from_bits(bits)
-
-    def column_bits(self, j: int) -> np.ndarray:
-        """Column j as a 0/1 array over all rows."""
-        return ((self.data[:, j >> 6] >> np.uint64(j & 63)) & np.uint64(1)).astype(np.uint8)
 
     def __eq__(self, other) -> bool:
         return (
@@ -155,31 +148,9 @@ class Gf2Solver:
         self.matrix = matrix
         self.rows = matrix.rows
         self.cols = matrix.cols
-        red = matrix.copy()
         tr = Gf2Matrix.identity(self.rows)
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            if r >= self.rows:
-                break
-            col = red.column_bits(c)
-            cand = np.nonzero(col[r:])[0]
-            if cand.size == 0:
-                continue
-            p = r + int(cand[0])
-            if p != r:
-                red.data[[r, p]] = red.data[[p, r]]
-                tr.data[[r, p]] = tr.data[[p, r]]
-            col = red.column_bits(c)
-            col[r] = 0
-            hit = np.nonzero(col)[0]
-            if hit.size:
-                red.data[hit] ^= red.data[r]
-                tr.data[hit] ^= tr.data[r]
-            pivots.append(c)
-            r += 1
-        self.rank = r
-        self.pivot_cols = np.asarray(pivots, dtype=np.intp)
+        self.pivot_cols = _eliminate(matrix.data.copy(), self.cols, tr.data)
+        self.rank = int(self.pivot_cols.size)
         self._transform = tr
         # Scatter tables: pivot bit i of the transformed target lands in
         # solution word/bit position of pivot column i.
@@ -222,25 +193,41 @@ class Gf2Solver:
         return dot == 1
 
 
-def rank(matrix: Gf2Matrix) -> int:
-    """Rank by forward elimination on a scratch copy."""
-    data = matrix.data.copy()
-    rows, cols = matrix.rows, matrix.cols
-    r = 0
+def _eliminate(data: np.ndarray, cols: int, transform: np.ndarray | None = None) -> np.ndarray:
+    """Reduce packed rows to reduced row echelon form, in place.
+
+    The pivot of column c is the first remaining row with bit c set; it
+    swaps into place and is XORed into every other row holding bit c.
+    ``transform``, if given, receives the same swaps and XORs.  Returns
+    the pivot columns, one per nonzero row of the result.
+    """
+    rows = data.shape[0]
+    pivots: list[int] = []
     for c in range(cols):
+        r = len(pivots)
         if r >= rows:
             break
-        colbits = (data[r:, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)
-        cand = np.nonzero(colbits)[0]
+        col = (data[:, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)
+        cand = np.flatnonzero(col[r:])
         if cand.size == 0:
             continue
         p = r + int(cand[0])
         if p != r:
             data[[r, p]] = data[[p, r]]
-        below = (data[r + 1 :, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)
-        hit = np.nonzero(below)[0] + r + 1
+            if transform is not None:
+                transform[[r, p]] = transform[[p, r]]
+        # col predates the swap: clearing col[p] skips the pivot row and
+        # matches row p, which now holds the old row r (bit c clear)
+        col[p] = 0
+        hit = np.flatnonzero(col)
         if hit.size:
             data[hit] ^= data[r]
-        r += 1
-    return r
+            if transform is not None:
+                transform[hit] ^= transform[r]
+        pivots.append(c)
+    return np.asarray(pivots, dtype=np.intp)
 
+
+def rank(matrix: Gf2Matrix) -> int:
+    """Rank by elimination on a scratch copy."""
+    return int(_eliminate(matrix.data.copy(), matrix.cols).size)

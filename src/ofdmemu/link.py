@@ -181,15 +181,13 @@ def sender_invert(targets: TargetSymbols, setup: EmulationSetup) -> EmulationPla
     clip = float(box_edge(cfg))
     over = np.sum(np.abs(padded[:k].real) > clip) + np.sum(np.abs(padded[:k].imag) > clip)
 
-    quantized = np.empty((n_sym, nch), dtype=np.complex128)
+    points, labels = qam_quantize(padded, cfg.modulation_order)
+    labels = labels.reshape(n_sym, -1)
     x_blocks = np.empty((n_sym, setup.system.beta), dtype=np.uint8)
     states = np.empty(n_sym, dtype=np.int64)
     state = 0
     for s in range(n_sym):
-        pts, labels = qam_quantize(padded[s * nch : (s + 1) * nch], cfg.modulation_order)
-        quantized[s] = pts
-        target_bits = (labels.reshape(-1) ^ setup.offsets[state]) & 1
-        x = setup.solver.solve(target_bits)
+        x = setup.solver.solve((labels[s] ^ setup.offsets[state]) & 1)
         if isinstance(x, Unsolvable):
             raise SelectionError(
                 f"restricted system unexpectedly unsolvable at row {x.row}; "
@@ -205,7 +203,7 @@ def sender_invert(targets: TargetSymbols, setup: EmulationSetup) -> EmulationPla
         scale=float(targets.scale),
         target_count=k,
         ofdm_symbols=n_sym,
-        quantized=quantized,
+        quantized=points.reshape(n_sym, nch),
         bitstream=bitstream,
         incoming_states=states,
         clip_count=int(over),
@@ -216,15 +214,10 @@ def sender_invert(targets: TargetSymbols, setup: EmulationSetup) -> EmulationPla
 def reference_waveform(targets: TargetSymbols, setup: EmulationSetup) -> np.ndarray:
     """The ideal user-domain waveform: continuous targets on the chosen
     bins, everything else (pilots, dummies, nulls) silent."""
-    cfg = setup.cfg
-    k = targets.count
     nch = setup.n_chosen
-    n_sym = (k + nch - 1) // nch
-    vals = np.zeros(n_sym * nch, dtype=np.complex128)
-    vals[:k] = targets.symbols
-    grids = np.zeros((n_sym, cfg.fft_size), dtype=np.complex128)
-    grids[:, setup.chosen_bins] = vals.reshape(n_sym, nch)
-    return modulate_symbols(grids, cfg)
+    vals = np.zeros(-(-targets.count // nch) * nch, dtype=np.complex128)
+    vals[: targets.count] = targets.symbols
+    return waveform_from_values(vals, setup)
 
 
 def waveform_from_values(values: np.ndarray, setup: EmulationSetup) -> np.ndarray:
@@ -238,6 +231,12 @@ def waveform_from_values(values: np.ndarray, setup: EmulationSetup) -> np.ndarra
     return modulate_symbols(grids, setup.cfg)
 
 
+def _chosen_values(waveform: np.ndarray, setup: EmulationSetup) -> np.ndarray:
+    """Chosen-bin values of a waveform, row-major over OFDM symbols."""
+    grids = demodulate_frame(np.asarray(waveform, dtype=np.complex128).ravel(), setup.cfg)
+    return grids[:, setup.chosen_bins].reshape(-1)
+
+
 def targets_from_waveform(
     waveform: np.ndarray, setup: EmulationSetup, scale: float | None = None
 ) -> TargetSymbols:
@@ -249,20 +248,14 @@ def targets_from_waveform(
     ``scale`` unset, the scale follows the +-3 sigma box policy using
     the measured per-axis spread of the projected values.
     """
-    cfg = setup.cfg
-    waveform = np.asarray(waveform, dtype=np.complex128).ravel()
-    spo = cfg.samples_per_ofdm
-    if waveform.size == 0 or waveform.size % spo != 0:
-        raise FramingError(
-            f"waveform length {waveform.size} must be a positive multiple of {spo}"
-        )
-    grids = demodulate_frame(waveform, cfg)
-    vals = grids[:, setup.chosen_bins].reshape(-1)
+    vals = _chosen_values(waveform, setup)
+    if vals.size == 0:
+        raise FramingError("waveform must hold at least one OFDM symbol")
     if scale is None:
         spread = float(np.std(np.concatenate([vals.real, vals.imag])))
         if spread <= 0:
             spread = 1.0
-        scale = box_edge(cfg) / (3.0 * spread)
+        scale = box_edge(setup.cfg) / (3.0 * spread)
     return TargetSymbols(vals, scale)
 
 
@@ -331,13 +324,11 @@ def receiver_recover_soft(
     noise).  The reconstructed waveform re-frames the raw unclipped
     values with pilots and dummies silenced, ready for compensation.
     """
-    samples = frame.samples if isinstance(frame, BasebandFrame) else np.asarray(frame)
-    grids = demodulate_frame(samples, setup.cfg)
-    if grids.shape[0] != plan.ofdm_symbols:
-        raise FramingError(
-            f"frame holds {grids.shape[0]} OFDM symbols, plan expects {plan.ofdm_symbols}"
-        )
-    vals = grids[:, setup.chosen_bins].reshape(-1) / plan.scale
+    samples = frame.samples if isinstance(frame, BasebandFrame) else frame
+    vals = _chosen_values(samples, setup) / plan.scale
+    n_sym = vals.size // setup.n_chosen
+    if n_sym != plan.ofdm_symbols:
+        raise FramingError(f"frame holds {n_sym} OFDM symbols, plan expects {plan.ofdm_symbols}")
     recon = waveform_from_values(vals, setup)
     estimates = _clip_to_box(vals, setup.cfg, plan.scale)[: plan.target_count]
     return estimates, recon
@@ -365,8 +356,7 @@ def extract_estimates(
     waveform: np.ndarray, plan: EmulationPlan, setup: EmulationSetup
 ) -> np.ndarray:
     """Chosen-bin estimates from a (possibly compensated) user-domain waveform."""
-    grids = demodulate_frame(np.asarray(waveform, dtype=np.complex128), setup.cfg)
-    vals = grids[:, setup.chosen_bins].reshape(-1)
+    vals = _chosen_values(waveform, setup)
     return _clip_to_box(vals, setup.cfg, plan.scale)[: plan.target_count]
 
 

@@ -40,8 +40,6 @@ __all__ = [
     "deinterleave",
     "qam_map",
     "qam_quantize",
-    "assemble_grid",
-    "extract_data",
     "ofdm_modulate",
     "ofdm_demodulate",
     "modulate_symbols",
@@ -83,21 +81,29 @@ class BasebandFrame:
 # T1 / R6: scrambler
 # ---------------------------------------------------------------------------
 
-def lfsr_sequence(length: int, seed: int) -> np.ndarray:
-    """Output stream of the x^7 + x^4 + 1 shift register.
-
-    ``seed`` bit i is register cell i; the feedback (cell 6 XOR cell 3)
-    is both the output bit and the new cell 0 after the shift.
-    """
-    if not 1 <= seed <= 127:
-        raise ConfigError(f"scrambler seed must be a nonzero 7-bit value, got {seed}")
+@lru_cache(maxsize=None)
+def _lfsr_period(seed: int) -> np.ndarray:
+    """One 127-bit period of the register output from ``seed``."""
     state = seed
-    out = np.empty(length, dtype=np.uint8)
-    for n in range(length):
+    out = np.empty(127, dtype=np.uint8)
+    for n in range(127):
         fb = ((state >> 6) ^ (state >> 3)) & 1
         out[n] = fb
         state = ((state << 1) | fb) & 0x7F
     return out
+
+
+def lfsr_sequence(length: int, seed: int) -> np.ndarray:
+    """Output stream of the x^7 + x^4 + 1 shift register.
+
+    ``seed`` bit i is register cell i; the feedback (cell 6 XOR cell 3)
+    is both the output bit and the new cell 0 after the shift.  The
+    stream repeats every 127 bits, so it is the cached period tiled
+    (into a fresh array).  Seed 0x7F gives the pilot polarity sequence.
+    """
+    if not 1 <= seed <= 127:
+        raise ConfigError(f"scrambler seed must be a nonzero 7-bit value, got {seed}")
+    return np.resize(_lfsr_period(seed), length)
 
 
 def scramble(bits: np.ndarray, seed: int) -> np.ndarray:
@@ -192,20 +198,23 @@ def _interleave_perm(n_cbps: int, n_bpsc: int) -> np.ndarray:
     return j
 
 
+def _blocks(bits: np.ndarray, n_cbps: int) -> np.ndarray:
+    if bits.size % n_cbps != 0:
+        raise FramingError(f"interleaver blocks hold {n_cbps} bits, got {bits.size} bits")
+    return bits.reshape(-1, n_cbps)
+
+
 def interleave(bits: np.ndarray, n_cbps: int, n_bpsc: int) -> np.ndarray:
-    bits = _as_bits(bits)
-    if bits.size != n_cbps:
-        raise FramingError(f"interleaver block must hold {n_cbps} bits, got {bits.size}")
-    out = np.empty_like(bits)
-    out[_interleave_perm(n_cbps, n_bpsc)] = bits
-    return out
+    """Interleave each ``n_cbps``-bit block of a whole number of blocks."""
+    blocks = _blocks(_as_bits(bits), n_cbps)
+    out = np.empty_like(blocks)
+    out[:, _interleave_perm(n_cbps, n_bpsc)] = blocks
+    return out.reshape(-1)
 
 
 def deinterleave(bits: np.ndarray, n_cbps: int, n_bpsc: int) -> np.ndarray:
-    bits = np.asarray(bits)
-    if bits.size != n_cbps:
-        raise FramingError(f"deinterleaver block must hold {n_cbps} bits, got {bits.size}")
-    return bits[_interleave_perm(n_cbps, n_bpsc)]
+    blocks = _blocks(np.asarray(bits).ravel(), n_cbps)
+    return blocks[:, _interleave_perm(n_cbps, n_bpsc)].reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -302,30 +311,6 @@ def qam_quantize(points: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
         labels = np.concatenate([i_bits, _axis_index_to_bits(inverse[q_slot], half)], axis=1)
     quantized = (i_level + 1j * q_level) * scale
     return quantized, labels.reshape(-1)
-
-
-# ---------------------------------------------------------------------------
-# T5: pilot insertion / grid handling
-# ---------------------------------------------------------------------------
-
-def assemble_grid(data_points: np.ndarray, symbol_index: int, cfg: PhyConfig) -> np.ndarray:
-    """Place data and pilots on an fft_size grid; all other bins stay null."""
-    data_points = np.asarray(data_points, dtype=np.complex128)
-    if data_points.size != cfg.n_data:
-        raise FramingError(
-            f"expected {cfg.n_data} data points per OFDM symbol, got {data_points.size}"
-        )
-    grid = np.zeros(cfg.fft_size, dtype=np.complex128)
-    grid[cfg.data_bin_array] = data_points
-    grid[cfg.pilot_bin_array] = cfg.pilot_values(symbol_index)
-    return grid
-
-
-def extract_data(grid: np.ndarray, cfg: PhyConfig) -> np.ndarray:
-    grid = np.asarray(grid)
-    if grid.shape[-1] != cfg.fft_size:
-        raise FramingError(f"grid must hold {cfg.fft_size} bins")
-    return grid[..., cfg.data_bin_array]
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +448,12 @@ def tx_grids(bits: np.ndarray, cfg: PhyConfig) -> np.ndarray:
     n_sym = bits.size // cfg.n_dbps
     scrambled = scramble(bits, cfg.scrambler_seed)
     coded, _ = conv_encode(scrambled)
-    blocks = puncture(coded, cfg.coding_rate).reshape(n_sym, cfg.n_cbps)
-    grids = np.empty((n_sym, cfg.fft_size), dtype=np.complex128)
-    for s in range(n_sym):
-        points = qam_map(interleave(blocks[s], cfg.n_cbps, cfg.n_bpsc), cfg.modulation_order)
-        grids[s] = assemble_grid(points, s, cfg)
+    interleaved = interleave(puncture(coded, cfg.coding_rate), cfg.n_cbps, cfg.n_bpsc)
+    grids = np.zeros((n_sym, cfg.fft_size), dtype=np.complex128)
+    grids[:, cfg.data_bin_array] = qam_map(interleaved, cfg.modulation_order).reshape(n_sym, -1)
+    # pilot polarity of symbol s is 1 - 2*p[s], p the all-ones scrambler stream
+    polarity = 1 - 2 * lfsr_sequence(n_sym, 0x7F).astype(np.int64)
+    grids[:, cfg.pilot_bin_array] = np.outer(polarity, np.asarray(cfg.pilot_base, np.complex128))
     return grids
 
 
@@ -475,12 +461,8 @@ def rx_chain(frame: BasebandFrame | np.ndarray, cfg: PhyConfig) -> np.ndarray:
     """Baseband frame back to information bits."""
     samples = frame.samples if isinstance(frame, BasebandFrame) else np.asarray(frame)
     grids = demodulate_frame(samples, cfg)
-    n_sym = grids.shape[0]
-    received = np.empty((n_sym, cfg.n_cbps), dtype=np.uint8)
-    for s in range(n_sym):
-        _, hard = qam_quantize(extract_data(grids[s], cfg), cfg.modulation_order)
-        received[s] = deinterleave(hard, cfg.n_cbps, cfg.n_bpsc)
-    mother = depuncture(received.reshape(-1), cfg.coding_rate)
+    _, hard = qam_quantize(grids[:, cfg.data_bin_array], cfg.modulation_order)
+    mother = depuncture(deinterleave(hard, cfg.n_cbps, cfg.n_bpsc), cfg.coding_rate)
     decoded = viterbi_decode(mother)
     return scramble(decoded, cfg.scrambler_seed)
 

@@ -1,13 +1,35 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofdmemu.errors import FramingError
-from ofdmemu.gf2 import Gf2Matrix, Gf2Solver, Gf2Vector, Unsolvable, rank
+from ofdmemu.gf2 import Gf2Matrix, Gf2Solver, Gf2Vector, Unsolvable, _eliminate, rank
 
 
 def random_matrix(rows, cols, rng):
     bits = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
     return Gf2Matrix.from_dense(bits), bits
+
+
+def dense_rank(a):
+    """Gauss-Jordan rank on a dense 0/1 array, one row at a time."""
+    a = a.copy() % 2
+    r = 0
+    for c in range(a.shape[1]):
+        piv = np.nonzero(a[r:, c])[0]
+        if piv.size == 0:
+            continue
+        p = r + piv[0]
+        a[[r, p]] = a[[p, r]]
+        hits = np.nonzero(a[:, c])[0]
+        for h in hits:
+            if h != r:
+                a[h] ^= a[r]
+        r += 1
+        if r == a.shape[0]:
+            break
+    return r
 
 
 def test_vector_roundtrip(rng):
@@ -32,27 +54,9 @@ def test_matvec_matches_numpy(rng):
 
 
 def test_rank_matches_numpy_gauss(rng):
-    def numpy_rank(a):
-        a = a.copy() % 2
-        r = 0
-        for c in range(a.shape[1]):
-            piv = np.nonzero(a[r:, c])[0]
-            if piv.size == 0:
-                continue
-            p = r + piv[0]
-            a[[r, p]] = a[[p, r]]
-            hits = np.nonzero(a[:, c])[0]
-            for h in hits:
-                if h != r:
-                    a[h] ^= a[r]
-            r += 1
-            if r == a.shape[0]:
-                break
-        return r
-
     for rows, cols in [(10, 10), (20, 35), (40, 25), (64, 64)]:
         m, bits = random_matrix(rows, cols, rng)
-        assert rank(m) == numpy_rank(bits)
+        assert rank(m) == dense_rank(bits)
 
 
 def test_solver_recovers_known_solution(rng):
@@ -110,3 +114,47 @@ def test_free_variables_fixed_to_zero(rng):
     for c in range(30):
         if c not in pivot_set:
             assert a[c] == 0
+
+
+# One elimination serves rank and the solver.  Systems are tall, wide or
+# square, with copied rows to make them rank-deficient; sizes cross the
+# 64-bit word boundary.
+
+@settings(max_examples=400, deadline=None)
+@given(
+    rows=st.integers(1, 90),
+    cols=st.integers(1, 90),
+    copies=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_elimination_property(rows, cols, copies, seed):
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
+    for _ in range(copies):
+        bits[rng.integers(rows)] = bits[rng.integers(rows)]
+    m = Gf2Matrix.from_dense(bits)
+    want = dense_rank(bits)
+
+    reduced = m.data.copy()
+    transform = Gf2Matrix.identity(rows)
+    pivots = _eliminate(reduced, cols, transform.data)
+    red = Gf2Matrix(rows, cols, reduced).to_dense()
+    # reduced row echelon form, reached by the recorded row operations
+    assert pivots.size == want
+    assert np.all(np.diff(pivots) > 0)
+    assert np.array_equal(red[:, pivots], np.eye(rows, want, dtype=np.uint8))
+    assert not red[want:].any()
+    for i, c in enumerate(pivots):
+        assert not red[i, :c].any()
+    assert np.array_equal(transform.to_dense().astype(int) @ bits % 2, red)
+
+    solver = Gf2Solver(m)
+    assert rank(m) == solver.rank == want
+    solvable = bits.astype(int) @ rng.integers(0, 2, cols) % 2
+    for y in (solvable, rng.integers(0, 2, rows)):
+        got = solver.solve(y)
+        if isinstance(got, Unsolvable):
+            assert y is not solvable
+            assert solver.certify_unsolvable(got, y)
+        else:
+            assert np.array_equal(bits.astype(int) @ got.to_bits() % 2, y)

@@ -146,23 +146,44 @@ def test_cyclic_prefix_is_a_copy(rng):
         assert np.allclose(sym[: cfg.cp_len], sym[-cfg.cp_len :])
 
 
-def test_assemble_grid_places_pilots(rng):
-    cfg = PhyConfig()
-    data = rng.standard_normal(48) + 1j * rng.standard_normal(48)
-    grid = phy.assemble_grid(data, 0, cfg)
-    assert np.allclose(phy.extract_data(grid[None, :], cfg)[0], data)
-    pilots = grid[list(cfg.pilot_subcarriers)]
-    assert np.allclose(pilots, cfg.pilot_values(0))
-    assert grid[0] == 0
+@pytest.mark.parametrize("m,rate", [(64, "3/4"), (2, "1/2")])
+def test_tx_grids_frame_matches_oracles(m, rate, rng):
+    # 300 symbols run past the 127-symbol period of the scrambler and of
+    # the pilot polarity
+    cfg = PhyConfig(modulation_order=m, coding_rate=Fraction(rate))
+    n_sym = 300
+    bits = rng.integers(0, 2, n_sym * cfg.n_dbps, dtype=np.uint8)
+    grids = phy.tx_grids(bits, cfg)
 
+    p = oracles.scramble_reference(np.zeros(n_sym, dtype=np.uint8), 0x7F).astype(int)
+    pilots = grids[:, list(cfg.pilot_subcarriers)]
+    assert np.array_equal(pilots, np.outer(1 - 2 * p, cfg.pilot_base))
 
-def test_pilot_polarity_cycles():
-    cfg = PhyConfig()
-    assert cfg.pilot_polarity(0) == 1
-    seq = [cfg.pilot_polarity(i) for i in range(127)]
-    seq2 = [cfg.pilot_polarity(i + 127) for i in range(127)]
-    assert seq == seq2
-    assert set(seq) == {-1, 1}
+    coded, _ = oracles.conv_encode_reference(oracles.scramble_reference(bits, cfg.scrambler_seed))
+    punctured = oracles.puncture_reference(coded, rate)
+    blocks = punctured.reshape(n_sym, cfg.n_cbps)
+    want = np.concatenate(
+        [oracles.interleave_reference(b, cfg.n_cbps, cfg.n_bpsc) for b in blocks]
+    )
+    data = grids[:, list(cfg.data_subcarriers)]
+    assert np.array_equal(data, phy.qam_map(want, m).reshape(n_sym, cfg.n_data))
+    idle = sorted(set(range(cfg.fft_size)) - set(cfg.data_subcarriers) - set(cfg.pilot_subcarriers))
+    assert not grids[:, idle].any()
+
+    # whole-frame interleaving is the block interleaver applied per block
+    interleaved = phy.interleave(punctured, cfg.n_cbps, cfg.n_bpsc)
+    assert np.array_equal(interleaved, want)
+    back = np.concatenate(
+        [oracles.deinterleave_reference(b, cfg.n_cbps, cfg.n_bpsc)
+         for b in interleaved.reshape(n_sym, cfg.n_cbps)]
+    )
+    assert np.array_equal(back, punctured)
+    assert np.array_equal(phy.deinterleave(interleaved, cfg.n_cbps, cfg.n_bpsc), back)
+    for partial in (punctured[:-1], punctured[: cfg.n_cbps + 1]):
+        with pytest.raises(FramingError):
+            phy.interleave(partial, cfg.n_cbps, cfg.n_bpsc)
+        with pytest.raises(FramingError):
+            phy.deinterleave(partial, cfg.n_cbps, cfg.n_bpsc)
 
 
 @pytest.mark.parametrize("m,rate", ALL_MODES)
