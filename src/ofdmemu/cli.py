@@ -15,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PhyConfig, parse_config_file
+from .config import PhyConfig, check_seed, parse_config_file
 from .errors import ConfigError, OfdmEmuError
 from .framefile import (
     read_frame,
+    read_input,
     read_model_into,
     save_checkpoint,
     write_frame,
@@ -106,7 +107,7 @@ def _out_dir(args) -> Path:
 
 
 def _bits_from_file(path: str) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(Path(path).read_bytes(), dtype=np.uint8), bitorder="little")
+    return np.unpackbits(np.frombuffer(read_input(path), dtype=np.uint8), bitorder="little")
 
 
 def cmd_selftest(args) -> int:
@@ -150,12 +151,12 @@ def cmd_emulate(args) -> int:
     if args.symbols < 1:
         raise ConfigError(f"--symbols must be >= 1, got {args.symbols}")
     cfg = _phy_config(args)
-    setup = EmulationSetup.build(cfg)
     seed = args.seed if args.seed is not None else 0
     if args.infile:
         symbols = read_frame(args.infile)
     else:
         symbols = gaussian_targets(args.symbols, np.random.default_rng(seed))
+    setup = EmulationSetup.build(cfg)
     targets = TargetSymbols(symbols, box_scale(cfg))
     estimates, record = emulated_link(targets, args.snr, seed, setup, mode=args.mode)
     est = estimates[: symbols.size]
@@ -352,6 +353,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None:
+            check_seed(args.seed)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

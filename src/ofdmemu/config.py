@@ -62,6 +62,12 @@ _LOGICAL_DATA = tuple(k for k in _LOGICAL_ACTIVE if k not in _LOGICAL_PILOTS)
 PILOT_BASE = (1, 1, 1, -1)
 
 
+def check_seed(seed: int) -> None:
+    """Reject master seeds numpy cannot seed a generator with."""
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+
+
 def logical_to_bin(k: int, fft_size: int = 64) -> int:
     """Map a logical subcarrier index (negative below DC) to its FFT bin."""
     return k % fft_size
@@ -295,12 +301,15 @@ def parse_config_file(path: str | Path) -> dict[str, dict[str, str]]:
     Keys before any header land in the "" section.  '#' and ';' start
     comments.  Returns {section: {key: value}} with lower-cased keys.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not UTF-8 text") from None
     sections: dict[str, dict[str, str]] = {"": {}}
     current = ""
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
         if not line:
             continue

@@ -55,8 +55,16 @@ def write_frame(path: str | Path, samples: np.ndarray) -> None:
     Path(path).write_bytes(frame_bytes(samples))
 
 
+def read_input(path: str | Path) -> bytes:
+    """The bytes of an input file; a path that cannot be read is a FramingError."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise FramingError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def read_frame(path: str | Path) -> np.ndarray:
-    return frame_from_bytes(Path(path).read_bytes())
+    return frame_from_bytes(read_input(path))
 
 
 def write_model(path: str | Path, model) -> None:
@@ -69,7 +77,7 @@ def write_model(path: str | Path, model) -> None:
 
 def read_model_into(path: str | Path, model) -> None:
     """Load parameters, refusing on any fingerprint or size mismatch."""
-    blob = Path(path).read_bytes()
+    blob = read_input(path)
     if len(blob) < _MODEL_HEADER.size:
         raise FramingError("model blob shorter than its header")
     magic, version, fp, count = _MODEL_HEADER.unpack_from(blob)

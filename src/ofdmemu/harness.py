@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PhyConfig
+from .config import PhyConfig, check_seed
 from .errors import ConfigError, OfdmEmuError
 from .gf2 import Gf2Solver, Unsolvable
 from .inversion import build_symbol_system, restrict_rows
@@ -66,6 +66,7 @@ class ExperimentSpec:
         object.__setattr__(self, "snr_list", snrs)
         if self.n_symbols < 1 or self.n_images < 1:
             raise ConfigError("per-cell workload counts must be >= 1")
+        check_seed(self.master_seed)
         unknown = set(self.systems) - set(SYSTEM_IDS)
         if unknown:
             raise ConfigError(f"unknown systems {sorted(unknown)}; valid: {SYSTEM_IDS}")

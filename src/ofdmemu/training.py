@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_seed
 from .errors import ConfigError, TrainingError
 from .link import (
     EmulationSetup,
@@ -127,6 +128,7 @@ class TrainConfig:
             raise ConfigError("all training counts must be >= 1")
         if self.tolerance <= 0:
             raise ConfigError("tolerance must be positive")
+        check_seed(self.master_seed)
 
     def child_rng(self, index: int) -> np.random.Generator:
         children = np.random.SeedSequence(self.master_seed).spawn(_SEED_CHILDREN)

@@ -142,6 +142,31 @@ def test_emulate_bad_symbols_exits_2(tmp_path, capsys, count):
     assert "--symbols" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["tx", "rx", "emulate"])
+def test_missing_input_file_exits_1(tmp_path, capsys, command):
+    missing = tmp_path / "missing.bin"
+    rc = main([command, "--in", str(missing), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert str(missing) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", [["emulate", "--symbols", "10"], ["train-comp"]], ids=["emulate", "train-comp"]
+)
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    rc = main([*command, "--seed", "-1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "bin.cfg"
+    cfgfile.write_bytes(b"\xff\xfem\x00o\x00d\x00")
+    rc = main(["selftest", "--quick", "--config", str(cfgfile)])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_bad_phy_value_exits_2(tmp_path, capsys):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("fft_size = 60\n")

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ofdmemu.config import (
     PhyConfig,
@@ -130,3 +132,42 @@ def test_fingerprint_tracks_fields():
     b = PhyConfig(modulation_order=16)
     assert a.fingerprint() == PhyConfig().fingerprint()
     assert a.fingerprint() != b.fingerprint()
+
+
+# PhyConfig.from_file on arbitrary bytes: a config or a ConfigError, never
+# anything else.  Besides raw bytes, draw lines of known keys with random
+# values so the parse gets past the file format.
+
+_KEYS = (
+    "fft_size", "cp_len", "modulation", "coding_rate", "scrambler_seed",
+    "subcarrier_map", "data_subcarriers", "pilot_subcarriers", "pilot_base", "bogus",
+)
+_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["64", "qpsk", "3/4", "1/0", "custom", "standard", "1 2 3", "-7", "93"]),
+)
+_LINES = st.one_of(
+    st.tuples(st.sampled_from(_KEYS), _VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.sampled_from(["[phy]", "[sweep]", "# note", ""]),
+    st.text(max_size=20),
+)
+_CONFIG_TEXT = st.lists(_LINES, max_size=8).map(lambda lines: "\n".join(lines).encode())
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    st.one_of(
+        st.binary(max_size=120),
+        _CONFIG_TEXT,
+        st.tuples(st.binary(min_size=1, max_size=8), _CONFIG_TEXT).map(lambda p: p[0] + p[1]),
+    )
+)
+def test_from_file_raises_only_config_error(tmp_path, blob):
+    path = tmp_path / "fuzz.cfg"
+    path.write_bytes(blob)
+    try:
+        PhyConfig.from_file(path)
+    except ConfigError:
+        pass

@@ -45,6 +45,8 @@ def test_spec_validation():
         ExperimentSpec(n_symbols=0)
     with pytest.raises(ConfigError):
         ExperimentSpec(systems=("emulated", "quantum"))
+    with pytest.raises(ConfigError):
+        ExperimentSpec(master_seed=-1)
 
 
 def test_metric_row_validation():

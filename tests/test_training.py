@@ -50,6 +50,8 @@ def test_train_config_validation():
         TrainConfig(stage1_epochs=0)
     with pytest.raises(ConfigError):
         TrainConfig(tolerance=0.0)
+    with pytest.raises(ConfigError):
+        TrainConfig(master_seed=-1)
     TrainConfig(gamma=0.0)
     TrainConfig(gamma=1.0)
 
