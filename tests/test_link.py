@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofdmemu.config import PhyConfig
 from ofdmemu.errors import ConfigError, FramingError, SelectionError
 from ofdmemu.inversion import max_usable_subcarriers
 from ofdmemu.link import (
+    EmulationSetup,
     TargetSymbols,
     awgn,
     box_edge,
@@ -89,6 +92,24 @@ def test_noiseless_soft_recovery_hits_quantized_points(default_setup, rng):
     want = plan.quantized.reshape(-1)[: targets.count] / plan.scale
     assert np.allclose(est, want, atol=1e-9)
     assert recon.shape == (frame.samples.size,)
+
+
+# Every (modulation, rate): a noiseless soft round trip returns the planned
+# quantized points, also for targets beyond the box that the sender clips.
+
+@settings(max_examples=64, deadline=None)
+@given(
+    m=st.sampled_from([2, 4, 16, 64]),
+    rate=st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(5, 6)]),
+    count=st.integers(1, 120),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_noiseless_soft_round_trip_property(m, rate, count, seed):
+    setup = EmulationSetup.build(PhyConfig(modulation_order=m, coding_rate=rate))
+    targets = uniform_box_targets(count, setup.cfg, np.random.default_rng(seed), margin=1.3)
+    plan = sender_invert(targets, setup)
+    est, _ = receiver_recover_soft(tx_chain(plan.bitstream, setup.cfg), plan, setup)
+    assert np.allclose(est, plan.quantized.reshape(-1)[:count] / plan.scale, rtol=0, atol=1e-9)
 
 
 def test_noiseless_hard_recovery_matches_soft(default_setup, rng):
