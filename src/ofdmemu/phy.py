@@ -451,7 +451,8 @@ def tx_grids(bits: np.ndarray, cfg: PhyConfig) -> np.ndarray:
     interleaved = interleave(puncture(coded, cfg.coding_rate), cfg.n_cbps, cfg.n_bpsc)
     grids = np.zeros((n_sym, cfg.fft_size), dtype=np.complex128)
     grids[:, cfg.data_bin_array] = qam_map(interleaved, cfg.modulation_order).reshape(n_sym, -1)
-    # pilot polarity of symbol s is 1 - 2*p[s], p the all-ones scrambler stream
+    # pilot polarity of symbol s is 1 - 2*p[s], p the all-ones scrambler
+    # stream; the complex product keeps the -0.0 imaginary parts of -1 * -1
     polarity = 1 - 2 * lfsr_sequence(n_sym, 0x7F).astype(np.int64)
     grids[:, cfg.pilot_bin_array] = np.outer(polarity, np.asarray(cfg.pilot_base, np.complex128))
     return grids
