@@ -1,8 +1,10 @@
-"""Independent straight-line references for the coded chain.
+"""Independent straight-line references for the coded chain and conv2d.
 
 Everything here is written from the published definitions with table
 lookups and explicit index lists, sharing no code or structure with the
-package under test.  Slow on purpose; used only as ground truth.
+package under test.  Slow on purpose; used only as ground truth.  The
+one exception is ``conv2d_reference``, a frozen copy of the original
+conv2d kernel that pins the current one bit for bit.
 """
 
 import numpy as np
@@ -154,3 +156,63 @@ def exhaustive_ml_decode(received, n_info, state=0):
         if best_dist is None or dist < best_dist:
             best_bits, best_dist = bits, dist
     return np.array(best_bits, dtype=np.uint8), best_dist
+
+
+# ---------------------------------------------------------------------------
+# conv2d as first written: pad the input, then one matmul per kernel tap
+
+
+def conv2d_reference(x, weight, bias, g):
+    """SAME, stride-1, channels-last conv2d and its three gradients.
+
+    The pad-and-loop kernel that ``nn.autodiff.conv2d`` started from,
+    kept line for line: every tap runs, padding included.  Skipping the
+    taps that read only padding drops exact zeros, so the package must
+    match this bit for bit.  ``g`` is the gradient arriving at the
+    output; returns (out, gx, gw, gb).
+    """
+    kh, kw, cin, cout = weight.shape
+    b, h, w, cx = x.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x, ((0, 0), (ph, kh - 1 - ph), (pw, kw - 1 - pw), (0, 0)))
+    out_data = np.zeros((b, h, w, cout))
+    for i in range(kh):
+        for j in range(kw):
+            out_data += xp[:, i : i + h, j : j + w, :] @ weight[i, j]
+    out_data += bias
+
+    gxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, i : i + h, j : j + w, :] += g @ weight[i, j].T
+    gx = gxp[:, ph : ph + h, pw : pw + w, :]
+    gw = np.empty_like(weight)
+    for i in range(kh):
+        for j in range(kw):
+            patch = xp[:, i : i + h, j : j + w, :]
+            gw[i, j] = np.tensordot(patch, g, axes=([0, 1, 2], [0, 1, 2]))
+    return out_data, gx, gw, g.sum(axis=(0, 1, 2))
+
+
+def conv2d_direct(x, weight, g):
+    """The same three results as plain per-pixel sums, no padding.
+
+    Output pixel (y, c) of a kh x kw kernel reads input (y + i - kh//2,
+    c + j - kw//2) through tap (i, j) wherever that lies inside the
+    input.  Returns (out, gx, gw) without the bias.
+    """
+    kh, kw, _, _ = weight.shape
+    b, h, w, _ = x.shape
+    out = np.zeros((b, h, w, weight.shape[3]))
+    gx = np.zeros(x.shape)
+    gw = np.zeros(weight.shape)
+    for y in range(h):
+        for c in range(w):
+            for i in range(kh):
+                for j in range(kw):
+                    yi, ci = y + i - kh // 2, c + j - kw // 2
+                    if 0 <= yi < h and 0 <= ci < w:
+                        out[:, y, c] += x[:, yi, ci] @ weight[i, j]
+                        gx[:, yi, ci] += g[:, y, c] @ weight[i, j].T
+                        gw[i, j] += x[:, yi, ci].T @ g[:, y, c]
+    return out, gx, gw

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from ofdmemu.nn.autodiff import Tensor, concat, conv2d
 
 
@@ -157,6 +160,76 @@ def test_conv2d_forward_matches_direct(rng):
             for o in range(3):
                 want[0, i, j, o] = np.sum(patch * w[:, :, :, o])
     np.testing.assert_allclose(out, want, rtol=1e-12)
+
+
+def _conv2d_with_grads(x, w, b, g):
+    """conv2d's output and the x, weight and bias gradients for output
+    gradient ``g`` (multiplying by ``g`` then summing passes it on exactly)."""
+    tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = conv2d(tx, tw, tb)
+    (out * Tensor(g)).sum().backward()
+    return out.data, tx.grad, tw.grad, tb.grad
+
+
+# (B, H, W, kh, kw, Cin, Cout) of every conv the training pipeline runs:
+# the compensator's 5x11 stack (4 -> 8 -> 8 -> 2 channels) on the 160x2
+# and 40x2 source-period folds and the 4x80 and 1x80 OFDM-period folds,
+# and the proxy's 1x9 stack (2 -> 8 -> 8 -> 2) on a 1x320 waveform
+PIPELINE_CONVS = [
+    (12, 160, 2, 5, 11, 4, 8),
+    (12, 160, 2, 5, 11, 8, 8),
+    (12, 160, 2, 5, 11, 8, 2),
+    (12, 40, 2, 5, 11, 4, 8),
+    (32, 40, 2, 5, 11, 8, 2),
+    (12, 4, 80, 5, 11, 4, 8),
+    (12, 4, 80, 5, 11, 8, 2),
+    (12, 1, 80, 5, 11, 4, 8),
+    (32, 1, 80, 5, 11, 8, 2),
+    (12, 1, 320, 1, 9, 2, 8),
+    (12, 1, 320, 1, 9, 8, 8),
+    (12, 1, 320, 1, 9, 8, 2),
+]
+
+
+@pytest.mark.parametrize("b,h,w,kh,kw,cin,cout", PIPELINE_CONVS)
+def test_conv2d_bit_identical_to_reference(b, h, w, kh, kw, cin, cout, rng):
+    x = rng.normal(size=(b, h, w, cin))
+    x[:, h // 2 :, w // 2 :, :] = 0.0  # exact zeros, like a fold's padded tail
+    wt = rng.normal(size=(kh, kw, cin, cout))
+    bias = rng.normal(size=cout)
+    g = rng.normal(size=(b, h, w, cout))
+    got = _conv2d_with_grads(x, wt, bias, g)
+    want = oracles.conv2d_reference(x, wt, bias, g)
+    for name, a, e in zip(("out", "x.grad", "weight.grad", "bias.grad"), got, want):
+        assert np.array_equal(a, e), name
+        assert np.array_equal(np.signbit(a), np.signbit(e)), name
+
+
+_DIM = st.integers(1, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 2), _DIM, _DIM, _DIM, _DIM, st.integers(1, 3), st.integers(1, 3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv2d_matches_per_pixel_sums(shape, seed):
+    # covers kernels larger than the input, even kh or kw, 1x1 kernels and
+    # H = W = 1
+    b, h, w, kh, kw, cin, cout = shape
+    r = np.random.default_rng(seed)
+    x = r.normal(size=(b, h, w, cin))
+    wt = r.normal(size=(kh, kw, cin, cout))
+    g = r.normal(size=(b, h, w, cout))
+    out, gx, gw, _ = _conv2d_with_grads(x, wt, np.zeros(cout), g)
+    want_out, want_gx, want_gw = oracles.conv2d_direct(x, wt, g)
+    np.testing.assert_allclose(out, want_out, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(gx, want_gx, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(gw, want_gw, rtol=1e-12, atol=1e-12)
+    for i in range(kh):
+        for j in range(kw):
+            if abs(i - kh // 2) >= h or abs(j - kw // 2) >= w:  # reads only padding
+                assert np.all(gw[i, j] == 0.0)
 
 
 def test_backward_requires_scalar(rng):
