@@ -273,23 +273,51 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     return Tensor._node(out_data, tuple(tensors), backward)
 
 
+def _conv_taps(h: int, w: int, kh: int, kw: int) -> list[tuple]:
+    """(i, j, out window, in window) of every tap that reads real input.
+
+    Tap (i, j) moves input pixel (y + di, c + dj) to output pixel (y, c),
+    with di = i - kh//2 and dj = j - kw//2; the windows are the (rows,
+    cols) slices where both lie inside the H x W grid.  Taps that see only
+    SAME padding are left out.
+    """
+    taps = []
+    for i in range(kh):
+        di = i - kh // 2
+        if abs(di) >= h:
+            continue
+        rows_out = slice(max(0, -di), h - max(0, di))
+        rows_in = slice(max(0, di), h + min(0, di))
+        for j in range(kw):
+            dj = j - kw // 2
+            if abs(dj) < w:
+                cols_out = slice(max(0, -dj), w - max(0, dj))
+                cols_in = slice(max(0, dj), w + min(0, dj))
+                taps.append((i, j, (rows_out, cols_out), (rows_in, cols_in)))
+    return taps
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """2D convolution, stride 1, SAME zero padding, channels last.
 
     ``x`` is (B, H, W, Cin), ``weight`` is (kh, kw, Cin, Cout), output is
-    (B, H, W, Cout).  Computed as a sum of shifted-slice matmuls, which
-    keeps both passes as dense BLAS calls.
+    (B, H, W, Cout).  Each tap that reads real input is one 2-D matmul of
+    the whole unpadded input, (B·H·W, Cin) @ (Cin, Cout), whose valid
+    window is added into the output; the input gradient mirrors it.  Taps
+    that read only padding add exact zeros, so they are skipped and their
+    weight gradient is +0.0.  The weight gradient of the other taps is a
+    ``tensordot`` over the zero-padded patch, so every result is bit for
+    bit what a pad-and-loop over all kh·kw taps gives.
     """
     kh, kw, cin, cout = weight.data.shape
     b, h, w, cx = x.data.shape
     if cx != cin:
         raise ValueError(f"input has {cx} channels, weight expects {cin}")
-    ph, pw = kh // 2, kw // 2
-    xp = np.pad(x.data, ((0, 0), (ph, kh - 1 - ph), (pw, kw - 1 - pw), (0, 0)))
+    taps = _conv_taps(h, w, kh, kw)
+    x2 = x.data.reshape(-1, cin)
     out_data = np.zeros((b, h, w, cout))
-    for i in range(kh):
-        for j in range(kw):
-            out_data += xp[:, i : i + h, j : j + w, :] @ weight.data[i, j]
+    for i, j, (ro, co), (ri, ci) in taps:
+        out_data[:, ro, co] += (x2 @ weight.data[i, j]).reshape(b, h, w, cout)[:, ri, ci]
     if bias is not None:
         out_data += bias.data
 
@@ -297,17 +325,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, i : i + h, j : j + w, :] += g @ weight.data[i, j].T
-            x._accum(gxp[:, ph : ph + h, pw : pw + w, :])
+            g2 = g.reshape(-1, cout)
+            gx = np.zeros_like(x.data)
+            for i, j, (ro, co), (ri, ci) in taps:
+                gx[:, ri, ci] += (g2 @ weight.data[i, j].T).reshape(b, h, w, cin)[:, ro, co]
+            x._accum(gx)
         if weight.requires_grad:
-            gw = np.empty_like(weight.data)
-            for i in range(kh):
-                for j in range(kw):
-                    patch = xp[:, i : i + h, j : j + w, :]
-                    gw[i, j] = np.tensordot(patch, g, axes=([0, 1, 2], [0, 1, 2]))
+            # summing over the padded patch, zeros included, keeps BLAS's
+            # accumulation order (and so the bits) of the full-tap kernel
+            ph, pw = kh // 2, kw // 2
+            xp = np.pad(x.data, ((0, 0), (ph, kh - 1 - ph), (pw, kw - 1 - pw), (0, 0)))
+            gw = np.zeros_like(weight.data)
+            for i, j, _, _ in taps:
+                patch = xp[:, i : i + h, j : j + w, :]
+                gw[i, j] = np.tensordot(patch, g, axes=([0, 1, 2], [0, 1, 2]))
             weight._accum(gw)
         if bias is not None and bias.requires_grad:
             bias._accum(g.sum(axis=(0, 1, 2)))
