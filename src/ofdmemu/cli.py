@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PhyConfig, check_seed, parse_config_file
+from .config import MAX_SYMBOLS, PhyConfig, check_count, check_seed, parse_config_file
 from .errors import ConfigError, OfdmEmuError
 from .framefile import (
     read_frame,
@@ -148,8 +148,7 @@ def cmd_rx(args) -> int:
 
 def cmd_emulate(args) -> int:
     check_snr(args.snr)
-    if args.symbols < 1:
-        raise ConfigError(f"--symbols must be >= 1, got {args.symbols}")
+    check_count("--symbols", args.symbols, MAX_SYMBOLS)
     cfg = _phy_config(args)
     seed = args.seed if args.seed is not None else 0
     if args.infile:
@@ -323,7 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("emulate", help="transport target symbols over the link")
     common(p)
     p.add_argument("--in", dest="infile", help="frame file of complex targets")
-    p.add_argument("--symbols", type=int, default=1000, help="generated target count")
+    p.add_argument(
+        "--symbols", type=int, default=1000, help=f"generated target count, 1..{MAX_SYMBOLS}"
+    )
     p.add_argument("--snr", type=float, default=15.0)
     p.add_argument("--mode", choices=("soft", "hard"), default="soft")
     p.set_defaults(func=cmd_emulate)

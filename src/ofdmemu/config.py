@@ -14,6 +14,7 @@ fft_size; DC and the outer guard bins stay null.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -66,6 +67,18 @@ def check_seed(seed: int) -> None:
     """Reject master seeds numpy cannot seed a generator with."""
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+
+
+# upper bounds on per-run workload counts, checked when the count is read
+# so that no oversized draw is ever allocated
+MAX_SYMBOLS = 1_000_000  # targets per `emulate` run or sweep cell
+MAX_IMAGES = 100_000  # images per zero_shot sweep cell
+
+
+def check_count(name: str, count: int, limit: int) -> None:
+    """Reject a workload count outside 1..limit."""
+    if not 1 <= count <= limit:
+        raise ConfigError(f"{name} must be in 1..{limit}, got {count}")
 
 
 def logical_to_bin(k: int, fft_size: int = 64) -> int:
@@ -270,9 +283,23 @@ def parse_modulation(text: str) -> int:
     return m
 
 
+# the exponent of a decimal spelling, in Fraction's grammar
+_RATE_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
+
+
 def parse_rate(text: str) -> Fraction:
+    """A supported coding rate from text such as ``3/4``, ``0.75`` or ``75e-2``.
+
+    A decimal naming a rate between 1/2 and 1 has an exponent no larger
+    in magnitude than its own length, so a larger one is rejected before
+    ``Fraction`` spends unbounded time building ``10**exponent``.
+    """
+    s = str(text).strip()
     try:
-        r = Fraction(str(text).strip())
+        exp = _RATE_EXPONENT.search(s)
+        if exp and abs(int(exp[1])) > len(s):
+            raise ConfigError(f"unsupported coding rate {text!r}")
+        r = Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"bad coding rate {text!r}") from None
     if r not in PUNCTURE_PATTERNS:

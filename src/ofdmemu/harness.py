@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PhyConfig, check_seed
+from .config import MAX_IMAGES, MAX_SYMBOLS, PhyConfig, check_count, check_seed
 from .errors import ConfigError, OfdmEmuError
 from .gf2 import Gf2Solver, Unsolvable
 from .inversion import build_symbol_system, restrict_rows
@@ -64,8 +64,8 @@ class ExperimentSpec:
         if list(snrs) != sorted(snrs):
             raise ConfigError("snr_list must be sorted ascending")
         object.__setattr__(self, "snr_list", snrs)
-        if self.n_symbols < 1 or self.n_images < 1:
-            raise ConfigError("per-cell workload counts must be >= 1")
+        check_count("n_symbols", self.n_symbols, MAX_SYMBOLS)
+        check_count("n_images", self.n_images, MAX_IMAGES)
         check_seed(self.master_seed)
         unknown = set(self.systems) - set(SYSTEM_IDS)
         if unknown:

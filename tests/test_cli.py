@@ -142,6 +142,22 @@ def test_emulate_bad_symbols_exits_2(tmp_path, capsys, count):
     assert "--symbols" in capsys.readouterr().err
 
 
+def test_emulate_huge_symbols_exits_2_before_allocating(tmp_path, capsys):
+    # 10^11 targets would be a 1.6 TB draw; the bound rejects the count first
+    rc = main(["emulate", "--symbols", "100000000000", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--symbols must be in 1..1000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["n_symbols", "n_images"])
+def test_sweep_huge_counts_exit_2(tmp_path, capsys, key):
+    cfgfile = tmp_path / "huge.cfg"
+    cfgfile.write_text(f"[sweep]\nsnr_list = 10\n{key} = 100000000000\n")
+    rc = main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"{key} must be in 1.." in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["tx", "rx", "emulate"])
 def test_missing_input_file_exits_1(tmp_path, capsys, command):
     missing = tmp_path / "missing.bin"

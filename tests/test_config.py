@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,32 @@ def test_parse_helpers():
         parse_modulation("octopus")
     with pytest.raises(ConfigError):
         parse_rate("7/8")
+
+
+@pytest.mark.parametrize(
+    "text,rate",
+    [
+        ("3/4", Fraction(3, 4)),
+        ("0.75", Fraction(3, 4)),
+        ("75e-2", Fraction(3, 4)),
+        ("6/8", Fraction(3, 4)),
+        (" 2/3 ", Fraction(2, 3)),
+        ("5E-1", Fraction(1, 2)),
+        # exponents as large as the exponent bound lets through
+        ("0.000075e4", Fraction(3, 4)),
+        ("5000000e-7", Fraction(1, 2)),
+    ],
+)
+def test_parse_rate_spellings(text, rate):
+    assert parse_rate(text) == rate
+
+
+@pytest.mark.parametrize("text", ["1e1000000", "75e-1000000", "1e" + "9" * 5000])
+def test_parse_rate_rejects_huge_exponent_quickly(text):
+    t0 = time.perf_counter()
+    with pytest.raises(ConfigError):
+        parse_rate(text)
+    assert time.perf_counter() - t0 < 0.01
 
 
 def test_config_file_roundtrip(tmp_path):
