@@ -273,27 +273,18 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     return Tensor._node(out_data, tuple(tensors), backward)
 
 
-def _conv_taps(h: int, w: int, kh: int, kw: int) -> list[tuple]:
-    """(i, j, out window, in window) of every tap that reads real input.
+def _axis_taps(n: int, k: int) -> list[tuple[int, slice, slice]]:
+    """(kernel index, output slice, input slice) along one axis of length n.
 
-    Tap (i, j) moves input pixel (y + di, c + dj) to output pixel (y, c),
-    with di = i - kh//2 and dj = j - kw//2; the windows are the (rows,
-    cols) slices where both lie inside the H x W grid.  Taps that see only
-    SAME padding are left out.
+    Kernel index i moves input index y + i - k//2 to output index y; the
+    slices cover the y where both lie inside 0..n-1.  Indices with
+    |i - k//2| >= n see only SAME padding and are left out.
     """
     taps = []
-    for i in range(kh):
-        di = i - kh // 2
-        if abs(di) >= h:
-            continue
-        rows_out = slice(max(0, -di), h - max(0, di))
-        rows_in = slice(max(0, di), h + min(0, di))
-        for j in range(kw):
-            dj = j - kw // 2
-            if abs(dj) < w:
-                cols_out = slice(max(0, -dj), w - max(0, dj))
-                cols_in = slice(max(0, dj), w + min(0, dj))
-                taps.append((i, j, (rows_out, cols_out), (rows_in, cols_in)))
+    for i in range(k):
+        d = i - k // 2
+        if abs(d) < n:
+            taps.append((i, slice(max(0, -d), n - max(0, d)), slice(max(0, d), n + min(0, d))))
     return taps
 
 
@@ -313,11 +304,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     b, h, w, cx = x.data.shape
     if cx != cin:
         raise ValueError(f"input has {cx} channels, weight expects {cin}")
-    taps = _conv_taps(h, w, kh, kw)
+    # (i, j, output window, input window) of each tap that reads real input
+    taps = [
+        (i, j, (slice(None), ro, co), (slice(None), ri, ci))
+        for i, ro, ri in _axis_taps(h, kh)
+        for j, co, ci in _axis_taps(w, kw)
+    ]
     x2 = x.data.reshape(-1, cin)
     out_data = np.zeros((b, h, w, cout))
-    for i, j, (ro, co), (ri, ci) in taps:
-        out_data[:, ro, co] += (x2 @ weight.data[i, j]).reshape(b, h, w, cout)[:, ri, ci]
+    for i, j, o, n in taps:
+        out_data[o] += (x2 @ weight.data[i, j]).reshape(b, h, w, cout)[n]
     if bias is not None:
         out_data += bias.data
 
@@ -327,8 +323,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         if x.requires_grad:
             g2 = g.reshape(-1, cout)
             gx = np.zeros_like(x.data)
-            for i, j, (ro, co), (ri, ci) in taps:
-                gx[:, ri, ci] += (g2 @ weight.data[i, j].T).reshape(b, h, w, cin)[:, ro, co]
+            for i, j, o, n in taps:
+                gx[n] += (g2 @ weight.data[i, j].T).reshape(b, h, w, cin)[o]
             x._accum(gx)
         if weight.requires_grad:
             # summing over the padded patch, zeros included, keeps BLAS's
