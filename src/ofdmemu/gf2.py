@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import FramingError
 
-__all__ = ["Gf2Matrix", "Gf2Vector", "Unsolvable", "Gf2Solver", "rank"]
+__all__ = ["Gf2Matrix", "Gf2Vector", "Unsolvable", "Gf2Solver", "rank", "left_null"]
 
 
 def _word_count(bits: int) -> int:
@@ -93,8 +93,8 @@ class Gf2Matrix:
     @classmethod
     def identity(cls, n: int) -> "Gf2Matrix":
         m = cls(n, n)
-        for i in range(n):
-            m.data[i, i >> 6] = np.uint64(1) << np.uint64(i & 63)
+        i = np.arange(n)
+        m.data[i, i >> 6] = np.uint64(1) << (i & 63).astype(np.uint64)
         return m
 
     def to_dense(self) -> np.ndarray:
@@ -231,3 +231,14 @@ def _eliminate(data: np.ndarray, cols: int, transform: np.ndarray | None = None)
 def rank(matrix: Gf2Matrix) -> int:
     """Rank by elimination on a scratch copy."""
     return int(_eliminate(matrix.data.copy(), matrix.cols).size)
+
+
+def left_null(matrix: Gf2Matrix) -> tuple[int, Gf2Matrix]:
+    """Rank and a basis N of the left null space (N*matrix = 0).
+
+    One elimination on a scratch copy: the transform rows past the rank
+    map the original rows onto the zero rows of the echelon form.
+    """
+    tr = Gf2Matrix.identity(matrix.rows)
+    r = int(_eliminate(matrix.data.copy(), matrix.cols, tr.data).size)
+    return r, tr.take_rows(np.arange(r, matrix.rows))

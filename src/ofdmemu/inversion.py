@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import CONV_G1, CONV_G2, PUNCTURE_PATTERNS, PhyConfig, bin_to_logical
 from .errors import SelectionError
-from .gf2 import Gf2Matrix, Gf2Vector, rank
+from .gf2 import Gf2Matrix, Gf2Vector, left_null, rank
 from .phy import _interleave_perm, _taps, conv_encode, interleave, puncture
 
 __all__ = [
@@ -174,27 +174,37 @@ def restrict_offsets(sys: SymbolSystem, chosen: tuple[int, ...]) -> np.ndarray:
 def _climb_to_full_rank(
     sys: SymbolSystem, chosen: list[int], target: int
 ) -> tuple[list[int], list[tuple[int, int]], int]:
-    """First-improvement hill climb on selection rank.  Deterministic."""
+    """First-improvement hill climb on selection rank.  Deterministic.
+
+    Trial swaps run positions outer, candidates inner, and the first one
+    that raises the rank wins.  Each pass eliminates M = [selection;
+    candidate] once per candidate: with N a basis of M's left null
+    space, dropping block i of the selection leaves rank(M) - n_bpsc +
+    rank(N[:, block i]), so one elimination rates the candidate at every
+    position.  A block's rank is n_bpsc - log2 of its kernel, counted
+    over all 2^n_bpsc column combinations in one product.
+    """
+    nb = sys.cfg.n_bpsc
+    combos = (np.arange(1 << nb) >> np.arange(nb)[:, None]) & 1  # (nb, 2^nb)
     swaps: list[tuple[int, int]] = []
     r = rank(restrict_rows(sys, tuple(chosen)))
     while r < target:
-        improved = False
-        for i in range(len(chosen)):
-            for u in sys.cfg.data_subcarriers:
-                if u in chosen:
-                    continue
-                trial = list(chosen)
-                trial[i] = u
-                r_trial = rank(restrict_rows(sys, tuple(trial)))
-                if r_trial > r:
-                    swaps.append((chosen[i], u))
-                    chosen, r = trial, r_trial
-                    improved = True
-                    break
-            if improved:
-                break
-        if not improved:
+        sel = _selection_rows(sys, tuple(chosen))
+        others = [u for u in sys.cfg.data_subcarriers if u not in chosen]
+        trial = np.empty((len(chosen), len(others)), dtype=np.intp)
+        for j, u in enumerate(others):
+            rows = np.concatenate([sel, _selection_rows(sys, (u,))])
+            r_m, null = left_null(sys.matrix.take_rows(rows))
+            blocks = null.to_dense()[:, : sel.size].reshape(null.rows, len(chosen), nb)
+            kernel = np.all((blocks @ combos) & 1 == 0, axis=0).sum(axis=1)
+            trial[:, j] = r_m - np.log2(kernel).astype(np.intp)
+        better = np.argwhere(trial > r)
+        if better.size == 0:
             break
+        i, j = better[0]
+        swaps.append((chosen[i], others[j]))
+        chosen = list(chosen)
+        chosen[i], r = others[j], int(trial[i, j])
     return chosen, swaps, r
 
 

@@ -2,12 +2,17 @@
 
 Everything here is written from the published definitions with table
 lookups and explicit index lists, sharing no code or structure with the
-package under test.  Slow on purpose; used only as ground truth.  The
-one exception is ``conv2d_reference``, a frozen copy of the original
-conv2d kernel that pins the current one bit for bit.
+package under test.  Slow on purpose; used only as ground truth.  Two
+exceptions are frozen copies of earlier package code that pin the
+current code: ``conv2d_reference``, the original conv2d kernel, bit for
+bit; and ``climb_reference``, the original certification climb, which
+rates each trial swap with ``gf2.rank``.
 """
 
 import numpy as np
+
+from ofdmemu.gf2 import rank
+from ofdmemu.inversion import restrict_rows
 
 # ---------------------------------------------------------------------------
 # scrambler: x^7 + x^4 + 1, seed bit i = register cell i
@@ -216,3 +221,32 @@ def conv2d_direct(x, weight, g):
                         gx[:, yi, ci] += g[:, y, c] @ weight[i, j].T
                         gw[i, j] += x[:, yi, ci].T @ g[:, y, c]
     return out, gx, gw
+
+
+# ---------------------------------------------------------------------------
+# certification climb as first written: one rank per trial swap
+
+
+def climb_reference(sys, chosen, target):
+    """First-improvement hill climb on selection rank.  Deterministic."""
+    swaps = []
+    r = rank(restrict_rows(sys, tuple(chosen)))
+    while r < target:
+        improved = False
+        for i in range(len(chosen)):
+            for u in sys.cfg.data_subcarriers:
+                if u in chosen:
+                    continue
+                trial = list(chosen)
+                trial[i] = u
+                r_trial = rank(restrict_rows(sys, tuple(trial)))
+                if r_trial > r:
+                    swaps.append((chosen[i], u))
+                    chosen, r = trial, r_trial
+                    improved = True
+                    break
+            if improved:
+                break
+        if not improved:
+            break
+    return chosen, swaps, r

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofdmemu.errors import FramingError
-from ofdmemu.gf2 import Gf2Matrix, Gf2Solver, Gf2Vector, Unsolvable, _eliminate, rank
+from ofdmemu.gf2 import Gf2Matrix, Gf2Solver, Gf2Vector, Unsolvable, _eliminate, left_null, rank
 
 
 def random_matrix(rows, cols, rng):
@@ -158,3 +158,33 @@ def test_elimination_property(rows, cols, copies, seed):
             assert solver.certify_unsolvable(got, y)
         else:
             assert np.array_equal(bits.astype(int) @ got.to_bits() % 2, y)
+
+
+# The certification climb rates a deleted row set R of M as rank(M) -
+# |R| + rank(N[:, R]), with N the left null basis from one elimination.
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(1, 90),
+    cols=st.integers(1, 90),
+    copies=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_deletion_rank_property(rows, cols, copies, seed):
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
+    for _ in range(copies):
+        bits[rng.integers(rows)] = bits[rng.integers(rows)]
+    m = Gf2Matrix.from_dense(bits)
+
+    r, null = left_null(m)
+    assert r == rank(m)
+    assert null.rows == rows - r
+    n = null.to_dense()
+    assert not (n.astype(int) @ bits % 2).any()
+    assert rank(null) == null.rows
+
+    for _ in range(4):
+        drop = rng.random(rows) < rng.random()
+        want = rank(m.take_rows(np.flatnonzero(~drop)))
+        assert r - int(drop.sum()) + rank(Gf2Matrix.from_dense(n[:, drop])) == want

@@ -2,11 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from ofdmemu.config import PhyConfig, bin_to_logical
 from ofdmemu.errors import SelectionError
 from ofdmemu.gf2 import rank
 from ofdmemu.inversion import (
+    _climb_to_full_rank,
     build_symbol_system,
     certify_subset,
     default_subset,
@@ -132,3 +136,44 @@ def test_certify_rejects_oversized_selection(default_cfg):
     over = default_subset(default_cfg, max_usable_subcarriers(default_cfg) + 2)
     with pytest.raises(SelectionError):
         certify_subset(sys, over)
+
+
+# The climb rates all trial swaps of a candidate from one elimination;
+# the reference rates each swap with its own gf2.rank.  Both must take
+# the same swaps in the same order, from starts that reach full rank
+# and from starts that stall below it.
+
+CLIMB_PAIRS = [
+    (mod, rate)
+    for mod in (2, 4, 16)
+    for rate in (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(5, 6))
+]
+_SYSTEMS = {}
+
+
+def _climb_case(mod, rate, seed):
+    """System, seeded random capacity-sized start and full-rank target."""
+    cfg = PhyConfig(modulation_order=mod, coding_rate=rate)
+    if (mod, rate) not in _SYSTEMS:
+        _SYSTEMS[mod, rate] = build_symbol_system(cfg)
+    count = max_usable_subcarriers(cfg)
+    rng = np.random.default_rng(seed)
+    start = rng.choice(np.asarray(cfg.data_subcarriers), count, replace=False).tolist()
+    return _SYSTEMS[mod, rate], start, count * cfg.n_bpsc
+
+
+@settings(max_examples=8, deadline=None)
+@given(pair=st.sampled_from(CLIMB_PAIRS), seed=st.integers(0, 2**32 - 1))
+def test_climb_matches_reference(pair, seed):
+    sys, start, target = _climb_case(*pair, seed)
+    got = _climb_to_full_rank(sys, list(start), target)
+    assert got == oracles.climb_reference(sys, list(start), target)
+
+
+# one swap then stuck 1 row short; five swaps then stuck 2 rows short
+@pytest.mark.parametrize("mod,rate,seed", [(4, Fraction(5, 6), 5), (16, Fraction(1, 2), 17)])
+def test_climb_matches_reference_when_stalled(mod, rate, seed):
+    sys, start, target = _climb_case(mod, rate, seed)
+    got = _climb_to_full_rank(sys, list(start), target)
+    assert got == oracles.climb_reference(sys, list(start), target)
+    assert got[1] and got[2] < target
