@@ -72,7 +72,12 @@ def check_seed(seed: int) -> None:
 # upper bounds on per-run workload counts, checked when the count is read
 # so that no oversized draw is ever allocated
 MAX_SYMBOLS = 1_000_000  # targets per `emulate` run or sweep cell
-MAX_IMAGES = 100_000  # images per zero_shot sweep cell
+MAX_IMAGES = 100_000  # images per zero_shot sweep cell or training run
+MAX_EPOCHS = 100_000  # epochs per training stage or phase
+MAX_WAVEFORMS = 100_000  # training waveforms or link records per stage
+MAX_OFDM_SYMBOLS = 10_000  # OFDM symbols per training waveform or record
+MAX_BATCH = 100_000  # batch sizes and link-refresh batches per cycle
+MAX_CYCLES = 1_000  # stage-3 refresh cycles
 
 
 def check_count(name: str, count: int, limit: int) -> None:

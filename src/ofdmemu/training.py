@@ -20,7 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import check_seed
+from .config import (
+    MAX_BATCH,
+    MAX_CYCLES,
+    MAX_EPOCHS,
+    MAX_IMAGES,
+    MAX_OFDM_SYMBOLS,
+    MAX_WAVEFORMS,
+    check_count,
+    check_seed,
+)
 from .errors import ConfigError, TrainingError
 from .link import (
     EmulationSetup,
@@ -74,6 +83,26 @@ _SEED_CHILDREN = 12
 ) = range(_SEED_CHILDREN)
 
 
+# TrainConfig's counts and their upper bounds, checked at construction so
+# that no oversized stage is ever allocated
+_COUNT_LIMITS = {
+    "batch_size": MAX_BATCH,
+    "image_batch_size": MAX_BATCH,
+    "stage1_epochs": MAX_EPOCHS,
+    "stage1_waveforms": MAX_WAVEFORMS,
+    "stage1_val_waveforms": MAX_WAVEFORMS,
+    "stage1_ofdm_symbols": MAX_OFDM_SYMBOLS,
+    "stage2_epochs": MAX_EPOCHS,
+    "stage2_records": MAX_WAVEFORMS,
+    "stage2_ofdm_symbols": MAX_OFDM_SYMBOLS,
+    "stage3_max_cycles": MAX_CYCLES,
+    "stage3_phase_a_epochs": MAX_EPOCHS,
+    "stage3_images": MAX_IMAGES,
+    "refresh_batch_count": MAX_BATCH,
+    "stage3_refresh_epochs": MAX_EPOCHS,
+}
+
+
 @dataclass
 class TrainConfig:
     """Knobs for all three stages; defaults are desk-scale."""
@@ -108,24 +137,8 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 <= self.gamma <= 1.0):
             raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
-        counts = (
-            self.batch_size,
-            self.image_batch_size,
-            self.stage1_epochs,
-            self.stage1_waveforms,
-            self.stage1_val_waveforms,
-            self.stage1_ofdm_symbols,
-            self.stage2_epochs,
-            self.stage2_records,
-            self.stage2_ofdm_symbols,
-            self.stage3_max_cycles,
-            self.stage3_phase_a_epochs,
-            self.stage3_images,
-            self.refresh_batch_count,
-            self.stage3_refresh_epochs,
-        )
-        if any(c < 1 for c in counts):
-            raise ConfigError("all training counts must be >= 1")
+        for name, limit in _COUNT_LIMITS.items():
+            check_count(name, getattr(self, name), limit)
         if self.tolerance <= 0:
             raise ConfigError("tolerance must be positive")
         check_seed(self.master_seed)

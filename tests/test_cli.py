@@ -158,6 +158,26 @@ def test_sweep_huge_counts_exit_2(tmp_path, capsys, key):
     assert f"{key} must be in 1.." in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key",
+    ["stage1_epochs", "stage1_waveforms", "stage1_ofdm_symbols", "stage2_records",
+     "stage3_images", "batch_size", "stage3_max_cycles"],
+)
+def test_train_huge_counts_exit_2_before_building(tmp_path, capsys, monkeypatch, key):
+    # the bound must refuse the count before the set-up or any stage runs
+    class Unreachable:
+        @staticmethod
+        def build(*args, **kwargs):
+            raise AssertionError("set-up built for an oversized training count")
+
+    monkeypatch.setattr("ofdmemu.cli.EmulationSetup", Unreachable)
+    cfgfile = tmp_path / "huge.cfg"
+    cfgfile.write_text(f"[train]\n{key} = 10000000000\n")
+    rc = main(["train-e2e", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"{key} must be in 1.." in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["tx", "rx", "emulate"])
 def test_missing_input_file_exits_1(tmp_path, capsys, command):
     missing = tmp_path / "missing.bin"

@@ -52,6 +52,9 @@ def test_train_config_validation():
         TrainConfig(tolerance=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(master_seed=-1)
+    # a 10^12-record stage is refused at construction, before any draw
+    with pytest.raises(ConfigError, match="stage2_records must be in 1.."):
+        TrainConfig(stage2_records=10**12)
     TrainConfig(gamma=0.0)
     TrainConfig(gamma=1.0)
 
