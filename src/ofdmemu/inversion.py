@@ -196,7 +196,8 @@ def _climb_to_full_rank(
             rows = np.concatenate([sel, _selection_rows(sys, (u,))])
             r_m, null = left_null(sys.matrix.take_rows(rows))
             blocks = null.to_dense()[:, : sel.size].reshape(null.rows, len(chosen), nb)
-            kernel = np.all((blocks @ combos) & 1 == 0, axis=0).sum(axis=1)
+            kernel = np.all(((blocks @ combos) & 1) == 0, axis=0).sum(axis=1)
+            # rank(M) - nb + (nb - log2 |kernel|), for every position at once
             trial[:, j] = r_m - np.log2(kernel).astype(np.intp)
         better = np.argwhere(trial > r)
         if better.size == 0:
@@ -223,7 +224,10 @@ def certify_subset(
     encoder state rolls into the next symbol.  A deterministic
     first-improvement hill climb over single-subcarrier swaps repairs
     this; if it stalls in a local maximum, seeded random restarts
-    continue the search.  A selection with more rows than the symbol
+    continue the search.  Each climb pass eliminates the selection
+    stacked with one candidate subcarrier once per candidate, and reads
+    the rank of every trial swap from that stack's left null space (see
+    ``_climb_to_full_rank``).  A selection with more rows than the symbol
     has info bits cannot reach full row rank and is rejected at once.
     Returns the certified selection (sorted by logical index) and the
     swaps applied to the original.

@@ -148,18 +148,15 @@ CLIMB_PAIRS = [
     for mod in (2, 4, 16)
     for rate in (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(5, 6))
 ]
-_SYSTEMS = {}
 
 
 def _climb_case(mod, rate, seed):
     """System, seeded random capacity-sized start and full-rank target."""
     cfg = PhyConfig(modulation_order=mod, coding_rate=rate)
-    if (mod, rate) not in _SYSTEMS:
-        _SYSTEMS[mod, rate] = build_symbol_system(cfg)
     count = max_usable_subcarriers(cfg)
     rng = np.random.default_rng(seed)
     start = rng.choice(np.asarray(cfg.data_subcarriers), count, replace=False).tolist()
-    return _SYSTEMS[mod, rate], start, count * cfg.n_bpsc
+    return build_symbol_system(cfg), start, count * cfg.n_bpsc
 
 
 @settings(max_examples=8, deadline=None)
