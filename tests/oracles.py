@@ -2,15 +2,20 @@
 
 Everything here is written from the published definitions with table
 lookups and explicit index lists, sharing no code or structure with the
-package under test.  Slow on purpose; used only as ground truth.  Two
+package under test.  Slow on purpose; used only as ground truth.  Three
 exceptions are frozen copies of earlier package code that pin the
 current code: ``conv2d_reference``, the original conv2d kernel, bit for
-bit; and ``climb_reference``, the original certification climb, which
-rates each trial swap with ``gf2.rank``.
+bit; ``climb_reference``, the original certification climb, which
+rates each trial swap with ``gf2.rank``; and ``viterbi_reference``, the
+original one-step-per-iteration Viterbi decoder with its tie-break.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
+from ofdmemu.config import CONV_G1, CONV_G2
+from ofdmemu.errors import FramingError
 from ofdmemu.gf2 import rank
 from ofdmemu.inversion import restrict_rows
 
@@ -250,3 +255,83 @@ def climb_reference(sys, chosen, target):
         if not improved:
             break
     return chosen, swaps, r
+
+
+# ---------------------------------------------------------------------------
+# Viterbi decoder as first written: one add-compare-select per step
+
+
+def _taps(poly):
+    """Octal generator polynomial to MSB-first tap vector of length 7."""
+    return np.array([(poly >> (6 - j)) & 1 for j in range(7)], dtype=np.uint8)
+
+
+@lru_cache(maxsize=None)
+def _trellis():
+    """Predecessor and output-pattern tables for the 64-state trellis.
+
+    For each next state n the two predecessors are n >> 1 (lower) and
+    (n >> 1) | 32; the consumed input bit is n & 1.  Output patterns are
+    encoded as 2*A + B.
+    """
+    n = np.arange(64)
+    u = n & 1
+    prev0 = n >> 1
+    prev1 = (n >> 1) | 32
+    # Pack taps so bit j of the mask weights the input from j steps back.
+    g1m = int(sum(int(t) << j for j, t in enumerate(_taps(CONV_G1))))
+    g2m = int(sum(int(t) << j for j, t in enumerate(_taps(CONV_G2))))
+
+    def out_pattern(prev):
+        full = (prev << 1) | u
+        a = np.bitwise_count(full & g1m) & 1
+        b = np.bitwise_count(full & g2m) & 1
+        return (2 * a + b).astype(np.int64)
+
+    return prev0, prev1, out_pattern(prev0), out_pattern(prev1)
+
+
+def viterbi_reference(received):
+    """Hard-decision Viterbi decode of the rate-1/2 mother stream.
+
+    ``received`` may carry -1 erasure marks (zero branch cost), as
+    depuncture leaves them.  The encoder is assumed to start in
+    state 0; the survivor ends at the best final state, ties broken
+    toward the lower-numbered predecessor and final state.
+    """
+    received = np.asarray(received).astype(np.int8)
+    if received.size % 2 != 0:
+        raise FramingError("mother stream length must be even")
+    steps = received.size // 2
+    if steps == 0:
+        return np.empty(0, dtype=np.uint8)
+
+    r0 = received[0::2]
+    r1 = received[1::2]
+    # Branch cost of each of the four output patterns at every step.
+    # The bool masks must widen before the add, or it collapses to OR.
+    bm = np.empty((steps, 4), dtype=np.float64)
+    for pat in range(4):
+        a, b = pat >> 1, pat & 1
+        bm[:, pat] = ((r0 >= 0) & (r0 != a)).astype(np.float64) + (
+            (r1 >= 0) & (r1 != b)
+        )
+
+    prev0, prev1, pat0, pat1 = _trellis()
+    metric = np.full(64, np.inf)
+    metric[0] = 0.0
+    backptr = np.empty((steps, 64), dtype=np.uint8)
+    for t in range(steps):
+        row = bm[t]
+        cand0 = metric[prev0] + row[pat0]
+        cand1 = metric[prev1] + row[pat1]
+        take1 = cand1 < cand0
+        metric = np.where(take1, cand1, cand0)
+        backptr[t] = take1
+
+    state = int(np.argmin(metric))
+    bits = np.empty(steps, dtype=np.uint8)
+    for t in range(steps - 1, -1, -1):
+        bits[t] = state & 1
+        state = int(prev1[state] if backptr[t, state] else prev0[state])
+    return bits

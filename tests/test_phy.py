@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ofdmemu import phy
@@ -223,6 +225,62 @@ def test_viterbi_corrects_single_bit_error(rng):
         noisy = coded.copy()
         noisy[pos] ^= 1
         assert np.array_equal(phy.viterbi_decode(noisy)[: info.size], info)
+
+
+# Trellis lengths for the decoder properties: short ones (every residue
+# mod 3 and mod 6), ones around multiples of 192 steps (3 x 64: where a
+# decoder that works in 3-step blocks, in chunks of a power-of-two count
+# of blocks, starts a new chunk), and any length up to 10k.
+_STEPS = st.one_of(
+    st.integers(0, 24),
+    st.builds(lambda k, d: 192 * k + d, st.integers(1, 52), st.integers(-3, 5)),
+    st.integers(25, 10_000),
+)
+_RATES = ["1/2", "2/3", "3/4", "5/6"]
+
+
+@st.composite
+def _mother_streams(draw):
+    """A mother stream as the receiver hands it to the decoder."""
+    kind = draw(st.sampled_from(["erasures", "zeros", "erased", "depunctured"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "depunctured":
+        # noisy coded bits through puncture and depuncture at one rate
+        rate = draw(st.sampled_from(_RATES))
+        period = len(oracles.PUNCTURE_KEEP[rate]) // 2
+        n_info = period * (draw(_STEPS) // period)
+        coded, _ = phy.conv_encode(rng.integers(0, 2, n_info, dtype=np.uint8), 0)
+        coded ^= (rng.random(coded.size) < draw(st.floats(0, 0.5))).astype(np.uint8)
+        return phy.depuncture(phy.puncture(coded, rate), rate)
+    size = 2 * draw(_STEPS)
+    if kind == "zeros":
+        return np.zeros(size, dtype=np.int8)
+    if kind == "erased":
+        return np.full(size, -1, dtype=np.int8)
+    stream = rng.integers(0, 2, size).astype(np.int8)
+    stream[rng.random(size) < draw(st.floats(0, 1))] = -1
+    return stream.astype(draw(st.sampled_from([np.int8, np.int64, np.float64])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(received=_mother_streams())
+def test_viterbi_matches_reference(received):
+    # bit for bit, ties included: all-zero and all-erased streams are
+    # nothing but ties
+    want = oracles.viterbi_reference(received)
+    got = phy.viterbi_decode(received)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("fill", [0, 1, -1, None])
+def test_viterbi_matches_reference_short(fill, rng):
+    for steps in range(25):
+        if fill is None:
+            received = rng.integers(-1, 2, 2 * steps).astype(np.int8)
+        else:
+            received = np.full(2 * steps, fill, dtype=np.int8)
+        assert np.array_equal(phy.viterbi_decode(received), oracles.viterbi_reference(received))
 
 
 def test_bitblock_and_frame_validation(rng):
