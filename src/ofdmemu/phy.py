@@ -9,6 +9,15 @@ with erasure marks, hard-decision Viterbi decode, descramble.
 Both DFTs carry the unitary 1/sqrt(fft_size) scale so Parseval holds
 exactly between grid and time domains.  Bits travel as uint8 arrays of
 0/1; erasure-marked streams use int8 with -1 for erased positions.
+
+The Viterbi decoder advances the 64-state trellis three steps at a time
+(radix-8 add-compare-select over cached 3-step cost blocks, after
+Fettweis and Meyr, 1989) in int16 metrics, and recovers each block's
+survivor once per chunk of blocks.  Its output is that of the one-step
+decoder bit for bit, including the tie-break: at every step the lower
+predecessor wins a tie, and the lowest final state wins at the end.
+What it keeps per decode is one byte per state per 3-step block, about
+21 bytes per trellis step.
 """
 
 from __future__ import annotations
@@ -356,75 +365,158 @@ def demodulate_frame(samples: np.ndarray, cfg: PhyConfig) -> np.ndarray:
 # R5: Viterbi decoder
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _trellis() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Predecessor and output-pattern tables for the 64-state trellis.
+# Metrics are int16.  A chunk starts with every reachable metric at most
+# 12 above its minimum, which is subtracted (six steps reach any state
+# from any other, at most 2 per step), and a block adds at most 6, so
+# reachable metrics stay below 12 + 6 * _CHUNK = 780 < _UNREACHED, the
+# start value of states that state 0 cannot reach yet.  Keyed metrics,
+# 8 * metric + 8 * 6 + 7 <= 8 * (2048 + 768) + 55, stay below 2**15.
+_CHUNK = 128
+_UNREACHED = 2048
 
-    For each next state n the two predecessors are n >> 1 (lower) and
-    (n >> 1) | 32; the consumed input bit is n & 1.  Output patterns are
-    encoded as 2*A + B.
-    """
-    n = np.arange(64)
-    u = n & 1
-    prev0 = n >> 1
-    prev1 = (n >> 1) | 32
+
+def _output_pattern(window: np.ndarray) -> np.ndarray:
+    """Encoder output 2*A + B for 7-bit windows; bit j of a window is the
+    input from j steps back, bit 0 the current input."""
     # Pack taps so bit j of the mask weights the input from j steps back.
     g1m = int(sum(int(t) << j for j, t in enumerate(_taps(CONV_G1))))
     g2m = int(sum(int(t) << j for j, t in enumerate(_taps(CONV_G2))))
+    return 2 * (np.bitwise_count(window & g1m) & 1) + (np.bitwise_count(window & g2m) & 1)
 
-    def out_pattern(prev: np.ndarray) -> np.ndarray:
-        full = (prev << 1) | u
-        a = np.bitwise_count(full & g1m) & 1
-        b = np.bitwise_count(full & g2m) & 1
-        return (2 * a + b).astype(np.int64)
 
-    return prev0, prev1, out_pattern(prev0), out_pattern(prev1)
+def _pair_costs() -> np.ndarray:
+    """(9, 4) branch cost of output pattern 2*A + B for each received pair
+    code 3*(r0 + 1) + (r1 + 1); an erased bit (-1) costs nothing."""
+    r0 = (np.arange(9) // 3 - 1)[:, None]
+    r1 = (np.arange(9) % 3 - 1)[:, None]
+    pat = np.arange(4)
+    return ((r0 >= 0) & (r0 != pat >> 1)).astype(np.int16) + ((r1 >= 0) & (r1 != pat & 1))
+
+
+@lru_cache(maxsize=None)
+def _trellis() -> tuple[list[np.ndarray], np.ndarray, list[bytes]]:
+    """Radix-8 tables of the 64-state trellis, three steps per block.
+
+    State bit i holds the input from i+1 steps back.  A block from start
+    state (j << 3) | m with inputs U (first input in bit 2) ends in state
+    (m << 3) | U, so end state (m, U) has the eight predecessors (j, m).
+    Block code 81*p1 + 9*p2 + p3 packs the block's three pair codes.
+
+    Returns ``costs``, where costs[code][j, m, U] is the int16 path cost
+    of the block; ``keyed``, the same costs times 8 plus k, the rank of j
+    in the tie-break order (k = j with its three bits reversed); and
+    ``pred``, where pred[s][k] is the start state (j << 3) | (s >> 3) of
+    end state s's predecessor of rank k.
+    """
+    s = np.arange(64)[:, None]
+    x = (s << 3) | np.arange(8)
+    pc = _pair_costs()
+    step_costs = [pc[:, _output_pattern(w)] for w in (x >> 2, (x >> 1) & 127, x & 127)]
+    costs = (
+        step_costs[0][:, None, None] + step_costs[1][None, :, None] + step_costs[2][None, None, :]
+    ).reshape(729, 8, 8, 8)
+    rank = np.array([0, 4, 2, 6, 1, 5, 3, 7], dtype=np.int16)
+    keyed = (costs << 3) | rank[:, None, None]
+    pred = ((rank << 3) | (np.arange(64)[:, None] >> 3)).astype(np.uint8)
+    return list(costs), keyed, [bytes(row) for row in pred]
+
+
+@lru_cache(maxsize=None)
+def _head_metrics(pairs: tuple[int, ...]) -> np.ndarray:
+    """Metrics after the first len(pairs) < 3 steps from state 0.
+
+    No two paths from state 0 meet before six steps, so state v < 2**r
+    is reached by its own inputs alone; every other state is unreached.
+    """
+    r = len(pairs)
+    v = np.arange(1 << r)
+    pc = _pair_costs()
+    out = np.full(64, _UNREACHED, dtype=np.int16)
+    out[: 1 << r] = sum(pc[p, _output_pattern(v >> (r - 1 - t))] for t, p in enumerate(pairs))
+    out.flags.writeable = False
+    return out
 
 
 def viterbi_decode(received: np.ndarray) -> np.ndarray:
     """Hard-decision Viterbi decode of the rate-1/2 mother stream.
 
-    ``received`` may carry -1 erasure marks (zero branch cost), as
-    :func:`depuncture` leaves them.  The encoder is assumed to start in
+    ``received`` holds 0, 1 and -1 erasure marks (zero branch cost), as
+    :func:`depuncture` leaves them.  Any other value (256, 0.6, -7, 2,
+    NaN), a dtype that is not bool, integer or float, or an odd length
+    raises :class:`FramingError`.  The encoder is assumed to start in
     state 0; the survivor ends at the best final state, ties broken
     toward the lower-numbered predecessor and final state.
+
+    The trellis advances three steps per iteration (radix 8): each end
+    state keeps the best of its eight 3-step predecessors, in two NumPy
+    calls per block.  The first ``steps % 3`` steps lead from state 0 on
+    unique paths, so they need no decision.  After each chunk of
+    ``_CHUNK`` blocks one vectorised pass recovers every block's
+    survivor, which must be the path the one-step rule keeps: that rule
+    settles the last step first, so the survivor is the first minimum
+    with the predecessors ordered by the bit the block's last step drops
+    (bit 3 of its start state), then the middle step's (bit 4), then
+    the first step's (bit 5).  Storage that grows with the stream is one
+    byte per state per block, about 21 bytes per step, against 99 for
+    the one-step decoder's cost and backpointer arrays; tables and one
+    chunk's working set take under 2 MB.
     """
-    received = np.asarray(received).astype(np.int8)
-    if received.size % 2 != 0:
+    raw = np.asarray(received)
+    if raw.dtype.kind not in "biuf" or not ((raw == 0) | (raw == 1) | (raw == -1)).all():
+        raise FramingError("mother stream values must be 0, 1 or -1 (erased)")
+    if raw.size % 2 != 0:
         raise FramingError("mother stream length must be even")
-    steps = received.size // 2
+    steps = raw.size // 2
     if steps == 0:
         return np.empty(0, dtype=np.uint8)
 
-    r0 = received[0::2]
-    r1 = received[1::2]
-    # Branch cost of each of the four output patterns at every step.
-    # The bool masks must widen before the add, or it collapses to OR.
-    bm = np.empty((steps, 4), dtype=np.float64)
-    for pat in range(4):
-        a, b = pat >> 1, pat & 1
-        bm[:, pat] = ((r0 >= 0) & (r0 != a)).astype(np.float64) + (
-            (r1 >= 0) & (r1 != b)
-        )
+    rx = raw.ravel().astype(np.int8)
+    pairs = 3 * rx[0::2] + rx[1::2] + 4
+    head = steps % 3
+    b3 = pairs[head:].reshape(-1, 3).astype(np.int16)
+    codes = 81 * b3[:, 0] + 9 * b3[:, 1] + b3[:, 2]
+    del rx, b3
+    n_blocks = codes.size
 
-    prev0, prev1, pat0, pat1 = _trellis()
-    metric = np.full(64, np.inf)
-    metric[0] = 0.0
-    backptr = np.empty((steps, 64), dtype=np.uint8)
-    for t in range(steps):
-        row = bm[t]
-        cand0 = metric[prev0] + row[pat0]
-        cand1 = metric[prev1] + row[pat1]
-        take1 = cand1 < cand0
-        metric = np.where(take1, cand1, cand0)
-        backptr[t] = take1
+    costs, keyed, pred = _trellis()
+    # metrics[b] holds the chunk's block b start, read as [j, m], which
+    # is block b - 1's end, written as [m, U]; the row views are made
+    # once and serve every chunk
+    metrics = np.empty((min(n_blocks, _CHUNK) + 1, 64), dtype=np.int16)
+    metrics[0] = _head_metrics(tuple(pairs[:head].tolist()))
+    start = metrics.reshape(-1, 8, 8, 1)
+    starts, ends = list(start), list(metrics.reshape(-1, 8, 8)[1:])
+    cand = np.empty((8, 8, 8), dtype=np.int16)
+    # ranks[b, s]: the rank k of end state s's survivor in block b
+    ranks = np.empty((n_blocks, 64), dtype=np.uint8)
+    add, least = np.add, np.minimum.reduce
+    n = 0
+    for c0 in range(0, n_blocks, _CHUNK):
+        if c0:
+            metrics[0] = metrics[-1] - metrics[-1].min()
+        chunk = codes[c0 : c0 + _CHUNK]
+        for h, h_next, code in zip(starts, ends, chunk.tolist()):
+            add(h, costs[code], out=cand)
+            least(cand, 0, out=h_next)
+        n = chunk.size
+        # k sits below the metric in a keyed cost, so the minimum over
+        # the predecessors is the lowest k among the equal best metrics
+        keyed_paths = keyed[chunk]
+        keyed_paths += start[:n] << 3
+        best = least(keyed_paths.reshape(n, 8, 64), 1)
+        np.bitwise_and(best, 7, out=ranks[c0 : c0 + n], casting="unsafe")
 
-    state = int(np.argmin(metric))
-    bits = np.empty(steps, dtype=np.uint8)
-    for t in range(steps - 1, -1, -1):
-        bits[t] = state & 1
-        state = int(prev1[state] if backptr[t, state] else prev0[state])
-    return bits
+    state = int(np.argmin(metrics[n]))
+    path = bytearray()  # block end states, last block first
+    back = memoryview(ranks.reshape(-1))
+    for row in range((n_blocks - 1) << 6, -1, -64):
+        path.append(state)
+        state = pred[state][back[row | state]]
+    path.append(state)  # the state after the head steps holds their inputs
+    path.reverse()
+    # a state's low three bits are the last three inputs
+    bits = np.unpackbits(np.frombuffer(path, dtype=np.uint8)[:, None], axis=1)
+    return bits[:, 5:].ravel()[3 - head :]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -281,6 +282,47 @@ def test_viterbi_matches_reference_short(fill, rng):
         else:
             received = np.full(2 * steps, fill, dtype=np.int8)
         assert np.array_equal(phy.viterbi_decode(received), oracles.viterbi_reference(received))
+
+
+@pytest.mark.parametrize(
+    "received",
+    [
+        np.array([256, 0]),  # an int8 cast would read 0
+        np.array([0.6, 0.0]),  # 0
+        np.array([-7, 0]),  # an erasure
+        np.array([2, 0], dtype=np.uint8),  # a mismatch against both bits
+        np.array([np.nan, 0.0]),
+        np.array(["1", "0"]),
+        np.array([1 + 0j, 0]),
+    ],
+    ids=["256", "0.6", "-7", "2", "nan", "text", "complex"],
+)
+def test_viterbi_rejects_values_outside_the_alphabet(received):
+    with pytest.raises(FramingError):
+        phy.viterbi_decode(received)
+
+
+def test_viterbi_accepts_the_alphabet_in_any_numeric_dtype(rng):
+    received = rng.integers(-1, 2, 60).astype(np.int8)
+    want = phy.viterbi_decode(received)
+    for dtype in (np.int16, np.int64, np.float32, np.float64):
+        assert np.array_equal(phy.viterbi_decode(received.astype(dtype)), want)
+    bits = received.clip(0, 1)
+    assert np.array_equal(phy.viterbi_decode(bits.astype(bool)), phy.viterbi_decode(bits))
+
+
+def test_viterbi_memory_stays_near_21_bytes_per_step():
+    # A [sweep] n_symbols of 1,000,000 makes a 64M-step float_serial
+    # frame; the one-step decoder peaked at 99 MB for this 1M-step one.
+    received = np.random.default_rng(7).integers(0, 2, 2_000_000).astype(np.int8)
+    phy.viterbi_decode(received[:1200])  # the cached tables are not counted
+    tracemalloc.start()
+    try:
+        phy.viterbi_decode(received)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6, f"{peak / 1e6:.1f} MB"
 
 
 def test_bitblock_and_frame_validation(rng):
