@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import sys
 from pathlib import Path
 
@@ -102,7 +103,10 @@ def _experiment_spec(args, sections: dict, cfg: PhyConfig) -> ExperimentSpec:
 
 def _out_dir(args) -> Path:
     out = Path(args.out or DEFAULT_OUT)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {out} as the output directory: {exc.strerror}") from None
     return out
 
 
@@ -351,6 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Paths from argv may hold undecodable bytes (as surrogates) that a
+    # strict UTF-8 stdout cannot print; show them escaped, as stderr does.
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,8 +1,17 @@
+import io
+import os
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofdmemu.cli import main
+from ofdmemu.config import PhyConfig
 from ofdmemu.framefile import read_frame, write_frame
+from ofdmemu.link import EmulationSetup
+from ofdmemu.phy import tx_chain
 
 TINY_TRAIN = """
 [train]
@@ -264,3 +273,165 @@ def test_train_e2e_then_zero_shot_sweep(tmp_path, capsys):
     lines = (tmp_path / "sweepout" / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("zero_shot,15,")
+
+
+def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"")
+    for out in (taken, taken / "below"):
+        rc = main(["selftest", "--quick", "--out", str(out)])
+        assert rc == 2
+        assert "output directory" in capsys.readouterr().err
+
+
+def test_non_utf8_out_path_prints_on_a_strict_utf8_stdout(tmp_path):
+    # argv carries undecodable bytes as surrogates; echoing the path back
+    # must not raise UnicodeEncodeError
+    payload = tmp_path / "payload.bin"
+    payload.write_bytes(b"\x01\x02")
+    out = tmp_path / (_NON_UTF8 + "-out")
+    assert _exit_code(["tx", "--in", str(payload), "--out", str(out)], tmp_path) == 0
+    assert (out / "waveform.bin").exists()
+
+
+# ---------------------------------------------------------------------------
+# CLI-wide property: any argv ends in exit 0, 1 or 2, never a traceback
+
+TINY_SWEEP = "[sweep]\nsnr_list = 10\nn_symbols = 2\nn_images = 1\n"
+
+# Every config a drawn sweep or train command can read is tiny or
+# rejected: an empty --config counts as no config, which would run the
+# default-size sweep or training.
+_CONFIG_TEXTS = {
+    "phy_bpsk.cfg": "modulation = bpsk\ncoding_rate = 1/2\n",
+    "bad_phy.cfg": "fft_size = 60\n",
+    "empty.cfg": "",
+    "sweep.cfg": TINY_SWEEP + "systems = ideal_analog emulated float_serial\n",
+    "sweep_zero.cfg": TINY_SWEEP + "n_symbols = 0\n",
+    "sweep_nan.cfg": TINY_SWEEP + "snr_list = nan\n",
+    "sweep_huge.cfg": TINY_SWEEP + "n_images = 100000000000\n",
+    "sweep_key.cfg": TINY_SWEEP + "bogus = 1\n",
+    "train.cfg": TINY_TRAIN + TINY_SWEEP,
+    "train_key.cfg": TINY_TRAIN + "warp_speed = 9\n",
+    "train_negative.cfg": TINY_TRAIN + "stage1_epochs = -1\n",
+    "train_huge.cfg": TINY_TRAIN + "stage3_images = 10000000000\n",
+    "train_nan.cfg": TINY_TRAIN + "gamma = nan\n",
+}
+# names of undecodable bytes, as argv carries them on POSIX
+_NON_UTF8 = os.fsdecode(b"\xff\xfe")
+_PATHS_IN = ["payload", "empty", "junk", "frame", "targets", "dir", "non_utf8", "missing",
+             "missing_non_utf8", ""]
+_PATHS_OUT = [None, "fresh", "", "payload", "under_file", "dir", "fresh_non_utf8"]
+_CONFIGS_SMALL = [None, "phy_bpsk.cfg", "bad_phy.cfg", "empty.cfg", "binary.cfg", "payload",
+                  "missing", "dir", ""]
+_CONFIGS_SWEEP = ["sweep.cfg", "sweep_zero.cfg", "sweep_nan.cfg", "sweep_huge.cfg",
+                  "sweep_key.cfg", "binary.cfg", "missing", "dir"]
+_CONFIGS_TRAIN = ["train.cfg", "train_key.cfg", "train_negative.cfg", "train_huge.cfg",
+                  "train_nan.cfg", "binary.cfg", "missing", "dir"]
+_SEEDS = [None, "0", "3", "-1", "nan", "", "1e3", "18446744073709551616", _NON_UTF8]
+# emulate's own options; a missing --symbols means 1000 targets
+_EMULATE = {
+    "--symbols": [None, "1", "5", "0", "-1", "nan", "", "1000001", "100000000000"],
+    "--snr": [None, "15", "0", "-5", "nan", "-inf", "inf", "1e308", "abc", ""],
+    "--mode": [None, "soft", "hard", "bogus", ""],
+}
+_SWEEP = {
+    "--systems": [None, "ideal_analog", "emulated", "float_serial", "zero_shot",
+                  "ideal_analog,zero_shot", "", ",", "bogus"],
+    "--models": [None, "models", "missing", "payload", "dir", ""],
+}
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Inputs for the drawn command lines, and warm set-ups for both PHYs."""
+    root = tmp_path_factory.mktemp("cli")
+    rng = np.random.default_rng(8)
+    payload = rng.integers(0, 256, 30, dtype=np.uint8).tobytes()
+    files = {"root": root}
+    for name, data in (("payload", payload), ("empty", b""), ("junk", payload[:7]),
+                       ("non_utf8", payload), ("binary.cfg", b"\xff\xfem\x00o\x00d\x00")):
+        path = root / (_NON_UTF8 + ".bin" if name == "non_utf8" else name)
+        path.write_bytes(data)
+        files[name] = path
+    for name, text in _CONFIG_TEXTS.items():
+        files[name] = root / name
+        files[name].write_text(text)
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[: PhyConfig().n_dbps]
+    files["frame"] = root / "frame.bin"
+    write_frame(files["frame"], tx_chain(bits, PhyConfig()).samples)
+    files["targets"] = root / "targets.bin"
+    write_frame(files["targets"], rng.normal(size=5) + 1j * rng.normal(size=5))
+    files["dir"] = root / "dir"
+    files["dir"].mkdir()
+    files["missing"] = root / "missing.bin"
+    files["missing_non_utf8"] = root / (_NON_UTF8 + "-missing")
+    files["fresh"] = root / "out"
+    files["fresh_non_utf8"] = root / (_NON_UTF8 + "-out")
+    files["under_file"] = files["payload"] / "out"
+    files["models"] = root / "models"
+    EmulationSetup.build(PhyConfig())
+    EmulationSetup.build(PhyConfig.from_file(files["phy_bpsk.cfg"]))
+    with redirect_stdout(io.StringIO()):
+        rc = main(["train-e2e", "--config", str(files["train.cfg"]), "--out", str(files["models"])])
+    assert rc == 0
+    return files
+
+
+@st.composite
+def _argvs(draw, files):
+    def path(name):
+        return "" if name == "" else str(files[name])
+
+    def option(argv, flag, pool, to_text=lambda v: v):
+        value = draw(st.sampled_from(pool))
+        if value is not None:
+            argv += [flag, to_text(value)]
+
+    command = draw(st.sampled_from(
+        ["selftest", "tx", "rx", "emulate", "sweep", "train-comp", "train-proxy", "train-e2e"]
+    ))
+    argv = [command]
+    configs = {"sweep": _CONFIGS_SWEEP}.get(command, _CONFIGS_SMALL)
+    if command.startswith("train"):
+        configs = _CONFIGS_TRAIN
+    option(argv, "--config", configs, path)
+    option(argv, "--seed", _SEEDS)
+    option(argv, "--out", _PATHS_OUT, path)
+    if command == "selftest":
+        argv.append("--quick")
+    if command in ("tx", "rx"):
+        option(argv, "--in", _PATHS_IN + [None], path)
+    if command == "emulate":
+        option(argv, "--in", _PATHS_IN + [None], path)
+        for flag, pool in _EMULATE.items():
+            option(argv, flag, pool)
+    if command == "sweep":
+        for flag, pool in _SWEEP.items():
+            option(argv, flag, pool, path if flag == "--models" else lambda v: v)
+    # a usage error: an unknown flag or a stray word
+    argv += draw(st.sampled_from([[], [], [], ["--bogus"], ["stray"], ["-h"]]))
+    return argv
+
+
+def _exit_code(argv, cwd):
+    """Run main like the console script would, on a strict UTF-8 stdout."""
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+    old = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                return main(argv)
+            except SystemExit as exc:  # argparse's usage errors and -h
+                return exc.code
+    finally:
+        os.chdir(old)
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_cli_exits_cleanly_on_any_argv(cli_files, data):
+    argv = data.draw(_argvs(cli_files), label="argv")
+    assert _exit_code(argv, cli_files["root"]) in (0, 1, 2)
