@@ -42,13 +42,14 @@ DEFAULT_OUT = "ofdmemu_out"
 
 
 def _load_sections(args) -> dict:
-    if getattr(args, "config", None):
+    if args.config is not None:
         return parse_config_file(args.config)
     return {}
 
 
 def _phy_config(args) -> PhyConfig:
-    if getattr(args, "config", None):
+    # an empty --config names no file; it is an error, not "no config"
+    if args.config is not None:
         return PhyConfig.from_file(args.config)
     return PhyConfig()
 

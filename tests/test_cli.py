@@ -275,6 +275,15 @@ def test_train_e2e_then_zero_shot_sweep(tmp_path, capsys):
     assert lines[1].startswith("zero_shot,15,")
 
 
+@pytest.mark.parametrize("command", [["selftest", "--quick"], ["sweep"], ["train-e2e"]])
+def test_empty_config_path_exits_2(tmp_path, capsys, command):
+    # an empty path must not fall back to the defaults (a full-size sweep
+    # or training run)
+    rc = main([*command, "--config", "", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_bytes(b"")
@@ -300,8 +309,8 @@ def test_non_utf8_out_path_prints_on_a_strict_utf8_stdout(tmp_path):
 TINY_SWEEP = "[sweep]\nsnr_list = 10\nn_symbols = 2\nn_images = 1\n"
 
 # Every config a drawn sweep or train command can read is tiny or
-# rejected: an empty --config counts as no config, which would run the
-# default-size sweep or training.
+# rejected: with no --config they would run the default-size sweep or
+# training.
 _CONFIG_TEXTS = {
     "phy_bpsk.cfg": "modulation = bpsk\ncoding_rate = 1/2\n",
     "bad_phy.cfg": "fft_size = 60\n",
@@ -325,9 +334,9 @@ _PATHS_OUT = [None, "fresh", "", "payload", "under_file", "dir", "fresh_non_utf8
 _CONFIGS_SMALL = [None, "phy_bpsk.cfg", "bad_phy.cfg", "empty.cfg", "binary.cfg", "payload",
                   "missing", "dir", ""]
 _CONFIGS_SWEEP = ["sweep.cfg", "sweep_zero.cfg", "sweep_nan.cfg", "sweep_huge.cfg",
-                  "sweep_key.cfg", "binary.cfg", "missing", "dir"]
+                  "sweep_key.cfg", "binary.cfg", "missing", "dir", ""]
 _CONFIGS_TRAIN = ["train.cfg", "train_key.cfg", "train_negative.cfg", "train_huge.cfg",
-                  "train_nan.cfg", "binary.cfg", "missing", "dir"]
+                  "train_nan.cfg", "binary.cfg", "missing", "dir", ""]
 _SEEDS = [None, "0", "3", "-1", "nan", "", "1e3", "18446744073709551616", _NON_UTF8]
 # emulate's own options; a missing --symbols means 1000 targets
 _EMULATE = {

@@ -255,12 +255,14 @@ def _mother_streams(draw):
         return phy.depuncture(phy.puncture(coded, rate), rate)
     size = 2 * draw(_STEPS)
     if kind == "zeros":
-        return np.zeros(size, dtype=np.int8)
+        return np.zeros(size, dtype=draw(st.sampled_from([np.int8, bool])))
     if kind == "erased":
         return np.full(size, -1, dtype=np.int8)
     stream = rng.integers(0, 2, size).astype(np.int8)
     stream[rng.random(size) < draw(st.floats(0, 1))] = -1
-    return stream.astype(draw(st.sampled_from([np.int8, np.int64, np.float64])))
+    return stream.astype(
+        draw(st.sampled_from([np.int8, np.int16, np.int64, np.float32, np.float64]))
+    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -300,15 +302,6 @@ def test_viterbi_matches_reference_short(fill, rng):
 def test_viterbi_rejects_values_outside_the_alphabet(received):
     with pytest.raises(FramingError):
         phy.viterbi_decode(received)
-
-
-def test_viterbi_accepts_the_alphabet_in_any_numeric_dtype(rng):
-    received = rng.integers(-1, 2, 60).astype(np.int8)
-    want = phy.viterbi_decode(received)
-    for dtype in (np.int16, np.int64, np.float32, np.float64):
-        assert np.array_equal(phy.viterbi_decode(received.astype(dtype)), want)
-    bits = received.clip(0, 1)
-    assert np.array_equal(phy.viterbi_decode(bits.astype(bool)), phy.viterbi_decode(bits))
 
 
 def test_viterbi_memory_stays_near_21_bytes_per_step():
