@@ -441,9 +441,9 @@ def viterbi_decode(received: np.ndarray) -> np.ndarray:
     """Hard-decision Viterbi decode of the rate-1/2 mother stream.
 
     ``received`` holds 0, 1 and -1 erasure marks (zero branch cost), as
-    :func:`depuncture` leaves them.  Any other value (256, 0.6, -7, 2,
-    NaN), a dtype that is not bool, integer or float, or an odd length
-    raises :class:`FramingError`.  The encoder is assumed to start in
+    :func:`depuncture` leaves them.  A value outside {-1, 0, 1}, a dtype
+    that is not bool, integer or float, or an odd length raises
+    :class:`FramingError`; nothing is cast into range.  The encoder is assumed to start in
     state 0; the survivor ends at the best final state, ties broken
     toward the lower-numbered predecessor and final state.
 
