@@ -69,8 +69,6 @@ from .phy import (
     deinterleave,
     depuncture,
     interleave,
-    ofdm_demodulate,
-    ofdm_modulate,
     puncture,
     qam_map,
     qam_quantize,

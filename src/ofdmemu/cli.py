@@ -41,17 +41,11 @@ from .phy import BasebandFrame, rx_chain, tx_chain
 DEFAULT_OUT = "ofdmemu_out"
 
 
-def _load_sections(args) -> dict:
-    if args.config is not None:
-        return parse_config_file(args.config)
-    return {}
-
-
-def _phy_config(args) -> PhyConfig:
+def _load_config(args) -> tuple[dict, PhyConfig]:
+    """The config file's sections, read once, and the PHY they describe."""
     # an empty --config names no file; it is an error, not "no config"
-    if args.config is not None:
-        return PhyConfig.from_file(args.config)
-    return PhyConfig()
+    sections = parse_config_file(args.config) if args.config is not None else {}
+    return sections, PhyConfig.from_sections(sections)
 
 
 def _words(text: str) -> list[str]:
@@ -116,7 +110,7 @@ def _bits_from_file(path: str) -> np.ndarray:
 
 
 def cmd_selftest(args) -> int:
-    cfg = _phy_config(args)
+    _, cfg = _load_config(args)
     report = selftest(cfg, quick=args.quick)
     print(report.render())
     if args.out:
@@ -126,7 +120,7 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_tx(args) -> int:
-    cfg = _phy_config(args)
+    _, cfg = _load_config(args)
     bits = _bits_from_file(args.infile)
     pad = (-bits.size) % cfg.n_dbps
     payload = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
@@ -141,7 +135,7 @@ def cmd_tx(args) -> int:
 
 
 def cmd_rx(args) -> int:
-    cfg = _phy_config(args)
+    _, cfg = _load_config(args)
     samples = read_frame(args.infile)
     frame = BasebandFrame.from_samples(samples, cfg)
     decoded = rx_chain(frame, cfg)
@@ -154,7 +148,7 @@ def cmd_rx(args) -> int:
 def cmd_emulate(args) -> int:
     check_snr(args.snr)
     check_count("--symbols", args.symbols, MAX_SYMBOLS)
-    cfg = _phy_config(args)
+    _, cfg = _load_config(args)
     seed = args.seed if args.seed is not None else 0
     if args.infile:
         symbols = read_frame(args.infile)
@@ -197,8 +191,7 @@ def _load_zero_shot(models_dir: str | None):
 
 
 def cmd_sweep(args) -> int:
-    sections = _load_sections(args)
-    cfg = _phy_config(args)
+    sections, cfg = _load_config(args)
     spec = _experiment_spec(args, sections, cfg)
     models = {}
     if "zero_shot" in spec.systems:
@@ -214,8 +207,7 @@ def cmd_sweep(args) -> int:
 def cmd_train_comp(args) -> int:
     from .training import stage1_train_compensator
 
-    sections = _load_sections(args)
-    cfg = _phy_config(args)
+    sections, cfg = _load_config(args)
     tc = _train_config(args, sections)
     setup = EmulationSetup.build(cfg)
     result = stage1_train_compensator(setup, tc)
@@ -235,20 +227,12 @@ def cmd_train_comp(args) -> int:
 
 
 def cmd_train_proxy(args) -> int:
-    from .training import _S2_DATA, collect_link_records, stage2_train_proxy
+    from .training import collect_stage2_records, stage2_train_proxy
 
-    sections = _load_sections(args)
-    cfg = _phy_config(args)
+    sections, cfg = _load_config(args)
     tc = _train_config(args, sections)
     setup = EmulationSetup.build(cfg)
-    records = collect_link_records(
-        setup,
-        tc.stage2_records,
-        tc.stage2_snr_db,
-        tc.child_rng(_S2_DATA),
-        n_ofdm=tc.stage2_ofdm_symbols,
-    )
-    result = stage2_train_proxy(records, tc)
+    result = stage2_train_proxy(collect_stage2_records(setup, tc), tc)
     out = _out_dir(args)
     save_checkpoint(
         out,
@@ -266,8 +250,7 @@ def cmd_train_proxy(args) -> int:
 def cmd_train_e2e(args) -> int:
     from .training import run_training_pipeline
 
-    sections = _load_sections(args)
-    cfg = _phy_config(args)
+    sections, cfg = _load_config(args)
     tc = _train_config(args, sections)
     setup = EmulationSetup.build(cfg)
     result = run_training_pipeline(setup, tc)

@@ -72,6 +72,9 @@ def check_seed(seed: int) -> None:
 # upper bounds on per-run workload counts, checked when the count is read
 # so that no oversized draw is ever allocated
 MAX_SYMBOLS = 1_000_000  # targets per `emulate` run or sweep cell
+# targets per float_serial sweep cell: its one frame's Viterbi traceback
+# holds about 21 bytes for each of the cell's 64 trellis steps per target
+MAX_FLOAT_SERIAL_SYMBOLS = 100_000
 MAX_IMAGES = 100_000  # images per zero_shot sweep cell or training run
 MAX_EPOCHS = 100_000  # epochs per training stage or phase
 MAX_WAVEFORMS = 100_000  # training waveforms or link records per stage
@@ -256,11 +259,13 @@ class PhyConfig:
         return cls(**kwargs)
 
     @classmethod
+    def from_sections(cls, sections: dict[str, dict[str, str]]) -> "PhyConfig":
+        """The PHY of parsed config sections: keys before any header, then [phy]."""
+        return cls.from_mapping({**sections.get("", {}), **sections.get("phy", {})})
+
+    @classmethod
     def from_file(cls, path: str | Path) -> "PhyConfig":
-        sections = parse_config_file(path)
-        kv = dict(sections.get("", {}))
-        kv.update(sections.get("phy", {}))
-        return cls.from_mapping(kv)
+        return cls.from_sections(parse_config_file(path))
 
 
 # keys that only a custom subcarrier map reads
@@ -327,11 +332,17 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ConfigError(f"bad integer list: {text!r}") from None
 
 
+# the [section] headers a config file may use
+CONFIG_SECTIONS = ("phy", "train", "sweep")
+
+
 def parse_config_file(path: str | Path) -> dict[str, dict[str, str]]:
     """Parse a plain text ``key = value`` file with optional [section] headers.
 
-    Keys before any header land in the "" section.  '#' and ';' start
-    comments.  Returns {section: {key: value}} with lower-cased keys.
+    Keys before any header land in the "" section.  A header must name
+    one of ``CONFIG_SECTIONS``, so a misspelled one cannot drop its keys.
+    '#' and ';' start comments.  Returns {section: {key: value}} with
+    lower-cased keys.
     """
     try:
         text = Path(path).read_text()
@@ -347,6 +358,11 @@ def parse_config_file(path: str | Path) -> dict[str, dict[str, str]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
+            if current not in CONFIG_SECTIONS:
+                raise ConfigError(
+                    f"{path}:{lineno}: unknown section {line!r}; "
+                    f"valid: {', '.join(CONFIG_SECTIONS)}"
+                )
             sections.setdefault(current, {})
             continue
         if "=" not in line:

@@ -17,7 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import MAX_IMAGES, MAX_SYMBOLS, PhyConfig, check_count, check_seed
+from .config import (
+    MAX_FLOAT_SERIAL_SYMBOLS, MAX_IMAGES, MAX_SYMBOLS, PhyConfig, check_count, check_seed,
+)
 from .errors import ConfigError, OfdmEmuError
 from .gf2 import Gf2Solver, Unsolvable
 from .inversion import build_symbol_system, restrict_rows
@@ -70,6 +72,8 @@ class ExperimentSpec:
         unknown = set(self.systems) - set(SYSTEM_IDS)
         if unknown:
             raise ConfigError(f"unknown systems {sorted(unknown)}; valid: {SYSTEM_IDS}")
+        if "float_serial" in self.systems:
+            check_count("n_symbols with float_serial", self.n_symbols, MAX_FLOAT_SERIAL_SYMBOLS)
 
 
 @dataclass(frozen=True)

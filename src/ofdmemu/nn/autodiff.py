@@ -73,9 +73,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
@@ -132,16 +129,6 @@ class Tensor:
 
         return Tensor._node(out_data, (self, other), backward)
 
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        out_data = self.data**exponent
-
-        def backward(g):
-            self._accum(g * exponent * self.data ** (exponent - 1))
-
-        return Tensor._node(out_data, (self,), backward)
-
     def __matmul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
         out_data = self.data @ other.data
@@ -161,14 +148,6 @@ class Tensor:
 
         def backward(g):
             self._accum(g * (1.0 - out_data**2))
-
-        return Tensor._node(out_data, (self,), backward)
-
-    def relu(self) -> "Tensor":
-        out_data = np.maximum(self.data, 0.0)
-
-        def backward(g):
-            self._accum(g * (self.data > 0))
 
         return Tensor._node(out_data, (self,), backward)
 

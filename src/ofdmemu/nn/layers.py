@@ -46,10 +46,6 @@ class Module:
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
-    def zero_grad(self) -> None:
-        for t in self.parameters():
-            t.zero_grad()
-
     def parameter_count(self) -> int:
         return sum(t.size for t in self.parameters())
 

@@ -49,8 +49,6 @@ __all__ = [
     "deinterleave",
     "qam_map",
     "qam_quantize",
-    "ofdm_modulate",
-    "ofdm_demodulate",
     "modulate_symbols",
     "demodulate_frame",
     "viterbi_decode",
@@ -326,39 +324,25 @@ def qam_quantize(points: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 # T6 / R1: OFDM modulation
 # ---------------------------------------------------------------------------
 
-def ofdm_modulate(grid: np.ndarray, cfg: PhyConfig) -> np.ndarray:
-    """Unitary IFFT of one grid plus cyclic prefix."""
-    grid = np.asarray(grid, dtype=np.complex128)
-    if grid.shape[-1] != cfg.fft_size:
-        raise FramingError(f"grid must hold {cfg.fft_size} bins")
-    body = np.fft.ifft(grid, axis=-1) * np.sqrt(cfg.fft_size)
-    return np.concatenate([body[..., cfg.fft_size - cfg.cp_len :], body], axis=-1)
-
-
-def ofdm_demodulate(samples: np.ndarray, cfg: PhyConfig) -> np.ndarray:
-    """Discard the cyclic prefix and apply the unitary FFT."""
-    samples = np.asarray(samples, dtype=np.complex128)
-    if samples.shape[-1] != cfg.samples_per_ofdm:
-        raise FramingError(
-            f"expected {cfg.samples_per_ofdm} samples per OFDM symbol, got {samples.shape[-1]}"
-        )
-    body = samples[..., cfg.cp_len :]
-    return np.fft.fft(body, axis=-1) / np.sqrt(cfg.fft_size)
-
-
 def modulate_symbols(grids: np.ndarray, cfg: PhyConfig) -> np.ndarray:
-    """Modulate a (count, fft_size) stack of grids into a flat sample vector."""
+    """Unitary IFFT plus cyclic prefix of each grid in a (count, fft_size)
+    stack, as one flat sample vector."""
     grids = np.atleast_2d(np.asarray(grids, dtype=np.complex128))
-    return ofdm_modulate(grids, cfg).reshape(-1)
+    if grids.shape[-1] != cfg.fft_size:
+        raise FramingError(f"grid must hold {cfg.fft_size} bins")
+    body = np.fft.ifft(grids, axis=-1) * np.sqrt(cfg.fft_size)
+    return np.concatenate([body[..., cfg.fft_size - cfg.cp_len :], body], axis=-1).reshape(-1)
 
 
 def demodulate_frame(samples: np.ndarray, cfg: PhyConfig) -> np.ndarray:
-    """Split a flat frame into OFDM symbols and demodulate each."""
+    """Split a flat frame into OFDM symbols, discard each cyclic prefix
+    and apply the unitary FFT: one grid per symbol."""
     samples = np.asarray(samples, dtype=np.complex128)
     spo = cfg.samples_per_ofdm
     if samples.size % spo != 0:
         raise FramingError(f"frame length {samples.size} is not a multiple of {spo}")
-    return ofdm_demodulate(samples.reshape(-1, spo), cfg)
+    body = samples.reshape(-1, spo)[:, cfg.cp_len :]
+    return np.fft.fft(body, axis=-1) / np.sqrt(cfg.fft_size)
 
 
 # ---------------------------------------------------------------------------

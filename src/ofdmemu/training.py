@@ -57,6 +57,7 @@ __all__ = [
     "Curriculum",
     "StageResult",
     "collect_link_records",
+    "collect_stage2_records",
     "stage1_train_compensator",
     "stage2_train_proxy",
     "stage3_alternate",
@@ -64,9 +65,8 @@ __all__ = [
     "evaluate_image_link",
 ]
 
-# fixed child indices into the master SeedSequence spawn, so each
-# consumer gets an independent stream no matter which stages run
-_SEED_CHILDREN = 12
+# fixed child indices into the master SeedSequence, so each consumer
+# gets an independent stream no matter which stages run
 (
     _S1_DATA,
     _S1_INIT,
@@ -79,8 +79,7 @@ _SEED_CHILDREN = 12
     _S3_REFRESH,
     _ZS_INIT,
     _ZS_LOOP,
-    _EVAL,
-) = range(_SEED_CHILDREN)
+) = range(11)
 
 
 # TrainConfig's counts and their upper bounds, checked at construction so
@@ -141,11 +140,13 @@ class TrainConfig:
             check_count(name, getattr(self, name), limit)
         if self.tolerance <= 0:
             raise ConfigError("tolerance must be positive")
+        if self.refresh_batch_count < 2:
+            raise ConfigError("refresh_batch_count must be at least 2: one record is held out")
         check_seed(self.master_seed)
 
     def child_rng(self, index: int) -> np.random.Generator:
-        children = np.random.SeedSequence(self.master_seed).spawn(_SEED_CHILDREN)
-        return np.random.default_rng(children[index])
+        # the same stream as SeedSequence(master_seed).spawn(n)[index]
+        return np.random.default_rng(np.random.SeedSequence(self.master_seed, spawn_key=(index,)))
 
 
 @dataclass
@@ -180,9 +181,37 @@ def _mse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean((np.asarray(a) - np.asarray(b)) ** 2))
 
 
-def _check_finite(loss: float, stage: str, trace: list) -> None:
-    if not math.isfinite(loss):
-        raise TrainingError(f"{stage}: loss went non-finite ({loss})", trace)
+def _sgd_epochs(
+    opt: SGDMomentum, batch_loss, n: int, batch_size: int, epochs: int,
+    rng: np.random.Generator, stage: str, trace: list,
+):
+    """Shuffled minibatch SGD over ``n`` items, the loop of every stage.
+
+    Per epoch, draws a permutation from ``rng`` and steps ``opt`` on
+    ``batch_loss(indices)`` for each batch of it, then yields the epoch's
+    batch losses.  A non-finite batch loss raises ``TrainingError`` with
+    ``trace`` attached.
+    """
+    for _ in range(epochs):
+        perm = rng.permutation(n)
+        losses = []
+        for lo in range(0, n, batch_size):
+            loss = batch_loss(perm[lo : lo + batch_size])
+            opt.zero_grad()
+            loss.backward()
+            opt.apply()
+            value = loss.item()
+            if not math.isfinite(value):
+                raise TrainingError(f"{stage}: loss went non-finite ({value})", trace)
+            losses.append(value)
+        yield losses
+
+
+def _record_waves(records: list[LinkRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """(reference, link output) waveform batches of link records."""
+    xs = np.stack([complex_to_wave(r.reference) for r in records])
+    ys = np.stack([complex_to_wave(r.output_waveform) for r in records])
+    return xs, ys
 
 
 # ---------------------------------------------------------------------------
@@ -190,18 +219,18 @@ def _check_finite(loss: float, stage: str, trace: list) -> None:
 # ---------------------------------------------------------------------------
 
 def _stage1_pairs(
-    setup: EmulationSetup, count: int, n_ofdm: int, snr_db: float, rng: np.random.Generator
+    setup: EmulationSetup, train_cfg: TrainConfig, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distorted/clean waveform pairs from the link on smooth sources."""
     cfg = setup.cfg
     carrier, _ = longest_chosen_run(setup)
-    n = n_ofdm * cfg.samples_per_ofdm
+    n = train_cfg.stage1_ofdm_symbols * cfg.samples_per_ofdm
     xs, ys = [], []
     for _ in range(count):
         wave = smooth_waveform(n, rng, carrier, cfg.fft_size, bandwidth_bins=4.0)
         targets = targets_from_waveform(wave, setup)
         seed = int(rng.integers(2**63))
-        _, record = emulated_link(targets, snr_db, seed, setup, mode="soft")
+        _, record = emulated_link(targets, train_cfg.stage1_snr_db, seed, setup, mode="soft")
         xs.append(complex_to_wave(record.output_waveform))
         ys.append(complex_to_wave(wave))
     return np.stack(xs), np.stack(ys)
@@ -220,22 +249,10 @@ def stage1_train_compensator(
     by default they come from the real link on smooth waveforms at the
     configured stage-1 SNR (noiseless by default).
     """
-    data_rng = train_cfg.child_rng(_S1_DATA)
     if pairs is None:
-        pairs = _stage1_pairs(
-            setup,
-            train_cfg.stage1_waveforms,
-            train_cfg.stage1_ofdm_symbols,
-            train_cfg.stage1_snr_db,
-            data_rng,
-        )
-        val_pairs = _stage1_pairs(
-            setup,
-            train_cfg.stage1_val_waveforms,
-            train_cfg.stage1_ofdm_symbols,
-            train_cfg.stage1_snr_db,
-            data_rng,
-        )
+        data_rng = train_cfg.child_rng(_S1_DATA)
+        pairs = _stage1_pairs(setup, train_cfg, train_cfg.stage1_waveforms, data_rng)
+        val_pairs = _stage1_pairs(setup, train_cfg, train_cfg.stage1_val_waveforms, data_rng)
     xs, ys = pairs
     if val_pairs is None:
         val_pairs = pairs
@@ -243,22 +260,17 @@ def stage1_train_compensator(
         spec = PeriodSpec.from_config(setup.cfg, setup.n_chosen)
         model = CompensatorModel(spec, train_cfg.child_rng(_S1_INIT))
 
+    def batch_loss(idx):
+        return (model(Tensor(xs[idx])) - Tensor(ys[idx])).square().mean()
+
     opt = SGDMomentum(model.parameters(), train_cfg.step_comp, train_cfg.momentum)
-    shuffle = train_cfg.child_rng(_S1_SHUFFLE)
     trace: list[float] = []
-    for _ in range(train_cfg.stage1_epochs):
-        perm = shuffle.permutation(len(xs))
-        epoch_losses = []
-        for lo in range(0, len(xs), train_cfg.batch_size):
-            idx = perm[lo : lo + train_cfg.batch_size]
-            loss = (model(Tensor(xs[idx])) - Tensor(ys[idx])).square().mean()
-            opt.zero_grad()
-            loss.backward()
-            opt.apply()
-            epoch_losses.append(loss.item())
-        epoch_loss = float(np.mean(epoch_losses))
-        _check_finite(epoch_loss, "stage1", trace)
-        trace.append(epoch_loss)
+    epochs = _sgd_epochs(
+        opt, batch_loss, len(xs), train_cfg.batch_size, train_cfg.stage1_epochs,
+        train_cfg.child_rng(_S1_SHUFFLE), "stage1", trace,
+    )
+    for losses in epochs:
+        trace.append(float(np.mean(losses)))
 
     vx, vy = val_pairs
     base = _mse(vx, vy)  # untrained residual model is the identity
@@ -296,6 +308,14 @@ def collect_link_records(
         )
         records.append(record)
     return records
+
+
+def collect_stage2_records(setup: EmulationSetup, train_cfg: TrainConfig) -> list[LinkRecord]:
+    """The stage-2 link records ``train_cfg`` configures, from its own seed."""
+    return collect_link_records(
+        setup, train_cfg.stage2_records, train_cfg.stage2_snr_db,
+        train_cfg.child_rng(_S2_DATA), n_ofdm=train_cfg.stage2_ofdm_symbols,
+    )
 
 
 def _calibrate_noise(records: list[LinkRecord]) -> tuple[float, float, float]:
@@ -341,30 +361,23 @@ def stage2_train_proxy(
     model.noise_gain = gain
     model.noise_floor = floor
 
-    xs = np.stack([complex_to_wave(r.reference) for r in train_recs])
-    ys = np.stack([complex_to_wave(r.output_waveform) for r in train_recs])
+    xs, ys = _record_waves(train_recs)
+
+    def batch_loss(idx):
+        # deterministic fit: noise off, noisy targets average out
+        pred = model(Tensor(xs[idx]), inject_noise=False)
+        return (pred - Tensor(ys[idx])).square().mean()
 
     opt = SGDMomentum(model.parameters(), train_cfg.step_proxy, train_cfg.momentum)
-    shuffle = train_cfg.child_rng(_S2_SHUFFLE)
     trace: list[float] = []
-    for _ in range(train_cfg.stage2_epochs):
-        perm = shuffle.permutation(len(xs))
-        epoch_losses = []
-        for lo in range(0, len(xs), train_cfg.batch_size):
-            idx = perm[lo : lo + train_cfg.batch_size]
-            # deterministic fit: noise off, noisy targets average out
-            pred = model(Tensor(xs[idx]), inject_noise=False)
-            loss = (pred - Tensor(ys[idx])).square().mean()
-            opt.zero_grad()
-            loss.backward()
-            opt.apply()
-            epoch_losses.append(loss.item())
-        epoch_loss = float(np.mean(epoch_losses))
-        _check_finite(epoch_loss, "stage2", trace)
-        trace.append(epoch_loss)
+    epochs = _sgd_epochs(
+        opt, batch_loss, len(xs), train_cfg.batch_size, train_cfg.stage2_epochs,
+        train_cfg.child_rng(_S2_SHUFFLE), "stage2", trace,
+    )
+    for losses in epochs:
+        trace.append(float(np.mean(losses)))
 
-    held_x = np.stack([complex_to_wave(r.reference) for r in held_recs])
-    held_y = np.stack([complex_to_wave(r.output_waveform) for r in held_recs])
+    held_x, held_y = _record_waves(held_recs)
     pred = model(Tensor(held_x), inject_noise=False).data
     # complex per-sample MSE = 2x the per-real-component MSE
     held_mse = 2.0 * _mse(pred, held_y)
@@ -443,7 +456,8 @@ class _SymbolFraming:
 
 
 def _latent_to_symbols(latent: np.ndarray) -> np.ndarray:
-    return latent[0::2] + 1j * latent[1::2]
+    """(..., 2K) latent reals -> (..., K) symbols, (real, imaginary) pairwise."""
+    return np.ascontiguousarray(latent).view(np.complex128)
 
 
 def stage3_alternate(
@@ -492,6 +506,11 @@ def stage3_alternate(
     def probe() -> float:
         return joint_loss(probe_imgs, probe_snr, seed=0xC0FFEE).item()
 
+    def phase_a_loss(idx):
+        snr = curriculum.sample(loop_rng)
+        seed = int(loop_rng.integers(2**63))
+        return joint_loss(flat_images[idx], snr, seed)
+
     trace: list[tuple[int, str, float]] = []
     initial = probe()
     trace.append((0, "probe", initial))
@@ -499,20 +518,12 @@ def stage3_alternate(
 
     for cycle in range(1, train_cfg.stage3_max_cycles + 1):
         # phase A: codec + compensator through the frozen proxy
-        for _ in range(train_cfg.stage3_phase_a_epochs):
-            perm = loop_rng.permutation(len(flat_images))
-            for lo in range(0, len(flat_images), train_cfg.image_batch_size):
-                idx = perm[lo : lo + train_cfg.image_batch_size]
-                snr = curriculum.sample(loop_rng)
-                seed = int(loop_rng.integers(2**63))
-                loss = joint_loss(flat_images[idx], snr, seed)
-                opt_a.zero_grad()
-                proxy.zero_grad()
-                loss.backward()
-                opt_a.apply()
-                value = loss.item()
-                _check_finite(value, "stage3/phaseA", trace)
-            trace.append((cycle, "A", value))
+        epochs = _sgd_epochs(
+            opt_a, phase_a_loss, len(flat_images), train_cfg.image_batch_size,
+            train_cfg.stage3_phase_a_epochs, loop_rng, "stage3/phaseA", trace,
+        )
+        for losses in epochs:
+            trace.append((cycle, "A", losses[-1]))
 
         # phase B: fresh records from the current encoder, proxy refresh
         fresh: list[LinkRecord] = []
@@ -529,27 +540,25 @@ def stage3_alternate(
             )
             fresh.append(record)
         n_held = max(1, len(fresh) // 4)
-        fresh_x = np.stack([complex_to_wave(r.reference) for r in fresh])
-        fresh_y = np.stack([complex_to_wave(r.output_waveform) for r in fresh])
+        fresh_x, fresh_y = _record_waves(fresh)
         held_x, held_y = fresh_x[-n_held:], fresh_y[-n_held:]
+
+        def phase_b_loss(idx):
+            pred = proxy(Tensor(fresh_x[idx]), inject_noise=False)
+            return (pred - Tensor(fresh_y[idx])).square().mean()
+
         pre_refresh = 2.0 * _mse(
             proxy(Tensor(held_x), inject_noise=False).data, held_y
         )
-        for _ in range(train_cfg.stage3_refresh_epochs):
-            perm = refresh_rng.permutation(len(fresh) - n_held)
-            for lo in range(0, len(perm), train_cfg.batch_size):
-                idx = perm[lo : lo + train_cfg.batch_size]
-                pred = proxy(Tensor(fresh_x[idx]), inject_noise=False)
-                loss = (pred - Tensor(fresh_y[idx])).square().mean()
-                opt_b.zero_grad()
-                loss.backward()
-                opt_b.apply()
-                value = loss.item()
-                _check_finite(value, "stage3/phaseB", trace)
+        epochs = _sgd_epochs(
+            opt_b, phase_b_loss, len(fresh) - n_held, train_cfg.batch_size,
+            train_cfg.stage3_refresh_epochs, refresh_rng, "stage3/phaseB", trace,
+        )
+        last_epoch = list(epochs)[-1]
         post_refresh = 2.0 * _mse(
             proxy(Tensor(held_x), inject_noise=False).data, held_y
         )
-        trace.append((cycle, "B", value))
+        trace.append((cycle, "B", last_epoch[-1]))
 
         current = probe()
         trace.append((cycle, "probe", current))
@@ -583,7 +592,6 @@ def stage3_alternate(
 def train_jscc_ideal(
     train_cfg: TrainConfig,
     curriculum: Curriculum | None = None,
-    epochs: int | None = None,
     jscc: ToyJsccModel | None = None,
 ) -> StageResult:
     """Train the toy codec assuming a perfect analog channel.
@@ -593,32 +601,29 @@ def train_jscc_ideal(
     """
     if curriculum is None:
         curriculum = Curriculum()
-    if epochs is None:
-        epochs = train_cfg.stage3_max_cycles * train_cfg.stage3_phase_a_epochs
     if jscc is None:
         jscc = ToyJsccModel(train_cfg.child_rng(_ZS_INIT))
     loop_rng = train_cfg.child_rng(_ZS_LOOP)
     images = glyph_images(train_cfg.stage3_images, train_cfg.child_rng(_S3_INIT))
     flat_images = images.reshape(len(images), -1)
-    opt = SGDMomentum(jscc.parameters(), train_cfg.step_jscc, train_cfg.momentum)
 
+    def batch_loss(idx):
+        snr = curriculum.sample(loop_rng)
+        var = 10.0 ** (-snr / 10.0)
+        z = jscc.encode(Tensor(flat_images[idx]))
+        noise = loop_rng.normal(0.0, math.sqrt(var / 2.0), size=z.shape)
+        recon = jscc.decode(z + Tensor(noise))
+        return (recon - Tensor(flat_images[idx])).square().mean()
+
+    opt = SGDMomentum(jscc.parameters(), train_cfg.step_jscc, train_cfg.momentum)
     trace: list[float] = []
-    for _ in range(epochs):
-        perm = loop_rng.permutation(len(flat_images))
-        for lo in range(0, len(flat_images), train_cfg.image_batch_size):
-            idx = perm[lo : lo + train_cfg.image_batch_size]
-            snr = curriculum.sample(loop_rng)
-            var = 10.0 ** (-snr / 10.0)
-            z = jscc.encode(Tensor(flat_images[idx]))
-            noise = loop_rng.normal(0.0, math.sqrt(var / 2.0), size=z.shape)
-            recon = jscc.decode(z + Tensor(noise))
-            loss = (recon - Tensor(flat_images[idx])).square().mean()
-            opt.zero_grad()
-            loss.backward()
-            opt.apply()
-            value = loss.item()
-            _check_finite(value, "ideal-analog", trace)
-        trace.append(value)
+    epochs = _sgd_epochs(
+        opt, batch_loss, len(flat_images), train_cfg.image_batch_size,
+        train_cfg.stage3_max_cycles * train_cfg.stage3_phase_a_epochs, loop_rng,
+        "ideal-analog", trace,
+    )
+    for losses in epochs:
+        trace.append(losses[-1])
     return StageResult(model=jscc, loss_trace=trace)
 
 
@@ -637,11 +642,8 @@ def evaluate_image_link(
     seeds derive from ``seed`` so runs stay reproducible.
     """
     flat = images.reshape(len(images), -1)
-    pairs = jscc.latent_pairs
-    z = jscc.encode(Tensor(flat)).data  # (B, 2K), unit average power
-    symbols = np.empty((len(flat), pairs), dtype=np.complex128)
-    symbols.real = z[:, 0::2]
-    symbols.imag = z[:, 1::2]
+    # (B, 2K) latents at unit average power, as (B, K) symbols
+    symbols = _latent_to_symbols(jscc.encode(Tensor(flat)).data)
     comp_fn = compensator.compensate_array if compensator is not None else None
     seq = np.random.SeedSequence(seed)
     est = np.empty_like(symbols)
@@ -656,10 +658,7 @@ def evaluate_image_link(
             compensator=comp_fn,
         )
         clip_total += record.clip_rate
-    zhat = np.empty_like(z)
-    zhat[:, 0::2] = est.real
-    zhat[:, 1::2] = est.imag
-    recon = jscc.decode(Tensor(zhat)).data
+    recon = jscc.decode(Tensor(est.view(np.float64))).data  # estimates as (B, 2K) reals
     per_image = np.mean((recon - flat) ** 2, axis=1)
     return {
         "image_mse": _mse(recon, flat),
@@ -668,14 +667,6 @@ def evaluate_image_link(
         "per_image_sq_err": per_image,
         "symbol_power": float(np.mean(np.abs(symbols) ** 2)),
     }
-
-
-def clone_model(model):
-    """Deep copy of a model (fresh parameter tensors, no shared state)."""
-    fresh = copy.deepcopy(model)
-    for _, p in fresh.named_parameters():
-        p.grad = None
-    return fresh
 
 
 @dataclass
@@ -707,17 +698,10 @@ def run_training_pipeline(
     """
     curriculum = curriculum or Curriculum()
     stage1 = stage1_train_compensator(setup, train_cfg)
-    records = collect_link_records(
-        setup,
-        train_cfg.stage2_records,
-        train_cfg.stage2_snr_db,
-        train_cfg.child_rng(_S2_DATA),
-        n_ofdm=train_cfg.stage2_ofdm_symbols,
-    )
-    stage2 = stage2_train_proxy(records, train_cfg)
+    stage2 = stage2_train_proxy(collect_stage2_records(setup, train_cfg), train_cfg)
     zero_shot = train_jscc_ideal(train_cfg, curriculum)
-    jscc = clone_model(zero_shot.model)
-    stage0 = clone_model(jscc)
+    jscc = copy.deepcopy(zero_shot.model)
+    stage0 = copy.deepcopy(jscc)
     stage3 = stage3_alternate(
         jscc, stage1.model, stage2.model, setup, train_cfg, curriculum
     )

@@ -128,6 +128,10 @@ def test_bad_train_key_exits_2(tmp_path, capsys):
         (["selftest", "--quick"], "[phy]\nconv_g1 = 0o135\n"),
         # layout keys without the custom map would be silently ignored
         (["selftest", "--quick"], "[phy]\ndata_subcarriers = 1 2 3\npilot_base = 1 1 1 1\n"),
+        # a misspelled section header would drop its keys: QPSK would run 64-QAM
+        (["selftest", "--quick"], "[phyy]\nmodulation = qpsk\n"),
+        # a float_serial cell this long would hold ~1.4 GB of Viterbi traceback
+        (["sweep"], "[sweep]\nn_symbols = 1000000\nsystems = float_serial\n"),
     ]
     cfgfile = tmp_path / "bad.cfg"
     for command, text in cases:

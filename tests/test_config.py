@@ -152,6 +152,9 @@ def test_config_file_sections_and_errors(tmp_path):
         parse_config_file(bad)
     with pytest.raises(ConfigError):
         parse_config_file(tmp_path / "missing.cfg")
+    bad.write_text("[phy]\nfft_size = 64\n[phyy]  # typo\nmodulation = qpsk\n")
+    with pytest.raises(ConfigError, match=r"bad.cfg:3: unknown section '\[phyy\]'"):
+        parse_config_file(bad)
 
 
 def test_fingerprint_tracks_fields():

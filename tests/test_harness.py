@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ofdmemu.config import MAX_FLOAT_SERIAL_SYMBOLS
 from ofdmemu.errors import ConfigError, OfdmEmuError
 from ofdmemu.harness import (
     CSV_COLUMNS,
@@ -47,6 +48,11 @@ def test_spec_validation():
         ExperimentSpec(systems=("emulated", "quantum"))
     with pytest.raises(ConfigError):
         ExperimentSpec(master_seed=-1)
+    # float_serial alone decodes one frame of 64 trellis steps per symbol
+    big = MAX_FLOAT_SERIAL_SYMBOLS + 1
+    with pytest.raises(ConfigError, match="n_symbols with float_serial"):
+        ExperimentSpec(n_symbols=big, systems=("ideal_analog", "float_serial"))
+    ExperimentSpec(n_symbols=big, systems=("ideal_analog", "emulated"))
 
 
 def test_metric_row_validation():

@@ -127,24 +127,24 @@ def test_ofdm_modulate_demodulate_roundtrip(rng):
     cfg = PhyConfig()
     grid = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
     grid[:, 0] = 0.0
-    samples = phy.ofdm_modulate(grid, cfg)
-    assert samples.size == 3 * cfg.samples_per_ofdm
-    back = phy.ofdm_demodulate(samples, cfg)
+    samples = phy.modulate_symbols(grid, cfg)
+    assert samples.shape == (3 * cfg.samples_per_ofdm,)
+    back = phy.demodulate_frame(samples, cfg)
     assert np.allclose(back, grid)
 
 
 def test_ofdm_modulate_is_unitary_on_bodies(rng):
     cfg = PhyConfig()
     grid = rng.standard_normal((1, 64)) + 1j * rng.standard_normal((1, 64))
-    samples = phy.ofdm_modulate(grid, cfg)
-    body = samples[0, cfg.cp_len :]
+    samples = phy.modulate_symbols(grid, cfg)
+    body = samples[cfg.cp_len :]
     assert np.isclose(np.sum(np.abs(body) ** 2), np.sum(np.abs(grid) ** 2))
 
 
 def test_cyclic_prefix_is_a_copy(rng):
     cfg = PhyConfig()
     grid = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
-    samples = phy.ofdm_modulate(grid, cfg).reshape(2, cfg.samples_per_ofdm)
+    samples = phy.modulate_symbols(grid, cfg).reshape(2, cfg.samples_per_ofdm)
     for sym in samples:
         assert np.allclose(sym[: cfg.cp_len], sym[-cfg.cp_len :])
 

@@ -9,7 +9,6 @@ from ofdmemu.sources import glyph_images
 from ofdmemu.training import (
     Curriculum,
     TrainConfig,
-    clone_model,
     collect_link_records,
     evaluate_image_link,
     stage1_train_compensator,
@@ -55,6 +54,9 @@ def test_train_config_validation():
     # a 10^12-record stage is refused at construction, before any draw
     with pytest.raises(ConfigError, match="stage2_records must be in 1.."):
         TrainConfig(stage2_records=10**12)
+    # phase B holds one refresh record out, so one record leaves it nothing to fit
+    with pytest.raises(ConfigError, match="refresh_batch_count must be at least 2"):
+        TrainConfig(refresh_batch_count=1)
     TrainConfig(gamma=0.0)
     TrainConfig(gamma=1.0)
 
@@ -147,22 +149,27 @@ def test_stage2_needs_enough_records(default_setup):
 
 def test_train_jscc_ideal_smoke():
     cfg = quick_cfg()
-    result = train_jscc_ideal(cfg, epochs=1)
+    result = train_jscc_ideal(cfg)
     assert isinstance(result.model, ToyJsccModel)
     assert all(math.isfinite(v) for v in result.loss_trace)
 
 
-def test_stage3_smoke(default_setup):
-    cfg = quick_cfg()
+def small_stage3_models(cfg, setup):
+    """(codec, compensator, proxy) for stage 3, with small networks."""
     jscc = ToyJsccModel(cfg.child_rng(0))
     comp = CompensatorModel(
-        PeriodSpec.from_config(default_setup.cfg, default_setup.n_chosen),
+        PeriodSpec.from_config(setup.cfg, setup.n_chosen),
         cfg.child_rng(1),
         channels=4,
         depth=2,
     )
     proxy = ProxyModel(cfg.child_rng(2), channels=4, depth=2)
-    result = stage3_alternate(jscc, comp, proxy, default_setup, cfg)
+    return jscc, comp, proxy
+
+
+def test_stage3_smoke(default_setup):
+    cfg = quick_cfg()
+    result = stage3_alternate(*small_stage3_models(cfg, default_setup), default_setup, cfg)
     m = result.metrics
     assert m["cycles"] == 1
     assert math.isfinite(m["initial_joint_loss"])
@@ -170,6 +177,43 @@ def test_stage3_smoke(default_setup):
     assert math.isfinite(m["refresh_fidelity_post"])
     phases = {p for _, p, _ in result.loss_trace}
     assert {"probe", "A", "B"} <= phases
+
+
+@pytest.mark.parametrize("stage", ["stage1", "stage2", "ideal-analog", "stage3/phaseA"])
+def test_non_finite_loss_raises_with_trace(stage, default_setup):
+    # one batch per epoch and a huge step: the first epoch's loss is
+    # finite, its step overflows the weights, and the next loss is not
+    cfg = quick_cfg(
+        batch_size=8,
+        image_batch_size=16,
+        stage3_phase_a_epochs=3,
+        step_comp=1e200,
+        step_proxy=1e200,
+        step_jscc=1e200,
+    )
+    ys = np.random.default_rng(1).normal(size=(8, 160, 2)) * 0.3
+    runs = {
+        "stage1": lambda: stage1_train_compensator(default_setup, cfg, pairs=(0.7 * ys, ys)),
+        "stage2": lambda: stage2_train_proxy(
+            collect_link_records(default_setup, 8, 15.0, cfg.child_rng(0), n_ofdm=2), cfg
+        ),
+        "ideal-analog": lambda: train_jscc_ideal(cfg),
+        "stage3/phaseA": lambda: stage3_alternate(
+            *small_stage3_models(cfg, default_setup), default_setup, cfg
+        ),
+    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingError, match=f"^{stage}: loss went non-finite") as info:
+            runs[stage]()
+    # the trace holds what came before the failing batch: the first epoch
+    # (after stage 3's initial probe)
+    trace = info.value.trace
+    if stage == "stage3/phaseA":
+        assert [(c, p) for c, p, _ in trace] == [(0, "probe"), (1, "A")]
+        trace = [v for _, _, v in trace]
+    else:
+        assert len(trace) == 1
+    assert all(math.isfinite(v) for v in trace)
 
 
 def test_evaluate_image_link_deterministic(default_setup):
@@ -186,12 +230,3 @@ def test_evaluate_image_link_deterministic(default_setup):
     assert 0.0 <= a["clip_rate"] <= 1.0
     assert a["symbol_power"] == pytest.approx(1.0, rel=0.2)
 
-
-def test_clone_model_is_independent():
-    cfg = quick_cfg()
-    jscc = ToyJsccModel(cfg.child_rng(0))
-    twin = clone_model(jscc)
-    before = jscc.state_vector().copy()
-    twin.load_state_vector(twin.state_vector() + 1.0)
-    assert np.array_equal(jscc.state_vector(), before)
-    assert not np.array_equal(twin.state_vector(), before)
