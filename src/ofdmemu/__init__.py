@@ -17,15 +17,12 @@ from .errors import (
     TrainingError,
 )
 from .framefile import (
-    load_checkpoint,
     read_frame,
     read_model_into,
-    read_records,
     save_checkpoint,
     write_frame,
     write_loss_trace,
     write_model,
-    write_records,
 )
 from .gf2 import Gf2Matrix, Gf2Solver, Gf2Vector, Unsolvable
 from .harness import (
@@ -46,7 +43,6 @@ from .inversion import (
     max_usable_subcarriers,
     restrict_offsets,
     restrict_rows,
-    verify_against_pipeline,
 )
 from .link import (
     EmulationSetup,

@@ -30,6 +30,7 @@ from .harness import (
     CheckpointMissing,
     ExperimentSpec,
     emit_plotdata,
+    evm_percent,
     gaussian_targets,
     run_sweep,
     selftest,
@@ -105,6 +106,16 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _check_input_size(path: str, limit: int, what: str) -> None:
+    """Refuse an input file above ``limit`` bytes before reading it."""
+    try:
+        size = Path(path).stat().st_size
+    except OSError:
+        return  # the read that follows reports the unreadable path
+    if size > limit:
+        raise ConfigError(f"{path} has {size} bytes; {what} allow at most {limit}")
+
+
 def _bits_from_file(path: str) -> np.ndarray:
     return np.unpackbits(np.frombuffer(read_input(path), dtype=np.uint8), bitorder="little")
 
@@ -151,6 +162,8 @@ def cmd_emulate(args) -> int:
     _, cfg = _load_config(args)
     seed = args.seed if args.seed is not None else 0
     if args.infile:
+        # a frame is a 16-byte header plus 16 bytes per target
+        _check_input_size(args.infile, 16 + 16 * MAX_SYMBOLS, f"{MAX_SYMBOLS} targets")
         symbols = read_frame(args.infile)
     else:
         symbols = gaussian_targets(args.symbols, np.random.default_rng(seed))
@@ -159,7 +172,7 @@ def cmd_emulate(args) -> int:
     estimates, record = emulated_link(targets, args.snr, seed, setup, mode=args.mode)
     est = estimates[: symbols.size]
     mse = float(np.mean(np.abs(est - symbols) ** 2))
-    evm = float(np.sqrt(mse / np.mean(np.abs(symbols) ** 2)) * 100.0)
+    evm = evm_percent(mse, np.mean(np.abs(symbols) ** 2))
     out = _out_dir(args)
     write_frame(out / "estimates.bin", est)
     write_frame(out / "tx_waveform.bin", record.tx_frame)

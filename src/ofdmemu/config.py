@@ -263,10 +263,6 @@ class PhyConfig:
         """The PHY of parsed config sections: keys before any header, then [phy]."""
         return cls.from_mapping({**sections.get("", {}), **sections.get("phy", {})})
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PhyConfig":
-        return cls.from_sections(parse_config_file(path))
-
 
 # keys that only a custom subcarrier map reads
 _LAYOUT_KEYS = {"data_subcarriers", "pilot_subcarriers", "pilot_base"}

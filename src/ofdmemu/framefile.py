@@ -1,5 +1,5 @@
-"""Binary file formats: waveform frames, model parameters, link record
-batches, and training checkpoints.
+"""File formats: waveform frames, model parameters, loss traces and
+training checkpoints.
 
 Frames store complex samples as a small header plus interleaved 64-bit
 little-endian I/Q pairs.  Model files carry an architecture fingerprint
@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FramingError
-from .link import LinkRecord
 
 FRAME_MAGIC = b"OFRM"
 FRAME_VERSION = 1
@@ -99,87 +98,6 @@ def read_model_into(path: str | Path, model) -> None:
     model.load_state_vector(np.frombuffer(blob, dtype="<f8", offset=_MODEL_HEADER.size).copy())
 
 
-_RECORD_PARTS = ("tx", "ref", "out", "est", "clean")
-
-
-def write_records(directory: str | Path, records: list[LinkRecord]) -> None:
-    """One frame file per waveform plus a text manifest, one line per record."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for i, rec in enumerate(records):
-        arrays = {
-            "tx": rec.tx_frame,
-            "ref": rec.reference,
-            "out": rec.output_waveform,
-            "est": rec.estimates,
-            "clean": rec.clean_waveform,
-        }
-        present = []
-        for part in _RECORD_PARTS:
-            if arrays[part] is None:
-                continue
-            write_frame(directory / f"rec{i:04d}.{part}.bin", arrays[part])
-            present.append(part)
-        lines.append(
-            f"record={i} snr_db={rec.snr_db!r} seed={rec.seed} mode={rec.mode} "
-            f"fingerprint={rec.config_fingerprint} n_chosen={rec.n_chosen} "
-            f"clip_rate={rec.clip_rate!r} parts={','.join(present)}"
-        )
-    (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
-
-
-def read_records(directory: str | Path) -> list[LinkRecord]:
-    """Records written by :func:`write_records`; any malformed manifest
-    line or missing part file raises FramingError."""
-    directory = Path(directory)
-    manifest = directory / "manifest.txt"
-    if not manifest.exists():
-        raise FramingError(f"no manifest.txt under {directory}")
-    try:
-        lines = manifest.read_text().splitlines()
-    except UnicodeDecodeError:
-        raise FramingError(f"{manifest} is not text") from None
-    records = []
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            kv = dict(tok.split("=", 1) for tok in line.split())
-            i = int(kv["record"])
-            parts = kv["parts"].split(",")
-            fields = dict(
-                snr_db=float(kv["snr_db"]),
-                seed=int(kv["seed"]),
-                mode=kv["mode"],
-                config_fingerprint=kv["fingerprint"],
-                n_chosen=int(kv["n_chosen"]),
-                clip_rate=float(kv["clip_rate"]),
-            )
-        except (KeyError, ValueError) as exc:
-            raise FramingError(f"malformed manifest line {line!r}: {exc!r}") from None
-
-        def load(part):
-            if part not in parts:
-                return None
-            path = directory / f"rec{i:04d}.{part}.bin"
-            if not path.is_file():
-                raise FramingError(f"manifest names {path.name}, which is missing")
-            return read_frame(path)
-
-        records.append(
-            LinkRecord(
-                tx_frame=load("tx"),
-                reference=load("ref"),
-                output_waveform=load("out"),
-                estimates=load("est"),
-                clean_waveform=load("clean"),
-                **fields,
-            )
-        )
-    return records
-
-
 def write_loss_trace(path: str | Path, trace) -> None:
     """Loss trace rows as CSV: (cycle, phase, loss) or (epoch, loss)."""
     with open(path, "w", newline="") as fh:
@@ -208,22 +126,3 @@ def save_checkpoint(directory: str | Path, models: dict, manifest: dict) -> None
         entries[f"fingerprint_{name}"] = model.architecture_fingerprint()
     lines = [f"{k}={entries[k]}" for k in sorted(entries)]
     (directory / "checkpoint.txt").write_text("\n".join(lines) + "\n")
-
-
-def load_checkpoint(directory: str | Path, models: dict) -> dict:
-    """Fill caller-constructed models from a checkpoint; returns the manifest."""
-    directory = Path(directory)
-    manifest_path = directory / "checkpoint.txt"
-    if not manifest_path.exists():
-        raise FramingError(f"no checkpoint.txt under {directory}")
-    manifest = {}
-    for line in manifest_path.read_text().splitlines():
-        if line.strip():
-            key, _, value = line.partition("=")
-            manifest[key] = value
-    for name, model in models.items():
-        path = directory / f"{name}.model"
-        if not path.exists():
-            raise FramingError(f"checkpoint is missing {path.name}")
-        read_model_into(path, model)
-    return manifest

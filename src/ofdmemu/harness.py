@@ -140,7 +140,8 @@ def gaussian_targets(n: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
 
 
-def _evm(err_power: float, ref_power: float) -> float:
+def evm_percent(err_power: float, ref_power: float) -> float:
+    """RMS error over RMS reference, in percent; finite when the reference power is 0."""
     return float(np.sqrt(err_power / max(ref_power, 1e-300)) * 100.0)
 
 
@@ -161,7 +162,7 @@ def _metric_row(
         snr_db=snr,
         symbol_mse=symbol_mse,
         image_mse=image_mse,
-        evm_percent=_evm(symbol_mse, symbol_power),
+        evm_percent=evm_percent(symbol_mse, symbol_power),
         ber=ber,
         n=n,
         seed=seed,

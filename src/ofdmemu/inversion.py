@@ -7,7 +7,8 @@ where the affine offset d depends only on the 6-bit encoder state at the
 symbol boundary.  The matrix is assembled here directly from the
 generator tap structure and the puncture/interleave index maps, not by
 running the encoder, so agreement with the sequential chain is a
-meaningful cross-check.
+meaningful cross-check, which ``tests/oracles.verify_against_pipeline``
+runs.
 
 Row i of the system corresponds to coded bit i of the interleaved block,
 i.e. bit (i mod n_bpsc) of the QAM label on the (i div n_bpsc)-th data
@@ -26,7 +27,7 @@ import numpy as np
 from .config import CONV_G1, CONV_G2, PUNCTURE_PATTERNS, PhyConfig, bin_to_logical
 from .errors import SelectionError
 from .gf2 import Gf2Matrix, Gf2Vector, left_null, rank
-from .phy import _interleave_perm, _taps, conv_encode, interleave, puncture
+from .phy import _interleave_perm, _taps
 
 __all__ = [
     "SymbolSystem",
@@ -36,7 +37,6 @@ __all__ = [
     "restrict_rows",
     "restrict_offsets",
     "certify_subset",
-    "verify_against_pipeline",
 ]
 
 
@@ -257,24 +257,3 @@ def certify_subset(
     swaps = [(b, a) for b, a in zip(sorted(original - set(final)), sorted(set(final) - original))]
     return final, swaps
 
-
-def verify_against_pipeline(
-    sys: SymbolSystem, probes: int, seed: int = 0
-) -> int:
-    """Count bit mismatches between the matrix model and the live chain.
-
-    Each probe draws random info bits and a random encoder state, runs
-    encode -> puncture -> interleave, and compares with predict().
-    Returns the total number of mismatching bits (0 when the model is
-    faithful).
-    """
-    cfg = sys.cfg
-    rng = np.random.default_rng(seed)
-    mismatches = 0
-    for _ in range(probes):
-        x = rng.integers(0, 2, sys.beta, dtype=np.uint8)
-        state = int(rng.integers(0, 64))
-        coded, _ = conv_encode(x, state)
-        actual = interleave(puncture(coded, cfg.coding_rate), cfg.n_cbps, cfg.n_bpsc)
-        mismatches += int(np.sum(actual != sys.predict(x, state)))
-    return mismatches

@@ -131,17 +131,12 @@ class EmulationSetup:
         return len(self.chosen)
 
     @classmethod
-    def build(cls, cfg: PhyConfig, system: SymbolSystem | None = None) -> "EmulationSetup":
-        """The setup for ``cfg``, built once and then served from the cache.
-
-        ``system`` spares a caller who already built the symbol system
-        the second build.
-        """
+    def build(cls, cfg: PhyConfig) -> "EmulationSetup":
+        """The setup for ``cfg``, built once and then served from the cache."""
         hit = cls._cache.get(cfg)
         if hit is not None:
             return hit
-        if system is None:
-            system = build_symbol_system(cfg)
+        system = build_symbol_system(cfg)
         certified, swaps = certify_subset(system, default_subset(cfg))
         setup = cls(cfg, system, certified, swaps)
         cls._cache[cfg] = setup
@@ -371,12 +366,7 @@ class LinkRecord:
     tx_frame: np.ndarray
     reference: np.ndarray
     output_waveform: np.ndarray | None
-    estimates: np.ndarray
     snr_db: float
-    seed: int
-    mode: str
-    config_fingerprint: str
-    n_chosen: int = 0
     clip_rate: float = 0.0
     # noiseless replay of the same plan, when the caller paid for one;
     # lets surrogate training separate stochastic noise from the
@@ -426,12 +416,7 @@ def emulated_link(
         tx_frame=frame.samples,
         reference=reference,
         output_waveform=out_wave,
-        estimates=estimates,
         snr_db=float(snr_db),
-        seed=int(seed) if not isinstance(seed, np.random.Generator) else -1,
-        mode=mode,
-        config_fingerprint=setup.cfg.fingerprint(),
-        n_chosen=setup.n_chosen,
         clip_rate=plan.clip_rate,
         clean_waveform=clean,
     )

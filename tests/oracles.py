@@ -8,6 +8,8 @@ current code: ``conv2d_reference``, the original conv2d kernel, bit for
 bit; ``climb_reference``, the original certification climb, which
 rates each trial swap with ``gf2.rank``; and ``viterbi_reference``, the
 original one-step-per-iteration Viterbi decoder with its tie-break.
+``verify_against_pipeline`` is no reference: it cross-checks the GF(2)
+symbol model against the package's own live chain.
 """
 
 from functools import lru_cache
@@ -17,7 +19,8 @@ import numpy as np
 from ofdmemu.config import CONV_G1, CONV_G2
 from ofdmemu.errors import FramingError
 from ofdmemu.gf2 import rank
-from ofdmemu.inversion import restrict_rows
+from ofdmemu.inversion import SymbolSystem, restrict_rows
+from ofdmemu.phy import conv_encode, interleave, puncture
 
 # ---------------------------------------------------------------------------
 # scrambler: x^7 + x^4 + 1, seed bit i = register cell i
@@ -255,6 +258,32 @@ def climb_reference(sys, chosen, target):
         if not improved:
             break
     return chosen, swaps, r
+
+
+# ---------------------------------------------------------------------------
+# GF(2) symbol model against the live encode -> puncture -> interleave chain
+
+
+def verify_against_pipeline(
+    sys: SymbolSystem, probes: int, seed: int = 0
+) -> int:
+    """Count bit mismatches between the matrix model and the live chain.
+
+    Each probe draws random info bits and a random encoder state, runs
+    encode -> puncture -> interleave, and compares with predict().
+    Returns the total number of mismatching bits (0 when the model is
+    faithful).
+    """
+    cfg = sys.cfg
+    rng = np.random.default_rng(seed)
+    mismatches = 0
+    for _ in range(probes):
+        x = rng.integers(0, 2, sys.beta, dtype=np.uint8)
+        state = int(rng.integers(0, 64))
+        coded, _ = conv_encode(x, state)
+        actual = interleave(puncture(coded, cfg.coding_rate), cfg.n_cbps, cfg.n_bpsc)
+        mismatches += int(np.sum(actual != sys.predict(x, state)))
+    return mismatches
 
 
 # ---------------------------------------------------------------------------

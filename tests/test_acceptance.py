@@ -18,7 +18,7 @@ from ofdmemu import phy
 from ofdmemu.config import PhyConfig
 from ofdmemu.gf2 import Gf2Matrix, Gf2Solver, Gf2Vector, Unsolvable, rank
 from ofdmemu.harness import DEFAULT_SNR_LIST, ExperimentSpec, csv_text, emit_plotdata, run_sweep
-from ofdmemu.inversion import build_symbol_system, restrict_rows, verify_against_pipeline
+from ofdmemu.inversion import build_symbol_system, restrict_rows
 from ofdmemu.link import EmulationSetup, TargetSymbols, box_edge, sender_invert
 from ofdmemu.nn.autodiff import Tensor
 from ofdmemu.nn.gradcheck import grad_check
@@ -124,10 +124,12 @@ def test_criterion_2_gf2_model(record_criterion, default_setup):
     rank_bad = []
     for cfg in all_configs():
         sys_model = build_symbol_system(cfg)
-        mism = verify_against_pipeline(sys_model, probes=1000, seed=int(rng.integers(2**32)))
+        mism = oracles.verify_against_pipeline(
+            sys_model, probes=1000, seed=int(rng.integers(2**32))
+        )
         if mism:
             probe_bad.append((cfg.modulation_order, str(cfg.coding_rate), mism))
-        setup = EmulationSetup.build(cfg, system=sys_model)
+        setup = EmulationSetup.build(cfg)
         want = setup.n_chosen * cfg.n_bpsc
         if setup.solver.rank != want:
             rank_bad.append((cfg.modulation_order, str(cfg.coding_rate), setup.solver.rank, want))

@@ -1,5 +1,6 @@
 import io
 import os
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofdmemu.cli import main
-from ofdmemu.config import PhyConfig
-from ofdmemu.framefile import read_frame, write_frame
+from ofdmemu.config import MAX_SYMBOLS, PhyConfig, parse_config_file
+from ofdmemu.framefile import FRAME_MAGIC, FRAME_VERSION, read_frame, write_frame
 from ofdmemu.link import EmulationSetup
 from ofdmemu.phy import tx_chain
 
@@ -160,6 +161,29 @@ def test_emulate_huge_symbols_exits_2_before_allocating(tmp_path, capsys):
     rc = main(["emulate", "--symbols", "100000000000", "--out", str(tmp_path)])
     assert rc == 2
     assert "--symbols must be in 1..1000000" in capsys.readouterr().err
+
+
+def test_emulate_huge_target_file_exits_2_before_reading(tmp_path, capsys, monkeypatch):
+    def unreachable(path):
+        raise AssertionError("read an oversized target file")
+
+    monkeypatch.setattr("ofdmemu.cli.read_frame", unreachable)
+    # a valid header promising one target too many; the sparse body uses no disk
+    path = tmp_path / "huge.bin"
+    count = MAX_SYMBOLS + 1
+    path.write_bytes(FRAME_MAGIC + FRAME_VERSION.to_bytes(4, "little") + count.to_bytes(8, "little"))
+    os.truncate(path, 16 + 16 * count)
+    rc = main(["emulate", "--in", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"at most {16 + 16 * MAX_SYMBOLS}" in capsys.readouterr().err
+
+
+def test_emulate_zero_targets_warns_nothing(tmp_path, capsys):
+    write_frame(tmp_path / "zeros.bin", np.zeros(5, dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["emulate", "--in", str(tmp_path / "zeros.bin"), "--out", str(tmp_path / "o")])
+    assert rc == 0
 
 
 @pytest.mark.parametrize("key", ["n_symbols", "n_images"])
@@ -384,7 +408,7 @@ def cli_files(tmp_path_factory):
     files["under_file"] = files["payload"] / "out"
     files["models"] = root / "models"
     EmulationSetup.build(PhyConfig())
-    EmulationSetup.build(PhyConfig.from_file(files["phy_bpsk.cfg"]))
+    EmulationSetup.build(PhyConfig.from_sections(parse_config_file(files["phy_bpsk.cfg"])))
     with redirect_stdout(io.StringIO()):
         rc = main(["train-e2e", "--config", str(files["train.cfg"]), "--out", str(files["models"])])
     assert rc == 0

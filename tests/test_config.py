@@ -133,7 +133,7 @@ coding_rate = 2/3
 scrambler_seed = 93
 """
     )
-    cfg = PhyConfig.from_file(path)
+    cfg = PhyConfig.from_sections(parse_config_file(path))
     assert cfg.modulation_order == 16
     assert cfg.coding_rate == Fraction(2, 3)
     assert cfg.scrambler_seed == 93
@@ -164,7 +164,7 @@ def test_fingerprint_tracks_fields():
     assert a.fingerprint() != b.fingerprint()
 
 
-# PhyConfig.from_file on arbitrary bytes: a config or a ConfigError, never
+# A config file of arbitrary bytes: a config or a ConfigError, never
 # anything else.  Besides raw bytes, draw lines of known keys with random
 # values so the parse gets past the file format.
 
@@ -198,6 +198,6 @@ def test_from_file_raises_only_config_error(tmp_path, blob):
     path = tmp_path / "fuzz.cfg"
     path.write_bytes(blob)
     try:
-        PhyConfig.from_file(path)
+        PhyConfig.from_sections(parse_config_file(path))
     except ConfigError:
         pass

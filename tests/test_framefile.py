@@ -10,19 +10,14 @@ from ofdmemu.framefile import (
     MODEL_VERSION,
     frame_bytes,
     frame_from_bytes,
-    load_checkpoint,
     read_frame,
     read_model_into,
-    read_records,
     save_checkpoint,
     write_frame,
     write_loss_trace,
     write_model,
-    write_records,
 )
-from ofdmemu.link import LinkRecord, TargetSymbols, emulated_link
 from ofdmemu.nn.layers import Dense
-from ofdmemu.sources import gaussian_symbols
 
 
 def test_frame_roundtrip_bytes(rng):
@@ -84,51 +79,6 @@ def test_model_payload_length_checked(tmp_path, rng):
             read_model_into(p, a)
 
 
-def test_records_roundtrip(tmp_path, default_setup, rng):
-    records = []
-    for i in range(3):
-        targets = TargetSymbols.unit_power(gaussian_symbols(20, rng), default_setup.cfg)
-        _, rec = emulated_link(
-            targets, 12.0, 100 + i, default_setup, with_clean_replay=(i == 0)
-        )
-        records.append(rec)
-    write_records(tmp_path / "recs", records)
-    back = read_records(tmp_path / "recs")
-    assert len(back) == 3
-    for orig, got in zip(records, back):
-        assert np.array_equal(got.tx_frame, orig.tx_frame)
-        assert np.array_equal(got.reference, orig.reference)
-        assert np.array_equal(got.estimates, orig.estimates)
-        assert got.snr_db == orig.snr_db
-        assert got.seed == orig.seed
-        assert got.mode == orig.mode
-        assert got.config_fingerprint == orig.config_fingerprint
-        assert got.n_chosen == orig.n_chosen
-        assert got.clip_rate == orig.clip_rate
-        if orig.clean_waveform is None:
-            assert got.clean_waveform is None
-        else:
-            assert np.array_equal(got.clean_waveform, orig.clean_waveform)
-
-
-def test_read_records_missing_dir(tmp_path):
-    with pytest.raises(FramingError):
-        read_records(tmp_path / "nope")
-
-
-def test_read_records_malformed_manifest(tmp_path):
-    good = "record=0 snr_db=1.0 seed=2 mode=soft fingerprint=ab n_chosen=3 clip_rate=0.0"
-    for line in (
-        "record=0 garbage",  # a token without '='
-        "record=0 snr_db=1",  # no parts=
-        good + " parts=est",  # names a part file that is not there
-        good.replace("seed=2", "seed=two") + " parts=",
-    ):
-        (tmp_path / "manifest.txt").write_text(line + "\n")
-        with pytest.raises(FramingError):
-            read_records(tmp_path)
-
-
 # Readers on truncated or garbage input: they either succeed or raise
 # FramingError, never anything else.
 
@@ -174,41 +124,6 @@ def test_model_reader_rejects_only_with_framing_error(tmp_path, data):
         pass
 
 
-def tiny_record(seed: int) -> LinkRecord:
-    wave = np.arange(3) * (1 - 1j)
-    return LinkRecord(
-        tx_frame=wave,
-        reference=wave,
-        output_waveform=None,
-        estimates=wave[:2],
-        snr_db=12.0,
-        seed=seed,
-        mode="soft",
-        config_fingerprint="ab12",
-        n_chosen=2,
-        clip_rate=0.0,
-    )
-
-
-@READER_PROPERTY
-@given(data=st.data())
-def test_records_reader_rejects_only_with_framing_error(tmp_path, data):
-    write_records(tmp_path, [tiny_record(1), tiny_record(2)])
-    manifest = tmp_path / "manifest.txt"
-    text = manifest.read_text()
-    blob = data.draw(
-        st.one_of(
-            corrupted(text.encode()),
-            st.text(max_size=120).map(str.encode),
-        )
-    )
-    manifest.write_bytes(blob)
-    try:
-        read_records(tmp_path)
-    except FramingError:
-        pass
-
-
 def test_loss_trace_formats(tmp_path):
     flat = tmp_path / "flat.csv"
     write_loss_trace(flat, [0.5, 0.25, 0.125])
@@ -229,15 +144,13 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     save_checkpoint(tmp_path / "ckpt", {"enc": a, "dec": b}, {"note": "x", "seed": 3})
     enc2 = Dense(6, 2, np.random.default_rng(1))
     dec2 = Dense(2, 6, np.random.default_rng(2))
-    manifest = load_checkpoint(tmp_path / "ckpt", {"enc": enc2, "dec": dec2})
+    read_model_into(tmp_path / "ckpt" / "enc.model", enc2)
+    read_model_into(tmp_path / "ckpt" / "dec.model", dec2)
     assert np.array_equal(enc2.state_vector(), a.state_vector())
     assert np.array_equal(dec2.state_vector(), b.state_vector())
-    assert manifest["note"] == "x"
-    assert manifest["seed"] == "3"
-
-
-def test_checkpoint_missing_model_file(tmp_path, rng):
-    a = Dense(6, 2, rng)
-    save_checkpoint(tmp_path / "ckpt", {"enc": a}, {})
-    with pytest.raises(FramingError):
-        load_checkpoint(tmp_path / "ckpt", {"enc": a, "extra": a})
+    assert (tmp_path / "ckpt" / "checkpoint.txt").read_text() == (
+        f"fingerprint_dec={b.architecture_fingerprint()}\n"
+        f"fingerprint_enc={a.architecture_fingerprint()}\n"
+        "note=x\n"
+        "seed=3\n"
+    )

@@ -17,7 +17,6 @@ from ofdmemu.inversion import (
     max_usable_subcarriers,
     restrict_offsets,
     restrict_rows,
-    verify_against_pipeline,
 )
 from ofdmemu.phy import conv_encode
 
@@ -36,7 +35,7 @@ def test_system_dimensions(default_cfg):
 def test_model_matches_live_chain(mod, rate):
     cfg = PhyConfig(modulation_order=mod, coding_rate=rate)
     sys = build_symbol_system(cfg)
-    assert verify_against_pipeline(sys, probes=50, seed=3) == 0
+    assert oracles.verify_against_pipeline(sys, probes=50, seed=3) == 0
 
 
 def test_offset_zero_for_zero_state(default_cfg):

@@ -97,7 +97,6 @@ def test_collect_link_records(default_setup):
     for r in recs:
         assert r.clean_waveform is not None
         assert r.snr_db == 15.0
-        assert r.mode == "soft"
         assert r.reference.size == 2 * default_setup.cfg.samples_per_ofdm
 
 
