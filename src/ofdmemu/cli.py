@@ -16,7 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import MAX_SYMBOLS, PhyConfig, check_count, check_seed, parse_config_file
+from .config import (
+    MAX_FRAME_SAMPLES,
+    MAX_SYMBOLS,
+    PhyConfig,
+    check_count,
+    check_seed,
+    parse_config_file,
+    section_values,
+    split_list,
+)
 from .errors import ConfigError, OfdmEmuError
 from .framefile import (
     read_frame,
@@ -49,30 +58,13 @@ def _load_config(args) -> tuple[dict, PhyConfig]:
     return sections, PhyConfig.from_sections(sections)
 
 
-def _words(text: str) -> list[str]:
-    return text.replace(",", " ").split()
-
-
 # [sweep] key -> parser of its raw text
 _SWEEP_KEYS = {
-    "snr_list": lambda raw: tuple(float(t) for t in _words(raw)),
+    "snr_list": lambda raw: tuple(float(t) for t in split_list(raw)),
     "n_symbols": int,
     "n_images": int,
-    "systems": lambda raw: tuple(_words(raw)),
+    "systems": lambda raw: tuple(split_list(raw)),
 }
-
-
-def _section_kwargs(sections: dict, name: str, parsers: dict) -> dict:
-    """Parse one config section, rejecting unknown keys and bad values."""
-    kwargs = {}
-    for key, raw in sections.get(name, {}).items():
-        if key not in parsers:
-            raise ConfigError(f"unknown [{name}] key {key!r}")
-        try:
-            kwargs[key] = parsers[key](raw)
-        except ValueError:
-            raise ConfigError(f"bad value for [{name}] {key}: {raw!r}") from None
-    return kwargs
 
 
 def _train_config(args, sections: dict):
@@ -82,14 +74,14 @@ def _train_config(args, sections: dict):
         f.name: float if "float" in str(f.type) else int
         for f in dataclasses.fields(TrainConfig)
     }
-    kwargs = _section_kwargs(sections, "train", parsers)
+    kwargs = section_values("train", sections.get("train", {}), parsers)
     if args.seed is not None:
         kwargs["master_seed"] = args.seed
     return TrainConfig(**kwargs)
 
 
 def _experiment_spec(args, sections: dict, cfg: PhyConfig) -> ExperimentSpec:
-    kwargs = _section_kwargs(sections, "sweep", _SWEEP_KEYS)
+    kwargs = section_values("sweep", sections.get("sweep", {}), _SWEEP_KEYS)
     if args.systems:
         kwargs["systems"] = tuple(args.systems.split(","))
     if args.seed is not None:
@@ -106,20 +98,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _check_input_size(path: str, limit: int, what: str) -> None:
-    """Refuse an input file above ``limit`` bytes before reading it."""
-    try:
-        size = Path(path).stat().st_size
-    except OSError:
-        return  # the read that follows reports the unreadable path
-    if size > limit:
-        raise ConfigError(f"{path} has {size} bytes; {what} allow at most {limit}")
-
-
-def _bits_from_file(path: str) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(read_input(path), dtype=np.uint8), bitorder="little")
-
-
 def cmd_selftest(args) -> int:
     _, cfg = _load_config(args)
     report = selftest(cfg, quick=args.quick)
@@ -132,7 +110,10 @@ def cmd_selftest(args) -> int:
 
 def cmd_tx(args) -> int:
     _, cfg = _load_config(args)
-    bits = _bits_from_file(args.infile)
+    # the largest payload whose frame holds at most MAX_FRAME_SAMPLES samples
+    limit = MAX_FRAME_SAMPLES // cfg.samples_per_ofdm * cfg.n_dbps // 8
+    data = np.frombuffer(read_input(args.infile, limit), dtype=np.uint8)
+    bits = np.unpackbits(data, bitorder="little")
     pad = (-bits.size) % cfg.n_dbps
     payload = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
     frame = tx_chain(payload, cfg)
@@ -147,7 +128,7 @@ def cmd_tx(args) -> int:
 
 def cmd_rx(args) -> int:
     _, cfg = _load_config(args)
-    samples = read_frame(args.infile)
+    samples = read_frame(args.infile, MAX_FRAME_SAMPLES)
     frame = BasebandFrame.from_samples(samples, cfg)
     decoded = rx_chain(frame, cfg)
     out = _out_dir(args)
@@ -162,9 +143,7 @@ def cmd_emulate(args) -> int:
     _, cfg = _load_config(args)
     seed = args.seed if args.seed is not None else 0
     if args.infile:
-        # a frame is a 16-byte header plus 16 bytes per target
-        _check_input_size(args.infile, 16 + 16 * MAX_SYMBOLS, f"{MAX_SYMBOLS} targets")
-        symbols = read_frame(args.infile)
+        symbols = read_frame(args.infile, MAX_SYMBOLS)
     else:
         symbols = gaussian_targets(args.symbols, np.random.default_rng(seed))
     setup = EmulationSetup.build(cfg)
@@ -172,13 +151,15 @@ def cmd_emulate(args) -> int:
     estimates, record = emulated_link(targets, args.snr, seed, setup, mode=args.mode)
     est = estimates[: symbols.size]
     mse = float(np.mean(np.abs(est - symbols) ** 2))
-    evm = evm_percent(mse, np.mean(np.abs(symbols) ** 2))
+    power = np.mean(np.abs(symbols) ** 2)
+    # EVM is relative to the target power, so zero targets have none
+    evm = f"{evm_percent(mse, power):.2f}%" if power > 0 else "n/a"
     out = _out_dir(args)
     write_frame(out / "estimates.bin", est)
     write_frame(out / "tx_waveform.bin", record.tx_frame)
     print(
         f"{symbols.size} targets at {args.snr:g} dB ({args.mode}): "
-        f"symbol mse {mse:.6g}, evm {evm:.2f}%, clip rate {record.clip_rate:.4g}"
+        f"symbol mse {mse:.6g}, evm {evm}, clip rate {record.clip_rate:.4g}"
     )
     return 0
 

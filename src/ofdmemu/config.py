@@ -72,6 +72,8 @@ def check_seed(seed: int) -> None:
 # upper bounds on per-run workload counts, checked when the count is read
 # so that no oversized draw is ever allocated
 MAX_SYMBOLS = 1_000_000  # targets per `emulate` run or sweep cell
+# samples per `tx` or `rx` frame: `rx` peaks near 130 bytes per sample
+MAX_FRAME_SAMPLES = 2**21
 # targets per float_serial sweep cell: its one frame's Viterbi traceback
 # holds about 21 bytes for each of the cell's 64 trellis steps per target
 MAX_FLOAT_SERIAL_SYMBOLS = 100_000
@@ -81,6 +83,12 @@ MAX_WAVEFORMS = 100_000  # training waveforms or link records per stage
 MAX_OFDM_SYMBOLS = 10_000  # OFDM symbols per training waveform or record
 MAX_BATCH = 100_000  # batch sizes and link-refresh batches per cycle
 MAX_CYCLES = 1_000  # stage-3 refresh cycles
+# FFT points per OFDM symbol: every per-symbol array grows with it, and
+# `emulate --symbols 100000` peaks near 125 MB at 256 points
+MAX_FFT_SIZE = 256
+# the lowest channel SNR, where the noise power is 10^30 times the signal's;
+# far lower, the noise variance 10^(-snr/10) overflows a float
+MIN_SNR_DB = -300.0
 
 
 def check_count(name: str, count: int, limit: int) -> None:
@@ -127,8 +135,10 @@ class PhyConfig:
     pilot_base: tuple[int, ...] = PILOT_BASE
 
     def __post_init__(self) -> None:
-        if self.fft_size <= 0 or (self.fft_size & (self.fft_size - 1)) != 0:
-            raise ConfigError(f"fft_size must be a positive power of two, got {self.fft_size}")
+        if not 0 < self.fft_size <= MAX_FFT_SIZE or self.fft_size & (self.fft_size - 1):
+            raise ConfigError(
+                f"fft_size must be a power of two in 1..{MAX_FFT_SIZE}, got {self.fft_size}"
+            )
         if not 0 <= self.cp_len <= self.fft_size:
             raise ConfigError(f"cp_len must lie in [0, fft_size], got {self.cp_len}")
         if self.modulation_order not in SUPPORTED_MODULATIONS:
@@ -224,56 +234,46 @@ class PhyConfig:
     # -- config file loading --------------------------------------------
 
     @classmethod
-    def from_mapping(cls, kv: dict[str, str]) -> "PhyConfig":
-        unknown = sorted(set(kv) - _PHY_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown [phy] key {unknown[0]!r}")
-        kwargs: dict = {}
-        if "fft_size" in kv:
-            kwargs["fft_size"] = _parse_int(kv["fft_size"], "fft_size")
-        if "cp_len" in kv:
-            kwargs["cp_len"] = _parse_int(kv["cp_len"], "cp_len")
-        if "modulation" in kv:
-            kwargs["modulation_order"] = parse_modulation(kv["modulation"])
-        if "coding_rate" in kv:
-            kwargs["coding_rate"] = parse_rate(kv["coding_rate"])
-        if "scrambler_seed" in kv:
-            kwargs["scrambler_seed"] = _parse_int(kv["scrambler_seed"], "scrambler_seed")
-        smap = kv.get("subcarrier_map", "standard").strip().lower()
-        if smap == "standard":
-            layout = sorted(_LAYOUT_KEYS & set(kv))
-            if layout:
-                raise ConfigError(f"{layout[0]} needs subcarrier_map = custom")
-        elif smap == "custom":
-            try:
-                kwargs["data_subcarriers"] = _parse_int_list(kv["data_subcarriers"])
-                kwargs["pilot_subcarriers"] = _parse_int_list(kv["pilot_subcarriers"])
-            except KeyError as exc:
-                raise ConfigError(
-                    "subcarrier_map = custom needs data_subcarriers and pilot_subcarriers"
-                ) from exc
-            if "pilot_base" in kv:
-                kwargs["pilot_base"] = _parse_int_list(kv["pilot_base"])
-        else:
-            raise ConfigError(f"subcarrier_map must be 'standard' or 'custom', got {smap!r}")
-        return cls(**kwargs)
-
-    @classmethod
     def from_sections(cls, sections: dict[str, dict[str, str]]) -> "PhyConfig":
         """The PHY of parsed config sections: keys before any header, then [phy]."""
-        return cls.from_mapping({**sections.get("", {}), **sections.get("phy", {})})
+        phy = {**sections.get("", {}), **sections.get("phy", {})}
+        kv = section_values("phy", phy, _PHY_PARSERS)
+        smap = kv.pop("subcarrier_map", "standard")
+        layout = sorted(_LAYOUT_KEYS & set(kv))
+        if smap not in ("standard", "custom"):
+            raise ConfigError(f"subcarrier_map must be 'standard' or 'custom', got {smap!r}")
+        if smap == "standard" and layout:
+            raise ConfigError(f"{layout[0]} needs subcarrier_map = custom")
+        if smap == "custom" and not {"data_subcarriers", "pilot_subcarriers"} <= set(kv):
+            raise ConfigError(
+                "subcarrier_map = custom needs data_subcarriers and pilot_subcarriers"
+            )
+        if "modulation" in kv:
+            kv["modulation_order"] = kv.pop("modulation")
+        return cls(**kv)
 
 
 # keys that only a custom subcarrier map reads
 _LAYOUT_KEYS = {"data_subcarriers", "pilot_subcarriers", "pilot_base"}
-_PHY_KEYS = {
-    "fft_size",
-    "cp_len",
-    "modulation",
-    "coding_rate",
-    "scrambler_seed",
-    "subcarrier_map",
-} | _LAYOUT_KEYS
+
+
+def split_list(text: str) -> list[str]:
+    """The items of a comma- or space-separated config value."""
+    return text.replace(",", " ").split()
+
+
+def section_values(section: str, values: dict[str, str], parsers: dict) -> dict:
+    """Parse one config section's raw values by key, rejecting unknown
+    keys and values their parser refuses with ValueError."""
+    parsed = {}
+    for key, raw in values.items():
+        if key not in parsers:
+            raise ConfigError(f"unknown [{section}] key {key!r}")
+        try:
+            parsed[key] = parsers[key](raw)
+        except ValueError:
+            raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from None
+    return parsed
 
 
 def parse_modulation(text: str) -> int:
@@ -313,19 +313,22 @@ def parse_rate(text: str) -> Fraction:
     return r
 
 
-def _parse_int(text: str, name: str) -> int:
-    try:
-        return int(str(text).strip())
-    except ValueError:
-        raise ConfigError(f"bad integer for {name}: {text!r}") from None
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in split_list(text))
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    items = [t for t in str(text).replace(",", " ").split() if t]
-    try:
-        return tuple(int(t) for t in items)
-    except ValueError:
-        raise ConfigError(f"bad integer list: {text!r}") from None
+# [phy] key -> parser of its raw text
+_PHY_PARSERS = {
+    "fft_size": int,
+    "cp_len": int,
+    "modulation": parse_modulation,
+    "coding_rate": parse_rate,
+    "scrambler_seed": int,
+    "subcarrier_map": str.lower,
+    "data_subcarriers": _int_list,
+    "pilot_subcarriers": _int_list,
+    "pilot_base": _int_list,
+}
 
 
 # the [section] headers a config file may use

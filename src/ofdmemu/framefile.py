@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FramingError
+from .errors import ConfigError, FramingError
 
 FRAME_MAGIC = b"OFRM"
 FRAME_VERSION = 1
@@ -35,18 +35,27 @@ def frame_bytes(samples: np.ndarray) -> bytes:
     return _FRAME_HEADER.pack(FRAME_MAGIC, FRAME_VERSION, samples.size) + inter.tobytes()
 
 
+def _payload(blob: bytes, header: struct.Struct, magic: bytes, version: int, item_size: int):
+    """Check a blob's magic, version and payload length (``item_size`` bytes
+    per count, the header's last field); return the other header fields
+    and the payload as floats."""
+    if len(blob) < header.size:
+        raise FramingError(f"{len(blob)} bytes, shorter than the {header.size}-byte header")
+    got_magic, got_version, *fields = header.unpack_from(blob)
+    if got_magic != magic:
+        raise FramingError(f"bad magic {got_magic!r}, expected {magic!r}")
+    if got_version != version:
+        raise FramingError(f"unsupported {magic.decode()} version {got_version}")
+    payload, want = len(blob) - header.size, item_size * fields[-1]
+    if payload != want:
+        raise FramingError(f"payload has {payload} bytes, header promised {want}")
+    return fields, np.frombuffer(blob, dtype="<f8", offset=header.size)
+
+
 def frame_from_bytes(blob: bytes) -> np.ndarray:
-    if len(blob) < _FRAME_HEADER.size:
-        raise FramingError("frame blob shorter than its header")
-    magic, version, count = _FRAME_HEADER.unpack_from(blob)
-    if magic != FRAME_MAGIC:
-        raise FramingError(f"bad frame magic {magic!r}")
-    if version != FRAME_VERSION:
-        raise FramingError(f"unsupported frame version {version}")
-    payload = len(blob) - _FRAME_HEADER.size
-    if payload != 16 * count:
-        raise FramingError(f"frame payload has {payload} bytes, header promised {16 * count}")
-    body = np.frombuffer(blob, dtype="<f8", offset=_FRAME_HEADER.size)
+    _, body = _payload(blob, _FRAME_HEADER, FRAME_MAGIC, FRAME_VERSION, 16)
+    if not np.all(np.isfinite(body)):
+        raise FramingError("frame holds a non-finite sample")
     return body[0::2] + 1j * body[1::2]
 
 
@@ -54,16 +63,27 @@ def write_frame(path: str | Path, samples: np.ndarray) -> None:
     Path(path).write_bytes(frame_bytes(samples))
 
 
-def read_input(path: str | Path) -> bytes:
-    """The bytes of an input file; a path that cannot be read is a FramingError."""
+def read_input(path: str | Path, limit: int | None = None) -> bytes:
+    """The bytes of an input file: a FramingError if it cannot be read, a
+    ConfigError if it has more than ``limit`` bytes.  A file's size is
+    checked before the read; a pipe or device has none, so its read stops
+    one byte past the limit."""
     try:
-        return Path(path).read_bytes()
+        if limit is not None and (size := Path(path).stat().st_size) > limit:
+            raise ConfigError(f"{path} has {size} bytes; at most {limit} are allowed")
+        with Path(path).open("rb") as fh:
+            data = fh.read(-1 if limit is None else limit + 1)
     except OSError as exc:
         raise FramingError(f"cannot read {path}: {exc.strerror}") from None
+    if limit is not None and len(data) > limit:
+        raise ConfigError(f"{path} has more than {limit} bytes")
+    return data
 
 
-def read_frame(path: str | Path) -> np.ndarray:
-    return frame_from_bytes(read_input(path))
+def read_frame(path: str | Path, max_samples: int | None = None) -> np.ndarray:
+    """A frame file's samples; more than ``max_samples`` is a ConfigError."""
+    limit = None if max_samples is None else _FRAME_HEADER.size + 16 * max_samples
+    return frame_from_bytes(read_input(path, limit))
 
 
 def write_model(path: str | Path, model) -> None:
@@ -76,26 +96,17 @@ def write_model(path: str | Path, model) -> None:
 
 def read_model_into(path: str | Path, model) -> None:
     """Load parameters, refusing on any fingerprint or size mismatch."""
-    blob = read_input(path)
-    if len(blob) < _MODEL_HEADER.size:
-        raise FramingError("model blob shorter than its header")
-    magic, version, fp, count = _MODEL_HEADER.unpack_from(blob)
-    if magic != MODEL_MAGIC:
-        raise FramingError(f"bad model magic {magic!r}")
-    if version != MODEL_VERSION:
-        raise FramingError(f"unsupported model version {version}")
+    (fp, count), body = _payload(read_input(path), _MODEL_HEADER, MODEL_MAGIC, MODEL_VERSION, 8)
     want = model.architecture_fingerprint().encode("ascii")
     if fp != want:
         raise FramingError(
             f"architecture fingerprint {fp!r} does not match model ({want.decode()})"
         )
-    payload = len(blob) - _MODEL_HEADER.size
-    if payload != 8 * count or count != model.parameter_count():
+    if count != model.parameter_count():
         raise FramingError(
-            f"model payload has {payload} bytes, header promised {8 * count}, "
-            f"model needs {8 * model.parameter_count()}"
+            f"model file holds {count} parameters, model needs {model.parameter_count()}"
         )
-    model.load_state_vector(np.frombuffer(blob, dtype="<f8", offset=_MODEL_HEADER.size).copy())
+    model.load_state_vector(body.copy())
 
 
 def write_loss_trace(path: str | Path, trace) -> None:

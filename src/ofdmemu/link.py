@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import KMOD_SQUARED, PhyConfig
+from .config import KMOD_SQUARED, MIN_SNR_DB, PhyConfig
 from .errors import ConfigError, FramingError, SelectionError
 from .gf2 import Gf2Solver, Unsolvable
 from .inversion import (
@@ -259,9 +259,10 @@ def targets_from_waveform(
 # ---------------------------------------------------------------------------
 
 def check_snr(snr_db: float) -> None:
-    """Reject SNRs that would turn every noisy sample into NaN."""
-    if math.isnan(snr_db) or snr_db == -math.inf:
-        raise ConfigError(f"snr_db must be finite or +inf, got {snr_db}")
+    """Reject SNRs whose noise variance is NaN or overflows: NaN and
+    anything below ``MIN_SNR_DB``.  +inf means no noise."""
+    if not snr_db >= MIN_SNR_DB:
+        raise ConfigError(f"snr_db must be at least {MIN_SNR_DB:g} dB, got {snr_db}")
 
 
 def _add_noise(

@@ -35,10 +35,12 @@ from .link import (
     EmulationSetup,
     LinkRecord,
     TargetSymbols,
+    _chosen_values,
     box_scale,
+    check_snr,
     emulated_link,
-    reference_waveform,
     targets_from_waveform,
+    waveform_from_values,
 )
 from .nn import (
     CompensatorModel,
@@ -49,7 +51,6 @@ from .nn import (
     ToyJsccModel,
     complex_to_wave,
 )
-from .phy import demodulate_frame
 from .sources import gaussian_symbols, glyph_images, longest_chosen_run, smooth_waveform
 
 __all__ = [
@@ -143,6 +144,8 @@ class TrainConfig:
         if self.refresh_batch_count < 2:
             raise ConfigError("refresh_batch_count must be at least 2: one record is held out")
         check_seed(self.master_seed)
+        check_snr(self.stage1_snr_db)
+        check_snr(self.stage2_snr_db)
 
     def child_rng(self, index: int) -> np.random.Generator:
         # the same stream as SeedSequence(master_seed).spawn(n)[index]
@@ -406,43 +409,28 @@ def stage2_train_proxy(
 class _SymbolFraming:
     """Constant linear maps between latent reals and reference waveforms.
 
-    Built by probing the link's own framing and extraction with basis
-    vectors, so the in-graph matrices agree with the real link by
-    construction.  Latent layout: reals (2K,) with even indices real
-    parts, odd indices imaginary parts.  Wave layout: (N_s, 2).
+    Built by passing basis rows through the link's own framing and unit
+    waves through its own chosen-bin read, so the in-graph matrices agree
+    with the real link by construction.  Latent layout: reals (2K,) with
+    even indices real parts, odd indices imaginary parts.  Wave layout:
+    (N_s, 2).
     """
 
     def __init__(self, setup: EmulationSetup, pairs: int):
-        self.setup = setup
-        self.pairs = pairs
-        cfg = setup.cfg
         nch = setup.n_chosen
         n_sym = (pairs + nch - 1) // nch
-        self.n_samples = n_sym * cfg.samples_per_ofdm
-        frame = np.zeros((2 * self.n_samples, 2 * pairs))
-        for k in range(pairs):
-            basis = np.zeros(pairs, dtype=np.complex128)
-            basis[k] = 1.0
-            col = complex_to_wave(
-                reference_waveform(TargetSymbols(basis, 1.0), setup)
-            ).reshape(-1)
-            frame[:, 2 * k] = col
-            basis[k] = 1.0j
-            col = complex_to_wave(
-                reference_waveform(TargetSymbols(basis, 1.0), setup)
-            ).reshape(-1)
-            frame[:, 2 * k + 1] = col
-        self.frame_matrix = frame
+        self.n_samples = n_sym * setup.cfg.samples_per_ofdm
+        # row 2k carries 1 on pair k and row 2k + 1 carries 1j; every row
+        # is padded to whole OFDM symbols, as reference_waveform pads
+        basis = np.zeros((2 * pairs, n_sym * nch), dtype=np.complex128)
+        basis[:, :pairs] = np.kron(np.eye(pairs), [[1.0], [1.0j]])
+        waves = waveform_from_values(basis, setup).view(np.float64)
+        self.frame_matrix = np.ascontiguousarray(waves.reshape(2 * pairs, -1).T)
 
-        extract = np.zeros((2 * pairs, 2 * self.n_samples))
-        for j in range(2 * self.n_samples):
-            wave = np.zeros(self.n_samples, dtype=np.complex128)
-            wave[j // 2] = 1.0 if j % 2 == 0 else 1.0j
-            grids = demodulate_frame(wave, cfg)
-            vals = grids[:, setup.chosen_bins].reshape(-1)[:pairs]
-            extract[0::2, j] = vals.real
-            extract[1::2, j] = vals.imag
-        self.extract_matrix = extract
+        # row 2j carries 1 at sample j and row 2j + 1 carries 1j
+        units = np.kron(np.eye(self.n_samples), [[1.0], [1.0j]])
+        vals = _chosen_values(units, setup).reshape(2 * self.n_samples, -1)[:, :pairs]
+        self.extract_matrix = np.ascontiguousarray(vals.view(np.float64).T)
 
     def frame(self, latent: Tensor) -> Tensor:
         """(B, 2K) latent -> (B, N_s, 2) reference waveform."""

@@ -1,5 +1,6 @@
 import io
 import os
+import threading
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofdmemu.cli import main
-from ofdmemu.config import MAX_SYMBOLS, PhyConfig, parse_config_file
+from ofdmemu.config import MAX_FRAME_SAMPLES, MAX_SYMBOLS, PhyConfig, parse_config_file
 from ofdmemu.framefile import FRAME_MAGIC, FRAME_VERSION, read_frame, write_frame
 from ofdmemu.link import EmulationSetup
 from ofdmemu.phy import tx_chain
@@ -65,6 +66,17 @@ def test_tx_rx_roundtrip(tmp_path, capsys, rng):
     rc = main(["rx", "--in", str(wave), "--out", str(tmp_path / "rxout")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rx_non_finite_frame_exits_1(tmp_path, capsys, bad):
+    # one sample inside an OFDM symbol body; the quantizer cannot place it
+    samples = tx_chain(np.zeros(PhyConfig().n_dbps, dtype=np.uint8), PhyConfig()).samples
+    samples[40] = bad
+    write_frame(tmp_path / "bad.bin", samples)
+    rc = main(["rx", "--in", str(tmp_path / "bad.bin"), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_emulate_generated_targets(tmp_path, capsys):
@@ -133,6 +145,12 @@ def test_bad_train_key_exits_2(tmp_path, capsys):
         (["selftest", "--quick"], "[phyy]\nmodulation = qpsk\n"),
         # a float_serial cell this long would hold ~1.4 GB of Viterbi traceback
         (["sweep"], "[sweep]\nn_symbols = 1000000\nsystems = float_serial\n"),
+        # SNRs whose noise variance would overflow
+        (["sweep"], "[sweep]\nsnr_list = -1e308\nsystems = ideal_analog\n"),
+        (["train-comp"], "[train]\nstage1_snr_db = -1e308\n"),
+        (["train-proxy"], "[train]\nstage2_snr_db = -1e308\n"),
+        # a 2**40-point FFT would ask for terabytes per OFDM symbol grid
+        (["selftest", "--quick"], "[phy]\nfft_size = 1099511627776\n"),
     ]
     cfgfile = tmp_path / "bad.cfg"
     for command, text in cases:
@@ -142,7 +160,7 @@ def test_bad_train_key_exits_2(tmp_path, capsys):
         assert "configuration error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("snr", ["nan", "-inf"])
+@pytest.mark.parametrize("snr", ["nan", "-inf", "-1e308"])
 def test_emulate_bad_snr_exits_2(tmp_path, capsys, snr):
     rc = main(["emulate", "--symbols", "10", f"--snr={snr}", "--out", str(tmp_path)])
     assert rc == 2
@@ -163,19 +181,54 @@ def test_emulate_huge_symbols_exits_2_before_allocating(tmp_path, capsys):
     assert "--symbols must be in 1..1000000" in capsys.readouterr().err
 
 
-def test_emulate_huge_target_file_exits_2_before_reading(tmp_path, capsys, monkeypatch):
-    def unreachable(path):
-        raise AssertionError("read an oversized target file")
+def _forbid_reads(monkeypatch):
+    def unreachable(path, *args, **kwargs):
+        raise AssertionError("opened an oversized input file")
 
-    monkeypatch.setattr("ofdmemu.cli.read_frame", unreachable)
+    monkeypatch.setattr("pathlib.Path.open", unreachable)
+
+
+def test_emulate_huge_target_file_exits_2_before_reading(tmp_path, capsys, monkeypatch):
     # a valid header promising one target too many; the sparse body uses no disk
     path = tmp_path / "huge.bin"
     count = MAX_SYMBOLS + 1
     path.write_bytes(FRAME_MAGIC + FRAME_VERSION.to_bytes(4, "little") + count.to_bytes(8, "little"))
     os.truncate(path, 16 + 16 * count)
+    _forbid_reads(monkeypatch)
     rc = main(["emulate", "--in", str(path), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert f"at most {16 + 16 * MAX_SYMBOLS}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["tx", "rx"])
+def test_huge_tx_rx_input_exits_2_before_reading(tmp_path, capsys, monkeypatch, command):
+    cfg = PhyConfig()
+    # one byte past the largest payload, or the largest frame, the bound allows
+    limit = {
+        "tx": MAX_FRAME_SAMPLES // cfg.samples_per_ofdm * cfg.n_dbps // 8,
+        "rx": 16 + 16 * MAX_FRAME_SAMPLES,
+    }[command]
+    path = tmp_path / "huge.bin"
+    path.write_bytes(b"")
+    os.truncate(path, limit + 1)
+    _forbid_reads(monkeypatch)
+    rc = main([command, "--in", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"at most {limit}" in capsys.readouterr().err
+
+
+def test_tx_pipe_past_the_bound_exits_2(tmp_path, capsys):
+    # a pipe has no size to check before the read, so the read itself stops
+    cfg = PhyConfig()
+    limit = MAX_FRAME_SAMPLES // cfg.samples_per_ofdm * cfg.n_dbps // 8
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(bytes(limit + 1),), daemon=True)
+    writer.start()
+    rc = main(["tx", "--in", str(pipe), "--out", str(tmp_path / "o")])
+    writer.join(timeout=10)
+    assert rc == 2
+    assert f"more than {limit} bytes" in capsys.readouterr().err
 
 
 def test_emulate_zero_targets_warns_nothing(tmp_path, capsys):
@@ -184,6 +237,8 @@ def test_emulate_zero_targets_warns_nothing(tmp_path, capsys):
         warnings.simplefilter("error")
         rc = main(["emulate", "--in", str(tmp_path / "zeros.bin"), "--out", str(tmp_path / "o")])
     assert rc == 0
+    # EVM is relative to the target power, which is zero here
+    assert "evm n/a" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("key", ["n_symbols", "n_images"])
@@ -356,8 +411,8 @@ _CONFIG_TEXTS = {
 }
 # names of undecodable bytes, as argv carries them on POSIX
 _NON_UTF8 = os.fsdecode(b"\xff\xfe")
-_PATHS_IN = ["payload", "empty", "junk", "frame", "targets", "dir", "non_utf8", "missing",
-             "missing_non_utf8", ""]
+_PATHS_IN = ["payload", "empty", "junk", "frame", "nan_frame", "targets", "dir", "non_utf8",
+             "missing", "missing_non_utf8", ""]
 _PATHS_OUT = [None, "fresh", "", "payload", "under_file", "dir", "fresh_non_utf8"]
 _CONFIGS_SMALL = [None, "phy_bpsk.cfg", "bad_phy.cfg", "empty.cfg", "binary.cfg", "payload",
                   "missing", "dir", ""]
@@ -369,7 +424,7 @@ _SEEDS = [None, "0", "3", "-1", "nan", "", "1e3", "18446744073709551616", _NON_U
 # emulate's own options; a missing --symbols means 1000 targets
 _EMULATE = {
     "--symbols": [None, "1", "5", "0", "-1", "nan", "", "1000001", "100000000000"],
-    "--snr": [None, "15", "0", "-5", "nan", "-inf", "inf", "1e308", "abc", ""],
+    "--snr": [None, "15", "0", "-5", "nan", "-inf", "inf", "1e308", "-1e308", "abc", ""],
     "--mode": [None, "soft", "hard", "bogus", ""],
 }
 _SWEEP = {
@@ -396,7 +451,11 @@ def cli_files(tmp_path_factory):
         files[name].write_text(text)
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[: PhyConfig().n_dbps]
     files["frame"] = root / "frame.bin"
-    write_frame(files["frame"], tx_chain(bits, PhyConfig()).samples)
+    samples = tx_chain(bits, PhyConfig()).samples
+    write_frame(files["frame"], samples)
+    samples[40] = np.nan  # inside the first OFDM symbol's body
+    files["nan_frame"] = root / "nan_frame.bin"
+    write_frame(files["nan_frame"], samples)
     files["targets"] = root / "targets.bin"
     write_frame(files["targets"], rng.normal(size=5) + 1j * rng.normal(size=5))
     files["dir"] = root / "dir"
@@ -422,7 +481,11 @@ def _argvs(draw, files):
 
     def option(argv, flag, pool, to_text=lambda v: v):
         value = draw(st.sampled_from(pool))
-        if value is not None:
+        # argparse takes a separate value such as "-1e308" for a flag, so
+        # the value is also drawn joined to its option
+        if value is not None and draw(st.booleans()):
+            argv += [f"{flag}={to_text(value)}"]
+        elif value is not None:
             argv += [flag, to_text(value)]
 
     command = draw(st.sampled_from(

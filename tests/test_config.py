@@ -65,6 +65,7 @@ def test_default_subcarrier_layout():
         dict(coding_rate=Fraction(4, 5)),
         dict(scrambler_seed=0),
         dict(scrambler_seed=128),
+        dict(fft_size=2**40),
     ],
 )
 def test_invalid_fields_rejected(kwargs):

@@ -1,14 +1,26 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ofdmemu.config import PhyConfig
 from ofdmemu.errors import ConfigError, TrainingError
-from ofdmemu.nn.models import CompensatorModel, PeriodSpec, ProxyModel, ToyJsccModel
+from ofdmemu.link import EmulationSetup, TargetSymbols, _chosen_values, reference_waveform
+from ofdmemu.nn import Tensor
+from ofdmemu.nn.models import (
+    CompensatorModel,
+    PeriodSpec,
+    ProxyModel,
+    ToyJsccModel,
+    complex_to_wave,
+    wave_to_complex,
+)
 from ofdmemu.sources import glyph_images
 from ofdmemu.training import (
     Curriculum,
     TrainConfig,
+    _SymbolFraming,
     collect_link_records,
     evaluate_image_link,
     stage1_train_compensator,
@@ -57,6 +69,10 @@ def test_train_config_validation():
     # phase B holds one refresh record out, so one record leaves it nothing to fit
     with pytest.raises(ConfigError, match="refresh_batch_count must be at least 2"):
         TrainConfig(refresh_batch_count=1)
+    # an SNR this low would overflow the stage's noise variance
+    for key in ("stage1_snr_db", "stage2_snr_db"):
+        with pytest.raises(ConfigError, match="snr_db must be at least"):
+            TrainConfig(**{key: -1e308})
     TrainConfig(gamma=0.0)
     TrainConfig(gamma=1.0)
 
@@ -229,3 +245,24 @@ def test_evaluate_image_link_deterministic(default_setup):
     assert 0.0 <= a["clip_rate"] <= 1.0
     assert a["symbol_power"] == pytest.approx(1.0, rel=0.2)
 
+
+@pytest.mark.parametrize(
+    "rate,m", [(Fraction(3, 4), 64), (Fraction(1, 2), 4)], ids=["64qam-r34", "qpsk-r12"]
+)
+def test_symbol_framing_matches_the_link(rate, m):
+    # stage 3's matrices frame latents and read waveforms as the real link
+    # does, for latents that fill one OFDM symbol and that spill into a second
+    setup = EmulationSetup.build(PhyConfig(modulation_order=m, coding_rate=rate))
+    rng = np.random.default_rng(4)
+    for pairs in (setup.n_chosen, setup.n_chosen + 1):
+        framing = _SymbolFraming(setup, pairs)
+        latent = rng.normal(size=(3, 2 * pairs))
+        framed = framing.frame(Tensor(latent)).data
+        for row, z in zip(framed, latent.view(np.complex128)):
+            want = complex_to_wave(reference_waveform(TargetSymbols(z, 1.0), setup))
+            assert np.allclose(row, want, rtol=0, atol=1e-12)
+        waves = rng.normal(size=(3, framing.n_samples, 2))
+        read = framing.extract(Tensor(waves)).data
+        for row, wave in zip(read, waves):
+            want = _chosen_values(wave_to_complex(wave), setup)[:pairs]
+            assert np.allclose(row, want.view(np.float64), rtol=0, atol=1e-12)
