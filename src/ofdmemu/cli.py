@@ -45,7 +45,7 @@ from .harness import (
     selftest,
     write_csv,
 )
-from .link import EmulationSetup, TargetSymbols, box_scale, check_snr, emulated_link
+from .link import EmulationSetup, TargetSymbols, check_snr, emulated_link
 from .phy import BasebandFrame, rx_chain, tx_chain
 
 DEFAULT_OUT = "ofdmemu_out"
@@ -67,9 +67,11 @@ _SWEEP_KEYS = {
 }
 
 
-def _train_config(args, sections: dict):
+def _training_inputs(args):
+    """A training command's TrainConfig, PHY config and emulation set-up."""
     from .training import TrainConfig
 
+    sections, cfg = _load_config(args)
     parsers = {
         f.name: float if "float" in str(f.type) else int
         for f in dataclasses.fields(TrainConfig)
@@ -77,7 +79,7 @@ def _train_config(args, sections: dict):
     kwargs = section_values("train", sections.get("train", {}), parsers)
     if args.seed is not None:
         kwargs["master_seed"] = args.seed
-    return TrainConfig(**kwargs)
+    return TrainConfig(**kwargs), cfg, EmulationSetup.build(cfg)
 
 
 def _experiment_spec(args, sections: dict, cfg: PhyConfig) -> ExperimentSpec:
@@ -147,7 +149,7 @@ def cmd_emulate(args) -> int:
     else:
         symbols = gaussian_targets(args.symbols, np.random.default_rng(seed))
     setup = EmulationSetup.build(cfg)
-    targets = TargetSymbols(symbols, box_scale(cfg))
+    targets = TargetSymbols.unit_power(symbols, cfg)
     estimates, record = emulated_link(targets, args.snr, seed, setup, mode=args.mode)
     est = estimates[: symbols.size]
     mse = float(np.mean(np.abs(est - symbols) ** 2))
@@ -198,20 +200,27 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _save_training(args, tc, cfg: PhyConfig, models: dict, traces: dict) -> Path:
+    """Models, loss traces (``<stage>_trace.csv``) and a manifest of the
+    master seed, the PHY fingerprint and every ``[train]`` value."""
+    out = _out_dir(args)
+    manifest = {"master_seed": tc.master_seed, "phy_fingerprint": cfg.fingerprint()}
+    for f in dataclasses.fields(tc):
+        manifest[f"train_{f.name}"] = getattr(tc, f.name)
+    save_checkpoint(out, models, manifest)
+    for stage, trace in traces.items():
+        write_loss_trace(out / f"{stage}_trace.csv", trace)
+    return out
+
+
 def cmd_train_comp(args) -> int:
     from .training import stage1_train_compensator
 
-    sections, cfg = _load_config(args)
-    tc = _train_config(args, sections)
-    setup = EmulationSetup.build(cfg)
+    tc, cfg, setup = _training_inputs(args)
     result = stage1_train_compensator(setup, tc)
-    out = _out_dir(args)
-    save_checkpoint(
-        out,
-        {"compensator": result.model},
-        {"master_seed": tc.master_seed, "phy_fingerprint": cfg.fingerprint()},
+    out = _save_training(
+        args, tc, cfg, {"compensator": result.model}, {"stage1": result.loss_trace}
     )
-    write_loss_trace(out / "stage1_trace.csv", result.loss_trace)
     print(
         f"stage-1 validation mse {result.metrics['val_mse_uncompensated']:.5f} -> "
         f"{result.metrics['val_mse_compensated']:.5f} "
@@ -223,17 +232,9 @@ def cmd_train_comp(args) -> int:
 def cmd_train_proxy(args) -> int:
     from .training import collect_stage2_records, stage2_train_proxy
 
-    sections, cfg = _load_config(args)
-    tc = _train_config(args, sections)
-    setup = EmulationSetup.build(cfg)
+    tc, cfg, setup = _training_inputs(args)
     result = stage2_train_proxy(collect_stage2_records(setup, tc), tc)
-    out = _out_dir(args)
-    save_checkpoint(
-        out,
-        {"proxy": result.model},
-        {"master_seed": tc.master_seed, "phy_fingerprint": cfg.fingerprint()},
-    )
-    write_loss_trace(out / "stage2_trace.csv", result.loss_trace)
+    out = _save_training(args, tc, cfg, {"proxy": result.model}, {"stage2": result.loss_trace})
     print(
         f"stage-2 held-out mse {result.metrics['held_out_mse']:.5f} "
         f"(bound {result.metrics['held_out_bound']:.5f}) -> {out}"
@@ -244,28 +245,16 @@ def cmd_train_proxy(args) -> int:
 def cmd_train_e2e(args) -> int:
     from .training import run_training_pipeline
 
-    sections, cfg = _load_config(args)
-    tc = _train_config(args, sections)
-    setup = EmulationSetup.build(cfg)
+    tc, cfg, setup = _training_inputs(args)
     result = run_training_pipeline(setup, tc)
-    out = _out_dir(args)
-    manifest = {"master_seed": tc.master_seed, "phy_fingerprint": cfg.fingerprint()}
-    for f in dataclasses.fields(tc):
-        manifest[f"train_{f.name}"] = getattr(tc, f.name)
-    save_checkpoint(
-        out,
-        {
-            "compensator": result.compensator,
-            "proxy": result.proxy,
-            "jscc": result.jscc,
-            "zero_shot": result.zero_shot_jscc,
-        },
-        manifest,
-    )
-    write_loss_trace(out / "stage1_trace.csv", result.stage1.loss_trace)
-    write_loss_trace(out / "stage2_trace.csv", result.stage2.loss_trace)
-    write_loss_trace(out / "stage3_trace.csv", result.stage3.loss_trace)
-    write_loss_trace(out / "zero_shot_trace.csv", result.zero_shot.loss_trace)
+    models = {
+        "compensator": result.compensator,
+        "proxy": result.proxy,
+        "jscc": result.jscc,
+        "zero_shot": result.zero_shot_jscc,
+    }
+    traces = {s: getattr(result, s).loss_trace for s in ("stage1", "stage2", "stage3", "zero_shot")}
+    out = _save_training(args, tc, cfg, models, traces)
     print(
         f"stage-1 improvement {100 * result.stage1.metrics['improvement']:.1f}%, "
         f"stage-2 held-out {result.stage2.metrics['held_out_mse']:.5f}, "

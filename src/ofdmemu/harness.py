@@ -28,7 +28,6 @@ from .link import (
     TargetSymbols,
     awgn,
     box_edge,
-    box_scale,
     check_snr,
     float_serialization_link,
     ideal_analog_link,
@@ -180,16 +179,13 @@ def _cell_symbols(
     if system == "ideal_analog":
         est = ideal_analog_link(sym, snr, rng)
     elif system == "emulated":
-        plan = sender_invert(TargetSymbols(sym, box_scale(spec.cfg)), setup)
+        plan = sender_invert(TargetSymbols.unit_power(sym, spec.cfg), setup)
         noisy = awgn(tx_chain(plan.bitstream, spec.cfg), snr, seed)
         est = receiver_recover_soft(noisy, plan, setup)[0][: sym.size]
         ber = float(np.mean(rx_chain(noisy, spec.cfg) != plan.bitstream))
     else:
-        values = np.empty(2 * sym.size)
-        values[0::2] = sym.real
-        values[1::2] = sym.imag
-        out, bits, got = float_serialization_link(values, snr, seed, spec.cfg)
-        est = out[0::2] + 1j * out[1::2]
+        out, bits, got = float_serialization_link(sym.view(np.float64), snr, seed, spec.cfg)
+        est = out.view(np.complex128)
         ber = float(np.mean(bits != got))
     sq = np.abs(est - sym) ** 2
     return _metric_row(

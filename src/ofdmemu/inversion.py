@@ -107,7 +107,7 @@ def build_symbol_system(cfg: PhyConfig) -> SymbolSystem:
                     m_state[2 * t + 1, -src - 1] ^= 1
 
     pattern = np.asarray(PUNCTURE_PATTERNS[cfg.coding_rate], dtype=bool)
-    keep = np.nonzero(np.resize(pattern, 2 * beta))[0]
+    keep = np.nonzero(np.tile(pattern, -(-2 * beta // pattern.size))[: 2 * beta])[0]
     perm = _interleave_perm(alpha, cfg.n_bpsc)
 
     c_dense = np.empty((alpha, beta), dtype=np.uint8)

@@ -54,6 +54,8 @@ __all__ = [
     "reference_waveform",
     "targets_from_waveform",
     "check_snr",
+    "noise_variance",
+    "axis_noise",
     "awgn",
     "receiver_recover_soft",
     "receiver_recover_hard",
@@ -265,19 +267,30 @@ def check_snr(snr_db: float) -> None:
         raise ConfigError(f"snr_db must be at least {MIN_SNR_DB:g} dB, got {snr_db}")
 
 
+def noise_variance(snr_db: float) -> float:
+    """Complex noise variance per unit signal power, 10^(-snr/10); 0 at
+    +inf.  Raises ConfigError where ``check_snr`` does."""
+    check_snr(snr_db)
+    return 0.0 if snr_db == math.inf else 10.0 ** (-snr_db / 10.0)
+
+
+def axis_noise(rng: np.random.Generator, var: float, shape) -> np.ndarray:
+    """Real Gaussian draws carrying complex variance ``var`` split evenly
+    over the I and Q axes."""
+    return rng.normal(0.0, math.sqrt(var / 2.0), size=shape)
+
+
 def _add_noise(
     x: np.ndarray, snr_db: float, seed: int | np.random.Generator, power: float | None
 ) -> np.ndarray:
-    """x plus complex AWGN of variance power * 10^(-snr/10), split evenly
-    between axes; ``power`` None measures it from x.  +inf SNR copies x."""
-    check_snr(snr_db)
+    """x plus complex AWGN of variance power * noise_variance(snr_db);
+    ``power`` None measures it from x.  +inf SNR copies x and draws nothing."""
+    base = noise_variance(snr_db)
     if snr_db == math.inf:
         return x.copy()
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if power is None:
         power = float(np.mean(np.abs(x) ** 2))
-    var = power * 10.0 ** (-snr_db / 10.0)
-    noise = rng.normal(0.0, math.sqrt(var / 2.0), size=(x.size, 2))
+    noise = axis_noise(np.random.default_rng(seed), power * base, (x.size, 2))
     return x + noise[:, 0] + 1j * noise[:, 1]
 
 
@@ -425,15 +438,14 @@ def emulated_link(
 
 
 def ideal_analog_link(
-    targets: TargetSymbols | np.ndarray, snr_db: float, seed: int | np.random.Generator
+    symbols: np.ndarray, snr_db: float, seed: int | np.random.Generator
 ) -> np.ndarray:
-    """Reference analog channel: targets plus AWGN at the nominal SNR.
+    """Reference analog channel: symbols plus AWGN at the nominal SNR.
 
     Noise variance is 10^(-snr/10) per complex symbol under the
     unit-average-power convention, independent of the empirical power.
     """
-    symbols = targets.symbols if isinstance(targets, TargetSymbols) else np.asarray(targets)
-    return _add_noise(symbols.astype(np.complex128).ravel(), snr_db, seed, power=1.0)
+    return _add_noise(np.asarray(symbols, dtype=np.complex128).ravel(), snr_db, seed, power=1.0)
 
 
 _FLOAT_BOUND = 1e3

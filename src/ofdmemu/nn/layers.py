@@ -82,20 +82,11 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_o
 class Dense(Module):
     """Affine layer y = x W + b for (..., features_in) inputs."""
 
-    def __init__(
-        self,
-        features_in: int,
-        features_out: int,
-        rng: np.random.Generator,
-        zero_init: bool = False,
-    ):
+    def __init__(self, features_in: int, features_out: int, rng: np.random.Generator):
         super().__init__()
         self.features_in = features_in
         self.features_out = features_out
-        if zero_init:
-            w = np.zeros((features_in, features_out))
-        else:
-            w = _glorot(rng, (features_in, features_out), features_in, features_out)
+        w = _glorot(rng, (features_in, features_out), features_in, features_out)
         self.weight = self._param("weight", w)
         self.bias = self._param("bias", np.zeros(features_out))
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import PhyConfig
+from ..link import axis_noise, noise_variance
 from .autodiff import Tensor, concat
 from .layers import Conv2d, Dense, Module
 
@@ -197,18 +198,11 @@ class ProxyModel(Module):
         if single:
             w = w.reshape(1, *w.shape)
         h = self._run(self.sender, w)
-        base = 0.0 if (math.isinf(snr_db) and snr_db > 0) else 10.0 ** (-snr_db / 10.0)
-        var = self.noise_gain * base + self.noise_floor
+        var = self.noise_gain * noise_variance(snr_db) + self.noise_floor
         if var > 0 and inject_noise:
             if seed is None:
                 raise ValueError("noisy proxy evaluation requires a seed")
-            rng = (
-                seed
-                if isinstance(seed, np.random.Generator)
-                else np.random.default_rng(seed)
-            )
-            noise = rng.normal(0.0, math.sqrt(var / 2.0), size=h.shape)
-            h = h + Tensor(noise)
+            h = h + Tensor(axis_noise(np.random.default_rng(seed), var, h.shape))
         y = self._run(self.receiver, h)
         return y.reshape(y.shape[1], 2) if single else y
 

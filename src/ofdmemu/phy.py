@@ -110,7 +110,8 @@ def lfsr_sequence(length: int, seed: int) -> np.ndarray:
     """
     if not 1 <= seed <= 127:
         raise ConfigError(f"scrambler seed must be a nonzero 7-bit value, got {seed}")
-    return np.resize(_lfsr_period(seed), length)
+    period = _lfsr_period(seed)
+    return np.tile(period, -(-length // period.size))[:length]
 
 
 def scramble(bits: np.ndarray, seed: int) -> np.ndarray:
@@ -169,10 +170,7 @@ def puncture(coded: np.ndarray, rate: Fraction | str) -> np.ndarray:
     """Drop mother-code bits according to the standard pattern for ``rate``."""
     coded = _as_bits(coded)
     pat = _pattern(rate)
-    if pat.all():
-        return coded.copy()
-    mask = np.resize(pat, coded.size)
-    return coded[mask]
+    return coded[np.tile(pat, -(-coded.size // pat.size))[: coded.size]]
 
 
 def depuncture(kept: np.ndarray, rate: Fraction | str) -> np.ndarray:
@@ -186,8 +184,7 @@ def depuncture(kept: np.ndarray, rate: Fraction | str) -> np.ndarray:
         )
     periods = kept.size // keep_per_period
     out = np.full(periods * pat.size, -1, dtype=np.int8)
-    mask = np.resize(pat, out.size)
-    out[mask] = kept.astype(np.int8)
+    out[np.tile(pat, periods)] = kept.astype(np.int8)
     return out
 
 

@@ -36,9 +36,10 @@ from .link import (
     LinkRecord,
     TargetSymbols,
     _chosen_values,
-    box_scale,
+    axis_noise,
     check_snr,
     emulated_link,
+    noise_variance,
     targets_from_waveform,
     waveform_from_values,
 )
@@ -152,24 +153,13 @@ class TrainConfig:
         return np.random.default_rng(np.random.SeedSequence(self.master_seed, spawn_key=(index,)))
 
 
-@dataclass
 class Curriculum:
-    """Training SNRs, drawn uniformly from ``snr_range`` per batch."""
+    """Training SNRs, drawn uniformly from ``SNR_RANGE`` per batch."""
 
-    snr_range: tuple[float, float] = (5.0, 25.0)
-
-    SWEEP_BOUNDS = (-5.0, 35.0)
-
-    def __post_init__(self):
-        lo, hi = self.snr_range
-        bl, bh = self.SWEEP_BOUNDS
-        if not (bl <= lo <= hi <= bh):
-            raise ConfigError(
-                f"snr range {self.snr_range} outside sweep bounds {self.SWEEP_BOUNDS}"
-            )
+    SNR_RANGE = (5.0, 25.0)
 
     def sample(self, rng: np.random.Generator) -> float:
-        lo, hi = self.snr_range
+        lo, hi = self.SNR_RANGE
         return float(rng.uniform(lo, hi))
 
 
@@ -210,13 +200,6 @@ def _sgd_epochs(
         yield losses
 
 
-def _record_waves(records: list[LinkRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """(reference, link output) waveform batches of link records."""
-    xs = np.stack([complex_to_wave(r.reference) for r in records])
-    ys = np.stack([complex_to_wave(r.output_waveform) for r in records])
-    return xs, ys
-
-
 # ---------------------------------------------------------------------------
 # stage 1
 # ---------------------------------------------------------------------------
@@ -240,25 +223,16 @@ def _stage1_pairs(
 
 
 def stage1_train_compensator(
-    setup: EmulationSetup,
-    train_cfg: TrainConfig,
-    model: CompensatorModel | None = None,
-    pairs: tuple[np.ndarray, np.ndarray] | None = None,
-    val_pairs: tuple[np.ndarray, np.ndarray] | None = None,
+    setup: EmulationSetup, train_cfg: TrainConfig, model: CompensatorModel | None = None
 ) -> StageResult:
     """Fit the compensator to the link's deterministic distortion.
 
-    ``pairs`` (distorted, clean) can be injected for synthetic tests;
-    by default they come from the real link on smooth waveforms at the
-    configured stage-1 SNR (noiseless by default).
+    The (distorted, clean) pairs come from the real link on smooth
+    waveforms at the configured stage-1 SNR (noiseless by default).
     """
-    if pairs is None:
-        data_rng = train_cfg.child_rng(_S1_DATA)
-        pairs = _stage1_pairs(setup, train_cfg, train_cfg.stage1_waveforms, data_rng)
-        val_pairs = _stage1_pairs(setup, train_cfg, train_cfg.stage1_val_waveforms, data_rng)
-    xs, ys = pairs
-    if val_pairs is None:
-        val_pairs = pairs
+    data_rng = train_cfg.child_rng(_S1_DATA)
+    xs, ys = _stage1_pairs(setup, train_cfg, train_cfg.stage1_waveforms, data_rng)
+    vx, vy = _stage1_pairs(setup, train_cfg, train_cfg.stage1_val_waveforms, data_rng)
     if model is None:
         spec = PeriodSpec.from_config(setup.cfg, setup.n_chosen)
         model = CompensatorModel(spec, train_cfg.child_rng(_S1_INIT))
@@ -275,7 +249,6 @@ def stage1_train_compensator(
     for losses in epochs:
         trace.append(float(np.mean(losses)))
 
-    vx, vy = val_pairs
     base = _mse(vx, vy)  # untrained residual model is the identity
     after = _mse(model(Tensor(vx)).data, vy)
     return StageResult(
@@ -336,13 +309,42 @@ def _calibrate_noise(records: list[LinkRecord]) -> tuple[float, float, float]:
         floors.append(np.mean(np.abs(r.clean_waveform - r.reference) ** 2))
         var = np.mean(np.abs(r.output_waveform - r.clean_waveform) ** 2)
         variances.append(var)
-        nominals.append(10.0 ** (-r.snr_db / 10.0))
+        nominals.append(noise_variance(r.snr_db))
     floor = float(np.mean(floors))
     nominals = np.asarray(nominals)
     variances = np.asarray(variances)
     denom = float(np.sum(nominals**2))
     gain = float(np.sum(variances * nominals) / denom) if denom > 0 else 0.0
     return gain, floor, float(np.mean(variances))
+
+
+def _proxy_fit(
+    proxy: ProxyModel, opt: SGDMomentum, records: list[LinkRecord], n_held: int,
+    batch_size: int, epochs: int, rng: np.random.Generator, stage: str, trace: list,
+):
+    """Fit the proxy's deterministic part to all but the last ``n_held``
+    records, which are held out.
+
+    Returns the ``_sgd_epochs`` generator of the fit, which runs as it is
+    consumed, and a function giving the held-out complex per-sample MSE.
+    """
+    xs = np.stack([complex_to_wave(r.reference) for r in records])
+    ys = np.stack([complex_to_wave(r.output_waveform) for r in records])
+
+    def batch_loss(idx):
+        # deterministic fit: noise off, noisy targets average out
+        pred = proxy(Tensor(xs[idx]), inject_noise=False)
+        return (pred - Tensor(ys[idx])).square().mean()
+
+    def held_out_mse() -> float:
+        pred = proxy(Tensor(xs[-n_held:]), inject_noise=False).data
+        # complex per-sample MSE = 2x the per-real-component MSE
+        return 2.0 * _mse(pred, ys[-n_held:])
+
+    fit = _sgd_epochs(
+        opt, batch_loss, len(records) - n_held, batch_size, epochs, rng, stage, trace
+    )
+    return fit, held_out_mse
 
 
 def stage2_train_proxy(
@@ -355,36 +357,23 @@ def stage2_train_proxy(
     if len(records) < 8:
         raise TrainingError(f"need at least 8 records for a train/held-out split, got {len(records)}")
     n_held = max(2, len(records) // 4)
-    train_recs = records[:-n_held]
-    held_recs = records[-n_held:]
-
     if model is None:
         model = ProxyModel(train_cfg.child_rng(_S2_INIT))
-    gain, floor, sigma_sq = _calibrate_noise(train_recs)
+    gain, floor, sigma_sq = _calibrate_noise(records[:-n_held])
     model.noise_gain = gain
     model.noise_floor = floor
 
-    xs, ys = _record_waves(train_recs)
-
-    def batch_loss(idx):
-        # deterministic fit: noise off, noisy targets average out
-        pred = model(Tensor(xs[idx]), inject_noise=False)
-        return (pred - Tensor(ys[idx])).square().mean()
-
     opt = SGDMomentum(model.parameters(), train_cfg.step_proxy, train_cfg.momentum)
     trace: list[float] = []
-    epochs = _sgd_epochs(
-        opt, batch_loss, len(xs), train_cfg.batch_size, train_cfg.stage2_epochs,
+    epochs, held_out_mse = _proxy_fit(
+        model, opt, records, n_held, train_cfg.batch_size, train_cfg.stage2_epochs,
         train_cfg.child_rng(_S2_SHUFFLE), "stage2", trace,
     )
     for losses in epochs:
         trace.append(float(np.mean(losses)))
 
-    held_x, held_y = _record_waves(held_recs)
-    pred = model(Tensor(held_x), inject_noise=False).data
-    # complex per-sample MSE = 2x the per-real-component MSE
-    held_mse = 2.0 * _mse(pred, held_y)
-    _, held_floor, held_sigma_sq = _calibrate_noise(held_recs)
+    held_mse = held_out_mse()
+    _, held_floor, held_sigma_sq = _calibrate_noise(records[-n_held:])
     bound = 2.0 * held_sigma_sq + held_floor
     return StageResult(
         model=model,
@@ -489,7 +478,7 @@ def stage3_alternate(
 
     # fixed probe for the stopping rule: mid-curriculum SNR, frozen seed
     probe_imgs = flat_images[: train_cfg.image_batch_size]
-    probe_snr = sum(curriculum.snr_range) / 2.0
+    probe_snr = sum(curriculum.SNR_RANGE) / 2.0
 
     def probe() -> float:
         return joint_loss(probe_imgs, probe_snr, seed=0xC0FFEE).item()
@@ -520,32 +509,17 @@ def stage3_alternate(
             symbols = _latent_to_symbols(
                 jscc.encode(Tensor(flat_images[pick : pick + 1])).data[0]
             )
-            targets = TargetSymbols(symbols, box_scale(setup.cfg))
+            targets = TargetSymbols.unit_power(symbols, setup.cfg)
             snr = curriculum.sample(refresh_rng)
             seed = int(refresh_rng.integers(2**63))
-            _, record = emulated_link(
-                targets, snr, seed, setup, mode="soft", with_clean_replay=True
-            )
-            fresh.append(record)
-        n_held = max(1, len(fresh) // 4)
-        fresh_x, fresh_y = _record_waves(fresh)
-        held_x, held_y = fresh_x[-n_held:], fresh_y[-n_held:]
-
-        def phase_b_loss(idx):
-            pred = proxy(Tensor(fresh_x[idx]), inject_noise=False)
-            return (pred - Tensor(fresh_y[idx])).square().mean()
-
-        pre_refresh = 2.0 * _mse(
-            proxy(Tensor(held_x), inject_noise=False).data, held_y
-        )
-        epochs = _sgd_epochs(
-            opt_b, phase_b_loss, len(fresh) - n_held, train_cfg.batch_size,
+            fresh.append(emulated_link(targets, snr, seed, setup, mode="soft")[1])
+        epochs, held_out_mse = _proxy_fit(
+            proxy, opt_b, fresh, max(1, len(fresh) // 4), train_cfg.batch_size,
             train_cfg.stage3_refresh_epochs, refresh_rng, "stage3/phaseB", trace,
         )
+        pre_refresh = held_out_mse()
         last_epoch = list(epochs)[-1]
-        post_refresh = 2.0 * _mse(
-            proxy(Tensor(held_x), inject_noise=False).data, held_y
-        )
+        post_refresh = held_out_mse()
         trace.append((cycle, "B", last_epoch[-1]))
 
         current = probe()
@@ -597,9 +571,8 @@ def train_jscc_ideal(
 
     def batch_loss(idx):
         snr = curriculum.sample(loop_rng)
-        var = 10.0 ** (-snr / 10.0)
         z = jscc.encode(Tensor(flat_images[idx]))
-        noise = loop_rng.normal(0.0, math.sqrt(var / 2.0), size=z.shape)
+        noise = axis_noise(loop_rng, noise_variance(snr), z.shape)
         recon = jscc.decode(z + Tensor(noise))
         return (recon - Tensor(flat_images[idx])).square().mean()
 
@@ -637,7 +610,7 @@ def evaluate_image_link(
     est = np.empty_like(symbols)
     clip_total = 0.0
     for i, child in enumerate(seq.spawn(len(flat))):
-        targets = TargetSymbols(symbols[i], box_scale(setup.cfg))
+        targets = TargetSymbols.unit_power(symbols[i], setup.cfg)
         est[i], record = emulated_link(
             targets,
             snr_db,

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import os
 import threading
@@ -14,6 +15,7 @@ from ofdmemu.config import MAX_FRAME_SAMPLES, MAX_SYMBOLS, PhyConfig, parse_conf
 from ofdmemu.framefile import FRAME_MAGIC, FRAME_VERSION, read_frame, write_frame
 from ofdmemu.link import EmulationSetup
 from ofdmemu.phy import tx_chain
+from ofdmemu.training import TrainConfig
 
 TINY_TRAIN = """
 [train]
@@ -302,6 +304,17 @@ def test_bad_phy_value_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+def assert_manifest_records_config(out):
+    """The manifest holds the seed, the PHY fingerprint and every [train]
+    value of a TINY_TRAIN run at seed 3."""
+    lines = (out / "checkpoint.txt").read_text().splitlines()
+    keys = {line.split("=", 1)[0] for line in lines}
+    assert {f"train_{f.name}" for f in dataclasses.fields(TrainConfig)} <= keys
+    for line in ("master_seed=3", "train_master_seed=3", "train_stage1_epochs=2",
+                 "train_stage2_snr_db=15.0", f"phy_fingerprint={PhyConfig().fingerprint()}"):
+        assert line in lines
+
+
 def test_train_comp_writes_checkpoint(tmp_path, capsys):
     cfgfile = tmp_path / "train.cfg"
     cfgfile.write_text(TINY_TRAIN)
@@ -311,8 +324,7 @@ def test_train_comp_writes_checkpoint(tmp_path, capsys):
     assert (out / "compensator.model").exists()
     assert (out / "stage1_trace.csv").exists()
     assert "stage-1" in capsys.readouterr().out
-    manifest = (out / "checkpoint.txt").read_text()
-    assert "master_seed=3" in manifest
+    assert_manifest_records_config(out)
 
 
 def test_train_proxy_writes_checkpoint(tmp_path, capsys):
@@ -324,6 +336,7 @@ def test_train_proxy_writes_checkpoint(tmp_path, capsys):
     assert (out / "proxy.model").exists()
     assert (out / "stage2_trace.csv").exists()
     assert "held-out" in capsys.readouterr().out
+    assert_manifest_records_config(out)
 
 
 @pytest.mark.slow
@@ -390,6 +403,11 @@ def test_non_utf8_out_path_prints_on_a_strict_utf8_stdout(tmp_path):
 # CLI-wide property: any argv ends in exit 0, 1 or 2, never a traceback
 
 TINY_SWEEP = "[sweep]\nsnr_list = 10\nn_symbols = 2\nn_images = 1\n"
+# TINY_TRAIN cut further: a drawn train command runs often
+TINIER_TRAIN = TINY_TRAIN + (
+    "stage1_epochs = 1\nstage1_waveforms = 4\nstage1_val_waveforms = 1\nstage1_ofdm_symbols = 1\n"
+    "stage2_epochs = 1\nstage2_ofdm_symbols = 1\nstage3_images = 8\nrefresh_batch_count = 2\n"
+)
 
 # Every config a drawn sweep or train command can read is tiny or
 # rejected: with no --config they would run the default-size sweep or
@@ -403,35 +421,44 @@ _CONFIG_TEXTS = {
     "sweep_nan.cfg": TINY_SWEEP + "snr_list = nan\n",
     "sweep_huge.cfg": TINY_SWEEP + "n_images = 100000000000\n",
     "sweep_key.cfg": TINY_SWEEP + "bogus = 1\n",
-    "train.cfg": TINY_TRAIN + TINY_SWEEP,
-    "train_key.cfg": TINY_TRAIN + "warp_speed = 9\n",
-    "train_negative.cfg": TINY_TRAIN + "stage1_epochs = -1\n",
-    "train_huge.cfg": TINY_TRAIN + "stage3_images = 10000000000\n",
-    "train_nan.cfg": TINY_TRAIN + "gamma = nan\n",
+    "train.cfg": TINIER_TRAIN + TINY_SWEEP,
+    "train_key.cfg": TINIER_TRAIN + "warp_speed = 9\n",
+    "train_negative.cfg": TINIER_TRAIN + "stage1_epochs = -1\n",
+    "train_huge.cfg": TINIER_TRAIN + "stage3_images = 10000000000\n",
+    "train_nan.cfg": TINIER_TRAIN + "gamma = nan\n",
 }
 # names of undecodable bytes, as argv carries them on POSIX
 _NON_UTF8 = os.fsdecode(b"\xff\xfe")
-_PATHS_IN = ["payload", "empty", "junk", "frame", "nan_frame", "targets", "dir", "non_utf8",
-             "missing", "missing_non_utf8", ""]
-_PATHS_OUT = [None, "fresh", "", "payload", "under_file", "dir", "fresh_non_utf8"]
-_CONFIGS_SMALL = [None, "phy_bpsk.cfg", "bad_phy.cfg", "empty.cfg", "binary.cfg", "payload",
-                  "missing", "dir", ""]
-_CONFIGS_SWEEP = ["sweep.cfg", "sweep_zero.cfg", "sweep_nan.cfg", "sweep_huge.cfg",
-                  "sweep_key.cfg", "binary.cfg", "missing", "dir", ""]
-_CONFIGS_TRAIN = ["train.cfg", "train_key.cfg", "train_negative.cfg", "train_huge.cfg",
-                  "train_nan.cfg", "binary.cfg", "missing", "dir", ""]
-_SEEDS = [None, "0", "3", "-1", "nan", "", "1e3", "18446744073709551616", _NON_UTF8]
+# Every option pool is (plain values, hostile values).  None leaves the
+# option out.
+_PATHS_IN_HOSTILE = ["empty", "nan_frame", "dir", "non_utf8", "missing", "missing_non_utf8", ""]
+_PATHS_IN = {
+    "tx": (["payload", "junk", "frame", "targets"], [None] + _PATHS_IN_HOSTILE),
+    "rx": (["frame"], ["payload", "junk", "targets", None] + _PATHS_IN_HOSTILE),
+    "emulate": ([None, "targets", "frame"], ["payload", "junk"] + _PATHS_IN_HOSTILE),
+}
+_PATHS_OUT = ([None, "fresh", "dir"], ["", "payload", "under_file", "fresh_non_utf8"])
+_CONFIGS_SMALL = ([None, "phy_bpsk.cfg", "empty.cfg"],
+                  ["bad_phy.cfg", "binary.cfg", "payload", "missing", "dir", ""])
+_CONFIGS_SWEEP = (["sweep.cfg"], ["sweep_zero.cfg", "sweep_nan.cfg", "sweep_huge.cfg",
+                                  "sweep_key.cfg", "binary.cfg", "missing", "dir", ""])
+_CONFIGS_TRAIN = (["train.cfg"], ["train_key.cfg", "train_negative.cfg", "train_huge.cfg",
+                                  "train_nan.cfg", "binary.cfg", "missing", "dir", ""])
+_SEEDS = ([None, "0", "3"], ["-1", "nan", "", "1e3", "18446744073709551616", _NON_UTF8])
 # emulate's own options; a missing --symbols means 1000 targets
 _EMULATE = {
-    "--symbols": [None, "1", "5", "0", "-1", "nan", "", "1000001", "100000000000"],
-    "--snr": [None, "15", "0", "-5", "nan", "-inf", "inf", "1e308", "-1e308", "abc", ""],
-    "--mode": [None, "soft", "hard", "bogus", ""],
+    "--symbols": ([None, "1", "5"], ["0", "-1", "nan", "", "1000001", "100000000000"]),
+    "--snr": ([None, "15", "0", "-5", "inf", "1e308"], ["nan", "-inf", "-1e308", "abc", ""]),
+    "--mode": ([None, "soft", "hard"], ["bogus", ""]),
 }
 _SWEEP = {
-    "--systems": [None, "ideal_analog", "emulated", "float_serial", "zero_shot",
-                  "ideal_analog,zero_shot", "", ",", "bogus"],
-    "--models": [None, "models", "missing", "payload", "dir", ""],
+    "--systems": ([None, "ideal_analog", "emulated", "float_serial", "zero_shot",
+                   "ideal_analog,zero_shot"], ["", ",", "bogus"]),
+    "--models": ([None, "models"], ["missing", "payload", "dir", ""]),
 }
+# words after the options: none, or a usage error (an unknown flag, a
+# stray word, or -h)
+_TAIL = ([[]], [["--bogus"], ["stray"], ["-h"]])
 
 
 @pytest.fixture(scope="module")
@@ -474,43 +501,55 @@ def cli_files(tmp_path_factory):
     return files
 
 
-@st.composite
-def _argvs(draw, files):
-    def path(name):
-        return "" if name == "" else str(files[name])
+_COMMANDS = ["selftest", "tx", "rx", "emulate", "sweep", "train-comp", "train-proxy", "train-e2e"]
+_PATH_FLAGS = ("--config", "--out", "--in", "--models")
 
-    def option(argv, flag, pool, to_text=lambda v: v):
-        value = draw(st.sampled_from(pool))
-        # argparse takes a separate value such as "-1e308" for a flag, so
-        # the value is also drawn joined to its option
-        if value is not None and draw(st.booleans()):
-            argv += [f"{flag}={to_text(value)}"]
-        elif value is not None:
-            argv += [flag, to_text(value)]
 
-    command = draw(st.sampled_from(
-        ["selftest", "tx", "rx", "emulate", "sweep", "train-comp", "train-proxy", "train-e2e"]
-    ))
-    argv = [command]
+def _slots(command):
+    """(flag, pool) for each option of ``command``; a None flag is the tail."""
     configs = {"sweep": _CONFIGS_SWEEP}.get(command, _CONFIGS_SMALL)
     if command.startswith("train"):
         configs = _CONFIGS_TRAIN
-    option(argv, "--config", configs, path)
-    option(argv, "--seed", _SEEDS)
-    option(argv, "--out", _PATHS_OUT, path)
-    if command == "selftest":
-        argv.append("--quick")
-    if command in ("tx", "rx"):
-        option(argv, "--in", _PATHS_IN + [None], path)
-    if command == "emulate":
-        option(argv, "--in", _PATHS_IN + [None], path)
-        for flag, pool in _EMULATE.items():
-            option(argv, flag, pool)
-    if command == "sweep":
-        for flag, pool in _SWEEP.items():
-            option(argv, flag, pool, path if flag == "--models" else lambda v: v)
-    # a usage error: an unknown flag or a stray word
-    argv += draw(st.sampled_from([[], [], [], ["--bogus"], ["stray"], ["-h"]]))
+    slots = [("--config", configs), ("--seed", _SEEDS), ("--out", _PATHS_OUT)]
+    if command in _PATHS_IN:
+        slots.append(("--in", _PATHS_IN[command]))
+    slots += {"emulate": _EMULATE, "sweep": _SWEEP}.get(command, {}).items()
+    return slots + [(None, _TAIL)]
+
+
+# (command, slot index, hostile value) for every hostile value of every
+# command, plus (command, None, None): all plain
+_FOCUSED = [(c, i, v) for c in _COMMANDS for i, (_, (_, hostile)) in enumerate(_slots(c))
+            for v in hostile] + [(c, None, None) for c in _COMMANDS]
+
+
+@st.composite
+def _argvs(draw, files):
+    # Three draws in four are focused: one hostile value at most, drawn
+    # evenly over all of them, so the other options pass their checks and
+    # the work behind them runs.  The rest mix hostile values freely.
+    mixed = draw(st.integers(0, 3)) == 0
+    if mixed:
+        command, target = draw(st.sampled_from(_COMMANDS)), None
+    else:
+        command, target, hostile_value = draw(st.sampled_from(_FOCUSED))
+    argv = [command] + (["--quick"] if command == "selftest" else [])
+    for i, (flag, (plain, hostile)) in enumerate(_slots(command)):
+        if i == target:
+            value = hostile_value
+        else:
+            value = draw(st.sampled_from(plain + hostile if mixed else plain))
+        if flag in _PATH_FLAGS and value is not None:
+            value = "" if value == "" else str(files[value])
+        if flag is None:
+            argv += value
+        # argparse takes a separate value such as "-1e308" for a flag, so a
+        # mixed draw also joins values to their flags, and a focused one
+        # always does: its hostile value then reaches the program
+        elif value is not None and (not mixed or draw(st.booleans())):
+            argv += [f"{flag}={value}"]
+        elif value is not None:
+            argv += [flag, value]
     return argv
 
 
@@ -530,7 +569,7 @@ def _exit_code(argv, cwd):
         os.chdir(old)
 
 
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=1000, deadline=None)
 @given(data=st.data())
 def test_cli_exits_cleanly_on_any_argv(cli_files, data):
     argv = data.draw(_argvs(cli_files), label="argv")

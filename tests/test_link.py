@@ -26,6 +26,7 @@ from ofdmemu.link import (
     targets_from_waveform,
     waveform_from_values,
 )
+from ofdmemu.nn import ProxyModel
 from ofdmemu.phy import BasebandFrame, tx_chain
 
 
@@ -152,13 +153,19 @@ def test_awgn_infinite_snr_is_identity(rng):
     assert np.array_equal(out.samples, x)
 
 
-@pytest.mark.parametrize("snr", [math.nan, -math.inf])
+@pytest.mark.parametrize("snr", [math.nan, -math.inf, -1e308])
 def test_channels_reject_nan_and_minus_inf_snr(snr):
     x = np.ones(8, dtype=np.complex128)
     with pytest.raises(ConfigError):
         awgn(x, snr, 1)
     with pytest.raises(ConfigError):
         ideal_analog_link(x, snr, 1)
+    # the proxy injects noise by the same law, and checks the SNR the
+    # same way: with noise on or off
+    proxy = ProxyModel(np.random.default_rng(0), channels=4, depth=2)
+    for inject in (True, False):
+        with pytest.raises(ConfigError):
+            proxy(np.zeros((8, 2)), snr_db=snr, seed=1, inject_noise=inject)
 
 
 def test_ideal_analog_noise_law(rng):
