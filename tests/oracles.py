@@ -2,12 +2,14 @@
 
 Everything here is written from the published definitions with table
 lookups and explicit index lists, sharing no code or structure with the
-package under test.  Slow on purpose; used only as ground truth.  Three
+package under test.  Slow on purpose; used only as ground truth.  Four
 exceptions are frozen copies of earlier package code that pin the
 current code: ``conv2d_reference``, the original conv2d kernel, bit for
 bit; ``climb_reference``, the original certification climb, which
-rates each trial swap with ``gf2.rank``; and ``viterbi_reference``, the
-original one-step-per-iteration Viterbi decoder with its tie-break.
+rates each trial swap with ``gf2.rank``; ``viterbi_reference``, the
+original one-step-per-iteration Viterbi decoder with its tie-break; and
+``sender_reference``, the original sender with one GF(2) solve per OFDM
+symbol.
 ``verify_against_pipeline`` is no reference: it cross-checks the GF(2)
 symbol model against the package's own live chain.
 """
@@ -17,10 +19,11 @@ from functools import lru_cache
 import numpy as np
 
 from ofdmemu.config import CONV_G1, CONV_G2
-from ofdmemu.errors import FramingError
-from ofdmemu.gf2 import rank
+from ofdmemu.errors import FramingError, SelectionError
+from ofdmemu.gf2 import Unsolvable, rank
 from ofdmemu.inversion import SymbolSystem, restrict_rows
-from ofdmemu.phy import conv_encode, interleave, puncture
+from ofdmemu.link import EmulationPlan, box_edge
+from ofdmemu.phy import conv_encode, interleave, puncture, qam_quantize, scramble
 
 # ---------------------------------------------------------------------------
 # scrambler: x^7 + x^4 + 1, seed bit i = register cell i
@@ -364,3 +367,56 @@ def viterbi_reference(received):
         bits[t] = state & 1
         state = int(prev1[state] if backptr[t, state] else prev0[state])
     return bits
+
+
+# ---------------------------------------------------------------------------
+# sender as first written: one GF(2) solve per OFDM symbol
+
+
+def sender_reference(targets, setup):
+    """Choose constellation points for the targets and solve for info bits.
+
+    Targets pack row-major onto the chosen subcarriers (sorted by
+    logical index) of consecutive OFDM symbols; a partial last symbol is
+    padded with zero-valued targets.  The per-symbol solves run in
+    sequence because each solved block fixes the encoder state entering
+    the next symbol.
+    """
+    cfg = setup.cfg
+    k = targets.count
+    nch = setup.n_chosen
+    n_sym = (k + nch - 1) // nch
+
+    padded = np.zeros(n_sym * nch, dtype=np.complex128)
+    padded[:k] = targets.symbols * targets.scale
+    clip = float(box_edge(cfg))
+    over = np.sum(np.abs(padded[:k].real) > clip) + np.sum(np.abs(padded[:k].imag) > clip)
+
+    points, labels = qam_quantize(padded, cfg.modulation_order)
+    labels = labels.reshape(n_sym, -1)
+    x_blocks = np.empty((n_sym, setup.system.beta), dtype=np.uint8)
+    states = np.empty(n_sym, dtype=np.int64)
+    state = 0
+    for s in range(n_sym):
+        x = setup.solver.solve((labels[s] ^ setup.offsets[state]) & 1)
+        if isinstance(x, Unsolvable):
+            raise SelectionError(
+                f"restricted system unexpectedly unsolvable at row {x.row}; "
+                "selection was not certified"
+            )
+        xb = x.to_bits()
+        x_blocks[s] = xb
+        states[s] = state
+        state = SymbolSystem.outgoing_state(xb)
+
+    bitstream = scramble(x_blocks.reshape(-1), cfg.scrambler_seed)
+    return EmulationPlan(
+        scale=float(targets.scale),
+        target_count=k,
+        ofdm_symbols=n_sym,
+        quantized=points.reshape(n_sym, nch),
+        bitstream=bitstream,
+        incoming_states=states,
+        clip_count=int(over),
+        clip_rate=float(over) / float(2 * k),
+    )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from ofdmemu.config import PhyConfig
 from ofdmemu.errors import ConfigError, FramingError, SelectionError
 from ofdmemu.inversion import max_usable_subcarriers
@@ -111,6 +112,40 @@ def test_noiseless_soft_round_trip_property(m, rate, count, seed):
     plan = sender_invert(targets, setup)
     est, _ = receiver_recover_soft(tx_chain(plan.bitstream, setup.cfg), plan, setup)
     assert np.allclose(est, plan.quantized.reshape(-1)[:count] / plan.scale, rtol=0, atol=1e-9)
+
+
+# The sender against its per-symbol original, bit for bit: lengths on both
+# sides of one OFDM symbol and multi-symbol frames with a partial last
+# symbol, targets out to twice the box so the clip count is exercised.
+
+PHY_PAIRS = [
+    (m, r)
+    for m in (2, 4, 16, 64)
+    for r in (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(5, 6))
+]
+
+
+@pytest.mark.parametrize("m,rate", PHY_PAIRS, ids=[f"{m}-{r}" for m, r in PHY_PAIRS])
+@settings(max_examples=20, deadline=None)
+@given(
+    symbols=st.integers(2, 40),
+    extra=st.integers(0, 1000),
+    margin=st.floats(0.5, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sender_matches_reference(m, rate, symbols, extra, margin, seed):
+    setup = EmulationSetup.build(PhyConfig(modulation_order=m, coding_rate=rate))
+    nch = setup.n_chosen
+    rng = np.random.default_rng(seed)
+    for count in (1, nch - 1, nch, nch + 1, symbols * nch - extra % nch):
+        targets = uniform_box_targets(count, setup.cfg, rng, margin=margin)
+        got = sender_invert(targets, setup)
+        want = oracles.sender_reference(targets, setup)
+        assert np.array_equal(got.bitstream, want.bitstream)
+        assert np.array_equal(got.incoming_states, want.incoming_states)
+        assert got.incoming_states.dtype == want.incoming_states.dtype
+        assert np.array_equal(got.quantized, want.quantized)
+        assert got.clip_count == want.clip_count
 
 
 def test_noiseless_hard_recovery_matches_soft(default_setup, rng):
