@@ -1,8 +1,10 @@
 """Dense GF(2) linear algebra on bit-packed rows.
 
 Rows are stored as little-endian uint64 words so row XOR and
-matrix-vector products run as word-wide operations; a 216x216 system
-solves in tens of microseconds after a one-time factorization.
+matrix-vector products run as word-wide operations.  A factored system
+solves a batch of targets in one table product: one 216x216 solve takes
+tens of microseconds, and a batch of thousands about half a
+microsecond per target.
 
 One elimination, ``_eliminate``, serves all three uses: ``rank``,
 ``Gf2Solver``'s factorization, and ``left_null``, which returns the
@@ -135,19 +137,28 @@ class Unsolvable:
     """Returned (not raised) when a system has no solution.
 
     ``row`` is the index, in the eliminated row order, of the first zero
-    row whose target bit is 1.
+    row whose target bit is 1.  ``index`` is the position of the first
+    unsolvable target in a ``solve_many`` batch (0 for ``solve``).
     """
 
     row: int
+    index: int = 0
+
+
+# targets per solve_many product: bounds its temporaries at about 1 MB
+# for the PHY's systems, whatever the batch size
+_CHUNK = 1024
 
 
 class Gf2Solver:
     """Factor-once / solve-many Gaussian elimination.
 
     Construction reduces the matrix to reduced row echelon form while
-    mirroring every row operation on an identity matrix T, so each later
-    solve costs one T*y product plus a scatter of pivot bits.  Free
-    variables are fixed to zero, making solutions deterministic.
+    mirroring every row operation on an identity matrix T.  With free
+    variables fixed to zero, a solution is then linear in the target:
+    x = S*y, where S scatters row i of T to pivot column i, and the rows
+    of T past the rank flag unsolvable targets.  Both maps are kept as
+    one product table, so a batch of targets solves in one product.
     """
 
     def __init__(self, matrix: Gf2Matrix):
@@ -158,25 +169,57 @@ class Gf2Solver:
         self.pivot_cols = _eliminate(matrix.data.copy(), self.cols, tr.data)
         self.rank = int(self.pivot_cols.size)
         self._transform = tr
-        # Scatter tables: pivot bit i of the transformed target lands in
-        # solution word/bit position of pivot column i.
-        self._pivot_word = (self.pivot_cols >> 6).astype(np.intp)
-        self._pivot_shift = (self.pivot_cols & 63).astype(np.uint64)
+        # target bit j maps to row j of [S^T | T's rows past the rank]
+        t = tr.to_dense()
+        groups = 2 * ((self.rows + 7) // 8)  # 4-bit groups of the packed target
+        maps = np.zeros((4 * groups, self.cols + self.rows - self.rank), dtype=np.uint8)
+        maps[: self.rows, self.pivot_cols] = t[: self.rank].T
+        maps[: self.rows, self.cols :] = t[self.rank :].T
+        # Method of Four Russians: _table[16g + v] is the XOR of the map
+        # rows that the set bits of value v in target bits 4g..4g+3 select
+        per_group = Gf2Matrix.from_dense(maps).data.reshape(groups, 4, -1)
+        table = np.zeros((groups, 16, per_group.shape[2]), dtype=np.uint64)
+        for b in range(4):
+            table[:, 1 << b : 2 << b] = table[:, : 1 << b] ^ per_group[:, b, None]
+        self._table = table.reshape(16 * groups, -1)
+        self._group_base = (np.arange(groups) * 16)[:, None]
 
     def solve(self, target: Gf2Vector | np.ndarray) -> Gf2Vector | Unsolvable:
-        if not isinstance(target, Gf2Vector):
-            target = Gf2Vector.from_bits(target)
-        if target.length != self.rows:
-            raise FramingError(f"target length {target.length} != rows {self.rows}")
-        z = np.bitwise_count(self._transform.data & target.words[None, :]).sum(axis=1) & 1
-        if self.rank < self.rows:
-            bad = np.nonzero(z[self.rank :])[0]
-            if bad.size:
-                return Unsolvable(self.rank + int(bad[0]))
-        x = Gf2Vector(self.cols)
-        zp = z[: self.rank].astype(np.uint64)
-        np.bitwise_or.at(x.words, self._pivot_word, zp << self._pivot_shift)
-        return x
+        """One target: ``solve_many`` on a one-row batch."""
+        if isinstance(target, Gf2Vector):
+            target = target.to_bits()
+        x = self.solve_many(np.asarray(target).reshape(1, -1))
+        return x if isinstance(x, Unsolvable) else Gf2Vector.from_bits(x[0])
+
+    def solve_many(self, targets: np.ndarray) -> np.ndarray | Unsolvable:
+        """Solve for every row of an (n, rows) 0/1 target stack.
+
+        Returns the (n, cols) uint8 solutions, or the ``Unsolvable`` of
+        the first target that has none.  Each target's product is the
+        XOR of one table row per 4 target bits, exact at any size.  (A
+        float32 BLAS product is exact too while its sums of at most
+        ``rows`` ones stay below 2^24, which holds for the PHY's systems
+        of at most 288 rows; it ran slower, and its pack buffers raised
+        peak memory.)  Targets go through ``_CHUNK`` at a time.
+        """
+        targets = np.asarray(targets, dtype=np.uint8)
+        if targets.ndim != 2 or targets.shape[1] != self.rows:
+            raise FramingError(f"targets of shape {targets.shape}, expected (n, {self.rows})")
+        out = np.empty((targets.shape[0], self.cols), dtype=np.uint8)
+        for lo in range(0, targets.shape[0], _CHUNK):
+            packed = np.packbits(targets[lo : lo + _CHUNK] & 1, axis=1, bitorder="little").T
+            groups = np.empty((2 * packed.shape[0], packed.shape[1]), dtype=np.intp)
+            groups[0::2] = packed & 15
+            groups[1::2] = packed >> 4
+            groups += self._group_base
+            words = np.bitwise_xor.reduce(np.take(self._table, groups, axis=0), axis=0)
+            bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+            bad = bits[:, self.cols : self.cols + self.rows - self.rank]
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                return Unsolvable(self.rank + int(j), lo + int(i))
+            out[lo : lo + packed.shape[1]] = bits[:, : self.cols]
+        return out
 
     def certify_unsolvable(self, cert: "Unsolvable", target: Gf2Vector | np.ndarray) -> bool:
         """Check the left-null-vector proof behind an Unsolvable result.

@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 
+_STATE_WEIGHTS = 1 << np.arange(6)
+
+
 @dataclass
 class SymbolSystem:
     """Affine GF(2) model of one OFDM symbol's bit pipeline."""
@@ -72,13 +75,11 @@ class SymbolSystem:
         return (y ^ self.state_offsets[state]) & 1
 
     @staticmethod
-    def outgoing_state(x_bits: np.ndarray) -> int:
-        """Encoder register content after consuming one symbol's bits."""
-        x_bits = np.asarray(x_bits).ravel()
-        s = 0
-        for i in range(6):
-            s |= int(x_bits[-1 - i] & 1) << i
-        return s
+    def outgoing_state(x_bits: np.ndarray) -> np.ndarray:
+        """Encoder register content after consuming one symbol's bits:
+        bit i is the (i+1)-th last bit.  Blocks run along the last axis,
+        so an (n, beta) stack gives n states."""
+        return (np.asarray(x_bits)[..., :-7:-1] & 1).astype(np.int64) @ _STATE_WEIGHTS
 
 
 def build_symbol_system(cfg: PhyConfig) -> SymbolSystem:

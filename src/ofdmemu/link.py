@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import KMOD_SQUARED, MIN_SNR_DB, PhyConfig
 from .errors import ConfigError, FramingError, SelectionError
-from .gf2 import Gf2Solver, Unsolvable
+from .gf2 import Gf2Solver
 from .inversion import (
     SymbolSystem,
     build_symbol_system,
@@ -106,9 +106,11 @@ class EmulationSetup:
     """Cached per-configuration state for the inverse sender.
 
     Holds the certified subcarrier selection, the factored restricted
-    GF(2) system and the state-offset table, so a sweep pays the
-    certification and factorization cost once.  The selection starts
-    from the capacity-sized default subset of the configuration.
+    GF(2) system, the state-offset table and its solutions, so a sweep
+    pays the certification and factorization cost once.  The selection
+    starts from the capacity-sized default subset of the configuration;
+    one whose restricted system is not full row rank raises
+    SelectionError.
     """
 
     _cache: dict = {}
@@ -125,7 +127,16 @@ class EmulationSetup:
         self.chosen = chosen
         self.swaps = swaps
         self.solver = Gf2Solver(restrict_rows(system, chosen))
+        if self.solver.rank < self.solver.rows:
+            raise SelectionError(
+                f"selection reaches rank {self.solver.rank} of {self.solver.rows}; "
+                "it was not certified"
+            )
         self.offsets = restrict_offsets(system, chosen)
+        # solutions for the 64 state offsets alone, and the state each
+        # leaves behind; sender_invert adds them to the labels' solutions
+        self.offset_solutions = self.solver.solve_many(self.offsets)
+        self.offset_exits = SymbolSystem.outgoing_state(self.offset_solutions).tolist()
         self.chosen_bins = np.asarray(chosen, dtype=np.intp)
 
     @property
@@ -164,9 +175,10 @@ def sender_invert(targets: TargetSymbols, setup: EmulationSetup) -> EmulationPla
 
     Targets pack row-major onto the chosen subcarriers (sorted by
     logical index) of consecutive OFDM symbols; a partial last symbol is
-    padded with zero-valued targets.  The per-symbol solves run in
-    sequence because each solved block fixes the encoder state entering
-    the next symbol.
+    padded with zero-valued targets.  Each solved block fixes the
+    encoder state entering the next symbol, but the solve is linear in
+    its target, so all symbols' labels solve in one batch and only the
+    state chain runs symbol by symbol.
     """
     cfg = setup.cfg
     k = targets.count
@@ -179,21 +191,18 @@ def sender_invert(targets: TargetSymbols, setup: EmulationSetup) -> EmulationPla
     over = np.sum(np.abs(padded[:k].real) > clip) + np.sum(np.abs(padded[:k].imag) > clip)
 
     points, labels = qam_quantize(padded, cfg.modulation_order)
-    labels = labels.reshape(n_sym, -1)
-    x_blocks = np.empty((n_sym, setup.system.beta), dtype=np.uint8)
-    states = np.empty(n_sym, dtype=np.int64)
+    # Superposition over GF(2): the solution for labels ^ offsets[state]
+    # is the labels' solution ^ offset_solutions[state], and so is the
+    # state it leaves.  Only the 6-bit state chain runs per symbol.
+    x_blocks = setup.solver.solve_many(labels.reshape(n_sym, -1))
+    offset_exits = setup.offset_exits
+    chain = []
     state = 0
-    for s in range(n_sym):
-        x = setup.solver.solve((labels[s] ^ setup.offsets[state]) & 1)
-        if isinstance(x, Unsolvable):
-            raise SelectionError(
-                f"restricted system unexpectedly unsolvable at row {x.row}; "
-                "selection was not certified"
-            )
-        xb = x.to_bits()
-        x_blocks[s] = xb
-        states[s] = state
-        state = SymbolSystem.outgoing_state(xb)
+    for e in SymbolSystem.outgoing_state(x_blocks).tolist():
+        chain.append(state)
+        state = e ^ offset_exits[state]
+    states = np.asarray(chain, dtype=np.int64)
+    x_blocks ^= setup.offset_solutions[states]
 
     bitstream = scramble(x_blocks.reshape(-1), cfg.scrambler_seed)
     return EmulationPlan(

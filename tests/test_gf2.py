@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofdmemu.errors import FramingError
+from ofdmemu import gf2
 from ofdmemu.gf2 import Gf2Matrix, Gf2Solver, Gf2Vector, Unsolvable, _eliminate, left_null, rank
 
 
@@ -93,6 +96,9 @@ def test_solver_rejects_bad_target_length(rng):
     solver = Gf2Solver(m)
     with pytest.raises(FramingError):
         solver.solve(np.zeros(17, dtype=np.uint8))
+    for shape in [(3, 17), (3, 15), (16,), (1, 2, 16)]:
+        with pytest.raises(FramingError):
+            solver.solve_many(np.zeros(shape, dtype=np.uint8))
 
 
 def test_take_rows_selects(rng):
@@ -188,3 +194,43 @@ def test_deletion_rank_property(rows, cols, copies, seed):
         drop = rng.random(rows) < rng.random()
         want = rank(m.take_rows(np.flatnonzero(~drop)))
         assert r - int(drop.sum()) + rank(Gf2Matrix.from_dense(n[:, drop])) == want
+
+
+# solve_many is solve over a stack, on tall, wide and row-copied systems,
+# with chunks small enough that batches cross them.  A batch holding an
+# unsolvable target reports the first one as solve reports it.
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(1, 90),
+    cols=st.integers(1, 90),
+    copies=st.integers(0, 4),
+    n=st.integers(0, 12),
+    chunk=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_many_matches_solve(rows, cols, copies, n, chunk, seed):
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
+    for _ in range(copies):
+        bits[rng.integers(rows)] = bits[rng.integers(rows)]
+    solver = Gf2Solver(Gf2Matrix.from_dense(bits))
+    solvable = rng.integers(0, 2, (n, cols)) @ bits.T % 2
+    mixed = solvable.copy()
+    pick = rng.random(n) < 0.3
+    mixed[pick] = rng.integers(0, 2, (int(pick.sum()), rows))
+
+    with mock.patch.object(gf2, "_CHUNK", chunk):
+        got = solver.solve_many(solvable)
+        assert got.shape == (n, cols) and got.dtype == np.uint8
+        for y, x in zip(solvable, got):
+            assert np.array_equal(x, solver.solve(y).to_bits())
+
+        singles = [solver.solve(y) for y in mixed]
+        bad = [i for i, r in enumerate(singles) if isinstance(r, Unsolvable)]
+        res = solver.solve_many(mixed)
+        if bad:
+            assert res == Unsolvable(singles[bad[0]].row, bad[0])
+            assert solver.certify_unsolvable(res, mixed[bad[0]])
+        else:
+            assert np.array_equal(res, np.reshape([x.to_bits() for x in singles], (n, cols)))

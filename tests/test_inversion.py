@@ -45,9 +45,10 @@ def test_offset_zero_for_zero_state(default_cfg):
 
 def test_outgoing_state_matches_encoder(default_cfg, rng):
     sys = build_symbol_system(default_cfg)
-    x = rng.integers(0, 2, sys.beta, dtype=np.uint8)
-    _, end = conv_encode(x, 0)
-    assert sys.outgoing_state(x) == end
+    x = rng.integers(0, 2, (20, sys.beta), dtype=np.uint8)
+    ends = [conv_encode(block, 0)[1] for block in x]
+    assert sys.outgoing_state(x[0]) == ends[0]
+    assert sys.outgoing_state(x).tolist() == ends
 
 
 def test_row_index_of_validates(default_cfg):

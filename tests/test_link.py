@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from ofdmemu.config import PhyConfig
 from ofdmemu.errors import ConfigError, FramingError, SelectionError
-from ofdmemu.inversion import max_usable_subcarriers
+from ofdmemu.inversion import build_symbol_system, default_subset, max_usable_subcarriers
 from ofdmemu.link import (
     EmulationSetup,
     TargetSymbols,
@@ -64,6 +64,13 @@ def test_setup_build_caches_and_bounds(default_cfg, default_setup):
     assert again is default_setup
     # the selection fills the exactly-controllable capacity
     assert default_setup.n_chosen == max_usable_subcarriers(default_cfg)
+
+
+def test_setup_rejects_uncertified_selection(default_cfg):
+    # the default subset sits a few rows short of full rank until certified
+    system = build_symbol_system(default_cfg)
+    with pytest.raises(SelectionError, match="not certified"):
+        EmulationSetup(default_cfg, system, default_subset(default_cfg), [])
 
 
 def test_sender_invert_quantizes_within_half_step(default_setup, rng):
