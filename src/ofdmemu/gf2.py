@@ -145,7 +145,7 @@ class Unsolvable:
     index: int = 0
 
 
-# targets per solve_many product: bounds its temporaries at about 1 MB
+# targets per solve_many product: bounds its temporaries at about 2 MB
 # for the PHY's systems, whatever the batch size
 _CHUNK = 1024
 
@@ -208,11 +208,11 @@ class Gf2Solver:
         out = np.empty((targets.shape[0], self.cols), dtype=np.uint8)
         for lo in range(0, targets.shape[0], _CHUNK):
             packed = np.packbits(targets[lo : lo + _CHUNK] & 1, axis=1, bitorder="little").T
-            groups = np.empty((2 * packed.shape[0], packed.shape[1]), dtype=np.intp)
-            groups[0::2] = packed & 15
-            groups[1::2] = packed >> 4
-            groups += self._group_base
-            words = np.bitwise_xor.reduce(np.take(self._table, groups, axis=0), axis=0)
+            index = np.empty((2 * packed.shape[0], packed.shape[1]), dtype=np.intp)
+            index[0::2] = packed & 15
+            index[1::2] = packed >> 4
+            index += self._group_base
+            words = np.bitwise_xor.reduce(np.take(self._table, index, axis=0), axis=0)
             bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
             bad = bits[:, self.cols : self.cols + self.rows - self.rank]
             if bad.any():
