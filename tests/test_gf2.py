@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofdmemu.errors import FramingError
 from ofdmemu import gf2
+from ofdmemu.errors import FramingError
 from ofdmemu.gf2 import Gf2Matrix, Gf2Solver, Gf2Vector, Unsolvable, _eliminate, left_null, rank
 
 
