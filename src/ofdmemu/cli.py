@@ -26,7 +26,7 @@ from .config import (
     section_values,
     split_list,
 )
-from .errors import ConfigError, OfdmEmuError
+from .errors import ConfigError, FramingError, OfdmEmuError
 from .framefile import (
     read_frame,
     read_input,
@@ -46,7 +46,7 @@ from .harness import (
     write_csv,
 )
 from .link import EmulationSetup, TargetSymbols, check_snr, emulated_link
-from .phy import BasebandFrame, rx_chain, tx_chain
+from .phy import rx_chain, tx_chain
 
 DEFAULT_OUT = "ofdmemu_out"
 
@@ -130,13 +130,20 @@ def cmd_tx(args) -> int:
 
 def cmd_rx(args) -> int:
     _, cfg = _load_config(args)
-    samples = read_frame(args.infile, MAX_FRAME_SAMPLES)
-    frame = BasebandFrame.from_samples(samples, cfg)
-    decoded = rx_chain(frame, cfg)
+    decoded = rx_chain(read_frame(args.infile, MAX_FRAME_SAMPLES), cfg)
     out = _out_dir(args)
     (out / "decoded.bin").write_bytes(np.packbits(decoded, bitorder="little").tobytes())
     print(f"decoded {decoded.size} bits -> {out / 'decoded.bin'}")
     return 0
+
+
+def _finite_mean_power(x: np.ndarray, what: str) -> float:
+    """Mean |x|^2 of finite values, or FramingError where it overflows."""
+    with np.errstate(over="ignore"):
+        power = float(np.mean(np.abs(x) ** 2))
+    if not np.isfinite(power):
+        raise FramingError(f"{what} overflows")
+    return power
 
 
 def cmd_emulate(args) -> int:
@@ -148,12 +155,12 @@ def cmd_emulate(args) -> int:
         symbols = read_frame(args.infile, MAX_SYMBOLS)
     else:
         symbols = gaussian_targets(args.symbols, np.random.default_rng(seed))
+    power = _finite_mean_power(symbols, "the targets' mean power")
     setup = EmulationSetup.build(cfg)
     targets = TargetSymbols.unit_power(symbols, cfg)
     estimates, record = emulated_link(targets, args.snr, seed, setup, mode=args.mode)
     est = estimates[: symbols.size]
-    mse = float(np.mean(np.abs(est - symbols) ** 2))
-    power = np.mean(np.abs(symbols) ** 2)
+    mse = _finite_mean_power(est - symbols, "the symbol mse")
     # EVM is relative to the target power, so zero targets have none
     evm = f"{evm_percent(mse, power):.2f}%" if power > 0 else "n/a"
     out = _out_dir(args)

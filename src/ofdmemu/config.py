@@ -27,7 +27,6 @@ from .errors import ConfigError
 # Generator polynomials of the rate-1/2 mother code (octal, constraint length 7).
 CONV_G1 = 0o133
 CONV_G2 = 0o171
-CONSTRAINT_LENGTH = 7
 
 # Bits removed from the rate-1/2 mother stream to reach higher rates.
 # Patterns run over consecutive (A_i, B_i) output pairs; 1 = keep.

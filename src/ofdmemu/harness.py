@@ -180,7 +180,7 @@ def _cell_symbols(
         est = ideal_analog_link(sym, snr, rng)
     elif system == "emulated":
         plan = sender_invert(TargetSymbols.unit_power(sym, spec.cfg), setup)
-        noisy = awgn(tx_chain(plan.bitstream, spec.cfg), snr, seed)
+        noisy = awgn(tx_chain(plan.bitstream, spec.cfg).samples, snr, seed)
         est = receiver_recover_soft(noisy, plan, setup)[0][: sym.size]
         ber = float(np.mean(rx_chain(noisy, spec.cfg) != plan.bitstream))
     else:

@@ -33,7 +33,6 @@ from .inversion import (
     restrict_rows,
 )
 from .phy import (
-    BasebandFrame,
     demodulate_frame,
     modulate_symbols,
     qam_quantize,
@@ -303,20 +302,13 @@ def _add_noise(
     return x + noise[:, 0] + 1j * noise[:, 1]
 
 
-def awgn(
-    samples: np.ndarray | BasebandFrame,
-    snr_db: float,
-    seed: int | np.random.Generator,
-) -> np.ndarray | BasebandFrame:
+def awgn(samples: np.ndarray, snr_db: float, seed: int | np.random.Generator) -> np.ndarray:
     """Additive white Gaussian noise at a measured-signal-power SNR.
 
-    ``snr_db = inf`` returns the input unchanged; NaN or -inf raise
+    ``snr_db = inf`` returns a copy of the input; NaN or -inf raise
     ConfigError.  The draw is deterministic in the seed.
     """
-    frame = isinstance(samples, BasebandFrame)
-    x = samples.samples if frame else np.asarray(samples, dtype=np.complex128)
-    y = _add_noise(x, snr_db, seed, power=None)
-    return BasebandFrame(y, samples.ofdm_symbol_count) if frame else y
+    return _add_noise(np.asarray(samples, dtype=np.complex128), snr_db, seed, power=None)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +322,7 @@ def _clip_to_box(values: np.ndarray, cfg: PhyConfig, scale: float) -> np.ndarray
 
 
 def receiver_recover_soft(
-    frame: BasebandFrame | np.ndarray,
+    samples: np.ndarray,
     plan: EmulationPlan,
     setup: EmulationSetup,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -342,7 +334,6 @@ def receiver_recover_soft(
     noise).  The reconstructed waveform re-frames the raw unclipped
     values with pilots and dummies silenced, ready for compensation.
     """
-    samples = frame.samples if isinstance(frame, BasebandFrame) else frame
     vals = _chosen_values(samples, setup) / plan.scale
     n_sym = vals.size // setup.n_chosen
     if n_sym != plan.ofdm_symbols:
@@ -353,7 +344,7 @@ def receiver_recover_soft(
 
 
 def receiver_recover_hard(
-    frame: BasebandFrame | np.ndarray,
+    samples: np.ndarray,
     plan: EmulationPlan,
     setup: EmulationSetup,
 ) -> np.ndarray:
@@ -365,7 +356,7 @@ def receiver_recover_hard(
     the planned quantized points; past the code's cliff it collapses.
     """
     cfg = setup.cfg
-    grids = tx_grids(rx_chain(frame, cfg), cfg)
+    grids = tx_grids(rx_chain(samples, cfg), cfg)
     vals = grids[:, setup.chosen_bins].reshape(-1) / plan.scale
     return vals[: plan.target_count]
 
@@ -387,13 +378,14 @@ class LinkRecord:
     """One transmission through the emulated link, for surrogate training."""
 
     tx_frame: np.ndarray
-    reference: np.ndarray
     output_waveform: np.ndarray | None
     snr_db: float
     clip_rate: float = 0.0
-    # noiseless replay of the same plan, when the caller paid for one;
-    # lets surrogate training separate stochastic noise from the
-    # deterministic link distortion
+    # Proxy records only (``for_proxy``): the ideal reference waveform
+    # the proxy maps from, and the noiseless soft replay of the same
+    # plan, which separates stochastic noise from the deterministic
+    # link distortion.
+    reference: np.ndarray | None = None
     clean_waveform: np.ndarray | None = None
 
 
@@ -404,21 +396,21 @@ def emulated_link(
     setup: EmulationSetup,
     mode: str = "soft",
     compensator=None,
-    with_clean_replay: bool = False,
+    for_proxy: bool = False,
 ) -> tuple[np.ndarray, LinkRecord]:
     """Transport targets through invert -> transmit -> AWGN -> recover.
 
     ``compensator``, if given, is a callable mapping a user-domain
     waveform to a corrected waveform (soft mode only); estimates are
-    then re-read from the corrected waveform.  ``with_clean_replay``
-    additionally records the noiseless reconstruction of the same plan.
+    then re-read from the corrected waveform.  ``for_proxy``
+    additionally records what proxy training reads: the reference
+    waveform and, in soft mode, the noiseless replay.
     """
     if mode not in ("soft", "hard"):
         raise SelectionError(f"mode must be 'soft' or 'hard', got {mode!r}")
     plan = sender_invert(targets, setup)
-    frame = tx_chain(plan.bitstream, setup.cfg)
-    noisy = awgn(frame, snr_db, seed)
-    reference = reference_waveform(targets, setup)
+    tx = tx_chain(plan.bitstream, setup.cfg).samples
+    noisy = awgn(tx, snr_db, seed)
     clean = None
     if mode == "soft":
         estimates, recon = receiver_recover_soft(noisy, plan, setup)
@@ -428,19 +420,19 @@ def emulated_link(
             if out_wave.shape != recon.shape:
                 raise FramingError("compensator must preserve waveform shape")
             estimates = extract_estimates(out_wave, plan, setup)
-        if with_clean_replay:
-            _, clean = receiver_recover_soft(frame, plan, setup)
+        if for_proxy:
+            _, clean = receiver_recover_soft(tx, plan, setup)
     else:
         if compensator is not None:
             raise SelectionError("compensation applies to soft recovery only")
         estimates = receiver_recover_hard(noisy, plan, setup)
         out_wave = None
     record = LinkRecord(
-        tx_frame=frame.samples,
-        reference=reference,
+        tx_frame=tx,
         output_waveform=out_wave,
         snr_db=float(snr_db),
         clip_rate=plan.clip_rate,
+        reference=reference_waveform(targets, setup) if for_proxy else None,
         clean_waveform=clean,
     )
     return estimates, record
@@ -478,8 +470,7 @@ def float_serialization_link(
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
     pad = (-bits.size) % cfg.n_dbps
     payload = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    frame = tx_chain(payload, cfg)
-    noisy = awgn(frame, snr_db, seed)
+    noisy = awgn(tx_chain(payload, cfg).samples, snr_db, seed)
     decoded = rx_chain(noisy, cfg)
     got = decoded[: bits.size]
     out32 = np.packbits(got, bitorder="little").tobytes()

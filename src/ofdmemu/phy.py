@@ -60,28 +60,12 @@ __all__ = [
 
 @dataclass
 class BasebandFrame:
-    """Complex baseband samples covering whole OFDM symbols."""
+    """What :func:`tx_chain` returns: complex baseband samples covering
+    whole OFDM symbols, and how many symbols they cover.  Every later
+    stage takes the plain sample array."""
 
     samples: np.ndarray
     ofdm_symbol_count: int
-
-    def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
-        if self.samples.ndim != 1:
-            raise FramingError("BasebandFrame expects a 1-D sample vector")
-
-    @classmethod
-    def from_samples(cls, samples: np.ndarray, cfg: PhyConfig) -> "BasebandFrame":
-        samples = np.asarray(samples, dtype=np.complex128)
-        spo = cfg.samples_per_ofdm
-        if samples.size % spo != 0:
-            raise FramingError(
-                f"frame length {samples.size} is not a multiple of {spo} samples per OFDM symbol"
-            )
-        return cls(samples, samples.size // spo)
-
-    def __len__(self) -> int:
-        return int(self.samples.size)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +516,8 @@ def tx_grids(bits: np.ndarray, cfg: PhyConfig) -> np.ndarray:
 
 
 def rx_chain(frame: BasebandFrame | np.ndarray, cfg: PhyConfig) -> np.ndarray:
-    """Baseband frame back to information bits."""
+    """Baseband samples, or the frame :func:`tx_chain` returned, back to
+    information bits."""
     samples = frame.samples if isinstance(frame, BasebandFrame) else np.asarray(frame)
     grids = demodulate_frame(samples, cfg)
     _, hard = qam_quantize(grids[:, cfg.data_bin_array], cfg.modulation_order)

@@ -279,9 +279,7 @@ def collect_link_records(
     for _ in range(count):
         targets = TargetSymbols.unit_power(gaussian_symbols(k, rng), setup.cfg)
         seed = int(rng.integers(2**63))
-        _, record = emulated_link(
-            targets, snr_db, seed, setup, mode="soft", with_clean_replay=True
-        )
+        _, record = emulated_link(targets, snr_db, seed, setup, mode="soft", for_proxy=True)
         records.append(record)
     return records
 
@@ -305,7 +303,7 @@ def _calibrate_noise(records: list[LinkRecord]) -> tuple[float, float, float]:
     floors, variances, nominals = [], [], []
     for r in records:
         if r.clean_waveform is None:
-            raise TrainingError("records lack clean replays; collect with replay on")
+            raise TrainingError("records lack clean replays; collect them with for_proxy=True")
         floors.append(np.mean(np.abs(r.clean_waveform - r.reference) ** 2))
         var = np.mean(np.abs(r.output_waveform - r.clean_waveform) ** 2)
         variances.append(var)
@@ -512,7 +510,7 @@ def stage3_alternate(
             targets = TargetSymbols.unit_power(symbols, setup.cfg)
             snr = curriculum.sample(refresh_rng)
             seed = int(refresh_rng.integers(2**63))
-            fresh.append(emulated_link(targets, snr, seed, setup, mode="soft")[1])
+            fresh.append(emulated_link(targets, snr, seed, setup, mode="soft", for_proxy=True)[1])
         epochs, held_out_mse = _proxy_fit(
             proxy, opt_b, fresh, max(1, len(fresh) // 4), train_cfg.batch_size,
             train_cfg.stage3_refresh_epochs, refresh_rng, "stage3/phaseB", trace,

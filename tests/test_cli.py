@@ -81,6 +81,14 @@ def test_rx_non_finite_frame_exits_1(tmp_path, capsys, bad):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_rx_partial_ofdm_symbol_exits_1(tmp_path, capsys):
+    # a well-formed file of 81 samples: one 80-sample OFDM symbol and one more
+    write_frame(tmp_path / "partial.bin", np.zeros(81, dtype=complex))
+    rc = main(["rx", "--in", str(tmp_path / "partial.bin"), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "not a multiple of 80" in capsys.readouterr().err
+
+
 def test_emulate_generated_targets(tmp_path, capsys):
     rc = main(
         ["emulate", "--symbols", "50", "--snr", "25", "--seed", "3", "--out", str(tmp_path)]
@@ -241,6 +249,22 @@ def test_emulate_zero_targets_warns_nothing(tmp_path, capsys):
     assert rc == 0
     # EVM is relative to the target power, which is zero here
     assert "evm n/a" in capsys.readouterr().out
+
+
+def test_emulate_overflowing_targets_exit_1_before_the_link(tmp_path, capsys, monkeypatch):
+    # finite targets whose power overflows; the link must not run
+    write_frame(tmp_path / "huge.bin", np.array([1e300 + 1e300j, 1 + 1j, -1e200j]))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the link ran")
+
+    monkeypatch.setattr("ofdmemu.cli.emulated_link", unreachable)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["emulate", "--in", str(tmp_path / "huge.bin"), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "mean power overflows" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key", ["n_symbols", "n_images"])

@@ -28,7 +28,7 @@ from ofdmemu.link import (
     waveform_from_values,
 )
 from ofdmemu.nn import ProxyModel
-from ofdmemu.phy import BasebandFrame, tx_chain
+from ofdmemu.phy import tx_chain
 
 
 def uniform_box_targets(n, cfg, rng, margin=1.0):
@@ -97,7 +97,7 @@ def test_noiseless_soft_recovery_hits_quantized_points(default_setup, rng):
     targets = uniform_box_targets(80, default_setup.cfg, rng)
     plan = sender_invert(targets, default_setup)
     frame = tx_chain(plan.bitstream, default_setup.cfg)
-    est, recon = receiver_recover_soft(frame, plan, default_setup)
+    est, recon = receiver_recover_soft(frame.samples, plan, default_setup)
     want = plan.quantized.reshape(-1)[: targets.count] / plan.scale
     assert np.allclose(est, want, atol=1e-9)
     assert recon.shape == (frame.samples.size,)
@@ -117,7 +117,7 @@ def test_noiseless_soft_round_trip_property(m, rate, count, seed):
     setup = EmulationSetup.build(PhyConfig(modulation_order=m, coding_rate=rate))
     targets = uniform_box_targets(count, setup.cfg, np.random.default_rng(seed), margin=1.3)
     plan = sender_invert(targets, setup)
-    est, _ = receiver_recover_soft(tx_chain(plan.bitstream, setup.cfg), plan, setup)
+    est, _ = receiver_recover_soft(tx_chain(plan.bitstream, setup.cfg).samples, plan, setup)
     assert np.allclose(est, plan.quantized.reshape(-1)[:count] / plan.scale, rtol=0, atol=1e-9)
 
 
@@ -159,7 +159,7 @@ def test_noiseless_hard_recovery_matches_soft(default_setup, rng):
     targets = uniform_box_targets(80, default_setup.cfg, rng)
     plan = sender_invert(targets, default_setup)
     frame = tx_chain(plan.bitstream, default_setup.cfg)
-    est = receiver_recover_hard(frame, plan, default_setup)
+    est = receiver_recover_hard(frame.samples, plan, default_setup)
     want = plan.quantized.reshape(-1)[: targets.count] / plan.scale
     assert np.allclose(est, want, atol=1e-9)
 
@@ -189,10 +189,6 @@ def test_awgn_hits_requested_snr(rng):
 def test_awgn_infinite_snr_is_identity(rng):
     x = rng.normal(size=64) + 1j * rng.normal(size=64)
     assert np.array_equal(awgn(x, math.inf, 1), x)
-    frame = BasebandFrame(x.copy(), 0)
-    out = awgn(frame, math.inf, 1)
-    assert isinstance(out, BasebandFrame)
-    assert np.array_equal(out.samples, x)
 
 
 @pytest.mark.parametrize("snr", [math.nan, -math.inf, -1e308])
@@ -255,12 +251,22 @@ def test_reference_waveform_shape(default_setup, rng):
 
 def test_emulated_link_soft_record(default_setup, rng):
     targets = uniform_box_targets(60, default_setup.cfg, rng)
-    est, rec = emulated_link(targets, 20.0, 11, default_setup, with_clean_replay=True)
+    est, rec = emulated_link(targets, 20.0, 11, default_setup, for_proxy=True)
     assert est.size == 60
-    assert rec.clean_waveform is not None
-    # same seed reproduces, different seed does not
-    est2, _ = emulated_link(targets, 20.0, 11, default_setup)
+    # a proxy record holds the reference waveform and the noiseless
+    # soft receive of the same plan
+    assert rec.reference.tobytes() == reference_waveform(targets, default_setup).tobytes()
+    plan = sender_invert(targets, default_setup)
+    _, clean = receiver_recover_soft(
+        tx_chain(plan.bitstream, default_setup.cfg).samples, plan, default_setup
+    )
+    assert rec.clean_waveform.tobytes() == clean.tobytes()
+    # same seed reproduces, different seed does not; without for_proxy
+    # the record carries neither waveform
+    est2, plain = emulated_link(targets, 20.0, 11, default_setup)
     assert np.array_equal(est, est2)
+    assert plain.reference is None and plain.clean_waveform is None
+    assert plain.tx_frame.tobytes() == rec.tx_frame.tobytes()
     est3, _ = emulated_link(targets, 20.0, 12, default_setup)
     assert not np.array_equal(est, est3)
 

@@ -323,4 +323,4 @@ def test_bitblock_and_frame_validation(rng):
     with pytest.raises(ConfigError):
         phy.conv_encode(rng.integers(0, 2, 8, dtype=np.uint8), state=64)
     with pytest.raises(FramingError):
-        phy.BasebandFrame.from_samples(np.zeros(81, dtype=complex), cfg)
+        phy.rx_chain(np.zeros(81, dtype=complex), cfg)
