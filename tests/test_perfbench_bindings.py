@@ -55,5 +55,4 @@ def test_tracer_binds_to_every_traced_layer(default_setup):
     tx_spans = [s for s in tracer.spans if s[2] == "phy.tx_chain"]
     assert tx_spans and all("ofdm_symbols" in s[6] for s in tx_spans)
     # uninstall restored the package's own functions
-    assert link.emulated_link.__module__ == "ofdmemu.link"
-    assert not hasattr(phy.tx_chain, "__wrapped__")
+    assert not any(hasattr(f, "__wrapped__") for f in (link.emulated_link, phy.tx_chain))
