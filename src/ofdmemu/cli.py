@@ -155,20 +155,23 @@ def cmd_emulate(args) -> int:
         symbols = read_frame(args.infile, MAX_SYMBOLS)
     else:
         symbols = gaussian_targets(args.symbols, np.random.default_rng(seed))
+    targets = TargetSymbols.unit_power(symbols, cfg)  # rejects an empty vector
     power = _finite_mean_power(symbols, "the targets' mean power")
     setup = EmulationSetup.build(cfg)
-    targets = TargetSymbols.unit_power(symbols, cfg)
     estimates, record = emulated_link(targets, args.snr, seed, setup, mode=args.mode)
+    # the record's noisy frame and plan would stay live through the writes
+    tx_frame, clip_rate = record.tx_frame, record.clip_rate
+    del record
     est = estimates[: symbols.size]
     mse = _finite_mean_power(est - symbols, "the symbol mse")
     # EVM is relative to the target power, so zero targets have none
     evm = f"{evm_percent(mse, power):.2f}%" if power > 0 else "n/a"
     out = _out_dir(args)
     write_frame(out / "estimates.bin", est)
-    write_frame(out / "tx_waveform.bin", record.tx_frame)
+    write_frame(out / "tx_waveform.bin", tx_frame)
     print(
         f"{symbols.size} targets at {args.snr:g} dB ({args.mode}): "
-        f"symbol mse {mse:.6g}, evm {evm}, clip rate {record.clip_rate:.4g}"
+        f"symbol mse {mse:.6g}, evm {evm}, clip rate {clip_rate:.4g}"
     )
     return 0
 

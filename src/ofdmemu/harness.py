@@ -26,15 +26,13 @@ from .inversion import build_symbol_system, restrict_rows
 from .link import (
     EmulationSetup,
     TargetSymbols,
-    awgn,
     box_edge,
     check_snr,
+    emulated_link,
     float_serialization_link,
     ideal_analog_link,
-    receiver_recover_soft,
-    sender_invert,
 )
-from .phy import qam_quantize, rx_chain, tx_chain
+from .phy import qam_quantize, rx_chain
 from .sources import glyph_images
 
 SYSTEM_IDS = ("ideal_analog", "emulated", "float_serial", "zero_shot")
@@ -179,10 +177,8 @@ def _cell_symbols(
     if system == "ideal_analog":
         est = ideal_analog_link(sym, snr, rng)
     elif system == "emulated":
-        plan = sender_invert(TargetSymbols.unit_power(sym, spec.cfg), setup)
-        noisy = awgn(tx_chain(plan.bitstream, spec.cfg).samples, snr, seed)
-        est = receiver_recover_soft(noisy, plan, setup)[0][: sym.size]
-        ber = float(np.mean(rx_chain(noisy, spec.cfg) != plan.bitstream))
+        est, rec = emulated_link(TargetSymbols.unit_power(sym, spec.cfg), snr, seed, setup)
+        ber = float(np.mean(rx_chain(rec.rx_frame, spec.cfg) != rec.plan.bitstream))
     else:
         out, bits, got = float_serialization_link(sym.view(np.float64), snr, seed, spec.cfg)
         est = out.view(np.complex128)

@@ -325,22 +325,18 @@ def receiver_recover_soft(
     samples: np.ndarray,
     plan: EmulationPlan,
     setup: EmulationSetup,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Read chosen bins directly, skipping the digital decode path.
 
-    Returns (estimates, reconstructed waveform).  Estimates are the
-    unscaled bin values clamped per axis to the constellation box (the
-    sender provably transmitted in-box points, so anything outside is
-    noise).  The reconstructed waveform re-frames the raw unclipped
-    values with pilots and dummies silenced, ready for compensation.
+    Estimates are the unscaled bin values clamped per axis to the
+    constellation box (the sender provably transmitted in-box points, so
+    anything outside is noise).
     """
     vals = _chosen_values(samples, setup) / plan.scale
     n_sym = vals.size // setup.n_chosen
     if n_sym != plan.ofdm_symbols:
         raise FramingError(f"frame holds {n_sym} OFDM symbols, plan expects {plan.ofdm_symbols}")
-    recon = waveform_from_values(vals, setup)
-    estimates = _clip_to_box(vals, setup.cfg, plan.scale)[: plan.target_count]
-    return estimates, recon
+    return _clip_to_box(vals, setup.cfg, plan.scale)[: plan.target_count]
 
 
 def receiver_recover_hard(
@@ -375,18 +371,44 @@ def extract_estimates(
 
 @dataclass
 class LinkRecord:
-    """One transmission through the emulated link, for surrogate training."""
+    """One transmission through the emulated link.
 
+    The waveforms learning reads are derived on demand, so a caller pays
+    only for the ones it reads.
+    """
+
+    targets: TargetSymbols
+    plan: EmulationPlan
+    setup: EmulationSetup
     tx_frame: np.ndarray
-    output_waveform: np.ndarray | None
+    rx_frame: np.ndarray  # tx_frame plus the channel's noise
     snr_db: float
-    clip_rate: float = 0.0
-    # Proxy records only (``for_proxy``): the ideal reference waveform
-    # the proxy maps from, and the noiseless soft replay of the same
-    # plan, which separates stochastic noise from the deterministic
-    # link distortion.
-    reference: np.ndarray | None = None
-    clean_waveform: np.ndarray | None = None
+
+    @property
+    def clip_rate(self) -> float:
+        return self.plan.clip_rate
+
+    @property
+    def reference(self) -> np.ndarray:
+        """The ideal waveform the proxy maps from."""
+        return reference_waveform(self.targets, self.setup)
+
+    @property
+    def output_waveform(self) -> np.ndarray:
+        """The raw (unclipped) chosen-bin values of ``rx_frame`` re-framed
+        in user units, pilots and dummies silenced: what the compensator
+        and the proxy see."""
+        return self._reframe(self.rx_frame)
+
+    @property
+    def clean_waveform(self) -> np.ndarray:
+        """The same read of the noiseless ``tx_frame``, which separates
+        stochastic noise from the deterministic link distortion."""
+        return self._reframe(self.tx_frame)
+
+    def _reframe(self, samples: np.ndarray) -> np.ndarray:
+        values = _chosen_values(samples, self.setup) / self.plan.scale
+        return waveform_from_values(values, self.setup)
 
 
 def emulated_link(
@@ -395,47 +417,20 @@ def emulated_link(
     seed: int,
     setup: EmulationSetup,
     mode: str = "soft",
-    compensator=None,
-    for_proxy: bool = False,
 ) -> tuple[np.ndarray, LinkRecord]:
     """Transport targets through invert -> transmit -> AWGN -> recover.
 
-    ``compensator``, if given, is a callable mapping a user-domain
-    waveform to a corrected waveform (soft mode only); estimates are
-    then re-read from the corrected waveform.  ``for_proxy``
-    additionally records what proxy training reads: the reference
-    waveform and, in soft mode, the noiseless replay.
+    Returns the soft or hard receiver's estimates and the transmission's
+    record, from which the reference, received and noiseless waveforms
+    derive.
     """
     if mode not in ("soft", "hard"):
         raise SelectionError(f"mode must be 'soft' or 'hard', got {mode!r}")
     plan = sender_invert(targets, setup)
     tx = tx_chain(plan.bitstream, setup.cfg).samples
-    noisy = awgn(tx, snr_db, seed)
-    clean = None
-    if mode == "soft":
-        estimates, recon = receiver_recover_soft(noisy, plan, setup)
-        out_wave = recon
-        if compensator is not None:
-            out_wave = np.asarray(compensator(recon), dtype=np.complex128)
-            if out_wave.shape != recon.shape:
-                raise FramingError("compensator must preserve waveform shape")
-            estimates = extract_estimates(out_wave, plan, setup)
-        if for_proxy:
-            _, clean = receiver_recover_soft(tx, plan, setup)
-    else:
-        if compensator is not None:
-            raise SelectionError("compensation applies to soft recovery only")
-        estimates = receiver_recover_hard(noisy, plan, setup)
-        out_wave = None
-    record = LinkRecord(
-        tx_frame=tx,
-        output_waveform=out_wave,
-        snr_db=float(snr_db),
-        clip_rate=plan.clip_rate,
-        reference=reference_waveform(targets, setup) if for_proxy else None,
-        clean_waveform=clean,
-    )
-    return estimates, record
+    rx = awgn(tx, snr_db, seed)
+    recover = receiver_recover_soft if mode == "soft" else receiver_recover_hard
+    return recover(rx, plan, setup), LinkRecord(targets, plan, setup, tx, rx, float(snr_db))
 
 
 def ideal_analog_link(

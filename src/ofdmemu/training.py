@@ -39,6 +39,7 @@ from .link import (
     axis_noise,
     check_snr,
     emulated_link,
+    extract_estimates,
     noise_variance,
     targets_from_waveform,
     waveform_from_values,
@@ -273,14 +274,13 @@ def collect_link_records(
     rng: np.random.Generator,
     n_ofdm: int = 4,
 ) -> list[LinkRecord]:
-    """Soft-mode link records (with noiseless replays) for proxy training."""
+    """Soft-mode link records of Gaussian targets for proxy training."""
     k = n_ofdm * setup.n_chosen
     records = []
     for _ in range(count):
         targets = TargetSymbols.unit_power(gaussian_symbols(k, rng), setup.cfg)
         seed = int(rng.integers(2**63))
-        _, record = emulated_link(targets, snr_db, seed, setup, mode="soft", for_proxy=True)
-        records.append(record)
+        records.append(emulated_link(targets, snr_db, seed, setup, mode="soft")[1])
     return records
 
 
@@ -302,10 +302,9 @@ def _calibrate_noise(records: list[LinkRecord]) -> tuple[float, float, float]:
     """
     floors, variances, nominals = [], [], []
     for r in records:
-        if r.clean_waveform is None:
-            raise TrainingError("records lack clean replays; collect them with for_proxy=True")
-        floors.append(np.mean(np.abs(r.clean_waveform - r.reference) ** 2))
-        var = np.mean(np.abs(r.output_waveform - r.clean_waveform) ** 2)
+        clean = r.clean_waveform
+        floors.append(np.mean(np.abs(clean - r.reference) ** 2))
+        var = np.mean(np.abs(r.output_waveform - clean) ** 2)
         variances.append(var)
         nominals.append(noise_variance(r.snr_db))
     floor = float(np.mean(floors))
@@ -510,7 +509,7 @@ def stage3_alternate(
             targets = TargetSymbols.unit_power(symbols, setup.cfg)
             snr = curriculum.sample(refresh_rng)
             seed = int(refresh_rng.integers(2**63))
-            fresh.append(emulated_link(targets, snr, seed, setup, mode="soft", for_proxy=True)[1])
+            fresh.append(emulated_link(targets, snr, seed, setup, mode="soft")[1])
         epochs, held_out_mse = _proxy_fit(
             proxy, opt_b, fresh, max(1, len(fresh) // 4), train_cfg.batch_size,
             train_cfg.stage3_refresh_epochs, refresh_rng, "stage3/phaseB", trace,
@@ -598,24 +597,22 @@ def evaluate_image_link(
 
     Each image rides its own one-body transmission, matching how the
     compensator and codec see waveforms during training.  Per-image noise
-    seeds derive from ``seed`` so runs stay reproducible.
+    seeds derive from ``seed`` so runs stay reproducible.  A compensator,
+    if given, corrects each received waveform before the estimates are read.
     """
     flat = images.reshape(len(images), -1)
     # (B, 2K) latents at unit average power, as (B, K) symbols
     symbols = _latent_to_symbols(jscc.encode(Tensor(flat)).data)
-    comp_fn = compensator.compensate_array if compensator is not None else None
     seq = np.random.SeedSequence(seed)
     est = np.empty_like(symbols)
     clip_total = 0.0
     for i, child in enumerate(seq.spawn(len(flat))):
         targets = TargetSymbols.unit_power(symbols[i], setup.cfg)
-        est[i], record = emulated_link(
-            targets,
-            snr_db,
-            np.random.default_rng(child),
-            setup,
-            compensator=comp_fn,
-        )
+        est[i], record = emulated_link(targets, snr_db, np.random.default_rng(child), setup)
+        if compensator is not None:
+            est[i] = extract_estimates(
+                compensator.compensate_array(record.output_waveform), record.plan, setup
+            )
         clip_total += record.clip_rate
     recon = jscc.decode(Tensor(est.view(np.float64))).data  # estimates as (B, 2K) reals
     per_image = np.mean((recon - flat) ** 2, axis=1)

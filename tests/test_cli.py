@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ofdmemu.cli import main
 from ofdmemu.config import MAX_FRAME_SAMPLES, MAX_SYMBOLS, PhyConfig, parse_config_file
-from ofdmemu.framefile import FRAME_MAGIC, FRAME_VERSION, read_frame, write_frame
+from ofdmemu.framefile import FRAME_MAGIC, FRAME_VERSION, frame_bytes, read_frame, write_frame
 from ofdmemu.link import EmulationSetup
 from ofdmemu.phy import tx_chain
 from ofdmemu.training import TrainConfig
@@ -251,6 +251,17 @@ def test_emulate_zero_targets_warns_nothing(tmp_path, capsys):
     assert "evm n/a" in capsys.readouterr().out
 
 
+def test_emulate_header_only_frame_exits_1_without_warnings(tmp_path, capsys):
+    # a valid frame file of 0 samples: rejected before its power is read
+    write_frame(tmp_path / "none.bin", np.zeros(0, dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["emulate", "--in", str(tmp_path / "none.bin"), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "must not be empty" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_emulate_overflowing_targets_exit_1_before_the_link(tmp_path, capsys, monkeypatch):
     # finite targets whose power overflows; the link must not run
     write_frame(tmp_path / "huge.bin", np.array([1e300 + 1e300j, 1 + 1j, -1e200j]))
@@ -455,7 +466,7 @@ _CONFIG_TEXTS = {
 _NON_UTF8 = os.fsdecode(b"\xff\xfe")
 # Every option pool is (plain values, hostile values).  None leaves the
 # option out.
-_PATHS_IN_HOSTILE = ["empty", "nan_frame", "dir", "non_utf8", "missing", "missing_non_utf8", ""]
+_PATHS_IN_HOSTILE = ["empty", "header_only", "nan_frame", "dir", "non_utf8", "missing", "missing_non_utf8", ""]
 _PATHS_IN = {
     "tx": (["payload", "junk", "frame", "targets"], [None] + _PATHS_IN_HOSTILE),
     "rx": (["frame"], ["payload", "junk", "targets", None] + _PATHS_IN_HOSTILE),
@@ -507,6 +518,8 @@ def cli_files(tmp_path_factory):
     samples[40] = np.nan  # inside the first OFDM symbol's body
     files["nan_frame"] = root / "nan_frame.bin"
     write_frame(files["nan_frame"], samples)
+    files["header_only"] = root / "header_only.bin"
+    files["header_only"].write_bytes(frame_bytes(np.zeros(0)))
     files["targets"] = root / "targets.bin"
     write_frame(files["targets"], rng.normal(size=5) + 1j * rng.normal(size=5))
     files["dir"] = root / "dir"

@@ -28,7 +28,7 @@ from ofdmemu.link import (
     waveform_from_values,
 )
 from ofdmemu.nn import ProxyModel
-from ofdmemu.phy import tx_chain
+from ofdmemu.phy import demodulate_frame, tx_chain
 
 
 def uniform_box_targets(n, cfg, rng, margin=1.0):
@@ -97,10 +97,9 @@ def test_noiseless_soft_recovery_hits_quantized_points(default_setup, rng):
     targets = uniform_box_targets(80, default_setup.cfg, rng)
     plan = sender_invert(targets, default_setup)
     frame = tx_chain(plan.bitstream, default_setup.cfg)
-    est, recon = receiver_recover_soft(frame.samples, plan, default_setup)
+    est = receiver_recover_soft(frame.samples, plan, default_setup)
     want = plan.quantized.reshape(-1)[: targets.count] / plan.scale
     assert np.allclose(est, want, atol=1e-9)
-    assert recon.shape == (frame.samples.size,)
 
 
 # Every (modulation, rate): a noiseless soft round trip returns the planned
@@ -117,7 +116,7 @@ def test_noiseless_soft_round_trip_property(m, rate, count, seed):
     setup = EmulationSetup.build(PhyConfig(modulation_order=m, coding_rate=rate))
     targets = uniform_box_targets(count, setup.cfg, np.random.default_rng(seed), margin=1.3)
     plan = sender_invert(targets, setup)
-    est, _ = receiver_recover_soft(tx_chain(plan.bitstream, setup.cfg).samples, plan, setup)
+    est = receiver_recover_soft(tx_chain(plan.bitstream, setup.cfg).samples, plan, setup)
     assert np.allclose(est, plan.quantized.reshape(-1)[:count] / plan.scale, rtol=0, atol=1e-9)
 
 
@@ -249,24 +248,35 @@ def test_reference_waveform_shape(default_setup, rng):
     assert ref.size == 2 * default_setup.cfg.samples_per_ofdm
 
 
+def reframed(samples, plan, setup):
+    """A frame's raw chosen-bin values in user units, framed on their own."""
+    values = demodulate_frame(samples, setup.cfg)[:, setup.chosen_bins].reshape(-1)
+    return waveform_from_values(values / plan.scale, setup)
+
+
+def assert_record_derives(rec, targets, snr_db, seed, setup):
+    """The record holds this transmission, and its waveforms derive from
+    it byte for byte."""
+    plan = sender_invert(targets, setup)
+    assert rec.targets is targets and rec.setup is setup and rec.snr_db == snr_db
+    assert rec.plan.bitstream.tobytes() == plan.bitstream.tobytes()
+    assert rec.clip_rate == plan.clip_rate
+    assert rec.tx_frame.tobytes() == tx_chain(plan.bitstream, setup.cfg).samples.tobytes()
+    assert rec.rx_frame.tobytes() == awgn(rec.tx_frame, snr_db, seed).tobytes()
+    assert rec.reference.tobytes() == reference_waveform(targets, setup).tobytes()
+    assert rec.clean_waveform.tobytes() == reframed(rec.tx_frame, plan, setup).tobytes()
+    assert rec.output_waveform.tobytes() == reframed(rec.rx_frame, plan, setup).tobytes()
+
+
 def test_emulated_link_soft_record(default_setup, rng):
     targets = uniform_box_targets(60, default_setup.cfg, rng)
-    est, rec = emulated_link(targets, 20.0, 11, default_setup, for_proxy=True)
+    est, rec = emulated_link(targets, 20.0, 11, default_setup)
     assert est.size == 60
-    # a proxy record holds the reference waveform and the noiseless
-    # soft receive of the same plan
-    assert rec.reference.tobytes() == reference_waveform(targets, default_setup).tobytes()
-    plan = sender_invert(targets, default_setup)
-    _, clean = receiver_recover_soft(
-        tx_chain(plan.bitstream, default_setup.cfg).samples, plan, default_setup
-    )
-    assert rec.clean_waveform.tobytes() == clean.tobytes()
-    # same seed reproduces, different seed does not; without for_proxy
-    # the record carries neither waveform
-    est2, plain = emulated_link(targets, 20.0, 11, default_setup)
+    assert_record_derives(rec, targets, 20.0, 11, default_setup)
+    assert est.tobytes() == receiver_recover_soft(rec.rx_frame, rec.plan, default_setup).tobytes()
+    # same seed reproduces, different seed does not
+    est2, _ = emulated_link(targets, 20.0, 11, default_setup)
     assert np.array_equal(est, est2)
-    assert plain.reference is None and plain.clean_waveform is None
-    assert plain.tx_frame.tobytes() == rec.tx_frame.tobytes()
     est3, _ = emulated_link(targets, 20.0, 12, default_setup)
     assert not np.array_equal(est, est3)
 
@@ -285,20 +295,12 @@ def test_emulated_link_hard_mode(default_setup, rng):
     plan = sender_invert(targets, default_setup)
     want = plan.quantized.reshape(-1)[:60] / plan.scale
     assert np.allclose(est, want, atol=1e-9)
-    assert rec.output_waveform is None
-    with pytest.raises(SelectionError):
-        emulated_link(targets, 10.0, 1, default_setup, mode="hard", compensator=lambda w: w)
+    # the record is the same in both modes
+    assert_record_derives(rec, targets, math.inf, 1, default_setup)
+    _, noisy = emulated_link(targets, 10.0, 1, default_setup, mode="hard")
+    assert_record_derives(noisy, targets, 10.0, 1, default_setup)
     with pytest.raises(SelectionError):
         emulated_link(targets, 10.0, 1, default_setup, mode="through")
-
-
-def test_emulated_link_compensator_hook(default_setup, rng):
-    targets = uniform_box_targets(40, default_setup.cfg, rng)
-    est_id, _ = emulated_link(targets, 15.0, 4, default_setup, compensator=lambda w: w)
-    est_plain, _ = emulated_link(targets, 15.0, 4, default_setup)
-    assert np.allclose(est_id, est_plain, atol=1e-9)
-    with pytest.raises(FramingError):
-        emulated_link(targets, 15.0, 4, default_setup, compensator=lambda w: w[:-1])
 
 
 def test_extract_estimates_clips(default_setup, rng):

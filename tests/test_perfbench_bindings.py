@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ofdmemu import link, phy, training
+from ofdmemu import harness, link, phy, training
 from ofdmemu.nn import autodiff
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -56,3 +56,20 @@ def test_tracer_binds_to_every_traced_layer(default_setup):
     assert tx_spans and all("ofdm_symbols" in s[6] for s in tx_spans)
     # uninstall restored the package's own functions
     assert not any(hasattr(f, "__wrapped__") for f in (link.emulated_link, phy.tx_chain))
+
+
+def test_sweep_emulated_cell_runs_the_emulated_link(default_setup):
+    # one implementation of the link: the sweep's emulated cell receives
+    # inside emulated_link, not through a copy of its steps
+    spec = harness.ExperimentSpec(snr_list=(10.0,), n_symbols=100, systems=("emulated",))
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer("sweep")
+    tracer.install()
+    try:
+        harness.run_sweep(spec, default_setup)
+    finally:
+        tracer.uninstall()
+    table = tracer_module.SpanTable(tracer.spans, "sweep")
+    receives = table.named("link.receiver_recover_soft")
+    assert receives
+    assert all("link.emulated_link" in table.ancestor_names(s) for s in receives)

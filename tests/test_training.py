@@ -101,9 +101,9 @@ def test_collect_link_records(default_setup):
     )
     assert len(recs) == 4
     for r in recs:
-        assert r.clean_waveform is not None
         assert r.snr_db == 15.0
         assert r.reference.size == 2 * default_setup.cfg.samples_per_ofdm
+        assert r.clean_waveform.shape == r.output_waveform.shape == r.reference.shape
 
 
 def synthetic_pairs(monkeypatch, xs, ys):
@@ -241,6 +241,21 @@ def test_evaluate_image_link_deterministic(default_setup):
     assert a["image_mse"] == pytest.approx(float(np.mean(a["per_image_sq_err"])))
     assert 0.0 <= a["clip_rate"] <= 1.0
     assert a["symbol_power"] == pytest.approx(1.0, rel=0.2)
+
+
+def test_evaluate_image_link_identity_compensator(default_setup):
+    # an untrained compensator is the identity, so correcting the received
+    # waveforms with it must not move the estimates
+    cfg = quick_cfg()
+    jscc = ToyJsccModel(cfg.child_rng(0))
+    images = glyph_images(4, cfg.child_rng(3))
+    spec = PeriodSpec.from_config(default_setup.cfg, default_setup.n_chosen)
+    comp = CompensatorModel(spec, cfg.child_rng(1))
+    plain = evaluate_image_link(jscc, default_setup, 15.0, 4, images)
+    compensated = evaluate_image_link(jscc, default_setup, 15.0, 4, images, compensator=comp)
+    assert compensated["symbol_mse"] == pytest.approx(plain["symbol_mse"], abs=1e-9)
+    assert np.allclose(compensated["per_image_sq_err"], plain["per_image_sq_err"], atol=1e-9)
+    assert compensated["clip_rate"] == plain["clip_rate"]
 
 
 @pytest.mark.parametrize(
