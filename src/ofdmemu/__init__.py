@@ -62,8 +62,6 @@ from .link import (
 from .phy import (
     BasebandFrame,
     conv_encode,
-    deinterleave,
-    depuncture,
     interleave,
     puncture,
     qam_map,

@@ -178,6 +178,13 @@ class PhyConfig:
         period = len(PUNCTURE_PATTERNS[rate])
         if (2 * int(n_dbps)) % period != 0:
             raise ConfigError("puncture pattern does not align with the OFDM symbol boundary")
+        # the interleaver is a permutation only on a whole number of rows
+        # of 16 s-bit groups, s = max(n_bpsc // 2, 1)
+        row = 16 * max(self.n_bpsc // 2, 1)
+        if self.n_cbps % row != 0:
+            raise ConfigError(
+                f"interleaver needs a multiple of {row} coded bits per symbol, got {self.n_cbps}"
+            )
 
     # -- derived sizes ---------------------------------------------------
 

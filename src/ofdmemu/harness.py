@@ -66,6 +66,8 @@ class ExperimentSpec:
         check_count("n_symbols", self.n_symbols, MAX_SYMBOLS)
         check_count("n_images", self.n_images, MAX_IMAGES)
         check_seed(self.master_seed)
+        if not self.systems:
+            raise ConfigError("systems must not be empty")
         unknown = set(self.systems) - set(SYSTEM_IDS)
         if unknown:
             raise ConfigError(f"unknown systems {sorted(unknown)}; valid: {SYSTEM_IDS}")

@@ -5,10 +5,10 @@ convolutional encoder, puncturer and interleaver; because every stage is
 linear over GF(2) the interleaved bit vector equals C*x XOR d(state),
 where the affine offset d depends only on the 6-bit encoder state at the
 symbol boundary.  The matrix is assembled here directly from the
-generator tap structure and the puncture/interleave index maps, not by
-running the encoder, so agreement with the sequential chain is a
-meaningful cross-check, which ``tests/oracles.verify_against_pipeline``
-runs.
+generator tap structure and the transmitter's own puncture-and-interleave
+index map (``phy._symbol_gather``), not by running the encoder, so
+agreement with the stage-by-stage chain is a meaningful cross-check,
+which ``tests/oracles.verify_against_pipeline`` runs.
 
 Row i of the system corresponds to coded bit i of the interleaved block,
 i.e. bit (i mod n_bpsc) of the QAM label on the (i div n_bpsc)-th data
@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import CONV_G1, CONV_G2, PUNCTURE_PATTERNS, PhyConfig, bin_to_logical
+from .config import CONV_G1, CONV_G2, PhyConfig, bin_to_logical
 from .errors import SelectionError
 from .gf2 import Gf2Matrix, Gf2Vector, left_null, rank
-from .phy import _interleave_perm, _taps
+from .phy import _symbol_gather, _taps
 
 __all__ = [
     "SymbolSystem",
@@ -84,7 +84,6 @@ class SymbolSystem:
 
 def build_symbol_system(cfg: PhyConfig) -> SymbolSystem:
     beta = cfg.n_dbps
-    alpha = cfg.n_cbps
     taps1 = _taps(CONV_G1)
     taps2 = _taps(CONV_G2)
 
@@ -107,14 +106,9 @@ def build_symbol_system(cfg: PhyConfig) -> SymbolSystem:
                 else:
                     m_state[2 * t + 1, -src - 1] ^= 1
 
-    pattern = np.asarray(PUNCTURE_PATTERNS[cfg.coding_rate], dtype=bool)
-    keep = np.nonzero(np.tile(pattern, -(-2 * beta // pattern.size))[: 2 * beta])[0]
-    perm = _interleave_perm(alpha, cfg.n_bpsc)
-
-    c_dense = np.empty((alpha, beta), dtype=np.uint8)
-    u_dense = np.empty((alpha, 6), dtype=np.uint8)
-    c_dense[perm] = m_info[keep]
-    u_dense[perm] = m_state[keep]
+    gather = _symbol_gather(cfg)
+    c_dense = m_info[gather]
+    u_dense = m_state[gather]
 
     state_bits = np.array([[(s >> i) & 1 for i in range(6)] for s in range(64)], dtype=np.uint8)
     offsets = (state_bits @ u_dense.T) % 2

@@ -3,8 +3,10 @@
 Transmit order: scramble, rate-1/2 convolutional encode, puncture,
 block-interleave, QAM map, pilot insertion, unitary IFFT plus cyclic
 prefix.  Receive order mirrors it: FFT, hard QAM demap (the channel is
-unit-gain, so there is nothing to equalize), deinterleave, depuncture
-with erasure marks, hard-decision Viterbi decode, descramble.
+unit-gain, so there is nothing to equalize), one scatter that undoes the
+interleaver and marks punctured bits erased, hard-decision Viterbi
+decode, descramble.  Both chains use the per-symbol map of
+:func:`_symbol_gather`, as the GF(2) model in ``inversion`` does.
 
 Both DFTs carry the unitary 1/sqrt(fft_size) scale so Parseval holds
 exactly between grid and time domains.  Bits travel as uint8 arrays of
@@ -44,9 +46,7 @@ __all__ = [
     "scramble",
     "conv_encode",
     "puncture",
-    "depuncture",
     "interleave",
-    "deinterleave",
     "qam_map",
     "qam_quantize",
     "modulate_symbols",
@@ -157,21 +157,6 @@ def puncture(coded: np.ndarray, rate: Fraction | str) -> np.ndarray:
     return coded[np.tile(pat, -(-coded.size // pat.size))[: coded.size]]
 
 
-def depuncture(kept: np.ndarray, rate: Fraction | str) -> np.ndarray:
-    """Re-expand a punctured stream, marking dropped positions with -1."""
-    kept = np.asarray(kept)
-    pat = _pattern(rate)
-    keep_per_period = int(pat.sum())
-    if kept.size % keep_per_period != 0:
-        raise FramingError(
-            f"punctured length {kept.size} is not a multiple of {keep_per_period}"
-        )
-    periods = kept.size // keep_per_period
-    out = np.full(periods * pat.size, -1, dtype=np.int8)
-    out[np.tile(pat, periods)] = kept.astype(np.int8)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # T3 / R4: block interleaver
 # ---------------------------------------------------------------------------
@@ -186,23 +171,30 @@ def _interleave_perm(n_cbps: int, n_bpsc: int) -> np.ndarray:
     return j
 
 
-def _blocks(bits: np.ndarray, n_cbps: int) -> np.ndarray:
-    if bits.size % n_cbps != 0:
-        raise FramingError(f"interleaver blocks hold {n_cbps} bits, got {bits.size} bits")
-    return bits.reshape(-1, n_cbps)
-
-
 def interleave(bits: np.ndarray, n_cbps: int, n_bpsc: int) -> np.ndarray:
     """Interleave each ``n_cbps``-bit block of a whole number of blocks."""
-    blocks = _blocks(_as_bits(bits), n_cbps)
-    out = np.empty_like(blocks)
-    out[:, _interleave_perm(n_cbps, n_bpsc)] = blocks
+    bits = _as_bits(bits)
+    if bits.size % n_cbps != 0:
+        raise FramingError(f"interleaver blocks hold {n_cbps} bits, got {bits.size} bits")
+    out = np.empty((bits.size // n_cbps, n_cbps), dtype=np.uint8)
+    out[:, _interleave_perm(n_cbps, n_bpsc)] = bits.reshape(-1, n_cbps)
     return out.reshape(-1)
 
 
-def deinterleave(bits: np.ndarray, n_cbps: int, n_bpsc: int) -> np.ndarray:
-    blocks = _blocks(np.asarray(bits).ravel(), n_cbps)
-    return blocks[:, _interleave_perm(n_cbps, n_bpsc)].reshape(-1)
+@lru_cache(maxsize=None)
+def _symbol_gather(cfg: PhyConfig) -> np.ndarray:
+    """Puncturing then interleaving of one OFDM symbol as one index map.
+
+    Entry j is the position, among the symbol's 2 * n_dbps mother bits,
+    of interleaved coded bit j.  Every symbol starts a whole puncture
+    period (``PhyConfig`` checks it), so the map serves each symbol.
+    """
+    pat = _pattern(cfg.coding_rate)
+    keep = np.flatnonzero(np.tile(pat, 2 * cfg.n_dbps // pat.size))
+    gather = np.empty(cfg.n_cbps, dtype=np.intp)
+    gather[_interleave_perm(cfg.n_cbps, cfg.n_bpsc)] = keep
+    gather.flags.writeable = False
+    return gather
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +397,9 @@ def _head_metrics(pairs: tuple[int, ...]) -> np.ndarray:
 def viterbi_decode(received: np.ndarray) -> np.ndarray:
     """Hard-decision Viterbi decode of the rate-1/2 mother stream.
 
-    ``received`` holds 0, 1 and -1 erasure marks (zero branch cost), as
-    :func:`depuncture` leaves them.  A value outside {-1, 0, 1}, a dtype
-    that is not bool, integer or float, or an odd length raises
+    ``received`` holds 0, 1 and -1 erasure marks (zero branch cost), the
+    marks :func:`rx_chain` puts on punctured positions.  A value outside
+    {-1, 0, 1}, a dtype that is not bool, integer or float, or an odd length raises
     :class:`FramingError`; nothing is cast into range.  The encoder is assumed to start in
     state 0; the survivor ends at the best final state, ties broken
     toward the lower-numbered predecessor and final state.
@@ -505,7 +497,7 @@ def tx_grids(bits: np.ndarray, cfg: PhyConfig) -> np.ndarray:
     n_sym = bits.size // cfg.n_dbps
     scrambled = scramble(bits, cfg.scrambler_seed)
     coded, _ = conv_encode(scrambled)
-    interleaved = interleave(puncture(coded, cfg.coding_rate), cfg.n_cbps, cfg.n_bpsc)
+    interleaved = coded.reshape(n_sym, -1)[:, _symbol_gather(cfg)]
     grids = np.zeros((n_sym, cfg.fft_size), dtype=np.complex128)
     grids[:, cfg.data_bin_array] = qam_map(interleaved, cfg.modulation_order).reshape(n_sym, -1)
     # pilot polarity of symbol s is 1 - 2*p[s], p the all-ones scrambler
@@ -521,7 +513,8 @@ def rx_chain(frame: BasebandFrame | np.ndarray, cfg: PhyConfig) -> np.ndarray:
     samples = frame.samples if isinstance(frame, BasebandFrame) else np.asarray(frame)
     grids = demodulate_frame(samples, cfg)
     _, hard = qam_quantize(grids[:, cfg.data_bin_array], cfg.modulation_order)
-    mother = depuncture(deinterleave(hard, cfg.n_cbps, cfg.n_bpsc), cfg.coding_rate)
+    mother = np.full((grids.shape[0], 2 * cfg.n_dbps), -1, dtype=np.int8)
+    mother[:, _symbol_gather(cfg)] = hard.reshape(-1, cfg.n_cbps)
     decoded = viterbi_decode(mother)
     return scramble(decoded, cfg.scrambler_seed)
 

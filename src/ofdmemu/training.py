@@ -292,41 +292,43 @@ def collect_stage2_records(setup: EmulationSetup, train_cfg: TrainConfig) -> lis
     )
 
 
-def _calibrate_noise(records: list[LinkRecord]) -> tuple[float, float, float]:
-    """Fit (gain, floor) of the proxy noise law to measured records.
+def _waveforms(records: list[LinkRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """The records' reference and output waveforms, each derived once, as stacks."""
+    return np.stack([r.reference for r in records]), np.stack([r.output_waveform for r in records])
+
+
+def _calibrate_noise(
+    records: list[LinkRecord], refs: np.ndarray, outs: np.ndarray
+) -> tuple[float, float, float]:
+    """Fit (gain, floor) of the proxy noise law to measured records,
+    given their :func:`_waveforms` stacks.
 
     floor: mean squared deterministic distortion (clean replay vs
     reference).  gain: measured stochastic variance regressed against
     the nominal 10^(-snr/10) law.  Also returns the mean measured
     stochastic variance for reporting.
     """
-    floors, variances, nominals = [], [], []
-    for r in records:
-        clean = r.clean_waveform
-        floors.append(np.mean(np.abs(clean - r.reference) ** 2))
-        var = np.mean(np.abs(r.output_waveform - clean) ** 2)
-        variances.append(var)
-        nominals.append(noise_variance(r.snr_db))
-    floor = float(np.mean(floors))
-    nominals = np.asarray(nominals)
-    variances = np.asarray(variances)
+    cleans = np.stack([r.clean_waveform for r in records])
+    floor = float(np.mean(np.mean(np.abs(cleans - refs) ** 2, axis=1)))
+    variances = np.mean(np.abs(outs - cleans) ** 2, axis=1)
+    nominals = np.array([noise_variance(r.snr_db) for r in records])
     denom = float(np.sum(nominals**2))
     gain = float(np.sum(variances * nominals) / denom) if denom > 0 else 0.0
     return gain, floor, float(np.mean(variances))
 
 
 def _proxy_fit(
-    proxy: ProxyModel, opt: SGDMomentum, records: list[LinkRecord], n_held: int,
+    proxy: ProxyModel, opt: SGDMomentum, refs: np.ndarray, outs: np.ndarray, n_held: int,
     batch_size: int, epochs: int, rng: np.random.Generator, stage: str, trace: list,
 ):
     """Fit the proxy's deterministic part to all but the last ``n_held``
-    records, which are held out.
+    records, which are held out, given their :func:`_waveforms` stacks.
 
     Returns the ``_sgd_epochs`` generator of the fit, which runs as it is
     consumed, and a function giving the held-out complex per-sample MSE.
     """
-    xs = np.stack([complex_to_wave(r.reference) for r in records])
-    ys = np.stack([complex_to_wave(r.output_waveform) for r in records])
+    xs = np.stack([complex_to_wave(w) for w in refs])
+    ys = np.stack([complex_to_wave(w) for w in outs])
 
     def batch_loss(idx):
         # deterministic fit: noise off, noisy targets average out
@@ -338,9 +340,7 @@ def _proxy_fit(
         # complex per-sample MSE = 2x the per-real-component MSE
         return 2.0 * _mse(pred, ys[-n_held:])
 
-    fit = _sgd_epochs(
-        opt, batch_loss, len(records) - n_held, batch_size, epochs, rng, stage, trace
-    )
+    fit = _sgd_epochs(opt, batch_loss, len(refs) - n_held, batch_size, epochs, rng, stage, trace)
     return fit, held_out_mse
 
 
@@ -356,21 +356,23 @@ def stage2_train_proxy(
     n_held = max(2, len(records) // 4)
     if model is None:
         model = ProxyModel(train_cfg.child_rng(_S2_INIT))
-    gain, floor, sigma_sq = _calibrate_noise(records[:-n_held])
+    refs, outs = _waveforms(records)
+    train, held = slice(-n_held), slice(-n_held, None)
+    gain, floor, sigma_sq = _calibrate_noise(records[train], refs[train], outs[train])
     model.noise_gain = gain
     model.noise_floor = floor
 
     opt = SGDMomentum(model.parameters(), train_cfg.step_proxy, train_cfg.momentum)
     trace: list[float] = []
     epochs, held_out_mse = _proxy_fit(
-        model, opt, records, n_held, train_cfg.batch_size, train_cfg.stage2_epochs,
+        model, opt, refs, outs, n_held, train_cfg.batch_size, train_cfg.stage2_epochs,
         train_cfg.child_rng(_S2_SHUFFLE), "stage2", trace,
     )
     for losses in epochs:
         trace.append(float(np.mean(losses)))
 
     held_mse = held_out_mse()
-    _, held_floor, held_sigma_sq = _calibrate_noise(records[-n_held:])
+    _, held_floor, held_sigma_sq = _calibrate_noise(records[held], refs[held], outs[held])
     bound = 2.0 * held_sigma_sq + held_floor
     return StageResult(
         model=model,
@@ -511,7 +513,7 @@ def stage3_alternate(
             seed = int(refresh_rng.integers(2**63))
             fresh.append(emulated_link(targets, snr, seed, setup, mode="soft")[1])
         epochs, held_out_mse = _proxy_fit(
-            proxy, opt_b, fresh, max(1, len(fresh) // 4), train_cfg.batch_size,
+            proxy, opt_b, *_waveforms(fresh), max(1, len(fresh) // 4), train_cfg.batch_size,
             train_cfg.stage3_refresh_epochs, refresh_rng, "stage3/phaseB", trace,
         )
         pre_refresh = held_out_mse()

@@ -86,6 +86,17 @@ def puncture_reference(coded, rate):
     )
 
 
+def depuncture_reference(kept, rate):
+    """Re-expand a punctured stream: -1 wherever the mask dropped a bit."""
+    mask = PUNCTURE_KEEP[rate]
+    assert len(kept) % sum(mask) == 0, "not a whole number of puncture periods"
+    it = iter(kept)
+    return np.array(
+        [next(it) if keep else -1 for _ in range(len(kept) // sum(mask)) for keep in mask],
+        dtype=np.int8,
+    )
+
+
 # ---------------------------------------------------------------------------
 # two-permutation block interleaver
 
@@ -327,7 +338,7 @@ def viterbi_reference(received):
     """Hard-decision Viterbi decode of the rate-1/2 mother stream.
 
     ``received`` may carry -1 erasure marks (zero branch cost), as
-    depuncture leaves them.  The encoder is assumed to start in
+    ``depuncture_reference`` leaves them.  The encoder is assumed to start in
     state 0; the survivor ends at the best final state, ties broken
     toward the lower-numbered predecessor and final state.
     """

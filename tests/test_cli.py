@@ -332,6 +332,31 @@ def test_non_utf8_config_exits_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_custom_layout_without_an_interleaver_permutation_exits_2(tmp_path, capsys):
+    # 24 BPSK bins are 24 coded bits, not whole 16-bit interleaver rows:
+    # the interleaver would send two bits to one place and lose another
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(
+        "[phy]\nsubcarrier_map = custom\n"
+        f"data_subcarriers = {' '.join(map(str, range(1, 25)))}\n"
+        "pilot_subcarriers = 40 41 42 43\nmodulation = bpsk\ncoding_rate = 1/2\n"
+    )
+    rc = main(["emulate", "--symbols", "50", "--snr", "40", "--config", str(cfgfile),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "interleaver" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_without_systems_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfgfile = tmp_path / "none.cfg"
+    cfgfile.write_text("[sweep]\nsnr_list = 10\nsystems =\n")
+    rc = main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "systems must not be empty" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_phy_value_exits_2(tmp_path, capsys):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("fft_size = 60\n")

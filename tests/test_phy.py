@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ofdmemu import phy
-from ofdmemu.config import PhyConfig
+from ofdmemu.config import BITS_PER_SYMBOL, PhyConfig
 from ofdmemu.errors import ConfigError, FramingError
 
 ALL_MODES = [
@@ -55,18 +55,6 @@ def test_puncture_matches_reference(rate, rng):
     assert np.array_equal(phy.puncture(coded, rate), oracles.puncture_reference(coded, rate))
 
 
-@pytest.mark.parametrize("rate", ["2/3", "3/4", "5/6"])
-def test_depuncture_places_erasures(rate, rng):
-    coded = rng.integers(0, 2, 120, dtype=np.uint8)
-    kept = phy.puncture(coded, rate)
-    restored = phy.depuncture(kept, rate)
-    assert restored.size == coded.size
-    known = restored >= 0
-    assert np.array_equal(restored[known], coded[known])
-    # erasure count equals what the mask dropped
-    assert int(np.sum(~known)) == coded.size - kept.size
-
-
 @pytest.mark.parametrize("m", [2, 4, 16, 64])
 def test_interleaver_matches_reference(m, rng):
     n_bpsc = {2: 1, 4: 2, 16: 4, 64: 6}[m]
@@ -77,9 +65,34 @@ def test_interleaver_matches_reference(m, rng):
             phy.interleave(bits, n_cbps, n_bpsc),
             oracles.interleave_reference(bits, n_cbps, n_bpsc),
         )
-        assert np.array_equal(
-            phy.deinterleave(phy.interleave(bits, n_cbps, n_bpsc), n_cbps, n_bpsc), bits
-        )
+
+
+@pytest.mark.parametrize("m,rate", ALL_MODES)
+def test_symbol_gather_is_puncture_then_interleave(m, rate, rng, monkeypatch):
+    # transmit: the one per-symbol map equals the two stages in turn
+    cfg = PhyConfig(modulation_order=m, coding_rate=rate)
+    n_sym = 3
+    coded = rng.integers(0, 2, n_sym * 2 * cfg.n_dbps, dtype=np.uint8)
+    gathered = coded.reshape(n_sym, -1)[:, phy._symbol_gather(cfg)]
+    want = phy.interleave(phy.puncture(coded, rate), cfg.n_cbps, cfg.n_bpsc)
+    assert np.array_equal(gathered.ravel(), want)
+
+    # receive: the mother stream rx_chain hands the decoder holds every
+    # sent coded bit the puncturer kept, and -1 where it dropped one
+    seen = []
+    decode = phy.viterbi_decode
+
+    def spy(received):
+        seen.append(received)
+        return decode(received)
+
+    monkeypatch.setattr(phy, "viterbi_decode", spy)
+    bits = rng.integers(0, 2, n_sym * cfg.n_dbps, dtype=np.uint8)
+    assert np.array_equal(phy.rx_chain(phy.tx_chain(bits, cfg), cfg), bits)
+    sent, _ = oracles.conv_encode_reference(oracles.scramble_reference(bits, cfg.scrambler_seed))
+    kept = oracles.puncture_reference(sent, str(rate))
+    assert seen[0].dtype == np.int8
+    assert np.array_equal(seen[0].ravel(), oracles.depuncture_reference(kept, str(rate)))
 
 
 @pytest.mark.parametrize("m", [2, 4, 16, 64])
@@ -181,12 +194,9 @@ def test_tx_grids_frame_matches_oracles(m, rate, rng):
          for b in interleaved.reshape(n_sym, cfg.n_cbps)]
     )
     assert np.array_equal(back, punctured)
-    assert np.array_equal(phy.deinterleave(interleaved, cfg.n_cbps, cfg.n_bpsc), back)
     for partial in (punctured[:-1], punctured[: cfg.n_cbps + 1]):
         with pytest.raises(FramingError):
             phy.interleave(partial, cfg.n_cbps, cfg.n_bpsc)
-        with pytest.raises(FramingError):
-            phy.deinterleave(partial, cfg.n_cbps, cfg.n_bpsc)
 
 
 @pytest.mark.parametrize("m,rate", ALL_MODES)
@@ -195,6 +205,37 @@ def test_noiseless_loopback(m, rate, rng):
     payload = rng.integers(0, 2, cfg.n_dbps * 4, dtype=np.uint8)
     frame = phy.tx_chain(payload, cfg)
     assert np.array_equal(phy.rx_chain(frame, cfg), payload)
+
+
+def test_every_accepted_custom_layout_loops_back(rng):
+    # PhyConfig accepts a data-bin count only where the interleaver is a
+    # permutation, and every layout it accepts loops back noiselessly
+    pilots = (49, 50, 51, 52)
+    accepted = 0
+    for n in range(1, 49):
+        for m, rate in ALL_MODES:
+            try:
+                cfg = PhyConfig(modulation_order=m, coding_rate=rate,
+                                data_subcarriers=range(1, n + 1), pilot_subcarriers=pilots)
+            except ConfigError as exc:
+                if "interleaver" in str(exc):
+                    n_cbps = n * BITS_PER_SYMBOL[m]
+                    perm = phy._interleave_perm(n_cbps, BITS_PER_SYMBOL[m])
+                    assert np.unique(perm).size < n_cbps, (n, m, rate)
+                continue
+            accepted += 1
+            assert np.unique(phy._symbol_gather(cfg)).size == cfg.n_cbps
+            payload = rng.integers(0, 2, 3 * cfg.n_dbps, dtype=np.uint8)
+            assert np.array_equal(phy.rx_chain(phy.tx_chain(payload, cfg), cfg), payload)
+    assert accepted > 0
+    for m, n in ((2, 24), (16, 4)):
+        with pytest.raises(ConfigError, match="interleaver"):
+            PhyConfig(modulation_order=m, coding_rate=Fraction(1, 2),
+                      data_subcarriers=range(1, n + 1), pilot_subcarriers=(40, 41, 42, 43))
+
+
+def test_rx_chain_of_no_samples_is_no_bits():
+    assert phy.rx_chain(np.zeros(0, dtype=complex), PhyConfig()).size == 0
 
 
 def test_tx_chain_rejects_partial_symbols(rng):
@@ -246,13 +287,13 @@ def _mother_streams(draw):
     kind = draw(st.sampled_from(["erasures", "zeros", "erased", "depunctured"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "depunctured":
-        # noisy coded bits through puncture and depuncture at one rate
+        # noisy coded bits punctured, then re-expanded with erasure marks
         rate = draw(st.sampled_from(_RATES))
         period = len(oracles.PUNCTURE_KEEP[rate]) // 2
         n_info = period * (draw(_STEPS) // period)
         coded, _ = phy.conv_encode(rng.integers(0, 2, n_info, dtype=np.uint8), 0)
         coded ^= (rng.random(coded.size) < draw(st.floats(0, 0.5))).astype(np.uint8)
-        return phy.depuncture(phy.puncture(coded, rate), rate)
+        return oracles.depuncture_reference(phy.puncture(coded, rate), rate)
     size = 2 * draw(_STEPS)
     if kind == "zeros":
         return np.zeros(size, dtype=draw(st.sampled_from([np.int8, bool])))
