@@ -24,7 +24,7 @@ from .framefile import (
     write_loss_trace,
     write_model,
 )
-from .gf2 import Gf2Matrix, Gf2Solver, Gf2Vector, Unsolvable
+from .gf2 import Gf2Solver, Unsolvable
 from .harness import (
     CheckpointMissing,
     ExperimentSpec,

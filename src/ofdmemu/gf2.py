@@ -1,10 +1,11 @@
-"""Dense GF(2) linear algebra on bit-packed rows.
+"""Dense GF(2) linear algebra on 0/1 arrays.
 
-Rows are stored as little-endian uint64 words so row XOR and
-matrix-vector products run as word-wide operations.  A factored system
-solves a batch of targets in one table product: one 216x216 solve takes
-tens of microseconds, and a batch of thousands about half a
-microsecond per target.
+Matrices, targets and solutions go in and come out as uint8 0/1
+arrays.  Inside, rows are packed into little-endian uint64 words so row
+XOR runs as word-wide operations.  A factored system solves a batch of
+targets in one table product: one 216x216 solve takes tens of
+microseconds, and a batch of thousands about half a microsecond per
+target.
 
 One elimination, ``_eliminate``, serves all three uses: ``rank``,
 ``Gf2Solver``'s factorization, and ``left_null``, which returns the
@@ -21,115 +22,34 @@ import numpy as np
 
 from .errors import FramingError
 
-__all__ = ["Gf2Matrix", "Gf2Vector", "Unsolvable", "Gf2Solver", "rank", "left_null"]
+__all__ = ["Unsolvable", "Gf2Solver", "rank", "left_null"]
 
 
-def _word_count(bits: int) -> int:
-    return (bits + 63) // 64
+def _matrix(a) -> np.ndarray:
+    a = np.asarray(a, dtype=np.uint8)
+    if a.ndim != 2:
+        raise FramingError(f"GF(2) matrix of shape {a.shape}, expected 2-D")
+    return a
 
 
-class Gf2Vector:
-    """A fixed-length bit vector packed into uint64 words."""
-
-    __slots__ = ("length", "words")
-
-    def __init__(self, length: int, words: np.ndarray | None = None):
-        self.length = int(length)
-        if words is None:
-            self.words = np.zeros(_word_count(length), dtype=np.uint64)
-        else:
-            self.words = np.asarray(words, dtype=np.uint64).copy()
-
-    @classmethod
-    def from_bits(cls, bits: np.ndarray) -> "Gf2Vector":
-        bits = np.asarray(bits, dtype=np.uint8).ravel()
-        nwords = _word_count(bits.size)
-        padded = np.zeros(nwords * 64, dtype=np.uint8)
-        padded[: bits.size] = bits & 1
-        words = np.packbits(padded, bitorder="little").view("<u8")
-        return cls(bits.size, words)
-
-    def to_bits(self) -> np.ndarray:
-        raw = np.unpackbits(self.words.view(np.uint8), bitorder="little")
-        return raw[: self.length].astype(np.uint8)
-
-    def __xor__(self, other: "Gf2Vector") -> "Gf2Vector":
-        if self.length != other.length:
-            raise FramingError("vector length mismatch")
-        return Gf2Vector(self.length, self.words ^ other.words)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Gf2Vector)
-            and self.length == other.length
-            and bool(np.array_equal(self.words, other.words))
-        )
-
-    def __repr__(self) -> str:
-        return f"Gf2Vector({''.join(map(str, self.to_bits()))})"
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Rows of 0/1 bits as uint64 words: bit c at bit c % 64 of word c // 64."""
+    rows, cols = bits.shape
+    padded = np.zeros((rows, -(-cols // 64) * 64), dtype=np.uint8)
+    np.bitwise_and(bits, 1, out=padded[:, :cols])
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
-class Gf2Matrix:
-    """A rows x cols matrix over GF(2) with bit-packed rows."""
+def _unpack(words: np.ndarray, cols: int) -> np.ndarray:
+    return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, :cols]
 
-    __slots__ = ("rows", "cols", "words", "data")
 
-    def __init__(self, rows: int, cols: int, data: np.ndarray | None = None):
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.words = _word_count(cols)
-        if data is None:
-            self.data = np.zeros((self.rows, self.words), dtype=np.uint64)
-        else:
-            data = np.asarray(data, dtype=np.uint64)
-            if data.shape != (self.rows, self.words):
-                raise FramingError(f"expected packed shape {(self.rows, self.words)}")
-            self.data = data.copy()
-
-    @classmethod
-    def from_dense(cls, arr: np.ndarray) -> "Gf2Matrix":
-        arr = np.asarray(arr, dtype=np.uint8) & 1
-        if arr.ndim != 2:
-            raise FramingError("dense input must be 2-D")
-        rows, cols = arr.shape
-        nwords = _word_count(cols)
-        padded = np.zeros((rows, nwords * 64), dtype=np.uint8)
-        padded[:, :cols] = arr
-        data = np.packbits(padded, axis=1, bitorder="little").view("<u8")
-        return cls(rows, cols, data)
-
-    @classmethod
-    def identity(cls, n: int) -> "Gf2Matrix":
-        m = cls(n, n)
-        i = np.arange(n)
-        m.data[i, i >> 6] = np.uint64(1) << (i & 63).astype(np.uint64)
-        return m
-
-    def to_dense(self) -> np.ndarray:
-        raw = np.unpackbits(self.data.view(np.uint8), axis=1, bitorder="little")
-        return raw[:, : self.cols].astype(np.uint8)
-
-    def take_rows(self, indices) -> "Gf2Matrix":
-        indices = np.asarray(indices, dtype=np.intp)
-        return Gf2Matrix(indices.size, self.cols, self.data[indices])
-
-    def matvec(self, v: Gf2Vector) -> Gf2Vector:
-        """Row-parity product: out[i] = parity(row_i AND v)."""
-        if v.length != self.cols:
-            raise FramingError(f"vector length {v.length} != cols {self.cols}")
-        bits = (np.bitwise_count(self.data & v.words[None, :]).sum(axis=1) & 1).astype(np.uint8)
-        return Gf2Vector.from_bits(bits)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Gf2Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and bool(np.array_equal(self.data, other.data))
-        )
-
-    def __repr__(self) -> str:
-        return f"Gf2Matrix({self.rows}x{self.cols})"
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, packed."""
+    i = np.arange(n)
+    out = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+    out[i, i >> 6] = np.uint64(1) << (i & 63).astype(np.uint64)
+    return out
 
 
 @dataclass(frozen=True)
@@ -161,35 +81,31 @@ class Gf2Solver:
     one product table, so a batch of targets solves in one product.
     """
 
-    def __init__(self, matrix: Gf2Matrix):
-        self.matrix = matrix
-        self.rows = matrix.rows
-        self.cols = matrix.cols
-        tr = Gf2Matrix.identity(self.rows)
-        self.pivot_cols = _eliminate(matrix.data.copy(), self.cols, tr.data)
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = _matrix(matrix) & 1
+        self.rows, self.cols = self.matrix.shape
+        tr = _identity(self.rows)
+        self.pivot_cols = _eliminate(_pack(self.matrix), self.cols, tr)
         self.rank = int(self.pivot_cols.size)
-        self._transform = tr
+        self._transform = t = _unpack(tr, self.rows)
         # target bit j maps to row j of [S^T | T's rows past the rank]
-        t = tr.to_dense()
         groups = 2 * ((self.rows + 7) // 8)  # 4-bit groups of the packed target
         maps = np.zeros((4 * groups, self.cols + self.rows - self.rank), dtype=np.uint8)
         maps[: self.rows, self.pivot_cols] = t[: self.rank].T
         maps[: self.rows, self.cols :] = t[self.rank :].T
         # Method of Four Russians: _table[16g + v] is the XOR of the map
         # rows that the set bits of value v in target bits 4g..4g+3 select
-        per_group = Gf2Matrix.from_dense(maps).data.reshape(groups, 4, -1)
+        per_group = _pack(maps).reshape(groups, 4, -1)
         table = np.zeros((groups, 16, per_group.shape[2]), dtype=np.uint64)
         for b in range(4):
             table[:, 1 << b : 2 << b] = table[:, : 1 << b] ^ per_group[:, b, None]
         self._table = table.reshape(16 * groups, -1)
         self._group_base = (np.arange(groups) * 16)[:, None]
 
-    def solve(self, target: Gf2Vector | np.ndarray) -> Gf2Vector | Unsolvable:
+    def solve(self, target: np.ndarray) -> np.ndarray | Unsolvable:
         """One target: ``solve_many`` on a one-row batch."""
-        if isinstance(target, Gf2Vector):
-            target = target.to_bits()
         x = self.solve_many(np.asarray(target).reshape(1, -1))
-        return x if isinstance(x, Unsolvable) else Gf2Vector.from_bits(x[0])
+        return x if isinstance(x, Unsolvable) else x[0]
 
     def solve_many(self, targets: np.ndarray) -> np.ndarray | Unsolvable:
         """Solve for every row of an (n, rows) 0/1 target stack.
@@ -221,7 +137,7 @@ class Gf2Solver:
             out[lo : lo + packed.shape[1]] = bits[:, : self.cols]
         return out
 
-    def certify_unsolvable(self, cert: "Unsolvable", target: Gf2Vector | np.ndarray) -> bool:
+    def certify_unsolvable(self, cert: "Unsolvable", target: np.ndarray) -> bool:
         """Check the left-null-vector proof behind an Unsolvable result.
 
         The certificate names an eliminated row r; with u the r-th row of
@@ -229,17 +145,12 @@ class Gf2Solver:
         u*target = 1.  Both products are recomputed against the original
         matrix here, so a buggy elimination cannot certify itself.
         """
-        if not isinstance(target, Gf2Vector):
-            target = Gf2Vector.from_bits(target)
-        u = self._transform.data[cert.row]
-        acc = np.zeros(self.matrix.data.shape[1], dtype=np.uint64)
-        for i in range(self.rows):
-            if (u[i >> 6] >> np.uint64(i & 63)) & np.uint64(1):
-                acc ^= self.matrix.data[i]
-        if np.any(acc):
-            return False
-        dot = int(np.bitwise_count(u & target.words).sum() & 1)
-        return dot == 1
+        target = np.asarray(target, dtype=np.uint8).ravel()
+        if target.size != self.rows:
+            raise FramingError(f"target of {target.size} bits, expected {self.rows}")
+        u = self._transform[cert.row]
+        # uint8 products wrap modulo 256, which keeps their parity
+        return not ((u @ self.matrix) & 1).any() and bool((u @ (target & 1)) & 1)
 
 
 def _eliminate(data: np.ndarray, cols: int, transform: np.ndarray | None = None) -> np.ndarray:
@@ -277,17 +188,20 @@ def _eliminate(data: np.ndarray, cols: int, transform: np.ndarray | None = None)
     return np.asarray(pivots, dtype=np.intp)
 
 
-def rank(matrix: Gf2Matrix) -> int:
-    """Rank by elimination on a scratch copy."""
-    return int(_eliminate(matrix.data.copy(), matrix.cols).size)
+def rank(matrix: np.ndarray) -> int:
+    """Rank of a 2-D 0/1 array."""
+    a = _matrix(matrix)
+    return int(_eliminate(_pack(a), a.shape[1]).size)
 
 
-def left_null(matrix: Gf2Matrix) -> tuple[int, Gf2Matrix]:
-    """Rank and a basis N of the left null space (N*matrix = 0).
+def left_null(matrix: np.ndarray) -> tuple[int, np.ndarray]:
+    """Rank and a basis N of the left null space (N*matrix = 0), as a
+    (rows - rank, rows) 0/1 array.
 
-    One elimination on a scratch copy: the transform rows past the rank
-    map the original rows onto the zero rows of the echelon form.
+    One elimination: the transform rows past the rank map the original
+    rows onto the zero rows of the echelon form.
     """
-    tr = Gf2Matrix.identity(matrix.rows)
-    r = int(_eliminate(matrix.data.copy(), matrix.cols, tr.data).size)
-    return r, tr.take_rows(np.arange(r, matrix.rows))
+    a = _matrix(matrix)
+    tr = _identity(a.shape[0])
+    r = int(_eliminate(_pack(a), a.shape[1], tr).size)
+    return r, _unpack(tr[r:], a.shape[0])

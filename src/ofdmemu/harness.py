@@ -467,7 +467,7 @@ def selftest(cfg: PhyConfig | None = None, quick: bool = False) -> SelfTestRepor
     n_bits = cfg.n_dbps * (2 if quick else 20)
     payload = rng.integers(0, 2, n_bits, dtype=np.uint8)
     frame = phy.tx_chain(payload, cfg)
-    decoded = phy.rx_chain(frame, cfg)
+    decoded = phy.rx_chain(frame.samples, cfg)
     ber = float(np.mean(decoded != payload))
     checks.append(CheckResult("loopback", ber == 0.0, f"{n_bits} bits, ber={ber}"))
 
@@ -486,17 +486,14 @@ def selftest(cfg: PhyConfig | None = None, quick: bool = False) -> SelfTestRepor
     )
 
     # solver sanity: solve a random reachable target and re-multiply
-    from .gf2 import Gf2Vector
     from .inversion import default_subset
 
     chosen = default_subset(cfg)
     solver = Gf2Solver(restrict_rows(sys_model, chosen))
     x_true = rng.integers(0, 2, sys_model.beta, dtype=np.uint8)
-    y = solver.matrix.matvec(Gf2Vector.from_bits(x_true)).to_bits()
+    y = (solver.matrix @ x_true) & 1
     x_hat = solver.solve(y)
-    ok = not isinstance(x_hat, Unsolvable) and np.array_equal(
-        solver.matrix.matvec(x_hat).to_bits(), y
-    )
+    ok = not isinstance(x_hat, Unsolvable) and np.array_equal((solver.matrix @ x_hat) & 1, y)
     checks.append(CheckResult("gf2_solver", ok, "solve + re-multiply on a random target"))
 
     # gradient check on a small composite network

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import CONV_G1, CONV_G2, PhyConfig, bin_to_logical
-from .errors import SelectionError
-from .gf2 import Gf2Matrix, Gf2Vector, left_null, rank
+from .errors import FramingError, SelectionError
+from .gf2 import left_null, rank
 from .phy import _symbol_gather, _taps
 
 __all__ = [
@@ -48,17 +48,17 @@ class SymbolSystem:
     """Affine GF(2) model of one OFDM symbol's bit pipeline."""
 
     cfg: PhyConfig
-    matrix: Gf2Matrix
+    matrix: np.ndarray  # (alpha, beta) uint8
     state_offsets: np.ndarray  # (64, alpha) uint8
     data_positions: dict[int, int] = field(repr=False)
 
     @property
     def alpha(self) -> int:
-        return self.matrix.rows
+        return self.matrix.shape[0]
 
     @property
     def beta(self) -> int:
-        return self.matrix.cols
+        return self.matrix.shape[1]
 
     def row_index_of(self, subcarrier_bin: int, bit: int) -> int:
         """System row carrying label bit ``bit`` of a data subcarrier."""
@@ -71,8 +71,11 @@ class SymbolSystem:
 
     def predict(self, x_bits: np.ndarray, state: int) -> np.ndarray:
         """C*x XOR offset(state), as a 0/1 array of length alpha."""
-        y = self.matrix.matvec(Gf2Vector.from_bits(x_bits)).to_bits()
-        return (y ^ self.state_offsets[state]) & 1
+        x_bits = np.asarray(x_bits, dtype=np.uint8).ravel()
+        if x_bits.size != self.beta:
+            raise FramingError(f"{x_bits.size} info bits, expected {self.beta}")
+        # uint8 products wrap modulo 256, which keeps their parity
+        return ((self.matrix @ x_bits) ^ self.state_offsets[state]) & 1
 
     @staticmethod
     def outgoing_state(x_bits: np.ndarray) -> np.ndarray:
@@ -116,7 +119,7 @@ def build_symbol_system(cfg: PhyConfig) -> SymbolSystem:
     positions = {b: p for p, b in enumerate(cfg.data_subcarriers)}
     return SymbolSystem(
         cfg=cfg,
-        matrix=Gf2Matrix.from_dense(c_dense),
+        matrix=c_dense,
         state_offsets=offsets.astype(np.uint8),
         data_positions=positions,
     )
@@ -156,9 +159,9 @@ def _selection_rows(sys: SymbolSystem, chosen: tuple[int, ...]) -> np.ndarray:
     return rows
 
 
-def restrict_rows(sys: SymbolSystem, chosen: tuple[int, ...]) -> Gf2Matrix:
+def restrict_rows(sys: SymbolSystem, chosen: tuple[int, ...]) -> np.ndarray:
     """Rows of the system for the chosen subcarriers, in (subcarrier, bit) order."""
-    return sys.matrix.take_rows(_selection_rows(sys, chosen))
+    return sys.matrix[_selection_rows(sys, chosen)]
 
 
 def restrict_offsets(sys: SymbolSystem, chosen: tuple[int, ...]) -> np.ndarray:
@@ -189,8 +192,8 @@ def _climb_to_full_rank(
         trial = np.empty((len(chosen), len(others)), dtype=np.intp)
         for j, u in enumerate(others):
             rows = np.concatenate([sel, _selection_rows(sys, (u,))])
-            r_m, null = left_null(sys.matrix.take_rows(rows))
-            blocks = null.to_dense()[:, : sel.size].reshape(null.rows, len(chosen), nb)
+            r_m, null = left_null(sys.matrix[rows])
+            blocks = null[:, : sel.size].reshape(null.shape[0], len(chosen), nb)
             kernel = np.all(((blocks @ combos) & 1) == 0, axis=0).sum(axis=1)
             # rank(M) - nb + (nb - log2 |kernel|), for every position at once
             trial[:, j] = r_m - np.log2(kernel).astype(np.intp)

@@ -166,7 +166,11 @@ class EmulationPlan:
     bitstream: np.ndarray  # info bits driving tx_chain
     incoming_states: np.ndarray  # encoder state at each symbol boundary
     clip_count: int
-    clip_rate: float
+
+    @property
+    def clip_rate(self) -> float:
+        """Share of the target's I and Q components beyond the box edge."""
+        return self.clip_count / (2 * self.target_count)
 
 
 def sender_invert(targets: TargetSymbols, setup: EmulationSetup) -> EmulationPlan:
@@ -212,7 +216,6 @@ def sender_invert(targets: TargetSymbols, setup: EmulationSetup) -> EmulationPla
         bitstream=bitstream,
         incoming_states=states,
         clip_count=int(over),
-        clip_rate=float(over) / float(2 * k),
     )
 
 

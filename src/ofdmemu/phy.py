@@ -507,10 +507,8 @@ def tx_grids(bits: np.ndarray, cfg: PhyConfig) -> np.ndarray:
     return grids
 
 
-def rx_chain(frame: BasebandFrame | np.ndarray, cfg: PhyConfig) -> np.ndarray:
-    """Baseband samples, or the frame :func:`tx_chain` returned, back to
-    information bits."""
-    samples = frame.samples if isinstance(frame, BasebandFrame) else np.asarray(frame)
+def rx_chain(samples: np.ndarray, cfg: PhyConfig) -> np.ndarray:
+    """Baseband samples back to information bits."""
     grids = demodulate_frame(samples, cfg)
     _, hard = qam_quantize(grids[:, cfg.data_bin_array], cfg.modulation_order)
     mother = np.full((grids.shape[0], 2 * cfg.n_dbps), -1, dtype=np.int8)

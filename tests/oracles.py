@@ -415,10 +415,9 @@ def sender_reference(targets, setup):
                 f"restricted system unexpectedly unsolvable at row {x.row}; "
                 "selection was not certified"
             )
-        xb = x.to_bits()
-        x_blocks[s] = xb
+        x_blocks[s] = x
         states[s] = state
-        state = SymbolSystem.outgoing_state(xb)
+        state = SymbolSystem.outgoing_state(x)
 
     bitstream = scramble(x_blocks.reshape(-1), cfg.scrambler_seed)
     return EmulationPlan(
@@ -429,5 +428,4 @@ def sender_reference(targets, setup):
         bitstream=bitstream,
         incoming_states=states,
         clip_count=int(over),
-        clip_rate=float(over) / float(2 * k),
     )

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ofdmemu.config import PhyConfig, bin_to_logical
-from ofdmemu.errors import SelectionError
+from ofdmemu.errors import FramingError, SelectionError
 from ofdmemu.gf2 import rank
 from ofdmemu.inversion import (
     _climb_to_full_rank,
@@ -95,14 +95,14 @@ def test_restrict_shapes(default_cfg):
     chosen = default_subset(default_cfg, 10)
     nb = default_cfg.n_bpsc
     sub = restrict_rows(sys, chosen)
-    assert (sub.rows, sub.cols) == (10 * nb, sys.beta)
+    assert sub.shape == (10 * nb, sys.beta)
     assert restrict_offsets(sys, chosen).shape == (64, 10 * nb)
 
 
 def test_restricted_rows_track_full_prediction(default_cfg, rng):
     sys = build_symbol_system(default_cfg)
     chosen = default_subset(default_cfg, 12)
-    sub_dense = restrict_rows(sys, chosen).to_dense()
+    sub_dense = restrict_rows(sys, chosen)
     sub_off = restrict_offsets(sys, chosen)
     x = rng.integers(0, 2, sys.beta, dtype=np.uint8)
     state = 37
@@ -110,6 +110,9 @@ def test_restricted_rows_track_full_prediction(default_cfg, rng):
     nb = default_cfg.n_bpsc
     rows = [sys.row_index_of(b, k) for b in chosen for k in range(nb)]
     assert np.array_equal((sub_dense @ x + sub_off[state]) % 2, full[rows])
+    for size in (sys.beta - 1, sys.beta + 1, 0):
+        with pytest.raises(FramingError):
+            sys.predict(np.zeros(size, dtype=np.uint8), state)
 
 
 def test_restrict_rejects_duplicates(default_cfg):

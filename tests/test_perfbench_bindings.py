@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ofdmemu import harness, link, phy, training
+from ofdmemu import gf2, harness, link, phy, training
 from ofdmemu.nn import autodiff
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -37,7 +37,12 @@ def test_tracer_binds_to_every_traced_layer(default_setup):
         )
         link.emulated_link(targets, 15.0, 1, default_setup)
         bits = rng.integers(0, 2, 2 * cfg.n_dbps, dtype=np.uint8)
-        assert np.array_equal(phy.rx_chain(phy.tx_chain(bits, cfg), cfg), bits)
+        assert np.array_equal(phy.rx_chain(phy.tx_chain(bits, cfg).samples, cfg), bits)
+        # the GF(2) layers run on the 0/1 arrays the package passes them
+        a = rng.integers(0, 2, (20, 30), dtype=np.uint8)
+        y = (a @ rng.integers(0, 2, 30, dtype=np.uint8)) & 1
+        assert gf2.rank(a) <= 20
+        assert np.array_equal((a @ gf2.Gf2Solver(a).solve(y)) & 1, y)
         x = autodiff.Tensor(rng.normal(size=(1, 4, 4, 2)), requires_grad=True)
         w = autodiff.Tensor(rng.normal(size=(3, 3, 2, 2)), requires_grad=True)
         autodiff.conv2d(x, w).sum().backward()
@@ -50,6 +55,7 @@ def test_tracer_binds_to_every_traced_layer(default_setup):
         "link.emulated_link", "link.sender_invert", "link.awgn",
         "link.receiver_recover_soft", "phy.scramble", "phy.tx_chain", "phy.rx_chain",
         "phy.viterbi_decode", "nn.conv2d", "nn.backward", "training.curriculum_sample",
+        "gf2.rank", "gf2.solver_factor", "gf2.solve",
     }
     assert [s for s in tracer.spans if "error" in (s[6] or {})] == []
     tx_spans = [s for s in tracer.spans if s[2] == "phy.tx_chain"]

@@ -88,7 +88,7 @@ def test_symbol_gather_is_puncture_then_interleave(m, rate, rng, monkeypatch):
 
     monkeypatch.setattr(phy, "viterbi_decode", spy)
     bits = rng.integers(0, 2, n_sym * cfg.n_dbps, dtype=np.uint8)
-    assert np.array_equal(phy.rx_chain(phy.tx_chain(bits, cfg), cfg), bits)
+    assert np.array_equal(phy.rx_chain(phy.tx_chain(bits, cfg).samples, cfg), bits)
     sent, _ = oracles.conv_encode_reference(oracles.scramble_reference(bits, cfg.scrambler_seed))
     kept = oracles.puncture_reference(sent, str(rate))
     assert seen[0].dtype == np.int8
@@ -204,7 +204,7 @@ def test_noiseless_loopback(m, rate, rng):
     cfg = PhyConfig(modulation_order=m, coding_rate=rate)
     payload = rng.integers(0, 2, cfg.n_dbps * 4, dtype=np.uint8)
     frame = phy.tx_chain(payload, cfg)
-    assert np.array_equal(phy.rx_chain(frame, cfg), payload)
+    assert np.array_equal(phy.rx_chain(frame.samples, cfg), payload)
 
 
 def test_every_accepted_custom_layout_loops_back(rng):
@@ -226,7 +226,7 @@ def test_every_accepted_custom_layout_loops_back(rng):
             accepted += 1
             assert np.unique(phy._symbol_gather(cfg)).size == cfg.n_cbps
             payload = rng.integers(0, 2, 3 * cfg.n_dbps, dtype=np.uint8)
-            assert np.array_equal(phy.rx_chain(phy.tx_chain(payload, cfg), cfg), payload)
+            assert np.array_equal(phy.rx_chain(phy.tx_chain(payload, cfg).samples, cfg), payload)
     assert accepted > 0
     for m, n in ((2, 24), (16, 4)):
         with pytest.raises(ConfigError, match="interleaver"):
