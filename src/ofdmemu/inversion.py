@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import CONV_G1, CONV_G2, PhyConfig, bin_to_logical
 from .errors import FramingError, SelectionError
-from .gf2 import left_null, rank
+from .gf2 import stacked_left_null
 from .phy import _symbol_gather, _taps
 
 __all__ = [
@@ -149,6 +149,8 @@ def default_subset(cfg: PhyConfig, count: int | None = None) -> tuple[int, ...]:
 
 
 def _selection_rows(sys: SymbolSystem, chosen: tuple[int, ...]) -> np.ndarray:
+    if not chosen:
+        raise SelectionError("empty subcarrier selection")
     if len(set(chosen)) != len(chosen):
         raise SelectionError("chosen subcarriers contain duplicates")
     nb = sys.cfg.n_bpsc
@@ -175,36 +177,42 @@ def _climb_to_full_rank(
     """First-improvement hill climb on selection rank.  Deterministic.
 
     Trial swaps run positions outer, candidates inner, and the first one
-    that raises the rank wins.  Each pass eliminates M = [selection;
-    candidate] once per candidate: with N a basis of M's left null
-    space, dropping block i of the selection leaves rank(M) - n_bpsc +
-    rank(N[:, block i]), so one elimination rates the candidate at every
-    position.  A block's rank is n_bpsc - log2 of its kernel, counted
-    over all 2^n_bpsc column combinations in one product.
+    that raises the rank wins.  Each pass eliminates the selection once
+    and stacks each candidate onto it as a one-block update
+    (``gf2.stacked_left_null``), which gives the pass's own rank and,
+    per candidate, the rank and left null basis N of M = [selection;
+    candidate].  Dropping block i of the selection leaves rank(M) -
+    n_bpsc + rank(N[:, block i]), so one update rates the candidate at
+    every position.  A block's rank is n_bpsc - log2 of its kernel,
+    counted over all 2^n_bpsc column combinations in one product.
     """
     nb = sys.cfg.n_bpsc
     combos = (np.arange(1 << nb) >> np.arange(nb)[:, None]) & 1  # (nb, 2^nb)
     swaps: list[tuple[int, int]] = []
-    r = rank(restrict_rows(sys, tuple(chosen)))
-    while r < target:
+    while True:
         sel = _selection_rows(sys, tuple(chosen))
         others = [u for u in sys.cfg.data_subcarriers if u not in chosen]
+        candidates = sys.matrix[_selection_rows(sys, tuple(others))]
+        r, stacked = stacked_left_null(
+            sys.matrix[sel], candidates.reshape(len(others), nb, sys.beta)
+        )
+        if r >= target:
+            return chosen, swaps, r
         trial = np.empty((len(chosen), len(others)), dtype=np.intp)
-        for j, u in enumerate(others):
-            rows = np.concatenate([sel, _selection_rows(sys, (u,))])
-            r_m, null = left_null(sys.matrix[rows])
+        for j, (r_m, null) in enumerate(stacked):
             blocks = null[:, : sel.size].reshape(null.shape[0], len(chosen), nb)
             kernel = np.all(((blocks @ combos) & 1) == 0, axis=0).sum(axis=1)
             # rank(M) - nb + (nb - log2 |kernel|), for every position at once
             trial[:, j] = r_m - np.log2(kernel).astype(np.intp)
         better = np.argwhere(trial > r)
         if better.size == 0:
-            break
+            return chosen, swaps, r
         i, j = better[0]
         swaps.append((chosen[i], others[j]))
         chosen = list(chosen)
-        chosen[i], r = others[j], int(trial[i, j])
-    return chosen, swaps, r
+        chosen[i] = others[j]
+        if trial[i, j] >= target:
+            return chosen, swaps, int(trial[i, j])
 
 
 # seeded random restarts after the climb from the given selection stalls
@@ -222,15 +230,16 @@ def certify_subset(
     encoder state rolls into the next symbol.  A deterministic
     first-improvement hill climb over single-subcarrier swaps repairs
     this; if it stalls in a local maximum, seeded random restarts
-    continue the search.  Each climb pass eliminates the selection
-    stacked with one candidate subcarrier once per candidate, and reads
-    the rank of every trial swap from that stack's left null space (see
-    ``_climb_to_full_rank``).  A selection with more rows than the symbol
-    has info bits cannot reach full row rank and is rejected at once.
+    continue the search.  Each climb pass eliminates the selection once,
+    then stacks each candidate subcarrier onto it as a one-block update,
+    and reads the rank of every trial swap from that stack's left null
+    space (see ``_climb_to_full_rank``).  An empty selection, or one with
+    more rows than the symbol has info bits, cannot reach full row rank
+    and is rejected at once.
     Returns the certified selection (sorted by logical index) and the
     swaps applied to the original.
     """
-    _selection_rows(sys, chosen)  # validates bins and duplicates
+    _selection_rows(sys, chosen)  # validates bins, duplicates and emptiness
     target = len(chosen) * sys.cfg.n_bpsc
     if target > sys.beta:
         raise SelectionError(

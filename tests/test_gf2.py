@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ofdmemu import gf2
 from ofdmemu.errors import FramingError
 from ofdmemu.gf2 import (
-    Gf2Solver, Unsolvable, _eliminate, _identity, _pack, _unpack, left_null, rank,
+    Gf2Solver, Unsolvable, _eliminate, _identity, _pack, _unpack, rank, stacked_left_null,
 )
 
 
@@ -97,9 +97,16 @@ def test_solver_rejects_bad_target_length(rng):
 @pytest.mark.parametrize("shape", [(16,), (), (2, 4, 4)])
 def test_matrix_inputs_must_be_2d(shape):
     a = np.ones(shape, dtype=np.uint8)
-    for fn in (Gf2Solver, rank, left_null):
+    no_blocks = np.zeros((0, 1, 4), dtype=np.uint8)
+    for fn in (Gf2Solver, rank, lambda base: stacked_left_null(base, no_blocks)):
         with pytest.raises(FramingError):
             fn(a)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 4), (1, 2, 5), (1, 1, 1, 4)])
+def test_stacked_blocks_must_match_base(shape):
+    with pytest.raises(FramingError):
+        stacked_left_null(np.ones((3, 4), dtype=np.uint8), np.zeros(shape, dtype=np.uint8))
 
 
 def test_free_variables_fixed_to_zero(rng):
@@ -160,31 +167,70 @@ def test_elimination_property(rows, cols, copies, seed):
 
 
 # The certification climb rates a deleted row set R of M as rank(M) -
-# |R| + rank(N[:, R]), with N the left null basis from one elimination.
+# |R| + rank(N[:, R]), with N the left null basis of M = [base; block]
+# from one stacked update.
 
 @settings(max_examples=300, deadline=None)
 @given(
-    rows=st.integers(1, 90),
+    rows=st.integers(0, 90),
+    k=st.integers(1, 8),
     cols=st.integers(1, 90),
     copies=st.integers(0, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_deletion_rank_property(rows, cols, copies, seed):
+def test_deletion_rank_property(rows, k, cols, copies, seed):
     rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
+    bits = rng.integers(0, 2, (rows + k, cols), dtype=np.uint8)
     for _ in range(copies):
-        bits[rng.integers(rows)] = bits[rng.integers(rows)]
+        bits[rng.integers(rows + k)] = bits[rng.integers(rows + k)]
 
-    r, null = left_null(bits)
+    _, [(r, null)] = stacked_left_null(bits[:rows], bits[None, rows:])
     assert r == rank(bits)
-    assert null.shape == (rows - r, rows)
+    assert null.shape == (rows + k - r, rows + k)
     assert not (null.astype(int) @ bits % 2).any()
-    assert rank(null) == rows - r
+    assert rank(null) == rows + k - r
 
     for _ in range(4):
-        drop = rng.random(rows) < rng.random()
+        drop = rng.random(rows + k) < rng.random()
         want = rank(bits[~drop])
         assert r - int(drop.sum()) + rank(null[:, drop]) == want
+
+
+# One elimination of the base serves every block of the stack.  Bases
+# are tall, wide or rank-deficient (copied rows), and blocks may copy
+# base rows or be all zero; sizes cross the 64-bit word boundary.
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(0, 90),
+    cols=st.integers(1, 90),
+    q=st.integers(0, 6),
+    k=st.integers(0, 8),
+    copies=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_left_null_property(rows, cols, q, k, copies, seed):
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
+    blocks = rng.integers(0, 2, (q, k, cols), dtype=np.uint8)
+    if rows:
+        for _ in range(copies):
+            base[rng.integers(rows)] = base[rng.integers(rows)]
+        for block in blocks[: q // 2]:
+            picked = rng.random(k) < 0.5
+            block[picked] = base[rng.integers(rows, size=int(picked.sum()))]
+    if q:
+        blocks[-1] = 0
+
+    r, stacked = stacked_left_null(base, blocks)
+    assert r == dense_rank(base)
+    assert len(stacked) == q
+    for block, (r_m, null) in zip(blocks, stacked):
+        m = np.vstack([base, block])
+        assert r_m == dense_rank(m)
+        assert null.shape == (rows + k - r_m, rows + k) and null.dtype == np.uint8
+        assert not (null.astype(int) @ m % 2).any()
+        assert rank(null) == rows + k - r_m
 
 
 # solve_many is solve over a stack, on tall, wide and row-copied systems,

@@ -141,8 +141,17 @@ def test_certify_rejects_oversized_selection(default_cfg):
         certify_subset(sys, over)
 
 
-# The climb rates all trial swaps of a candidate from one elimination;
-# the reference rates each swap with its own gf2.rank.  Both must take
+def test_certify_rejects_empty_selection(default_cfg):
+    sys = build_symbol_system(default_cfg)
+    with pytest.raises(SelectionError, match="empty"):
+        certify_subset(sys, ())
+    with pytest.raises(SelectionError, match="empty"):
+        restrict_rows(sys, ())
+
+
+# The climb eliminates the selection once per pass and rates all trial
+# swaps of a candidate from one stacked update of that elimination; the
+# reference rates each swap with its own gf2.rank.  Both must take
 # the same swaps in the same order, from starts that reach full rank
 # and from starts that stall below it.
 
@@ -177,3 +186,19 @@ def test_climb_matches_reference_when_stalled(mod, rate, seed):
     got = _climb_to_full_rank(sys, list(start), target)
     assert got == oracles.climb_reference(sys, list(start), target)
     assert got[1] and got[2] < target
+
+
+# the default PHY's pairs from their default subsets: 3/4 stalls at 213
+# of 216 rows with no swap, 5/6 takes four swaps and stalls at 239 of 240
+@pytest.mark.parametrize(
+    "rate,swaps,stall",
+    [(Fraction(3, 4), 0, 213), (Fraction(5, 6), 4, 239)],
+    ids=["64qam-3/4", "64qam-5/6"],
+)
+def test_climb_matches_reference_from_default_subset(rate, swaps, stall):
+    cfg = PhyConfig(modulation_order=64, coding_rate=rate)
+    sys = build_symbol_system(cfg)
+    start = list(default_subset(cfg))
+    got = _climb_to_full_rank(sys, list(start), len(start) * cfg.n_bpsc)
+    assert got == oracles.climb_reference(sys, list(start), len(start) * cfg.n_bpsc)
+    assert (len(got[1]), got[2]) == (swaps, stall)

@@ -73,6 +73,12 @@ def test_setup_rejects_uncertified_selection(default_cfg):
         EmulationSetup(default_cfg, system, default_subset(default_cfg), [])
 
 
+def test_setup_rejects_empty_selection(default_cfg):
+    system = build_symbol_system(default_cfg)
+    with pytest.raises(SelectionError, match="empty"):
+        EmulationSetup(default_cfg, system, (), [])
+
+
 def test_sender_invert_quantizes_within_half_step(default_setup, rng):
     cfg = default_setup.cfg
     targets = uniform_box_targets(100, cfg, rng)

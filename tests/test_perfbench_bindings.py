@@ -8,11 +8,13 @@ tracer and drives each layer through its module binding.
 """
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from ofdmemu import gf2, harness, link, phy, training
+from ofdmemu import gf2, harness, inversion, link, phy, training
+from ofdmemu.config import PhyConfig
 from ofdmemu.nn import autodiff
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -79,3 +81,20 @@ def test_sweep_emulated_cell_runs_the_emulated_link(default_setup):
     receives = table.named("link.receiver_recover_soft")
     assert receives
     assert all("link.emulated_link" in table.ancestor_names(s) for s in receives)
+
+
+def test_tracer_binds_to_setup_layers():
+    # the default_setup fixture is cached, so set-up's layers run here on
+    # a small pair of their own
+    cfg = PhyConfig(modulation_order=2, coding_rate=Fraction(1, 2))
+    tracer = load_tracer().Tracer("setup")
+    tracer.install()
+    try:
+        system = inversion.build_symbol_system(cfg)
+        chosen, _ = inversion.certify_subset(system, inversion.default_subset(cfg))
+    finally:
+        tracer.uninstall()
+    assert gf2.rank(inversion.restrict_rows(system, chosen)) == len(chosen) * cfg.n_bpsc
+    names = [s[2] for s in tracer.spans]
+    assert {"inversion.build_symbol_system", "inversion.certify_subset"} <= set(names)
+    assert [s for s in tracer.spans if "error" in (s[6] or {})] == []
