@@ -199,6 +199,7 @@ def test_climb_matches_reference_from_default_subset(rate, swaps, stall):
     cfg = PhyConfig(modulation_order=64, coding_rate=rate)
     sys = build_symbol_system(cfg)
     start = list(default_subset(cfg))
-    got = _climb_to_full_rank(sys, list(start), len(start) * cfg.n_bpsc)
-    assert got == oracles.climb_reference(sys, list(start), len(start) * cfg.n_bpsc)
+    target = len(start) * cfg.n_bpsc
+    got = _climb_to_full_rank(sys, list(start), target)
+    assert got == oracles.climb_reference(sys, list(start), target)
     assert (len(got[1]), got[2]) == (swaps, stall)

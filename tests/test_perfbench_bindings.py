@@ -95,6 +95,6 @@ def test_tracer_binds_to_setup_layers():
     finally:
         tracer.uninstall()
     assert gf2.rank(inversion.restrict_rows(system, chosen)) == len(chosen) * cfg.n_bpsc
-    names = [s[2] for s in tracer.spans]
-    assert {"inversion.build_symbol_system", "inversion.certify_subset"} <= set(names)
+    names = {s[2] for s in tracer.spans}
+    assert {"inversion.build_symbol_system", "inversion.certify_subset"} <= names
     assert [s for s in tracer.spans if "error" in (s[6] or {})] == []
