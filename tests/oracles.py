@@ -2,14 +2,17 @@
 
 Everything here is written from the published definitions with table
 lookups and explicit index lists, sharing no code or structure with the
-package under test.  Slow on purpose; used only as ground truth.  Four
+package under test.  Slow on purpose; used only as ground truth.  Seven
 exceptions are frozen copies of earlier package code that pin the
 current code: ``conv2d_reference``, the original conv2d kernel, bit for
 bit; ``climb_reference``, the original certification climb, which
 rates each trial swap with ``gf2.rank``; ``viterbi_reference``, the
-original one-step-per-iteration Viterbi decoder with its tie-break; and
+original one-step-per-iteration Viterbi decoder with its tie-break;
 ``sender_reference``, the original sender with one GF(2) solve per OFDM
-symbol.
+symbol; and ``conv_encode_convolve``, ``qam_map_per_axis`` and
+``qam_quantize_per_axis``, the encoder, mapper and quantizer as first
+written, which work one generator stream or one constellation axis at
+a time.
 ``verify_against_pipeline`` is no reference: it cross-checks the GF(2)
 symbol model against the package's own live chain.
 """
@@ -18,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ofdmemu.config import CONV_G1, CONV_G2
+from ofdmemu.config import BITS_PER_SYMBOL, CONV_G1, CONV_G2, KMOD_SQUARED
 from ofdmemu.errors import FramingError, SelectionError
 from ofdmemu.gf2 import Unsolvable, rank
 from ofdmemu.inversion import SymbolSystem, restrict_rows
@@ -429,3 +432,108 @@ def sender_reference(targets, setup):
         incoming_states=states,
         clip_count=int(over),
     )
+
+
+# ---------------------------------------------------------------------------
+# encoder, mapper and quantizer as first written: one stream or axis at a time
+
+
+def conv_encode_convolve(bits, state=0, g1=CONV_G1, g2=CONV_G2):
+    """Rate-1/2 mother encoder as two 1-D convolutions mod 2.
+
+    ``bits`` must be a 0/1 uint8 vector.  Returns (coded, new_state) as
+    ``phy.conv_encode`` does.
+    """
+    past = np.array([(state >> i) & 1 for i in range(5, -1, -1)], dtype=np.uint8)
+    xx = np.concatenate([past, bits])
+    a = np.convolve(xx, _taps(g1))[6 : 6 + bits.size] % 2
+    b = np.convolve(xx, _taps(g2))[6 : 6 + bits.size] % 2
+    coded = np.empty(2 * bits.size, dtype=np.uint8)
+    coded[0::2] = a
+    coded[1::2] = b
+    tail = xx[-6:]
+    new_state = 0
+    for i in range(6):
+        new_state |= int(tail[5 - i]) << i
+    return coded, new_state
+
+
+# Per-axis Gray tables indexed by the MSB-first axis bit group.
+_AXIS_GRAY_LEVELS = {
+    1: np.array([-1, 1], dtype=np.float64),
+    2: np.array([-3, -1, 3, 1], dtype=np.float64),
+    3: np.array([-7, -5, -1, -3, 7, 5, 1, 3], dtype=np.float64),
+}
+
+
+def _axis_tables(m):
+    """(gray index -> level, level slot -> gray index, bits per axis)."""
+    half = (BITS_PER_SYMBOL[m] + 1) // 2
+    levels = _AXIS_GRAY_LEVELS[half]
+    nlev = levels.size
+    inverse = np.empty(nlev, dtype=np.int64)
+    for g, lv in enumerate(levels):
+        inverse[int((lv + nlev - 1) // 2)] = g
+    return levels, inverse, half
+
+
+def _bits_to_axis_index(bits, width):
+    idx = np.zeros(bits.shape[0], dtype=np.int64)
+    for i in range(width):
+        idx = (idx << 1) | bits[:, i]
+    return idx
+
+
+def _axis_index_to_bits(idx, width):
+    out = np.empty((idx.size, width), dtype=np.uint8)
+    for i in range(width):
+        out[:, i] = (idx >> (width - 1 - i)) & 1
+    return out
+
+
+def qam_map_per_axis(bits, m):
+    """Gray-map a 0/1 uint8 vector's bit groups, one axis at a time."""
+    nb = BITS_PER_SYMBOL[m]
+    groups = bits.reshape(-1, nb)
+    levels, _, half = _axis_tables(m)
+    scale = 1.0 / np.sqrt(KMOD_SQUARED[m])
+    i_level = levels[_bits_to_axis_index(groups[:, :half], half)]
+    if m == 2:
+        q_level = np.zeros_like(i_level)
+    else:
+        q_level = levels[_bits_to_axis_index(groups[:, half:], half)]
+    return (i_level + 1j * q_level) * scale
+
+
+def _quantize_axis(values, nlev):
+    """Nearest odd level slot with midpoints rounded toward zero."""
+    raw = (values + (nlev - 1)) / 2.0
+    idx = np.floor(raw + 0.5)
+    frac = raw - np.floor(raw)
+    midpoint = frac == 0.5
+    idx = np.where(midpoint & (values > 0), idx - 1, idx)
+    return np.clip(idx, 0, nlev - 1).astype(np.int64)
+
+
+def qam_quantize_per_axis(points, m):
+    """Snap finite complex values to the constellation, one axis at a time.
+
+    Returns (quantized points, Gray bit labels) as ``phy.qam_quantize``
+    does.
+    """
+    points = np.asarray(points, dtype=np.complex128).ravel()
+    levels, inverse, half = _axis_tables(m)
+    nlev = levels.size
+    scale = 1.0 / np.sqrt(KMOD_SQUARED[m])
+    i_slot = _quantize_axis(points.real / scale, nlev)
+    i_level = (2 * i_slot - (nlev - 1)).astype(np.float64)
+    i_bits = _axis_index_to_bits(inverse[i_slot], half)
+    if m == 2:
+        q_level = np.zeros_like(i_level)
+        labels = i_bits
+    else:
+        q_slot = _quantize_axis(points.imag / scale, nlev)
+        q_level = (2 * q_slot - (nlev - 1)).astype(np.float64)
+        labels = np.concatenate([i_bits, _axis_index_to_bits(inverse[q_slot], half)], axis=1)
+    quantized = (i_level + 1j * q_level) * scale
+    return quantized, labels.reshape(-1)

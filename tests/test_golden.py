@@ -6,9 +6,9 @@ and for QPSK rate 1/2 it pins the sweep CSV and plot-data bytes of the
 three non-learned systems and the bytes the inverted sender and the
 emulated link produce at fixed seeds.  The transmit grids of a 300-symbol
 payload, past the 127-symbol period of the scrambler and the pilot
-polarity, are pinned for 64-QAM rate 3/4 and BPSK rate 1/2.  A refactor leaves every
-digest unchanged; a change meant to move one says why in CHANGES.md and
-re-pins it here.
+polarity, are pinned for 64-QAM rate 3/4, 16-QAM rate 1/2 and BPSK
+rate 1/2.  A refactor leaves every digest unchanged; a change meant to
+move one says why in CHANGES.md and re-pins it here.
 
 Learned outputs of a tiny training run are pinned to a relative 1e-9
 rather than to bytes, because a kernel rewrite may reorder sums.
@@ -227,6 +227,7 @@ TX_GRIDS_SYMBOLS = 300
 TX_GRIDS_SEED = 17
 TX_GRIDS_GOLDEN = {
     "64qam-r34": "b12bdbe7b031c01d1587771a47822cb45ad9bc2b2fab9292e26490c96ed65b41",
+    "16qam-r12": "5a0a5898369007660193cdd1a2a9e380e65d628f9f640b81055d6ff67d87ad50",
     "bpsk-r12": "ca86179ffd4f89d2f45169ccf2fbfe4aa28ade23e99c078eb17bd19b98b73dc7",
 }
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ofdmemu import phy
-from ofdmemu.config import BITS_PER_SYMBOL, PhyConfig
+from ofdmemu.config import BITS_PER_SYMBOL, KMOD_SQUARED, PhyConfig
 from ofdmemu.errors import ConfigError, FramingError
 
 ALL_MODES = [
@@ -134,6 +134,72 @@ def test_quantize_is_nearest_point(m, rng):
         assert np.isclose(qq, best)
     # labels re-map onto the quantized points
     assert np.allclose(phy.qam_map(labels.reshape(-1), m), q)
+
+
+def _labels(m: int, words) -> np.ndarray:
+    """MSB-first bit groups of the given label words, as one 0/1 vector."""
+    nb = BITS_PER_SYMBOL[m]
+    words = np.asarray(words, dtype=np.int64)
+    return ((words[:, None] >> np.arange(nb - 1, -1, -1)) & 1).astype(np.uint8).ravel()
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from([2, 4, 16, 64]), data=st.data())
+def test_qam_map_matches_per_axis(m, data):
+    # every label of the order, in a drawn order, then a drawn sequence
+    words = data.draw(st.permutations(range(m))) + data.draw(
+        st.lists(st.integers(0, m - 1), max_size=200)
+    )
+    bits = _labels(m, words)
+    got = phy.qam_map(bits, m)
+    want = oracles.qam_map_per_axis(bits, m)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _axis_values(draw, m):
+    """Per-axis inputs: exact midpoints between levels and their
+    neighbours, +-0.0, values far outside the box, and anything between."""
+    scale = 1.0 / np.sqrt(KMOD_SQUARED[m])
+    kind = draw(st.sampled_from(["midpoint", "zero", "far", "any"]))
+    if kind == "midpoint":
+        # the even coordinates 2k are the midpoints; a few ulps either side
+        # of 2k * scale include the value whose division lands on 2k
+        x = 2 * draw(st.integers(-5, 5)) * scale
+        for _ in range(draw(st.integers(0, 3))):
+            x = np.nextafter(x, draw(st.sampled_from([-np.inf, np.inf])))
+        return float(x)
+    if kind == "zero":
+        return draw(st.sampled_from([0.0, -0.0]))
+    if kind == "far":
+        return draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(10.0, 1e300))
+    return draw(st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=120, deadline=None)
+@given(m=st.sampled_from([2, 4, 16, 64]), data=st.data())
+def test_qam_quantize_matches_per_axis(m, data):
+    n = data.draw(st.integers(0, 60))
+    re = [data.draw(_axis_values(m)) for _ in range(n)]
+    im = [data.draw(_axis_values(m)) for _ in range(n)]
+    # set per part: adding 1j * im would turn -0.0 parts into +0.0
+    points = np.empty(n, dtype=np.complex128)
+    points.real, points.imag = re, im
+    got_points, got_labels = phy.qam_quantize(points, m)
+    want_points, want_labels = oracles.qam_quantize_per_axis(points, m)
+    assert got_points.tobytes() == want_points.tobytes()
+    assert got_labels.dtype == np.uint8 and np.array_equal(got_labels, want_labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.one_of(st.integers(0, 12), st.integers(0, 320)), seed=st.integers(0, 2**32 - 1))
+def test_conv_encode_matches_convolve(n, seed):
+    bits = np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
+    for state in range(64):
+        coded, end = phy.conv_encode(bits, state)
+        want, want_end = oracles.conv_encode_convolve(bits, state)
+        assert coded.dtype == np.uint8 and np.array_equal(coded, want)
+        assert end == want_end
 
 
 def test_ofdm_modulate_demodulate_roundtrip(rng):
