@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -203,7 +203,7 @@ class PhyConfig:
         """Coded bits per OFDM symbol."""
         return self.n_data * self.n_bpsc
 
-    @property
+    @cached_property
     def n_dbps(self) -> int:
         """Information bits per OFDM symbol."""
         return int(self.coding_rate * self.n_cbps)
@@ -219,11 +219,22 @@ class PhyConfig:
 
     @cached_property
     def data_bin_array(self) -> np.ndarray:
-        return np.asarray(self.data_subcarriers, dtype=np.intp)
+        """``data_subcarriers`` as a read-only index array."""
+        return _index_array(self.data_subcarriers)
 
     @cached_property
     def pilot_bin_array(self) -> np.ndarray:
-        return np.asarray(self.pilot_subcarriers, dtype=np.intp)
+        """``pilot_subcarriers`` as a read-only index array."""
+        return _index_array(self.pilot_subcarriers)
+
+    def __hash__(self) -> int:
+        return self._field_hash
+
+    @cached_property
+    def _field_hash(self) -> int:
+        # hashed once: per-config caches hash their key on every lookup,
+        # and hashing the bin tuples afresh costs microseconds
+        return hash(tuple(getattr(self, f.name) for f in fields(self)))
 
     def fingerprint(self) -> str:
         """Stable hex digest identifying this configuration."""
@@ -257,6 +268,12 @@ class PhyConfig:
         if "modulation" in kv:
             kv["modulation_order"] = kv.pop("modulation")
         return cls(**kv)
+
+
+def _index_array(bins: tuple[int, ...]) -> np.ndarray:
+    index = np.asarray(bins, dtype=np.intp)
+    index.flags.writeable = False
+    return index
 
 
 # keys that only a custom subcarrier map reads

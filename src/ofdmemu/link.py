@@ -190,8 +190,8 @@ def sender_invert(targets: TargetSymbols, setup: EmulationSetup) -> EmulationPla
 
     padded = np.zeros(n_sym * nch, dtype=np.complex128)
     padded[:k] = targets.symbols * targets.scale
-    clip = float(box_edge(cfg))
-    over = np.sum(np.abs(padded[:k].real) > clip) + np.sum(np.abs(padded[:k].imag) > clip)
+    # I and Q components beyond the box, read from the (k, 2) float view
+    over = np.count_nonzero(np.abs(padded[:k].view(np.float64)) > box_edge(cfg))
 
     points, labels = qam_quantize(padded, cfg.modulation_order)
     # Superposition over GF(2): the solution for labels ^ offsets[state]
@@ -295,12 +295,18 @@ def _add_noise(
     x: np.ndarray, snr_db: float, seed: int | np.random.Generator, power: float | None
 ) -> np.ndarray:
     """x plus complex AWGN of variance power * noise_variance(snr_db);
-    ``power`` None measures it from x.  +inf SNR copies x and draws nothing."""
+    ``power`` None measures it from x, at every SNR, and raises
+    FramingError when x is empty or that power is not finite.  +inf SNR
+    copies x and draws nothing."""
     base = noise_variance(snr_db)
+    if power is None:
+        if x.size == 0:
+            raise FramingError("frame must hold at least one sample")
+        power = float(np.mean(np.abs(x) ** 2))
+        if not math.isfinite(power):
+            raise FramingError(f"frame power must be finite, got {power}")
     if snr_db == math.inf:
         return x.copy()
-    if power is None:
-        power = float(np.mean(np.abs(x) ** 2))
     noise = axis_noise(np.random.default_rng(seed), power * base, (x.size, 2))
     return x + noise[:, 0] + 1j * noise[:, 1]
 
@@ -309,7 +315,9 @@ def awgn(samples: np.ndarray, snr_db: float, seed: int | np.random.Generator) ->
     """Additive white Gaussian noise at a measured-signal-power SNR.
 
     ``snr_db = inf`` returns a copy of the input; NaN or -inf raise
-    ConfigError.  The draw is deterministic in the seed.
+    ConfigError.  An empty frame, or one whose mean power is NaN or
+    overflows (a NaN or infinite sample, say), raises FramingError.  The
+    draw is deterministic in the seed.
     """
     return _add_noise(np.asarray(samples, dtype=np.complex128), snr_db, seed, power=None)
 
@@ -321,7 +329,9 @@ def awgn(samples: np.ndarray, snr_db: float, seed: int | np.random.Generator) ->
 def _clip_to_box(values: np.ndarray, cfg: PhyConfig, scale: float) -> np.ndarray:
     """Clamp constellation-domain content to the box, in user units."""
     lim = box_edge(cfg) / scale
-    return np.clip(values.real, -lim, lim) + 1j * np.clip(values.imag, -lim, lim)
+    return np.minimum(np.maximum(values.real, -lim), lim) + 1j * np.minimum(
+        np.maximum(values.imag, -lim), lim
+    )
 
 
 def receiver_recover_soft(

@@ -10,7 +10,18 @@ decode, descramble.  Both chains use the per-symbol map of
 
 Both DFTs carry the unitary 1/sqrt(fft_size) scale so Parseval holds
 exactly between grid and time domains.  Bits travel as uint8 arrays of
-0/1; erasure-marked streams use int8 with -1 for erased positions.
+0/1; erasure-marked streams use int8 with -1 for erased positions.  Every
+bit input accepts bool, integer and float arrays and raises
+:class:`FramingError` on a value other than 0 or 1, checked with one
+reduction; nothing is cast into range.
+
+The fixed cost of a short frame is kept low with cached, read-only
+tables: the scrambler and the pilot polarity read one LFSR stream per
+seed; the encoder XORs shifted slices of [register | bits] per generator,
+its register bits read from a 64-row table; the mapper looks each label
+word up in the order's point table; and the quantizer finds both axes'
+level slots in one pass and reads the point and the Gray label of the
+joint slot from one table.
 
 The Viterbi decoder advances the 64-state trellis three steps at a time
 (radix-8 add-compare-select over cached 3-step cost blocks, after
@@ -72,16 +83,22 @@ class BasebandFrame:
 # T1 / R6: scrambler
 # ---------------------------------------------------------------------------
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Freeze a cached array, so no caller can move what later calls read."""
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=None)
-def _lfsr_period(seed: int) -> np.ndarray:
-    """One 127-bit period of the register output from ``seed``."""
+def _lfsr_stream(seed: int, periods: int) -> np.ndarray:
+    """``periods`` 127-bit periods of the register output from ``seed``."""
     state = seed
-    out = np.empty(127, dtype=np.uint8)
+    period = np.empty(127, dtype=np.uint8)
     for n in range(127):
         fb = ((state >> 6) ^ (state >> 3)) & 1
-        out[n] = fb
+        period[n] = fb
         state = ((state << 1) | fb) & 0x7F
-    return out
+    return _read_only(np.tile(period, periods))
 
 
 def lfsr_sequence(length: int, seed: int) -> np.ndarray:
@@ -89,19 +106,22 @@ def lfsr_sequence(length: int, seed: int) -> np.ndarray:
 
     ``seed`` bit i is register cell i; the feedback (cell 6 XOR cell 3)
     is both the output bit and the new cell 0 after the shift.  The
-    stream repeats every 127 bits, so it is the cached period tiled
-    (into a fresh array).  Seed 0x7F gives the pilot polarity sequence.
+    stream repeats every 127 bits.  It is read from a cached stream of a
+    power-of-two count of periods, so the result is a read-only view.
+    Seed 0x7F gives the pilot polarity sequence.
     """
     if not 1 <= seed <= 127:
         raise ConfigError(f"scrambler seed must be a nonzero 7-bit value, got {seed}")
-    period = _lfsr_period(seed)
-    return np.tile(period, -(-length // period.size))[:length]
+    if length < 0:
+        raise ConfigError(f"stream length must be non-negative, got {length}")
+    return _lfsr_stream(seed, 1 << (max(length - 1, 0) // 127).bit_length())[:length]
 
 
 def scramble(bits: np.ndarray, seed: int) -> np.ndarray:
-    """XOR a bit vector with the scrambler stream.  Self-inverse."""
+    """XOR a 0/1 bit vector with the scrambler stream.  Self-inverse.
+    A value other than 0 or 1 raises :class:`FramingError`."""
     bits = _as_bits(bits)
-    return (bits ^ lfsr_sequence(bits.size, seed)).astype(np.uint8)
+    return bits ^ lfsr_sequence(bits.size, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -113,30 +133,41 @@ def _taps(poly: int) -> np.ndarray:
     return np.array([(poly >> (6 - j)) & 1 for j in range(7)], dtype=np.uint8)
 
 
+# row s: the six register bits of encoder state s, oldest input first
+_PAST = _read_only(((np.arange(64)[:, None] >> np.arange(5, -1, -1)) & 1).astype(np.uint8))
+
+
+@lru_cache(maxsize=None)
+def _tap_offsets(poly: int) -> tuple[int, ...]:
+    """Where the inputs a generator taps for output 0 sit in [register |
+    bits]: tap j (MSB first) weights the input j steps back, at 6 - j."""
+    return tuple(6 - int(j) for j in np.flatnonzero(_taps(poly)))
+
+
 def conv_encode(
     bits: np.ndarray, state: int = 0, g1: int = CONV_G1, g2: int = CONV_G2
 ) -> tuple[np.ndarray, int]:
     """Rate-1/2 mother encoder, constraint length 7.
 
     ``state`` is the 6-bit register content carried across calls: bit i
-    holds the input from i+1 steps back.  Output interleaves the two
-    generator streams as A0 B0 A1 B1 ...  Returns (coded, new_state).
+    holds the input from i+1 steps back.  Each generator stream is the
+    XOR of the shifted slices of [register | bits] that its taps select.
+    Output interleaves the two streams as A0 B0 A1 B1 ...  Returns
+    (coded, new_state).  A bit other than 0 or 1 raises
+    :class:`FramingError`.
     """
     bits = _as_bits(bits)
     if not 0 <= state <= 63:
         raise ConfigError(f"encoder state must lie in [0, 63], got {state}")
-    past = np.array([(state >> i) & 1 for i in range(5, -1, -1)], dtype=np.uint8)
-    xx = np.concatenate([past, bits])
-    a = np.convolve(xx, _taps(g1))[6 : 6 + bits.size] % 2
-    b = np.convolve(xx, _taps(g2))[6 : 6 + bits.size] % 2
-    coded = np.empty(2 * bits.size, dtype=np.uint8)
-    coded[0::2] = a
-    coded[1::2] = b
-    tail = xx[-6:]
-    new_state = 0
-    for i in range(6):
-        new_state |= int(tail[5 - i]) << i
-    return coded, new_state
+    n = bits.size
+    xx = np.concatenate([_PAST[state], bits])
+    coded = np.empty((n, 2), dtype=np.uint8)
+    for column, poly in enumerate((g1, g2)):
+        stream = np.zeros(n, dtype=np.uint8)
+        for k in _tap_offsets(poly):
+            stream ^= xx[k : k + n]
+        coded[:, column] = stream
+    return coded.reshape(-1), int(np.packbits(xx[-6:])[0]) >> 2
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +224,7 @@ def _symbol_gather(cfg: PhyConfig) -> np.ndarray:
     keep = np.flatnonzero(np.tile(pat, 2 * cfg.n_dbps // pat.size))
     gather = np.empty(cfg.n_cbps, dtype=np.intp)
     gather[_interleave_perm(cfg.n_cbps, cfg.n_bpsc)] = keep
-    gather.flags.writeable = False
-    return gather
+    return _read_only(gather)
 
 
 # ---------------------------------------------------------------------------
@@ -209,53 +239,86 @@ _AXIS_LEVELS = {
 }
 
 
+@dataclass(frozen=True)
+class _QamTables:
+    """Read-only lookup tables of one modulation order.
+
+    ``points[w]`` is the point of label word w, the bit group read
+    MSB first; ``weights`` turns a (count, bits) group stack into words.
+    ``slot_points[j]`` and ``slot_labels[j]`` are the point and the
+    label bits of joint level slot j = i_slot * nlev + q_slot.
+    """
+
+    nlev: int
+    scale: np.float64
+    weights: np.ndarray
+    points: np.ndarray
+    slot_points: np.ndarray
+    slot_labels: np.ndarray
+
+
+def _axis_points(i_level: np.ndarray, q_level: np.ndarray, scale: np.float64) -> np.ndarray:
+    return (i_level + 1j * q_level) * scale
+
+
 @lru_cache(maxsize=None)
-def _axis_tables(m: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(gray index -> level, level slot -> gray index, bits per axis)."""
-    half = (BITS_PER_SYMBOL[m] + 1) // 2
+def _qam_tables(m: int) -> _QamTables:
+    """The tables of order ``m``, their entries computed per axis with
+    the first-written formulas, so every lookup is bit for bit what
+    the per-axis arithmetic gave."""
+    nb = BITS_PER_SYMBOL[m]
+    half = (nb + 1) // 2
     levels = _AXIS_LEVELS[half]
     nlev = levels.size
-    inverse = np.empty(nlev, dtype=np.int64)
-    for g, lv in enumerate(levels):
-        inverse[int((lv + nlev - 1) // 2)] = g
-    return levels, inverse, half
+    scale = 1.0 / np.sqrt(KMOD_SQUARED[m])
+    weights = (1 << np.arange(nb - 1, -1, -1)).astype(np.uint8)
+    # label words split into their I and Q axis groups
+    words = np.arange(m)
+    i_level = levels[words >> (nb - half)]
+    q_level = np.zeros(m) if m == 2 else levels[words & ((1 << half) - 1)]
+    # slot s holds level 2s - (nlev - 1); gray[s] is its axis group
+    gray = np.empty(nlev, dtype=np.int64)
+    gray[((levels + nlev - 1) // 2).astype(np.int64)] = np.arange(nlev)
+    i_slot, q_slot = np.divmod(np.arange(nlev * nlev), nlev)
+    i_slot_level = (2 * i_slot - (nlev - 1)).astype(np.float64)
+    q_slot_level = (2 * q_slot - (nlev - 1)).astype(np.float64)
+    slot_words = gray[i_slot]
+    if m == 2:
+        q_slot_level = np.zeros_like(i_slot_level)
+    else:
+        slot_words = (slot_words << half) | gray[q_slot]
+    return _QamTables(
+        nlev=nlev,
+        scale=scale,
+        weights=_read_only(weights),
+        points=_read_only(_axis_points(i_level, q_level, scale)),
+        slot_points=_read_only(_axis_points(i_slot_level, q_slot_level, scale)),
+        slot_labels=_read_only(((slot_words[:, None] & weights) != 0).astype(np.uint8)),
+    )
 
 
-def _bits_to_axis_index(bits: np.ndarray, width: int) -> np.ndarray:
-    idx = np.zeros(bits.shape[0], dtype=np.int64)
-    for i in range(width):
-        idx = (idx << 1) | bits[:, i]
-    return idx
-
-
-def _axis_index_to_bits(idx: np.ndarray, width: int) -> np.ndarray:
-    out = np.empty((idx.size, width), dtype=np.uint8)
-    for i in range(width):
-        out[:, i] = (idx >> (width - 1 - i)) & 1
-    return out
+def _check_order(m: int) -> None:
+    if m not in BITS_PER_SYMBOL:
+        raise ConfigError(f"unsupported modulation order {m}")
 
 
 def qam_map(bits: np.ndarray, m: int) -> np.ndarray:
     """Gray-map bit groups to unit-average-power constellation points.
 
     The first half of each ``log2(m)``-bit group selects the I level,
-    the second half the Q level (BPSK uses the real axis only).
+    the second half the Q level (BPSK uses the real axis only).  Each
+    group is read as a label word and looked up in a cached table of
+    the order's points.  An unsupported order raises
+    :class:`ConfigError`; a bit other than 0 or 1, or a count that is
+    not a whole number of groups, raises :class:`FramingError`.
     """
-    if m not in BITS_PER_SYMBOL:
-        raise ConfigError(f"unsupported modulation order {m}")
+    _check_order(m)
     nb = BITS_PER_SYMBOL[m]
     bits = _as_bits(bits)
     if bits.size % nb != 0:
         raise FramingError(f"bit count {bits.size} is not a multiple of {nb}")
-    groups = bits.reshape(-1, nb)
-    levels, _, half = _axis_tables(m)
-    scale = 1.0 / np.sqrt(KMOD_SQUARED[m])
-    i_level = levels[_bits_to_axis_index(groups[:, :half], half)]
-    if m == 2:
-        q_level = np.zeros_like(i_level)
-    else:
-        q_level = levels[_bits_to_axis_index(groups[:, half:], half)]
-    return (i_level + 1j * q_level) * scale
+    tables = _qam_tables(m)
+    return tables.points[bits.reshape(-1, nb) @ tables.weights]
 
 
 def _quantize_axis(values: np.ndarray, nlev: int) -> np.ndarray:
@@ -263,34 +326,31 @@ def _quantize_axis(values: np.ndarray, nlev: int) -> np.ndarray:
     raw = (values + (nlev - 1)) / 2.0
     idx = np.floor(raw + 0.5)
     frac = raw - np.floor(raw)
-    midpoint = frac == 0.5
-    idx = np.where(midpoint & (values > 0), idx - 1, idx)
-    return np.clip(idx, 0, nlev - 1).astype(np.int64)
+    idx -= (frac == 0.5) & (values > 0)
+    return np.minimum(np.maximum(idx, 0), nlev - 1).astype(np.int64)
 
 
 def qam_quantize(points: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Snap arbitrary complex values to the nearest constellation point.
 
-    Quantization runs independently per axis; values beyond the outer
-    level clip to it, and exact midpoints round toward the level nearer
-    zero.  Returns (quantized points, Gray bit labels).
+    Quantization runs independently per axis, both axes in one pass over
+    the values' (count, 2) float view; values beyond the outer level
+    clip to it, and exact midpoints round toward the level nearer zero.
+    The joint level slot then reads the point and its label from cached
+    tables.  Returns (quantized points, Gray bit labels).  An
+    unsupported order raises :class:`ConfigError`, a NaN or infinite
+    value :class:`FramingError`.
     """
-    points = np.asarray(points, dtype=np.complex128).ravel()
-    levels, inverse, half = _axis_tables(m)
-    nlev = levels.size
-    scale = 1.0 / np.sqrt(KMOD_SQUARED[m])
-    i_slot = _quantize_axis(points.real / scale, nlev)
-    i_level = (2 * i_slot - (nlev - 1)).astype(np.float64)
-    i_bits = _axis_index_to_bits(inverse[i_slot], half)
-    if m == 2:
-        q_level = np.zeros_like(i_level)
-        labels = i_bits
-    else:
-        q_slot = _quantize_axis(points.imag / scale, nlev)
-        q_level = (2 * q_slot - (nlev - 1)).astype(np.float64)
-        labels = np.concatenate([i_bits, _axis_index_to_bits(inverse[q_slot], half)], axis=1)
-    quantized = (i_level + 1j * q_level) * scale
-    return quantized, labels.reshape(-1)
+    _check_order(m)
+    xy = np.ascontiguousarray(points, dtype=np.complex128).reshape(-1).view(np.float64)
+    if not np.isfinite(xy).all():
+        raise FramingError("values to quantize must be finite")
+    tables = _qam_tables(m)
+    slots = _quantize_axis(xy.reshape(-1, 2) / tables.scale, tables.nlev)
+    joint = slots[:, 0] * tables.nlev + slots[:, 1]
+    # np.take gathers the (joint, bits) label rows about 4x faster than
+    # fancy indexing
+    return tables.slot_points[joint], np.take(tables.slot_labels, joint, axis=0).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +450,7 @@ def _head_metrics(pairs: tuple[int, ...]) -> np.ndarray:
     pc = _pair_costs()
     out = np.full(64, _UNREACHED, dtype=np.int16)
     out[: 1 << r] = sum(pc[p, _output_pattern(v >> (r - 1 - t))] for t, p in enumerate(pairs))
-    out.flags.writeable = False
-    return out
+    return _read_only(out)
 
 
 def viterbi_decode(received: np.ndarray) -> np.ndarray:
@@ -495,20 +554,31 @@ def tx_grids(bits: np.ndarray, cfg: PhyConfig) -> np.ndarray:
             f"packet length {bits.size} is not a positive multiple of {cfg.n_dbps} bits"
         )
     n_sym = bits.size // cfg.n_dbps
-    scrambled = scramble(bits, cfg.scrambler_seed)
-    coded, _ = conv_encode(scrambled)
+    coded, _ = conv_encode(scramble(bits, cfg.scrambler_seed))
     interleaved = coded.reshape(n_sym, -1)[:, _symbol_gather(cfg)]
     grids = np.zeros((n_sym, cfg.fft_size), dtype=np.complex128)
     grids[:, cfg.data_bin_array] = qam_map(interleaved, cfg.modulation_order).reshape(n_sym, -1)
-    # pilot polarity of symbol s is 1 - 2*p[s], p the all-ones scrambler
-    # stream; the complex product keeps the -0.0 imaginary parts of -1 * -1
-    polarity = 1 - 2 * lfsr_sequence(n_sym, 0x7F).astype(np.int64)
-    grids[:, cfg.pilot_bin_array] = np.outer(polarity, np.asarray(cfg.pilot_base, np.complex128))
+    grids[:, cfg.pilot_bin_array] = _pilot_rows(cfg)[lfsr_sequence(n_sym, 0x7F)]
     return grids
 
 
+@lru_cache(maxsize=None)
+def _pilot_rows(cfg: PhyConfig) -> np.ndarray:
+    """The pilot values of a symbol by its polarity bit p, read-only.
+
+    Symbol s has polarity 1 - 2*p[s], p the all-ones scrambler stream;
+    the complex product keeps the -0.0 imaginary parts of -1 * -1.
+    """
+    polarity = np.array([1, -1], dtype=np.int64)
+    return _read_only(np.outer(polarity, np.asarray(cfg.pilot_base, np.complex128)))
+
+
 def rx_chain(samples: np.ndarray, cfg: PhyConfig) -> np.ndarray:
-    """Baseband samples back to information bits."""
+    """Baseband samples back to information bits.  A NaN or infinite
+    sample raises :class:`FramingError` before the FFT spreads it."""
+    samples = np.asarray(samples, dtype=np.complex128)
+    if not np.isfinite(samples).all():
+        raise FramingError("samples must be finite")
     grids = demodulate_frame(samples, cfg)
     _, hard = qam_quantize(grids[:, cfg.data_bin_array], cfg.modulation_order)
     mother = np.full((grids.shape[0], 2 * cfg.n_dbps), -1, dtype=np.int8)
@@ -518,7 +588,22 @@ def rx_chain(samples: np.ndarray, cfg: PhyConfig) -> np.ndarray:
 
 
 def _as_bits(bits: np.ndarray) -> np.ndarray:
-    arr = np.asarray(bits)
-    if arr.dtype != np.uint8:
-        arr = arr.astype(np.uint8)
-    return arr.ravel()
+    """``bits`` as a flat uint8 array, checked with one reduction: a
+    value other than 0 or 1, or a dtype that is not bool, integer or
+    float, raises :class:`FramingError`; nothing is cast into range."""
+    arr = np.asarray(bits).ravel()
+    kind = arr.dtype.kind
+    if kind == "b":
+        return arr.view(np.uint8)
+    if kind == "u":
+        ok = arr.max(initial=0) <= 1
+    elif kind == "i":
+        # negative values read as unsigned are large
+        ok = arr.view(arr.dtype.str.replace("i", "u")).max(initial=0) <= 1
+    elif kind == "f":
+        ok = ((arr == 0) | (arr == 1)).all()
+    else:
+        ok = False
+    if not ok:
+        raise FramingError("bits must be 0 or 1")
+    return arr if arr.dtype == np.uint8 else arr.astype(np.uint8)

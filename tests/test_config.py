@@ -41,6 +41,24 @@ def test_bit_budgets(m, rate, n_dbps):
     assert cfg.n_cbps == 48 * cfg.n_bpsc
 
 
+def test_bin_arrays_are_read_only():
+    # a write would move where every later tx_grids and rx_chain on the
+    # config puts its data or pilots
+    cfg = PhyConfig()
+    for array in (cfg.data_bin_array, cfg.pilot_bin_array):
+        with pytest.raises(ValueError):
+            array[0] = 7
+    assert cfg.data_bin_array.tolist() == list(cfg.data_subcarriers)
+
+
+def test_equal_configs_hash_alike():
+    a = PhyConfig(modulation_order=16, coding_rate=Fraction(2, 3))
+    b = PhyConfig(modulation_order=16, coding_rate=Fraction(2, 3))
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a != PhyConfig(modulation_order=16, coding_rate=Fraction(3, 4))
+    assert a.n_dbps == 128 and a.n_dbps == b.n_dbps
+
+
 def test_logical_bin_mapping_roundtrip():
     for k in list(range(-26, 0)) + list(range(1, 27)):
         assert bin_to_logical(logical_to_bin(k)) == k

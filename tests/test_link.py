@@ -196,6 +196,23 @@ def test_awgn_infinite_snr_is_identity(rng):
     assert np.array_equal(awgn(x, math.inf, 1), x)
 
 
+@pytest.mark.parametrize("snr", [10.0, math.inf])
+@pytest.mark.parametrize(
+    "samples",
+    [
+        np.array([1.0, np.nan, 0.5], dtype=np.complex128),
+        np.array([1.0, np.inf, 0.5], dtype=np.complex128),
+        np.array([complex(0.5, -np.inf)]),
+        np.full(4, 1e200, dtype=np.complex128),  # the mean power overflows
+        np.zeros(0, dtype=np.complex128),
+    ],
+    ids=["nan", "inf", "-inf-imag", "power-overflow", "empty"],
+)
+def test_awgn_rejects_frames_without_a_finite_power(samples, snr):
+    with pytest.raises(FramingError):
+        awgn(samples, snr, 1)
+
+
 @pytest.mark.parametrize("snr", [math.nan, -math.inf, -1e308])
 def test_channels_reject_nan_and_minus_inf_snr(snr):
     x = np.ones(8, dtype=np.complex128)

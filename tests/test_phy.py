@@ -431,3 +431,118 @@ def test_bitblock_and_frame_validation(rng):
         phy.conv_encode(rng.integers(0, 2, 8, dtype=np.uint8), state=64)
     with pytest.raises(FramingError):
         phy.rx_chain(np.zeros(81, dtype=complex), cfg)
+
+
+# Values outside {0, 1} at the bit inputs, in each dtype kind the check
+# reads, and dtypes it refuses outright.
+_NON_BITS = {
+    "2": np.array([2, 0, 1, 0, 1, 0]),
+    "5-uint8": np.array([5, 0, 1, 0, 1, 0], dtype=np.uint8),
+    "-1": np.array([-1, 0, 1, 0, 1, 0], dtype=np.int8),
+    "256": np.array([256, 0, 1, 0, 1, 0], dtype=np.int16),  # a uint8 cast reads 0
+    "0.5": np.array([0.5, 0, 1, 0, 1, 0]),
+    "nan": np.array([np.nan, 0, 1, 0, 1, 0]),
+    "complex": np.array([1 + 0j, 0, 1, 0, 1, 0]),
+    "text": np.array(["1", "0", "1", "0", "1", "0"]),
+}
+_BIT_ENTRIES = {
+    "scramble": lambda b: phy.scramble(b, 0x5D),
+    "conv_encode": lambda b: phy.conv_encode(b),
+    "puncture": lambda b: phy.puncture(b, "3/4"),
+    "interleave": lambda b: phy.interleave(np.resize(b, 288), 288, 6),
+    "qam_map": lambda b: phy.qam_map(b, 64),
+    "tx_chain": lambda b: phy.tx_chain(np.resize(b, 216), PhyConfig()),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_BIT_ENTRIES))
+@pytest.mark.parametrize("bits", list(_NON_BITS.values()), ids=list(_NON_BITS))
+def test_bit_inputs_reject_values_outside_0_1(entry, bits):
+    with pytest.raises(FramingError):
+        _BIT_ENTRIES[entry](bits)
+
+
+@pytest.mark.parametrize("entry", sorted(_BIT_ENTRIES))
+def test_bit_inputs_read_0_1_of_any_kind_alike(entry, rng):
+    bits = rng.integers(0, 2, 288, dtype=np.uint8)
+    if entry == "tx_chain":
+        bits = bits[:216]
+    want = _BIT_ENTRIES[entry](bits)
+    for kind in (bool, np.int64, np.int8, np.float32, np.float64):
+        got = _BIT_ENTRIES[entry](bits.astype(kind))
+        if entry == "tx_chain":
+            got, want_ = got.samples, want.samples
+        elif entry == "conv_encode":
+            (got, got_state), (want_, want_state) = got, want
+            assert got_state == want_state
+        else:
+            want_ = want
+        assert got.dtype == want_.dtype and np.array_equal(got, want_)
+
+
+def test_lfsr_sequence_rejects_a_negative_length():
+    with pytest.raises(ConfigError):
+        phy.lfsr_sequence(-3, 5)
+    assert phy.lfsr_sequence(0, 5).size == 0
+
+
+def test_lfsr_sequence_runs_past_its_cached_periods():
+    # lengths on both sides of every power-of-two count of periods
+    for length in (1, 126, 127, 128, 254, 255, 508, 509, 127 * 64 + 1):
+        assert np.array_equal(
+            phy.lfsr_sequence(length, 0x5D),
+            oracles.scramble_reference(np.zeros(length, dtype=np.uint8), 0x5D),
+        )
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[np.nan], [np.inf], [-np.inf + 0j], [complex(0.1, np.nan)], [0.2, complex(np.inf, 0)]],
+    ids=["nan", "inf", "-inf", "nan-imag", "inf-later"],
+)
+@pytest.mark.parametrize("m", [2, 4, 16, 64])
+def test_qam_quantize_rejects_non_finite_values(points, m):
+    with pytest.raises(FramingError):
+        phy.qam_quantize(np.array(points, dtype=np.complex128), m)
+
+
+@pytest.mark.parametrize("m", [0, 3, 8, 256])
+def test_qam_rejects_unknown_orders(m):
+    with pytest.raises(ConfigError):
+        phy.qam_quantize(np.zeros(4, dtype=np.complex128), m)
+    with pytest.raises(ConfigError):
+        phy.qam_map(np.zeros(12, dtype=np.uint8), m)
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf])
+def test_rx_chain_rejects_non_finite_samples(fill):
+    with pytest.raises(FramingError):
+        phy.rx_chain(np.full(80, fill, dtype=np.complex128), PhyConfig())
+
+
+def test_qam_quantize_reads_strided_and_scalar_input(rng):
+    x = rng.normal(size=40) + 1j * rng.normal(size=40)
+    for view in (x[::2], x.reshape(4, 10)[:, 1], x[3]):
+        got = phy.qam_quantize(view, 16)
+        want = oracles.qam_quantize_per_axis(np.atleast_1d(view).copy(), 16)
+        assert got[0].tobytes() == want[0].tobytes() and np.array_equal(got[1], want[1])
+
+
+def test_cached_tables_and_streams_are_read_only():
+    cfg = PhyConfig(modulation_order=16, coding_rate=Fraction(1, 2))
+    phy.tx_grids(np.zeros(3 * cfg.n_dbps, dtype=np.uint8), cfg)
+    tables = phy._qam_tables(16)
+    cached = {
+        "symbol_gather": phy._symbol_gather(cfg),
+        "pilot_rows": phy._pilot_rows(cfg),
+        "lfsr_sequence": phy.lfsr_sequence(300, cfg.scrambler_seed),
+        "encoder_past": phy._PAST,
+        "qam_weights": tables.weights,
+        "qam_points": tables.points,
+        "qam_slot_points": tables.slot_points,
+        "qam_slot_labels": tables.slot_labels,
+    }
+    for name, array in cached.items():
+        with pytest.raises(ValueError):
+            array[0] = 1
+        assert not array.flags.writeable, name
