@@ -26,7 +26,7 @@ from .config import (
     section_values,
     split_list,
 )
-from .errors import ConfigError, FramingError, OfdmEmuError
+from .errors import ConfigError, OfdmEmuError
 from .framefile import (
     read_frame,
     read_input,
@@ -45,7 +45,7 @@ from .harness import (
     selftest,
     write_csv,
 )
-from .link import EmulationSetup, TargetSymbols, check_snr, emulated_link
+from .link import EmulationSetup, TargetSymbols, check_snr, emulated_link, finite_mean_power
 from .phy import rx_chain, tx_chain
 
 DEFAULT_OUT = "ofdmemu_out"
@@ -137,15 +137,6 @@ def cmd_rx(args) -> int:
     return 0
 
 
-def _finite_mean_power(x: np.ndarray, what: str) -> float:
-    """Mean |x|^2 of finite values, or FramingError where it overflows."""
-    with np.errstate(over="ignore"):
-        power = float(np.mean(np.abs(x) ** 2))
-    if not np.isfinite(power):
-        raise FramingError(f"{what} overflows")
-    return power
-
-
 def cmd_emulate(args) -> int:
     check_snr(args.snr)
     check_count("--symbols", args.symbols, MAX_SYMBOLS)
@@ -156,14 +147,14 @@ def cmd_emulate(args) -> int:
     else:
         symbols = gaussian_targets(args.symbols, np.random.default_rng(seed))
     targets = TargetSymbols.unit_power(symbols, cfg)  # rejects an empty vector
-    power = _finite_mean_power(symbols, "the targets' mean power")
+    power = finite_mean_power(symbols, "the targets' mean power overflows")
     setup = EmulationSetup.build(cfg)
     estimates, record = emulated_link(targets, args.snr, seed, setup, mode=args.mode)
     # the record's noisy frame and plan would stay live through the writes
     tx_frame, clip_rate = record.tx_frame, record.clip_rate
     del record
     est = estimates[: symbols.size]
-    mse = _finite_mean_power(est - symbols, "the symbol mse")
+    mse = finite_mean_power(est - symbols, "the symbol mse overflows")
     # EVM is relative to the target power, so zero targets have none
     evm = f"{evm_percent(mse, power):.2f}%" if power > 0 else "n/a"
     out = _out_dir(args)

@@ -7,8 +7,10 @@ packet is modeled here: no preamble, SIGNAL field, tail or pad bits, so
 the scrambler and convolutional encoder run continuously across all OFDM
 symbols of a packet and reset only at packet start.
 
-Logical subcarrier index k (negative below DC) maps to FFT bin k mod
-fft_size; DC and the outer guard bins stay null.
+The numerology is the standard's and is not configurable: the FFT size
+and cyclic prefix are constants of ``PhyConfig``, not fields.  Logical
+subcarrier index k (negative below DC) maps to FFT bin k mod 64; DC and
+the outer guard bins stay null.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -82,9 +85,6 @@ MAX_WAVEFORMS = 100_000  # training waveforms or link records per stage
 MAX_OFDM_SYMBOLS = 10_000  # OFDM symbols per training waveform or record
 MAX_BATCH = 100_000  # batch sizes and link-refresh batches per cycle
 MAX_CYCLES = 1_000  # stage-3 refresh cycles
-# FFT points per OFDM symbol: every per-symbol array grows with it, and
-# `emulate --symbols 100000` peaks near 125 MB at 256 points
-MAX_FFT_SIZE = 256
 # the lowest channel SNR, where the noise power is 10^30 times the signal's;
 # far lower, the noise variance 10^(-snr/10) overflows a float
 MIN_SNR_DB = -300.0
@@ -96,22 +96,23 @@ def check_count(name: str, count: int, limit: int) -> None:
         raise ConfigError(f"{name} must be in 1..{limit}, got {count}")
 
 
-def logical_to_bin(k: int, fft_size: int = 64) -> int:
+def logical_to_bin(k: int) -> int:
     """Map a logical subcarrier index (negative below DC) to its FFT bin."""
-    return k % fft_size
-
-def default_pilot_bins(fft_size: int = 64) -> tuple[int, ...]:
-    return tuple(logical_to_bin(k, fft_size) for k in _LOGICAL_PILOTS)
+    return k % PhyConfig.fft_size
 
 
-def default_data_bins(fft_size: int = 64) -> tuple[int, ...]:
+def default_pilot_bins() -> tuple[int, ...]:
+    return tuple(logical_to_bin(k) for k in _LOGICAL_PILOTS)
+
+
+def default_data_bins() -> tuple[int, ...]:
     """The 48 standard data bins, in ascending logical order."""
-    return tuple(logical_to_bin(k, fft_size) for k in _LOGICAL_DATA)
+    return tuple(logical_to_bin(k) for k in _LOGICAL_DATA)
 
 
-def bin_to_logical(b: int, fft_size: int = 64) -> int:
-    """Inverse of :func:`logical_to_bin` for the standard 64-bin layout."""
-    return b if b <= fft_size // 2 else b - fft_size
+def bin_to_logical(b: int) -> int:
+    """Inverse of :func:`logical_to_bin`."""
+    return b if b <= PhyConfig.fft_size // 2 else b - PhyConfig.fft_size
 
 
 @dataclass(frozen=True)
@@ -121,11 +122,11 @@ class PhyConfig:
     ``data_subcarriers`` and ``pilot_subcarriers`` hold FFT bin indices;
     the order of ``data_subcarriers`` fixes the order in which coded bits
     fill the grid.  The convolutional code is always the standard one
-    (``CONV_G1``/``CONV_G2``).
+    (``CONV_G1``/``CONV_G2``), and so are the FFT size and cyclic prefix.
     """
 
-    fft_size: int = 64
-    cp_len: int = 16
+    fft_size: ClassVar[int] = 64
+    cp_len: ClassVar[int] = 16
     modulation_order: int = 64
     coding_rate: Fraction = Fraction(3, 4)
     scrambler_seed: int = 0b1011101
@@ -134,12 +135,6 @@ class PhyConfig:
     pilot_base: tuple[int, ...] = PILOT_BASE
 
     def __post_init__(self) -> None:
-        if not 0 < self.fft_size <= MAX_FFT_SIZE or self.fft_size & (self.fft_size - 1):
-            raise ConfigError(
-                f"fft_size must be a power of two in 1..{MAX_FFT_SIZE}, got {self.fft_size}"
-            )
-        if not 0 <= self.cp_len <= self.fft_size:
-            raise ConfigError(f"cp_len must lie in [0, fft_size], got {self.cp_len}")
         if self.modulation_order not in SUPPORTED_MODULATIONS:
             raise ConfigError(
                 f"modulation_order must be one of {SUPPORTED_MODULATIONS}, got {self.modulation_order}"
@@ -342,8 +337,6 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 # [phy] key -> parser of its raw text
 _PHY_PARSERS = {
-    "fft_size": int,
-    "cp_len": int,
     "modulation": parse_modulation,
     "coding_rate": parse_rate,
     "scrambler_seed": int,

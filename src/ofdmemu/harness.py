@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
-    MAX_FLOAT_SERIAL_SYMBOLS, MAX_IMAGES, MAX_SYMBOLS, PhyConfig, check_count, check_seed,
+    BITS_PER_SYMBOL, MAX_FLOAT_SERIAL_SYMBOLS, MAX_IMAGES, MAX_SYMBOLS, PhyConfig, check_count,
+    check_seed,
 )
 from .errors import ConfigError, OfdmEmuError
 from .gf2 import Gf2Solver, Unsolvable
@@ -428,8 +429,7 @@ def selftest(cfg: PhyConfig | None = None, quick: bool = False) -> SelfTestRepor
 
     # interleaver, every supported modulation width
     bad = 0
-    for m in (2, 4, 16, 64):
-        n_bpsc = {2: 1, 4: 2, 16: 4, 64: 6}[m]
+    for n_bpsc in BITS_PER_SYMBOL.values():
         n_cbps = 48 * n_bpsc
         for _ in range(vectors // 4):
             bits = rng.integers(0, 2, n_cbps, dtype=np.uint8)

@@ -141,11 +141,9 @@ def default_subset(cfg: PhyConfig, count: int | None = None) -> tuple[int, ...]:
     if not 0 < count <= cfg.n_data:
         raise SelectionError(f"subset size {count} outside (0, {cfg.n_data}]")
     by_distance = sorted(
-        cfg.data_subcarriers,
-        key=lambda b: (abs(bin_to_logical(b, cfg.fft_size)), bin_to_logical(b, cfg.fft_size)),
+        cfg.data_subcarriers, key=lambda b: (abs(bin_to_logical(b)), bin_to_logical(b))
     )
-    subset = by_distance[:count]
-    return tuple(sorted(subset, key=lambda b: bin_to_logical(b, cfg.fft_size)))
+    return tuple(sorted(by_distance[:count], key=bin_to_logical))
 
 
 def _selection_rows(sys: SymbolSystem, chosen: tuple[int, ...]) -> np.ndarray:
@@ -257,9 +255,7 @@ def certify_subset(
         restart += 1
     if r < target:
         raise SelectionError(f"no subcarrier swap reaches full rank (stuck at {r}/{target})")
-    final = tuple(
-        sorted(fixed, key=lambda b: bin_to_logical(b, sys.cfg.fft_size))
-    )
+    final = tuple(sorted(fixed, key=bin_to_logical))
     original = set(chosen)
     swaps = [(b, a) for b, a in zip(sorted(original - set(final)), sorted(set(final) - original))]
     return final, swaps

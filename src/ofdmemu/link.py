@@ -55,6 +55,7 @@ __all__ = [
     "check_snr",
     "noise_variance",
     "axis_noise",
+    "finite_mean_power",
     "awgn",
     "receiver_recover_soft",
     "receiver_recover_hard",
@@ -67,7 +68,7 @@ __all__ = [
 
 def box_edge(cfg: PhyConfig) -> float:
     """Outer constellation level per axis, in normalized amplitude."""
-    nlev = {2: 2, 4: 2, 16: 4, 64: 8}[cfg.modulation_order]
+    nlev = 1 << ((cfg.n_bpsc + 1) // 2)
     return (nlev - 1) / math.sqrt(KMOD_SQUARED[cfg.modulation_order])
 
 
@@ -291,6 +292,16 @@ def axis_noise(rng: np.random.Generator, var: float, shape) -> np.ndarray:
     return rng.normal(0.0, math.sqrt(var / 2.0), size=shape)
 
 
+def finite_mean_power(x: np.ndarray, error: str) -> float:
+    """Mean |x|^2 of a non-empty array, computed without an overflow
+    warning; FramingError(error) where it is NaN or overflows."""
+    with np.errstate(over="ignore"):
+        power = float(np.mean(np.abs(x) ** 2))
+    if not math.isfinite(power):
+        raise FramingError(error)
+    return power
+
+
 def _add_noise(
     x: np.ndarray, snr_db: float, seed: int | np.random.Generator, power: float | None
 ) -> np.ndarray:
@@ -302,9 +313,7 @@ def _add_noise(
     if power is None:
         if x.size == 0:
             raise FramingError("frame must hold at least one sample")
-        power = float(np.mean(np.abs(x) ** 2))
-        if not math.isfinite(power):
-            raise FramingError(f"frame power must be finite, got {power}")
+        power = finite_mean_power(x, "frame power must be finite")
     if snr_db == math.inf:
         return x.copy()
     noise = axis_noise(np.random.default_rng(seed), power * base, (x.size, 2))

@@ -32,7 +32,7 @@ def longest_chosen_run(setup) -> tuple[float, int]:
     Smooth sources are tuned to occupy such a run so their energy lands
     on controllable subcarriers instead of pilots, DC, or dummies.
     """
-    logical = sorted(bin_to_logical(b, setup.cfg.fft_size) for b in setup.chosen)
+    logical = sorted(map(bin_to_logical, setup.chosen))
     best_start, best_len = logical[0], 1
     start, run = logical[0], 1
     for prev, cur in zip(logical, logical[1:]):

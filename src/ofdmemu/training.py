@@ -141,8 +141,12 @@ class TrainConfig:
             raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
         for name, limit in _COUNT_LIMITS.items():
             check_count(name, getattr(self, name), limit)
-        if self.tolerance <= 0:
-            raise ConfigError("tolerance must be positive")
+        for name in ("step_comp", "step_proxy", "step_jscc", "tolerance"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and above 0, got {value}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.refresh_batch_count < 2:
             raise ConfigError("refresh_batch_count must be at least 2: one record is held out")
         check_seed(self.master_seed)

@@ -176,8 +176,31 @@ def exhaustive_ml_decode(received, n_info, state=0):
     """Best info word by Hamming distance over all 2^n_info candidates.
 
     Returns (info_bits, distance); ties resolve to the lowest word, so
-    compare distances rather than words when checking a decoder.
+    compare distances rather than words when checking a decoder.  Scores
+    a cached codebook at once; ``exhaustive_ml_decode_loop`` is the same
+    search one word at a time.
     """
+    words, codebook = _ml_codebook(n_info, int(state))
+    dist = np.count_nonzero(codebook != np.asarray(received), axis=1)
+    best = int(np.argmin(dist))  # the first minimum is the lowest word
+    return words[best].copy(), int(dist[best])
+
+
+@lru_cache(maxsize=None)
+def _ml_codebook(n_info, state):
+    """Every n_info-bit word in ascending order, most significant bit
+    first, and its code word from ``conv_encode_reference``."""
+    shifts = np.arange(n_info - 1, -1, -1)
+    words = ((np.arange(1 << n_info)[:, None] >> shifts) & 1).astype(np.uint8)
+    codebook = np.stack([conv_encode_reference(w, state)[0] for w in words])
+    words.flags.writeable = False
+    codebook.flags.writeable = False
+    return words, codebook
+
+
+def exhaustive_ml_decode_loop(received, n_info, state=0):
+    """The reference form of :func:`exhaustive_ml_decode`: encode and
+    score each candidate word in turn, keeping the first best."""
     best_bits, best_dist = None, None
     for word in range(1 << n_info):
         bits = [(word >> (n_info - 1 - i)) & 1 for i in range(n_info)]

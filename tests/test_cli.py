@@ -159,8 +159,6 @@ def test_bad_train_key_exits_2(tmp_path, capsys):
         (["sweep"], "[sweep]\nsnr_list = -1e308\nsystems = ideal_analog\n"),
         (["train-comp"], "[train]\nstage1_snr_db = -1e308\n"),
         (["train-proxy"], "[train]\nstage2_snr_db = -1e308\n"),
-        # a 2**40-point FFT would ask for terabytes per OFDM symbol grid
-        (["selftest", "--quick"], "[phy]\nfft_size = 1099511627776\n"),
     ]
     cfgfile = tmp_path / "bad.cfg"
     for command, text in cases:
@@ -359,9 +357,34 @@ def test_sweep_without_systems_exits_2_and_writes_nothing(tmp_path, capsys):
 
 def test_bad_phy_value_exits_2(tmp_path, capsys):
     cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text("fft_size = 60\n")
+    cfgfile.write_text("coding_rate = 4/5\n")
     rc = main(["emulate", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "command,text,message",
+    [
+        # the FFT size and cyclic prefix are the standard's, not settings
+        (["emulate", "--symbols", "10"], "[phy]\nfft_size = 128\n", "unknown [phy] key 'fft_size'"),
+        (["emulate", "--symbols", "10"], "[phy]\ncp_len = 8\n", "unknown [phy] key 'cp_len'"),
+        # a negative step climbs the loss, yet it used to train and save the model
+        (
+            ["train-comp"],
+            "[train]\nstep_comp = -0.5\nstage1_epochs = 2\nstage1_waveforms = 4\n"
+            "stage1_val_waveforms = 2\nbatch_size = 2\n",
+            "step_comp must be finite and above 0",
+        ),
+    ],
+    ids=["fft_size", "cp_len", "step_comp"],
+)
+def test_config_error_names_key_and_writes_nothing(tmp_path, capsys, command, text, message):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(text)
+    rc = main([*command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def assert_manifest_records_config(out):
@@ -474,7 +497,7 @@ TINIER_TRAIN = TINY_TRAIN + (
 # training.
 _CONFIG_TEXTS = {
     "phy_bpsk.cfg": "modulation = bpsk\ncoding_rate = 1/2\n",
-    "bad_phy.cfg": "fft_size = 60\n",
+    "bad_phy.cfg": "coding_rate = 4/5\n",
     "empty.cfg": "",
     "sweep.cfg": TINY_SWEEP + "systems = ideal_analog emulated float_serial\n",
     "sweep_zero.cfg": TINY_SWEEP + "n_symbols = 0\n",

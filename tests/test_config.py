@@ -76,14 +76,10 @@ def test_default_subcarrier_layout():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(fft_size=60),
-        dict(cp_len=-1),
-        dict(cp_len=65),
         dict(modulation_order=8),
         dict(coding_rate=Fraction(4, 5)),
         dict(scrambler_seed=0),
         dict(scrambler_seed=128),
-        dict(fft_size=2**40),
     ],
 )
 def test_invalid_fields_rejected(kwargs):
@@ -145,8 +141,6 @@ def test_config_file_roundtrip(tmp_path):
         """
 # comment line
 [phy]
-fft_size = 64
-cp_len = 16
 modulation = 16qam   ; trailing comment
 coding_rate = 2/3
 scrambler_seed = 93

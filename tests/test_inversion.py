@@ -76,10 +76,8 @@ def test_default_subset_is_centered(default_cfg):
     assert len(set(subset)) == len(subset)
     data = set(default_cfg.data_subcarriers)
     assert all(b in data for b in subset)
-    inside = max(abs(bin_to_logical(b, default_cfg.fft_size)) for b in subset)
-    outside = min(
-        abs(bin_to_logical(b, default_cfg.fft_size)) for b in data - set(subset)
-    )
+    inside = max(abs(bin_to_logical(b)) for b in subset)
+    outside = min(abs(bin_to_logical(b)) for b in data - set(subset))
     assert inside <= outside
 
 

@@ -323,6 +323,30 @@ def test_viterbi_matches_exhaustive_small(rng):
         assert int(np.sum(re_coded != noisy)) == ml_dist
 
 
+def _assert_ml_forms_agree(data, n_info):
+    state = data.draw(st.integers(0, 63), label="state")
+    received = np.array(
+        data.draw(st.lists(st.integers(0, 1), min_size=2 * n_info, max_size=2 * n_info)),
+        dtype=np.uint8,
+    )
+    bits, dist = oracles.exhaustive_ml_decode(received, n_info, state)
+    ref_bits, ref_dist = oracles.exhaustive_ml_decode_loop(received, n_info, state)
+    assert np.array_equal(bits, ref_bits) and dist == ref_dist
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_exhaustive_ml_codebook_matches_loop(data):
+    # word and distance, ties included: both keep the lowest best word
+    _assert_ml_forms_agree(data, data.draw(st.integers(1, 8), label="n_info"))
+
+
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_exhaustive_ml_codebook_matches_loop_12_bits(data):
+    _assert_ml_forms_agree(data, 12)
+
+
 def test_viterbi_corrects_single_bit_error(rng):
     # six zero tail bits terminate the trellis; a flip in the very last
     # coded pair would otherwise be genuinely ambiguous

@@ -25,9 +25,7 @@ def test_gaussian_symbols_deterministic():
 
 def test_longest_chosen_run_brute_force(default_setup):
     center, length = longest_chosen_run(default_setup)
-    logical = sorted(
-        bin_to_logical(b, default_setup.cfg.fft_size) for b in default_setup.chosen
-    )
+    logical = sorted(bin_to_logical(b) for b in default_setup.chosen)
     best = 0
     best_seq = None
     for i in range(len(logical)):

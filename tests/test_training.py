@@ -74,8 +74,18 @@ def test_train_config_validation():
     for key in ("stage1_snr_db", "stage2_snr_db"):
         with pytest.raises(ConfigError, match="snr_db must be at least"):
             TrainConfig(**{key: -1e308})
+    # a step size that is not finite and above 0, a momentum outside [0, 1)
+    # or a NaN tolerance would train to nonsense, or fail only after training
+    for key, value in [
+        *((k, v) for k in ("step_comp", "step_proxy", "step_jscc", "tolerance")
+          for v in (-0.5, 0.0, math.nan, math.inf)),
+        ("momentum", -0.1), ("momentum", 1.0), ("momentum", math.nan),
+    ]:
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig(**{key: value})
     TrainConfig(gamma=0.0)
     TrainConfig(gamma=1.0)
+    TrainConfig(momentum=0.0)
 
 
 def test_child_rng_deterministic():
