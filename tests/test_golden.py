@@ -1,7 +1,8 @@
 """Golden digests of the artifacts the emulator produces.
 
-For every (modulation, rate) pair this pins the certified subcarrier
-selection and its swaps.  For the default 64-QAM rate-3/4 configuration
+For every (modulation, rate) pair this pins the configuration
+fingerprint that every ``checkpoint.txt`` records, and the certified
+subcarrier selection and its swaps.  For the default 64-QAM rate-3/4 configuration
 and for QPSK rate 1/2 it pins the sweep CSV and plot-data bytes of the
 three non-learned systems and the bytes the inverted sender and the
 emulated link produce at fixed seeds.  The transmit grids of a 300-symbol
@@ -223,6 +224,26 @@ SELECTIONS = {
     ),
 }
 
+# pair -> PhyConfig.fingerprint() at the default scrambler seed
+FINGERPRINTS = {
+    "bpsk-r12": "0a1205f4f9b731d5",
+    "bpsk-r23": "9d54e4282dd44b73",
+    "bpsk-r34": "55bcf31454e51270",
+    "bpsk-r56": "961281f1123f2fa1",
+    "qpsk-r12": "e338a5916e69049f",
+    "qpsk-r23": "3f5c4c896c2cccda",
+    "qpsk-r34": "ab79a6d2dad9faae",
+    "qpsk-r56": "348b373566678f9f",
+    "16qam-r12": "6da37ae5173a8f5b",
+    "16qam-r23": "ac77b405fc492217",
+    "16qam-r34": "895c6de06e90d107",
+    "16qam-r56": "e194da793acfd676",
+    "64qam-r12": "ec6249d9c3143168",
+    "64qam-r23": "27ca450ffcac9d79",
+    "64qam-r34": "089b29c424bd0541",
+    "64qam-r56": "d285ad1134ddcf59",
+}
+
 TX_GRIDS_SYMBOLS = 300
 TX_GRIDS_SEED = 17
 TX_GRIDS_GOLDEN = {
@@ -251,6 +272,15 @@ def files_digest(paths) -> str:
 @pytest.fixture(scope="module", params=sorted(CONFIGS))
 def golden_setup(request):
     return request.param, EmulationSetup.build(CONFIGS[request.param])
+
+
+@pytest.mark.parametrize("name", sorted(FINGERPRINTS))
+def test_fingerprint(name):
+    assert PAIRS[name].fingerprint() == FINGERPRINTS[name]
+
+
+def test_default_fingerprint():
+    assert PhyConfig().fingerprint() == FINGERPRINTS["64qam-r34"]
 
 
 @pytest.mark.parametrize("name", sorted(SELECTIONS))
