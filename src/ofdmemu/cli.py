@@ -84,8 +84,9 @@ def _training_inputs(args):
 
 def _experiment_spec(args, sections: dict, cfg: PhyConfig) -> ExperimentSpec:
     kwargs = section_values("sweep", sections.get("sweep", {}), _SWEEP_KEYS)
-    if args.systems:
-        kwargs["systems"] = tuple(args.systems.split(","))
+    # an empty --systems names no systems; it is an error, not "all systems"
+    if args.systems is not None:
+        kwargs["systems"] = tuple(split_list(args.systems))
     if args.seed is not None:
         kwargs["master_seed"] = args.seed
     return ExperimentSpec(cfg=cfg, **kwargs)

@@ -7,17 +7,18 @@ packet is modeled here: no preamble, SIGNAL field, tail or pad bits, so
 the scrambler and convolutional encoder run continuously across all OFDM
 symbols of a packet and reset only at packet start.
 
-The numerology is the standard's and is not configurable: the FFT size
-and cyclic prefix are constants of ``PhyConfig``, not fields.  Logical
-subcarrier index k (negative below DC) maps to FFT bin k mod 64; DC and
-the outer guard bins stay null.
+The numerology and the subcarrier layout are the standard's and are not
+configurable: the FFT size, the cyclic prefix and the data and pilot
+bins are constants of ``PhyConfig``, not fields.  Logical subcarrier
+index k (negative below DC) maps to FFT bin k mod 64; DC and the outer
+guard bins stay null.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -101,38 +102,45 @@ def logical_to_bin(k: int) -> int:
     return k % PhyConfig.fft_size
 
 
-def default_pilot_bins() -> tuple[int, ...]:
-    return tuple(logical_to_bin(k) for k in _LOGICAL_PILOTS)
-
-
-def default_data_bins() -> tuple[int, ...]:
-    """The 48 standard data bins, in ascending logical order."""
-    return tuple(logical_to_bin(k) for k in _LOGICAL_DATA)
-
-
 def bin_to_logical(b: int) -> int:
     """Inverse of :func:`logical_to_bin`."""
     return b if b <= PhyConfig.fft_size // 2 else b - PhyConfig.fft_size
+
+
+def _index_array(bins: tuple[int, ...]) -> np.ndarray:
+    index = np.asarray(bins, dtype=np.intp)
+    index.flags.writeable = False
+    return index
 
 
 @dataclass(frozen=True)
 class PhyConfig:
     """Static description of one transceiver configuration.
 
-    ``data_subcarriers`` and ``pilot_subcarriers`` hold FFT bin indices;
+    Only the modulation, coding rate and scrambler seed are settings.
+    The convolutional code (``CONV_G1``/``CONV_G2``), the numerology and
+    the subcarrier layout are the standard's and are class constants:
+    ``data_subcarriers`` and ``pilot_subcarriers`` hold the FFT bins of
+    the 48 data and 4 pilot subcarriers in ascending logical order, and
     the order of ``data_subcarriers`` fixes the order in which coded bits
-    fill the grid.  The convolutional code is always the standard one
-    (``CONV_G1``/``CONV_G2``), and so are the FFT size and cyclic prefix.
+    fill the grid.
     """
 
     fft_size: ClassVar[int] = 64
     cp_len: ClassVar[int] = 16
+    data_subcarriers: ClassVar[tuple[int, ...]] = tuple(np.mod(_LOGICAL_DATA, fft_size).tolist())
+    pilot_subcarriers: ClassVar[tuple[int, ...]] = tuple(
+        np.mod(_LOGICAL_PILOTS, fft_size).tolist()
+    )
+    pilot_base: ClassVar[tuple[int, ...]] = PILOT_BASE
+    # data subcarriers per OFDM symbol
+    n_data: ClassVar[int] = len(data_subcarriers)
+    # the bin tuples as read-only index arrays
+    data_bin_array: ClassVar[np.ndarray] = _index_array(data_subcarriers)
+    pilot_bin_array: ClassVar[np.ndarray] = _index_array(pilot_subcarriers)
     modulation_order: int = 64
     coding_rate: Fraction = Fraction(3, 4)
     scrambler_seed: int = 0b1011101
-    data_subcarriers: tuple[int, ...] = field(default_factory=default_data_bins)
-    pilot_subcarriers: tuple[int, ...] = field(default_factory=default_pilot_bins)
-    pilot_base: tuple[int, ...] = PILOT_BASE
 
     def __post_init__(self) -> None:
         if self.modulation_order not in SUPPORTED_MODULATIONS:
@@ -147,46 +155,8 @@ class PhyConfig:
             raise ConfigError(
                 f"scrambler_seed must be a nonzero 7-bit value, got {self.scrambler_seed}"
             )
-        for name in ("data_subcarriers", "pilot_subcarriers"):
-            bins = getattr(self, name)
-            object.__setattr__(self, name, tuple(int(b) for b in bins))
-        data = self.data_subcarriers
-        pilots = self.pilot_subcarriers
-        allbins = data + pilots
-        if len(set(allbins)) != len(allbins):
-            raise ConfigError("data and pilot subcarrier sets must be disjoint and duplicate-free")
-        for b in allbins:
-            if not 0 <= b < self.fft_size:
-                raise ConfigError(f"subcarrier bin {b} outside [0, {self.fft_size})")
-        if 0 in allbins:
-            raise ConfigError("DC bin must stay null")
-        if len(pilots) != len(self.pilot_base):
-            raise ConfigError("pilot_base length must match pilot_subcarriers")
-        # Coded/info bits per OFDM symbol must come out integral, and the
-        # puncture pattern must align with the per-symbol block boundary so
-        # every OFDM symbol sees the same puncture phase.
-        n_dbps = rate * len(data) * BITS_PER_SYMBOL[self.modulation_order]
-        if n_dbps.denominator != 1:
-            raise ConfigError(
-                f"coding_rate * data_count * bits_per_subcarrier = {n_dbps} is not an integer"
-            )
-        period = len(PUNCTURE_PATTERNS[rate])
-        if (2 * int(n_dbps)) % period != 0:
-            raise ConfigError("puncture pattern does not align with the OFDM symbol boundary")
-        # the interleaver is a permutation only on a whole number of rows
-        # of 16 s-bit groups, s = max(n_bpsc // 2, 1)
-        row = 16 * max(self.n_bpsc // 2, 1)
-        if self.n_cbps % row != 0:
-            raise ConfigError(
-                f"interleaver needs a multiple of {row} coded bits per symbol, got {self.n_cbps}"
-            )
 
     # -- derived sizes ---------------------------------------------------
-
-    @property
-    def n_data(self) -> int:
-        """Data subcarriers per OFDM symbol (48 in the standard layout)."""
-        return len(self.data_subcarriers)
 
     @property
     def n_bpsc(self) -> int:
@@ -212,23 +182,14 @@ class PhyConfig:
         """Amplitude scale of the constellation (1/sqrt of KMOD_SQUARED)."""
         return 1.0 / float(np.sqrt(KMOD_SQUARED[self.modulation_order]))
 
-    @cached_property
-    def data_bin_array(self) -> np.ndarray:
-        """``data_subcarriers`` as a read-only index array."""
-        return _index_array(self.data_subcarriers)
-
-    @cached_property
-    def pilot_bin_array(self) -> np.ndarray:
-        """``pilot_subcarriers`` as a read-only index array."""
-        return _index_array(self.pilot_subcarriers)
-
     def __hash__(self) -> int:
         return self._field_hash
 
     @cached_property
     def _field_hash(self) -> int:
         # hashed once: per-config caches hash their key on every lookup,
-        # and hashing the bin tuples afresh costs microseconds
+        # and the Fraction makes a fresh hash of the fields cost several
+        # times the cached read
         return hash(tuple(getattr(self, f.name) for f in fields(self)))
 
     def fingerprint(self) -> str:
@@ -250,29 +211,9 @@ class PhyConfig:
         """The PHY of parsed config sections: keys before any header, then [phy]."""
         phy = {**sections.get("", {}), **sections.get("phy", {})}
         kv = section_values("phy", phy, _PHY_PARSERS)
-        smap = kv.pop("subcarrier_map", "standard")
-        layout = sorted(_LAYOUT_KEYS & set(kv))
-        if smap not in ("standard", "custom"):
-            raise ConfigError(f"subcarrier_map must be 'standard' or 'custom', got {smap!r}")
-        if smap == "standard" and layout:
-            raise ConfigError(f"{layout[0]} needs subcarrier_map = custom")
-        if smap == "custom" and not {"data_subcarriers", "pilot_subcarriers"} <= set(kv):
-            raise ConfigError(
-                "subcarrier_map = custom needs data_subcarriers and pilot_subcarriers"
-            )
         if "modulation" in kv:
             kv["modulation_order"] = kv.pop("modulation")
         return cls(**kv)
-
-
-def _index_array(bins: tuple[int, ...]) -> np.ndarray:
-    index = np.asarray(bins, dtype=np.intp)
-    index.flags.writeable = False
-    return index
-
-
-# keys that only a custom subcarrier map reads
-_LAYOUT_KEYS = {"data_subcarriers", "pilot_subcarriers", "pilot_base"}
 
 
 def split_list(text: str) -> list[str]:
@@ -331,19 +272,11 @@ def parse_rate(text: str) -> Fraction:
     return r
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in split_list(text))
-
-
 # [phy] key -> parser of its raw text
 _PHY_PARSERS = {
     "modulation": parse_modulation,
     "coding_rate": parse_rate,
     "scrambler_seed": int,
-    "subcarrier_map": str.lower,
-    "data_subcarriers": _int_list,
-    "pilot_subcarriers": _int_list,
-    "pilot_base": _int_list,
 }
 
 

@@ -69,6 +69,9 @@ class ExperimentSpec:
         check_seed(self.master_seed)
         if not self.systems:
             raise ConfigError("systems must not be empty")
+        repeated = sorted({s for s in self.systems if self.systems.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"systems must not repeat: {', '.join(repeated)}")
         unknown = set(self.systems) - set(SYSTEM_IDS)
         if unknown:
             raise ConfigError(f"unknown systems {sorted(unknown)}; valid: {SYSTEM_IDS}")

@@ -217,8 +217,10 @@ def _symbol_gather(cfg: PhyConfig) -> np.ndarray:
     """Puncturing then interleaving of one OFDM symbol as one index map.
 
     Entry j is the position, among the symbol's 2 * n_dbps mother bits,
-    of interleaved coded bit j.  Every symbol starts a whole puncture
-    period (``PhyConfig`` checks it), so the map serves each symbol.
+    of interleaved coded bit j.  In the 802.11a layout, at every
+    modulation and rate, a symbol's mother bits span whole puncture
+    periods, so the map serves each symbol, and its coded bits fill
+    whole interleaver rows, so no two entries are equal.
     """
     pat = _pattern(cfg.coding_rate)
     keep = np.flatnonzero(np.tile(pat, 2 * cfg.n_dbps // pat.size))
@@ -539,6 +541,14 @@ def viterbi_decode(received: np.ndarray) -> np.ndarray:
 # full chains
 # ---------------------------------------------------------------------------
 
+# The pilot values of a symbol by its polarity bit p, read-only.  Symbol s
+# has polarity 1 - 2*p[s], p the all-ones scrambler stream; the complex
+# product keeps the -0.0 imaginary parts of -1 * -1.
+_PILOT_ROWS = _read_only(
+    np.outer(np.array([1, -1], dtype=np.int64), np.asarray(PhyConfig.pilot_base, np.complex128))
+)
+
+
 def tx_chain(bits: np.ndarray, cfg: PhyConfig) -> BasebandFrame:
     """Information bits to a baseband frame of whole OFDM symbols."""
     grids = tx_grids(bits, cfg)
@@ -558,19 +568,8 @@ def tx_grids(bits: np.ndarray, cfg: PhyConfig) -> np.ndarray:
     interleaved = coded.reshape(n_sym, -1)[:, _symbol_gather(cfg)]
     grids = np.zeros((n_sym, cfg.fft_size), dtype=np.complex128)
     grids[:, cfg.data_bin_array] = qam_map(interleaved, cfg.modulation_order).reshape(n_sym, -1)
-    grids[:, cfg.pilot_bin_array] = _pilot_rows(cfg)[lfsr_sequence(n_sym, 0x7F)]
+    grids[:, cfg.pilot_bin_array] = _PILOT_ROWS[lfsr_sequence(n_sym, 0x7F)]
     return grids
-
-
-@lru_cache(maxsize=None)
-def _pilot_rows(cfg: PhyConfig) -> np.ndarray:
-    """The pilot values of a symbol by its polarity bit p, read-only.
-
-    Symbol s has polarity 1 - 2*p[s], p the all-ones scrambler stream;
-    the complex product keeps the -0.0 imaginary parts of -1 * -1.
-    """
-    polarity = np.array([1, -1], dtype=np.int64)
-    return _read_only(np.outer(polarity, np.asarray(cfg.pilot_base, np.complex128)))
 
 
 def rx_chain(samples: np.ndarray, cfg: PhyConfig) -> np.ndarray:

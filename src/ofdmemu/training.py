@@ -105,6 +105,10 @@ _COUNT_LIMITS = {
 }
 
 
+# stage 2 holds out a quarter of its records, at least 2, and fits the rest
+_MIN_STAGE2_RECORDS = 8
+
+
 @dataclass
 class TrainConfig:
     """Knobs for all three stages; defaults are desk-scale."""
@@ -149,6 +153,11 @@ class TrainConfig:
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.refresh_batch_count < 2:
             raise ConfigError("refresh_batch_count must be at least 2: one record is held out")
+        if self.stage2_records < _MIN_STAGE2_RECORDS:
+            raise ConfigError(
+                f"stage2_records must be at least {_MIN_STAGE2_RECORDS}: "
+                "a quarter of them is held out"
+            )
         check_seed(self.master_seed)
         check_snr(self.stage1_snr_db)
         check_snr(self.stage2_snr_db)
@@ -355,8 +364,11 @@ def stage2_train_proxy(
 ) -> StageResult:
     """Fit the proxy's deterministic part to link records and calibrate
     its noise injection."""
-    if len(records) < 8:
-        raise TrainingError(f"need at least 8 records for a train/held-out split, got {len(records)}")
+    if len(records) < _MIN_STAGE2_RECORDS:
+        raise TrainingError(
+            f"need at least {_MIN_STAGE2_RECORDS} records for a train/held-out split, "
+            f"got {len(records)}"
+        )
     n_held = max(2, len(records) // 4)
     if model is None:
         model = ProxyModel(train_cfg.child_rng(_S2_INIT))

@@ -149,7 +149,7 @@ def test_bad_train_key_exits_2(tmp_path, capsys):
         (["sweep"], "[sweep]\nsnr_list = 0 nan\n"),
         # the code is fixed, so a polynomial is an unknown key
         (["selftest", "--quick"], "[phy]\nconv_g1 = 0o135\n"),
-        # layout keys without the custom map would be silently ignored
+        # the subcarrier layout is the standard's, so layout keys are unknown keys
         (["selftest", "--quick"], "[phy]\ndata_subcarriers = 1 2 3\npilot_base = 1 1 1 1\n"),
         # a misspelled section header would drop its keys: QPSK would run 64-QAM
         (["selftest", "--quick"], "[phyy]\nmodulation = qpsk\n"),
@@ -330,22 +330,6 @@ def test_non_utf8_config_exits_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_custom_layout_without_an_interleaver_permutation_exits_2(tmp_path, capsys):
-    # 24 BPSK bins are 24 coded bits, not whole 16-bit interleaver rows:
-    # the interleaver would send two bits to one place and lose another
-    cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text(
-        "[phy]\nsubcarrier_map = custom\n"
-        f"data_subcarriers = {' '.join(map(str, range(1, 25)))}\n"
-        "pilot_subcarriers = 40 41 42 43\nmodulation = bpsk\ncoding_rate = 1/2\n"
-    )
-    rc = main(["emulate", "--symbols", "50", "--snr", "40", "--config", str(cfgfile),
-               "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "interleaver" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-
-
 def test_sweep_without_systems_exits_2_and_writes_nothing(tmp_path, capsys):
     cfgfile = tmp_path / "none.cfg"
     cfgfile.write_text("[sweep]\nsnr_list = 10\nsystems =\n")
@@ -368,6 +352,27 @@ def test_bad_phy_value_exits_2(tmp_path, capsys):
         # the FFT size and cyclic prefix are the standard's, not settings
         (["emulate", "--symbols", "10"], "[phy]\nfft_size = 128\n", "unknown [phy] key 'fft_size'"),
         (["emulate", "--symbols", "10"], "[phy]\ncp_len = 8\n", "unknown [phy] key 'cp_len'"),
+        # so is the subcarrier layout; 24 custom BPSK bins, not whole
+        # 16-bit interleaver rows, used to run with wrong bits
+        (
+            ["emulate", "--symbols", "50", "--snr", "40"],
+            "[phy]\nsubcarrier_map = custom\n"
+            f"data_subcarriers = {' '.join(map(str, range(1, 25)))}\n"
+            "pilot_subcarriers = 40 41 42 43\nmodulation = bpsk\ncoding_rate = 1/2\n",
+            "unknown [phy] key 'subcarrier_map'",
+        ),
+        (
+            ["emulate", "--symbols", "10"],
+            f"[phy]\ndata_subcarriers = {' '.join(map(str, PhyConfig().data_subcarriers))}\n",
+            "unknown [phy] key 'data_subcarriers'",
+        ),
+        (
+            ["emulate", "--symbols", "10"],
+            "[phy]\npilot_subcarriers = 43 57 7 21\n",
+            "unknown [phy] key 'pilot_subcarriers'",
+        ),
+        (["emulate", "--symbols", "10"], "[phy]\npilot_base = 1 1 1 -1\n",
+         "unknown [phy] key 'pilot_base'"),
         # a negative step climbs the loss, yet it used to train and save the model
         (
             ["train-comp"],
@@ -375,8 +380,36 @@ def test_bad_phy_value_exits_2(tmp_path, capsys):
             "stage1_val_waveforms = 2\nbatch_size = 2\n",
             "step_comp must be finite and above 0",
         ),
+        # stage 2 holds a quarter of its records out; too few used to fail
+        # with exit 1, train-e2e only after stage 1 had trained
+        *(
+            (
+                [command],
+                "[train]\nstage2_records = 7\nstage1_epochs = 1\nstage1_waveforms = 4\n"
+                "stage1_val_waveforms = 2\nbatch_size = 2\n",
+                "stage2_records must be at least 8",
+            )
+            for command in ("train-proxy", "train-e2e")
+        ),
+        # a repeated system used to run its cells twice into one series
+        (
+            ["sweep"],
+            "[sweep]\nsnr_list = 0 10\nn_symbols = 20\nsystems = emulated emulated\n",
+            "systems must not repeat",
+        ),
+        (
+            ["sweep", "--systems", "emulated,emulated"],
+            "[sweep]\nsnr_list = 0 10\nn_symbols = 20\n",
+            "systems must not repeat",
+        ),
+        # an empty --systems used to mean all four systems
+        (["sweep", "--systems", ""], "[sweep]\nsnr_list = 10\n", "systems must not be empty"),
     ],
-    ids=["fft_size", "cp_len", "step_comp"],
+    ids=[
+        "fft_size", "cp_len", "subcarrier_map", "data_subcarriers", "pilot_subcarriers",
+        "pilot_base", "step_comp", "stage2_records-train-proxy", "stage2_records-train-e2e",
+        "systems-repeated", "systems-repeated-flag", "systems-empty-flag",
+    ],
 )
 def test_config_error_names_key_and_writes_nothing(tmp_path, capsys, command, text, message):
     cfgfile = tmp_path / "bad.cfg"

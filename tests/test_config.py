@@ -1,4 +1,5 @@
 import time
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,6 @@ from hypothesis import strategies as st
 from ofdmemu.config import (
     PhyConfig,
     bin_to_logical,
-    default_data_bins,
-    default_pilot_bins,
     logical_to_bin,
     parse_config_file,
     parse_modulation,
@@ -65,12 +64,18 @@ def test_logical_bin_mapping_roundtrip():
 
 
 def test_default_subcarrier_layout():
-    data = default_data_bins()
-    pilots = default_pilot_bins()
+    # the 802.11a layout is a constant of the class, in ascending logical order
+    data = PhyConfig.data_subcarriers
+    pilots = PhyConfig.pilot_subcarriers
     assert len(data) == 48 and len(pilots) == 4
-    assert set(pilots) == {logical_to_bin(k) for k in (-21, -7, 7, 21)}
-    assert not set(data) & set(pilots)
-    assert 0 not in data and 0 not in pilots
+    assert [bin_to_logical(b) for b in pilots] == [-21, -7, 7, 21]
+    assert [bin_to_logical(b) for b in data] == [
+        k for k in range(-26, 27) if k not in (0, -21, -7, 7, 21)
+    ]
+    assert PhyConfig.pilot_base == (1, 1, 1, -1)
+    assert [f.name for f in fields(PhyConfig)] == [
+        "modulation_order", "coding_rate", "scrambler_seed"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -85,18 +90,6 @@ def test_default_subcarrier_layout():
 def test_invalid_fields_rejected(kwargs):
     with pytest.raises(ConfigError):
         PhyConfig(**kwargs)
-
-
-def test_overlapping_subcarriers_rejected():
-    data = default_data_bins()
-    with pytest.raises(ConfigError):
-        PhyConfig(pilot_subcarriers=data[:4], pilot_base=(1, 1, 1, -1))
-
-
-def test_dc_bin_rejected():
-    bins = (0,) + default_data_bins()[:47]
-    with pytest.raises(ConfigError):
-        PhyConfig(data_subcarriers=bins)
 
 
 def test_parse_helpers():

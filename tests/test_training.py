@@ -70,6 +70,10 @@ def test_train_config_validation():
     # phase B holds one refresh record out, so one record leaves it nothing to fit
     with pytest.raises(ConfigError, match="refresh_batch_count must be at least 2"):
         TrainConfig(refresh_batch_count=1)
+    # stage 2 holds a quarter of its records out, at least 2, and fits the rest
+    with pytest.raises(ConfigError, match="stage2_records must be at least 8"):
+        TrainConfig(stage2_records=7)
+    TrainConfig(stage2_records=8)
     # an SNR this low would overflow the stage's noise variance
     for key in ("stage1_snr_db", "stage2_snr_db"):
         with pytest.raises(ConfigError, match="snr_db must be at least"):
