@@ -97,7 +97,8 @@ def write_model(path: str | Path, model) -> None:
 
 
 def read_model_into(path: str | Path, model) -> None:
-    """Load parameters, refusing on any fingerprint or size mismatch."""
+    """Load parameters, refusing on any fingerprint or size mismatch and
+    on a NaN or infinite parameter."""
     (fp, count), body = _payload(read_input(path), _MODEL_HEADER, MODEL_MAGIC, MODEL_VERSION, 8)
     want = model.architecture_fingerprint().encode("ascii")
     if fp != want:
@@ -108,6 +109,8 @@ def read_model_into(path: str | Path, model) -> None:
         raise FramingError(
             f"model file holds {count} parameters, model needs {model.parameter_count()}"
         )
+    if not np.all(np.isfinite(body)):
+        raise FramingError(f"{path} holds a non-finite parameter")
     model.load_state_vector(body.copy())
 
 

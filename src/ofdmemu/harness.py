@@ -18,12 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
-    BITS_PER_SYMBOL, MAX_FLOAT_SERIAL_SYMBOLS, MAX_IMAGES, MAX_SYMBOLS, PhyConfig, check_count,
-    check_seed,
+    MAX_FLOAT_SERIAL_SYMBOLS, MAX_IMAGES, MAX_SYMBOLS, PUNCTURE_PATTERNS, SUPPORTED_MODULATIONS,
+    PhyConfig, check_count, check_seed,
 )
+from . import phy
 from .errors import ConfigError, OfdmEmuError
 from .gf2 import Gf2Solver, Unsolvable
-from .inversion import build_symbol_system, restrict_rows
+from .inversion import build_symbol_system, default_subset, restrict_rows
 from .link import (
     EmulationSetup,
     TargetSymbols,
@@ -33,7 +34,6 @@ from .link import (
     float_serialization_link,
     ideal_analog_link,
 )
-from .phy import qam_quantize, rx_chain
 from .sources import glyph_images
 
 SYSTEM_IDS = ("ideal_analog", "emulated", "float_serial", "zero_shot")
@@ -184,7 +184,7 @@ def _cell_symbols(
         est = ideal_analog_link(sym, snr, rng)
     elif system == "emulated":
         est, rec = emulated_link(TargetSymbols.unit_power(sym, spec.cfg), snr, seed, setup)
-        ber = float(np.mean(rx_chain(rec.rx_frame, spec.cfg) != rec.plan.bitstream))
+        ber = float(np.mean(phy.rx_chain(rec.rx_frame, spec.cfg) != rec.plan.bitstream))
     else:
         out, bits, got = float_serialization_link(sym.view(np.float64), snr, seed, spec.cfg)
         est = out.view(np.complex128)
@@ -377,7 +377,6 @@ def selftest(cfg: PhyConfig | None = None, quick: bool = False) -> SelfTestRepor
     reference side, so they fail loudly when the production encoder
     drifts from them.
     """
-    from . import phy
     from .nn import Dense, Tensor, grad_check
 
     cfg = cfg or PhyConfig()
@@ -420,26 +419,23 @@ def selftest(cfg: PhyConfig | None = None, quick: bool = False) -> SelfTestRepor
         )
     )
 
-    # puncturer, every supported rate
+    # coded-bit map, every (modulation, rate) pair: the one per-symbol map
+    # the chain runs against longhand puncturing then interleaving
     bad = 0
-    for rate in ("1/2", "2/3", "3/4", "5/6"):
-        for _ in range(vectors // 4):
-            coded = rng.integers(0, 2, 120, dtype=np.uint8)
-            ours = phy.puncture(coded, rate)
-            ref = np.array(_ref_puncture(list(coded), rate), dtype=np.uint8)
-            bad += int(ours.size != ref.size) or int(np.sum(ours != ref))
-    checks.append(CheckResult("puncturer", bad == 0, f"all rates, {bad} mismatches"))
-
-    # interleaver, every supported modulation width
-    bad = 0
-    for n_bpsc in BITS_PER_SYMBOL.values():
-        n_cbps = 48 * n_bpsc
-        for _ in range(vectors // 4):
-            bits = rng.integers(0, 2, n_cbps, dtype=np.uint8)
-            ours = phy.interleave(bits, n_cbps, n_bpsc)
-            ref = np.array(_ref_interleave(list(bits), n_cbps, n_bpsc), dtype=np.uint8)
-            bad += int(np.sum(ours != ref))
-    checks.append(CheckResult("interleaver", bad == 0, f"all widths, {bad} mismatches"))
+    for m in SUPPORTED_MODULATIONS:
+        for rate in PUNCTURE_PATTERNS:
+            pair = PhyConfig(modulation_order=m, coding_rate=rate)
+            gather = phy._symbol_gather(pair)
+            for _ in range(max(1, vectors // 16)):
+                block = rng.integers(0, 2, 2 * pair.n_dbps, dtype=np.uint8)
+                kept = _ref_puncture(list(block), str(rate))
+                ref = _ref_interleave(kept, pair.n_cbps, pair.n_bpsc)
+                bad += int(not np.array_equal(block[gather], ref))
+    checks.append(
+        CheckResult(
+            "coded_bit_map", bad == 0, f"all 16 (modulation, rate) pairs, {bad} mismatched blocks"
+        )
+    )
 
     # GF(2) probe: the matrix model built from cfg must reproduce the
     # *canonical* straight-line chain (scramble happens upstream of the
@@ -447,14 +443,13 @@ def selftest(cfg: PhyConfig | None = None, quick: bool = False) -> SelfTestRepor
     sys_model = build_symbol_system(cfg)
     probes = 10 if quick else 50
     bad = 0
-    rate_name = f"{cfg.coding_rate.numerator}/{cfg.coding_rate.denominator}"
     for _ in range(probes):
         x = rng.integers(0, 2, sys_model.beta, dtype=np.uint8)
         state = int(rng.integers(0, 64))
         predicted = sys_model.predict(x, state)
         coded = _ref_conv_encode(list(x), state)
         reference = np.array(
-            _ref_interleave(_ref_puncture(coded, rate_name), cfg.n_cbps, cfg.n_bpsc),
+            _ref_interleave(_ref_puncture(coded, str(cfg.coding_rate)), cfg.n_cbps, cfg.n_bpsc),
             dtype=np.uint8,
         )
         bad += int(np.sum(predicted != reference))
@@ -477,7 +472,7 @@ def selftest(cfg: PhyConfig | None = None, quick: bool = False) -> SelfTestRepor
     # quantization bound: per-axis error at most half a level step
     pts = rng.uniform(-box_edge(cfg), box_edge(cfg), (500, 2))
     z = pts[:, 0] + 1j * pts[:, 1]
-    q, _ = qam_quantize(z, cfg.modulation_order)
+    q, _ = phy.qam_quantize(z, cfg.modulation_order)
     half_step = cfg.k_mod
     worst = float(max(np.abs(q.real - z.real).max(), np.abs(q.imag - z.imag).max()))
     checks.append(
@@ -489,8 +484,6 @@ def selftest(cfg: PhyConfig | None = None, quick: bool = False) -> SelfTestRepor
     )
 
     # solver sanity: solve a random reachable target and re-multiply
-    from .inversion import default_subset
-
     chosen = default_subset(cfg)
     solver = Gf2Solver(restrict_rows(sys_model, chosen))
     x_true = rng.integers(0, 2, sys_model.beta, dtype=np.uint8)

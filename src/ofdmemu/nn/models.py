@@ -2,8 +2,8 @@
 proxy, and a toy image codec.
 
 Waveforms travel as (N_s, 2) real arrays (I and Q columns); helpers
-convert to and from the complex vectors the link layer uses.  Batched
-model inputs carry a leading batch axis.
+convert to and from the complex vectors the link layer uses.  The
+compensator and the proxy take a batch of them, a (B, N_s, 2) Tensor.
 """
 
 from __future__ import annotations
@@ -103,7 +103,8 @@ class CompensatorModel(Module):
     One shared convolution stack runs over two foldings of the input
     waveform (OFDM-symbol period and source-symbol period); the branch
     outputs are unfolded, truncated, summed, and added to the input, so
-    the zero-initialized model is the identity.
+    the zero-initialized model is the identity.  Input and output are
+    (B, N_s, 2) Tensors.
     """
 
     def __init__(
@@ -134,28 +135,24 @@ class CompensatorModel(Module):
         flat = y.reshape(batch, rows * period, 2)
         return flat if pad == 0 else flat[:, :n, :]
 
-    def __call__(self, wave: Tensor | np.ndarray) -> Tensor:
-        w = wave if isinstance(wave, Tensor) else Tensor(wave)
-        single = len(w.shape) == 2
-        if single:
-            w = w.reshape(1, *w.shape)
-        out = self._branch(w, self.period_spec.ofdm_period)
-        out = out + self._branch(w, self.period_spec.source_period) + w
-        return out.reshape(out.shape[1], 2) if single else out
+    def __call__(self, wave: Tensor) -> Tensor:
+        out = self._branch(wave, self.period_spec.ofdm_period)
+        return out + self._branch(wave, self.period_spec.source_period) + wave
 
     def compensate_array(self, samples: np.ndarray) -> np.ndarray:
-        """Complex-in, complex-out convenience for link callbacks."""
+        """One complex waveform in, its correction out, run as a batch of
+        one; image evaluation corrects each received waveform with it."""
         wave = complex_to_wave(samples)
-        return wave_to_complex(self(Tensor(wave)).data)
+        return wave_to_complex(self(Tensor(wave[None])).data[0])
 
 
 class ProxyModel(Module):
     """Differentiable stand-in for the physical link.
 
     Sender stack -> seeded additive Gaussian noise -> receiver stack,
-    all shape-preserving over (B, N_s, 2).  Residual connections around
-    both stacks plus zero-initialized final layers make the untrained,
-    noise-free proxy an identity map.
+    all shape-preserving over a (B, N_s, 2) Tensor.  Residual
+    connections around both stacks plus zero-initialized final layers
+    make the untrained, noise-free proxy an identity map.
 
     The injected per-sample complex variance is
     ``noise_gain * 10^(-snr/10) + noise_floor``.  The defaults (1, 0)
@@ -188,23 +185,18 @@ class ProxyModel(Module):
 
     def __call__(
         self,
-        wave: Tensor | np.ndarray,
+        wave: Tensor,
         snr_db: float = math.inf,
         seed: int | np.random.Generator | None = None,
         inject_noise: bool = True,
     ) -> Tensor:
-        w = wave if isinstance(wave, Tensor) else Tensor(wave)
-        single = len(w.shape) == 2
-        if single:
-            w = w.reshape(1, *w.shape)
-        h = self._run(self.sender, w)
+        h = self._run(self.sender, wave)
         var = self.noise_gain * noise_variance(snr_db) + self.noise_floor
         if var > 0 and inject_noise:
             if seed is None:
                 raise ValueError("noisy proxy evaluation requires a seed")
             h = h + Tensor(axis_noise(np.random.default_rng(seed), var, h.shape))
-        y = self._run(self.receiver, h)
-        return y.reshape(y.shape[1], 2) if single else y
+        return self._run(self.receiver, h)
 
 
 class ToyJsccModel(Module):

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from ofdmemu import phy
+from ofdmemu import inversion, phy
 from ofdmemu.config import PhyConfig
 from ofdmemu.link import EmulationSetup
 
@@ -44,6 +46,23 @@ def corrupted_encoder(monkeypatch):
         return real(bits, state, 0o135, g2)
 
     monkeypatch.setattr(phy, "conv_encode", wrong_g1)
+
+
+@pytest.fixture
+def corrupted_symbol_map(monkeypatch):
+    """Swap two entries of the coded-bit map at rate 2/3, for the chain and
+    the GF(2) model alike, so transmit and receive still agree."""
+    real = phy._symbol_gather
+
+    def swapped(cfg):
+        gather = real(cfg)
+        if cfg.coding_rate == Fraction(2, 3):
+            gather = gather.copy()
+            gather[[0, 1]] = gather[[1, 0]]
+        return gather
+
+    monkeypatch.setattr(phy, "_symbol_gather", swapped)
+    monkeypatch.setattr(inversion, "_symbol_gather", swapped)
 
 
 @pytest.fixture

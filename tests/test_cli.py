@@ -1,6 +1,9 @@
 import dataclasses
 import io
+import json
 import os
+import subprocess
+import sys
 import threading
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,10 +13,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ofdmemu
+from ofdmemu import harness
 from ofdmemu.cli import main
 from ofdmemu.config import MAX_FRAME_SAMPLES, MAX_SYMBOLS, PhyConfig, parse_config_file
-from ofdmemu.framefile import FRAME_MAGIC, FRAME_VERSION, frame_bytes, read_frame, write_frame
+from ofdmemu.framefile import (
+    FRAME_MAGIC,
+    FRAME_VERSION,
+    frame_bytes,
+    read_frame,
+    write_frame,
+    write_model,
+)
 from ofdmemu.link import EmulationSetup
+from ofdmemu.nn import ToyJsccModel
 from ofdmemu.phy import tx_chain
 from ofdmemu.training import TrainConfig
 
@@ -136,6 +149,67 @@ def test_sweep_zero_shot_without_models_exits_2(tmp_path, capsys):
     rc = main(["sweep", "--systems", "zero_shot", "--out", str(tmp_path)])
     assert rc == 2
     assert "train-e2e" in capsys.readouterr().err
+
+
+def _nan_zero_shot(models_dir):
+    """A zero_shot.model whose last decoder bias is NaN."""
+    jscc = ToyJsccModel(np.random.default_rng(0))
+    state = jscc.state_vector()
+    state[-1] = np.nan
+    jscc.load_state_vector(state)
+    models_dir.mkdir()
+    write_model(models_dir / "zero_shot.model", jscc)
+
+
+def test_sweep_with_a_nan_model_exits_1_before_any_cell(tmp_path, capsys, monkeypatch):
+    _nan_zero_shot(tmp_path / "models")
+
+    def unreachable(*args):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr(harness, "_cell_symbols", unreachable)
+    out = tmp_path / "out"
+    argv = ["sweep", "--systems", "ideal_analog,zero_shot", "--out", str(out)]
+    rc = main(argv + ["--models", str(tmp_path / "models")])
+    assert rc == 1
+    assert "zero_shot.model holds a non-finite parameter" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# The steps run in order in one fresh interpreter: (argv, module
+# prefixes that must not be loaded after it).  The link commands never
+# load the training stack or nn; the selftest's grad check loads nn.
+_LAZY_IMPORT_STEPS = [
+    (["tx", "--in", "payload.bin", "--out", "out"], ["ofdmemu.training", "ofdmemu.nn"]),
+    (["rx", "--in", "out/waveform.bin", "--out", "out"], ["ofdmemu.training", "ofdmemu.nn"]),
+    (["emulate", "--symbols", "10", "--out", "out"], ["ofdmemu.training", "ofdmemu.nn"]),
+    (
+        ["sweep", "--config", "sweep.cfg", "--systems", "ideal_analog,emulated,float_serial",
+         "--out", "out"],
+        ["ofdmemu.training", "ofdmemu.nn"],
+    ),
+    (["selftest", "--quick"], ["ofdmemu.training"]),
+]
+_LAZY_IMPORT_PROBE = """
+import json, sys
+from ofdmemu.cli import main
+for argv, banned in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded = [m for m in sys.modules if m.startswith(tuple(banned))]
+    assert not loaded, (argv, loaded)
+"""
+
+
+def test_only_training_commands_load_the_training_stack(tmp_path):
+    (tmp_path / "payload.bin").write_bytes(bytes(range(40)))
+    (tmp_path / "sweep.cfg").write_text("[sweep]\nsnr_list = 10\nn_symbols = 2\n")
+    src = os.path.dirname(os.path.dirname(ofdmemu.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", _LAZY_IMPORT_PROBE, json.dumps(_LAZY_IMPORT_STEPS)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def test_bad_train_key_exits_2(tmp_path, capsys):
@@ -570,7 +644,7 @@ _EMULATE = {
 _SWEEP = {
     "--systems": ([None, "ideal_analog", "emulated", "float_serial", "zero_shot",
                    "ideal_analog,zero_shot"], ["", ",", "bogus"]),
-    "--models": ([None, "models"], ["missing", "payload", "dir", ""]),
+    "--models": ([None, "models"], ["missing", "nan_models", "payload", "dir", ""]),
 }
 # words after the options: none, or a usage error (an unknown flag, a
 # stray word, or -h)
@@ -611,6 +685,8 @@ def cli_files(tmp_path_factory):
     files["fresh_non_utf8"] = root / (_NON_UTF8 + "-out")
     files["under_file"] = files["payload"] / "out"
     files["models"] = root / "models"
+    files["nan_models"] = root / "nan_models"
+    _nan_zero_shot(files["nan_models"])
     EmulationSetup.build(PhyConfig())
     EmulationSetup.build(PhyConfig.from_sections(parse_config_file(files["phy_bpsk.cfg"])))
     with redirect_stdout(io.StringIO()):

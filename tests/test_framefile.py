@@ -79,6 +79,21 @@ def test_model_payload_length_checked(tmp_path, rng):
             read_model_into(p, a)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_model_with_a_non_finite_parameter_rejected(tmp_path, rng, value):
+    a = Dense(5, 3, rng)
+    state = a.state_vector()
+    state[-1] = value
+    a.load_state_vector(state)
+    p = tmp_path / "dense.model"
+    write_model(p, a)
+    b = Dense(5, 3, np.random.default_rng(77))
+    before = b.state_vector()
+    with pytest.raises(FramingError, match="dense.model holds a non-finite parameter"):
+        read_model_into(p, b)
+    assert np.array_equal(b.state_vector(), before)
+
+
 # Readers on truncated or garbage input: they either succeed or raise
 # FramingError, never anything else.
 

@@ -135,3 +135,11 @@ def test_selftest_catches_corrupted_encoder(corrupted_encoder):
     assert not report.passed
     failed = {c.name for c in report.checks if not c.passed}
     assert "conv_encoder" in failed
+
+
+def test_selftest_catches_a_corrupted_coded_bit_map(corrupted_symbol_map):
+    # at the default rate, 3/4, the loopback and the GF(2) probe run an
+    # intact map; only the check over all 16 pairs reaches rate 2/3
+    report = selftest(quick=True)
+    failed = {c.name for c in report.checks if not c.passed}
+    assert failed == {"coded_bit_map"}

@@ -27,7 +27,7 @@ from ofdmemu.link import (
     targets_from_waveform,
     waveform_from_values,
 )
-from ofdmemu.nn import ProxyModel
+from ofdmemu.nn import ProxyModel, Tensor
 from ofdmemu.phy import demodulate_frame, tx_chain
 
 
@@ -225,7 +225,7 @@ def test_channels_reject_nan_and_minus_inf_snr(snr):
     proxy = ProxyModel(np.random.default_rng(0), channels=4, depth=2)
     for inject in (True, False):
         with pytest.raises(ConfigError):
-            proxy(np.zeros((8, 2)), snr_db=snr, seed=1, inject_noise=inject)
+            proxy(Tensor(np.zeros((1, 8, 2))), snr_db=snr, seed=1, inject_noise=inject)
 
 
 def test_ideal_analog_noise_law(rng):

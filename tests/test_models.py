@@ -102,34 +102,22 @@ def fresh_compensator(rng):
 
 def test_compensator_identity_at_init(rng):
     comp = fresh_compensator(rng)
-    w = rng.normal(size=(160, 2))
+    w = rng.normal(size=(2, 160, 2))
     np.testing.assert_allclose(comp(Tensor(w)).data, w, atol=1e-12)
     z = rng.normal(size=100) + 1j * rng.normal(size=100)
     np.testing.assert_allclose(comp.compensate_array(z), z, atol=1e-12)
 
 
-def test_compensator_batched_matches_single(rng):
-    comp = fresh_compensator(rng)
-    # give it non-identity weights
-    vec = comp.state_vector()
-    comp.load_state_vector(vec + 0.01 * np.random.default_rng(5).normal(size=vec.size))
-    batch = rng.normal(size=(3, 90, 2))
-    full = comp(Tensor(batch)).data
-    for i in range(3):
-        single = comp(Tensor(batch[i])).data
-        np.testing.assert_allclose(single, full[i], atol=1e-10)
-
-
 def test_proxy_identity_at_init_noise_free(rng):
     proxy = ProxyModel(rng, channels=4, depth=2)
-    w = rng.normal(size=(120, 2))
+    w = rng.normal(size=(2, 120, 2))
     out = proxy(Tensor(w), snr_db=math.inf).data
     np.testing.assert_allclose(out, w, atol=1e-12)
 
 
 def test_proxy_noise_requires_seed(rng):
     proxy = ProxyModel(rng, channels=4, depth=2)
-    w = rng.normal(size=(60, 2))
+    w = rng.normal(size=(2, 60, 2))
     with pytest.raises(ValueError):
         proxy(Tensor(w), snr_db=10.0)
     a = proxy(Tensor(w), snr_db=10.0, seed=3).data
@@ -147,9 +135,9 @@ def test_proxy_noise_law_calibration(rng):
     proxy.noise_gain = 2.0
     proxy.noise_floor = 0.05
     n = 40_000
-    w = np.zeros((n, 2))
+    w = np.zeros((1, n, 2))
     out = proxy(Tensor(w), snr_db=10.0, seed=11).data
-    var = float(np.mean(np.sum(out**2, axis=1)))
+    var = float(np.mean(np.sum(out**2, axis=2)))
     assert var == pytest.approx(2.0 * 0.1 + 0.05, rel=0.05)
 
 
