@@ -7,11 +7,12 @@ packet is modeled here: no preamble, SIGNAL field, tail or pad bits, so
 the scrambler and convolutional encoder run continuously across all OFDM
 symbols of a packet and reset only at packet start.
 
-The numerology and the subcarrier layout are the standard's and are not
-configurable: the FFT size, the cyclic prefix and the data and pilot
-bins are constants of ``PhyConfig``, not fields.  Logical subcarrier
-index k (negative below DC) maps to FFT bin k mod 64; DC and the outer
-guard bins stay null.
+The numerology, the subcarrier layout and the scrambler seed are the
+standard's and are not configurable: the FFT size, the cyclic prefix,
+the data and pilot bins and the scrambler's initial state are constants
+of ``PhyConfig``, not fields.  Logical subcarrier index k (negative
+below DC) maps to FFT bin k mod 64; DC and the outer guard bins stay
+null.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ PUNCTURE_PATTERNS: dict[Fraction, tuple[int, ...]] = {
     Fraction(5, 6): (1, 1, 1, 0, 0, 1, 1, 0, 0, 1),
 }
 
-SUPPORTED_MODULATIONS = (2, 4, 16, 64)
-
 # Coded bits per subcarrier for each modulation order.
 BITS_PER_SYMBOL = {2: 1, 4: 2, 16: 4, 64: 6}
+
+SUPPORTED_MODULATIONS = tuple(BITS_PER_SYMBOL)
 
 # Per-modulation amplitude normalization (unit average constellation power).
 KMOD_SQUARED = {2: 1, 4: 2, 16: 10, 64: 42}
@@ -59,11 +60,6 @@ MODULATION_NAMES = {
 _LOGICAL_ACTIVE = tuple(k for k in range(-26, 27) if k != 0)
 _LOGICAL_PILOTS = (-21, -7, 7, 21)
 _LOGICAL_DATA = tuple(k for k in _LOGICAL_ACTIVE if k not in _LOGICAL_PILOTS)
-
-# Pilot amplitudes for logical bins (-21, -7, +7, +21), before the
-# per-symbol polarity sign (the scrambler stream from the all-ones state,
-# see phy.tx_grids).
-PILOT_BASE = (1, 1, 1, -1)
 
 
 def check_seed(seed: int) -> None:
@@ -97,13 +93,8 @@ def check_count(name: str, count: int, limit: int) -> None:
         raise ConfigError(f"{name} must be in 1..{limit}, got {count}")
 
 
-def logical_to_bin(k: int) -> int:
-    """Map a logical subcarrier index (negative below DC) to its FFT bin."""
-    return k % PhyConfig.fft_size
-
-
 def bin_to_logical(b: int) -> int:
-    """Inverse of :func:`logical_to_bin`."""
+    """The logical subcarrier index (negative below DC) of an FFT bin."""
     return b if b <= PhyConfig.fft_size // 2 else b - PhyConfig.fft_size
 
 
@@ -117,13 +108,16 @@ def _index_array(bins: tuple[int, ...]) -> np.ndarray:
 class PhyConfig:
     """Static description of one transceiver configuration.
 
-    Only the modulation, coding rate and scrambler seed are settings.
-    The convolutional code (``CONV_G1``/``CONV_G2``), the numerology and
-    the subcarrier layout are the standard's and are class constants:
+    Only the modulation and coding rate are settings, so a PhyConfig is
+    one of 16 codes.  The convolutional code (``CONV_G1``/``CONV_G2``),
+    the scrambler's initial state, the numerology and the subcarrier
+    layout are the standard's and are class constants:
     ``data_subcarriers`` and ``pilot_subcarriers`` hold the FFT bins of
     the 48 data and 4 pilot subcarriers in ascending logical order, and
     the order of ``data_subcarriers`` fixes the order in which coded bits
-    fill the grid.
+    fill the grid.  ``pilot_base`` holds the pilot amplitudes before the
+    per-symbol polarity sign (the scrambler stream from the all-ones
+    state, see phy.tx_grids).
     """
 
     fft_size: ClassVar[int] = 64
@@ -132,7 +126,10 @@ class PhyConfig:
     pilot_subcarriers: ClassVar[tuple[int, ...]] = tuple(
         np.mod(_LOGICAL_PILOTS, fft_size).tolist()
     )
-    pilot_base: ClassVar[tuple[int, ...]] = PILOT_BASE
+    pilot_base: ClassVar[tuple[int, ...]] = (1, 1, 1, -1)
+    # initial state of the data scrambler; the inversion solves for the
+    # bits at the encoder input, so it does not enter the emulated waveform
+    scrambler_seed: ClassVar[int] = 0b1011101
     # data subcarriers per OFDM symbol
     n_data: ClassVar[int] = len(data_subcarriers)
     # the bin tuples as read-only index arrays
@@ -140,7 +137,6 @@ class PhyConfig:
     pilot_bin_array: ClassVar[np.ndarray] = _index_array(pilot_subcarriers)
     modulation_order: int = 64
     coding_rate: Fraction = Fraction(3, 4)
-    scrambler_seed: int = 0b1011101
 
     def __post_init__(self) -> None:
         if self.modulation_order not in SUPPORTED_MODULATIONS:
@@ -151,10 +147,6 @@ class PhyConfig:
         object.__setattr__(self, "coding_rate", rate)
         if rate not in PUNCTURE_PATTERNS:
             raise ConfigError(f"coding_rate must be one of {sorted(PUNCTURE_PATTERNS)}, got {rate}")
-        if not 1 <= self.scrambler_seed <= 127:
-            raise ConfigError(
-                f"scrambler_seed must be a nonzero 7-bit value, got {self.scrambler_seed}"
-            )
 
     # -- derived sizes ---------------------------------------------------
 
@@ -276,7 +268,6 @@ def parse_rate(text: str) -> Fraction:
 _PHY_PARSERS = {
     "modulation": parse_modulation,
     "coding_rate": parse_rate,
-    "scrambler_seed": int,
 }
 
 

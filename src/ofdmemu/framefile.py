@@ -83,9 +83,14 @@ def read_input(path: str | Path, limit: int | None = None) -> bytes:
 
 
 def read_frame(path: str | Path, max_samples: int | None = None) -> np.ndarray:
-    """A frame file's samples; more than ``max_samples`` is a ConfigError."""
+    """A frame file's samples; more than ``max_samples`` is a ConfigError.
+    A FramingError about the file's contents names the file."""
     limit = None if max_samples is None else _FRAME_HEADER.size + 16 * max_samples
-    return frame_from_bytes(read_input(path, limit))
+    blob = read_input(path, limit)
+    try:
+        return frame_from_bytes(blob)
+    except FramingError as exc:
+        raise FramingError(f"{path}: {exc}") from None
 
 
 def write_model(path: str | Path, model) -> None:
@@ -98,16 +103,20 @@ def write_model(path: str | Path, model) -> None:
 
 def read_model_into(path: str | Path, model) -> None:
     """Load parameters, refusing on any fingerprint or size mismatch and
-    on a NaN or infinite parameter."""
-    (fp, count), body = _payload(read_input(path), _MODEL_HEADER, MODEL_MAGIC, MODEL_VERSION, 8)
+    on a NaN or infinite parameter, with an error that names the file."""
+    blob = read_input(path)
+    try:
+        (fp, count), body = _payload(blob, _MODEL_HEADER, MODEL_MAGIC, MODEL_VERSION, 8)
+    except FramingError as exc:
+        raise FramingError(f"{path}: {exc}") from None
     want = model.architecture_fingerprint().encode("ascii")
     if fp != want:
         raise FramingError(
-            f"architecture fingerprint {fp!r} does not match model ({want.decode()})"
+            f"{path}: architecture fingerprint {fp!r} does not match model ({want.decode()})"
         )
     if count != model.parameter_count():
         raise FramingError(
-            f"model file holds {count} parameters, model needs {model.parameter_count()}"
+            f"{path}: model file holds {count} parameters, model needs {model.parameter_count()}"
         )
     if not np.all(np.isfinite(body)):
         raise FramingError(f"{path} holds a non-finite parameter")

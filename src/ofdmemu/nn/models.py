@@ -56,10 +56,6 @@ class PeriodSpec:
         src = max(1, round(cfg.samples_per_ofdm / n_chosen))
         return cls(cfg.samples_per_ofdm, src)
 
-    @property
-    def periods(self) -> tuple[int, int]:
-        return (self.ofdm_period, self.source_period)
-
 
 def _positional_channels(rows: int, period: int) -> np.ndarray:
     """Per-column phase channels so the shared conv can locate fixed

@@ -26,7 +26,7 @@ from ofdmemu.framefile import (
     write_model,
 )
 from ofdmemu.link import EmulationSetup
-from ofdmemu.nn import ToyJsccModel
+from ofdmemu.nn import CompensatorModel, PeriodSpec, ToyJsccModel
 from ofdmemu.phy import tx_chain
 from ofdmemu.training import TrainConfig
 
@@ -174,6 +174,34 @@ def test_sweep_with_a_nan_model_exits_1_before_any_cell(tmp_path, capsys, monkey
     assert rc == 1
     assert "zero_shot.model holds a non-finite parameter" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _compensator_model(path):
+    """A compensator's parameters, saved where a zero_shot codec belongs."""
+    path.parent.mkdir()
+    write_model(path, CompensatorModel(PeriodSpec(80, 2), np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize(
+    "argv,name,write,message",
+    [
+        (["rx", "--in", "nanframe.bin"], "nanframe.bin",
+         lambda p: write_frame(p, np.full(80, np.nan)), "frame holds a non-finite sample"),
+        (["emulate", "--in", "short.bin"], "short.bin",
+         lambda p: p.write_bytes(b"OFRM"), "4 bytes, shorter than the 16-byte header"),
+        (["sweep", "--systems", "zero_shot", "--models", "models"], "models/zero_shot.model",
+         _compensator_model, "does not match model"),
+    ],
+    ids=["rx-non-finite-frame", "emulate-short-frame", "sweep-compensator-as-zero-shot"],
+)
+def test_reader_errors_name_the_file(tmp_path, capsys, monkeypatch, argv, name, write, message):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / name)
+    rc = main([*argv, "--out", "out"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {name}: " in err and message in err
+    assert not (tmp_path / "out").exists()
 
 
 # The steps run in order in one fresh interpreter: (argv, module
@@ -447,6 +475,10 @@ def test_bad_phy_value_exits_2(tmp_path, capsys):
         ),
         (["emulate", "--symbols", "10"], "[phy]\npilot_base = 1 1 1 -1\n",
          "unknown [phy] key 'pilot_base'"),
+        # and so is the scrambler seed: the inversion solves for the bits
+        # at the encoder input, so the seed never reached an emulated waveform
+        (["emulate", "--symbols", "10"], "[phy]\nscrambler_seed = 93\n",
+         "unknown [phy] key 'scrambler_seed'"),
         # a negative step climbs the loss, yet it used to train and save the model
         (
             ["train-comp"],
@@ -481,8 +513,9 @@ def test_bad_phy_value_exits_2(tmp_path, capsys):
     ],
     ids=[
         "fft_size", "cp_len", "subcarrier_map", "data_subcarriers", "pilot_subcarriers",
-        "pilot_base", "step_comp", "stage2_records-train-proxy", "stage2_records-train-e2e",
-        "systems-repeated", "systems-repeated-flag", "systems-empty-flag",
+        "pilot_base", "scrambler_seed", "step_comp", "stage2_records-train-proxy",
+        "stage2_records-train-e2e", "systems-repeated", "systems-repeated-flag",
+        "systems-empty-flag",
     ],
 )
 def test_config_error_names_key_and_writes_nothing(tmp_path, capsys, command, text, message):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ofdmemu.config import (
     PhyConfig,
     bin_to_logical,
-    logical_to_bin,
     parse_config_file,
     parse_modulation,
     parse_rate,
@@ -58,11 +57,6 @@ def test_equal_configs_hash_alike():
     assert a.n_dbps == 128 and a.n_dbps == b.n_dbps
 
 
-def test_logical_bin_mapping_roundtrip():
-    for k in list(range(-26, 0)) + list(range(1, 27)):
-        assert bin_to_logical(logical_to_bin(k)) == k
-
-
 def test_default_subcarrier_layout():
     # the 802.11a layout is a constant of the class, in ascending logical order
     data = PhyConfig.data_subcarriers
@@ -73,9 +67,7 @@ def test_default_subcarrier_layout():
         k for k in range(-26, 27) if k not in (0, -21, -7, 7, 21)
     ]
     assert PhyConfig.pilot_base == (1, 1, 1, -1)
-    assert [f.name for f in fields(PhyConfig)] == [
-        "modulation_order", "coding_rate", "scrambler_seed"
-    ]
+    assert [f.name for f in fields(PhyConfig)] == ["modulation_order", "coding_rate"]
 
 
 @pytest.mark.parametrize(
@@ -83,8 +75,6 @@ def test_default_subcarrier_layout():
     [
         dict(modulation_order=8),
         dict(coding_rate=Fraction(4, 5)),
-        dict(scrambler_seed=0),
-        dict(scrambler_seed=128),
     ],
 )
 def test_invalid_fields_rejected(kwargs):
@@ -136,13 +126,11 @@ def test_config_file_roundtrip(tmp_path):
 [phy]
 modulation = 16qam   ; trailing comment
 coding_rate = 2/3
-scrambler_seed = 93
 """
     )
     cfg = PhyConfig.from_sections(parse_config_file(path))
     assert cfg.modulation_order == 16
     assert cfg.coding_rate == Fraction(2, 3)
-    assert cfg.scrambler_seed == 93
 
 
 def test_config_file_sections_and_errors(tmp_path):

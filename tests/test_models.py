@@ -26,7 +26,6 @@ def test_period_spec(default_cfg):
     spec = PeriodSpec.from_config(default_cfg, 36)
     assert spec.ofdm_period == default_cfg.samples_per_ofdm
     assert spec.source_period == round(default_cfg.samples_per_ofdm / 36)
-    assert spec.periods == (spec.ofdm_period, spec.source_period)
     with pytest.raises(ValueError):
         PeriodSpec(0, 2)
     with pytest.raises(ValueError):
