@@ -35,7 +35,7 @@ def complex_to_wave(samples: np.ndarray) -> np.ndarray:
 
 
 def wave_to_complex(wave: np.ndarray) -> np.ndarray:
-    """(N_s, 2) I/Q array -> complex vector."""
+    """(..., N_s, 2) I/Q array -> (..., N_s) complex array."""
     wave = np.asarray(wave, dtype=np.float64)
     return wave[..., 0] + 1j * wave[..., 1]
 
@@ -100,7 +100,9 @@ class CompensatorModel(Module):
     waveform (OFDM-symbol period and source-symbol period); the branch
     outputs are unfolded, truncated, summed, and added to the input, so
     the zero-initialized model is the identity.  Input and output are
-    (B, N_s, 2) Tensors.
+    (B, N_s, 2) Tensors.  Rows never mix, so training and image
+    evaluation alike correct a whole stack of waveforms in one call, and
+    each row comes out as a batch of one would give it.
     """
 
     def __init__(
@@ -134,12 +136,6 @@ class CompensatorModel(Module):
     def __call__(self, wave: Tensor) -> Tensor:
         out = self._branch(wave, self.period_spec.ofdm_period)
         return out + self._branch(wave, self.period_spec.source_period) + wave
-
-    def compensate_array(self, samples: np.ndarray) -> np.ndarray:
-        """One complex waveform in, its correction out, run as a batch of
-        one; image evaluation corrects each received waveform with it."""
-        wave = complex_to_wave(samples)
-        return wave_to_complex(self(Tensor(wave[None])).data[0])
 
 
 class ProxyModel(Module):

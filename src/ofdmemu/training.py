@@ -52,6 +52,7 @@ from .nn import (
     Tensor,
     ToyJsccModel,
     complex_to_wave,
+    wave_to_complex,
 )
 from .sources import gaussian_symbols, glyph_images, longest_chosen_run, smooth_waveform
 
@@ -616,22 +617,27 @@ def evaluate_image_link(
     Each image rides its own one-body transmission, matching how the
     compensator and codec see waveforms during training.  Per-image noise
     seeds derive from ``seed`` so runs stay reproducible.  A compensator,
-    if given, corrects each received waveform before the estimates are read.
+    if given, corrects the received waveforms before the estimates are
+    read.  Every image sends ``latent_pairs`` symbols, so the waveforms
+    have one length and the compensator runs once, on their (B, N_s, 2)
+    stack.
     """
     flat = images.reshape(len(images), -1)
     # (B, 2K) latents at unit average power, as (B, K) symbols
     symbols = _latent_to_symbols(jscc.encode(Tensor(flat)).data)
     seq = np.random.SeedSequence(seed)
     est = np.empty_like(symbols)
-    clip_total = 0.0
+    records = []
     for i, child in enumerate(seq.spawn(len(flat))):
         targets = TargetSymbols.unit_power(symbols[i], setup.cfg)
         est[i], record = emulated_link(targets, snr_db, np.random.default_rng(child), setup)
-        if compensator is not None:
-            est[i] = extract_estimates(
-                compensator.compensate_array(record.output_waveform), record.plan, setup
-            )
-        clip_total += record.clip_rate
+        records.append(record)
+    if compensator is not None:
+        waves = np.stack([complex_to_wave(r.output_waveform) for r in records])
+        corrected = wave_to_complex(compensator(Tensor(waves)).data)
+        for i, (wave, record) in enumerate(zip(corrected, records)):
+            est[i] = extract_estimates(wave, record.plan, setup)
+    clip_total = sum(r.clip_rate for r in records)
     recon = jscc.decode(Tensor(est.view(np.float64))).data  # estimates as (B, 2K) reals
     per_image = np.mean((recon - flat) ** 2, axis=1)
     return {

@@ -2,7 +2,7 @@
 
 Everything here is written from the published definitions with table
 lookups and explicit index lists, sharing no code or structure with the
-package under test.  Slow on purpose; used only as ground truth.  Seven
+package under test.  Slow on purpose; used only as ground truth.  Eight
 exceptions are frozen copies of earlier package code that pin the
 current code: ``conv2d_reference``, the original conv2d kernel, bit for
 bit; ``climb_reference``, the original certification climb, which
@@ -12,7 +12,8 @@ original one-step-per-iteration Viterbi decoder with its tie-break;
 symbol; and ``conv_encode_convolve``, ``qam_map_per_axis`` and
 ``qam_quantize_per_axis``, the encoder, mapper and quantizer as first
 written, which work one generator stream or one constellation axis at
-a time.
+a time.  ``evaluate_image_link_per_image`` is image evaluation as
+first written, which runs the compensator on one waveform at a time.
 ``verify_against_pipeline`` is no reference: it cross-checks the GF(2)
 symbol model against the package's own live chain.
 """
@@ -25,8 +26,10 @@ from ofdmemu.config import BITS_PER_SYMBOL, CONV_G1, CONV_G2, KMOD_SQUARED
 from ofdmemu.errors import FramingError, SelectionError
 from ofdmemu.gf2 import Unsolvable, rank
 from ofdmemu.inversion import SymbolSystem, restrict_rows
-from ofdmemu.link import EmulationPlan, box_edge
+from ofdmemu.link import EmulationPlan, TargetSymbols, box_edge, emulated_link, extract_estimates
+from ofdmemu.nn import Tensor, complex_to_wave, wave_to_complex
 from ofdmemu.phy import conv_encode, interleave, puncture, qam_quantize, scramble
+from ofdmemu.training import _latent_to_symbols, _mse
 
 # ---------------------------------------------------------------------------
 # scrambler: x^7 + x^4 + 1, seed bit i = register cell i
@@ -560,3 +563,33 @@ def qam_quantize_per_axis(points, m):
         labels = np.concatenate([i_bits, _axis_index_to_bits(inverse[q_slot], half)], axis=1)
     quantized = (i_level + 1j * q_level) * scale
     return quantized, labels.reshape(-1)
+
+
+# ---------------------------------------------------------------------------
+# image evaluation as first written: the compensator on one waveform at a time
+
+
+def evaluate_image_link_per_image(jscc, setup, snr_db, seed, images, compensator=None):
+    """``training.evaluate_image_link`` with the compensator run on each
+    received waveform as a batch of one, right after its link call."""
+    flat = images.reshape(len(images), -1)
+    symbols = _latent_to_symbols(jscc.encode(Tensor(flat)).data)
+    seq = np.random.SeedSequence(seed)
+    est = np.empty_like(symbols)
+    clip_total = 0.0
+    for i, child in enumerate(seq.spawn(len(flat))):
+        targets = TargetSymbols.unit_power(symbols[i], setup.cfg)
+        est[i], record = emulated_link(targets, snr_db, np.random.default_rng(child), setup)
+        if compensator is not None:
+            wave = complex_to_wave(record.output_waveform)
+            corrected = wave_to_complex(compensator(Tensor(wave[None])).data[0])
+            est[i] = extract_estimates(corrected, record.plan, setup)
+        clip_total += record.clip_rate
+    recon = jscc.decode(Tensor(est.view(np.float64))).data
+    return {
+        "image_mse": _mse(recon, flat),
+        "symbol_mse": float(np.mean(np.abs(est - symbols) ** 2)),
+        "clip_rate": clip_total / len(flat),
+        "per_image_sq_err": np.mean((recon - flat) ** 2, axis=1),
+        "symbol_power": float(np.mean(np.abs(symbols) ** 2)),
+    }

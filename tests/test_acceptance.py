@@ -219,6 +219,7 @@ def test_criterion_3_quantization(record_criterion, default_setup):
 # criterion 4: SNR sweep behavior of the three symbol transports
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_4_snr_sweep(record_criterion, default_setup):
     t0 = time.perf_counter()
     spec = ExperimentSpec(
@@ -412,6 +413,7 @@ def trained_pipeline(default_setup):
     return result, time.perf_counter() - t0
 
 
+@pytest.mark.slow
 def test_criterion_7_training_pipeline(record_criterion, default_setup, trained_pipeline):
     result, train_time = trained_pipeline
     t0 = time.perf_counter()
@@ -448,6 +450,7 @@ def test_criterion_7_training_pipeline(record_criterion, default_setup, trained_
     assert ok, detail
 
 
+@pytest.mark.slow  # needs the criterion-7 pipeline
 def test_criterion_8_reproducibility(record_criterion, default_setup, trained_pipeline, tmp_path):
     result, _ = trained_pipeline
     spec = ExperimentSpec(

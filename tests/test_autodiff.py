@@ -161,10 +161,17 @@ def _conv2d_with_grads(x, w, b, g):
     return out.data, tx.grad, tw.grad, tb.grad
 
 
-# (B, H, W, kh, kw, Cin, Cout) of every conv the training pipeline runs:
-# the compensator's 5x11 stack (4 -> 8 -> 8 -> 2 channels) on the 160x2
-# and 40x2 source-period folds and the 4x80 and 1x80 OFDM-period folds,
-# and the proxy's 1x9 stack (2 -> 8 -> 8 -> 2) on a 1x320 waveform
+# (B, H, W, kh, kw, Cin, Cout) of the convs the training pipeline and
+# image evaluation run.  Each fold and waveform comes with every layer of
+# its stack, though not at every batch size:
+# - the compensator's 5x11 stack (4 -> 8 -> 8 -> 2 channels) on the 160x2
+#   and 40x2 source-period folds and the 4x80 and 1x80 OFDM-period folds
+#   of 4- and 1-symbol waveforms, in minibatches;
+# - the same stack on the 1x80 and 40x2 folds of a batched evaluation,
+#   one row per image (128 in criterion 7);
+# - the proxy's 1x9 stack (2 -> 8 -> 8 -> 2) on 1x320 waveforms, and on
+#   1x80 ones in stage-3 minibatches of 16 or 32 and refresh batches of 2
+#   and 6
 PIPELINE_CONVS = [
     (12, 160, 2, 5, 11, 4, 8),
     (12, 160, 2, 5, 11, 8, 8),
@@ -175,16 +182,31 @@ PIPELINE_CONVS = [
     (12, 4, 80, 5, 11, 8, 2),
     (12, 1, 80, 5, 11, 4, 8),
     (32, 1, 80, 5, 11, 8, 2),
+    (128, 1, 80, 5, 11, 4, 8),
+    (128, 1, 80, 5, 11, 8, 8),
+    (128, 1, 80, 5, 11, 8, 2),
+    (128, 40, 2, 5, 11, 4, 8),
+    (128, 40, 2, 5, 11, 8, 8),
+    (128, 40, 2, 5, 11, 8, 2),
     (12, 1, 320, 1, 9, 2, 8),
     (12, 1, 320, 1, 9, 8, 8),
     (12, 1, 320, 1, 9, 8, 2),
+    (32, 1, 80, 1, 9, 2, 8),
+    (32, 1, 80, 1, 9, 8, 8),
+    (16, 1, 80, 1, 9, 8, 2),
+    (2, 1, 80, 1, 9, 2, 8),
+    (2, 1, 80, 1, 9, 8, 2),
+    (6, 1, 80, 1, 9, 8, 8),
 ]
 
 
-@pytest.mark.parametrize("b,h,w,kh,kw,cin,cout", PIPELINE_CONVS)
-def test_conv2d_bit_identical_to_reference(b, h, w, kh, kw, cin, cout, rng):
+def _assert_bit_identical_to_reference(shape, rng, zero_tail):
+    """conv2d and its gradients equal the pad-and-loop kernel's, values and
+    sign bits, on drawn data of ``shape`` (B, H, W, kh, kw, Cin, Cout)."""
+    b, h, w, kh, kw, cin, cout = shape
     x = rng.normal(size=(b, h, w, cin))
-    x[:, h // 2 :, w // 2 :, :] = 0.0  # exact zeros, like a fold's padded tail
+    if zero_tail:
+        x[:, h // 2 :, w // 2 :, :] = 0.0  # exact zeros, like a fold's padded tail
     wt = rng.normal(size=(kh, kw, cin, cout))
     bias = rng.normal(size=cout)
     g = rng.normal(size=(b, h, w, cout))
@@ -193,6 +215,26 @@ def test_conv2d_bit_identical_to_reference(b, h, w, kh, kw, cin, cout, rng):
     for name, a, e in zip(("out", "x.grad", "weight.grad", "bias.grad"), got, want):
         assert np.array_equal(a, e), name
         assert np.array_equal(np.signbit(a), np.signbit(e)), name
+
+
+@pytest.mark.parametrize("b,h,w,kh,kw,cin,cout", PIPELINE_CONVS)
+def test_conv2d_bit_identical_to_reference(b, h, w, kh, kw, cin, cout, rng):
+    _assert_bit_identical_to_reference((b, h, w, kh, kw, cin, cout), rng, zero_tail=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(
+        st.integers(1, 32), st.integers(1, 6), st.integers(1, 12),
+        st.integers(1, 8), st.integers(1, 14), st.integers(1, 8), st.integers(1, 8),
+    ),
+    zero_tail=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv2d_bit_identical_to_reference_on_drawn_shapes(shape, zero_tail, seed):
+    # shapes past PIPELINE_CONVS: even kernels, kernels past the input whose
+    # outer taps read only padding, and W, Cin or Cout of 1
+    _assert_bit_identical_to_reference(shape, np.random.default_rng(seed), zero_tail)
 
 
 _DIM = st.integers(1, 5)

@@ -169,6 +169,7 @@ def _climb_case(mod, rate, seed):
     return build_symbol_system(cfg), start, count * cfg.n_bpsc
 
 
+@pytest.mark.slow
 @settings(max_examples=8, deadline=None)
 @given(pair=st.sampled_from(CLIMB_PAIRS), seed=st.integers(0, 2**32 - 1))
 def test_climb_matches_reference(pair, seed):

@@ -104,7 +104,8 @@ def test_compensator_identity_at_init(rng):
     w = rng.normal(size=(2, 160, 2))
     np.testing.assert_allclose(comp(Tensor(w)).data, w, atol=1e-12)
     z = rng.normal(size=100) + 1j * rng.normal(size=100)
-    np.testing.assert_allclose(comp.compensate_array(z), z, atol=1e-12)
+    z_wave = complex_to_wave(z)
+    np.testing.assert_allclose(comp(Tensor(z_wave[None])).data[0], z_wave, atol=1e-12)
 
 
 def test_proxy_identity_at_init_noise_free(rng):

@@ -410,6 +410,7 @@ def test_viterbi_rejects_values_outside_the_alphabet(received):
         phy.viterbi_decode(received)
 
 
+@pytest.mark.slow
 def test_viterbi_memory_stays_near_21_bytes_per_step():
     # A [sweep] n_symbols of 1,000,000 makes a 64M-step float_serial
     # frame; the one-step decoder peaked at 99 MB for this 1M-step one.

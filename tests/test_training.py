@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from ofdmemu import training
 from ofdmemu.config import PhyConfig
 from ofdmemu.errors import ConfigError, TrainingError
@@ -270,6 +271,33 @@ def test_evaluate_image_link_identity_compensator(default_setup):
     assert compensated["symbol_mse"] == pytest.approx(plain["symbol_mse"], abs=1e-9)
     assert np.allclose(compensated["per_image_sq_err"], plain["per_image_sq_err"], atol=1e-9)
     assert compensated["clip_rate"] == plain["clip_rate"]
+
+
+def _random_compensator(setup, rng):
+    """A compensator whose every weight is drawn, so no row passes through."""
+    spec = PeriodSpec.from_config(setup.cfg, setup.n_chosen)
+    comp = CompensatorModel(spec, rng)
+    for p in comp.parameters():
+        p.data[...] = rng.normal(scale=0.2, size=p.data.shape)
+    return comp
+
+
+@pytest.mark.parametrize("n_images", [1, 3, 16])
+def test_evaluate_image_link_batched_equals_per_image(default_setup, n_images):
+    # one compensator call on the stack gives every image the bytes of a
+    # batch of one; a drawn compensator changes each row differently, so
+    # rows swapped inside the batch would show
+    cfg = quick_cfg()
+    jscc = ToyJsccModel(cfg.child_rng(0))
+    comp = _random_compensator(default_setup, cfg.child_rng(1))
+    images = glyph_images(n_images, cfg.child_rng(3))
+    got = evaluate_image_link(jscc, default_setup, 15.0, 5, images, compensator=comp)
+    want = oracles.evaluate_image_link_per_image(
+        jscc, default_setup, 15.0, 5, images, compensator=comp
+    )
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert np.asarray(got[key]).tobytes() == np.asarray(value).tobytes(), key
 
 
 @pytest.mark.parametrize(
