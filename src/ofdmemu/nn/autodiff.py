@@ -271,25 +271,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """2D convolution, stride 1, SAME zero padding, channels last.
 
     ``x`` is (B, H, W, Cin), ``weight`` is (kh, kw, Cin, Cout), output is
-    (B, H, W, Cout).  Results are bit for bit what a pad-and-loop over all
-    kh·kw taps gives, which multiplies each tap's (W, Cin) windows of the
-    padded input by numpy's stacked matmul:
-
-    - Taps that read only padding add exact zeros to the output and the
-      input gradient, so they are skipped there.
-    - Where W, Cin and Cout are all above 1, numpy runs those windows
-      through a matrix kernel whose rows round alike wherever they sit.
-      Each tap is then one 2-D matmul of the whole unpadded input, (B·H·W,
-      Cin) @ (Cin, Cout), whose valid window is added into the output; the
-      input gradient mirrors it.
-    - Otherwise numpy runs a vector kernel, whose rounding depends on a
-      row's place in the window, so the padded windows are multiplied as
-      they are.
-    - The weight gradient of a tap is one ``np.dot`` of its padded patch
-      reshaped to (Cin, B·H·W) with the (B·H·W, Cout) output gradient:
-      the product ``tensordot`` over the patch makes, on the same
-      operands, without its per-call bookkeeping.  The taps that read
-      only padding share one all-zero patch, so one product serves them.
+    (B, H, W, Cout).  Each tap that reads real input is one 2-D matmul of
+    the whole unpadded input, (B·H·W, Cin) @ (Cin, Cout), whose valid
+    window is added into the output; the input gradient mirrors it.  Taps
+    that read only padding add exact zeros, so they are skipped and their
+    weight gradient is +0.0.  The weight gradient of the other taps is one
+    ``np.dot`` of the tap's zero-padded patch, reshaped to (Cin, B·H·W),
+    with the (B·H·W, Cout) output gradient: the product ``tensordot`` over
+    the patch makes, on the same operands, without its per-call
+    bookkeeping.  Where W, Cin and Cout are all above 1, as in every conv
+    the pipeline runs, every result is bit for bit what a pad-and-loop
+    over all kh·kw taps gives.
     """
     kh, kw, cin, cout = weight.data.shape
     b, h, w, cx = x.data.shape
@@ -301,63 +293,34 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         for i, ro, ri in _axis_taps(h, kh)
         for j, co, ci in _axis_taps(w, kw)
     ]
-    ph, pw = kh // 2, kw // 2
-    inner = (slice(None), slice(ph, ph + h), slice(pw, pw + w))
-
-    def padded(a: np.ndarray) -> np.ndarray:
-        ap = np.zeros((b, h + kh - 1, w + kw - 1, a.shape[3]))
-        ap[inner] = a
-        return ap
-
-    def window(i: int, j: int) -> tuple[slice, ...]:
-        return (slice(None), slice(i, i + h), slice(j, j + w))
-
-    windowed = min(w, cin, cout) == 1
-    xp = padded(x.data) if windowed else None
+    x2 = x.data.reshape(-1, cin)
     out_data = np.zeros((b, h, w, cout))
-    if windowed:
-        for i, j, _, _ in taps:
-            out_data += xp[window(i, j)] @ weight.data[i, j]
-    else:
-        x2 = x.data.reshape(-1, cin)
-        for i, j, o, n in taps:
-            out_data[o] += (x2 @ weight.data[i, j]).reshape(b, h, w, cout)[n]
+    for i, j, o, n in taps:
+        out_data[o] += (x2 @ weight.data[i, j]).reshape(b, h, w, cout)[n]
     if bias is not None:
         out_data += bias.data
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
+        g2 = g.reshape(-1, cout)
         if x.requires_grad:
-            if windowed:
-                gxp = np.zeros_like(xp)
-                for i, j, _, _ in taps:
-                    gxp[window(i, j)] += g @ weight.data[i, j].T
-                gx = gxp[inner]
-            else:
-                g2 = g.reshape(-1, cout)
-                gx = np.zeros_like(x.data)
-                for i, j, o, n in taps:
-                    gx[n] += (g2 @ weight.data[i, j].T).reshape(b, h, w, cin)[o]
+            gx = np.zeros_like(x.data)
+            for i, j, o, n in taps:
+                gx[n] += (g2 @ weight.data[i, j].T).reshape(b, h, w, cin)[o]
             x._accum(gx)
         if weight.requires_grad:
-            xpad = xp if windowed else padded(x.data)
-            g2 = g.reshape(-1, cout)
-
-            def tap_grad(i, j):
+            # summing over the padded patch, zeros included, keeps BLAS's
+            # accumulation order (and so the bits) of the full-tap kernel
+            ph, pw = kh // 2, kw // 2
+            xp = np.zeros((b, h + kh - 1, w + kw - 1, cin))
+            xp[:, ph : ph + h, pw : pw + w, :] = x.data
+            gw = np.zeros_like(weight.data)
+            for i, j, _, _ in taps:
                 # a copy, or a strided view where the patch's (B, H, W) axes
                 # merge, as tensordot has it
-                patch = xpad[window(i, j)].transpose(3, 0, 1, 2)
-                return np.dot(patch.reshape(cin, -1), g2)
-
-            gw = np.empty_like(weight.data)
-            if len(taps) < kh * kw:
-                # tap (0, 0) reads only padding whenever any tap does; its
-                # product is +0.0, or 0.0 * g where numpy takes a 1x1 patch
-                # for a scalar
-                gw[...] = tap_grad(0, 0)
-            for i, j, _, _ in taps:
-                gw[i, j] = tap_grad(i, j)
+                patch = xp[:, i : i + h, j : j + w, :].transpose(3, 0, 1, 2)
+                gw[i, j] = np.dot(patch.reshape(cin, -1), g2)
             weight._accum(gw)
         if bias is not None and bias.requires_grad:
             bias._accum(g.sum(axis=(0, 1, 2)))

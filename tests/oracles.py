@@ -13,7 +13,9 @@ symbol; and ``conv_encode_convolve``, ``qam_map_per_axis`` and
 ``qam_quantize_per_axis``, the encoder, mapper and quantizer as first
 written, which work one generator stream or one constellation axis at
 a time.  ``evaluate_image_link_per_image`` is image evaluation as
-first written, which runs the compensator on one waveform at a time.
+first written, which runs the compensator on one waveform at a time; it
+calls the package's link and models, which it does not check, and
+nothing of ``training``, which it does.
 ``verify_against_pipeline`` is no reference: it cross-checks the GF(2)
 symbol model against the package's own live chain.
 """
@@ -29,7 +31,6 @@ from ofdmemu.inversion import SymbolSystem, restrict_rows
 from ofdmemu.link import EmulationPlan, TargetSymbols, box_edge, emulated_link, extract_estimates
 from ofdmemu.nn import Tensor, complex_to_wave, wave_to_complex
 from ofdmemu.phy import conv_encode, interleave, puncture, qam_quantize, scramble
-from ofdmemu.training import _latent_to_symbols, _mse
 
 # ---------------------------------------------------------------------------
 # scrambler: x^7 + x^4 + 1, seed bit i = register cell i
@@ -573,7 +574,8 @@ def evaluate_image_link_per_image(jscc, setup, snr_db, seed, images, compensator
     """``training.evaluate_image_link`` with the compensator run on each
     received waveform as a batch of one, right after its link call."""
     flat = images.reshape(len(images), -1)
-    symbols = _latent_to_symbols(jscc.encode(Tensor(flat)).data)
+    # (..., 2K) latent reals -> (..., K) symbols, (real, imaginary) pairwise
+    symbols = np.ascontiguousarray(jscc.encode(Tensor(flat)).data).view(np.complex128)
     seq = np.random.SeedSequence(seed)
     est = np.empty_like(symbols)
     clip_total = 0.0
@@ -587,7 +589,7 @@ def evaluate_image_link_per_image(jscc, setup, snr_db, seed, images, compensator
         clip_total += record.clip_rate
     recon = jscc.decode(Tensor(est.view(np.float64))).data
     return {
-        "image_mse": _mse(recon, flat),
+        "image_mse": float(np.mean((recon - flat) ** 2)),
         "symbol_mse": float(np.mean(np.abs(est - symbols) ** 2)),
         "clip_rate": clip_total / len(flat),
         "per_image_sq_err": np.mean((recon - flat) ** 2, axis=1),
