@@ -20,6 +20,7 @@ solved bits imply.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,10 +52,6 @@ class SymbolSystem:
     matrix: np.ndarray  # (alpha, beta) uint8
     state_offsets: np.ndarray  # (64, alpha) uint8
     data_positions: dict[int, int] = field(repr=False)
-
-    @property
-    def alpha(self) -> int:
-        return self.matrix.shape[0]
 
     @property
     def beta(self) -> int:
@@ -217,33 +214,15 @@ def _climb_to_full_rank(
 _RESTARTS = 8
 
 
-def certify_subset(
+def _search(
     sys: SymbolSystem, chosen: tuple[int, ...]
 ) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-    """Certify full row rank for a selection, swapping subcarriers if needed.
+    """Climb from ``chosen`` to full row rank, then from seeded restarts.
 
-    At the exact capacity bound, most selections (including the centered
-    default) sit a few rows short of full rank because the last info
-    bits of a symbol touch only a handful of coded bits before the
-    encoder state rolls into the next symbol.  A deterministic
-    first-improvement hill climb over single-subcarrier swaps repairs
-    this; if it stalls in a local maximum, seeded random restarts
-    continue the search.  Each climb pass eliminates the selection once,
-    then stacks each candidate subcarrier onto it as a one-block update,
-    and reads the rank of every trial swap from that stack's left null
-    space (see ``_climb_to_full_rank``).  An empty selection, or one with
-    more rows than the symbol has info bits, cannot reach full row rank
-    and is rejected at once.
-    Returns the certified selection (sorted by logical index) and the
-    swaps applied to the original.
+    Returns the selection sorted by logical index and the swaps applied
+    to the original.
     """
-    _selection_rows(sys, chosen)  # validates bins, duplicates and emptiness
     target = len(chosen) * sys.cfg.n_bpsc
-    if target > sys.beta:
-        raise SelectionError(
-            f"{len(chosen)} subcarriers need {target} independent rows, "
-            f"but a symbol has only {sys.beta} info bits"
-        )
     fixed, swaps, r = _climb_to_full_rank(sys, list(chosen), target)
     restart = 0
     while r < target and restart < _RESTARTS:
@@ -260,3 +239,223 @@ def certify_subset(
     swaps = [(b, a) for b, a in zip(sorted(original - set(final)), sorted(set(final) - original))]
     return final, swaps
 
+
+def _search_digest(sys: SymbolSystem, chosen: tuple[int, ...]) -> str:
+    """SHA-256 of everything ``_search`` reads: the system matrix (shape
+    and bytes), the data-subcarrier list and the starting selection."""
+    h = hashlib.sha256()
+    h.update(np.asarray(sys.matrix.shape, dtype="<i8").tobytes())
+    h.update(np.ascontiguousarray(sys.matrix, dtype=np.uint8).tobytes())
+    h.update(np.asarray(sys.cfg.data_subcarriers, dtype="<i8").tobytes())
+    h.update(np.asarray(chosen, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+# _search_digest(system, default_subset(cfg)) -> what _search returns for
+# it, for the 16 (modulation, rate) pairs; tests/test_inversion.py
+# re-derives every entry
+_CERTIFIED: dict[str, tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = {
+    # bpsk 1/2
+    "4452e4fffe2e07da7e0e4f23ca366dc4eca34cf1832fbfd34d5fa3f0b8f5a057": (
+        (
+            39, 40, 52, 53, 56, 58, 59, 60, 62, 63, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 16,
+            23,
+        ),
+        (
+            (51, 16), (54, 23), (55, 39), (61, 40),
+        ),
+    ),
+    # bpsk 2/3
+    "117a2ed8fa9fd66624b6a6e64578950e57f7042b7cef7b688db4641c296435c2": (
+        (
+            47, 49, 50, 52, 53, 54, 55, 56, 58, 59, 60, 61, 62, 63, 1, 2, 3, 4, 5, 6, 8, 9, 10,
+            11, 12, 13, 14, 15, 16, 17, 19, 26,
+        ),
+        (
+            (48, 19), (51, 26),
+        ),
+    ),
+    # bpsk 3/4
+    "c2247c61be0010b2287d17d09822e6cf6cefc210881d3552e170aaca1deaf339": (
+        (
+            40, 46, 47, 49, 50, 51, 52, 53, 55, 56, 58, 59, 60, 61, 62, 63, 1, 2, 3, 4, 5, 6, 8,
+            9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 23, 26,
+        ),
+        (
+            (45, 23), (48, 26), (54, 40),
+        ),
+    ),
+    # bpsk 5/6
+    "39cfcd6a114e2cb26d13ada7414f33de8845bcc640012307b9d0686d267776e9": (
+        (
+            39, 42, 44, 46, 47, 49, 50, 51, 52, 53, 54, 55, 56, 59, 60, 61, 62, 63, 1, 2, 3, 4, 5,
+            6, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 22, 23, 26,
+        ),
+        (
+            (45, 23), (48, 26), (58, 39),
+        ),
+    ),
+    # qpsk 1/2
+    "e80f93536bdac91a072fdccbf2e56cc31402c283e1ba718fe2899eb43e77f809": (
+        (
+            39, 40, 44, 46, 47, 51, 52, 53, 55, 58, 61, 62, 63, 1, 2, 4, 6, 9, 10, 15, 19, 22, 24,
+            26,
+        ),
+        (
+            (3, 15), (5, 19), (8, 22), (11, 24), (12, 26), (13, 39), (54, 40), (56, 44), (59, 46),
+            (60, 47),
+        ),
+    ),
+    # qpsk 2/3
+    "1d8ede290b9737546bf4e9eeed12ed3f92e27121c654ec16fabccfa1394ad82d": (
+        (
+            38, 39, 42, 44, 45, 47, 48, 49, 50, 53, 55, 56, 58, 59, 60, 61, 63, 3, 9, 10, 12, 13,
+            14, 15, 16, 17, 20, 22, 23, 24, 25, 26,
+        ),
+        (
+            (1, 20), (2, 22), (4, 23), (5, 24), (6, 25), (8, 26), (11, 38), (51, 39), (52, 42),
+            (54, 44), (62, 45),
+        ),
+    ),
+    # qpsk 3/4
+    "25011c632607a75d9971873e069a74dec8ab013bda7b02c5cf3a53005dd251c1": (
+        (
+            39, 41, 42, 44, 46, 47, 48, 50, 51, 52, 53, 54, 55, 56, 58, 59, 60, 61, 63, 3, 6, 8,
+            9, 10, 12, 13, 14, 16, 17, 19, 20, 22, 23, 24, 25, 26,
+        ),
+        (
+            (1, 20), (2, 22), (4, 23), (5, 24), (11, 25), (15, 26), (18, 39), (45, 41), (49, 42),
+            (62, 44),
+        ),
+    ),
+    # qpsk 5/6
+    "7ddb005c85c17fa658ebdbfc9d4e5893e4d40db7a746120267de16f68b901f4e": (
+        (
+            38, 39, 40, 42, 44, 46, 47, 48, 50, 51, 53, 54, 55, 56, 58, 59, 60, 61, 62, 63, 2, 3,
+            5, 6, 8, 9, 10, 11, 12, 14, 15, 16, 17, 18, 19, 20, 22, 23, 24, 26,
+        ),
+        (
+            (1, 23), (4, 24), (13, 26), (45, 38), (49, 39), (52, 40),
+        ),
+    ),
+    # 16qam 1/2
+    "aa4929f10f03fe1af211c2595292005966f3f8f8ccdfade1bd3e8b5cd76901e2": (
+        (
+            40, 45, 46, 47, 50, 51, 52, 53, 60, 62, 1, 3, 5, 9, 11, 12, 14, 17, 19, 20, 22, 23,
+            25, 26,
+        ),
+        (
+            (2, 14), (4, 17), (6, 19), (8, 20), (10, 22), (13, 23), (54, 25), (55, 26), (56, 40),
+            (58, 45), (59, 46), (61, 47), (63, 50),
+        ),
+    ),
+    # 16qam 2/3
+    "0c118dfcdbfe425c06ea1ba52af4d758146ffb03137ad581470b2070c56ca291": (
+        (
+            38, 39, 42, 45, 47, 48, 49, 50, 53, 55, 56, 58, 59, 60, 61, 63, 3, 8, 9, 10, 11, 12,
+            13, 14, 15, 19, 20, 22, 23, 24, 25, 26,
+        ),
+        (
+            (1, 19), (2, 20), (4, 22), (5, 23), (6, 24), (16, 25), (17, 26), (51, 38), (52, 39),
+            (54, 42), (62, 45),
+        ),
+    ),
+    # 16qam 3/4
+    "27726b6cc94d8a1da71ac1d604475ff34d6671d9d6378e7b81563c4875aeb3c6": (
+        (
+            38, 40, 42, 44, 45, 46, 47, 49, 50, 51, 54, 55, 56, 58, 59, 61, 62, 63, 3, 5, 6, 8, 9,
+            10, 11, 13, 14, 17, 18, 19, 20, 22, 23, 24, 25, 26,
+        ),
+        (
+            (1, 20), (2, 22), (4, 23), (12, 24), (15, 25), (16, 26), (48, 38), (52, 40), (53, 42),
+            (60, 44),
+        ),
+    ),
+    # 16qam 5/6
+    "1e1cdbde7fcbf388b3257234a59adfb7cc5e8932b421abfe24ddffc6891f43b8": (
+        (
+            38, 39, 40, 42, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 56, 58, 59, 60, 62, 63, 2,
+            3, 4, 5, 6, 9, 11, 13, 14, 15, 16, 17, 18, 19, 20, 23, 24, 25, 26,
+        ),
+        (
+            (1, 23), (8, 24), (10, 25), (12, 26), (22, 38), (55, 39), (61, 40),
+        ),
+    ),
+    # 64qam 1/2
+    "5f06a859aecf9970d007e1084f6ed92d4d13b90fd55f8ad1a5189bca364c5680": (
+        (
+            39, 40, 42, 44, 45, 46, 47, 51, 52, 53, 55, 58, 61, 62, 63, 1, 6, 9, 10, 14, 19, 22,
+            24, 26,
+        ),
+        (
+            (2, 14), (3, 19), (4, 22), (5, 24), (8, 26), (11, 39), (12, 40), (13, 42), (54, 44),
+            (56, 45), (59, 46), (60, 47),
+        ),
+    ),
+    # 64qam 2/3
+    "72bc8b0210b14e87852ffad08e48b2c9ed687b634f3994cb2d8fc60e7d56c962": (
+        (
+            46, 48, 49, 50, 52, 54, 55, 56, 59, 60, 61, 62, 63, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11,
+            12, 13, 14, 15, 16, 17, 23, 24, 26,
+        ),
+        (
+            (47, 23), (51, 24), (53, 26), (58, 46),
+        ),
+    ),
+    # 64qam 3/4
+    "51486c377843f550a22d1da549ddfb43ac14d23dbcb1d843026de292d5a3cf05": (
+        (
+            39, 41, 44, 45, 46, 47, 48, 49, 51, 52, 53, 55, 56, 58, 59, 60, 61, 63, 2, 4, 5, 6,
+            10, 11, 12, 15, 16, 17, 18, 19, 20, 22, 23, 24, 25, 26,
+        ),
+        (
+            (1, 20), (3, 22), (8, 23), (9, 24), (13, 25), (14, 26), (50, 39), (54, 41), (62, 44),
+        ),
+    ),
+    # 64qam 5/6
+    "099c39d5eecbf3d4b129edcb67f1298e71cfff4d20134615aabebfabd5694e03": (
+        (
+            39, 40, 41, 42, 44, 45, 46, 47, 48, 49, 51, 52, 53, 54, 56, 58, 59, 60, 62, 63, 1, 2,
+            3, 4, 5, 6, 9, 10, 11, 14, 15, 16, 17, 18, 19, 20, 23, 24, 25, 26,
+        ),
+        (
+            (8, 23), (12, 24), (13, 25), (22, 26), (50, 39), (55, 40), (61, 41),
+        ),
+    ),
+}
+
+
+def certify_subset(
+    sys: SymbolSystem, chosen: tuple[int, ...]
+) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """Certify full row rank for a selection, swapping subcarriers if needed.
+
+    At the exact capacity bound, most selections (including the centered
+    default) sit a few rows short of full rank because the last info
+    bits of a symbol touch only a handful of coded bits before the
+    encoder state rolls into the next symbol.  A deterministic
+    first-improvement hill climb over single-subcarrier swaps repairs
+    this; if it stalls in a local maximum, seeded random restarts
+    continue the search.  Each climb pass eliminates the selection once,
+    then stacks each candidate subcarrier onto it as a one-block update,
+    and reads the rank of every trial swap from that stack's left null
+    space (see ``_climb_to_full_rank``).  The search's answers for the
+    16 default subsets are stored, keyed by a digest of everything it
+    reads, and served without climbing; any other input, or a system
+    whose coded-bit map has changed, misses and runs the search.  An
+    empty selection, or one with more rows than the symbol has info
+    bits, cannot reach full row rank and is rejected at once.
+    Returns the certified selection (sorted by logical index) and the
+    swaps applied to the original.
+    """
+    _selection_rows(sys, chosen)  # validates bins, duplicates and emptiness
+    target = len(chosen) * sys.cfg.n_bpsc
+    if target > sys.beta:
+        raise SelectionError(
+            f"{len(chosen)} subcarriers need {target} independent rows, "
+            f"but a symbol has only {sys.beta} info bits"
+        )
+    hit = _CERTIFIED.get(_search_digest(sys, chosen))
+    if hit is None:
+        return _search(sys, chosen)
+    return hit[0], list(hit[1])

@@ -110,7 +110,8 @@ class EmulationSetup:
     pays the certification and factorization cost once.  The selection
     starts from the capacity-sized default subset of the configuration;
     one whose restricted system is not full row rank raises
-    SelectionError.
+    SelectionError.  ``certify_subset`` serves that subset's selection
+    from its stored table, so this check is what verifies it.
     """
 
     _cache: dict = {}

@@ -10,7 +10,10 @@ from ofdmemu.config import PhyConfig, bin_to_logical
 from ofdmemu.errors import FramingError, SelectionError
 from ofdmemu.gf2 import rank
 from ofdmemu.inversion import (
+    _CERTIFIED,
     _climb_to_full_rank,
+    _search,
+    _search_digest,
     build_symbol_system,
     certify_subset,
     default_subset,
@@ -23,9 +26,9 @@ from ofdmemu.phy import conv_encode
 
 def test_system_dimensions(default_cfg):
     sys = build_symbol_system(default_cfg)
-    assert sys.alpha == default_cfg.n_cbps
+    assert sys.matrix.shape[0] == default_cfg.n_cbps
     assert sys.beta == default_cfg.n_dbps
-    assert sys.state_offsets.shape == (64, sys.alpha)
+    assert sys.state_offsets.shape == (64, sys.matrix.shape[0])
 
 
 @pytest.mark.parametrize(
@@ -123,6 +126,7 @@ def test_restrict_rejects_duplicates(default_cfg):
 def test_certify_reaches_full_rank_at_capacity(default_cfg):
     sys = build_symbol_system(default_cfg)
     chosen = default_subset(default_cfg)
+    assert _search_digest(sys, chosen) in _CERTIFIED
     certified, swaps = certify_subset(sys, chosen)
     nb = default_cfg.n_bpsc
     assert rank(restrict_rows(sys, certified)) == len(certified) * nb
@@ -130,6 +134,10 @@ def test_certify_reaches_full_rank_at_capacity(default_cfg):
     # swaps record exactly the membership difference
     assert set(chosen) - set(certified) == {b for b, _ in swaps}
     assert set(certified) - set(chosen) == {a for _, a in swaps}
+    # the caller owns the swaps list: clearing it leaves the table intact
+    kept = list(swaps)
+    swaps.clear()
+    assert certify_subset(sys, chosen) == (certified, kept)
 
 
 def test_certify_rejects_oversized_selection(default_cfg):
@@ -153,11 +161,13 @@ def test_certify_rejects_empty_selection(default_cfg):
 # the same swaps in the same order, from starts that reach full rank
 # and from starts that stall below it.
 
-CLIMB_PAIRS = [
-    (mod, rate)
-    for mod in (2, 4, 16)
-    for rate in (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(5, 6))
-]
+RATES = (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(5, 6))
+CLIMB_PAIRS = [(mod, rate) for mod in (2, 4, 16) for rate in RATES]
+ALL_PAIRS = {
+    f"m{mod}-r{rate.numerator}{rate.denominator}": PhyConfig(modulation_order=mod, coding_rate=rate)
+    for mod in (2, 4, 16, 64)
+    for rate in RATES
+}
 
 
 def _climb_case(mod, rate, seed):
@@ -167,6 +177,28 @@ def _climb_case(mod, rate, seed):
     rng = np.random.default_rng(seed)
     start = rng.choice(np.asarray(cfg.data_subcarriers), count, replace=False).tolist()
     return build_symbol_system(cfg), start, count * cfg.n_bpsc
+
+
+# The stored table holds exactly the search's answers from the 16 default
+# subsets, each of full rank.  On a mismatch the message is the fresh
+# entry, to paste into inversion._CERTIFIED.
+@pytest.mark.parametrize("name", sorted(ALL_PAIRS))
+def test_stored_selection_is_the_search(name):
+    cfg = ALL_PAIRS[name]
+    sys = build_symbol_system(cfg)
+    start = default_subset(cfg)
+    digest = _search_digest(sys, start)
+    chosen, swaps = _search(sys, start)
+    fresh = f'"{digest}": ({chosen}, {tuple(swaps)})'
+    assert _CERTIFIED.get(digest) == (chosen, tuple(swaps)), fresh
+    assert rank(restrict_rows(sys, chosen)) == len(chosen) * cfg.n_bpsc
+
+
+def test_stored_table_has_no_other_entries():
+    digests = set()
+    for cfg in ALL_PAIRS.values():
+        digests.add(_search_digest(build_symbol_system(cfg), default_subset(cfg)))
+    assert set(_CERTIFIED) == digests
 
 
 @pytest.mark.slow
@@ -185,6 +217,16 @@ def test_climb_matches_reference_when_stalled(mod, rate, seed):
     got = _climb_to_full_rank(sys, list(start), target)
     assert got == oracles.climb_reference(sys, list(start), target)
     assert got[1] and got[2] < target
+
+
+# a start that is no default subset misses the stored table, and the
+# search's restarts take it to full rank
+def test_certify_searches_on_a_digest_miss():
+    sys, start, target = _climb_case(16, Fraction(1, 2), 17)
+    assert _search_digest(sys, start) not in _CERTIFIED
+    certified, swaps = certify_subset(sys, start)
+    assert rank(restrict_rows(sys, certified)) == target
+    assert (certified, swaps) == _search(sys, start)
 
 
 # the default PHY's pairs from their default subsets: 3/4 stalls at 213
