@@ -245,7 +245,7 @@ def _search_digest(sys: SymbolSystem, chosen: tuple[int, ...]) -> str:
     and bytes), the data-subcarrier list and the starting selection."""
     h = hashlib.sha256()
     h.update(np.asarray(sys.matrix.shape, dtype="<i8").tobytes())
-    h.update(np.ascontiguousarray(sys.matrix, dtype=np.uint8).tobytes())
+    h.update(sys.matrix.tobytes())
     h.update(np.asarray(sys.cfg.data_subcarriers, dtype="<i8").tobytes())
     h.update(np.asarray(chosen, dtype="<i8").tobytes())
     return h.hexdigest()
