@@ -195,9 +195,7 @@ def test_stored_selection_is_the_search(name):
 
 
 def test_stored_table_has_no_other_entries():
-    digests = set()
-    for cfg in ALL_PAIRS.values():
-        digests.add(_search_digest(build_symbol_system(cfg), default_subset(cfg)))
+    digests = {_search_digest(build_symbol_system(c), default_subset(c)) for c in ALL_PAIRS.values()}
     assert set(_CERTIFIED) == digests
 
 
