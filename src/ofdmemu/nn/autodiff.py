@@ -11,6 +11,8 @@ against central finite differences by the gradcheck module.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["Tensor", "conv2d", "concat"]
@@ -267,32 +269,42 @@ def _axis_taps(n: int, k: int) -> list[tuple[int, slice, slice]]:
     return taps
 
 
+@lru_cache(maxsize=None)
+def _conv_taps(h: int, w: int, kh: int, kw: int) -> tuple:
+    """(i, j, output window, input window) of each tap of a kh x kw kernel
+    that reads real input of an H x W plane, built once per shape."""
+    return tuple(
+        (i, j, (slice(None), ro, co), (slice(None), ri, ci))
+        for i, ro, ri in _axis_taps(h, kh)
+        for j, co, ci in _axis_taps(w, kw)
+    )
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """2D convolution, stride 1, SAME zero padding, channels last.
 
     ``x`` is (B, H, W, Cin), ``weight`` is (kh, kw, Cin, Cout), output is
     (B, H, W, Cout).  Each tap that reads real input is one 2-D matmul of
     the whole unpadded input, (B·H·W, Cin) @ (Cin, Cout), whose valid
-    window is added into the output; the input gradient mirrors it.  Taps
-    that read only padding add exact zeros, so they are skipped and their
-    weight gradient is +0.0.  The weight gradient of the other taps is one
-    ``np.dot`` of the tap's zero-padded patch, reshaped to (Cin, B·H·W),
-    with the (B·H·W, Cout) output gradient: the product ``tensordot`` over
-    the patch makes, on the same operands, without its per-call
-    bookkeeping.  Where W, Cin and Cout are all above 1, as in every conv
-    the pipeline runs, every result is bit for bit what a pad-and-loop
-    over all kh·kw taps gives.
+    window is added into the output; the taps and their windows come from
+    a table built once per (H, W, kh, kw).  The input gradient mirrors the
+    forward on one C-contiguous copy of the transposed kernel: a tap's
+    transposed view would send BLAS down its slower transposed-operand
+    path for the same sums.  Taps that read only padding add exact zeros,
+    so they are skipped and their weight gradient is +0.0.  The weight
+    gradient of the other taps is one ``np.dot`` of the tap's zero-padded
+    patch, reshaped to (Cin, B·H·W), with the (B·H·W, Cout) output
+    gradient: the product ``tensordot`` over the patch makes, on the same
+    operands, without its per-call bookkeeping; those operands fix its
+    rounding, so they stay.  Where W, Cin and Cout are all above 1, as in
+    every conv the pipeline runs, every result is bit for bit what a
+    pad-and-loop over all kh·kw taps gives.
     """
     kh, kw, cin, cout = weight.data.shape
     b, h, w, cx = x.data.shape
     if cx != cin:
         raise ValueError(f"input has {cx} channels, weight expects {cin}")
-    # (i, j, output window, input window) of each tap that reads real input
-    taps = [
-        (i, j, (slice(None), ro, co), (slice(None), ri, ci))
-        for i, ro, ri in _axis_taps(h, kh)
-        for j, co, ci in _axis_taps(w, kw)
-    ]
+    taps = _conv_taps(h, w, kh, kw)
     x2 = x.data.reshape(-1, cin)
     out_data = np.zeros((b, h, w, cout))
     for i, j, o, n in taps:
@@ -306,8 +318,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         g2 = g.reshape(-1, cout)
         if x.requires_grad:
             gx = np.zeros_like(x.data)
+            wt = np.ascontiguousarray(weight.data.transpose(0, 1, 3, 2))
             for i, j, o, n in taps:
-                gx[n] += (g2 @ weight.data[i, j].T).reshape(b, h, w, cin)[o]
+                gx[n] += (g2 @ wt[i, j]).reshape(b, h, w, cin)[o]
             x._accum(gx)
         if weight.requires_grad:
             # summing over the padded patch, zeros included, keeps BLAS's

@@ -464,6 +464,11 @@ def stage3_alternate(
     """Alternate codec/compensator training through the frozen proxy
     (phase A) with proxy refresh on fresh real-link records (phase B).
 
+    Phase A turns off ``requires_grad`` on the proxy's parameters, and
+    turns it back on however the phase ends: gradients reach the proxy's
+    input, but no backward forms the proxy's own, which phase B would
+    discard before its first step.
+
     Stops when the relative joint-loss improvement over one full cycle
     drops below the tolerance, or after the cycle cap.  A joint loss
     exceeding 10x its initial value aborts with the trace attached.
@@ -515,8 +520,14 @@ def stage3_alternate(
             opt_a, phase_a_loss, len(flat_images), train_cfg.image_batch_size,
             train_cfg.stage3_phase_a_epochs, loop_rng, "stage3/phaseA", trace,
         )
-        for losses in epochs:
-            trace.append((cycle, "A", losses[-1]))
+        for p in opt_b.params:
+            p.requires_grad = False
+        try:
+            for losses in epochs:
+                trace.append((cycle, "A", losses[-1]))
+        finally:
+            for p in opt_b.params:
+                p.requires_grad = True
 
         # phase B: fresh records from the current encoder, proxy refresh
         fresh: list[LinkRecord] = []

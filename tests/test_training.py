@@ -9,7 +9,7 @@ from ofdmemu import training
 from ofdmemu.config import PhyConfig
 from ofdmemu.errors import ConfigError, TrainingError
 from ofdmemu.link import EmulationSetup, TargetSymbols, _chosen_values, reference_waveform
-from ofdmemu.nn import Tensor
+from ofdmemu.nn import Tensor, autodiff, layers
 from ofdmemu.nn.models import (
     CompensatorModel,
     PeriodSpec,
@@ -25,11 +25,13 @@ from ofdmemu.training import (
     _SymbolFraming,
     collect_link_records,
     evaluate_image_link,
+    run_training_pipeline,
     stage1_train_compensator,
     stage2_train_proxy,
     stage3_alternate,
     train_jscc_ideal,
 )
+from test_golden import TINY_TRAIN
 
 
 def quick_cfg(**overrides):
@@ -205,6 +207,26 @@ def test_stage3_smoke(default_setup):
     assert {"probe", "A", "B"} <= phases
 
 
+def test_stage3_phase_a_forms_no_proxy_gradients(default_setup, monkeypatch):
+    cfg = quick_cfg()
+    jscc, comp, proxy = small_stage3_models(cfg, default_setup)
+    seen = {}
+    proxy_fit = training._proxy_fit
+
+    def spy(*args):
+        # phase B starts here, right after phase A's last step
+        seen["proxy"] = [p.grad for p in proxy.parameters()]
+        seen["trained"] = [p.grad for p in jscc.parameters() + comp.parameters()]
+        seen["trainable"] = [p.requires_grad for p in proxy.parameters()]
+        return proxy_fit(*args)
+
+    monkeypatch.setattr(training, "_proxy_fit", spy)
+    stage3_alternate(jscc, comp, proxy, default_setup, cfg)
+    assert all(g is None for g in seen["proxy"])
+    assert all(g is not None and np.any(g) for g in seen["trained"])
+    assert all(seen["trainable"])
+
+
 @pytest.mark.parametrize("stage", ["stage1", "stage2", "ideal-analog", "stage3/phaseA"])
 def test_non_finite_loss_raises_with_trace(stage, default_setup, monkeypatch):
     # one batch per epoch and a huge step: the first epoch's loss is
@@ -219,15 +241,14 @@ def test_non_finite_loss_raises_with_trace(stage, default_setup, monkeypatch):
     )
     ys = np.random.default_rng(1).normal(size=(8, 160, 2)) * 0.3
     synthetic_pairs(monkeypatch, 0.7 * ys, ys)
+    stage3_models = small_stage3_models(cfg, default_setup)
     runs = {
         "stage1": lambda: stage1_train_compensator(default_setup, cfg),
         "stage2": lambda: stage2_train_proxy(
             collect_link_records(default_setup, 8, 15.0, cfg.child_rng(0), n_ofdm=2), cfg
         ),
         "ideal-analog": lambda: train_jscc_ideal(cfg),
-        "stage3/phaseA": lambda: stage3_alternate(
-            *small_stage3_models(cfg, default_setup), default_setup, cfg
-        ),
+        "stage3/phaseA": lambda: stage3_alternate(*stage3_models, default_setup, cfg),
     }
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingError, match=f"^{stage}: loss went non-finite") as info:
@@ -238,9 +259,49 @@ def test_non_finite_loss_raises_with_trace(stage, default_setup, monkeypatch):
     if stage == "stage3/phaseA":
         assert [(c, p) for c, p, _ in trace] == [(0, "probe"), (1, "A")]
         trace = [v for _, _, v in trace]
+        # phase A froze the proxy and gave it back trainable
+        assert all(p.requires_grad for p in stage3_models[2].parameters())
     else:
         assert len(trace) == 1
     assert all(math.isfinite(v) for v in trace)
+
+
+def _reference_conv2d(x, weight, bias):
+    """conv2d as a Tensor op over the pad-and-loop oracle kernel."""
+    out_shape = x.shape[:3] + weight.shape[3:]
+    out = oracles.conv2d_reference(x.data, weight.data, bias.data, np.zeros(out_shape))[0]
+
+    def backward(g):
+        grads = oracles.conv2d_reference(x.data, weight.data, bias.data, g)[1:]
+        for t, grad in zip((x, weight, bias), grads):
+            if t.requires_grad:
+                t._accum(grad)
+
+    return Tensor._node(out, (x, weight, bias), backward)
+
+
+def _pipeline_bytes(setup):
+    """The bytes of a TINY_TRAIN run: the five models, then the reprs of
+    the loss traces and the stage metrics."""
+    r = run_training_pipeline(setup, TINY_TRAIN)
+    models = (r.compensator, r.proxy, r.jscc, r.stage0_jscc, r.zero_shot_jscc)
+    stages = (r.stage1, r.stage2, r.stage3, r.zero_shot)
+    return (
+        [m.state_vector().tobytes() for m in models],
+        [repr(s.loss_trace) for s in stages],
+        [repr(s.metrics) for s in stages],
+    )
+
+
+def test_training_pipeline_bit_identical_with_reference_conv2d(default_setup, monkeypatch):
+    # the training hash as a test: any conv rewrite must train to the same
+    # bytes as the kernel it started from, on whatever machine runs it
+    got = _pipeline_bytes(default_setup)
+    monkeypatch.setattr(layers, "conv2d", _reference_conv2d)
+    monkeypatch.setattr(autodiff, "conv2d", _reference_conv2d)
+    want = _pipeline_bytes(default_setup)
+    for name, a, e in zip(("state vectors", "loss traces", "stage metrics"), got, want):
+        assert a == e, name
 
 
 def test_evaluate_image_link_deterministic(default_setup):
