@@ -247,26 +247,22 @@ def _chosen_values(waveform: np.ndarray, setup: EmulationSetup) -> np.ndarray:
     return grids[:, setup.chosen_bins].reshape(-1)
 
 
-def targets_from_waveform(
-    waveform: np.ndarray, setup: EmulationSetup, scale: float | None = None
-) -> TargetSymbols:
+def targets_from_waveform(waveform: np.ndarray, setup: EmulationSetup) -> TargetSymbols:
     """Project a per-sample waveform onto the chosen subcarriers.
 
     Each OFDM symbol's worth of samples is windowed to its body (the
     part the IFFT can actually synthesize; cyclic-prefix positions are
-    overwritten on air anyway) and read on the chosen bins.  With
-    ``scale`` unset, the scale follows the +-3 sigma box policy using
-    the measured per-axis spread of the projected values.
+    overwritten on air anyway) and read on the chosen bins.  The scale
+    follows the +-3 sigma box policy using the measured per-axis spread
+    of the projected values.
     """
     vals = _chosen_values(waveform, setup)
     if vals.size == 0:
         raise FramingError("waveform must hold at least one OFDM symbol")
-    if scale is None:
-        spread = float(np.std(np.concatenate([vals.real, vals.imag])))
-        if spread <= 0:
-            spread = 1.0
-        scale = box_edge(setup.cfg) / (3.0 * spread)
-    return TargetSymbols(vals, scale)
+    spread = float(np.std(np.concatenate([vals.real, vals.imag])))
+    if spread <= 0:
+        spread = 1.0
+    return TargetSymbols(vals, box_edge(setup.cfg) / (3.0 * spread))
 
 
 # ---------------------------------------------------------------------------

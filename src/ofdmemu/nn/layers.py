@@ -84,8 +84,6 @@ class Dense(Module):
 
     def __init__(self, features_in: int, features_out: int, rng: np.random.Generator):
         super().__init__()
-        self.features_in = features_in
-        self.features_out = features_out
         w = _glorot(rng, (features_in, features_out), features_in, features_out)
         self.weight = self._param("weight", w)
         self.bias = self._param("bias", np.zeros(features_out))
@@ -106,10 +104,7 @@ class Conv2d(Module):
         zero_init: bool = False,
     ):
         super().__init__()
-        self.channels_in = channels_in
-        self.channels_out = channels_out
-        self.kernel = tuple(kernel)
-        kh, kw = self.kernel
+        kh, kw = kernel
         fan_in = kh * kw * channels_in
         fan_out = kh * kw * channels_out
         if zero_init:

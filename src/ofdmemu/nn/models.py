@@ -15,6 +15,7 @@ import numpy as np
 
 from ..config import PhyConfig
 from ..link import axis_noise, noise_variance
+from ..sources import GLYPH_SIZE
 from .autodiff import Tensor, concat
 from .layers import Conv2d, Dense, Module
 
@@ -192,7 +193,8 @@ class ProxyModel(Module):
 
 
 class ToyJsccModel(Module):
-    """Small dense autoencoder mapping images to complex channel symbols.
+    """Small dense autoencoder mapping glyph images to complex channel
+    symbols.
 
     The encoder emits 2K reals, normalized per image so the paired
     complex symbols have unit average power, then soft-clipped so every
@@ -207,15 +209,14 @@ class ToyJsccModel(Module):
     def __init__(
         self,
         rng: np.random.Generator,
-        image_shape: tuple[int, int, int] = (8, 8, 1),
         latent_pairs: int = 24,
         hidden: int = 48,
-        latent_bound: float = 2.0,
     ):
         super().__init__()
         self.latent_pairs = int(latent_pairs)
-        self.latent_bound = float(latent_bound)
-        pixels = int(np.prod(image_shape))
+        # every latent real stays inside (-2, 2), under the box edge 3/sqrt(2)
+        self.latent_bound = 2.0
+        pixels = GLYPH_SIZE * GLYPH_SIZE
         self.pixels = pixels
         self.enc1 = self._sub("enc1", Dense(pixels, hidden, rng))
         self.enc2 = self._sub("enc2", Dense(hidden, 2 * latent_pairs, rng))

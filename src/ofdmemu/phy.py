@@ -259,42 +259,36 @@ class _QamTables:
     slot_labels: np.ndarray
 
 
-def _axis_points(i_level: np.ndarray, q_level: np.ndarray, scale: np.float64) -> np.ndarray:
-    return (i_level + 1j * q_level) * scale
-
-
 @lru_cache(maxsize=None)
 def _qam_tables(m: int) -> _QamTables:
-    """The tables of order ``m``, their entries computed per axis with
-    the first-written formulas, so every lookup is bit for bit what
-    the per-axis arithmetic gave."""
+    """The tables of order ``m``.  The points are computed per axis with
+    the first-written formula and every slot reads its point from them,
+    so every lookup is bit for bit what the per-axis arithmetic gave."""
     nb = BITS_PER_SYMBOL[m]
     half = (nb + 1) // 2
     levels = _AXIS_LEVELS[half]
     nlev = levels.size
     scale = 1.0 / np.sqrt(KMOD_SQUARED[m])
     weights = (1 << np.arange(nb - 1, -1, -1)).astype(np.uint8)
-    # label words split into their I and Q axis groups
+    # label words split into their I and Q axis groups; BPSK's Q group is
+    # empty, so its mask is 0 and the I group needs no shift
+    q_bits = nb - half
+    q_mask = (1 << q_bits) - 1
     words = np.arange(m)
-    i_level = levels[words >> (nb - half)]
-    q_level = np.zeros(m) if m == 2 else levels[words & ((1 << half) - 1)]
+    i_level = levels[words >> q_bits]
+    q_level = np.zeros(m) if m == 2 else levels[words & q_mask]
+    points = (i_level + 1j * q_level) * scale
     # slot s holds level 2s - (nlev - 1); gray[s] is its axis group
     gray = np.empty(nlev, dtype=np.int64)
     gray[((levels + nlev - 1) // 2).astype(np.int64)] = np.arange(nlev)
     i_slot, q_slot = np.divmod(np.arange(nlev * nlev), nlev)
-    i_slot_level = (2 * i_slot - (nlev - 1)).astype(np.float64)
-    q_slot_level = (2 * q_slot - (nlev - 1)).astype(np.float64)
-    slot_words = gray[i_slot]
-    if m == 2:
-        q_slot_level = np.zeros_like(i_slot_level)
-    else:
-        slot_words = (slot_words << half) | gray[q_slot]
+    slot_words = (gray[i_slot] << q_bits) | (gray[q_slot] & q_mask)
     return _QamTables(
         nlev=nlev,
         scale=scale,
         weights=_read_only(weights),
-        points=_read_only(_axis_points(i_level, q_level, scale)),
-        slot_points=_read_only(_axis_points(i_slot_level, q_slot_level, scale)),
+        points=_read_only(points),
+        slot_points=_read_only(points[slot_words]),
         slot_labels=_read_only(((slot_words[:, None] & weights) != 0).astype(np.uint8)),
     )
 

@@ -12,11 +12,15 @@ import numpy as np
 from .config import bin_to_logical
 
 __all__ = [
+    "GLYPH_SIZE",
     "gaussian_symbols",
     "longest_chosen_run",
     "smooth_waveform",
     "glyph_images",
 ]
+
+# side of the square glyph images, in pixels; the image codec reads it
+GLYPH_SIZE = 8
 
 
 def gaussian_symbols(count: int, rng: np.random.Generator) -> np.ndarray:
@@ -79,15 +83,15 @@ def _blur3(img: np.ndarray) -> np.ndarray:
     return np.apply_along_axis(lambda c: np.convolve(c, kern, mode="same"), 0, out)
 
 
-def glyph_images(
-    count: int, rng: np.random.Generator, size: int = 8
-) -> np.ndarray:
-    """Procedural stroke glyphs: (count, size, size, 1) grayscale in [0, 1].
+def glyph_images(count: int, rng: np.random.Generator) -> np.ndarray:
+    """Procedural stroke glyphs: (count, GLYPH_SIZE, GLYPH_SIZE, 1)
+    grayscale in [0, 1].
 
     Each image draws two to four straight strokes at random positions,
     orientations, and intensities, then applies a light blur.  This
     stands in for a natural-image dataset without any download.
     """
+    size = GLYPH_SIZE
     images = np.zeros((count, size, size))
     for i in range(count):
         for _ in range(int(rng.integers(2, 5))):

@@ -667,7 +667,6 @@ class PipelineResult:
     compensator: CompensatorModel
     proxy: ProxyModel
     jscc: ToyJsccModel
-    stage0_jscc: ToyJsccModel
     zero_shot_jscc: ToyJsccModel
     stage1: StageResult
     stage2: StageResult
@@ -675,32 +674,22 @@ class PipelineResult:
     zero_shot: StageResult
 
 
-def run_training_pipeline(
-    setup: EmulationSetup,
-    train_cfg: TrainConfig,
-    curriculum: Curriculum | None = None,
-) -> PipelineResult:
+def run_training_pipeline(setup: EmulationSetup, train_cfg: TrainConfig) -> PipelineResult:
     """Run all three stages plus the zero-shot baseline, one master seed.
 
     The codec that enters stage 3 starts from the zero-shot weights (a
     codec trained on the ideal analog channel, never on the link), so
-    stage 3 is pure link adaptation.  The stage-0 snapshot is that same
-    untouched starting point.
+    stage 3 is pure link adaptation.
     """
-    curriculum = curriculum or Curriculum()
     stage1 = stage1_train_compensator(setup, train_cfg)
     stage2 = stage2_train_proxy(collect_stage2_records(setup, train_cfg), train_cfg)
-    zero_shot = train_jscc_ideal(train_cfg, curriculum)
+    zero_shot = train_jscc_ideal(train_cfg)
     jscc = copy.deepcopy(zero_shot.model)
-    stage0 = copy.deepcopy(jscc)
-    stage3 = stage3_alternate(
-        jscc, stage1.model, stage2.model, setup, train_cfg, curriculum
-    )
+    stage3 = stage3_alternate(jscc, stage1.model, stage2.model, setup, train_cfg)
     return PipelineResult(
         compensator=stage1.model,
         proxy=stage2.model,
         jscc=jscc,
-        stage0_jscc=stage0,
         zero_shot_jscc=zero_shot.model,
         stage1=stage1,
         stage2=stage2,

@@ -430,20 +430,21 @@ def test_criterion_7_training_pipeline(record_criterion, default_setup, trained_
         adapted = evaluate_image_link(
             result.jscc, default_setup, snr, seed, images, compensator=result.compensator
         )["image_mse"]
-        stage0 = evaluate_image_link(
-            result.stage0_jscc, default_setup, snr, seed, images
+        zshot_comp = evaluate_image_link(
+            result.zero_shot_jscc, default_setup, snr, seed, images,
+            compensator=result.compensator,
         )["image_mse"]
         zshot = evaluate_image_link(
             result.zero_shot_jscc, default_setup, snr, seed, images
         )["image_mse"]
-        wins = wins and adapted < stage0 and adapted < zshot
-        points.append(f"{snr:g}dB {adapted:.4f}<[{stage0:.4f},{zshot:.4f}]")
+        wins = wins and adapted < zshot_comp and adapted < zshot
+        points.append(f"{snr:g}dB {adapted:.4f}<[{zshot_comp:.4f},{zshot:.4f}]")
     elapsed = train_time + (time.perf_counter() - t0)
 
     ok = imp >= 0.20 and within and wins and elapsed < 600.0
     detail = (
         f"stage1 {100 * imp:.1f}% (need 20%), stage2 held-out {held:.4f} <= "
-        f"bound {bound:.4f} ({within}), adapted vs [untrained, zero-shot]: "
+        f"bound {bound:.4f} ({within}), adapted vs [zero-shot + adapted compensator, zero-shot]: "
         f"{'; '.join(points)}, {elapsed:.0f}s (budget 600s)"
     )
     record_criterion(7, "three-stage training", ok, detail)

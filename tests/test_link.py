@@ -257,7 +257,7 @@ def test_waveform_value_roundtrip(default_setup, rng):
     nch = default_setup.n_chosen
     vals = rng.normal(size=3 * nch) + 1j * rng.normal(size=3 * nch)
     wave = waveform_from_values(vals, default_setup)
-    back = targets_from_waveform(wave, default_setup, scale=1.0)
+    back = targets_from_waveform(wave, default_setup)
     assert np.allclose(back.symbols, vals, atol=1e-9)
     with pytest.raises(FramingError):
         waveform_from_values(vals[:-1], default_setup)

@@ -13,6 +13,7 @@ from ofdmemu.nn.models import (
     complex_to_wave,
     wave_to_complex,
 )
+from ofdmemu.sources import glyph_images
 
 
 def test_wave_conversion_roundtrip(rng):
@@ -151,3 +152,6 @@ def test_jscc_latent_power_and_bound(rng):
     assert np.all(power <= 1.0 + 1e-9)
     assert np.all(power >= 0.7)
 
+
+def test_jscc_reads_the_glyph_pixel_count(rng):
+    assert ToyJsccModel(rng).pixels == glyph_images(1, rng)[0].size

@@ -281,10 +281,10 @@ def _reference_conv2d(x, weight, bias):
 
 
 def _pipeline_bytes(setup):
-    """The bytes of a TINY_TRAIN run: the five models, then the reprs of
+    """The bytes of a TINY_TRAIN run: the four models, then the reprs of
     the loss traces and the stage metrics."""
     r = run_training_pipeline(setup, TINY_TRAIN)
-    models = (r.compensator, r.proxy, r.jscc, r.stage0_jscc, r.zero_shot_jscc)
+    models = (r.compensator, r.proxy, r.jscc, r.zero_shot_jscc)
     stages = (r.stage1, r.stage2, r.stage3, r.zero_shot)
     return (
         [m.state_vector().tobytes() for m in models],
@@ -302,6 +302,14 @@ def test_training_pipeline_bit_identical_with_reference_conv2d(default_setup, mo
     want = _pipeline_bytes(default_setup)
     for name, a, e in zip(("state vectors", "loss traces", "stage metrics"), got, want):
         assert a == e, name
+
+
+def test_pipeline_adapts_a_copy_of_the_zero_shot_codec(default_setup):
+    # the zero-shot codec is the ideal-channel stage's own model, and stage 3
+    # trains a copy of it, so the two codecs differ
+    r = run_training_pipeline(default_setup, TINY_TRAIN)
+    assert r.zero_shot_jscc is r.zero_shot.model
+    assert not np.array_equal(r.jscc.state_vector(), r.zero_shot_jscc.state_vector())
 
 
 def test_evaluate_image_link_deterministic(default_setup):
