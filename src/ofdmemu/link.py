@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,12 +46,15 @@ from .phy import (
 __all__ = [
     "TargetSymbols",
     "EmulationPlan",
+    "PlanStack",
     "EmulationSetup",
     "LinkRecord",
     "box_scale",
     "box_edge",
     "sender_invert",
     "reference_waveform",
+    "output_waveforms",
+    "clean_waveforms",
     "targets_from_waveform",
     "check_snr",
     "noise_variance",
@@ -66,6 +70,7 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
 def box_edge(cfg: PhyConfig) -> float:
     """Outer constellation level per axis, in normalized amplitude."""
     nlev = 1 << ((cfg.n_bpsc + 1) // 2)
@@ -175,7 +180,40 @@ class EmulationPlan:
         return self.clip_count / (2 * self.target_count)
 
 
-def sender_invert(targets: TargetSymbols, setup: EmulationSetup) -> EmulationPlan:
+@dataclass
+class PlanStack:
+    """What the sender decided for each row of a target stack.
+
+    ``plans`` holds one plan per row, and ``bitstreams`` their bitstreams
+    as one (rows, bits) array, which :func:`tx_chain` takes whole; each
+    plan's ``bitstream`` is its row.  The counts are the stack's totals.
+    """
+
+    plans: list[EmulationPlan]
+    bitstreams: np.ndarray
+    target_count: int
+    ofdm_symbols: int
+    clip_count: int
+
+
+def _target_rows(targets) -> list[TargetSymbols]:
+    """A target stack as a list of rows.  FramingError unless it holds
+    at least one row, every row is a TargetSymbols, and all have one
+    length."""
+    rows = list(targets)
+    if not rows:
+        raise FramingError("a target stack must hold at least one row")
+    for t in rows:
+        if not isinstance(t, TargetSymbols):
+            raise FramingError(f"a target stack holds TargetSymbols rows, got {type(t).__name__}")
+        if t.count != rows[0].count:
+            raise FramingError(
+                f"target rows must have one length, got {rows[0].count} and {t.count}"
+            )
+    return rows
+
+
+def sender_invert(targets, setup: EmulationSetup) -> EmulationPlan | PlanStack:
     """Choose constellation points for the targets and solve for info bits.
 
     Targets pack row-major onto the chosen subcarriers (sorted by
@@ -184,50 +222,82 @@ def sender_invert(targets: TargetSymbols, setup: EmulationSetup) -> EmulationPla
     encoder state entering the next symbol, but the solve is linear in
     its target, so all symbols' labels solve in one batch and only the
     state chain runs symbol by symbol.
+
+    A sequence of equal-length TargetSymbols is a stack: every row is
+    its own frame, with its own scale and its state chain from 0, all
+    rows quantize and solve together, and the result is a
+    :class:`PlanStack`.  An empty stack or rows of unequal length raise
+    FramingError.
     """
+    if isinstance(targets, TargetSymbols):
+        return _invert([targets], setup)[0][0]
+    rows = _target_rows(targets)
+    plans, bitstreams = _invert(rows, setup)
+    return PlanStack(
+        plans,
+        bitstreams,
+        target_count=len(rows) * rows[0].count,
+        ofdm_symbols=len(rows) * plans[0].ofdm_symbols,
+        clip_count=sum(p.clip_count for p in plans),
+    )
+
+
+def _invert(
+    rows: list[TargetSymbols], setup: EmulationSetup
+) -> tuple[list[EmulationPlan], np.ndarray]:
+    """The plan of each row, and their bitstreams as one (rows, bits) array."""
     cfg = setup.cfg
-    k = targets.count
+    n_rows, k = len(rows), rows[0].count
     nch = setup.n_chosen
     n_sym = (k + nch - 1) // nch
 
-    padded = np.zeros(n_sym * nch, dtype=np.complex128)
-    padded[:k] = targets.symbols * targets.scale
-    # I and Q components beyond the box, read from the (k, 2) float view
-    over = np.count_nonzero(np.abs(padded[:k].view(np.float64)) > box_edge(cfg))
+    edge = box_edge(cfg)
+    padded = np.zeros((n_rows, n_sym * nch), dtype=np.complex128)
+    over = []
+    for row, t in zip(padded, rows):
+        row[:k] = t.symbols * t.scale
+        # I and Q components beyond the box, read from the (k, 2) float view
+        over.append(int(np.count_nonzero(np.abs(row[:k].view(np.float64)) > edge)))
 
     points, labels = qam_quantize(padded, cfg.modulation_order)
     # Superposition over GF(2): the solution for labels ^ offsets[state]
     # is the labels' solution ^ offset_solutions[state], and so is the
-    # state it leaves.  Only the 6-bit state chain runs per symbol.
-    x_blocks = setup.solver.solve_many(labels.reshape(n_sym, -1))
+    # state it leaves.  Only the 6-bit state chain runs per symbol, from
+    # state 0 in each row.
+    x_blocks = setup.solver.solve_many(labels.reshape(n_rows * n_sym, -1))
     offset_exits = setup.offset_exits
     chain = []
-    state = 0
-    for e in SymbolSystem.outgoing_state(x_blocks).tolist():
-        chain.append(state)
-        state = e ^ offset_exits[state]
+    for exits in SymbolSystem.outgoing_state(x_blocks).reshape(n_rows, n_sym).tolist():
+        state = 0
+        for e in exits:
+            chain.append(state)
+            state = e ^ offset_exits[state]
     states = np.asarray(chain, dtype=np.int64)
     x_blocks ^= setup.offset_solutions[states]
 
-    bitstream = scramble(x_blocks.reshape(-1), cfg.scrambler_seed)
-    return EmulationPlan(
-        scale=float(targets.scale),
-        target_count=k,
-        ofdm_symbols=n_sym,
-        quantized=points.reshape(n_sym, nch),
-        bitstream=bitstream,
-        incoming_states=states,
-        clip_count=int(over),
+    bitstreams = scramble(x_blocks.reshape(n_rows, -1), cfg.scrambler_seed)
+    per_row = zip(
+        rows, points.reshape(n_rows, n_sym, nch), bitstreams, states.reshape(n_rows, n_sym), over
     )
+    # EmulationPlan's fields in order: scale, target_count, ofdm_symbols,
+    # quantized, bitstream, incoming_states, clip_count
+    plans = [EmulationPlan(float(t.scale), k, n_sym, q, b, s, c) for t, q, b, s, c in per_row]
+    return plans, bitstreams
 
 
-def reference_waveform(targets: TargetSymbols, setup: EmulationSetup) -> np.ndarray:
+def reference_waveform(targets, setup: EmulationSetup) -> np.ndarray:
     """The ideal user-domain waveform: continuous targets on the chosen
-    bins, everything else (pilots, dummies, nulls) silent."""
+    bins, everything else (pilots, dummies, nulls) silent.  A sequence
+    of equal-length TargetSymbols gives a (rows, samples) stack."""
+    one = isinstance(targets, TargetSymbols)
+    rows = [targets] if one else _target_rows(targets)
+    k = rows[0].count
     nch = setup.n_chosen
-    vals = np.zeros(-(-targets.count // nch) * nch, dtype=np.complex128)
-    vals[: targets.count] = targets.symbols
-    return waveform_from_values(vals, setup)
+    vals = np.zeros((len(rows), -(-k // nch) * nch), dtype=np.complex128)
+    for row, t in zip(vals, rows):
+        row[:k] = t.symbols
+    waves = waveform_from_values(vals, setup).reshape(len(rows), -1)
+    return waves[0] if one else waves
 
 
 def waveform_from_values(values: np.ndarray, setup: EmulationSetup) -> np.ndarray:
@@ -290,10 +360,12 @@ def axis_noise(rng: np.random.Generator, var: float, shape) -> np.ndarray:
 
 
 def finite_mean_power(x: np.ndarray, error: str) -> float:
-    """Mean |x|^2 of a non-empty array, computed without an overflow
-    warning; FramingError(error) where it is NaN or overflows."""
+    """Mean |x|^2 of a non-empty complex array, computed without an
+    overflow warning; FramingError(error) where it is NaN or overflows."""
     with np.errstate(over="ignore"):
-        power = float(np.mean(np.abs(x) ** 2))
+        # np.mean's own arithmetic, the float64 sum over the count,
+        # without its wrapper's cost, which shows on short frames
+        power = float((np.abs(x) ** 2).sum() / x.size)
     if not math.isfinite(power):
         raise FramingError(error)
     return power
@@ -314,7 +386,9 @@ def _add_noise(
     if snr_db == math.inf:
         return x.copy()
     noise = axis_noise(np.random.default_rng(seed), power * base, (x.size, 2))
-    return x + noise[:, 0] + 1j * noise[:, 1]
+    # the (n, 2) draw read as n complex values: the draws are never -0.0,
+    # so this adds what x + noise[:, 0] + 1j * noise[:, 1] adds
+    return x + noise.view(np.complex128).ravel()
 
 
 def awgn(samples: np.ndarray, snr_db: float, seed: int | np.random.Generator) -> np.ndarray:
@@ -340,22 +414,40 @@ def _clip_to_box(values: np.ndarray, cfg: PhyConfig, scale: float) -> np.ndarray
     )
 
 
-def receiver_recover_soft(
-    samples: np.ndarray,
-    plan: EmulationPlan,
-    setup: EmulationSetup,
-) -> np.ndarray:
+def _row_values(samples: np.ndarray, plans: list[EmulationPlan], setup: EmulationSetup):
+    """The chosen-bin values of one frame per plan, as (rows, k) targets'
+    worth; FramingError unless the frames hold the plans' OFDM symbols."""
+    vals = _chosen_values(samples, setup)
+    n_sym = vals.size // setup.n_chosen
+    expected = len(plans) * plans[0].ofdm_symbols
+    if n_sym != expected:
+        raise FramingError(f"frame holds {n_sym} OFDM symbols, plans expect {expected}")
+    return vals.reshape(len(plans), -1)[:, : plans[0].target_count]
+
+
+def _plan_rows(plan) -> tuple[list[EmulationPlan], float | np.ndarray]:
+    """One plan, or a sequence of plans, one per row of a frame stack,
+    as a list, with their scale: one float where all rows share it,
+    else a (rows, 1) column."""
+    if isinstance(plan, EmulationPlan):
+        return [plan], plan.scale
+    plans = list(plan)
+    scales = {p.scale for p in plans}
+    return plans, scales.pop() if len(scales) == 1 else np.array([[p.scale] for p in plans])
+
+
+def receiver_recover_soft(samples: np.ndarray, plan, setup: EmulationSetup) -> np.ndarray:
     """Read chosen bins directly, skipping the digital decode path.
 
     Estimates are the unscaled bin values clamped per axis to the
     constellation box (the sender provably transmitted in-box points, so
-    anything outside is noise).
+    anything outside is noise).  A (rows, samples) stack of frames with
+    a sequence of equal-length plans, one per row, gives (rows, k)
+    estimates.
     """
-    vals = _chosen_values(samples, setup) / plan.scale
-    n_sym = vals.size // setup.n_chosen
-    if n_sym != plan.ofdm_symbols:
-        raise FramingError(f"frame holds {n_sym} OFDM symbols, plan expects {plan.ofdm_symbols}")
-    return _clip_to_box(vals, setup.cfg, plan.scale)[: plan.target_count]
+    plans, scale = _plan_rows(plan)
+    est = _clip_to_box(_row_values(samples, plans, setup) / scale, setup.cfg, scale)
+    return est[0] if isinstance(plan, EmulationPlan) else est
 
 
 def receiver_recover_hard(
@@ -376,12 +468,14 @@ def receiver_recover_hard(
     return vals[: plan.target_count]
 
 
-def extract_estimates(
-    waveform: np.ndarray, plan: EmulationPlan, setup: EmulationSetup
-) -> np.ndarray:
-    """Chosen-bin estimates from a (possibly compensated) user-domain waveform."""
-    vals = _chosen_values(waveform, setup)
-    return _clip_to_box(vals, setup.cfg, plan.scale)[: plan.target_count]
+def extract_estimates(waveform: np.ndarray, plan, setup: EmulationSetup) -> np.ndarray:
+    """Chosen-bin estimates from a (possibly compensated) user-domain
+    waveform.  A (rows, samples) stack with a sequence of equal-length
+    plans, one per row, gives (rows, k) estimates.  A waveform that does
+    not hold the plans' OFDM symbols raises FramingError."""
+    plans, scale = _plan_rows(plan)
+    est = _clip_to_box(_row_values(waveform, plans, setup), setup.cfg, scale)
+    return est[0] if isinstance(plan, EmulationPlan) else est
 
 
 # ---------------------------------------------------------------------------
@@ -417,39 +511,95 @@ class LinkRecord:
         """The raw (unclipped) chosen-bin values of ``rx_frame`` re-framed
         in user units, pilots and dummies silenced: what the compensator
         and the proxy see."""
-        return self._reframe(self.rx_frame)
+        return output_waveforms([self])[0]
 
     @property
     def clean_waveform(self) -> np.ndarray:
         """The same read of the noiseless ``tx_frame``, which separates
         stochastic noise from the deterministic link distortion."""
-        return self._reframe(self.tx_frame)
+        return clean_waveforms([self])[0]
 
-    def _reframe(self, samples: np.ndarray) -> np.ndarray:
-        values = _chosen_values(samples, self.setup) / self.plan.scale
-        return waveform_from_values(values, self.setup)
+
+def _reframe(frames: list[np.ndarray], plans: list[EmulationPlan], setup: EmulationSetup):
+    """Each frame's raw chosen-bin values in its plan's user units,
+    re-framed, as one (rows, samples) stack."""
+    _, scale = _plan_rows(plans)
+    values = _chosen_values(np.stack(frames), setup).reshape(len(plans), -1) / scale
+    return waveform_from_values(values, setup).reshape(len(plans), -1)
+
+
+def output_waveforms(records: list[LinkRecord]) -> np.ndarray:
+    """The records' ``output_waveform``s as one (rows, samples) stack,
+    in one demodulate and one modulate.  The records share a setup and
+    a length."""
+    return _reframe([r.rx_frame for r in records], [r.plan for r in records], records[0].setup)
+
+
+def clean_waveforms(records: list[LinkRecord]) -> np.ndarray:
+    """The records' ``clean_waveform``s, stacked as :func:`output_waveforms`."""
+    return _reframe([r.tx_frame for r in records], [r.plan for r in records], records[0].setup)
+
+
+def _per_row(values, n: int, what: str) -> list:
+    """A stack's per-row SNRs or seeds as a list; FramingError unless
+    ``values`` is a sequence of ``n``."""
+    try:
+        values = list(values)
+    except TypeError:
+        raise FramingError(f"a stack of {n} rows needs a sequence of {n} {what}") from None
+    if len(values) != n:
+        raise FramingError(f"a stack of {n} rows needs {n} {what}, got {len(values)}")
+    return values
 
 
 def emulated_link(
-    targets: TargetSymbols,
-    snr_db: float,
-    seed: int,
+    targets,
+    snr_db,
+    seed,
     setup: EmulationSetup,
     mode: str = "soft",
-) -> tuple[np.ndarray, LinkRecord]:
+):
     """Transport targets through invert -> transmit -> AWGN -> recover.
 
     Returns the soft or hard receiver's estimates and the transmission's
     record, from which the reference, received and noiseless waveforms
-    derive.
+    derive.  ``seed`` is an int or a ``Generator``.
+
+    A sequence of equal-length TargetSymbols is a stack, sent in one
+    call: ``snr_db`` and ``seed`` are then sequences with one entry per
+    row, and the call returns (rows, k) estimates and one record per
+    row, each byte for byte what a call with that row alone returns.
+    An empty stack, rows of unequal length, or an SNR or seed sequence
+    of another length raise FramingError, and a NaN or -inf SNR in any
+    row ConfigError, before any row is sent.
     """
     if mode not in ("soft", "hard"):
         raise SelectionError(f"mode must be 'soft' or 'hard', got {mode!r}")
-    plan = sender_invert(targets, setup)
-    tx = tx_chain(plan.bitstream, setup.cfg).samples
-    rx = awgn(tx, snr_db, seed)
-    recover = receiver_recover_soft if mode == "soft" else receiver_recover_hard
-    return recover(rx, plan, setup), LinkRecord(targets, plan, setup, tx, rx, float(snr_db))
+    if isinstance(targets, TargetSymbols):
+        # a short call is mostly fixed cost, so one row takes each
+        # stage's one-frame form and builds no per-row lists
+        plan = sender_invert(targets, setup)
+        tx = tx_chain(plan.bitstream, setup.cfg).samples
+        rx = awgn(tx, snr_db, seed)
+        recover = receiver_recover_soft if mode == "soft" else receiver_recover_hard
+        return recover(rx, plan, setup), LinkRecord(targets, plan, setup, tx, rx, float(snr_db))
+    rows = _target_rows(targets)
+    snrs = _per_row(snr_db, len(rows), "SNRs")
+    seeds = _per_row(seed, len(rows), "seeds")
+    for snr in snrs:
+        check_snr(snr)
+    stack = sender_invert(rows, setup)
+    tx = tx_chain(stack.bitstreams, setup.cfg).samples
+    rx = np.stack([awgn(frame, snr, s) for frame, snr, s in zip(tx, snrs, seeds)])
+    if mode == "soft":
+        est = receiver_recover_soft(rx, stack.plans, setup)
+    else:
+        est = np.stack([receiver_recover_hard(f, p, setup) for f, p in zip(rx, stack.plans)])
+    records = [
+        LinkRecord(t, p, setup, sent, noisy, float(snr))
+        for t, p, sent, noisy, snr in zip(rows, stack.plans, tx, rx, snrs)
+    ]
+    return est, records
 
 
 def ideal_analog_link(

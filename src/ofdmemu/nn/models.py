@@ -30,9 +30,9 @@ __all__ = [
 
 
 def complex_to_wave(samples: np.ndarray) -> np.ndarray:
-    """Complex vector -> (N_s, 2) I/Q array."""
-    samples = np.asarray(samples, dtype=np.complex128).ravel()
-    return np.stack([samples.real, samples.imag], axis=1)
+    """(..., N_s) complex array -> (..., N_s, 2) I/Q array."""
+    samples = np.atleast_1d(np.asarray(samples, dtype=np.complex128))
+    return np.stack([samples.real, samples.imag], axis=-1)
 
 
 def wave_to_complex(wave: np.ndarray) -> np.ndarray:

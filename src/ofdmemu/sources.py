@@ -77,10 +77,18 @@ def smooth_waveform(
     return wave / np.sqrt(np.mean(np.abs(wave) ** 2))
 
 
-def _blur3(img: np.ndarray) -> np.ndarray:
-    kern = np.array([0.25, 0.5, 0.25])
-    out = np.apply_along_axis(lambda r: np.convolve(r, kern, mode="same"), 1, img)
-    return np.apply_along_axis(lambda c: np.convolve(c, kern, mode="same"), 0, out)
+def _blur3(images: np.ndarray) -> np.ndarray:
+    """The [1/4, 1/2, 1/4] kernel along the rows, then the columns, of
+    an (n, size, size) stack, zero past the edges.  Each output sums its
+    products left to right, as ``np.convolve(mode="same")`` does, so
+    every image gets the bytes of that convolution row by row, then
+    column by column."""
+    for axis in (2, 1):
+        p = np.moveaxis(images, axis, 0)
+        edge = np.zeros((1,) + p.shape[1:])
+        p = np.concatenate([edge, p, edge])
+        images = np.moveaxis(0.25 * p[:-2] + 0.5 * p[1:-1] + 0.25 * p[2:], 0, axis)
+    return images
 
 
 def glyph_images(count: int, rng: np.random.Generator) -> np.ndarray:
@@ -88,8 +96,8 @@ def glyph_images(count: int, rng: np.random.Generator) -> np.ndarray:
     grayscale in [0, 1].
 
     Each image draws two to four straight strokes at random positions,
-    orientations, and intensities, then applies a light blur.  This
-    stands in for a natural-image dataset without any download.
+    orientations, and intensities; then one pass blurs them all lightly.
+    This stands in for a natural-image dataset without any download.
     """
     size = GLYPH_SIZE
     images = np.zeros((count, size, size))
@@ -118,5 +126,4 @@ def glyph_images(count: int, rng: np.random.Generator) -> np.ndarray:
                     r, c = r0 + k, c0 + step * k
                     if 0 <= r < size and 0 <= c < size:
                         images[i, r, c] = max(images[i, r, c], intensity)
-        images[i] = _blur3(images[i])
-    return np.clip(images, 0.0, 1.0)[..., None]
+    return np.clip(_blur3(images), 0.0, 1.0)[..., None]

@@ -38,9 +38,12 @@ from .link import (
     _chosen_values,
     axis_noise,
     check_snr,
+    clean_waveforms,
     emulated_link,
     extract_estimates,
     noise_variance,
+    output_waveforms,
+    reference_waveform,
     targets_from_waveform,
     waveform_from_values,
 )
@@ -222,19 +225,17 @@ def _sgd_epochs(
 def _stage1_pairs(
     setup: EmulationSetup, train_cfg: TrainConfig, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Distorted/clean waveform pairs from the link on smooth sources."""
+    """Distorted/clean waveform pairs from one link call on smooth sources."""
     cfg = setup.cfg
     carrier, _ = longest_chosen_run(setup)
     n = train_cfg.stage1_ofdm_symbols * cfg.samples_per_ofdm
-    xs, ys = [], []
+    waves, targets, seeds = [], [], []
     for _ in range(count):
-        wave = smooth_waveform(n, rng, carrier, cfg.fft_size, bandwidth_bins=4.0)
-        targets = targets_from_waveform(wave, setup)
-        seed = int(rng.integers(2**63))
-        _, record = emulated_link(targets, train_cfg.stage1_snr_db, seed, setup, mode="soft")
-        xs.append(complex_to_wave(record.output_waveform))
-        ys.append(complex_to_wave(wave))
-    return np.stack(xs), np.stack(ys)
+        waves.append(smooth_waveform(n, rng, carrier, cfg.fft_size, bandwidth_bins=4.0))
+        targets.append(targets_from_waveform(waves[-1], setup))
+        seeds.append(int(rng.integers(2**63)))
+    _, records = emulated_link(targets, [train_cfg.stage1_snr_db] * count, seeds, setup)
+    return complex_to_wave(output_waveforms(records)), complex_to_wave(np.stack(waves))
 
 
 def stage1_train_compensator(
@@ -288,14 +289,14 @@ def collect_link_records(
     rng: np.random.Generator,
     n_ofdm: int = 4,
 ) -> list[LinkRecord]:
-    """Soft-mode link records of Gaussian targets for proxy training."""
+    """Soft-mode link records of Gaussian targets for proxy training,
+    from one link call."""
     k = n_ofdm * setup.n_chosen
-    records = []
+    targets, seeds = [], []
     for _ in range(count):
-        targets = TargetSymbols.unit_power(gaussian_symbols(k, rng), setup.cfg)
-        seed = int(rng.integers(2**63))
-        records.append(emulated_link(targets, snr_db, seed, setup, mode="soft")[1])
-    return records
+        targets.append(TargetSymbols.unit_power(gaussian_symbols(k, rng), setup.cfg))
+        seeds.append(int(rng.integers(2**63)))
+    return emulated_link(targets, [snr_db] * count, seeds, setup)[1]
 
 
 def collect_stage2_records(setup: EmulationSetup, train_cfg: TrainConfig) -> list[LinkRecord]:
@@ -308,7 +309,8 @@ def collect_stage2_records(setup: EmulationSetup, train_cfg: TrainConfig) -> lis
 
 def _waveforms(records: list[LinkRecord]) -> tuple[np.ndarray, np.ndarray]:
     """The records' reference and output waveforms, each derived once, as stacks."""
-    return np.stack([r.reference for r in records]), np.stack([r.output_waveform for r in records])
+    refs = reference_waveform([r.targets for r in records], records[0].setup)
+    return refs, output_waveforms(records)
 
 
 def _calibrate_noise(
@@ -322,7 +324,7 @@ def _calibrate_noise(
     the nominal 10^(-snr/10) law.  Also returns the mean measured
     stochastic variance for reporting.
     """
-    cleans = np.stack([r.clean_waveform for r in records])
+    cleans = clean_waveforms(records)
     floor = float(np.mean(np.mean(np.abs(cleans - refs) ** 2, axis=1)))
     variances = np.mean(np.abs(outs - cleans) ** 2, axis=1)
     nominals = np.array([noise_variance(r.snr_db) for r in records])
@@ -341,8 +343,8 @@ def _proxy_fit(
     Returns the ``_sgd_epochs`` generator of the fit, which runs as it is
     consumed, and a function giving the held-out complex per-sample MSE.
     """
-    xs = np.stack([complex_to_wave(w) for w in refs])
-    ys = np.stack([complex_to_wave(w) for w in outs])
+    xs = complex_to_wave(refs)
+    ys = complex_to_wave(outs)
 
     def batch_loss(idx):
         # deterministic fit: noise off, noisy targets average out
@@ -529,17 +531,18 @@ def stage3_alternate(
             for p in opt_b.params:
                 p.requires_grad = True
 
-        # phase B: fresh records from the current encoder, proxy refresh
-        fresh: list[LinkRecord] = []
+        # phase B: fresh records from the current encoder, sent in one
+        # link call, then the proxy refresh
+        targets, snrs, seeds = [], [], []
         for _ in range(train_cfg.refresh_batch_count):
             pick = refresh_rng.integers(len(flat_images))
             symbols = _latent_to_symbols(
                 jscc.encode(Tensor(flat_images[pick : pick + 1])).data[0]
             )
-            targets = TargetSymbols.unit_power(symbols, setup.cfg)
-            snr = curriculum.sample(refresh_rng)
-            seed = int(refresh_rng.integers(2**63))
-            fresh.append(emulated_link(targets, snr, seed, setup, mode="soft")[1])
+            targets.append(TargetSymbols.unit_power(symbols, setup.cfg))
+            snrs.append(curriculum.sample(refresh_rng))
+            seeds.append(int(refresh_rng.integers(2**63)))
+        _, fresh = emulated_link(targets, snrs, seeds, setup)
         epochs, held_out_mse = _proxy_fit(
             proxy, opt_b, *_waveforms(fresh), max(1, len(fresh) // 4), train_cfg.batch_size,
             train_cfg.stage3_refresh_epochs, refresh_rng, "stage3/phaseB", trace,
@@ -629,25 +632,20 @@ def evaluate_image_link(
     compensator and codec see waveforms during training.  Per-image noise
     seeds derive from ``seed`` so runs stay reproducible.  A compensator,
     if given, corrects the received waveforms before the estimates are
-    read.  Every image sends ``latent_pairs`` symbols, so the waveforms
-    have one length and the compensator runs once, on their (B, N_s, 2)
-    stack.
+    read.  Every image sends ``latent_pairs`` symbols, so the images go
+    through the link as one stack, and the compensator runs once, on
+    their (B, N_s, 2) waveform stack.
     """
     flat = images.reshape(len(images), -1)
     # (B, 2K) latents at unit average power, as (B, K) symbols
     symbols = _latent_to_symbols(jscc.encode(Tensor(flat)).data)
-    seq = np.random.SeedSequence(seed)
-    est = np.empty_like(symbols)
-    records = []
-    for i, child in enumerate(seq.spawn(len(flat))):
-        targets = TargetSymbols.unit_power(symbols[i], setup.cfg)
-        est[i], record = emulated_link(targets, snr_db, np.random.default_rng(child), setup)
-        records.append(record)
+    targets = [TargetSymbols.unit_power(row, setup.cfg) for row in symbols]
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(len(flat))]
+    est, records = emulated_link(targets, [snr_db] * len(flat), rngs, setup)
     if compensator is not None:
-        waves = np.stack([complex_to_wave(r.output_waveform) for r in records])
+        waves = complex_to_wave(output_waveforms(records))
         corrected = wave_to_complex(compensator(Tensor(waves)).data)
-        for i, (wave, record) in enumerate(zip(corrected, records)):
-            est[i] = extract_estimates(wave, record.plan, setup)
+        est = extract_estimates(corrected, [r.plan for r in records], setup)
     clip_total = sum(r.clip_rate for r in records)
     recon = jscc.decode(Tensor(est.view(np.float64))).data  # estimates as (B, 2K) reals
     per_image = np.mean((recon - flat) ** 2, axis=1)

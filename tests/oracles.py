@@ -2,35 +2,53 @@
 
 Everything here is written from the published definitions with table
 lookups and explicit index lists, sharing no code or structure with the
-package under test.  Slow on purpose; used only as ground truth.  Eight
+package under test.  Slow on purpose; used only as ground truth.  The
 exceptions are frozen copies of earlier package code that pin the
 current code: ``conv2d_reference``, the original conv2d kernel, bit for
 bit; ``climb_reference``, the original certification climb, which
 rates each trial swap with ``gf2.rank``; ``viterbi_reference``, the
 original one-step-per-iteration Viterbi decoder with its tie-break;
 ``sender_reference``, the original sender with one GF(2) solve per OFDM
-symbol; and ``conv_encode_convolve``, ``qam_map_per_axis`` and
+symbol; ``conv_encode_convolve``, ``qam_map_per_axis`` and
 ``qam_quantize_per_axis``, the encoder, mapper and quantizer as first
 written, which work one generator stream or one constellation axis at
-a time.  ``evaluate_image_link_per_image`` is image evaluation as
-first written, which runs the compensator on one waveform at a time; it
-calls the package's link and models, which it does not check, and
-nothing of ``training``, which it does.
+a time; ``tx_grids_reference``, ``awgn_reference`` and
+``emulated_link_reference``, the one-frame transmit chain, the noise
+add with its three temporaries and the link as one call per row; and
+``blur3_reference``, the glyph blur as two ``np.apply_along_axis``
+passes per image.  ``evaluate_image_link_per_image`` is image
+evaluation as first written, one link call per image and the
+compensator on one waveform at a time; it calls
+``emulated_link_reference``, the package's models and its framing
+helpers, which it does not check, and nothing of ``training`` or of the
+stacked link, which it does.
 ``verify_against_pipeline`` is no reference: it cross-checks the GF(2)
 symbol model against the package's own live chain.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from ofdmemu.config import BITS_PER_SYMBOL, CONV_G1, CONV_G2, KMOD_SQUARED
+from ofdmemu.config import BITS_PER_SYMBOL, CONV_G1, CONV_G2, KMOD_SQUARED, PhyConfig
 from ofdmemu.errors import FramingError, SelectionError
 from ofdmemu.gf2 import Unsolvable, rank
 from ofdmemu.inversion import SymbolSystem, restrict_rows
-from ofdmemu.link import EmulationPlan, TargetSymbols, box_edge, emulated_link, extract_estimates
+from ofdmemu.link import EmulationPlan, TargetSymbols, box_edge, waveform_from_values
 from ofdmemu.nn import Tensor, complex_to_wave, wave_to_complex
-from ofdmemu.phy import conv_encode, interleave, puncture, qam_quantize, scramble
+from ofdmemu.phy import (
+    _symbol_gather,
+    conv_encode,
+    demodulate_frame,
+    interleave,
+    lfsr_sequence,
+    modulate_symbols,
+    puncture,
+    qam_map,
+    qam_quantize,
+    scramble,
+)
 
 # ---------------------------------------------------------------------------
 # scrambler: x^7 + x^4 + 1, seed bit i = register cell i
@@ -567,12 +585,86 @@ def qam_quantize_per_axis(points, m):
 
 
 # ---------------------------------------------------------------------------
-# image evaluation as first written: the compensator on one waveform at a time
+# the link as one call per row: one-frame transmit, noise add and soft read
+# as first written
+
+
+# pilot values by polarity bit, as int64 times complex so that -1 * -1
+# keeps its -0.0 imaginary parts
+_PILOT_ROWS = np.outer(
+    np.array([1, -1], dtype=np.int64), np.asarray(PhyConfig.pilot_base, np.complex128)
+)
+
+
+def tx_grids_reference(bits, cfg):
+    """One frame's (count, fft_size) grids: scramble, encode from state
+    0, the per-symbol coded-bit map, QAM map, pilots."""
+    n_sym = bits.size // cfg.n_dbps
+    coded, _ = conv_encode(scramble(bits, cfg.scrambler_seed))
+    interleaved = coded.reshape(n_sym, -1)[:, _symbol_gather(cfg)]
+    grids = np.zeros((n_sym, cfg.fft_size), dtype=np.complex128)
+    grids[:, cfg.data_bin_array] = qam_map(interleaved, cfg.modulation_order).reshape(n_sym, -1)
+    grids[:, cfg.pilot_bin_array] = _PILOT_ROWS[lfsr_sequence(n_sym, 0x7F)]
+    return grids
+
+
+def awgn_reference(samples, snr_db, seed):
+    """One frame plus complex AWGN at its measured power, the (n, 2)
+    draw added as x + noise[:, 0] + 1j * noise[:, 1]."""
+    x = np.asarray(samples, dtype=np.complex128)
+    if snr_db == math.inf:
+        return x.copy()
+    with np.errstate(over="ignore"):
+        power = float(np.mean(np.abs(x) ** 2))
+    var = power * 10.0 ** (-snr_db / 10.0)
+    noise = np.random.default_rng(seed).normal(0.0, math.sqrt(var / 2.0), size=(x.size, 2))
+    return x + noise[:, 0] + 1j * noise[:, 1]
+
+
+def _chosen_reference(samples, setup):
+    """Chosen-bin values of a frame, row-major over OFDM symbols."""
+    grids = demodulate_frame(np.asarray(samples).ravel(), setup.cfg)
+    return grids[:, setup.chosen_bins].reshape(-1)
+
+
+def _box_reference(values, cfg, scale):
+    lim = box_edge(cfg) / scale
+    return np.minimum(np.maximum(values.real, -lim), lim) + 1j * np.minimum(
+        np.maximum(values.imag, -lim), lim
+    )
+
+
+def emulated_link_reference(targets, snr_db, seed, setup):
+    """One row through the soft link, each step on its own frame:
+    ``sender_reference``, ``tx_grids_reference`` then the unitary IFFT,
+    ``awgn_reference``, and the chosen bins read in user units and
+    clamped to the box.  Returns (estimates, plan, tx frame, rx frame)."""
+    plan = sender_reference(targets, setup)
+    tx = modulate_symbols(tx_grids_reference(plan.bitstream, setup.cfg), setup.cfg)
+    rx = awgn_reference(tx, snr_db, seed)
+    values = _chosen_reference(rx, setup) / plan.scale
+    return _box_reference(values, setup.cfg, plan.scale)[: plan.target_count], plan, tx, rx
+
+
+# ---------------------------------------------------------------------------
+# glyph blur as first written: two apply_along_axis passes per image
+
+
+def blur3_reference(img):
+    kern = np.array([0.25, 0.5, 0.25])
+    out = np.apply_along_axis(lambda r: np.convolve(r, kern, mode="same"), 1, img)
+    return np.apply_along_axis(lambda c: np.convolve(c, kern, mode="same"), 0, out)
+
+
+# ---------------------------------------------------------------------------
+# image evaluation as first written: one link call per image, and the
+# compensator on one waveform at a time
 
 
 def evaluate_image_link_per_image(jscc, setup, snr_db, seed, images, compensator=None):
-    """``training.evaluate_image_link`` with the compensator run on each
-    received waveform as a batch of one, right after its link call."""
+    """``training.evaluate_image_link`` with one reference link call per
+    image, and the compensator run on each received waveform as a batch
+    of one, right after its link call."""
     flat = images.reshape(len(images), -1)
     # (..., 2K) latent reals -> (..., K) symbols, (real, imaginary) pairwise
     symbols = np.ascontiguousarray(jscc.encode(Tensor(flat)).data).view(np.complex128)
@@ -581,12 +673,16 @@ def evaluate_image_link_per_image(jscc, setup, snr_db, seed, images, compensator
     clip_total = 0.0
     for i, child in enumerate(seq.spawn(len(flat))):
         targets = TargetSymbols.unit_power(symbols[i], setup.cfg)
-        est[i], record = emulated_link(targets, snr_db, np.random.default_rng(child), setup)
+        est[i], plan, _, rx = emulated_link_reference(
+            targets, snr_db, np.random.default_rng(child), setup
+        )
         if compensator is not None:
-            wave = complex_to_wave(record.output_waveform)
+            received = waveform_from_values(_chosen_reference(rx, setup) / plan.scale, setup)
+            wave = complex_to_wave(received)
             corrected = wave_to_complex(compensator(Tensor(wave[None])).data[0])
-            est[i] = extract_estimates(corrected, record.plan, setup)
-        clip_total += record.clip_rate
+            values = _chosen_reference(corrected, setup)
+            est[i] = _box_reference(values, setup.cfg, plan.scale)[: plan.target_count]
+        clip_total += plan.clip_rate
     recon = jscc.decode(Tensor(est.view(np.float64))).data
     return {
         "image_mse": float(np.mean((recon - flat) ** 2)),

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ofdmemu.config import PhyConfig
+from ofdmemu import link
+from ofdmemu.config import MIN_SNR_DB, PhyConfig
 from ofdmemu.errors import ConfigError, FramingError, SelectionError
 from ofdmemu.inversion import build_symbol_system, default_subset, max_usable_subcarriers
 from ofdmemu.link import (
@@ -16,10 +17,12 @@ from ofdmemu.link import (
     awgn,
     box_edge,
     box_scale,
+    clean_waveforms,
     emulated_link,
     extract_estimates,
     float_serialization_link,
     ideal_analog_link,
+    output_waveforms,
     receiver_recover_hard,
     receiver_recover_soft,
     reference_waveform,
@@ -191,6 +194,37 @@ def test_awgn_hits_requested_snr(rng):
     assert not np.array_equal(awgn(x, 10.0, 8), y)
 
 
+# awgn adds its (n, 2) draw as a complex view.  The draw is 0.0 + sigma * z,
+# never -0.0, so the view adds what the three-temporary form added, also
+# where the frame holds signed zeros or the noise is subnormal.
+
+_SIGNED_PARTS = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1.0, -2.5])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    frame=st.one_of(
+        st.integers(1, 40).map(lambda n: np.zeros(n, dtype=np.complex128)),
+        st.lists(st.tuples(_SIGNED_PARTS, _SIGNED_PARTS), min_size=1, max_size=40).map(
+            lambda parts: np.array([complex(a, b) for a, b in parts])
+        ),
+        st.lists(
+            st.complex_numbers(max_magnitude=1e-150, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=40,
+        ).map(np.array),
+    ),
+    snr_db=st.one_of(
+        st.just(math.inf), st.just(MIN_SNR_DB), st.floats(-30.0, 300.0), st.just(300.0)
+    ),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_awgn_complex_view_matches_three_temporaries(frame, snr_db, seed):
+    frame = frame.astype(np.complex128)
+    want = oracles.awgn_reference(frame, snr_db, seed)
+    assert awgn(frame, snr_db, seed).tobytes() == want.tobytes()
+
+
 def test_awgn_infinite_snr_is_identity(rng):
     x = rng.normal(size=64) + 1j * rng.normal(size=64)
     assert np.array_equal(awgn(x, math.inf, 1), x)
@@ -336,3 +370,145 @@ def test_extract_estimates_clips(default_setup, rng):
     lim = box_edge(default_setup.cfg) / plan.scale
     assert np.all(np.abs(est.real) <= lim + 1e-9)
     assert np.all(np.abs(est.imag) <= lim + 1e-9)
+    # a waveform of another symbol count, alone or in a stack
+    with pytest.raises(FramingError, match="OFDM symbols"):
+        extract_estimates(np.concatenate([big, big]), plan, default_setup)
+    with pytest.raises(FramingError, match="OFDM symbols"):
+        extract_estimates(np.stack([big, big]), [plan] * 3, default_setup)
+
+
+# ---------------------------------------------------------------------------
+# stacked links: boundaries, then a stack against one reference call per row
+
+
+def _rows(setup, counts, rng):
+    return [uniform_box_targets(k, setup.cfg, rng) for k in counts]
+
+
+@pytest.fixture
+def no_link_work(monkeypatch):
+    """Fail on any sender or transmit work: a boundary must raise first."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sender or transmit work started")
+
+    for name in ("sender_invert", "tx_chain", "awgn", "qam_quantize", "scramble"):
+        monkeypatch.setattr(link, name, unreachable)
+
+
+def test_stack_rejects_rows_of_unequal_length(default_setup, rng, no_link_work):
+    rows = _rows(default_setup, [24, 24, 25], rng)
+    with pytest.raises(FramingError, match="one length"):
+        emulated_link(rows, [10.0] * 3, [1, 2, 3], default_setup)
+
+
+def test_stack_rejects_an_empty_sequence(default_setup, no_link_work):
+    with pytest.raises(FramingError, match="at least one row"):
+        emulated_link([], [], [], default_setup)
+
+
+@pytest.mark.parametrize("snrs", [[10.0, 10.0], [10.0] * 4, 10.0], ids=["short", "long", "scalar"])
+def test_stack_rejects_an_snr_sequence_of_another_length(default_setup, rng, no_link_work, snrs):
+    rows = _rows(default_setup, [24] * 3, rng)
+    with pytest.raises(FramingError, match="SNRs"):
+        emulated_link(rows, snrs, [1, 2, 3], default_setup)
+
+
+@pytest.mark.parametrize("seeds", [[1, 2], [1, 2, 3, 4], 7], ids=["short", "long", "scalar"])
+def test_stack_rejects_a_seed_sequence_of_another_length(default_setup, rng, no_link_work, seeds):
+    rows = _rows(default_setup, [24] * 3, rng)
+    with pytest.raises(FramingError, match="seeds"):
+        emulated_link(rows, [10.0] * 3, seeds, default_setup)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf], ids=["nan", "-inf"])
+def test_stack_rejects_a_bad_snr_in_any_row(default_setup, rng, no_link_work, bad):
+    rows = _rows(default_setup, [24] * 3, rng)
+    with pytest.raises(ConfigError):
+        emulated_link(rows, [10.0, 10.0, bad], [1, 2, 3], default_setup)
+
+
+STACK_PAIRS = [(64, Fraction(3, 4)), (16, Fraction(1, 2)), (4, Fraction(2, 3)), (2, Fraction(5, 6))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pair=st.sampled_from(STACK_PAIRS),
+    rows=st.integers(1, 33),
+    count=st.integers(1, 300),
+    data=st.data(),
+)
+def test_stack_equals_one_reference_call_per_row(pair, rows, count, data):
+    # every row of a stack gets the bytes of its own one-row chain: its
+    # own scale, SNR, noise seed and state chain, and a partial last
+    # symbol where count is not a multiple of the chosen subcarriers
+    m, rate = pair
+    setup = EmulationSetup.build(PhyConfig(modulation_order=m, coding_rate=rate))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="draw seed"))
+    scales = data.draw(st.lists(st.floats(0.05, 4.0), min_size=rows, max_size=rows), label="scales")
+    snrs = data.draw(
+        st.lists(
+            st.one_of(st.just(math.inf), st.just(MIN_SNR_DB), st.floats(-10.0, 40.0)),
+            min_size=rows,
+            max_size=rows,
+        ),
+        label="snrs",
+    )
+    seeds = data.draw(
+        st.lists(st.tuples(st.booleans(), st.integers(0, 2**63 - 1)), min_size=rows, max_size=rows),
+        label="seeds (as Generator, value)",
+    )
+    targets = [
+        TargetSymbols(rng.normal(size=count) + 1j * rng.normal(size=count), scale)
+        for scale in scales
+    ]
+
+    def fresh(seed):
+        as_rng, value = seed
+        return np.random.default_rng(value) if as_rng else value
+
+    est, records = emulated_link(targets, snrs, [fresh(s) for s in seeds], setup)
+    assert est.shape == (rows, count) and len(records) == rows
+    outputs, cleans = output_waveforms(records), clean_waveforms(records)
+    refs = reference_waveform(targets, setup)
+    for r, (t, snr, seed, rec) in enumerate(zip(targets, snrs, seeds, records)):
+        want_est, plan, tx, rx = oracles.emulated_link_reference(t, snr, fresh(seed), setup)
+        assert est[r].tobytes() == want_est.tobytes()
+        assert rec.tx_frame.tobytes() == tx.tobytes()
+        assert rec.rx_frame.tobytes() == rx.tobytes()
+        assert rec.plan.bitstream.tobytes() == plan.bitstream.tobytes()
+        assert rec.plan.incoming_states.tobytes() == plan.incoming_states.tobytes()
+        assert rec.plan.quantized.tobytes() == plan.quantized.tobytes()
+        assert rec.plan.clip_count == plan.clip_count
+        assert rec.targets is t and rec.snr_db == snr
+        # the stacked waveforms are the records' own, and those re-frame
+        # the reference frames
+        assert outputs[r].tobytes() == rec.output_waveform.tobytes()
+        assert outputs[r].tobytes() == reframed(rx, plan, setup).tobytes()
+        assert cleans[r].tobytes() == reframed(tx, plan, setup).tobytes()
+        assert refs[r].tobytes() == reference_waveform(t, setup).tobytes()
+
+
+def test_stacked_plan_reports_totals_and_per_row_plans(default_setup, rng):
+    rows = [uniform_box_targets(50, default_setup.cfg, rng, margin=1.5) for _ in range(3)]
+    stack = sender_invert(rows, default_setup)
+    assert [p.clip_count for p in stack.plans] == [
+        sender_invert(t, default_setup).clip_count for t in rows
+    ]
+    assert stack.target_count == 150
+    assert stack.ofdm_symbols == 3 * stack.plans[0].ofdm_symbols
+    assert stack.clip_count == sum(p.clip_count for p in stack.plans) > 0
+    assert stack.bitstreams.shape == (3, stack.plans[0].bitstream.size)
+    with pytest.raises(FramingError):
+        sender_invert([rows[0], uniform_box_targets(49, default_setup.cfg, rng)], default_setup)
+    with pytest.raises(FramingError):
+        sender_invert([], default_setup)
+
+
+def test_stacked_hard_mode_equals_one_row_calls(default_setup, rng):
+    rows = _rows(default_setup, [40] * 3, rng)
+    est, records = emulated_link(rows, [math.inf, 8.0, 20.0], [4, 5, 6], default_setup, mode="hard")
+    for t, snr, seed, got, rec in zip(rows, [math.inf, 8.0, 20.0], [4, 5, 6], est, records):
+        want, one = emulated_link(t, snr, seed, default_setup, mode="hard")
+        assert got.tobytes() == want.tobytes()
+        assert rec.rx_frame.tobytes() == one.rx_frame.tobytes()

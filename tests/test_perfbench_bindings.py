@@ -98,3 +98,32 @@ def test_tracer_binds_to_setup_layers():
     names = {s[2] for s in tracer.spans}
     assert {"inversion.build_symbol_system", "inversion.certify_subset"} <= names
     assert [s for s in tracer.spans if "error" in (s[6] or {})] == []
+
+
+def test_tracer_counts_every_row_of_a_stacked_link(default_setup, tmp_path):
+    # the traced train replay checks that the sender's spans carried every
+    # target a pass sends; a stacked call must report the whole stack
+    rows, k = 5, 50
+    n_sym = -(-k // default_setup.n_chosen)
+    rng = np.random.default_rng(8)
+    symbols = rng.normal(size=(rows, k)) + 1j * rng.normal(size=(rows, k))
+    targets = [link.TargetSymbols.unit_power(s, default_setup.cfg) for s in symbols]
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer("stack")
+    tracer.install()
+    try:
+        link.emulated_link(targets, [15.0] * rows, list(range(rows)), default_setup)
+    finally:
+        tracer.uninstall()
+    table = tracer_module.SpanTable(tracer.spans, "stack")
+    inverts = table.named("link.sender_invert")
+    assert sum(s[6]["targets"] for s in inverts) == rows * k
+    assert sum(s[6]["ofdm_symbols"] for s in inverts) == rows * n_sym
+    assert sum(s[6]["ofdm_symbols"] for s in table.named("phy.tx_chain")) == rows * n_sym
+    (outer,) = table.named("link.emulated_link")
+    (receive,) = table.named("link.receiver_recover_soft")
+    assert "link.emulated_link" in table.ancestor_names(receive)
+    assert table.inside(receive, outer)
+    # the traced run writes every span's attributes as JSON
+    tracer.write_jsonl(tmp_path / "trace.jsonl")
+    assert len((tmp_path / "trace.jsonl").read_text().splitlines()) == len(tracer.spans)

@@ -283,6 +283,31 @@ def test_tx_chain_rejects_partial_symbols(rng):
     cfg = PhyConfig()
     with pytest.raises(FramingError):
         phy.tx_chain(rng.integers(0, 2, cfg.n_dbps + 1, dtype=np.uint8), cfg)
+    with pytest.raises(FramingError):
+        phy.tx_chain(rng.integers(0, 2, (3, cfg.n_dbps + 1), dtype=np.uint8), cfg)
+    with pytest.raises(FramingError):
+        phy.tx_chain(np.zeros((0, cfg.n_dbps), dtype=np.uint8), cfg)
+
+
+@pytest.mark.parametrize("m,rate", ALL_MODES)
+def test_tx_stack_equals_one_frame_calls(m, rate, rng):
+    # the scrambler, the encoder and the pilot polarity restart with every
+    # frame of a (frames, bits) stack; 130 symbols run past the 127-symbol
+    # period of the scrambler and the pilots
+    cfg = PhyConfig(modulation_order=m, coding_rate=rate)
+    for frames, n_sym in ((1, 1), (5, 3), (2, 130)):
+        bits = rng.integers(0, 2, (frames, n_sym * cfg.n_dbps), dtype=np.uint8)
+        grids = phy.tx_grids(bits, cfg)
+        frame = phy.tx_chain(bits, cfg)
+        assert grids.shape == (frames, n_sym, cfg.fft_size)
+        assert frame.samples.shape == (frames, n_sym * cfg.samples_per_ofdm)
+        assert frame.ofdm_symbol_count == frames * n_sym
+        scrambled = phy.scramble(bits, cfg.scrambler_seed)
+        for row, g, samples, s in zip(bits, grids, frame.samples, scrambled):
+            assert g.tobytes() == phy.tx_grids(row, cfg).tobytes()
+            assert g.tobytes() == oracles.tx_grids_reference(row, cfg).tobytes()
+            assert samples.tobytes() == phy.tx_chain(row, cfg).samples.tobytes()
+            assert s.tobytes() == phy.scramble(row, cfg.scrambler_seed).tobytes()
 
 
 def test_viterbi_matches_exhaustive_small(rng):

@@ -1,7 +1,11 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from ofdmemu.config import bin_to_logical
 from ofdmemu.sources import (
+    _blur3,
     gaussian_symbols,
     glyph_images,
     longest_chosen_run,
@@ -76,3 +80,16 @@ def test_glyph_images_deterministic():
     a = glyph_images(4, np.random.default_rng(9))
     b = glyph_images(4, np.random.default_rng(9))
     assert np.array_equal(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(count=st.integers(1, 24), seed=st.integers(0, 2**32 - 1), sparse=st.booleans())
+def test_blur_matches_per_image_convolutions(count, seed, sparse):
+    # one vectorized pass over the stack, byte for byte the two
+    # np.convolve passes per image, on stroke-like and on signed values
+    rng = np.random.default_rng(seed)
+    images = rng.uniform(0.55, 1.0, (count, 8, 8)) * (rng.uniform(size=(count, 8, 8)) < 0.3)
+    if not sparse:
+        images = rng.normal(size=(count, 8, 8))
+    want = np.stack([oracles.blur3_reference(img) for img in images])
+    assert _blur3(images).tobytes() == want.tobytes()
