@@ -72,10 +72,8 @@ def _training_inputs(args):
     from .training import TrainConfig
 
     sections, cfg = _load_config(args)
-    parsers = {
-        f.name: float if "float" in str(f.type) else int
-        for f in dataclasses.fields(TrainConfig)
-    }
+    # every [train] value is an int: the seed or a count
+    parsers = {f.name: int for f in dataclasses.fields(TrainConfig)}
     kwargs = section_values("train", sections.get("train", {}), parsers)
     if args.seed is not None:
         kwargs["master_seed"] = args.seed

@@ -82,6 +82,7 @@ MAX_WAVEFORMS = 100_000  # training waveforms or link records per stage
 MAX_OFDM_SYMBOLS = 10_000  # OFDM symbols per training waveform or record
 MAX_BATCH = 100_000  # batch sizes and link-refresh batches per cycle
 MAX_CYCLES = 1_000  # stage-3 refresh cycles
+MAX_CONFIG_BYTES = 2**20  # bytes per config file; real ones hold a few hundred
 # the lowest channel SNR, where the noise power is 10^30 times the signal's;
 # far lower, the noise variance 10^(-snr/10) overflows a float
 MIN_SNR_DB = -300.0
@@ -91,6 +92,20 @@ def check_count(name: str, count: int, limit: int) -> None:
     """Reject a workload count outside 1..limit."""
     if not 1 <= count <= limit:
         raise ConfigError(f"{name} must be in 1..{limit}, got {count}")
+
+
+def read_bounded(path: str | Path, limit: int) -> bytes:
+    """The bytes of a file, a ConfigError naming it if it has more than
+    ``limit``.  A regular file's size is checked before the read; a pipe
+    or device has none, so its read stops one byte past the limit.
+    OSError propagates, for the caller to name the kind of file."""
+    if (size := Path(path).stat().st_size) > limit:
+        raise ConfigError(f"{path} has {size} bytes; at most {limit} are allowed")
+    with Path(path).open("rb") as fh:
+        data = fh.read(limit + 1)
+    if len(data) > limit:
+        raise ConfigError(f"{path} has more than {limit} bytes")
+    return data
 
 
 def bin_to_logical(b: int) -> int:
@@ -281,10 +296,10 @@ def parse_config_file(path: str | Path) -> dict[str, dict[str, str]]:
     Keys before any header land in the "" section.  A header must name
     one of ``CONFIG_SECTIONS``, so a misspelled one cannot drop its keys.
     '#' and ';' start comments.  Returns {section: {key: value}} with
-    lower-cased keys.
+    lower-cased keys.  A file of more than ``MAX_CONFIG_BYTES`` is refused.
     """
     try:
-        text = Path(path).read_text()
+        text = read_bounded(path, MAX_CONFIG_BYTES).decode("utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except UnicodeDecodeError:

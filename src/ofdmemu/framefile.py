@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import read_bounded
 from .errors import ConfigError, FramingError
 
 FRAME_MAGIC = b"OFRM"
@@ -24,12 +25,6 @@ _FRAME_HEADER = struct.Struct("<4sIQ")
 MODEL_MAGIC = b"OMDL"
 MODEL_VERSION = 1
 _MODEL_HEADER = struct.Struct("<4sI16sQ")
-
-
-def frame_bytes(samples: np.ndarray) -> bytes:
-    """Serialize a complex sample vector to the flat frame format."""
-    samples = np.asarray(samples, dtype="<c16").ravel()
-    return _FRAME_HEADER.pack(FRAME_MAGIC, FRAME_VERSION, samples.size) + samples.tobytes()
 
 
 def _payload(blob: bytes, header: struct.Struct, magic: bytes, version: int, item_size: int):
@@ -57,36 +52,28 @@ def frame_from_bytes(blob: bytes) -> np.ndarray:
 
 
 def write_frame(path: str | Path, samples: np.ndarray) -> None:
-    """Write the bytes of :func:`frame_bytes` from the samples' own buffer:
-    a complex128 frame is not copied."""
+    """Write a complex sample vector in the flat frame format, the header
+    and then the samples' own buffer: a complex128 frame is not copied."""
     samples = np.asarray(samples, dtype="<c16").ravel()
     with Path(path).open("wb") as fh:
         fh.write(_FRAME_HEADER.pack(FRAME_MAGIC, FRAME_VERSION, samples.size))
         fh.write(samples.data)
 
 
-def read_input(path: str | Path, limit: int | None = None) -> bytes:
+def read_input(path: str | Path, limit: int) -> bytes:
     """The bytes of an input file: a FramingError if it cannot be read, a
-    ConfigError if it has more than ``limit`` bytes.  A file's size is
-    checked before the read; a pipe or device has none, so its read stops
-    one byte past the limit."""
+    ConfigError if it has more than ``limit`` bytes (see
+    :func:`~ofdmemu.config.read_bounded`)."""
     try:
-        if limit is not None and (size := Path(path).stat().st_size) > limit:
-            raise ConfigError(f"{path} has {size} bytes; at most {limit} are allowed")
-        with Path(path).open("rb") as fh:
-            data = fh.read(-1 if limit is None else limit + 1)
+        return read_bounded(path, limit)
     except OSError as exc:
         raise FramingError(f"cannot read {path}: {exc.strerror}") from None
-    if limit is not None and len(data) > limit:
-        raise ConfigError(f"{path} has more than {limit} bytes")
-    return data
 
 
-def read_frame(path: str | Path, max_samples: int | None = None) -> np.ndarray:
+def read_frame(path: str | Path, max_samples: int) -> np.ndarray:
     """A frame file's samples; more than ``max_samples`` is a ConfigError.
     A FramingError about the file's contents names the file."""
-    limit = None if max_samples is None else _FRAME_HEADER.size + 16 * max_samples
-    blob = read_input(path, limit)
+    blob = read_input(path, _FRAME_HEADER.size + 16 * max_samples)
     try:
         return frame_from_bytes(blob)
     except FramingError as exc:
@@ -103,8 +90,13 @@ def write_model(path: str | Path, model) -> None:
 
 def read_model_into(path: str | Path, model) -> None:
     """Load parameters, refusing on any fingerprint or size mismatch and
-    on a NaN or infinite parameter, with an error that names the file."""
-    blob = read_input(path)
+    on a NaN or infinite parameter, with an error that names the file.
+    The read stops one byte past the size ``model`` needs."""
+    try:
+        blob = read_input(path, _MODEL_HEADER.size + 8 * model.parameter_count())
+    except ConfigError as exc:
+        # too large for this model: a bad model file, like any other mismatch
+        raise FramingError(str(exc)) from None
     try:
         (fp, count), body = _payload(blob, _MODEL_HEADER, MODEL_MAGIC, MODEL_VERSION, 8)
     except FramingError as exc:

@@ -486,7 +486,8 @@ def extract_estimates(waveform: np.ndarray, plan, setup: EmulationSetup) -> np.n
 class LinkRecord:
     """One transmission through the emulated link.
 
-    The waveforms learning reads are derived on demand, so a caller pays
+    The waveforms learning reads are derived from a list of records by
+    :func:`output_waveforms` and :func:`clean_waveforms`, so a caller pays
     only for the ones it reads.
     """
 
@@ -501,24 +502,6 @@ class LinkRecord:
     def clip_rate(self) -> float:
         return self.plan.clip_rate
 
-    @property
-    def reference(self) -> np.ndarray:
-        """The ideal waveform the proxy maps from."""
-        return reference_waveform(self.targets, self.setup)
-
-    @property
-    def output_waveform(self) -> np.ndarray:
-        """The raw (unclipped) chosen-bin values of ``rx_frame`` re-framed
-        in user units, pilots and dummies silenced: what the compensator
-        and the proxy see."""
-        return output_waveforms([self])[0]
-
-    @property
-    def clean_waveform(self) -> np.ndarray:
-        """The same read of the noiseless ``tx_frame``, which separates
-        stochastic noise from the deterministic link distortion."""
-        return clean_waveforms([self])[0]
-
 
 def _reframe(frames: list[np.ndarray], plans: list[EmulationPlan], setup: EmulationSetup):
     """Each frame's raw chosen-bin values in its plan's user units,
@@ -529,14 +512,17 @@ def _reframe(frames: list[np.ndarray], plans: list[EmulationPlan], setup: Emulat
 
 
 def output_waveforms(records: list[LinkRecord]) -> np.ndarray:
-    """The records' ``output_waveform``s as one (rows, samples) stack,
-    in one demodulate and one modulate.  The records share a setup and
-    a length."""
+    """The raw (unclipped) chosen-bin values of each record's ``rx_frame``
+    re-framed in user units, pilots and dummies silenced: what the
+    compensator and the proxy see.  One (rows, samples) stack, from one
+    demodulate and one modulate; the records share a setup and a length."""
     return _reframe([r.rx_frame for r in records], [r.plan for r in records], records[0].setup)
 
 
 def clean_waveforms(records: list[LinkRecord]) -> np.ndarray:
-    """The records' ``clean_waveform``s, stacked as :func:`output_waveforms`."""
+    """The same read of each record's noiseless ``tx_frame``, which
+    separates stochastic noise from the deterministic link distortion,
+    stacked as :func:`output_waveforms`."""
     return _reframe([r.tx_frame for r in records], [r.plan for r in records], records[0].setup)
 
 

@@ -1,3 +1,5 @@
+import os
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -69,3 +71,40 @@ def corrupted_symbol_map(monkeypatch):
 def rng():
     # function-scoped so consumption in one test cannot affect another
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def fed_fifo(tmp_path):
+    """``feed(path, size)`` makes a FIFO at ``path`` and a thread that
+    offers it ``size`` zero bytes, 64 KiB per write, until the reader
+    closes it.  It returns ``taken()``, which waits for the thread and
+    gives the bytes the pipe took: at most what the reader read plus the
+    pipe's buffer."""
+    threads = []
+
+    def feed(path, size):
+        os.mkfifo(path)
+        counts = []
+
+        def write():
+            try:
+                with open(path, "wb", buffering=0) as fh:
+                    for lo in range(0, size, 2**16):
+                        counts.append(fh.write(bytes(min(2**16, size - lo))))
+            except BrokenPipeError:
+                pass
+
+        thread = threading.Thread(target=write, daemon=True)
+        thread.start()
+        threads.append(thread)
+
+        def taken():
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            return sum(counts)
+
+        return taken
+
+    yield feed
+    for thread in threads:
+        thread.join(timeout=10)

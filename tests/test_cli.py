@@ -16,11 +16,16 @@ from hypothesis import strategies as st
 import ofdmemu
 from ofdmemu import harness
 from ofdmemu.cli import main
-from ofdmemu.config import MAX_FRAME_SAMPLES, MAX_SYMBOLS, PhyConfig, parse_config_file
+from ofdmemu.config import (
+    MAX_CONFIG_BYTES,
+    MAX_FRAME_SAMPLES,
+    MAX_SYMBOLS,
+    PhyConfig,
+    parse_config_file,
+)
 from ofdmemu.framefile import (
     FRAME_MAGIC,
     FRAME_VERSION,
-    frame_bytes,
     read_frame,
     write_frame,
     write_model,
@@ -109,7 +114,7 @@ def test_emulate_generated_targets(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "symbol mse" in out
-    assert read_frame(tmp_path / "estimates.bin").size == 50
+    assert read_frame(tmp_path / "estimates.bin", MAX_SYMBOLS).size == 50
     assert (tmp_path / "tx_waveform.bin").exists()
 
 
@@ -128,7 +133,7 @@ def test_emulate_target_file(tmp_path, capsys, rng):
         ]
     )
     assert rc == 0
-    assert read_frame(tmp_path / "o" / "estimates.bin").size == 30
+    assert read_frame(tmp_path / "o" / "estimates.bin", MAX_SYMBOLS).size == 30
 
 
 def test_sweep_writes_outputs(tmp_path, capsys):
@@ -341,6 +346,32 @@ def test_tx_pipe_past_the_bound_exits_2(tmp_path, capsys):
     assert f"more than {limit} bytes" in capsys.readouterr().err
 
 
+def test_model_pipe_read_stops_past_the_model_exits_1(tmp_path, capsys, fed_fifo):
+    # a model file that keeps writing used to be read until memory ran out
+    (tmp_path / "models").mkdir()
+    path = tmp_path / "models" / "zero_shot.model"
+    taken = fed_fifo(path, 2**20)
+    limit = 32 + 8 * ToyJsccModel(np.random.default_rng(0)).parameter_count()
+    argv = ["sweep", "--systems", "zero_shot", "--models", str(tmp_path / "models")]
+    rc = main(argv + ["--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert f"{path} has more than {limit} bytes" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # the reader closed the pipe one byte past the bound: the rest of the
+    # megabyte had nowhere to go
+    assert taken() < 2**20
+
+
+def test_config_pipe_past_the_bound_exits_2(tmp_path, capsys, fed_fifo):
+    path = tmp_path / "pipe.cfg"
+    taken = fed_fifo(path, 4 * MAX_CONFIG_BYTES)
+    rc = main(["selftest", "--quick", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"{path} has more than {MAX_CONFIG_BYTES} bytes" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert taken() < 4 * MAX_CONFIG_BYTES
+
+
 def test_emulate_zero_targets_warns_nothing(tmp_path, capsys):
     write_frame(tmp_path / "zeros.bin", np.zeros(5, dtype=complex))
     with warnings.catch_warnings():
@@ -448,6 +479,13 @@ def test_bad_phy_value_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+# the [train] settings that are constants, each with its value
+_TRAIN_CONSTANTS = [
+    ("step_comp", "0.1"), ("step_proxy", "0.05"), ("step_jscc", "0.05"), ("momentum", "0.9"),
+    ("gamma", "0.5"), ("tolerance", "1e-3"), ("stage1_snr_db", "inf"), ("stage2_snr_db", "15"),
+]
+
+
 @pytest.mark.parametrize(
     "command,text,message",
     [
@@ -479,12 +517,17 @@ def test_bad_phy_value_exits_2(tmp_path, capsys):
         # at the encoder input, so the seed never reached an emulated waveform
         (["emulate", "--symbols", "10"], "[phy]\nscrambler_seed = 93\n",
          "unknown [phy] key 'scrambler_seed'"),
-        # a negative step climbs the loss, yet it used to train and save the model
+        # the step sizes, momentum, gamma, tolerance and stage SNRs are
+        # constants; a negative step used to train and save the model
         (
             ["train-comp"],
             "[train]\nstep_comp = -0.5\nstage1_epochs = 2\nstage1_waveforms = 4\n"
             "stage1_val_waveforms = 2\nbatch_size = 2\n",
-            "step_comp must be finite and above 0",
+            "unknown [train] key 'step_comp'",
+        ),
+        *(
+            (["train-comp"], f"[train]\n{key} = {value}\n", f"unknown [train] key '{key}'")
+            for key, value in _TRAIN_CONSTANTS[1:]
         ),
         # stage 2 holds a quarter of its records out; too few used to fail
         # with exit 1, train-e2e only after stage 1 had trained
@@ -513,7 +556,8 @@ def test_bad_phy_value_exits_2(tmp_path, capsys):
     ],
     ids=[
         "fft_size", "cp_len", "subcarrier_map", "data_subcarriers", "pilot_subcarriers",
-        "pilot_base", "scrambler_seed", "step_comp", "stage2_records-train-proxy",
+        "pilot_base", "scrambler_seed", *(key for key, _ in _TRAIN_CONSTANTS),
+        "stage2_records-train-proxy",
         "stage2_records-train-e2e", "systems-repeated", "systems-repeated-flag",
         "systems-empty-flag",
     ],
@@ -534,7 +578,7 @@ def assert_manifest_records_config(out):
     keys = {line.split("=", 1)[0] for line in lines}
     assert {f"train_{f.name}" for f in dataclasses.fields(TrainConfig)} <= keys
     for line in ("master_seed=3", "train_master_seed=3", "train_stage1_epochs=2",
-                 "train_stage2_snr_db=15.0", f"phy_fingerprint={PhyConfig().fingerprint()}"):
+                 f"phy_fingerprint={PhyConfig().fingerprint()}"):
         assert line in lines
 
 
@@ -648,7 +692,7 @@ _CONFIG_TEXTS = {
     "train_key.cfg": TINIER_TRAIN + "warp_speed = 9\n",
     "train_negative.cfg": TINIER_TRAIN + "stage1_epochs = -1\n",
     "train_huge.cfg": TINIER_TRAIN + "stage3_images = 10000000000\n",
-    "train_nan.cfg": TINIER_TRAIN + "gamma = nan\n",
+    "train_nan.cfg": TINIER_TRAIN + "stage2_epochs = nan\n",
 }
 # names of undecodable bytes, as argv carries them on POSIX
 _NON_UTF8 = os.fsdecode(b"\xff\xfe")
@@ -707,7 +751,7 @@ def cli_files(tmp_path_factory):
     files["nan_frame"] = root / "nan_frame.bin"
     write_frame(files["nan_frame"], samples)
     files["header_only"] = root / "header_only.bin"
-    files["header_only"].write_bytes(frame_bytes(np.zeros(0)))
+    write_frame(files["header_only"], np.zeros(0))
     files["targets"] = root / "targets.bin"
     write_frame(files["targets"], rng.normal(size=5) + 1j * rng.normal(size=5))
     files["dir"] = root / "dir"

@@ -1,12 +1,14 @@
 import time
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ofdmemu.config import (
+    MAX_CONFIG_BYTES,
     PhyConfig,
     bin_to_logical,
     parse_config_file,
@@ -149,6 +151,22 @@ def test_config_file_sections_and_errors(tmp_path):
     bad.write_text("[phy]\nfft_size = 64\n[phyy]  # typo\nmodulation = qpsk\n")
     with pytest.raises(ConfigError, match=r"bad.cfg:3: unknown section '\[phyy\]'"):
         parse_config_file(bad)
+
+
+def test_config_file_past_the_bound_refused_before_reading(tmp_path, monkeypatch):
+    big = tmp_path / "big.cfg"
+    with big.open("wb") as fh:
+        fh.truncate(MAX_CONFIG_BYTES + 1)  # sparse: no block is written
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the file was opened")
+
+    monkeypatch.setattr(Path, "open", unreachable)
+    with pytest.raises(ConfigError) as info:
+        parse_config_file(big)
+    assert str(info.value) == (
+        f"{big} has {MAX_CONFIG_BYTES + 1} bytes; at most {MAX_CONFIG_BYTES} are allowed"
+    )
 
 
 def test_fingerprint_tracks_fields():

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -6,9 +8,9 @@ from hypothesis import strategies as st
 from ofdmemu.errors import FramingError
 from ofdmemu.framefile import (
     FRAME_MAGIC,
+    FRAME_VERSION,
     MODEL_MAGIC,
     MODEL_VERSION,
-    frame_bytes,
     frame_from_bytes,
     read_frame,
     read_model_into,
@@ -20,9 +22,16 @@ from ofdmemu.framefile import (
 from ofdmemu.nn.layers import Dense
 
 
+def frame_blob(samples) -> bytes:
+    """The frame format's bytes, built here apart from ``write_frame``:
+    magic, version and sample count, then little-endian I/Q pairs."""
+    samples = np.asarray(samples, dtype="<c16")
+    return struct.pack("<4sIQ", FRAME_MAGIC, FRAME_VERSION, samples.size) + samples.tobytes()
+
+
 def test_frame_roundtrip_bytes(rng):
     z = rng.normal(size=50) + 1j * rng.normal(size=50)
-    blob = frame_bytes(z)
+    blob = frame_blob(z)
     assert blob.startswith(FRAME_MAGIC)
     assert np.array_equal(frame_from_bytes(blob), z)
 
@@ -31,12 +40,13 @@ def test_frame_roundtrip_file(tmp_path, rng):
     z = rng.normal(size=17) + 1j * rng.normal(size=17)
     p = tmp_path / "wave.bin"
     write_frame(p, z)
-    assert np.array_equal(read_frame(p), z)
+    assert p.read_bytes() == frame_blob(z)
+    assert np.array_equal(read_frame(p, 17), z)
 
 
 def test_frame_corruption_detected(rng):
     z = rng.normal(size=5) + 1j * rng.normal(size=5)
-    blob = frame_bytes(z)
+    blob = frame_blob(z)
     with pytest.raises(FramingError):
         frame_from_bytes(b"XXXX" + blob[4:])
     with pytest.raises(FramingError):
@@ -113,7 +123,7 @@ def corrupted(blob: bytes, prefix: bytes = b""):
     )
 
 
-FRAME_BLOB = frame_bytes(np.arange(4) * (1 + 2j))
+FRAME_BLOB = frame_blob(np.arange(4) * (1 + 2j))
 
 
 @READER_PROPERTY

@@ -320,9 +320,8 @@ def assert_record_derives(rec, targets, snr_db, seed, setup):
     assert rec.clip_rate == plan.clip_rate
     assert rec.tx_frame.tobytes() == tx_chain(plan.bitstream, setup.cfg).samples.tobytes()
     assert rec.rx_frame.tobytes() == awgn(rec.tx_frame, snr_db, seed).tobytes()
-    assert rec.reference.tobytes() == reference_waveform(targets, setup).tobytes()
-    assert rec.clean_waveform.tobytes() == reframed(rec.tx_frame, plan, setup).tobytes()
-    assert rec.output_waveform.tobytes() == reframed(rec.rx_frame, plan, setup).tobytes()
+    assert clean_waveforms([rec])[0].tobytes() == reframed(rec.tx_frame, plan, setup).tobytes()
+    assert output_waveforms([rec])[0].tobytes() == reframed(rec.rx_frame, plan, setup).tobytes()
 
 
 def test_emulated_link_soft_record(default_setup, rng):
@@ -481,9 +480,9 @@ def test_stack_equals_one_reference_call_per_row(pair, rows, count, data):
         assert rec.plan.quantized.tobytes() == plan.quantized.tobytes()
         assert rec.plan.clip_count == plan.clip_count
         assert rec.targets is t and rec.snr_db == snr
-        # the stacked waveforms are the records' own, and those re-frame
-        # the reference frames
-        assert outputs[r].tobytes() == rec.output_waveform.tobytes()
+        # the stacked waveforms are the one-row stacks of each record, and
+        # those re-frame the reference frames
+        assert outputs[r].tobytes() == output_waveforms([rec])[0].tobytes()
         assert outputs[r].tobytes() == reframed(rx, plan, setup).tobytes()
         assert cleans[r].tobytes() == reframed(tx, plan, setup).tobytes()
         assert refs[r].tobytes() == reference_waveform(t, setup).tobytes()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,14 @@ import oracles
 from ofdmemu import training
 from ofdmemu.config import PhyConfig
 from ofdmemu.errors import ConfigError, TrainingError
-from ofdmemu.link import EmulationSetup, TargetSymbols, _chosen_values, reference_waveform
+from ofdmemu.link import (
+    EmulationSetup,
+    TargetSymbols,
+    _chosen_values,
+    clean_waveforms,
+    output_waveforms,
+    reference_waveform,
+)
 from ofdmemu.nn import Tensor, autodiff, layers
 from ofdmemu.nn.models import (
     CompensatorModel,
@@ -58,13 +66,7 @@ def quick_cfg(**overrides):
 
 def test_train_config_validation():
     with pytest.raises(ConfigError):
-        TrainConfig(gamma=-0.1)
-    with pytest.raises(ConfigError):
-        TrainConfig(gamma=1.5)
-    with pytest.raises(ConfigError):
         TrainConfig(stage1_epochs=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(tolerance=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(master_seed=-1)
     # a 10^12-record stage is refused at construction, before any draw
@@ -77,22 +79,16 @@ def test_train_config_validation():
     with pytest.raises(ConfigError, match="stage2_records must be at least 8"):
         TrainConfig(stage2_records=7)
     TrainConfig(stage2_records=8)
-    # an SNR this low would overflow the stage's noise variance
-    for key in ("stage1_snr_db", "stage2_snr_db"):
-        with pytest.raises(ConfigError, match="snr_db must be at least"):
-            TrainConfig(**{key: -1e308})
-    # a step size that is not finite and above 0, a momentum outside [0, 1)
-    # or a NaN tolerance would train to nonsense, or fail only after training
-    for key, value in [
-        *((k, v) for k in ("step_comp", "step_proxy", "step_jscc", "tolerance")
-          for v in (-0.5, 0.0, math.nan, math.inf)),
-        ("momentum", -0.1), ("momentum", 1.0), ("momentum", math.nan),
-    ]:
-        with pytest.raises(ConfigError, match=key):
-            TrainConfig(**{key: value})
-    TrainConfig(gamma=0.0)
-    TrainConfig(gamma=1.0)
-    TrainConfig(momentum=0.0)
+
+
+def test_train_config_holds_the_seed_and_the_counts():
+    # the step sizes, momentum, gamma, tolerance and stage SNRs are
+    # constants that every run shares, readable on an instance
+    assert [f.name for f in fields(TrainConfig)] == ["master_seed", *training._COUNT_LIMITS]
+    cfg = TrainConfig()
+    assert (cfg.step_comp, cfg.step_proxy, cfg.step_jscc, cfg.momentum) == (0.1, 0.05, 0.05, 0.9)
+    assert (cfg.gamma, cfg.tolerance) == (0.5, 1e-3)
+    assert (cfg.stage1_snr_db, cfg.stage2_snr_db) == (math.inf, 15.0)
 
 
 def test_child_rng_deterministic():
@@ -117,10 +113,10 @@ def test_collect_link_records(default_setup):
         default_setup, 4, 15.0, cfg.child_rng(0), n_ofdm=2
     )
     assert len(recs) == 4
-    for r in recs:
-        assert r.snr_db == 15.0
-        assert r.reference.size == 2 * default_setup.cfg.samples_per_ofdm
-        assert r.clean_waveform.shape == r.output_waveform.shape == r.reference.shape
+    assert all(r.snr_db == 15.0 for r in recs)
+    refs = reference_waveform([r.targets for r in recs], default_setup)
+    assert refs.shape == (4, 2 * default_setup.cfg.samples_per_ofdm)
+    assert clean_waveforms(recs).shape == output_waveforms(recs).shape == refs.shape
 
 
 def synthetic_pairs(monkeypatch, xs, ys):
@@ -231,14 +227,9 @@ def test_stage3_phase_a_forms_no_proxy_gradients(default_setup, monkeypatch):
 def test_non_finite_loss_raises_with_trace(stage, default_setup, monkeypatch):
     # one batch per epoch and a huge step: the first epoch's loss is
     # finite, its step overflows the weights, and the next loss is not
-    cfg = quick_cfg(
-        batch_size=8,
-        image_batch_size=16,
-        stage3_phase_a_epochs=3,
-        step_comp=1e200,
-        step_proxy=1e200,
-        step_jscc=1e200,
-    )
+    cfg = quick_cfg(batch_size=8, image_batch_size=16, stage3_phase_a_epochs=3)
+    for step in ("step_comp", "step_proxy", "step_jscc"):
+        monkeypatch.setattr(TrainConfig, step, 1e200)
     ys = np.random.default_rng(1).normal(size=(8, 160, 2)) * 0.3
     synthetic_pairs(monkeypatch, 0.7 * ys, ys)
     stage3_models = small_stage3_models(cfg, default_setup)
