@@ -202,9 +202,9 @@ def cmd_sweep(args) -> int:
 
 def _save_training(args, tc, cfg: PhyConfig, models: dict, traces: dict) -> Path:
     """Models, loss traces (``<stage>_trace.csv``) and a manifest of the
-    master seed, the PHY fingerprint and every ``[train]`` value."""
+    PHY fingerprint and every ``[train]`` value, the master seed among them."""
     out = _out_dir(args)
-    manifest = {"master_seed": tc.master_seed, "phy_fingerprint": cfg.fingerprint()}
+    manifest = {"phy_fingerprint": cfg.fingerprint()}
     for f in dataclasses.fields(tc):
         manifest[f"train_{f.name}"] = getattr(tc, f.name)
     save_checkpoint(out, models, manifest)

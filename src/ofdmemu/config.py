@@ -83,6 +83,7 @@ MAX_OFDM_SYMBOLS = 10_000  # OFDM symbols per training waveform or record
 MAX_BATCH = 100_000  # batch sizes and link-refresh batches per cycle
 MAX_CYCLES = 1_000  # stage-3 refresh cycles
 MAX_CONFIG_BYTES = 2**20  # bytes per config file; real ones hold a few hundred
+MAX_QUOTE_CHARS = 60  # characters of config text an error message quotes
 # the lowest channel SNR, where the noise power is 10^30 times the signal's;
 # far lower, the noise variance 10^(-snr/10) overflows a float
 MIN_SNR_DB = -300.0
@@ -92,6 +93,14 @@ def check_count(name: str, count: int, limit: int) -> None:
     """Reject a workload count outside 1..limit."""
     if not 1 <= count <= limit:
         raise ConfigError(f"{name} must be in 1..{limit}, got {count}")
+
+
+def _quote(text) -> str:
+    """The repr of config text for an error message, cut to its first
+    ``MAX_QUOTE_CHARS`` characters with its full length stated."""
+    text = str(text)
+    cut = f"... ({len(text)} characters)" if len(text) > MAX_QUOTE_CHARS else ""
+    return f"{text[:MAX_QUOTE_CHARS]!r}{cut}"
 
 
 def read_bounded(path: str | Path, limit: int) -> bytes:
@@ -234,24 +243,22 @@ def section_values(section: str, values: dict[str, str], parsers: dict) -> dict:
     parsed = {}
     for key, raw in values.items():
         if key not in parsers:
-            raise ConfigError(f"unknown [{section}] key {key!r}")
+            raise ConfigError(f"unknown [{section}] key {_quote(key)}")
         try:
             parsed[key] = parsers[key](raw)
         except ValueError:
-            raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from None
+            raise ConfigError(f"bad value for [{section}] {key}: {_quote(raw)}") from None
     return parsed
 
 
 def parse_modulation(text: str) -> int:
     t = str(text).strip().lower()
-    if t in MODULATION_NAMES:
-        return MODULATION_NAMES[t]
     try:
-        m = int(t)
+        m = MODULATION_NAMES[t] if t in MODULATION_NAMES else int(t)
     except ValueError:
-        raise ConfigError(f"unknown modulation {text!r}") from None
+        m = None
     if m not in SUPPORTED_MODULATIONS:
-        raise ConfigError(f"unknown modulation {text!r}")
+        raise ConfigError(f"unknown modulation {_quote(text)}")
     return m
 
 
@@ -269,13 +276,11 @@ def parse_rate(text: str) -> Fraction:
     s = str(text).strip()
     try:
         exp = _RATE_EXPONENT.search(s)
-        if exp and abs(int(exp[1])) > len(s):
-            raise ConfigError(f"unsupported coding rate {text!r}")
-        r = Fraction(s)
+        r = None if exp and abs(int(exp[1])) > len(s) else Fraction(s)
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"bad coding rate {text!r}") from None
+        raise ConfigError(f"bad coding rate {_quote(text)}") from None
     if r not in PUNCTURE_PATTERNS:
-        raise ConfigError(f"unsupported coding rate {text!r}")
+        raise ConfigError(f"unsupported coding rate {_quote(text)}")
     return r
 
 
@@ -314,13 +319,13 @@ def parse_config_file(path: str | Path) -> dict[str, dict[str, str]]:
             current = line[1:-1].strip().lower()
             if current not in CONFIG_SECTIONS:
                 raise ConfigError(
-                    f"{path}:{lineno}: unknown section {line!r}; "
+                    f"{path}:{lineno}: unknown section {_quote(line)}; "
                     f"valid: {', '.join(CONFIG_SECTIONS)}"
                 )
             sections.setdefault(current, {})
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {_quote(raw)}")
         key, _, value = line.partition("=")
         sections[current][key.strip().lower()] = value.strip()
     return sections

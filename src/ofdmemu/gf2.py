@@ -68,7 +68,7 @@ class Unsolvable:
     index: int = 0
 
 
-# targets per solve_many product: bounds its temporaries at about 2 MB
+# targets per solve_many product: bounds its temporaries at about 1 MB
 # for the PHY's systems, whatever the batch size
 _CHUNK = 1024
 
@@ -92,18 +92,18 @@ class Gf2Solver:
         self.rank = int(self.pivot_cols.size)
         self._transform = t = _unpack(tr, self.rows)
         # target bit j maps to row j of [S^T | T's rows past the rank]
-        groups = 2 * ((self.rows + 7) // 8)  # 4-bit groups of the packed target
-        maps = np.zeros((4 * groups, self.cols + self.rows - self.rank), dtype=np.uint8)
+        groups = (self.rows + 7) // 8  # bytes of the packed target
+        maps = np.zeros((8 * groups, self.cols + self.rows - self.rank), dtype=np.uint8)
         maps[: self.rows, self.pivot_cols] = t[: self.rank].T
         maps[: self.rows, self.cols :] = t[self.rank :].T
-        # Method of Four Russians: _table[16g + v] is the XOR of the map
-        # rows that the set bits of value v in target bits 4g..4g+3 select
-        per_group = _pack(maps).reshape(groups, 4, -1)
-        table = np.zeros((groups, 16, per_group.shape[2]), dtype=np.uint64)
-        for b in range(4):
+        # Method of Four Russians: _table[256g + v] is the XOR of the map
+        # rows that the set bits of value v in target bits 8g..8g+7 select
+        per_group = _pack(maps).reshape(groups, 8, -1)
+        table = np.zeros((groups, 256, per_group.shape[2]), dtype=np.uint64)
+        for b in range(8):
             table[:, 1 << b : 2 << b] = table[:, : 1 << b] ^ per_group[:, b, None]
-        self._table = table.reshape(16 * groups, -1)
-        self._group_base = (np.arange(groups) * 16)[:, None]
+        self._table = table.reshape(256 * groups, -1)
+        self._group_base = (np.arange(groups) * 256)[:, None]
 
     def solve(self, target: np.ndarray) -> np.ndarray | Unsolvable:
         """One target: ``solve_many`` on a one-row batch."""
@@ -115,7 +115,7 @@ class Gf2Solver:
 
         Returns the (n, cols) uint8 solutions, or the ``Unsolvable`` of
         the first target that has none.  Each target's product is the
-        XOR of one table row per 4 target bits, exact at any size.  (A
+        XOR of one table row per target byte, exact at any size.  (A
         float32 BLAS product is exact too while its sums of at most
         ``rows`` ones stay below 2^24, which holds for the PHY's systems
         of at most 288 rows; it ran slower, and its pack buffers raised
@@ -127,10 +127,7 @@ class Gf2Solver:
         out = np.empty((targets.shape[0], self.cols), dtype=np.uint8)
         for lo in range(0, targets.shape[0], _CHUNK):
             packed = np.packbits(targets[lo : lo + _CHUNK] & 1, axis=1, bitorder="little").T
-            index = np.empty((2 * packed.shape[0], packed.shape[1]), dtype=np.intp)
-            index[0::2] = packed & 15
-            index[1::2] = packed >> 4
-            index += self._group_base
+            index = packed + self._group_base
             words = np.bitwise_xor.reduce(np.take(self._table, index, axis=0), axis=0)
             bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
             bad = bits[:, self.cols : self.cols + self.rows - self.rank]

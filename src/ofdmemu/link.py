@@ -196,6 +196,15 @@ class PlanStack:
     clip_count: int
 
 
+def _one_row(targets, snr_db=None, seed=None) -> tuple:
+    """(bare, rows, snr_db, seed): a bare TargetSymbols, with its scalar
+    SNR and seed, as a one-row stack; any other targets as the checked
+    rows of a stack, with the SNRs and seeds as given."""
+    if isinstance(targets, TargetSymbols):
+        return True, [targets], [snr_db], [seed]
+    return False, _target_rows(targets), snr_db, seed
+
+
 def _target_rows(targets) -> list[TargetSymbols]:
     """A target stack as a list of rows.  FramingError unless it holds
     at least one row, every row is a TargetSymbols, and all have one
@@ -216,36 +225,19 @@ def _target_rows(targets) -> list[TargetSymbols]:
 def sender_invert(targets, setup: EmulationSetup) -> EmulationPlan | PlanStack:
     """Choose constellation points for the targets and solve for info bits.
 
-    Targets pack row-major onto the chosen subcarriers (sorted by
-    logical index) of consecutive OFDM symbols; a partial last symbol is
-    padded with zero-valued targets.  Each solved block fixes the
-    encoder state entering the next symbol, but the solve is linear in
-    its target, so all symbols' labels solve in one batch and only the
-    state chain runs symbol by symbol.
-
-    A sequence of equal-length TargetSymbols is a stack: every row is
-    its own frame, with its own scale and its state chain from 0, all
-    rows quantize and solve together, and the result is a
-    :class:`PlanStack`.  An empty stack or rows of unequal length raise
-    FramingError.
+    Targets are a stack, a sequence of equal-length TargetSymbols: every
+    row is its own frame, with its own scale and its state chain from 0,
+    and all rows quantize and solve together.  Targets pack row-major
+    onto the chosen subcarriers (sorted by logical index) of consecutive
+    OFDM symbols; a partial last symbol is padded with zero-valued
+    targets.  Each solved block fixes the encoder state entering the
+    next symbol, but the solve is linear in its target, so all symbols'
+    labels solve in one batch and only the state chain runs symbol by
+    symbol.  Returns a :class:`PlanStack`; an empty stack or rows of
+    unequal length raise FramingError.  A bare TargetSymbols is sent as
+    a stack of one, and the call returns that row's plan.
     """
-    if isinstance(targets, TargetSymbols):
-        return _invert([targets], setup)[0][0]
-    rows = _target_rows(targets)
-    plans, bitstreams = _invert(rows, setup)
-    return PlanStack(
-        plans,
-        bitstreams,
-        target_count=len(rows) * rows[0].count,
-        ofdm_symbols=len(rows) * plans[0].ofdm_symbols,
-        clip_count=sum(p.clip_count for p in plans),
-    )
-
-
-def _invert(
-    rows: list[TargetSymbols], setup: EmulationSetup
-) -> tuple[list[EmulationPlan], np.ndarray]:
-    """The plan of each row, and their bitstreams as one (rows, bits) array."""
+    bare, rows, _, _ = _one_row(targets)
     cfg = setup.cfg
     n_rows, k = len(rows), rows[0].count
     nch = setup.n_chosen
@@ -282,22 +274,22 @@ def _invert(
     # EmulationPlan's fields in order: scale, target_count, ofdm_symbols,
     # quantized, bitstream, incoming_states, clip_count
     plans = [EmulationPlan(float(t.scale), k, n_sym, q, b, s, c) for t, q, b, s, c in per_row]
-    return plans, bitstreams
+    if bare:
+        return plans[0]
+    return PlanStack(plans, bitstreams, n_rows * k, n_rows * n_sym, sum(over))
 
 
 def reference_waveform(targets, setup: EmulationSetup) -> np.ndarray:
-    """The ideal user-domain waveform: continuous targets on the chosen
-    bins, everything else (pilots, dummies, nulls) silent.  A sequence
-    of equal-length TargetSymbols gives a (rows, samples) stack."""
-    one = isinstance(targets, TargetSymbols)
-    rows = [targets] if one else _target_rows(targets)
+    """The ideal user-domain waveforms of a stack of equal-length
+    TargetSymbols, as (rows, samples): continuous targets on the chosen
+    bins, everything else (pilots, dummies, nulls) silent."""
+    rows = _target_rows(targets)
     k = rows[0].count
     nch = setup.n_chosen
     vals = np.zeros((len(rows), -(-k // nch) * nch), dtype=np.complex128)
     for row, t in zip(vals, rows):
         row[:k] = t.symbols
-    waves = waveform_from_values(vals, setup).reshape(len(rows), -1)
-    return waves[0] if one else waves
+    return waveform_from_values(vals, setup).reshape(len(rows), -1)
 
 
 def waveform_from_values(values: np.ndarray, setup: EmulationSetup) -> np.ndarray:
@@ -314,7 +306,7 @@ def waveform_from_values(values: np.ndarray, setup: EmulationSetup) -> np.ndarra
 def _chosen_values(waveform: np.ndarray, setup: EmulationSetup) -> np.ndarray:
     """Chosen-bin values of a waveform, row-major over OFDM symbols."""
     grids = demodulate_frame(np.asarray(waveform, dtype=np.complex128).ravel(), setup.cfg)
-    return grids[:, setup.chosen_bins].reshape(-1)
+    return grids.take(setup.chosen_bins, axis=1).reshape(-1)
 
 
 def targets_from_waveform(waveform: np.ndarray, setup: EmulationSetup) -> TargetSymbols:
@@ -387,8 +379,11 @@ def _add_noise(
         return x.copy()
     noise = axis_noise(np.random.default_rng(seed), power * base, (x.size, 2))
     # the (n, 2) draw read as n complex values: the draws are never -0.0,
-    # so this adds what x + noise[:, 0] + 1j * noise[:, 1] adds
-    return x + noise.view(np.complex128).ravel()
+    # so this adds what x + noise[:, 0] + 1j * noise[:, 1] adds, and the
+    # sum is made in the draw's own buffer
+    out = noise.view(np.complex128).reshape(x.shape)
+    out += x
+    return out
 
 
 def awgn(samples: np.ndarray, snr_db: float, seed: int | np.random.Generator) -> np.ndarray:
@@ -414,6 +409,23 @@ def _clip_to_box(values: np.ndarray, cfg: PhyConfig, scale: float) -> np.ndarray
     )
 
 
+def _plan_rows(plans) -> tuple[list[EmulationPlan], float | np.ndarray]:
+    """A sequence of plans, one per row of a frame stack, as a list, with
+    their scale: one float where all rows share it, else a (rows, 1)
+    column.  FramingError unless there is a plan and all share a target
+    count and an OFDM symbol count."""
+    plans = list(plans)
+    shapes, scales = set(), set()
+    for p in plans:
+        shapes.add((p.target_count, p.ofdm_symbols))
+        scales.add(p.scale)
+    if len(shapes) != 1:
+        raise FramingError(
+            f"a plan stack needs plans of one (target, OFDM symbol) count, got {sorted(shapes)}"
+        )
+    return plans, scales.pop() if len(scales) == 1 else np.array([[p.scale] for p in plans])
+
+
 def _row_values(samples: np.ndarray, plans: list[EmulationPlan], setup: EmulationSetup):
     """The chosen-bin values of one frame per plan, as (rows, k) targets'
     worth; FramingError unless the frames hold the plans' OFDM symbols."""
@@ -425,18 +437,7 @@ def _row_values(samples: np.ndarray, plans: list[EmulationPlan], setup: Emulatio
     return vals.reshape(len(plans), -1)[:, : plans[0].target_count]
 
 
-def _plan_rows(plan) -> tuple[list[EmulationPlan], float | np.ndarray]:
-    """One plan, or a sequence of plans, one per row of a frame stack,
-    as a list, with their scale: one float where all rows share it,
-    else a (rows, 1) column."""
-    if isinstance(plan, EmulationPlan):
-        return [plan], plan.scale
-    plans = list(plan)
-    scales = {p.scale for p in plans}
-    return plans, scales.pop() if len(scales) == 1 else np.array([[p.scale] for p in plans])
-
-
-def receiver_recover_soft(samples: np.ndarray, plan, setup: EmulationSetup) -> np.ndarray:
+def receiver_recover_soft(samples: np.ndarray, plans, setup: EmulationSetup) -> np.ndarray:
     """Read chosen bins directly, skipping the digital decode path.
 
     Estimates are the unscaled bin values clamped per axis to the
@@ -445,9 +446,8 @@ def receiver_recover_soft(samples: np.ndarray, plan, setup: EmulationSetup) -> n
     a sequence of equal-length plans, one per row, gives (rows, k)
     estimates.
     """
-    plans, scale = _plan_rows(plan)
-    est = _clip_to_box(_row_values(samples, plans, setup) / scale, setup.cfg, scale)
-    return est[0] if isinstance(plan, EmulationPlan) else est
+    plans, scale = _plan_rows(plans)
+    return _clip_to_box(_row_values(samples, plans, setup) / scale, setup.cfg, scale)
 
 
 def receiver_recover_hard(
@@ -468,14 +468,13 @@ def receiver_recover_hard(
     return vals[: plan.target_count]
 
 
-def extract_estimates(waveform: np.ndarray, plan, setup: EmulationSetup) -> np.ndarray:
-    """Chosen-bin estimates from a (possibly compensated) user-domain
-    waveform.  A (rows, samples) stack with a sequence of equal-length
+def extract_estimates(waveform: np.ndarray, plans, setup: EmulationSetup) -> np.ndarray:
+    """Chosen-bin estimates from (possibly compensated) user-domain
+    waveforms: a (rows, samples) stack with a sequence of equal-length
     plans, one per row, gives (rows, k) estimates.  A waveform that does
     not hold the plans' OFDM symbols raises FramingError."""
-    plans, scale = _plan_rows(plan)
-    est = _clip_to_box(_row_values(waveform, plans, setup), setup.cfg, scale)
-    return est[0] if isinstance(plan, EmulationPlan) else est
+    plans, scale = _plan_rows(plans)
+    return _clip_to_box(_row_values(waveform, plans, setup), setup.cfg, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +514,8 @@ def output_waveforms(records: list[LinkRecord]) -> np.ndarray:
     """The raw (unclipped) chosen-bin values of each record's ``rx_frame``
     re-framed in user units, pilots and dummies silenced: what the
     compensator and the proxy see.  One (rows, samples) stack, from one
-    demodulate and one modulate; the records share a setup and a length."""
+    demodulate and one modulate; the records share a setup, and records
+    of unequal lengths raise FramingError."""
     return _reframe([r.rx_frame for r in records], [r.plan for r in records], records[0].setup)
 
 
@@ -547,36 +547,30 @@ def emulated_link(
 ):
     """Transport targets through invert -> transmit -> AWGN -> recover.
 
-    Returns the soft or hard receiver's estimates and the transmission's
-    record, from which the reference, received and noiseless waveforms
-    derive.  ``seed`` is an int or a ``Generator``.
-
-    A sequence of equal-length TargetSymbols is a stack, sent in one
-    call: ``snr_db`` and ``seed`` are then sequences with one entry per
-    row, and the call returns (rows, k) estimates and one record per
-    row, each byte for byte what a call with that row alone returns.
-    An empty stack, rows of unequal length, or an SNR or seed sequence
-    of another length raise FramingError, and a NaN or -inf SNR in any
-    row ConfigError, before any row is sent.
+    Targets are a stack, a sequence of equal-length TargetSymbols, sent
+    in one call: ``snr_db`` and ``seed`` are sequences with one entry per
+    row, each seed an int or a ``Generator``.  Returns the soft or hard
+    receiver's (rows, k) estimates and one record per row, from which the
+    reference, received and noiseless waveforms derive; each row is byte
+    for byte what a stack of that row alone gives.  An empty stack, rows
+    of unequal length, or an SNR or seed sequence of another length raise
+    FramingError, and a NaN or -inf SNR in any row ConfigError, before
+    any row is sent.  A bare TargetSymbols with a scalar SNR and seed is
+    sent as a stack of one, and the call returns (k,) estimates and its
+    record.
     """
     if mode not in ("soft", "hard"):
         raise SelectionError(f"mode must be 'soft' or 'hard', got {mode!r}")
-    if isinstance(targets, TargetSymbols):
-        # a short call is mostly fixed cost, so one row takes each
-        # stage's one-frame form and builds no per-row lists
-        plan = sender_invert(targets, setup)
-        tx = tx_chain(plan.bitstream, setup.cfg).samples
-        rx = awgn(tx, snr_db, seed)
-        recover = receiver_recover_soft if mode == "soft" else receiver_recover_hard
-        return recover(rx, plan, setup), LinkRecord(targets, plan, setup, tx, rx, float(snr_db))
-    rows = _target_rows(targets)
+    bare, rows, snr_db, seed = _one_row(targets, snr_db, seed)
     snrs = _per_row(snr_db, len(rows), "SNRs")
     seeds = _per_row(seed, len(rows), "seeds")
     for snr in snrs:
         check_snr(snr)
     stack = sender_invert(rows, setup)
     tx = tx_chain(stack.bitstreams, setup.cfg).samples
-    rx = np.stack([awgn(frame, snr, s) for frame, snr, s in zip(tx, snrs, seeds)])
+    rx = np.empty_like(tx)
+    for noisy, frame, snr, s in zip(rx, tx, snrs, seeds):
+        noisy[:] = awgn(frame, snr, s)
     if mode == "soft":
         est = receiver_recover_soft(rx, stack.plans, setup)
     else:
@@ -585,7 +579,7 @@ def emulated_link(
         LinkRecord(t, p, setup, sent, noisy, float(snr))
         for t, p, sent, noisy, snr in zip(rows, stack.plans, tx, rx, snrs)
     ]
-    return est, records
+    return (est[0], records[0]) if bare else (est, records)
 
 
 def ideal_analog_link(

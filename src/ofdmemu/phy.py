@@ -122,9 +122,13 @@ def scramble(bits: np.ndarray, seed: int) -> np.ndarray:
     """XOR a 0/1 bit vector with the scrambler stream.  Self-inverse.
     Each row of a (frames, bits) stack restarts the stream.  A value
     other than 0 or 1 raises :class:`FramingError`."""
-    frames, stacked = _bit_rows(bits)
-    out = frames ^ lfsr_sequence(frames.shape[1], seed)
-    return out if stacked else out[0]
+    arr = np.asarray(bits)
+    flat = _as_bits(arr)
+    if arr.ndim != 2:
+        return flat ^ lfsr_sequence(flat.size, seed)
+    if flat.size == 0:
+        raise FramingError(f"a frame stack of shape {arr.shape} holds no bits")
+    return flat.reshape(arr.shape) ^ lfsr_sequence(arr.shape[1], seed)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +334,13 @@ def qam_map(bits: np.ndarray, m: int) -> np.ndarray:
     bits = _as_bits(bits)
     if bits.size % nb != 0:
         raise FramingError(f"bit count {bits.size} is not a multiple of {nb}")
+    return _map_groups(bits.reshape(-1, nb), m)
+
+
+def _map_groups(groups: np.ndarray, m: int) -> np.ndarray:
+    """The points of a (count, log2(m)) stack of checked 0/1 bit groups."""
     tables = _qam_tables(m)
-    return tables.points[bits.reshape(-1, nb) @ tables.weights]
+    return tables.points[groups @ tables.weights]
 
 
 def _quantize_axis(values: np.ndarray, nlev: int) -> np.ndarray:
@@ -373,10 +382,11 @@ def qam_quantize(points: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 def modulate_symbols(grids: np.ndarray, cfg: PhyConfig) -> np.ndarray:
     """Unitary IFFT plus cyclic prefix of each grid in a (count, fft_size)
     stack, as one flat sample vector."""
-    grids = np.atleast_2d(np.asarray(grids, dtype=np.complex128))
-    if grids.shape[-1] != cfg.fft_size:
+    grids = np.asarray(grids, dtype=np.complex128)
+    if grids.shape[-1:] != (cfg.fft_size,):
         raise FramingError(f"grid must hold {cfg.fft_size} bins")
-    body = np.fft.ifft(grids, axis=-1) * math.sqrt(cfg.fft_size)
+    body = np.fft.ifft(grids, axis=-1)
+    body *= math.sqrt(cfg.fft_size)
     return np.concatenate([body[..., cfg.fft_size - cfg.cp_len :], body], axis=-1).reshape(-1)
 
 
@@ -387,8 +397,9 @@ def demodulate_frame(samples: np.ndarray, cfg: PhyConfig) -> np.ndarray:
     spo = cfg.samples_per_ofdm
     if samples.size % spo != 0:
         raise FramingError(f"frame length {samples.size} is not a multiple of {spo}")
-    body = samples.reshape(-1, spo)[:, cfg.cp_len :]
-    return np.fft.fft(body, axis=-1) / math.sqrt(cfg.fft_size)
+    grids = np.fft.fft(samples.reshape(-1, spo)[:, cfg.cp_len :], axis=-1)
+    grids /= math.sqrt(cfg.fft_size)
+    return grids
 
 
 # ---------------------------------------------------------------------------
@@ -579,19 +590,24 @@ def tx_grids(bits: np.ndarray, cfg: PhyConfig) -> np.ndarray:
     scrambler, the encoder (from state 0) and the pilot polarity restart
     with each frame, so every row is what its own call gives.
     """
-    frames, stacked = _bit_rows(bits)
-    n_frames, width = frames.shape
+    # the scrambler checks the bits and restarts its stream on each row
+    scrambled = scramble(bits, cfg.scrambler_seed)
+    stacked = scrambled.ndim == 2
+    n_frames, width = scrambled.shape if stacked else (1, scrambled.size)
     if width == 0 or width % cfg.n_dbps != 0:
         raise FramingError(
             f"packet length {width} is not a positive multiple of {cfg.n_dbps} bits"
         )
     n_sym = width // cfg.n_dbps
     xx = np.zeros((n_frames, 6 + width), dtype=np.uint8)
-    xx[:, 6:] = scramble(frames, cfg.scrambler_seed)
+    xx[:, 6:] = scrambled
+    del scrambled  # the encoder reads its copy in xx
     # take gathers the columns about 2x faster than fancy indexing
     interleaved = _encode(xx).reshape(n_frames * n_sym, -1).take(_symbol_gather(cfg), axis=1)
     grids = np.zeros((n_frames, n_sym, cfg.fft_size), dtype=np.complex128)
-    grids[:, :, cfg.data_bin_array] = qam_map(interleaved, cfg.modulation_order).reshape(
+    # the coded bits are the checked bits' parities, so they map unchecked
+    groups = interleaved.reshape(-1, cfg.n_bpsc)
+    grids[:, :, cfg.data_bin_array] = _map_groups(groups, cfg.modulation_order).reshape(
         n_frames, n_sym, -1
     )
     grids[:, :, cfg.pilot_bin_array] = _PILOT_ROWS[lfsr_sequence(n_sym, 0x7F)]
@@ -610,19 +626,6 @@ def rx_chain(samples: np.ndarray, cfg: PhyConfig) -> np.ndarray:
     mother[:, _symbol_gather(cfg)] = hard.reshape(-1, cfg.n_cbps)
     decoded = viterbi_decode(mother)
     return scramble(decoded, cfg.scrambler_seed)
-
-
-def _bit_rows(bits: np.ndarray) -> tuple[np.ndarray, bool]:
-    """``bits`` as :func:`_as_bits` checks them, one frame per row, and
-    whether they were a stack: a 2-D input is a (frames, bits) stack,
-    any other a single frame."""
-    arr = np.asarray(bits)
-    flat = _as_bits(arr)
-    if arr.ndim != 2:
-        return flat.reshape(1, -1), False
-    if flat.size == 0:
-        raise FramingError(f"a frame stack of shape {arr.shape} holds no bits")
-    return flat.reshape(arr.shape), True
 
 
 def _as_bits(bits: np.ndarray) -> np.ndarray:

@@ -571,13 +571,51 @@ def test_config_error_names_key_and_writes_nothing(tmp_path, capsys, command, te
     assert not (tmp_path / "o").exists()
 
 
+_LONG = 500_000
+
+
+# one case per place that quotes config text in an error, each with the
+# text that used to be echoed whole: 500 KB, or where a longer text
+# fails earlier, the most that reaches the place
+@pytest.mark.parametrize(
+    "command,text,message",
+    [
+        (["emulate"], "x" * _LONG + "\n", "expected 'key = value'"),
+        (["emulate"], "\0" * (MAX_CONFIG_BYTES - 1) + "\n", "expected 'key = value'"),
+        (["emulate"], "[" + "x" * _LONG + "]\n", "unknown section"),
+        (["emulate"], "[phy]\n" + "k" * _LONG + " = 1\n", "unknown [phy] key"),
+        (["emulate"], "modulation = " + "x" * _LONG + "\n", "unknown modulation"),
+        (["emulate"], "modulation = " + "1" * 4000 + "\n", "unknown modulation"),
+        (["emulate"], "coding_rate = " + "x" * _LONG + "\n", "bad coding rate"),
+        (["emulate"], "coding_rate = " + "0" * _LONG + "1e999999\n", "unsupported coding rate"),
+        (["emulate"], "coding_rate = " + "0" * 4000 + ".3\n", "unsupported coding rate"),
+        (["train-comp"], "[train]\nbatch_size = " + "x" * _LONG + "\n", "bad value for [train]"),
+        (["sweep"], "[sweep]\nn_symbols = " + "x" * _LONG + "\n", "bad value for [sweep]"),
+    ],
+    ids=[
+        "line", "nul-line", "section", "key", "modulation-word", "modulation-number",
+        "rate-word", "rate-exponent", "rate-unsupported", "train-value", "sweep-value",
+    ],
+)
+def test_config_error_quotes_a_bounded_excerpt(tmp_path, capsys, command, text, message):
+    cfgfile = tmp_path / "long.cfg"
+    cfgfile.write_text(text)
+    rc = main([*command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err and "characters)" in err
+    assert len(err) < 1024
+    assert not (tmp_path / "o").exists()
+
+
 def assert_manifest_records_config(out):
-    """The manifest holds the seed, the PHY fingerprint and every [train]
-    value of a TINY_TRAIN run at seed 3."""
+    """The manifest holds the PHY fingerprint and every [train] value of a
+    TINY_TRAIN run at seed 3, the seed once, as ``train_master_seed``."""
     lines = (out / "checkpoint.txt").read_text().splitlines()
     keys = {line.split("=", 1)[0] for line in lines}
     assert {f"train_{f.name}" for f in dataclasses.fields(TrainConfig)} <= keys
-    for line in ("master_seed=3", "train_master_seed=3", "train_stage1_epochs=2",
+    assert "master_seed" not in keys
+    for line in ("train_master_seed=3", "train_stage1_epochs=2",
                  f"phy_fingerprint={PhyConfig().fingerprint()}"):
         assert line in lines
 

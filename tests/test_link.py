@@ -106,7 +106,7 @@ def test_noiseless_soft_recovery_hits_quantized_points(default_setup, rng):
     targets = uniform_box_targets(80, default_setup.cfg, rng)
     plan = sender_invert(targets, default_setup)
     frame = tx_chain(plan.bitstream, default_setup.cfg)
-    est = receiver_recover_soft(frame.samples, plan, default_setup)
+    est = receiver_recover_soft(frame.samples, [plan], default_setup)[0]
     want = plan.quantized.reshape(-1)[: targets.count] / plan.scale
     assert np.allclose(est, want, atol=1e-9)
 
@@ -125,7 +125,7 @@ def test_noiseless_soft_round_trip_property(m, rate, count, seed):
     setup = EmulationSetup.build(PhyConfig(modulation_order=m, coding_rate=rate))
     targets = uniform_box_targets(count, setup.cfg, np.random.default_rng(seed), margin=1.3)
     plan = sender_invert(targets, setup)
-    est = receiver_recover_soft(tx_chain(plan.bitstream, setup.cfg).samples, plan, setup)
+    est = receiver_recover_soft(tx_chain(plan.bitstream, setup.cfg).samples, [plan], setup)[0]
     assert np.allclose(est, plan.quantized.reshape(-1)[:count] / plan.scale, rtol=0, atol=1e-9)
 
 
@@ -301,7 +301,7 @@ def test_waveform_value_roundtrip(default_setup, rng):
 
 def test_reference_waveform_shape(default_setup, rng):
     targets = uniform_box_targets(default_setup.n_chosen + 3, default_setup.cfg, rng)
-    ref = reference_waveform(targets, default_setup)
+    ref = reference_waveform([targets], default_setup)[0]
     assert ref.size == 2 * default_setup.cfg.samples_per_ofdm
 
 
@@ -329,7 +329,8 @@ def test_emulated_link_soft_record(default_setup, rng):
     est, rec = emulated_link(targets, 20.0, 11, default_setup)
     assert est.size == 60
     assert_record_derives(rec, targets, 20.0, 11, default_setup)
-    assert est.tobytes() == receiver_recover_soft(rec.rx_frame, rec.plan, default_setup).tobytes()
+    soft = receiver_recover_soft(rec.rx_frame, [rec.plan], default_setup)
+    assert est.tobytes() == soft[0].tobytes()
     # same seed reproduces, different seed does not
     est2, _ = emulated_link(targets, 20.0, 11, default_setup)
     assert np.array_equal(est, est2)
@@ -365,13 +366,13 @@ def test_extract_estimates_clips(default_setup, rng):
     big = waveform_from_values(
         np.full(default_setup.n_chosen, 100 + 100j), default_setup
     )
-    est = extract_estimates(big, plan, default_setup)
+    est = extract_estimates(big, [plan], default_setup)[0]
     lim = box_edge(default_setup.cfg) / plan.scale
     assert np.all(np.abs(est.real) <= lim + 1e-9)
     assert np.all(np.abs(est.imag) <= lim + 1e-9)
     # a waveform of another symbol count, alone or in a stack
     with pytest.raises(FramingError, match="OFDM symbols"):
-        extract_estimates(np.concatenate([big, big]), plan, default_setup)
+        extract_estimates(np.concatenate([big, big]), [plan], default_setup)
     with pytest.raises(FramingError, match="OFDM symbols"):
         extract_estimates(np.stack([big, big]), [plan] * 3, default_setup)
 
@@ -425,6 +426,29 @@ def test_stack_rejects_a_bad_snr_in_any_row(default_setup, rng, no_link_work, ba
     rows = _rows(default_setup, [24] * 3, rng)
     with pytest.raises(ConfigError):
         emulated_link(rows, [10.0, 10.0, bad], [1, 2, 3], default_setup)
+
+
+@pytest.mark.parametrize(
+    "counts", [(50, 49), (50, 200), ()], ids=["one-target-short", "more-symbols", "no-plans"]
+)
+def test_stack_readers_reject_plans_of_unequal_counts(default_setup, rng, counts):
+    # two frames of 50 targets (two OFDM symbols each), read with plans of
+    # other counts; the frame check counts the first plan's symbols for
+    # every row, so a 200-target plan in the second row alone passes it
+    plans = [sender_invert(t, default_setup) for t in _rows(default_setup, counts, rng)]
+    sent = sender_invert(uniform_box_targets(50, default_setup.cfg, rng), default_setup)
+    frame = tx_chain(sent.bitstream, default_setup.cfg).samples
+    for read in (receiver_recover_soft, extract_estimates):
+        with pytest.raises(FramingError, match="plans of one"):
+            read(np.stack([frame, frame]), plans, default_setup)
+
+
+def test_stacked_waveforms_reject_records_of_unequal_counts(default_setup, rng):
+    _, short = emulated_link(_rows(default_setup, [50], rng), [10.0], [1], default_setup)
+    _, long = emulated_link(_rows(default_setup, [200], rng), [10.0], [2], default_setup)
+    for read in (output_waveforms, clean_waveforms):
+        with pytest.raises(FramingError, match="plans of one"):
+            read(short + long)
 
 
 STACK_PAIRS = [(64, Fraction(3, 4)), (16, Fraction(1, 2)), (4, Fraction(2, 3)), (2, Fraction(5, 6))]
@@ -485,7 +509,61 @@ def test_stack_equals_one_reference_call_per_row(pair, rows, count, data):
         assert outputs[r].tobytes() == output_waveforms([rec])[0].tobytes()
         assert outputs[r].tobytes() == reframed(rx, plan, setup).tobytes()
         assert cleans[r].tobytes() == reframed(tx, plan, setup).tobytes()
-        assert refs[r].tobytes() == reference_waveform(t, setup).tobytes()
+        assert refs[r].tobytes() == reference_waveform([t], setup)[0].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pair=st.sampled_from(STACK_PAIRS),
+    count=st.integers(1, 300),
+    scale=st.floats(0.05, 4.0),
+    snr=st.one_of(st.just(math.inf), st.just(MIN_SNR_DB), st.floats(-10.0, 40.0)),
+    seed=st.tuples(st.booleans(), st.integers(0, 2**63 - 1)),
+    mode=st.sampled_from(["soft", "hard"]),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+def test_bare_call_equals_one_reference_call(pair, count, scale, snr, seed, mode, draw_seed):
+    # a bare TargetSymbols is sent as a stack of one and comes back as
+    # (k,) estimates and one record of 1-D frames, the reference chain's
+    # bytes, with a partial last symbol where count is not a multiple of
+    # the chosen subcarriers
+    m, rate = pair
+    setup = EmulationSetup.build(PhyConfig(modulation_order=m, coding_rate=rate))
+    rng = np.random.default_rng(draw_seed)
+    t = TargetSymbols(rng.normal(size=count) + 1j * rng.normal(size=count), scale)
+
+    def fresh():
+        as_rng, value = seed
+        return np.random.default_rng(value) if as_rng else value
+
+    est, rec = emulated_link(t, snr, fresh(), setup, mode=mode)
+    want_est, plan, tx, rx = oracles.emulated_link_reference(t, snr, fresh(), setup)
+    if mode == "hard":
+        want_est = receiver_recover_hard(rx, plan, setup)
+    assert est.shape == (count,) and isinstance(rec, link.LinkRecord)
+    assert rec.tx_frame.ndim == rec.rx_frame.ndim == 1
+    assert est.tobytes() == want_est.tobytes()
+    assert rec.tx_frame.tobytes() == tx.tobytes()
+    assert rec.rx_frame.tobytes() == rx.tobytes()
+    assert rec.plan.bitstream.tobytes() == plan.bitstream.tobytes()
+    assert rec.plan.incoming_states.tobytes() == plan.incoming_states.tobytes()
+    assert rec.plan.quantized.tobytes() == plan.quantized.tobytes()
+    assert rec.plan.clip_count == plan.clip_count
+    assert rec.targets is t and rec.snr_db == snr
+
+
+def test_bare_call_sends_a_stack_of_one(default_setup, rng, monkeypatch):
+    # one link form: a bare call reaches the transmitter as a one-row stack
+    shapes = []
+
+    def spy(bits, cfg):
+        shapes.append(np.shape(bits))
+        return tx_chain(bits, cfg)
+
+    monkeypatch.setattr(link, "tx_chain", spy)
+    emulated_link(uniform_box_targets(100, default_setup.cfg, rng), 20.0, 3, default_setup)
+    n_sym = -(-100 // default_setup.n_chosen)
+    assert shapes == [(1, n_sym * default_setup.cfg.n_dbps)]
 
 
 def test_stacked_plan_reports_totals_and_per_row_plans(default_setup, rng):

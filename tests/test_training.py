@@ -373,7 +373,8 @@ def test_symbol_framing_matches_the_link(rate, m):
         latent = rng.normal(size=(3, 2 * pairs))
         framed = framing.frame(Tensor(latent)).data
         for row, z in zip(framed, latent.view(np.complex128)):
-            want = complex_to_wave(reference_waveform(TargetSymbols(z, 1.0), setup))
+            (ref,) = reference_waveform([TargetSymbols(z, 1.0)], setup)
+            want = complex_to_wave(ref)
             assert np.allclose(row, want, rtol=0, atol=1e-12)
         waves = rng.normal(size=(3, framing.n_samples, 2))
         read = framing.extract(Tensor(waves)).data
