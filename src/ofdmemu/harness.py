@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .config import (
     MAX_FLOAT_SERIAL_SYMBOLS, MAX_IMAGES, MAX_SYMBOLS, PUNCTURE_PATTERNS, SUPPORTED_MODULATIONS,
-    PhyConfig, check_count, check_seed,
+    PhyConfig, _quote, check_count, check_seed,
 )
 from . import phy
 from .errors import ConfigError, OfdmEmuError
@@ -69,12 +70,16 @@ class ExperimentSpec:
         check_seed(self.master_seed)
         if not self.systems:
             raise ConfigError("systems must not be empty")
-        repeated = sorted({s for s in self.systems if self.systems.count(s) > 1})
+        # the names come from the command line or a config file, so the
+        # messages quote a bounded excerpt of them
+        repeated = sorted(s for s, n in Counter(self.systems).items() if n > 1)
         if repeated:
-            raise ConfigError(f"systems must not repeat: {', '.join(repeated)}")
+            raise ConfigError(f"systems must not repeat: {_quote(', '.join(repeated))}")
         unknown = set(self.systems) - set(SYSTEM_IDS)
         if unknown:
-            raise ConfigError(f"unknown systems {sorted(unknown)}; valid: {SYSTEM_IDS}")
+            raise ConfigError(
+                f"unknown systems {_quote(', '.join(sorted(unknown)))}; valid: {SYSTEM_IDS}"
+            )
         if "float_serial" in self.systems:
             check_count("n_symbols with float_serial", self.n_symbols, MAX_FLOAT_SERIAL_SYMBOLS)
 

@@ -30,7 +30,12 @@ survivor once per chunk of blocks.  Its output is that of the one-step
 decoder bit for bit, including the tie-break: at every step the lower
 predecessor wins a tie, and the lowest final state wins at the end.
 What it keeps per decode is one byte per state per 3-step block, about
-21 bytes per trellis step.
+21 bytes per trellis step.  A stream that admits one input of cost 0
+at every block, along its path of cost 0, skips all that: the decoder
+walks that path, one table read per block, and keeps one byte per
+block.  An error-free frame is such a stream at every rate, as each
+step keeps at least one of its two coded bits and both flip with the
+step's input.
 """
 
 from __future__ import annotations
@@ -462,6 +467,24 @@ def _trellis() -> tuple[list[np.ndarray], np.ndarray, list[bytes]]:
     return list(costs), keyed, [bytes(row) for row in pred]
 
 
+_NO_WALK = 255
+
+
+@lru_cache(maxsize=None)
+def _zero_steps() -> list[bytes]:
+    """The zero-cost walk's table, read as steps[s][code] for start state
+    s = (j << 3) | m and block code ``code``.
+
+    The entry is the end state (m << 3) | U of the one 3-step input U
+    whose block costs 0, or ``_NO_WALK`` when no U or several Us cost 0;
+    it is read off ``_trellis()``'s costs.
+    """
+    zero = np.stack(_trellis()[0]).reshape(729, 64, 8).transpose(1, 0, 2) == 0
+    ends = ((np.arange(64)[:, None] & 7) << 3) | zero.argmax(axis=2)
+    steps = np.where(zero.sum(axis=2) == 1, ends, _NO_WALK).astype(np.uint8)
+    return [bytes(row) for row in steps]
+
+
 @lru_cache(maxsize=None)
 def _head_metrics(pairs: tuple[int, ...]) -> np.ndarray:
     """Metrics after the first len(pairs) < 3 steps from state 0.
@@ -487,19 +510,17 @@ def viterbi_decode(received: np.ndarray) -> np.ndarray:
     state 0; the survivor ends at the best final state, ties broken
     toward the lower-numbered predecessor and final state.
 
-    The trellis advances three steps per iteration (radix 8): each end
-    state keeps the best of its eight 3-step predecessors, in two NumPy
-    calls per block.  The first ``steps % 3`` steps lead from state 0 on
-    unique paths, so they need no decision.  After each chunk of
-    ``_CHUNK`` blocks one vectorised pass recovers every block's
-    survivor, which must be the path the one-step rule keeps: that rule
-    settles the last step first, so the survivor is the first minimum
-    with the predecessors ordered by the bit the block's last step drops
-    (bit 3 of its start state), then the middle step's (bit 4), then
-    the first step's (bit 5).  Storage that grows with the stream is one
-    byte per state per block, about 21 bytes per step, against 99 for
-    the one-step decoder's cost and backpointer arrays; tables and one
-    chunk's working set take under 2 MB.
+    A frame received without error is decoded by walking its path of
+    metric 0 (:func:`_zero_cost_path`): from the one head state of metric
+    0, each block admits one input of cost 0.  A stream whose head or
+    some block admits none or several falls through to the radix-8
+    decoder (:func:`_survivor_path`).  The walk is exact.  A path from
+    another head state costs at least 1.  A path that leaves a completed
+    walk later does so at some block, from a state they share, where the
+    walk's input was the only one of cost 0, so it costs at least 1 too.
+    Metrics are non-negative integers, so the walked path is the only
+    minimum: the full decode returns it, and no tie-break comes into
+    play.  A clean frame keeps no traceback.
     """
     raw = np.asarray(received)
     if raw.dtype.kind not in "biuf" or not ((raw == 0) | (raw == 1) | (raw == -1)).all():
@@ -516,14 +537,67 @@ def viterbi_decode(received: np.ndarray) -> np.ndarray:
     b3 = pairs[head:].reshape(-1, 3).astype(np.int16)
     codes = 81 * b3[:, 0] + 9 * b3[:, 1] + b3[:, 2]
     del rx, b3
-    n_blocks = codes.size
 
+    first = _head_metrics(tuple(pairs[:head].tolist()))
+    path = _zero_cost_path(first, codes)
+    if path is None:
+        path = _survivor_path(first, codes)
+    # a state's low three bits are the last three inputs
+    bits = np.unpackbits(np.frombuffer(path, dtype=np.uint8)[:, None], axis=1)
+    return bits[:, 5:].ravel()[3 - head :]
+
+
+def _zero_cost_path(first: np.ndarray, codes: np.ndarray) -> bytearray | None:
+    """The states of the one path of metric 0, after the head steps and
+    then at each block's end, or None where the walk stops.
+
+    ``first`` holds the metrics after the head steps and ``codes`` the
+    block codes.  The walk starts from the one head state of metric 0 and
+    takes each block's one input of cost 0 from ``_zero_steps()``; it
+    stops where there are none or several, at the head or at a block.
+    Its cost is one table read per block.
+    """
+    zeros = np.flatnonzero(first == 0)
+    if zeros.size != 1:
+        return None
+    state = int(zeros[0])
+    table = _zero_steps()
+    path = bytearray([state])
+    # a memoryview hands out one code at a time, where a list would hold
+    # an int object per block
+    for code in memoryview(codes):
+        state = table[state][code]
+        if state == _NO_WALK:
+            return None
+        path.append(state)
+    return path
+
+
+def _survivor_path(first: np.ndarray, codes: np.ndarray) -> bytearray:
+    """The survivor's states, after the head steps and then at each block's
+    end, by radix-8 add-compare-select from the head metrics ``first``.
+
+    The trellis advances three steps per iteration (radix 8): each end
+    state keeps the best of its eight 3-step predecessors, in two NumPy
+    calls per block.  The first ``steps % 3`` steps lead from state 0 on
+    unique paths, so they need no decision.  After each chunk of
+    ``_CHUNK`` blocks one vectorised pass recovers every block's
+    survivor, which must be the path the one-step rule keeps: that rule
+    settles the last step first, so the survivor is the first minimum
+    with the predecessors ordered by the bit the block's last step drops
+    (bit 3 of its start state), then the middle step's (bit 4), then
+    the first step's (bit 5).  Storage that grows with the stream is one
+    byte per state per block, about 21 bytes per step, against 99 for
+    the one-step decoder's cost and backpointer arrays; tables and one
+    chunk's working set take under 2 MB.
+    """
+    n_blocks = codes.size
     costs, keyed, pred = _trellis()
     # metrics[b] holds the chunk's block b start, read as [j, m], which
     # is block b - 1's end, written as [m, U]; the row views are made
     # once and serve every chunk
     metrics = np.empty((min(n_blocks, _CHUNK) + 1, 64), dtype=np.int16)
-    metrics[0] = _head_metrics(tuple(pairs[:head].tolist()))
+    metrics[0] = first
     start = metrics.reshape(-1, 8, 8, 1)
     starts, ends = list(start), list(metrics.reshape(-1, 8, 8)[1:])
     cand = np.empty((8, 8, 8), dtype=np.int16)
@@ -554,9 +628,7 @@ def viterbi_decode(received: np.ndarray) -> np.ndarray:
         state = pred[state][back[row | state]]
     path.append(state)  # the state after the head steps holds their inputs
     path.reverse()
-    # a state's low three bits are the last three inputs
-    bits = np.unpackbits(np.frombuffer(path, dtype=np.uint8)[:, None], axis=1)
-    return bits[:, 5:].ravel()[3 - head :]
+    return path
 
 
 # ---------------------------------------------------------------------------

@@ -608,6 +608,33 @@ def test_config_error_quotes_a_bounded_excerpt(tmp_path, capsys, command, text, 
     assert not (tmp_path / "o").exists()
 
 
+# system names that used to be echoed whole, from the flag and from the
+# file; 40,000 names also took 17 s to check for repeats
+_MANY = [f"x{i}" for i in range(20_000)] * 2
+
+
+@pytest.mark.parametrize(
+    "argv,text,message",
+    [
+        (["--systems", "x" * _LONG], "", "unknown systems"),
+        (["--systems", ",".join(["x" * _LONG] * 2)], "", "systems must not repeat"),
+        (["--systems", ",".join(_MANY)], "", "systems must not repeat"),
+        ([], "[sweep]\nsystems = " + "x" * _LONG + "\n", "unknown systems"),
+        ([], "[sweep]\nsystems = " + " ".join(_MANY) + "\n", "systems must not repeat"),
+    ],
+    ids=["flag-unknown", "flag-repeated", "flag-many", "file-unknown", "file-many"],
+)
+def test_system_name_error_quotes_a_bounded_excerpt(tmp_path, capsys, argv, text, message):
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text(text)
+    rc = main(["sweep", *argv, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err and "characters)" in err
+    assert len(err) < 1024
+    assert not (tmp_path / "o").exists()
+
+
 def assert_manifest_records_config(out):
     """The manifest holds the PHY fingerprint and every [train] value of a
     TINY_TRAIN run at seed 3, the seed once, as ``train_master_seed``."""

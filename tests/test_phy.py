@@ -371,10 +371,18 @@ _STEPS = st.one_of(
 _RATES = ["1/2", "2/3", "3/4", "5/6"]
 
 
+def _punctured(coded, rate):
+    """A mother stream with -1 wherever ``rate``'s pattern drops a bit; the
+    pattern is cut at the stream's end, so any length works."""
+    stream = coded.astype(np.int8)
+    stream[~np.resize(np.array(oracles.PUNCTURE_KEEP[rate], dtype=bool), stream.size)] = -1
+    return stream
+
+
 @st.composite
 def _mother_streams(draw):
     """A mother stream as the receiver hands it to the decoder."""
-    kind = draw(st.sampled_from(["erasures", "zeros", "erased", "depunctured"]))
+    kind = draw(st.sampled_from(["erasures", "zeros", "erased", "depunctured", "clean"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "depunctured":
         # noisy coded bits punctured, then re-expanded with erasure marks
@@ -384,6 +392,12 @@ def _mother_streams(draw):
         coded, _ = phy.conv_encode(rng.integers(0, 2, n_info, dtype=np.uint8), 0)
         coded ^= (rng.random(coded.size) < draw(st.floats(0, 0.5))).astype(np.uint8)
         return oracles.depuncture_reference(phy.puncture(coded, rate), rate)
+    if kind == "clean":
+        # a codeword as the receiver hands it over with no error, punctured
+        # at any length: the decoder walks its one path of cost 0
+        steps = draw(_STEPS)
+        coded, _ = phy.conv_encode(rng.integers(0, 2, steps, dtype=np.uint8), 0)
+        return _punctured(coded, draw(st.sampled_from(_RATES)))
     size = 2 * draw(_STEPS)
     if kind == "zeros":
         return np.zeros(size, dtype=draw(st.sampled_from([np.int8, bool])))
@@ -417,6 +431,52 @@ def test_viterbi_matches_reference_short(fill, rng):
         assert np.array_equal(phy.viterbi_decode(received), oracles.viterbi_reference(received))
 
 
+@pytest.fixture
+def full_decodes(monkeypatch):
+    """One entry per decode that reaches the radix-8 decoder, its block
+    count; a decode that walks a path of cost 0 adds none."""
+    seen = []
+    survivor_path = phy._survivor_path
+
+    def spy(first, codes):
+        seen.append(codes.size)
+        return survivor_path(first, codes)
+
+    monkeypatch.setattr(phy, "_survivor_path", spy)
+    return seen
+
+
+@pytest.mark.parametrize("head", [0, 1, 2])
+@pytest.mark.parametrize("rate", _RATES)
+def test_viterbi_exit_matches_reference(rate, head, rng, full_decodes):
+    steps = 300 + head
+    coded, _ = phy.conv_encode(rng.integers(0, 2, steps, dtype=np.uint8), 0)
+    clean = _punctured(coded, rate)
+    flipped = clean.copy()
+    flipped[np.flatnonzero(clean >= 0)[-1]] ^= 1
+    # an erased last step leaves its block two inputs of cost 0
+    erased = clean.copy()
+    t = head + 3 * 50 + 2
+    erased[2 * t : 2 * t + 2] = -1
+    routes = []
+    for received in (clean, flipped, erased):
+        before = len(full_decodes)
+        assert np.array_equal(phy.viterbi_decode(received), oracles.viterbi_reference(received))
+        routes.append(len(full_decodes) > before)
+    # both outputs of a step flip with its input, so the flip leaves the
+    # walk no input of cost 0 at the last block if the last step keeps both
+    # bits, and the codeword of the other last input if it keeps one
+    assert routes == [False, bool((clean[-2:] >= 0).all()), True]
+
+
+@pytest.mark.parametrize("m,rate", ALL_MODES)
+def test_noiseless_frame_decodes_by_the_zero_cost_walk(m, rate, rng, full_decodes):
+    cfg = PhyConfig(modulation_order=m, coding_rate=rate)
+    bits = rng.integers(0, 2, 5 * cfg.n_dbps, dtype=np.uint8)
+    assert np.array_equal(phy.rx_chain(phy.tx_chain(bits, cfg).samples, cfg), bits)
+    assert full_decodes == []
+
+
 @pytest.mark.parametrize(
     "received",
     [
@@ -448,6 +508,23 @@ def test_viterbi_memory_stays_near_21_bytes_per_step():
     finally:
         tracemalloc.stop()
     assert peak <= 40e6, f"{peak / 1e6:.1f} MB"
+
+
+@pytest.mark.slow
+def test_clean_viterbi_decode_keeps_no_traceback():
+    # the walk of cost 0 keeps one byte per block, not the 64 of a
+    # traceback; this decode peaked at 6.3 MB, the noisy one above at 27 MB
+    info = np.random.default_rng(7).integers(0, 2, 1_000_000, dtype=np.uint8)
+    received, _ = phy.conv_encode(info, 0)
+    phy.viterbi_decode(received[:1200])  # the cached tables are not counted
+    tracemalloc.start()
+    try:
+        decoded = phy.viterbi_decode(received)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(decoded, info)
+    assert peak <= 10e6, f"{peak / 1e6:.1f} MB"
 
 
 def test_bitblock_and_frame_validation(rng):
