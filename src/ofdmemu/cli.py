@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: selftest, tx, rx, emulate, sweep, train-comp, train-proxy,
-train-e2e.  Every subcommand accepts --config <file>, --seed <u64>, and
---out <dir>.  Exit codes: 0 success, 1 invariant failure, 2 bad
-configuration or usage.
+train-e2e.  Every subcommand accepts --config <file>, --seed <n> (any
+non-negative integer), and --out <dir>.  Exit codes: 0 success, 1
+invariant failure, 2 bad configuration or usage.
 """
 
 from __future__ import annotations
@@ -150,14 +150,13 @@ def cmd_emulate(args) -> int:
     setup = EmulationSetup.build(cfg)
     estimates, record = emulated_link(targets, args.snr, seed, setup, mode=args.mode)
     # the record's noisy frame and plan would stay live through the writes
-    tx_frame, clip_rate = record.tx_frame, record.clip_rate
+    tx_frame, clip_rate = record.tx_frame, record.plan.clip_rate
     del record
-    est = estimates[: symbols.size]
-    mse = finite_mean_power(est - symbols, "the symbol mse overflows")
+    mse = finite_mean_power(estimates - symbols, "the symbol mse overflows")
     # EVM is relative to the target power, so zero targets have none
     evm = f"{evm_percent(mse, power):.2f}%" if power > 0 else "n/a"
     out = _out_dir(args)
-    write_frame(out / "estimates.bin", est)
+    write_frame(out / "estimates.bin", estimates)
     write_frame(out / "tx_waveform.bin", tx_frame)
     print(
         f"{symbols.size} targets at {args.snr:g} dB ({args.mode}): "

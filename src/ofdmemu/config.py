@@ -80,6 +80,9 @@ MAX_IMAGES = 100_000  # images per zero_shot sweep cell or training run
 MAX_EPOCHS = 100_000  # epochs per training stage or phase
 MAX_WAVEFORMS = 100_000  # training waveforms or link records per stage
 MAX_OFDM_SYMBOLS = 10_000  # OFDM symbols per training waveform or record
+# OFDM symbols per training link call: what a full refresh batch or image
+# evaluation sends, one 24-pair latent per OFDM symbol
+MAX_CALL_OFDM_SYMBOLS = 100_000
 MAX_BATCH = 100_000  # batch sizes and link-refresh batches per cycle
 MAX_CYCLES = 1_000  # stage-3 refresh cycles
 MAX_CONFIG_BYTES = 2**20  # bytes per config file; real ones hold a few hundred

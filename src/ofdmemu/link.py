@@ -17,6 +17,7 @@ outer constellation level.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,7 +47,6 @@ from .phy import (
 __all__ = [
     "TargetSymbols",
     "EmulationPlan",
-    "PlanStack",
     "EmulationSetup",
     "LinkRecord",
     "box_scale",
@@ -164,51 +164,37 @@ class EmulationSetup:
 
 @dataclass
 class EmulationPlan:
-    """Everything the sender decided for one target batch."""
+    """Everything the sender decided for a target stack, one row per
+    frame.  The counts are the stack's totals."""
 
-    scale: float
+    scale: np.ndarray  # (rows, 1) user-to-constellation scale of each row
     target_count: int
     ofdm_symbols: int
-    quantized: np.ndarray  # (ofdm_symbols, n_chosen) constellation-domain points
-    bitstream: np.ndarray  # info bits driving tx_chain
-    incoming_states: np.ndarray  # encoder state at each symbol boundary
-    clip_count: int
+    quantized: np.ndarray  # (rows, symbols, n_chosen) constellation-domain points
+    bitstream: np.ndarray  # (rows, bits) info bits, which tx_chain takes whole
+    incoming_states: np.ndarray  # (rows, symbols) encoder state at each symbol boundary
+    clip_counts: np.ndarray  # (rows,) I and Q components beyond the box edge
+
+    @property
+    def rows(self) -> int:
+        return len(self.scale)
+
+    @property
+    def clip_count(self) -> int:
+        return int(self.clip_counts.sum())
 
     @property
     def clip_rate(self) -> float:
-        """Share of the target's I and Q components beyond the box edge."""
+        """Share of the targets' I and Q components beyond the box edge."""
         return self.clip_count / (2 * self.target_count)
 
 
-@dataclass
-class PlanStack:
-    """What the sender decided for each row of a target stack.
-
-    ``plans`` holds one plan per row, and ``bitstreams`` their bitstreams
-    as one (rows, bits) array, which :func:`tx_chain` takes whole; each
-    plan's ``bitstream`` is its row.  The counts are the stack's totals.
-    """
-
-    plans: list[EmulationPlan]
-    bitstreams: np.ndarray
-    target_count: int
-    ofdm_symbols: int
-    clip_count: int
-
-
-def _one_row(targets, snr_db=None, seed=None) -> tuple:
-    """(bare, rows, snr_db, seed): a bare TargetSymbols, with its scalar
-    SNR and seed, as a one-row stack; any other targets as the checked
-    rows of a stack, with the SNRs and seeds as given."""
-    if isinstance(targets, TargetSymbols):
-        return True, [targets], [snr_db], [seed]
-    return False, _target_rows(targets), snr_db, seed
-
-
 def _target_rows(targets) -> list[TargetSymbols]:
-    """A target stack as a list of rows.  FramingError unless it holds
-    at least one row, every row is a TargetSymbols, and all have one
-    length."""
+    """A target stack as a list of rows, a bare TargetSymbols as a stack
+    of one.  FramingError unless it holds at least one row, every row is
+    a TargetSymbols, and all have one length."""
+    if isinstance(targets, TargetSymbols):
+        return [targets]
     rows = list(targets)
     if not rows:
         raise FramingError("a target stack must hold at least one row")
@@ -222,7 +208,7 @@ def _target_rows(targets) -> list[TargetSymbols]:
     return rows
 
 
-def sender_invert(targets, setup: EmulationSetup) -> EmulationPlan | PlanStack:
+def sender_invert(targets, setup: EmulationSetup) -> EmulationPlan:
     """Choose constellation points for the targets and solve for info bits.
 
     Targets are a stack, a sequence of equal-length TargetSymbols: every
@@ -233,11 +219,11 @@ def sender_invert(targets, setup: EmulationSetup) -> EmulationPlan | PlanStack:
     targets.  Each solved block fixes the encoder state entering the
     next symbol, but the solve is linear in its target, so all symbols'
     labels solve in one batch and only the state chain runs symbol by
-    symbol.  Returns a :class:`PlanStack`; an empty stack or rows of
-    unequal length raise FramingError.  A bare TargetSymbols is sent as
-    a stack of one, and the call returns that row's plan.
+    symbol.  Returns one :class:`EmulationPlan` for the stack; an empty
+    stack or rows of unequal length raise FramingError.  A bare
+    TargetSymbols is sent as a stack of one.
     """
-    bare, rows, _, _ = _one_row(targets)
+    rows = _target_rows(targets)
     cfg = setup.cfg
     n_rows, k = len(rows), rows[0].count
     nch = setup.n_chosen
@@ -267,22 +253,22 @@ def sender_invert(targets, setup: EmulationSetup) -> EmulationPlan | PlanStack:
     states = np.asarray(chain, dtype=np.int64)
     x_blocks ^= setup.offset_solutions[states]
 
-    bitstreams = scramble(x_blocks.reshape(n_rows, -1), cfg.scrambler_seed)
-    per_row = zip(
-        rows, points.reshape(n_rows, n_sym, nch), bitstreams, states.reshape(n_rows, n_sym), over
+    return EmulationPlan(
+        scale=np.array([[t.scale] for t in rows], dtype=np.float64),
+        target_count=n_rows * k,
+        ofdm_symbols=n_rows * n_sym,
+        quantized=points.reshape(n_rows, n_sym, nch),
+        bitstream=scramble(x_blocks.reshape(n_rows, -1), cfg.scrambler_seed),
+        incoming_states=states.reshape(n_rows, n_sym),
+        clip_counts=np.array(over),
     )
-    # EmulationPlan's fields in order: scale, target_count, ofdm_symbols,
-    # quantized, bitstream, incoming_states, clip_count
-    plans = [EmulationPlan(float(t.scale), k, n_sym, q, b, s, c) for t, q, b, s, c in per_row]
-    if bare:
-        return plans[0]
-    return PlanStack(plans, bitstreams, n_rows * k, n_rows * n_sym, sum(over))
 
 
 def reference_waveform(targets, setup: EmulationSetup) -> np.ndarray:
     """The ideal user-domain waveforms of a stack of equal-length
     TargetSymbols, as (rows, samples): continuous targets on the chosen
-    bins, everything else (pilots, dummies, nulls) silent."""
+    bins, everything else (pilots, dummies, nulls) silent.  A bare
+    TargetSymbols is a stack of one."""
     rows = _target_rows(targets)
     k = rows[0].count
     nch = setup.n_chosen
@@ -332,8 +318,11 @@ def targets_from_waveform(waveform: np.ndarray, setup: EmulationSetup) -> Target
 # ---------------------------------------------------------------------------
 
 def check_snr(snr_db: float) -> None:
-    """Reject SNRs whose noise variance is NaN or overflows: NaN and
-    anything below ``MIN_SNR_DB``.  +inf means no noise."""
+    """Reject an SNR that is not a real scalar, and one whose noise
+    variance is NaN or overflows: NaN and anything below ``MIN_SNR_DB``.
+    +inf means no noise."""
+    if not isinstance(snr_db, numbers.Real):
+        raise ConfigError(f"snr_db must be a real number, got {type(snr_db).__name__}")
     if not snr_db >= MIN_SNR_DB:
         raise ConfigError(f"snr_db must be at least {MIN_SNR_DB:g} dB, got {snr_db}")
 
@@ -401,7 +390,7 @@ def awgn(samples: np.ndarray, snr_db: float, seed: int | np.random.Generator) ->
 # receivers
 # ---------------------------------------------------------------------------
 
-def _clip_to_box(values: np.ndarray, cfg: PhyConfig, scale: float) -> np.ndarray:
+def _clip_to_box(values: np.ndarray, cfg: PhyConfig, scale: np.ndarray) -> np.ndarray:
     """Clamp constellation-domain content to the box, in user units."""
     lim = box_edge(cfg) / scale
     return np.minimum(np.maximum(values.real, -lim), lim) + 1j * np.minimum(
@@ -409,72 +398,58 @@ def _clip_to_box(values: np.ndarray, cfg: PhyConfig, scale: float) -> np.ndarray
     )
 
 
-def _plan_rows(plans) -> tuple[list[EmulationPlan], float | np.ndarray]:
-    """A sequence of plans, one per row of a frame stack, as a list, with
-    their scale: one float where all rows share it, else a (rows, 1)
-    column.  FramingError unless there is a plan and all share a target
-    count and an OFDM symbol count."""
-    plans = list(plans)
-    shapes, scales = set(), set()
-    for p in plans:
-        shapes.add((p.target_count, p.ofdm_symbols))
-        scales.add(p.scale)
-    if len(shapes) != 1:
+def _plan_frames(samples: np.ndarray, plan: EmulationPlan, setup: EmulationSetup):
+    """The frames of the plan's rows as (rows, samples); FramingError
+    unless they hold the plan's OFDM symbols."""
+    samples = np.asarray(samples, dtype=np.complex128)
+    n_sym = samples.size / setup.cfg.samples_per_ofdm
+    if n_sym != plan.ofdm_symbols:
         raise FramingError(
-            f"a plan stack needs plans of one (target, OFDM symbol) count, got {sorted(shapes)}"
+            f"frames hold {n_sym:g} OFDM symbols, the plan expects {plan.ofdm_symbols}"
         )
-    return plans, scales.pop() if len(scales) == 1 else np.array([[p.scale] for p in plans])
+    return samples.reshape(plan.rows, -1)
 
 
-def _row_values(samples: np.ndarray, plans: list[EmulationPlan], setup: EmulationSetup):
-    """The chosen-bin values of one frame per plan, as (rows, k) targets'
-    worth; FramingError unless the frames hold the plans' OFDM symbols."""
-    vals = _chosen_values(samples, setup)
-    n_sym = vals.size // setup.n_chosen
-    expected = len(plans) * plans[0].ofdm_symbols
-    if n_sym != expected:
-        raise FramingError(f"frame holds {n_sym} OFDM symbols, plans expect {expected}")
-    return vals.reshape(len(plans), -1)[:, : plans[0].target_count]
+def _row_values(samples: np.ndarray, plan: EmulationPlan, setup: EmulationSetup):
+    """The chosen-bin values of the plan's frames, as (rows, k) targets'
+    worth."""
+    vals = _chosen_values(_plan_frames(samples, plan, setup), setup)
+    return vals.reshape(plan.rows, -1)[:, : plan.target_count // plan.rows]
 
 
-def receiver_recover_soft(samples: np.ndarray, plans, setup: EmulationSetup) -> np.ndarray:
+def receiver_recover_soft(samples: np.ndarray, plan: EmulationPlan, setup: EmulationSetup):
     """Read chosen bins directly, skipping the digital decode path.
 
     Estimates are the unscaled bin values clamped per axis to the
     constellation box (the sender provably transmitted in-box points, so
-    anything outside is noise).  A (rows, samples) stack of frames with
-    a sequence of equal-length plans, one per row, gives (rows, k)
-    estimates.
+    anything outside is noise).  The (rows, samples) frames of a plan
+    give (rows, k) estimates.
     """
-    plans, scale = _plan_rows(plans)
-    return _clip_to_box(_row_values(samples, plans, setup) / scale, setup.cfg, scale)
+    return _clip_to_box(_row_values(samples, plan, setup) / plan.scale, setup.cfg, plan.scale)
 
 
-def receiver_recover_hard(
-    samples: np.ndarray,
-    plan: EmulationPlan,
-    setup: EmulationSetup,
-) -> np.ndarray:
+def receiver_recover_hard(samples: np.ndarray, plan: EmulationPlan, setup: EmulationSetup):
     """Full digital decode, then replay the transmit mapping.
 
-    Runs the complete receive chain to info bits, re-applies scramble,
-    encode, puncture, interleave and QAM mapping, and reads the chosen
-    subcarriers of the rebuilt grid.  Noiseless, this lands exactly on
-    the planned quantized points; past the code's cliff it collapses.
+    Runs each frame's complete receive chain to info bits, re-applies
+    scramble, encode, puncture, interleave and QAM mapping, and reads the
+    chosen subcarriers of the rebuilt grids.  Noiseless, this lands
+    exactly on the planned quantized points; past the code's cliff it
+    collapses.  The (rows, samples) frames of a plan give (rows, k)
+    estimates.
     """
     cfg = setup.cfg
-    grids = tx_grids(rx_chain(samples, cfg), cfg)
-    vals = grids[:, setup.chosen_bins].reshape(-1) / plan.scale
-    return vals[: plan.target_count]
+    bits = np.stack([rx_chain(frame, cfg) for frame in _plan_frames(samples, plan, setup)])
+    vals = tx_grids(bits, cfg)[:, :, setup.chosen_bins].reshape(plan.rows, -1)
+    return vals[:, : plan.target_count // plan.rows] / plan.scale
 
 
-def extract_estimates(waveform: np.ndarray, plans, setup: EmulationSetup) -> np.ndarray:
+def extract_estimates(waveform: np.ndarray, plan: EmulationPlan, setup: EmulationSetup):
     """Chosen-bin estimates from (possibly compensated) user-domain
-    waveforms: a (rows, samples) stack with a sequence of equal-length
-    plans, one per row, gives (rows, k) estimates.  A waveform that does
-    not hold the plans' OFDM symbols raises FramingError."""
-    plans, scale = _plan_rows(plans)
-    return _clip_to_box(_row_values(waveform, plans, setup), setup.cfg, scale)
+    waveforms: the (rows, samples) waveforms of a plan give (rows, k)
+    estimates.  Waveforms that do not hold the plan's OFDM symbols raise
+    FramingError."""
+    return _clip_to_box(_row_values(waveform, plan, setup), setup.cfg, plan.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -483,47 +458,42 @@ def extract_estimates(waveform: np.ndarray, plans, setup: EmulationSetup) -> np.
 
 @dataclass
 class LinkRecord:
-    """One transmission through the emulated link.
+    """One emulated_link call: its target rows, their plan, and the
+    (rows, samples) frames sent and received.
 
-    The waveforms learning reads are derived from a list of records by
+    The waveforms learning reads are derived from the record by
     :func:`output_waveforms` and :func:`clean_waveforms`, so a caller pays
     only for the ones it reads.
     """
 
-    targets: TargetSymbols
+    targets: list[TargetSymbols]
     plan: EmulationPlan
     setup: EmulationSetup
     tx_frame: np.ndarray
     rx_frame: np.ndarray  # tx_frame plus the channel's noise
-    snr_db: float
-
-    @property
-    def clip_rate(self) -> float:
-        return self.plan.clip_rate
+    snr_db: np.ndarray  # (rows,) the SNR of each row
 
 
-def _reframe(frames: list[np.ndarray], plans: list[EmulationPlan], setup: EmulationSetup):
-    """Each frame's raw chosen-bin values in its plan's user units,
+def _reframe(frames: np.ndarray, record: LinkRecord) -> np.ndarray:
+    """Each frame's raw chosen-bin values in its row's user units,
     re-framed, as one (rows, samples) stack."""
-    _, scale = _plan_rows(plans)
-    values = _chosen_values(np.stack(frames), setup).reshape(len(plans), -1) / scale
-    return waveform_from_values(values, setup).reshape(len(plans), -1)
+    rows = record.plan.rows
+    values = _chosen_values(frames, record.setup).reshape(rows, -1) / record.plan.scale
+    return waveform_from_values(values, record.setup).reshape(rows, -1)
 
 
-def output_waveforms(records: list[LinkRecord]) -> np.ndarray:
-    """The raw (unclipped) chosen-bin values of each record's ``rx_frame``
+def output_waveforms(record: LinkRecord) -> np.ndarray:
+    """The raw (unclipped) chosen-bin values of the record's ``rx_frame``
     re-framed in user units, pilots and dummies silenced: what the
     compensator and the proxy see.  One (rows, samples) stack, from one
-    demodulate and one modulate; the records share a setup, and records
-    of unequal lengths raise FramingError."""
-    return _reframe([r.rx_frame for r in records], [r.plan for r in records], records[0].setup)
+    demodulate and one modulate."""
+    return _reframe(record.rx_frame, record)
 
 
-def clean_waveforms(records: list[LinkRecord]) -> np.ndarray:
-    """The same read of each record's noiseless ``tx_frame``, which
-    separates stochastic noise from the deterministic link distortion,
-    stacked as :func:`output_waveforms`."""
-    return _reframe([r.tx_frame for r in records], [r.plan for r in records], records[0].setup)
+def clean_waveforms(record: LinkRecord) -> np.ndarray:
+    """The same read of the record's noiseless ``tx_frame``, which
+    separates stochastic noise from the deterministic link distortion."""
+    return _reframe(record.tx_frame, record)
 
 
 def _per_row(values, n: int, what: str) -> list:
@@ -550,36 +520,35 @@ def emulated_link(
     Targets are a stack, a sequence of equal-length TargetSymbols, sent
     in one call: ``snr_db`` and ``seed`` are sequences with one entry per
     row, each seed an int or a ``Generator``.  Returns the soft or hard
-    receiver's (rows, k) estimates and one record per row, from which the
-    reference, received and noiseless waveforms derive; each row is byte
-    for byte what a stack of that row alone gives.  An empty stack, rows
-    of unequal length, or an SNR or seed sequence of another length raise
-    FramingError, and a NaN or -inf SNR in any row ConfigError, before
-    any row is sent.  A bare TargetSymbols with a scalar SNR and seed is
-    sent as a stack of one, and the call returns (k,) estimates and its
+    receiver's (rows, k) estimates and one record of the whole stack,
+    from which the reference, received and noiseless waveforms derive;
+    each row is byte for byte what a stack of that row alone gives.  An
+    empty stack, rows of unequal length, or an SNR or seed sequence of
+    another length raise FramingError, and an SNR in any row that is not
+    a real number, or is NaN or -inf, ConfigError, before any row is
+    sent.  A bare TargetSymbols with a scalar SNR and seed is sent as a
+    stack of one: the call returns (k,) estimates and that stack's
     record.
     """
     if mode not in ("soft", "hard"):
         raise SelectionError(f"mode must be 'soft' or 'hard', got {mode!r}")
-    bare, rows, snr_db, seed = _one_row(targets, snr_db, seed)
+    bare = isinstance(targets, TargetSymbols)
+    if bare:
+        snr_db, seed = [snr_db], [seed]
+    rows = _target_rows(targets)
     snrs = _per_row(snr_db, len(rows), "SNRs")
     seeds = _per_row(seed, len(rows), "seeds")
     for snr in snrs:
         check_snr(snr)
-    stack = sender_invert(rows, setup)
-    tx = tx_chain(stack.bitstreams, setup.cfg).samples
+    plan = sender_invert(rows, setup)
+    tx = tx_chain(plan.bitstream, setup.cfg).samples
     rx = np.empty_like(tx)
     for noisy, frame, snr, s in zip(rx, tx, snrs, seeds):
         noisy[:] = awgn(frame, snr, s)
-    if mode == "soft":
-        est = receiver_recover_soft(rx, stack.plans, setup)
-    else:
-        est = np.stack([receiver_recover_hard(f, p, setup) for f, p in zip(rx, stack.plans)])
-    records = [
-        LinkRecord(t, p, setup, sent, noisy, float(snr))
-        for t, p, sent, noisy, snr in zip(rows, stack.plans, tx, rx, snrs)
-    ]
-    return (est[0], records[0]) if bare else (est, records)
+    recover = receiver_recover_soft if mode == "soft" else receiver_recover_hard
+    est = recover(rx, plan, setup)
+    record = LinkRecord(rows, plan, setup, tx, rx, np.array(snrs, dtype=np.float64))
+    return (est[0] if bare else est), record
 
 
 def ideal_analog_link(

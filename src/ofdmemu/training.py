@@ -23,6 +23,7 @@ import numpy as np
 
 from .config import (
     MAX_BATCH,
+    MAX_CALL_OFDM_SYMBOLS,
     MAX_CYCLES,
     MAX_EPOCHS,
     MAX_IMAGES,
@@ -109,6 +110,14 @@ _COUNT_LIMITS = {
 }
 
 
+# the (rows, OFDM symbols per row) of each stage's one link call
+_LINK_CALLS = (
+    ("stage1_waveforms", "stage1_ofdm_symbols"),
+    ("stage1_val_waveforms", "stage1_ofdm_symbols"),
+    ("stage2_records", "stage2_ofdm_symbols"),
+)
+
+
 # stage 2 holds out a quarter of its records, at least 2, and fits the rest
 _MIN_STAGE2_RECORDS = 8
 
@@ -153,6 +162,9 @@ class TrainConfig:
     def __post_init__(self):
         for name, limit in _COUNT_LIMITS.items():
             check_count(name, getattr(self, name), limit)
+        for rows, per_row in _LINK_CALLS:
+            n_sym = getattr(self, rows) * getattr(self, per_row)
+            check_count(f"{rows} x {per_row}", n_sym, MAX_CALL_OFDM_SYMBOLS)
         if self.refresh_batch_count < 2:
             raise ConfigError("refresh_batch_count must be at least 2: one record is held out")
         if self.stage2_records < _MIN_STAGE2_RECORDS:
@@ -230,8 +242,8 @@ def _stage1_pairs(
         waves.append(smooth_waveform(n, rng, carrier, cfg.fft_size, bandwidth_bins=4.0))
         targets.append(targets_from_waveform(waves[-1], setup))
         seeds.append(int(rng.integers(2**63)))
-    _, records = emulated_link(targets, [train_cfg.stage1_snr_db] * count, seeds, setup)
-    return complex_to_wave(output_waveforms(records)), complex_to_wave(np.stack(waves))
+    _, record = emulated_link(targets, [train_cfg.stage1_snr_db] * count, seeds, setup)
+    return complex_to_wave(output_waveforms(record)), complex_to_wave(np.stack(waves))
 
 
 def stage1_train_compensator(
@@ -283,10 +295,10 @@ def collect_link_records(
     count: int,
     snr_db: float,
     rng: np.random.Generator,
-    n_ofdm: int = 4,
-) -> list[LinkRecord]:
-    """Soft-mode link records of Gaussian targets for proxy training,
-    from one link call."""
+    n_ofdm: int,
+) -> LinkRecord:
+    """The soft-mode link record of ``count`` rows of Gaussian targets,
+    ``n_ofdm`` OFDM symbols each, for proxy training, from one link call."""
     k = n_ofdm * setup.n_chosen
     targets, seeds = [], []
     for _ in range(count):
@@ -295,35 +307,33 @@ def collect_link_records(
     return emulated_link(targets, [snr_db] * count, seeds, setup)[1]
 
 
-def collect_stage2_records(setup: EmulationSetup, train_cfg: TrainConfig) -> list[LinkRecord]:
-    """The stage-2 link records ``train_cfg`` configures, from its own seed."""
+def collect_stage2_records(setup: EmulationSetup, train_cfg: TrainConfig) -> LinkRecord:
+    """The stage-2 link record ``train_cfg`` configures, from its own seed."""
     return collect_link_records(
         setup, train_cfg.stage2_records, train_cfg.stage2_snr_db,
         train_cfg.child_rng(_S2_DATA), n_ofdm=train_cfg.stage2_ofdm_symbols,
     )
 
 
-def _waveforms(records: list[LinkRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """The records' reference and output waveforms, each derived once, as stacks."""
-    refs = reference_waveform([r.targets for r in records], records[0].setup)
-    return refs, output_waveforms(records)
+def _waveforms(record: LinkRecord) -> tuple[np.ndarray, np.ndarray]:
+    """The record's reference and output waveforms, each derived once, as stacks."""
+    return reference_waveform(record.targets, record.setup), output_waveforms(record)
 
 
 def _calibrate_noise(
-    records: list[LinkRecord], refs: np.ndarray, outs: np.ndarray
+    refs: np.ndarray, outs: np.ndarray, cleans: np.ndarray, nominals: np.ndarray
 ) -> tuple[float, float, float]:
-    """Fit (gain, floor) of the proxy noise law to measured records,
-    given their :func:`_waveforms` stacks.
+    """Fit (gain, floor) of the proxy noise law to measured rows, given
+    their reference, output and clean waveforms and nominal noise
+    variances.
 
     floor: mean squared deterministic distortion (clean replay vs
     reference).  gain: measured stochastic variance regressed against
     the nominal 10^(-snr/10) law.  Also returns the mean measured
     stochastic variance for reporting.
     """
-    cleans = clean_waveforms(records)
     floor = float(np.mean(np.mean(np.abs(cleans - refs) ** 2, axis=1)))
     variances = np.mean(np.abs(outs - cleans) ** 2, axis=1)
-    nominals = np.array([noise_variance(r.snr_db) for r in records])
     denom = float(np.sum(nominals**2))
     gain = float(np.sum(variances * nominals) / denom) if denom > 0 else 0.0
     return gain, floor, float(np.mean(variances))
@@ -357,23 +367,27 @@ def _proxy_fit(
 
 
 def stage2_train_proxy(
-    records: list[LinkRecord],
+    record: LinkRecord,
     train_cfg: TrainConfig,
     model: ProxyModel | None = None,
 ) -> StageResult:
-    """Fit the proxy's deterministic part to link records and calibrate
-    its noise injection."""
-    if len(records) < _MIN_STAGE2_RECORDS:
+    """Fit the proxy's deterministic part to a link record's rows and
+    calibrate its noise injection."""
+    n = len(record.targets)
+    if n < _MIN_STAGE2_RECORDS:
         raise TrainingError(
-            f"need at least {_MIN_STAGE2_RECORDS} records for a train/held-out split, "
-            f"got {len(records)}"
+            f"need at least {_MIN_STAGE2_RECORDS} records for a train/held-out split, got {n}"
         )
-    n_held = max(2, len(records) // 4)
+    n_held = max(2, n // 4)
     if model is None:
         model = ProxyModel(train_cfg.child_rng(_S2_INIT))
-    refs, outs = _waveforms(records)
+    refs, outs = _waveforms(record)
+    measured = (
+        refs, outs, clean_waveforms(record),
+        np.array([noise_variance(snr) for snr in record.snr_db.tolist()]),
+    )
     train, held = slice(-n_held), slice(-n_held, None)
-    gain, floor, sigma_sq = _calibrate_noise(records[train], refs[train], outs[train])
+    gain, floor, sigma_sq = _calibrate_noise(*(a[train] for a in measured))
     model.noise_gain = gain
     model.noise_floor = floor
 
@@ -387,7 +401,7 @@ def stage2_train_proxy(
         trace.append(float(np.mean(losses)))
 
     held_mse = held_out_mse()
-    _, held_floor, held_sigma_sq = _calibrate_noise(records[held], refs[held], outs[held])
+    _, held_floor, held_sigma_sq = _calibrate_noise(*(a[held] for a in measured))
     bound = 2.0 * held_sigma_sq + held_floor
     return StageResult(
         model=model,
@@ -537,7 +551,7 @@ def stage3_alternate(
             seeds.append(int(refresh_rng.integers(2**63)))
         _, fresh = emulated_link(targets, snrs, seeds, setup)
         epochs, held_out_mse = _proxy_fit(
-            proxy, opt_b, *_waveforms(fresh), max(1, len(fresh) // 4), train_cfg.batch_size,
+            proxy, opt_b, *_waveforms(fresh), max(1, len(targets) // 4), train_cfg.batch_size,
             train_cfg.stage3_refresh_epochs, refresh_rng, "stage3/phaseB", trace,
         )
         pre_refresh = held_out_mse()
@@ -634,12 +648,13 @@ def evaluate_image_link(
     symbols = _latent_to_symbols(jscc.encode(Tensor(flat)).data)
     targets = [TargetSymbols.unit_power(row, setup.cfg) for row in symbols]
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(len(flat))]
-    est, records = emulated_link(targets, [snr_db] * len(flat), rngs, setup)
+    est, record = emulated_link(targets, [snr_db] * len(flat), rngs, setup)
     if compensator is not None:
-        waves = complex_to_wave(output_waveforms(records))
+        waves = complex_to_wave(output_waveforms(record))
         corrected = wave_to_complex(compensator(Tensor(waves)).data)
-        est = extract_estimates(corrected, [r.plan for r in records], setup)
-    clip_total = sum(r.clip_rate for r in records)
+        est = extract_estimates(corrected, record.plan, setup)
+    # each image's clip rate, added in image order
+    clip_total = sum((record.plan.clip_counts / (2 * symbols.shape[1])).tolist())
     recon = jscc.decode(Tensor(est.view(np.float64))).data  # estimates as (B, 2K) reals
     per_image = np.mean((recon - flat) ** 2, axis=1)
     return {

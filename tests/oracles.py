@@ -27,6 +27,7 @@ symbol model against the package's own live chain.
 """
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -35,7 +36,7 @@ from ofdmemu.config import BITS_PER_SYMBOL, CONV_G1, CONV_G2, KMOD_SQUARED, PhyC
 from ofdmemu.errors import FramingError, SelectionError
 from ofdmemu.gf2 import Unsolvable, rank
 from ofdmemu.inversion import SymbolSystem, restrict_rows
-from ofdmemu.link import EmulationPlan, TargetSymbols, box_edge, waveform_from_values
+from ofdmemu.link import TargetSymbols, box_edge, waveform_from_values
 from ofdmemu.nn import Tensor, complex_to_wave, wave_to_complex
 from ofdmemu.phy import (
     _symbol_gather,
@@ -432,6 +433,23 @@ def viterbi_reference(received):
 # sender as first written: one GF(2) solve per OFDM symbol
 
 
+@dataclass
+class ReferencePlan:
+    """What ``sender_reference`` decided for one target row."""
+
+    scale: float
+    target_count: int
+    ofdm_symbols: int
+    quantized: np.ndarray  # (ofdm_symbols, n_chosen) constellation-domain points
+    bitstream: np.ndarray  # info bits driving the transmit chain
+    incoming_states: np.ndarray  # encoder state at each symbol boundary
+    clip_count: int
+
+    @property
+    def clip_rate(self):
+        return self.clip_count / (2 * self.target_count)
+
+
 def sender_reference(targets, setup):
     """Choose constellation points for the targets and solve for info bits.
 
@@ -468,7 +486,7 @@ def sender_reference(targets, setup):
         state = SymbolSystem.outgoing_state(x)
 
     bitstream = scramble(x_blocks.reshape(-1), cfg.scrambler_seed)
-    return EmulationPlan(
+    return ReferencePlan(
         scale=float(targets.scale),
         target_count=k,
         ofdm_symbols=n_sym,

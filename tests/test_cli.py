@@ -425,17 +425,33 @@ def test_sweep_huge_counts_exit_2(tmp_path, capsys, key):
 )
 def test_train_huge_counts_exit_2_before_building(tmp_path, capsys, monkeypatch, key):
     # the bound must refuse the count before the set-up or any stage runs
+    assert train_e2e_without_setup(tmp_path, monkeypatch, f"{key} = 10000000000") == 2
+    assert f"{key} must be in 1.." in capsys.readouterr().err
+
+
+def test_train_huge_link_call_exits_2_before_building(tmp_path, capsys, monkeypatch):
+    # every count is in range, but stage 2's one link call would send
+    # 10^9 OFDM symbols
+    rc = train_e2e_without_setup(
+        tmp_path, monkeypatch, "stage2_records = 100000\nstage2_ofdm_symbols = 10000"
+    )
+    assert rc == 2
+    assert "stage2_records x stage2_ofdm_symbols must be in 1..100000" in capsys.readouterr().err
+
+
+def train_e2e_without_setup(tmp_path, monkeypatch, train_lines):
+    """The exit code of train-e2e with these ``[train]`` lines, failing
+    if the run gets as far as building the set-up."""
+
     class Unreachable:
         @staticmethod
         def build(*args, **kwargs):
-            raise AssertionError("set-up built for an oversized training count")
+            raise AssertionError("set-up built for an oversized training run")
 
     monkeypatch.setattr("ofdmemu.cli.EmulationSetup", Unreachable)
     cfgfile = tmp_path / "huge.cfg"
-    cfgfile.write_text(f"[train]\n{key} = 10000000000\n")
-    rc = main(["train-e2e", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert f"{key} must be in 1.." in capsys.readouterr().err
+    cfgfile.write_text(f"[train]\n{train_lines}\n")
+    return main(["train-e2e", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
 
 
 @pytest.mark.parametrize("command", ["tx", "rx", "emulate"])

@@ -41,6 +41,12 @@ def uniform_box_targets(n, cfg, rng, margin=1.0):
     return TargetSymbols(re + 1j * im, 1.0)
 
 
+def planned(plan):
+    """The plan's quantized points in user units, as (rows, k)."""
+    k = plan.target_count // plan.rows
+    return plan.quantized.reshape(plan.rows, -1)[:, :k] / plan.scale
+
+
 @pytest.mark.parametrize(
     "mod,edge",
     [(2, 1.0), (4, 1 / math.sqrt(2)), (16, 3 / math.sqrt(10)), (64, 7 / math.sqrt(42))],
@@ -106,9 +112,9 @@ def test_noiseless_soft_recovery_hits_quantized_points(default_setup, rng):
     targets = uniform_box_targets(80, default_setup.cfg, rng)
     plan = sender_invert(targets, default_setup)
     frame = tx_chain(plan.bitstream, default_setup.cfg)
-    est = receiver_recover_soft(frame.samples, [plan], default_setup)[0]
-    want = plan.quantized.reshape(-1)[: targets.count] / plan.scale
-    assert np.allclose(est, want, atol=1e-9)
+    est = receiver_recover_soft(frame.samples, plan, default_setup)
+    assert est.shape == (1, targets.count)
+    assert np.allclose(est, planned(plan), atol=1e-9)
 
 
 # Every (modulation, rate): a noiseless soft round trip returns the planned
@@ -125,8 +131,8 @@ def test_noiseless_soft_round_trip_property(m, rate, count, seed):
     setup = EmulationSetup.build(PhyConfig(modulation_order=m, coding_rate=rate))
     targets = uniform_box_targets(count, setup.cfg, np.random.default_rng(seed), margin=1.3)
     plan = sender_invert(targets, setup)
-    est = receiver_recover_soft(tx_chain(plan.bitstream, setup.cfg).samples, [plan], setup)[0]
-    assert np.allclose(est, plan.quantized.reshape(-1)[:count] / plan.scale, rtol=0, atol=1e-9)
+    est = receiver_recover_soft(tx_chain(plan.bitstream, setup.cfg).samples, plan, setup)
+    assert np.allclose(est, planned(plan), rtol=0, atol=1e-9)
 
 
 # The sender against its per-symbol original, bit for bit: lengths on both
@@ -156,10 +162,10 @@ def test_sender_matches_reference(m, rate, symbols, extra, margin, seed):
         targets = uniform_box_targets(count, setup.cfg, rng, margin=margin)
         got = sender_invert(targets, setup)
         want = oracles.sender_reference(targets, setup)
-        assert np.array_equal(got.bitstream, want.bitstream)
-        assert np.array_equal(got.incoming_states, want.incoming_states)
+        assert np.array_equal(got.bitstream, want.bitstream[None])
+        assert np.array_equal(got.incoming_states, want.incoming_states[None])
         assert got.incoming_states.dtype == want.incoming_states.dtype
-        assert np.array_equal(got.quantized, want.quantized)
+        assert np.array_equal(got.quantized, want.quantized[None])
         assert got.clip_count == want.clip_count
 
 
@@ -168,8 +174,8 @@ def test_noiseless_hard_recovery_matches_soft(default_setup, rng):
     plan = sender_invert(targets, default_setup)
     frame = tx_chain(plan.bitstream, default_setup.cfg)
     est = receiver_recover_hard(frame.samples, plan, default_setup)
-    want = plan.quantized.reshape(-1)[: targets.count] / plan.scale
-    assert np.allclose(est, want, atol=1e-9)
+    assert est.shape == (1, targets.count)
+    assert np.allclose(est, planned(plan), atol=1e-9)
 
 
 def test_quantization_error_statistics(default_setup, rng):
@@ -312,16 +318,18 @@ def reframed(samples, plan, setup):
 
 
 def assert_record_derives(rec, targets, snr_db, seed, setup):
-    """The record holds this transmission, and its waveforms derive from
-    it byte for byte."""
+    """The record holds this transmission as a stack of one, and its
+    waveforms derive from it byte for byte."""
     plan = sender_invert(targets, setup)
-    assert rec.targets is targets and rec.setup is setup and rec.snr_db == snr_db
+    assert len(rec.targets) == 1 and rec.targets[0] is targets and rec.setup is setup
+    assert rec.snr_db.tolist() == [snr_db]
     assert rec.plan.bitstream.tobytes() == plan.bitstream.tobytes()
-    assert rec.clip_rate == plan.clip_rate
+    assert rec.plan.clip_rate == plan.clip_rate
+    assert rec.tx_frame.shape == rec.rx_frame.shape == (1, rec.tx_frame.size)
     assert rec.tx_frame.tobytes() == tx_chain(plan.bitstream, setup.cfg).samples.tobytes()
-    assert rec.rx_frame.tobytes() == awgn(rec.tx_frame, snr_db, seed).tobytes()
-    assert clean_waveforms([rec])[0].tobytes() == reframed(rec.tx_frame, plan, setup).tobytes()
-    assert output_waveforms([rec])[0].tobytes() == reframed(rec.rx_frame, plan, setup).tobytes()
+    assert rec.rx_frame.tobytes() == awgn(rec.tx_frame[0], snr_db, seed).tobytes()
+    assert clean_waveforms(rec).tobytes() == reframed(rec.tx_frame, plan, setup).tobytes()
+    assert output_waveforms(rec).tobytes() == reframed(rec.rx_frame, plan, setup).tobytes()
 
 
 def test_emulated_link_soft_record(default_setup, rng):
@@ -329,7 +337,7 @@ def test_emulated_link_soft_record(default_setup, rng):
     est, rec = emulated_link(targets, 20.0, 11, default_setup)
     assert est.size == 60
     assert_record_derives(rec, targets, 20.0, 11, default_setup)
-    soft = receiver_recover_soft(rec.rx_frame, [rec.plan], default_setup)
+    soft = receiver_recover_soft(rec.rx_frame, rec.plan, default_setup)
     assert est.tobytes() == soft[0].tobytes()
     # same seed reproduces, different seed does not
     est2, _ = emulated_link(targets, 20.0, 11, default_setup)
@@ -349,9 +357,8 @@ def test_emulated_link_estimates_stay_in_box(default_setup, rng):
 def test_emulated_link_hard_mode(default_setup, rng):
     targets = uniform_box_targets(60, default_setup.cfg, rng)
     est, rec = emulated_link(targets, math.inf, 1, default_setup, mode="hard")
-    plan = sender_invert(targets, default_setup)
-    want = plan.quantized.reshape(-1)[:60] / plan.scale
-    assert np.allclose(est, want, atol=1e-9)
+    assert est.shape == (60,)
+    assert np.allclose(est, planned(sender_invert(targets, default_setup))[0], atol=1e-9)
     # the record is the same in both modes
     assert_record_derives(rec, targets, math.inf, 1, default_setup)
     _, noisy = emulated_link(targets, 10.0, 1, default_setup, mode="hard")
@@ -366,15 +373,40 @@ def test_extract_estimates_clips(default_setup, rng):
     big = waveform_from_values(
         np.full(default_setup.n_chosen, 100 + 100j), default_setup
     )
-    est = extract_estimates(big, [plan], default_setup)[0]
+    est = extract_estimates(big, plan, default_setup)
     lim = box_edge(default_setup.cfg) / plan.scale
     assert np.all(np.abs(est.real) <= lim + 1e-9)
     assert np.all(np.abs(est.imag) <= lim + 1e-9)
-    # a waveform of another symbol count, alone or in a stack
-    with pytest.raises(FramingError, match="OFDM symbols"):
-        extract_estimates(np.concatenate([big, big]), [plan], default_setup)
-    with pytest.raises(FramingError, match="OFDM symbols"):
-        extract_estimates(np.stack([big, big]), [plan] * 3, default_setup)
+    # waveforms of another symbol count, alone or in a stack, and in
+    # either receiver
+    three = sender_invert([targets] * 3, default_setup)
+    for read in (extract_estimates, receiver_recover_soft, receiver_recover_hard):
+        with pytest.raises(FramingError, match="OFDM symbols"):
+            read(np.concatenate([big, big]), plan, default_setup)
+        with pytest.raises(FramingError, match="OFDM symbols"):
+            read(np.stack([big, big]), three, default_setup)
+        with pytest.raises(FramingError, match="OFDM symbols"):
+            read(big[:-1], plan, default_setup)
+
+
+# Every entry point that takes a channel SNR refuses one that is not a
+# real scalar with ConfigError, before any noise is drawn.
+
+@pytest.mark.parametrize(
+    "snr", [np.array([10.0, 20.0]), "10", None, 1 + 0j], ids=["array", "str", "none", "complex"]
+)
+@pytest.mark.parametrize("entry", ["awgn", "ideal_analog_link", "emulated_link", "stacked_link"])
+def test_channels_reject_an_snr_that_is_not_a_real_scalar(default_setup, rng, entry, snr):
+    x = np.ones(8, dtype=np.complex128)
+    t = uniform_box_targets(24, default_setup.cfg, rng)
+    calls = {
+        "awgn": lambda: awgn(x, snr, 1),
+        "ideal_analog_link": lambda: ideal_analog_link(x, snr, 1),
+        "emulated_link": lambda: emulated_link(t, snr, 1, default_setup),
+        "stacked_link": lambda: emulated_link([t, t], [10.0, snr], [1, 2], default_setup),
+    }
+    with pytest.raises(ConfigError, match="real number"):
+        calls[entry]()
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +432,15 @@ def test_stack_rejects_rows_of_unequal_length(default_setup, rng, no_link_work):
     rows = _rows(default_setup, [24, 24, 25], rng)
     with pytest.raises(FramingError, match="one length"):
         emulated_link(rows, [10.0] * 3, [1, 2, 3], default_setup)
+    with pytest.raises(FramingError, match="one length"):
+        sender_invert(rows, default_setup)
 
 
 def test_stack_rejects_an_empty_sequence(default_setup, no_link_work):
     with pytest.raises(FramingError, match="at least one row"):
         emulated_link([], [], [], default_setup)
+    with pytest.raises(FramingError, match="at least one row"):
+        sender_invert([], default_setup)
 
 
 @pytest.mark.parametrize("snrs", [[10.0, 10.0], [10.0] * 4, 10.0], ids=["short", "long", "scalar"])
@@ -426,29 +462,6 @@ def test_stack_rejects_a_bad_snr_in_any_row(default_setup, rng, no_link_work, ba
     rows = _rows(default_setup, [24] * 3, rng)
     with pytest.raises(ConfigError):
         emulated_link(rows, [10.0, 10.0, bad], [1, 2, 3], default_setup)
-
-
-@pytest.mark.parametrize(
-    "counts", [(50, 49), (50, 200), ()], ids=["one-target-short", "more-symbols", "no-plans"]
-)
-def test_stack_readers_reject_plans_of_unequal_counts(default_setup, rng, counts):
-    # two frames of 50 targets (two OFDM symbols each), read with plans of
-    # other counts; the frame check counts the first plan's symbols for
-    # every row, so a 200-target plan in the second row alone passes it
-    plans = [sender_invert(t, default_setup) for t in _rows(default_setup, counts, rng)]
-    sent = sender_invert(uniform_box_targets(50, default_setup.cfg, rng), default_setup)
-    frame = tx_chain(sent.bitstream, default_setup.cfg).samples
-    for read in (receiver_recover_soft, extract_estimates):
-        with pytest.raises(FramingError, match="plans of one"):
-            read(np.stack([frame, frame]), plans, default_setup)
-
-
-def test_stacked_waveforms_reject_records_of_unequal_counts(default_setup, rng):
-    _, short = emulated_link(_rows(default_setup, [50], rng), [10.0], [1], default_setup)
-    _, long = emulated_link(_rows(default_setup, [200], rng), [10.0], [2], default_setup)
-    for read in (output_waveforms, clean_waveforms):
-        with pytest.raises(FramingError, match="plans of one"):
-            read(short + long)
 
 
 STACK_PAIRS = [(64, Fraction(3, 4)), (16, Fraction(1, 2)), (4, Fraction(2, 3)), (2, Fraction(5, 6))]
@@ -490,26 +503,42 @@ def test_stack_equals_one_reference_call_per_row(pair, rows, count, data):
         as_rng, value = seed
         return np.random.default_rng(value) if as_rng else value
 
-    est, records = emulated_link(targets, snrs, [fresh(s) for s in seeds], setup)
-    assert est.shape == (rows, count) and len(records) == rows
-    outputs, cleans = output_waveforms(records), clean_waveforms(records)
+    est, record = emulated_link(targets, snrs, [fresh(s) for s in seeds], setup)
+    plan = record.plan
+    n_sym = -(-count // setup.n_chosen)
+    assert est.shape == (rows, count)
+    n_samples = n_sym * setup.cfg.samples_per_ofdm
+    assert record.tx_frame.shape == record.rx_frame.shape == (rows, n_samples)
+    # one plan for the stack: its totals are ints (the benchmark's tracer
+    # writes them as JSON), and its arrays hold one row per frame
+    totals = (plan.target_count, plan.ofdm_symbols, plan.clip_count)
+    assert all(type(v) is int for v in totals)
+    assert totals[:2] == (rows * count, rows * n_sym) and plan.rows == rows
+    assert plan.quantized.shape == (rows, n_sym, setup.n_chosen)
+    assert plan.incoming_states.shape == (rows, n_sym)
+    assert plan.bitstream.shape == (rows, n_sym * setup.cfg.n_dbps)
+    assert plan.scale.shape == (rows, 1) and plan.clip_counts.shape == (rows,)
+    outputs, cleans = output_waveforms(record), clean_waveforms(record)
     refs = reference_waveform(targets, setup)
-    for r, (t, snr, seed, rec) in enumerate(zip(targets, snrs, seeds, records)):
-        want_est, plan, tx, rx = oracles.emulated_link_reference(t, snr, fresh(seed), setup)
+    clips = []
+    for r, (t, snr, seed) in enumerate(zip(targets, snrs, seeds)):
+        want_est, want, tx, rx = oracles.emulated_link_reference(t, snr, fresh(seed), setup)
         assert est[r].tobytes() == want_est.tobytes()
-        assert rec.tx_frame.tobytes() == tx.tobytes()
-        assert rec.rx_frame.tobytes() == rx.tobytes()
-        assert rec.plan.bitstream.tobytes() == plan.bitstream.tobytes()
-        assert rec.plan.incoming_states.tobytes() == plan.incoming_states.tobytes()
-        assert rec.plan.quantized.tobytes() == plan.quantized.tobytes()
-        assert rec.plan.clip_count == plan.clip_count
-        assert rec.targets is t and rec.snr_db == snr
-        # the stacked waveforms are the one-row stacks of each record, and
-        # those re-frame the reference frames
-        assert outputs[r].tobytes() == output_waveforms([rec])[0].tobytes()
-        assert outputs[r].tobytes() == reframed(rx, plan, setup).tobytes()
-        assert cleans[r].tobytes() == reframed(tx, plan, setup).tobytes()
-        assert refs[r].tobytes() == reference_waveform([t], setup)[0].tobytes()
+        assert record.tx_frame[r].tobytes() == tx.tobytes()
+        assert record.rx_frame[r].tobytes() == rx.tobytes()
+        assert plan.bitstream[r].tobytes() == want.bitstream.tobytes()
+        assert plan.incoming_states[r].tobytes() == want.incoming_states.tobytes()
+        assert plan.quantized[r].tobytes() == want.quantized.tobytes()
+        assert plan.scale[r, 0] == want.scale
+        assert plan.clip_counts[r] == want.clip_count
+        clips.append(want.clip_count)
+        assert record.targets[r] is t and record.snr_db[r] == snr
+        # the stacked waveforms re-frame the reference frames
+        assert outputs[r].tobytes() == reframed(rx, want, setup).tobytes()
+        assert cleans[r].tobytes() == reframed(tx, want, setup).tobytes()
+        assert refs[r].tobytes() == reference_waveform(t, setup)[0].tobytes()
+    assert plan.clip_count == sum(clips)
+    assert plan.clip_rate == sum(clips) / (2 * rows * count)
 
 
 @settings(max_examples=40, deadline=None)
@@ -524,9 +553,9 @@ def test_stack_equals_one_reference_call_per_row(pair, rows, count, data):
 )
 def test_bare_call_equals_one_reference_call(pair, count, scale, snr, seed, mode, draw_seed):
     # a bare TargetSymbols is sent as a stack of one and comes back as
-    # (k,) estimates and one record of 1-D frames, the reference chain's
-    # bytes, with a partial last symbol where count is not a multiple of
-    # the chosen subcarriers
+    # (k,) estimates and the record of that one row, the reference
+    # chain's bytes, with a partial last symbol where count is not a
+    # multiple of the chosen subcarriers
     m, rate = pair
     setup = EmulationSetup.build(PhyConfig(modulation_order=m, coding_rate=rate))
     rng = np.random.default_rng(draw_seed)
@@ -539,9 +568,11 @@ def test_bare_call_equals_one_reference_call(pair, count, scale, snr, seed, mode
     est, rec = emulated_link(t, snr, fresh(), setup, mode=mode)
     want_est, plan, tx, rx = oracles.emulated_link_reference(t, snr, fresh(), setup)
     if mode == "hard":
-        want_est = receiver_recover_hard(rx, plan, setup)
+        want_est = receiver_recover_hard(rx, rec.plan, setup)[0]
     assert est.shape == (count,) and isinstance(rec, link.LinkRecord)
-    assert rec.tx_frame.ndim == rec.rx_frame.ndim == 1
+    # one row
+    assert rec.plan.rows == len(rec.targets) == 1
+    assert rec.tx_frame.shape == rec.rx_frame.shape == (1, tx.size)
     assert est.tobytes() == want_est.tobytes()
     assert rec.tx_frame.tobytes() == tx.tobytes()
     assert rec.rx_frame.tobytes() == rx.tobytes()
@@ -549,7 +580,7 @@ def test_bare_call_equals_one_reference_call(pair, count, scale, snr, seed, mode
     assert rec.plan.incoming_states.tobytes() == plan.incoming_states.tobytes()
     assert rec.plan.quantized.tobytes() == plan.quantized.tobytes()
     assert rec.plan.clip_count == plan.clip_count
-    assert rec.targets is t and rec.snr_db == snr
+    assert rec.targets[0] is t and rec.snr_db.tolist() == [snr]
 
 
 def test_bare_call_sends_a_stack_of_one(default_setup, rng, monkeypatch):
@@ -566,26 +597,11 @@ def test_bare_call_sends_a_stack_of_one(default_setup, rng, monkeypatch):
     assert shapes == [(1, n_sym * default_setup.cfg.n_dbps)]
 
 
-def test_stacked_plan_reports_totals_and_per_row_plans(default_setup, rng):
-    rows = [uniform_box_targets(50, default_setup.cfg, rng, margin=1.5) for _ in range(3)]
-    stack = sender_invert(rows, default_setup)
-    assert [p.clip_count for p in stack.plans] == [
-        sender_invert(t, default_setup).clip_count for t in rows
-    ]
-    assert stack.target_count == 150
-    assert stack.ofdm_symbols == 3 * stack.plans[0].ofdm_symbols
-    assert stack.clip_count == sum(p.clip_count for p in stack.plans) > 0
-    assert stack.bitstreams.shape == (3, stack.plans[0].bitstream.size)
-    with pytest.raises(FramingError):
-        sender_invert([rows[0], uniform_box_targets(49, default_setup.cfg, rng)], default_setup)
-    with pytest.raises(FramingError):
-        sender_invert([], default_setup)
-
-
 def test_stacked_hard_mode_equals_one_row_calls(default_setup, rng):
     rows = _rows(default_setup, [40] * 3, rng)
-    est, records = emulated_link(rows, [math.inf, 8.0, 20.0], [4, 5, 6], default_setup, mode="hard")
-    for t, snr, seed, got, rec in zip(rows, [math.inf, 8.0, 20.0], [4, 5, 6], est, records):
+    snrs, seeds = [math.inf, 8.0, 20.0], [4, 5, 6]
+    est, record = emulated_link(rows, snrs, seeds, default_setup, mode="hard")
+    for t, snr, seed, got, noisy in zip(rows, snrs, seeds, est, record.rx_frame):
         want, one = emulated_link(t, snr, seed, default_setup, mode="hard")
         assert got.tobytes() == want.tobytes()
-        assert rec.rx_frame.tobytes() == one.rx_frame.tobytes()
+        assert noisy.tobytes() == one.rx_frame.tobytes()

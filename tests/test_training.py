@@ -81,6 +81,20 @@ def test_train_config_validation():
     TrainConfig(stage2_records=8)
 
 
+@pytest.mark.parametrize(
+    "rows,per_row",
+    [("stage1_waveforms", "stage1_ofdm_symbols"),
+     ("stage1_val_waveforms", "stage1_ofdm_symbols"),
+     ("stage2_records", "stage2_ofdm_symbols")],
+)
+def test_train_config_bounds_each_link_call(rows, per_row):
+    # each count is in range, but the stage's one link call would send
+    # twice the 100,000 OFDM symbols a call may send
+    with pytest.raises(ConfigError, match=f"^{rows} x {per_row} must be in 1..100000, got 200000$"):
+        TrainConfig(**{rows: 100_000, per_row: 2})
+    TrainConfig(**{rows: 50_000, per_row: 2})
+
+
 def test_train_config_holds_the_seed_and_the_counts():
     # the step sizes, momentum, gamma, tolerance and stage SNRs are
     # constants that every run shares, readable on an instance
@@ -109,14 +123,12 @@ def test_curriculum_sampling(rng):
 
 def test_collect_link_records(default_setup):
     cfg = quick_cfg()
-    recs = collect_link_records(
-        default_setup, 4, 15.0, cfg.child_rng(0), n_ofdm=2
-    )
-    assert len(recs) == 4
-    assert all(r.snr_db == 15.0 for r in recs)
-    refs = reference_waveform([r.targets for r in recs], default_setup)
-    assert refs.shape == (4, 2 * default_setup.cfg.samples_per_ofdm)
-    assert clean_waveforms(recs).shape == output_waveforms(recs).shape == refs.shape
+    rec = collect_link_records(default_setup, 4, 15.0, cfg.child_rng(0), n_ofdm=2)
+    assert len(rec.targets) == rec.plan.rows == 4
+    assert rec.snr_db.tolist() == [15.0] * 4
+    refs = reference_waveform(rec.targets, default_setup)
+    assert refs.shape == rec.tx_frame.shape == (4, 2 * default_setup.cfg.samples_per_ofdm)
+    assert clean_waveforms(rec).shape == output_waveforms(rec).shape == refs.shape
 
 
 def synthetic_pairs(monkeypatch, xs, ys):
