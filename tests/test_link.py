@@ -597,6 +597,28 @@ def test_bare_call_sends_a_stack_of_one(default_setup, rng, monkeypatch):
     assert shapes == [(1, n_sym * default_setup.cfg.n_dbps)]
 
 
+def test_stacked_plan_reports_totals_and_per_row_plans(default_setup, rng):
+    rows = [uniform_box_targets(50, default_setup.cfg, rng, margin=1.5) for _ in range(3)]
+    stack = sender_invert(rows, default_setup)
+    singles = [sender_invert(t, default_setup) for t in rows]
+    assert stack.rows == 3
+    assert stack.clip_counts.tolist() == [p.clip_count for p in singles]
+    assert stack.target_count == 150
+    assert stack.ofdm_symbols == 3 * singles[0].ofdm_symbols
+    assert stack.clip_count == sum(p.clip_count for p in singles) > 0
+    assert stack.clip_rate == stack.clip_count / 300
+    assert stack.bitstream.shape == (3, singles[0].bitstream.shape[1])
+    for i, p in enumerate(singles):
+        np.testing.assert_array_equal(stack.bitstream[i], p.bitstream[0])
+        np.testing.assert_array_equal(stack.quantized[i], p.quantized[0])
+        np.testing.assert_array_equal(stack.incoming_states[i], p.incoming_states[0])
+        np.testing.assert_array_equal(stack.scale[i], p.scale[0])
+    with pytest.raises(FramingError):
+        sender_invert([rows[0], uniform_box_targets(49, default_setup.cfg, rng)], default_setup)
+    with pytest.raises(FramingError):
+        sender_invert([], default_setup)
+
+
 def test_stacked_hard_mode_equals_one_row_calls(default_setup, rng):
     rows = _rows(default_setup, [40] * 3, rng)
     snrs, seeds = [math.inf, 8.0, 20.0], [4, 5, 6]
