@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -330,6 +331,11 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None:
             check_seed(args.seed)
+        # an out path on or below a file fails before any work; selftest writes only to --out
+        out = Path(args.out or DEFAULT_OUT)
+        part = next((p for p in (out, *out.parents) if os.path.exists(p)), out)
+        if (args.out or args.func is not cmd_selftest) and not os.path.isdir(part):
+            raise ConfigError(f"cannot use {out} as the output directory: {part} is a file")
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

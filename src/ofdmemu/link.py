@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -84,19 +85,34 @@ def box_scale(cfg: PhyConfig) -> float:
 
 @dataclass
 class TargetSymbols:
-    """Complex values to transport, plus the user-to-constellation scale."""
+    """Complex values to transport, plus the user-to-constellation scale.
+
+    ``symbols`` is one (k,) row, or a (rows, k) stack whose rows are each
+    their own frame; ``count`` is their total.  ``scale`` is a positive
+    finite real or, for a stack, a (rows,) array of them.  Anything else,
+    ragged or empty rows and non-finite symbols raise FramingError.
+    """
 
     symbols: np.ndarray
-    scale: float
+    scale: float | np.ndarray
 
     def __post_init__(self) -> None:
-        self.symbols = np.asarray(self.symbols, dtype=np.complex128).ravel()
-        if self.symbols.size == 0:
-            raise FramingError("target symbol vector must not be empty")
-        if not np.all(np.isfinite(self.symbols)):
+        try:
+            symbols = self.symbols = np.asarray(self.symbols, dtype=np.complex128)
+        except (TypeError, ValueError):  # ragged rows, or not numbers
+            raise FramingError("target symbols must be numbers in rows of one length") from None
+        if symbols.ndim not in (1, 2) or symbols.size == 0:
+            raise FramingError(f"target symbols must not be empty or over 2-D, got {symbols.shape}")
+        if not np.all(np.isfinite(symbols)):
             raise FramingError("target symbols must be finite")
-        if not (self.scale > 0 and np.isfinite(self.scale)):
-            raise FramingError(f"scale must be positive and finite, got {self.scale}")
+        scale = self.scale
+        if isinstance(scale, np.ndarray) and scale.dtype.kind in "iuf" and symbols.ndim == 2:
+            self.scale = scale.astype(np.float64)
+            ok = scale.shape == symbols.shape[:1] and np.all((scale > 0) & (scale < math.inf))
+        else:
+            ok = isinstance(scale, numbers.Real) and 0 < scale <= sys.float_info.max
+        if not ok:
+            raise FramingError(f"scale must be positive and finite, or one per row, got {scale!r}")
 
     @classmethod
     def unit_power(cls, symbols: np.ndarray, cfg: PhyConfig) -> "TargetSymbols":
@@ -189,53 +205,43 @@ class EmulationPlan:
         return self.clip_count / (2 * self.target_count)
 
 
-def _target_rows(targets) -> list[TargetSymbols]:
-    """A target stack as a list of rows, a bare TargetSymbols as a stack
-    of one.  FramingError unless it holds at least one row, every row is
-    a TargetSymbols, and all have one length."""
-    if isinstance(targets, TargetSymbols):
-        return [targets]
-    rows = list(targets)
-    if not rows:
-        raise FramingError("a target stack must hold at least one row")
-    for t in rows:
-        if not isinstance(t, TargetSymbols):
-            raise FramingError(f"a target stack holds TargetSymbols rows, got {type(t).__name__}")
-        if t.count != rows[0].count:
-            raise FramingError(
-                f"target rows must have one length, got {rows[0].count} and {t.count}"
-            )
-    return rows
+def _stack_symbols(targets) -> np.ndarray:
+    """The (rows, k) symbols of one TargetSymbols; FramingError for anything else."""
+    if not isinstance(targets, TargetSymbols):
+        raise FramingError(f"targets must be one TargetSymbols, got {type(targets).__name__}")
+    symbols = targets.symbols
+    return symbols if symbols.ndim == 2 else symbols[None]
 
 
-def sender_invert(targets, setup: EmulationSetup) -> EmulationPlan:
+def sender_invert(targets: TargetSymbols, setup: EmulationSetup) -> EmulationPlan:
     """Choose constellation points for the targets and solve for info bits.
 
-    Targets are a stack, a sequence of equal-length TargetSymbols: every
-    row is its own frame, with its own scale and its state chain from 0,
-    and all rows quantize and solve together.  Targets pack row-major
-    onto the chosen subcarriers (sorted by logical index) of consecutive
-    OFDM symbols; a partial last symbol is padded with zero-valued
-    targets.  Each solved block fixes the encoder state entering the
-    next symbol, but the solve is linear in its target, so all symbols'
-    labels solve in one batch and only the state chain runs symbol by
-    symbol.  Returns one :class:`EmulationPlan` for the stack; an empty
-    stack or rows of unequal length raise FramingError.  A bare
-    TargetSymbols is sent as a stack of one.
+    Every row of the targets is its own frame, with its own scale and
+    its state chain from 0, and all rows are scaled, quantized and
+    solved together.  Targets pack row-major onto the chosen subcarriers
+    (sorted by logical index) of consecutive OFDM symbols; a partial
+    last symbol is padded with zero-valued targets.  Each solved block
+    fixes the encoder state entering the next symbol, but the solve is
+    linear in its target, so all symbols' labels solve in one batch and
+    only the state chain runs symbol by symbol.  Returns one
+    :class:`EmulationPlan`; anything but a TargetSymbols raises
+    FramingError.
     """
-    rows = _target_rows(targets)
+    symbols = _stack_symbols(targets)
     cfg = setup.cfg
-    n_rows, k = len(rows), rows[0].count
+    n_rows, k = symbols.shape
     nch = setup.n_chosen
     n_sym = (k + nch - 1) // nch
 
-    edge = box_edge(cfg)
+    scale = targets.scale  # as a (rows, 1) column; a list costs less than a broadcast
+    scale = scale[:, None] if isinstance(scale, np.ndarray) else np.array([[scale]] * n_rows, float)
     padded = np.zeros((n_rows, n_sym * nch), dtype=np.complex128)
-    over = []
-    for row, t in zip(padded, rows):
-        row[:k] = t.symbols * t.scale
-        # I and Q components beyond the box, read from the (k, 2) float view
-        over.append(int(np.count_nonzero(np.abs(row[:k].view(np.float64)) > edge)))
+    padded[:, :k] = symbols * scale
+    # I and Q components beyond the box, read from the float view (the
+    # zero padding never is), without an axis reduction for one row
+    over = np.abs(padded.view(np.float64)) > box_edge(cfg)
+    clips = np.count_nonzero(over, axis=1) if n_rows > 1 else np.array([np.count_nonzero(over)])
+    del over  # not held through the solve, where large calls peak
 
     points, labels = qam_quantize(padded, cfg.modulation_order)
     # Superposition over GF(2): the solution for labels ^ offsets[state]
@@ -254,28 +260,23 @@ def sender_invert(targets, setup: EmulationSetup) -> EmulationPlan:
     x_blocks ^= setup.offset_solutions[states]
 
     return EmulationPlan(
-        scale=np.array([[t.scale] for t in rows], dtype=np.float64),
+        scale=scale,
         target_count=n_rows * k,
         ofdm_symbols=n_rows * n_sym,
         quantized=points.reshape(n_rows, n_sym, nch),
         bitstream=scramble(x_blocks.reshape(n_rows, -1), cfg.scrambler_seed),
         incoming_states=states.reshape(n_rows, n_sym),
-        clip_counts=np.array(over),
+        clip_counts=clips,
     )
 
 
-def reference_waveform(targets, setup: EmulationSetup) -> np.ndarray:
-    """The ideal user-domain waveforms of a stack of equal-length
-    TargetSymbols, as (rows, samples): continuous targets on the chosen
-    bins, everything else (pilots, dummies, nulls) silent.  A bare
-    TargetSymbols is a stack of one."""
-    rows = _target_rows(targets)
-    k = rows[0].count
-    nch = setup.n_chosen
-    vals = np.zeros((len(rows), -(-k // nch) * nch), dtype=np.complex128)
-    for row, t in zip(vals, rows):
-        row[:k] = t.symbols
-    return waveform_from_values(vals, setup).reshape(len(rows), -1)
+def reference_waveform(targets: TargetSymbols, setup: EmulationSetup) -> np.ndarray:
+    """The ideal user-domain waveforms of the targets' rows, as (rows,
+    samples): continuous targets on the chosen bins, everything else
+    (pilots, dummies, nulls) silent.  A (k,) row is a stack of one."""
+    symbols = _stack_symbols(targets)
+    vals = np.pad(symbols, ((0, 0), (0, -symbols.shape[1] % setup.n_chosen)))
+    return waveform_from_values(vals, setup).reshape(len(symbols), -1)
 
 
 def waveform_from_values(values: np.ndarray, setup: EmulationSetup) -> np.ndarray:
@@ -302,15 +303,17 @@ def targets_from_waveform(waveform: np.ndarray, setup: EmulationSetup) -> Target
     part the IFFT can actually synthesize; cyclic-prefix positions are
     overwritten on air anyway) and read on the chosen bins.  The scale
     follows the +-3 sigma box policy using the measured per-axis spread
-    of the projected values.
+    of the projected values.  A (rows, samples) stack gives a stack,
+    each row scaled by its own spread.
     """
-    vals = _chosen_values(waveform, setup)
-    if vals.size == 0:
-        raise FramingError("waveform must hold at least one OFDM symbol")
-    spread = float(np.std(np.concatenate([vals.real, vals.imag])))
-    if spread <= 0:
-        spread = 1.0
-    return TargetSymbols(vals, box_edge(setup.cfg) / (3.0 * spread))
+    waveform = np.asarray(waveform, dtype=np.complex128)
+    spo = setup.cfg.samples_per_ofdm
+    if waveform.ndim not in (1, 2) or waveform.size == 0 or waveform.shape[-1] % spo:
+        raise FramingError(f"waveforms must be rows of whole OFDM symbols, got {waveform.shape}")
+    vals = _chosen_values(waveform, setup).reshape(*waveform.shape[:-1], -1)
+    spread = np.std(np.concatenate([vals.real, vals.imag], axis=-1), axis=-1)
+    scale = box_edge(setup.cfg) / (3.0 * np.where(spread > 0, spread, 1.0))
+    return TargetSymbols(vals, scale if vals.ndim == 2 else float(scale))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +461,7 @@ def extract_estimates(waveform: np.ndarray, plan: EmulationPlan, setup: Emulatio
 
 @dataclass
 class LinkRecord:
-    """One emulated_link call: its target rows, their plan, and the
+    """One emulated_link call: its targets, their plan, and the
     (rows, samples) frames sent and received.
 
     The waveforms learning reads are derived from the record by
@@ -466,7 +469,7 @@ class LinkRecord:
     only for the ones it reads.
     """
 
-    targets: list[TargetSymbols]
+    targets: TargetSymbols
     plan: EmulationPlan
     setup: EmulationSetup
     tx_frame: np.ndarray
@@ -509,7 +512,7 @@ def _per_row(values, n: int, what: str) -> list:
 
 
 def emulated_link(
-    targets,
+    targets: TargetSymbols,
     snr_db,
     seed,
     setup: EmulationSetup,
@@ -517,37 +520,36 @@ def emulated_link(
 ):
     """Transport targets through invert -> transmit -> AWGN -> recover.
 
-    Targets are a stack, a sequence of equal-length TargetSymbols, sent
-    in one call: ``snr_db`` and ``seed`` are sequences with one entry per
-    row, each seed an int or a ``Generator``.  Returns the soft or hard
-    receiver's (rows, k) estimates and one record of the whole stack,
-    from which the reference, received and noiseless waveforms derive;
-    each row is byte for byte what a stack of that row alone gives.  An
-    empty stack, rows of unequal length, or an SNR or seed sequence of
-    another length raise FramingError, and an SNR in any row that is not
-    a real number, or is NaN or -inf, ConfigError, before any row is
-    sent.  A bare TargetSymbols with a scalar SNR and seed is sent as a
-    stack of one: the call returns (k,) estimates and that stack's
-    record.
+    A (rows, k) TargetSymbols is sent in one call: ``snr_db`` and
+    ``seed`` are sequences with one entry per row, each seed an int or a
+    ``Generator``.  Returns the soft or hard receiver's (rows, k)
+    estimates and one record of the whole stack, from which the
+    reference, received and noiseless waveforms derive; each row is byte
+    for byte what a stack of that row alone gives.  Anything but a
+    TargetSymbols, or an SNR or seed sequence of another length, raises
+    FramingError, and an SNR in any row that is not a real number, or is
+    NaN or -inf, ConfigError, before any row is sent.  A (k,) row with a
+    scalar SNR and seed is sent as a stack of one: the call returns (k,)
+    estimates and that stack's record.
     """
     if mode not in ("soft", "hard"):
         raise SelectionError(f"mode must be 'soft' or 'hard', got {mode!r}")
-    bare = isinstance(targets, TargetSymbols)
+    n_rows = len(_stack_symbols(targets))
+    bare = targets.symbols.ndim == 1
     if bare:
         snr_db, seed = [snr_db], [seed]
-    rows = _target_rows(targets)
-    snrs = _per_row(snr_db, len(rows), "SNRs")
-    seeds = _per_row(seed, len(rows), "seeds")
+    snrs = _per_row(snr_db, n_rows, "SNRs")
+    seeds = _per_row(seed, n_rows, "seeds")
     for snr in snrs:
         check_snr(snr)
-    plan = sender_invert(rows, setup)
+    plan = sender_invert(targets, setup)
     tx = tx_chain(plan.bitstream, setup.cfg).samples
     rx = np.empty_like(tx)
     for noisy, frame, snr, s in zip(rx, tx, snrs, seeds):
         noisy[:] = awgn(frame, snr, s)
     recover = receiver_recover_soft if mode == "soft" else receiver_recover_hard
     est = recover(rx, plan, setup)
-    record = LinkRecord(rows, plan, setup, tx, rx, np.array(snrs, dtype=np.float64))
+    record = LinkRecord(targets, plan, setup, tx, rx, np.array(snrs, dtype=np.float64))
     return (est[0] if bare else est), record
 
 

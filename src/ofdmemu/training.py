@@ -46,7 +46,6 @@ from .link import (
     output_waveforms,
     reference_waveform,
     targets_from_waveform,
-    waveform_from_values,
 )
 from .nn import (
     CompensatorModel,
@@ -237,13 +236,14 @@ def _stage1_pairs(
     cfg = setup.cfg
     carrier, _ = longest_chosen_run(setup)
     n = train_cfg.stage1_ofdm_symbols * cfg.samples_per_ofdm
-    waves, targets, seeds = [], [], []
-    for _ in range(count):
-        waves.append(smooth_waveform(n, rng, carrier, cfg.fft_size, bandwidth_bins=4.0))
-        targets.append(targets_from_waveform(waves[-1], setup))
+    waves = np.empty((count, n), dtype=np.complex128)
+    seeds = []
+    for wave in waves:
+        wave[:] = smooth_waveform(n, rng, carrier, cfg.fft_size, bandwidth_bins=4.0)
         seeds.append(int(rng.integers(2**63)))
+    targets = targets_from_waveform(waves, setup)
     _, record = emulated_link(targets, [train_cfg.stage1_snr_db] * count, seeds, setup)
-    return complex_to_wave(output_waveforms(record)), complex_to_wave(np.stack(waves))
+    return complex_to_wave(output_waveforms(record)), complex_to_wave(waves)
 
 
 def stage1_train_compensator(
@@ -299,11 +299,12 @@ def collect_link_records(
 ) -> LinkRecord:
     """The soft-mode link record of ``count`` rows of Gaussian targets,
     ``n_ofdm`` OFDM symbols each, for proxy training, from one link call."""
-    k = n_ofdm * setup.n_chosen
-    targets, seeds = [], []
-    for _ in range(count):
-        targets.append(TargetSymbols.unit_power(gaussian_symbols(k, rng), setup.cfg))
+    symbols = np.empty((count, n_ofdm * setup.n_chosen), dtype=np.complex128)
+    seeds = []
+    for row in symbols:
+        row[:] = gaussian_symbols(row.size, rng)
         seeds.append(int(rng.integers(2**63)))
+    targets = TargetSymbols.unit_power(symbols, setup.cfg)
     return emulated_link(targets, [snr_db] * count, seeds, setup)[1]
 
 
@@ -313,11 +314,6 @@ def collect_stage2_records(setup: EmulationSetup, train_cfg: TrainConfig) -> Lin
         setup, train_cfg.stage2_records, train_cfg.stage2_snr_db,
         train_cfg.child_rng(_S2_DATA), n_ofdm=train_cfg.stage2_ofdm_symbols,
     )
-
-
-def _waveforms(record: LinkRecord) -> tuple[np.ndarray, np.ndarray]:
-    """The record's reference and output waveforms, each derived once, as stacks."""
-    return reference_waveform(record.targets, record.setup), output_waveforms(record)
 
 
 def _calibrate_noise(
@@ -344,7 +340,7 @@ def _proxy_fit(
     batch_size: int, epochs: int, rng: np.random.Generator, stage: str, trace: list,
 ):
     """Fit the proxy's deterministic part to all but the last ``n_held``
-    records, which are held out, given their :func:`_waveforms` stacks.
+    records, which are held out, given their reference and output stacks.
 
     Returns the ``_sgd_epochs`` generator of the fit, which runs as it is
     consumed, and a function giving the held-out complex per-sample MSE.
@@ -373,7 +369,7 @@ def stage2_train_proxy(
 ) -> StageResult:
     """Fit the proxy's deterministic part to a link record's rows and
     calibrate its noise injection."""
-    n = len(record.targets)
+    n = record.plan.rows
     if n < _MIN_STAGE2_RECORDS:
         raise TrainingError(
             f"need at least {_MIN_STAGE2_RECORDS} records for a train/held-out split, got {n}"
@@ -381,7 +377,7 @@ def stage2_train_proxy(
     n_held = max(2, n // 4)
     if model is None:
         model = ProxyModel(train_cfg.child_rng(_S2_INIT))
-    refs, outs = _waveforms(record)
+    refs, outs = reference_waveform(record.targets, record.setup), output_waveforms(record)
     measured = (
         refs, outs, clean_waveforms(record),
         np.array([noise_variance(snr) for snr in record.snr_db.tolist()]),
@@ -434,15 +430,11 @@ class _SymbolFraming:
     """
 
     def __init__(self, setup: EmulationSetup, pairs: int):
-        nch = setup.n_chosen
-        n_sym = (pairs + nch - 1) // nch
-        self.n_samples = n_sym * setup.cfg.samples_per_ofdm
-        # row 2k carries 1 on pair k and row 2k + 1 carries 1j; every row
-        # is padded to whole OFDM symbols, as reference_waveform pads
-        basis = np.zeros((2 * pairs, n_sym * nch), dtype=np.complex128)
-        basis[:, :pairs] = np.kron(np.eye(pairs), [[1.0], [1.0j]])
-        waves = waveform_from_values(basis, setup).view(np.float64)
-        self.frame_matrix = np.ascontiguousarray(waves.reshape(2 * pairs, -1).T)
+        # row 2k carries 1 on pair k and row 2k + 1 carries 1j
+        basis = TargetSymbols(np.kron(np.eye(pairs), [[1.0], [1.0j]]), 1.0)
+        waves = reference_waveform(basis, setup)
+        self.n_samples = waves.shape[1]
+        self.frame_matrix = np.ascontiguousarray(waves.view(np.float64).T)
 
         # row 2j carries 1 at sample j and row 2j + 1 carries 1j
         units = np.kron(np.eye(self.n_samples), [[1.0], [1.0j]])
@@ -540,19 +532,18 @@ def stage3_alternate(
 
         # phase B: fresh records from the current encoder, sent in one
         # link call, then the proxy refresh
-        targets, snrs, seeds = [], [], []
-        for _ in range(train_cfg.refresh_batch_count):
+        symbols = np.empty((train_cfg.refresh_batch_count, jscc.latent_pairs), np.complex128)
+        snrs, seeds = [], []
+        for row in symbols:
             pick = refresh_rng.integers(len(flat_images))
-            symbols = _latent_to_symbols(
-                jscc.encode(Tensor(flat_images[pick : pick + 1])).data[0]
-            )
-            targets.append(TargetSymbols.unit_power(symbols, setup.cfg))
+            row[:] = _latent_to_symbols(jscc.encode(Tensor(flat_images[pick : pick + 1])).data[0])
             snrs.append(curriculum.sample(refresh_rng))
             seeds.append(int(refresh_rng.integers(2**63)))
-        _, fresh = emulated_link(targets, snrs, seeds, setup)
+        _, fresh = emulated_link(TargetSymbols.unit_power(symbols, setup.cfg), snrs, seeds, setup)
         epochs, held_out_mse = _proxy_fit(
-            proxy, opt_b, *_waveforms(fresh), max(1, len(targets) // 4), train_cfg.batch_size,
-            train_cfg.stage3_refresh_epochs, refresh_rng, "stage3/phaseB", trace,
+            proxy, opt_b, reference_waveform(fresh.targets, setup), output_waveforms(fresh),
+            max(1, len(symbols) // 4), train_cfg.batch_size, train_cfg.stage3_refresh_epochs,
+            refresh_rng, "stage3/phaseB", trace,
         )
         pre_refresh = held_out_mse()
         last_epoch = list(epochs)[-1]
@@ -646,7 +637,7 @@ def evaluate_image_link(
     flat = images.reshape(len(images), -1)
     # (B, 2K) latents at unit average power, as (B, K) symbols
     symbols = _latent_to_symbols(jscc.encode(Tensor(flat)).data)
-    targets = [TargetSymbols.unit_power(row, setup.cfg) for row in symbols]
+    targets = TargetSymbols.unit_power(symbols, setup.cfg)
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(len(flat))]
     est, record = emulated_link(targets, [snr_db] * len(flat), rngs, setup)
     if compensator is not None:

@@ -728,13 +728,39 @@ def test_empty_config_path_exits_2(tmp_path, capsys, command):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):
+# each writing command, its arguments, and the steps of its work; "IN"
+# stands for an input file
+_OUT_WORK = {
+    "selftest": (["--quick"], ["ofdmemu.cli.selftest"]),
+    "tx": (["--in", "IN"], ["ofdmemu.cli.read_input", "ofdmemu.cli.tx_chain"]),
+    "rx": (["--in", "IN"], ["ofdmemu.cli.read_frame", "ofdmemu.cli.rx_chain"]),
+    "emulate": ([], ["ofdmemu.cli.gaussian_targets", "ofdmemu.cli.emulated_link"]),
+    "sweep": (["--systems", "emulated"], ["ofdmemu.cli.run_sweep"]),
+    "train-comp": ([], ["ofdmemu.training.stage1_train_compensator"]),
+    "train-proxy": ([], ["ofdmemu.training.collect_stage2_records"]),
+    "train-e2e": ([], ["ofdmemu.training.run_training_pipeline"]),
+}
+
+
+def test_out_path_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch):
+    # a file where the output directory would go is refused before any
+    # set-up or work, and nothing is created
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    monkeypatch.setattr(EmulationSetup, "build", unreachable)
+    for steps in _OUT_WORK.values():
+        for step in steps[1]:
+            monkeypatch.setattr(step, unreachable)
     taken = tmp_path / "taken"
-    taken.write_bytes(b"")
-    for out in (taken, taken / "below"):
-        rc = main(["selftest", "--quick", "--out", str(out)])
-        assert rc == 2
-        assert "output directory" in capsys.readouterr().err
+    taken.write_bytes(b"\x01\x02")
+    for command, (args, _) in _OUT_WORK.items():
+        args = [str(taken) if a == "IN" else a for a in args]
+        for out in (taken, taken / "below"):
+            rc = main([command, *args, "--out", str(out)])
+            assert rc == 2, command
+            assert "output directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [taken]
 
 
 def test_non_utf8_out_path_prints_on_a_strict_utf8_stdout(tmp_path):

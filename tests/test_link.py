@@ -32,6 +32,7 @@ from ofdmemu.link import (
 )
 from ofdmemu.nn import ProxyModel, Tensor
 from ofdmemu.phy import demodulate_frame, tx_chain
+from ofdmemu.sources import longest_chosen_run, smooth_waveform
 
 
 def uniform_box_targets(n, cfg, rng, margin=1.0):
@@ -57,15 +58,58 @@ def test_box_edge_values(mod, edge):
     assert box_scale(cfg) == pytest.approx(edge * math.sqrt(2) / 3)
 
 
+_ROW = np.ones(3, dtype=np.complex128)
+_STACK = np.ones((2, 3), dtype=np.complex128)
+
+
+# Every malformed row, stack or scale is a FramingError at construction,
+# never a NumPy error or a silent reshape.
+
+@pytest.mark.parametrize(
+    "symbols,scale",
+    [
+        pytest.param(np.array([]), 1.0, id="empty"),
+        pytest.param(np.zeros((0, 3)), 1.0, id="no-rows"),
+        pytest.param(np.zeros((2, 0)), 1.0, id="no-columns"),
+        pytest.param(np.ones((2, 2, 3)), 1.0, id="3-d"),
+        pytest.param([[1, 2], [1, 2, 3]], 1.0, id="ragged"),
+        pytest.param(["a", "b"], 1.0, id="strings"),
+        pytest.param([np.nan + 0j], 1.0, id="nan"),
+        pytest.param([[1.0, np.inf]], 1.0, id="inf"),
+        pytest.param(_ROW, 0.0, id="scale-zero"),
+        pytest.param(_ROW, -2.0, id="scale-negative"),
+        pytest.param(_ROW, math.nan, id="scale-nan"),
+        pytest.param(_ROW, math.inf, id="scale-inf"),
+        pytest.param(_ROW, np.array([1.0, 2.0]), id="scale-array"),
+        pytest.param(_ROW, np.array(1.0), id="scale-0-d"),
+        pytest.param(_ROW, "1", id="scale-str"),
+        pytest.param(_ROW, None, id="scale-none"),
+        pytest.param(_ROW, 1 + 0j, id="scale-complex"),
+        pytest.param(_ROW, 10**400, id="scale-huge-int"),
+        pytest.param(_STACK, np.array([1.0, 2.0, 3.0]), id="stack-scale-long"),
+        pytest.param(_STACK, np.ones((2, 1)), id="stack-scale-2-d"),
+        pytest.param(_STACK, [1.0, 2.0], id="stack-scale-list"),
+        pytest.param(_STACK, np.array([1.0, 0.0]), id="stack-scale-zero"),
+        pytest.param(_STACK, np.array([1.0, math.nan]), id="stack-scale-nan"),
+        pytest.param(_STACK, np.array([1.0, math.inf]), id="stack-scale-inf"),
+        pytest.param(_STACK, np.array([1 + 0j, 1 + 0j]), id="stack-scale-complex"),
+        pytest.param(_STACK, np.array(["1", "2"]), id="stack-scale-str"),
+    ],
+)
+def test_target_symbols_rejects(symbols, scale):
+    with pytest.raises(FramingError):
+        TargetSymbols(symbols, scale)
+
+
 def test_target_symbols_validation():
-    with pytest.raises(FramingError):
-        TargetSymbols(np.array([]), 1.0)
-    with pytest.raises(FramingError):
-        TargetSymbols(np.array([np.nan + 0j]), 1.0)
-    with pytest.raises(FramingError):
-        TargetSymbols(np.array([1 + 1j]), 0.0)
-    with pytest.raises(FramingError):
-        TargetSymbols(np.array([1 + 1j]), -2.0)
+    # what the checks accept: a row with a real scale, which it keeps,
+    # and a stack with one scale per row or one for all
+    row = TargetSymbols([1, 2j], 2)
+    assert row.symbols.shape == (2,) and row.scale == 2 and row.count == 2
+    stack = TargetSymbols(np.ones((3, 4)), np.array([1, 2, 3]))
+    assert stack.count == 12 and stack.scale.dtype == np.float64
+    # a stack may share one scale
+    assert TargetSymbols(np.ones((3, 4)), 0.5).scale == 0.5
 
 
 def test_setup_build_caches_and_bounds(default_cfg, default_setup):
@@ -305,9 +349,45 @@ def test_waveform_value_roundtrip(default_setup, rng):
         targets_from_waveform(wave[:-1], default_setup)
 
 
+# A stack of waveforms projects as each row alone does, byte for byte: the
+# values, and one scale per row from that row's own spread (1.0 where a
+# row is silent).
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(1, 12),
+    n_sym=st.integers(1, 5),
+    kinds=st.lists(st.sampled_from(["smooth", "white", "silent"]), min_size=12, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_targets_from_waveform_stack_equals_row_calls(default_setup, rows, n_sym, kinds, seed):
+    cfg = default_setup.cfg
+    rng = np.random.default_rng(seed)
+    n = n_sym * cfg.samples_per_ofdm
+    carrier, _ = longest_chosen_run(default_setup)
+    waves = np.zeros((rows, n), dtype=np.complex128)
+    for wave, kind in zip(waves, kinds):
+        if kind == "smooth":
+            wave[:] = smooth_waveform(n, rng, carrier, cfg.fft_size, bandwidth_bins=4.0)
+        elif kind == "white":
+            wave[:] = rng.normal(size=n) + 1j * rng.normal(size=n)
+    stack = targets_from_waveform(waves, default_setup)
+    assert stack.symbols.shape == (rows, n_sym * default_setup.n_chosen)
+    assert stack.scale.shape == (rows,)
+    for r in range(rows):
+        one = targets_from_waveform(waves[r], default_setup)
+        assert type(one.scale) is float
+        assert stack.symbols[r].tobytes() == one.symbols.tobytes()
+        assert stack.scale[r].tobytes() == np.float64(one.scale).tobytes()
+    with pytest.raises(FramingError):
+        targets_from_waveform(waves[:, :-1], default_setup)
+    with pytest.raises(FramingError):
+        targets_from_waveform(waves[None], default_setup)
+
+
 def test_reference_waveform_shape(default_setup, rng):
     targets = uniform_box_targets(default_setup.n_chosen + 3, default_setup.cfg, rng)
-    ref = reference_waveform([targets], default_setup)[0]
+    ref = reference_waveform(targets, default_setup)[0]
     assert ref.size == 2 * default_setup.cfg.samples_per_ofdm
 
 
@@ -321,7 +401,7 @@ def assert_record_derives(rec, targets, snr_db, seed, setup):
     """The record holds this transmission as a stack of one, and its
     waveforms derive from it byte for byte."""
     plan = sender_invert(targets, setup)
-    assert len(rec.targets) == 1 and rec.targets[0] is targets and rec.setup is setup
+    assert rec.targets is targets and rec.setup is setup
     assert rec.snr_db.tolist() == [snr_db]
     assert rec.plan.bitstream.tobytes() == plan.bitstream.tobytes()
     assert rec.plan.clip_rate == plan.clip_rate
@@ -379,7 +459,7 @@ def test_extract_estimates_clips(default_setup, rng):
     assert np.all(np.abs(est.imag) <= lim + 1e-9)
     # waveforms of another symbol count, alone or in a stack, and in
     # either receiver
-    three = sender_invert([targets] * 3, default_setup)
+    three = sender_invert(TargetSymbols(np.stack([targets.symbols] * 3), 1.0), default_setup)
     for read in (extract_estimates, receiver_recover_soft, receiver_recover_hard):
         with pytest.raises(FramingError, match="OFDM symbols"):
             read(np.concatenate([big, big]), plan, default_setup)
@@ -403,7 +483,9 @@ def test_channels_reject_an_snr_that_is_not_a_real_scalar(default_setup, rng, en
         "awgn": lambda: awgn(x, snr, 1),
         "ideal_analog_link": lambda: ideal_analog_link(x, snr, 1),
         "emulated_link": lambda: emulated_link(t, snr, 1, default_setup),
-        "stacked_link": lambda: emulated_link([t, t], [10.0, snr], [1, 2], default_setup),
+        "stacked_link": lambda: emulated_link(
+            TargetSymbols(np.stack([t.symbols] * 2), 1.0), [10.0, snr], [1, 2], default_setup
+        ),
     }
     with pytest.raises(ConfigError, match="real number"):
         calls[entry]()
@@ -413,8 +495,16 @@ def test_channels_reject_an_snr_that_is_not_a_real_scalar(default_setup, rng, en
 # stacked links: boundaries, then a stack against one reference call per row
 
 
-def _rows(setup, counts, rng):
-    return [uniform_box_targets(k, setup.cfg, rng) for k in counts]
+def _stack(setup, rows, k, rng, margin=1.0):
+    """A (rows, k) stack of in-box targets with one scale per row."""
+    lim = box_edge(setup.cfg) * margin
+    symbols = rng.uniform(-lim, lim, (rows, k)) + 1j * rng.uniform(-lim, lim, (rows, k))
+    return TargetSymbols(symbols, rng.uniform(0.5, 2.0, rows))
+
+
+def _row(stack, r):
+    """Row ``r`` of a stack as a bare TargetSymbols with a float scale."""
+    return TargetSymbols(stack.symbols[r], float(stack.scale[r]))
 
 
 @pytest.fixture
@@ -429,37 +519,53 @@ def no_link_work(monkeypatch):
 
 
 def test_stack_rejects_rows_of_unequal_length(default_setup, rng, no_link_work):
-    rows = _rows(default_setup, [24, 24, 25], rng)
+    rows = [uniform_box_targets(k, default_setup.cfg, rng).symbols for k in (24, 24, 25)]
     with pytest.raises(FramingError, match="one length"):
-        emulated_link(rows, [10.0] * 3, [1, 2, 3], default_setup)
-    with pytest.raises(FramingError, match="one length"):
-        sender_invert(rows, default_setup)
+        TargetSymbols(rows, np.ones(3))
 
 
-def test_stack_rejects_an_empty_sequence(default_setup, no_link_work):
-    with pytest.raises(FramingError, match="at least one row"):
-        emulated_link([], [], [], default_setup)
-    with pytest.raises(FramingError, match="at least one row"):
-        sender_invert([], default_setup)
+# A target stack is one TargetSymbols: a list of rows, equal or not, is
+# refused by every entry point before any work.
+
+@pytest.mark.parametrize(
+    "targets", [[], "list of rows", np.ones((2, 24))], ids=["empty", "rows", "array"]
+)
+def test_stack_rejects_anything_but_one_target_symbols(default_setup, rng, no_link_work, targets):
+    if isinstance(targets, str):
+        targets = [uniform_box_targets(24, default_setup.cfg, rng)] * 2
+    n = len(targets)
+    with pytest.raises(FramingError, match="one TargetSymbols"):
+        emulated_link(targets, [10.0] * n, list(range(n)), default_setup)
+    with pytest.raises(FramingError, match="one TargetSymbols"):
+        sender_invert(targets, default_setup)
+    with pytest.raises(FramingError, match="one TargetSymbols"):
+        reference_waveform(targets, default_setup)
+
+
+def test_stack_rejects_an_empty_sequence():
+    with pytest.raises(FramingError, match="must not be empty"):
+        TargetSymbols(np.zeros((0, 24)), np.ones(0))
+    with pytest.raises(FramingError, match="must not be empty"):
+        TargetSymbols(np.zeros((3, 0)), np.ones(3))
 
 
 @pytest.mark.parametrize("snrs", [[10.0, 10.0], [10.0] * 4, 10.0], ids=["short", "long", "scalar"])
 def test_stack_rejects_an_snr_sequence_of_another_length(default_setup, rng, no_link_work, snrs):
-    rows = _rows(default_setup, [24] * 3, rng)
+    rows = _stack(default_setup, 3, 24, rng)
     with pytest.raises(FramingError, match="SNRs"):
         emulated_link(rows, snrs, [1, 2, 3], default_setup)
 
 
 @pytest.mark.parametrize("seeds", [[1, 2], [1, 2, 3, 4], 7], ids=["short", "long", "scalar"])
 def test_stack_rejects_a_seed_sequence_of_another_length(default_setup, rng, no_link_work, seeds):
-    rows = _rows(default_setup, [24] * 3, rng)
+    rows = _stack(default_setup, 3, 24, rng)
     with pytest.raises(FramingError, match="seeds"):
         emulated_link(rows, [10.0] * 3, seeds, default_setup)
 
 
 @pytest.mark.parametrize("bad", [math.nan, -math.inf], ids=["nan", "-inf"])
 def test_stack_rejects_a_bad_snr_in_any_row(default_setup, rng, no_link_work, bad):
-    rows = _rows(default_setup, [24] * 3, rng)
+    rows = _stack(default_setup, 3, 24, rng)
     with pytest.raises(ConfigError):
         emulated_link(rows, [10.0, 10.0, bad], [1, 2, 3], default_setup)
 
@@ -494,10 +600,8 @@ def test_stack_equals_one_reference_call_per_row(pair, rows, count, data):
         st.lists(st.tuples(st.booleans(), st.integers(0, 2**63 - 1)), min_size=rows, max_size=rows),
         label="seeds (as Generator, value)",
     )
-    targets = [
-        TargetSymbols(rng.normal(size=count) + 1j * rng.normal(size=count), scale)
-        for scale in scales
-    ]
+    symbols = rng.normal(size=(rows, count)) + 1j * rng.normal(size=(rows, count))
+    targets = TargetSymbols(symbols, np.array(scales))
 
     def fresh(seed):
         as_rng, value = seed
@@ -521,7 +625,9 @@ def test_stack_equals_one_reference_call_per_row(pair, rows, count, data):
     outputs, cleans = output_waveforms(record), clean_waveforms(record)
     refs = reference_waveform(targets, setup)
     clips = []
-    for r, (t, snr, seed) in enumerate(zip(targets, snrs, seeds)):
+    assert record.targets is targets
+    for r, (snr, seed) in enumerate(zip(snrs, seeds)):
+        t = TargetSymbols(symbols[r], scales[r])
         want_est, want, tx, rx = oracles.emulated_link_reference(t, snr, fresh(seed), setup)
         assert est[r].tobytes() == want_est.tobytes()
         assert record.tx_frame[r].tobytes() == tx.tobytes()
@@ -532,7 +638,7 @@ def test_stack_equals_one_reference_call_per_row(pair, rows, count, data):
         assert plan.scale[r, 0] == want.scale
         assert plan.clip_counts[r] == want.clip_count
         clips.append(want.clip_count)
-        assert record.targets[r] is t and record.snr_db[r] == snr
+        assert record.snr_db[r] == snr
         # the stacked waveforms re-frame the reference frames
         assert outputs[r].tobytes() == reframed(rx, want, setup).tobytes()
         assert cleans[r].tobytes() == reframed(tx, want, setup).tobytes()
@@ -571,7 +677,7 @@ def test_bare_call_equals_one_reference_call(pair, count, scale, snr, seed, mode
         want_est = receiver_recover_hard(rx, rec.plan, setup)[0]
     assert est.shape == (count,) and isinstance(rec, link.LinkRecord)
     # one row
-    assert rec.plan.rows == len(rec.targets) == 1
+    assert rec.plan.rows == 1
     assert rec.tx_frame.shape == rec.rx_frame.shape == (1, tx.size)
     assert est.tobytes() == want_est.tobytes()
     assert rec.tx_frame.tobytes() == tx.tobytes()
@@ -580,7 +686,7 @@ def test_bare_call_equals_one_reference_call(pair, count, scale, snr, seed, mode
     assert rec.plan.incoming_states.tobytes() == plan.incoming_states.tobytes()
     assert rec.plan.quantized.tobytes() == plan.quantized.tobytes()
     assert rec.plan.clip_count == plan.clip_count
-    assert rec.targets[0] is t and rec.snr_db.tolist() == [snr]
+    assert rec.targets is t and rec.snr_db.tolist() == [snr]
 
 
 def test_bare_call_sends_a_stack_of_one(default_setup, rng, monkeypatch):
@@ -598,9 +704,9 @@ def test_bare_call_sends_a_stack_of_one(default_setup, rng, monkeypatch):
 
 
 def test_stacked_plan_reports_totals_and_per_row_plans(default_setup, rng):
-    rows = [uniform_box_targets(50, default_setup.cfg, rng, margin=1.5) for _ in range(3)]
+    rows = _stack(default_setup, 3, 50, rng, margin=1.5)
     stack = sender_invert(rows, default_setup)
-    singles = [sender_invert(t, default_setup) for t in rows]
+    singles = [sender_invert(_row(rows, r), default_setup) for r in range(3)]
     assert stack.rows == 3
     assert stack.clip_counts.tolist() == [p.clip_count for p in singles]
     assert stack.target_count == 150
@@ -613,17 +719,19 @@ def test_stacked_plan_reports_totals_and_per_row_plans(default_setup, rng):
         np.testing.assert_array_equal(stack.quantized[i], p.quantized[0])
         np.testing.assert_array_equal(stack.incoming_states[i], p.incoming_states[0])
         np.testing.assert_array_equal(stack.scale[i], p.scale[0])
-    with pytest.raises(FramingError):
-        sender_invert([rows[0], uniform_box_targets(49, default_setup.cfg, rng)], default_setup)
-    with pytest.raises(FramingError):
-        sender_invert([], default_setup)
+    # a stack may share one scale: each row is then scaled by it
+    shared = sender_invert(TargetSymbols(rows.symbols, 1.5), default_setup)
+    one = sender_invert(TargetSymbols(rows.symbols[1], 1.5), default_setup)
+    assert shared.scale.tolist() == [[1.5]] * 3
+    assert shared.bitstream[1].tobytes() == one.bitstream[0].tobytes()
+    assert shared.clip_counts[1] == one.clip_count
 
 
 def test_stacked_hard_mode_equals_one_row_calls(default_setup, rng):
-    rows = _rows(default_setup, [40] * 3, rng)
+    rows = _stack(default_setup, 3, 40, rng)
     snrs, seeds = [math.inf, 8.0, 20.0], [4, 5, 6]
     est, record = emulated_link(rows, snrs, seeds, default_setup, mode="hard")
-    for t, snr, seed, got, noisy in zip(rows, snrs, seeds, est, record.rx_frame):
-        want, one = emulated_link(t, snr, seed, default_setup, mode="hard")
+    for r, (snr, seed, got, noisy) in enumerate(zip(snrs, seeds, est, record.rx_frame)):
+        want, one = emulated_link(_row(rows, r), snr, seed, default_setup, mode="hard")
         assert got.tobytes() == want.tobytes()
         assert noisy.tobytes() == one.rx_frame.tobytes()

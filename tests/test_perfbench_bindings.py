@@ -107,7 +107,7 @@ def test_tracer_counts_every_row_of_a_stacked_link(default_setup, tmp_path):
     n_sym = -(-k // default_setup.n_chosen)
     rng = np.random.default_rng(8)
     symbols = rng.normal(size=(rows, k)) + 1j * rng.normal(size=(rows, k))
-    targets = [link.TargetSymbols.unit_power(s, default_setup.cfg) for s in symbols]
+    targets = link.TargetSymbols(symbols, rng.uniform(0.5, 2.0, rows))
     tracer_module = load_tracer()
     tracer = tracer_module.Tracer("stack")
     tracer.install()

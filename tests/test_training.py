@@ -124,7 +124,8 @@ def test_curriculum_sampling(rng):
 def test_collect_link_records(default_setup):
     cfg = quick_cfg()
     rec = collect_link_records(default_setup, 4, 15.0, cfg.child_rng(0), n_ofdm=2)
-    assert len(rec.targets) == rec.plan.rows == 4
+    assert rec.targets.symbols.shape == (4, 2 * default_setup.n_chosen)
+    assert rec.plan.rows == 4
     assert rec.snr_db.tolist() == [15.0] * 4
     refs = reference_waveform(rec.targets, default_setup)
     assert refs.shape == rec.tx_frame.shape == (4, 2 * default_setup.cfg.samples_per_ofdm)
@@ -384,10 +385,8 @@ def test_symbol_framing_matches_the_link(rate, m):
         framing = _SymbolFraming(setup, pairs)
         latent = rng.normal(size=(3, 2 * pairs))
         framed = framing.frame(Tensor(latent)).data
-        for row, z in zip(framed, latent.view(np.complex128)):
-            (ref,) = reference_waveform([TargetSymbols(z, 1.0)], setup)
-            want = complex_to_wave(ref)
-            assert np.allclose(row, want, rtol=0, atol=1e-12)
+        refs = reference_waveform(TargetSymbols(latent.view(np.complex128), 1.0), setup)
+        assert np.allclose(framed, complex_to_wave(refs), rtol=0, atol=1e-12)
         waves = rng.normal(size=(3, framing.n_samples, 2))
         read = framing.extract(Tensor(waves)).data
         for row, wave in zip(read, waves):
