@@ -321,6 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# every flag that names a file or directory, and its argparse dest
+_PATH_FLAGS = (("--config", "config"), ("--out", "out"), ("--in", "infile"), ("--models", "models"))
+
+
 def main(argv=None) -> int:
     # Paths from argv may hold undecodable bytes (as surrogates) that a
     # strict UTF-8 stdout cannot print; show them escaped, as stderr does.
@@ -331,6 +335,10 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None:
             check_seed(args.seed)
+        # no path holds a NUL byte; the OS would refuse it mid-command
+        for flag, dest in _PATH_FLAGS:
+            if "\x00" in (getattr(args, dest, None) or ""):
+                raise ConfigError(f"{flag} holds a NUL byte, which no path can")
         # an out path on or below a file fails before any work; selftest writes only to --out
         out = Path(args.out or DEFAULT_OUT)
         part = next((p for p in (out, *out.parents) if os.path.exists(p)), out)

@@ -26,7 +26,13 @@ point and the Gray label of the joint slot from one table.
 The Viterbi decoder advances the 64-state trellis three steps at a time
 (radix-8 add-compare-select over cached 3-step cost blocks, after
 Fettweis and Meyr, 1989) in int16 metrics, and recovers each block's
-survivor once per chunk of blocks.  Its output is that of the one-step
+survivor once per chunk of blocks.  A long stream is cut into
+overlapping rows that run side by side in one batched pass, each row
+but the first warmed up from zero metrics; a row's decisions are kept
+only from where its metrics are shown to be the true ones, so the cut
+changes no output bit (survivors merge within a few constraint lengths,
+Forney, 1973, which is what makes a short warm-up enough most of the
+time).  Its output is that of the one-step
 decoder bit for bit, including the tie-break: at every step the lower
 predecessor wins a tie, and the lowest final state wins at the end.
 What it keeps per decode is one byte per state per 3-step block, about
@@ -420,6 +426,20 @@ def demodulate_frame(samples: np.ndarray, cfg: PhyConfig) -> np.ndarray:
 _CHUNK = 128
 _UNREACHED = 2048
 
+# The cut decoder (:func:`_cut_rows`): a stream of at least _CUT_MIN
+# blocks runs as rows of at least _ROW kept blocks, at most _ROWS of them,
+# each but the first after _WARM_UP blocks from zero metrics, side by side
+# _LOCKSTEP blocks at a time; its metrics are kept for the first _MEET
+# blocks of each row's kept run.  Keyed metrics stay below 8 * (2048 + 6)
+# + 7 in a row's first chunk and below 8 * (12 + 6 * _LOCKSTEP + 6) + 7
+# after it, under 2**15.
+_CUT_MIN = 400
+_WARM_UP = 64
+_ROW = 64
+_ROWS = 256
+_LOCKSTEP = 32
+_MEET = 64
+
 
 def _output_pattern(window: np.ndarray) -> np.ndarray:
     """Encoder output 2*A + B for 7-bit windows; bit j of a window is the
@@ -465,6 +485,14 @@ def _trellis() -> tuple[list[np.ndarray], np.ndarray, list[bytes]]:
     keyed = (costs << 3) | rank[:, None, None]
     pred = ((rank << 3) | (np.arange(64)[:, None] >> 3)).astype(np.uint8)
     return list(costs), keyed, [bytes(row) for row in pred]
+
+
+@lru_cache(maxsize=None)
+def _row_table() -> np.ndarray:
+    """``_trellis()``'s keyed costs read [U, j, code, m]: one take along
+    the code axis gives every row's block, with the predecessor axis
+    second and each row's eight m contiguous."""
+    return _read_only(np.ascontiguousarray(_trellis()[1].transpose(3, 1, 0, 2)))
 
 
 _NO_WALK = 255
@@ -521,6 +549,23 @@ def viterbi_decode(received: np.ndarray) -> np.ndarray:
     Metrics are non-negative integers, so the walked path is the only
     minimum: the full decode returns it, and no tie-break comes into
     play.  A clean frame keeps no traceback.
+
+    A long noisy stream is cut into rows that run side by side, each
+    row after the first from zero metrics a warm-up before its first
+    kept block (:func:`_cut_rows`).  The cut is exact too.  A block's
+    decisions and end metrics depend only on its code and its start
+    metrics up to a common offset: the keyed minimum over the
+    predecessors, 8 * (metric + cost) + rank, does not change when every
+    metric is shifted by the same amount.  So a row whose metrics, less
+    their minimum, equal the true ones at some block makes the true
+    decisions from there on.  The true metrics at a row's first kept
+    block are its predecessor's end metrics, once the predecessor is
+    settled.  A row that matches them there is accepted.  One that does
+    not is rerun from them, up to the first block where the rerun's
+    metrics meet the row's own, after which the row's decisions and end
+    metrics stand; a rerun that never meets them runs to the row's end
+    and keeps its own.  Each round of reruns settles at least the first
+    unsettled row, so the rounds end.
     """
     raw = np.asarray(received)
     if raw.dtype.kind not in "biuf" or not ((raw == 0) | (raw == 1) | (raw == -1)).all():
@@ -578,21 +623,57 @@ def _survivor_path(first: np.ndarray, codes: np.ndarray) -> bytearray:
     end, by radix-8 add-compare-select from the head metrics ``first``.
 
     The trellis advances three steps per iteration (radix 8): each end
-    state keeps the best of its eight 3-step predecessors, in two NumPy
-    calls per block.  The first ``steps % 3`` steps lead from state 0 on
-    unique paths, so they need no decision.  After each chunk of
-    ``_CHUNK`` blocks one vectorised pass recovers every block's
-    survivor, which must be the path the one-step rule keeps: that rule
-    settles the last step first, so the survivor is the first minimum
-    with the predecessors ordered by the bit the block's last step drops
-    (bit 3 of its start state), then the middle step's (bit 4), then
-    the first step's (bit 5).  Storage that grows with the stream is one
-    byte per state per block, about 21 bytes per step, against 99 for
-    the one-step decoder's cost and backpointer arrays; tables and one
-    chunk's working set take under 2 MB.
+    state keeps the best of its eight 3-step predecessors.  The first
+    ``steps % 3`` steps lead from state 0 on unique paths, so they need
+    no decision.  Every block's survivor must be the path the one-step
+    rule keeps: that rule settles the last step first, so the survivor is
+    the first minimum with the predecessors ordered by the bit the
+    block's last step drops (bit 3 of its start state), then the middle
+    step's (bit 4), then the first step's (bit 5).  So the decision is
+    the rank k in the minimum of the keyed cost 8 * (metric + cost) + k.
+
+    A stream of fewer than ``_CUT_MIN`` blocks runs as one row
+    (:func:`_one_row`); a longer one is cut into overlapping rows that
+    run side by side (:func:`_cut_rows`).  Both give the same decisions
+    bit for bit.  A block's decisions and end metrics depend only on its
+    code and on its start metrics up to a common offset, as the keyed
+    minimum does not change when every metric is shifted by the same
+    amount.  So a row whose metrics, less their minimum, equal the true
+    ones at some block makes the true decisions from there on.
+
+    Storage that grows with the stream is one byte per state per block,
+    about 21 bytes per step, against 99 for the one-step decoder's cost
+    and backpointer arrays; tables and the rows' working set take under
+    8 MB.
     """
     n_blocks = codes.size
-    costs, keyed, pred = _trellis()
+    if n_blocks < _CUT_MIN:
+        ranks, last = _one_row(first, codes)
+    else:
+        ranks, last = _cut_rows(first, codes)
+
+    pred = _trellis()[2]
+    state = int(np.argmin(last))
+    path = bytearray()  # block end states, last block first
+    back = memoryview(ranks.reshape(-1))
+    for row in range((n_blocks - 1) << 6, -1, -64):
+        path.append(state)
+        state = pred[state][back[row | state]]
+    path.append(state)  # the state after the head steps holds their inputs
+    path.reverse()
+    return path
+
+
+def _one_row(first: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every block's ranks, as (blocks, 64) uint8 read [block, end state],
+    and the end metrics by state, from one pass over the stream.
+
+    Each block takes two NumPy calls on (8, 8, 8) arrays.  After each
+    chunk of ``_CHUNK`` blocks one vectorised pass recovers every block's
+    ranks.
+    """
+    n_blocks = codes.size
+    costs, keyed, _ = _trellis()
     # metrics[b] holds the chunk's block b start, read as [j, m], which
     # is block b - 1's end, written as [m, U]; the row views are made
     # once and serve every chunk
@@ -601,7 +682,6 @@ def _survivor_path(first: np.ndarray, codes: np.ndarray) -> bytearray:
     start = metrics.reshape(-1, 8, 8, 1)
     starts, ends = list(start), list(metrics.reshape(-1, 8, 8)[1:])
     cand = np.empty((8, 8, 8), dtype=np.int16)
-    # ranks[b, s]: the rank k of end state s's survivor in block b
     ranks = np.empty((n_blocks, 64), dtype=np.uint8)
     add, least = np.add, np.minimum.reduce
     n = 0
@@ -619,16 +699,175 @@ def _survivor_path(first: np.ndarray, codes: np.ndarray) -> bytearray:
         keyed_paths += start[:n] << 3
         best = least(keyed_paths.reshape(n, 8, 64), 1)
         np.bitwise_and(best, 7, out=ranks[c0 : c0 + n], casting="unsafe")
+    return ranks, metrics[n]
 
-    state = int(np.argmin(metrics[n]))
-    path = bytearray()  # block end states, last block first
-    back = memoryview(ranks.reshape(-1))
-    for row in range((n_blocks - 1) << 6, -1, -64):
-        path.append(state)
-        state = pred[state][back[row | state]]
-    path.append(state)  # the state after the head steps holds their inputs
-    path.reverse()
-    return path
+
+def _advance(metrics: np.ndarray, cols: np.ndarray, best: np.ndarray) -> None:
+    """Run rows side by side through one chunk of blocks.
+
+    ``metrics`` holds each row's keyed start metrics, 8 * metric read
+    [j, row, m] for state (j << 3) | m; they are shifted to a minimum of
+    0 first, and left as the chunk's end metrics.  ``cols[t]`` holds
+    each row's block code at step t, and ``best[t]`` receives its keyed
+    minima 8 * metric + k, read [U, row, m] for end state (m << 3) | U.
+    """
+    metrics -= metrics.min(axis=(0, 2), keepdims=True)
+    table = _row_table()
+    cand = np.empty((8, 8, metrics.shape[1], 8), dtype=np.int16)
+    # end state (m << 3) | U starts the next block as [j, m] = [m, U]
+    following = metrics.transpose(2, 1, 0)
+    take, add, least, mask = np.take, np.add, np.minimum.reduce, np.bitwise_and
+    for col, out in zip(cols, best):
+        take(table, col, axis=2, out=cand, mode="clip")
+        add(cand, metrics, out=cand)
+        least(cand, 1, out=out)
+        mask(out, -8, out=following)
+
+
+def _cut_rows(first: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_one_row`'s ranks and end metrics, from rows of the stream
+    that run side by side in one batched pass.
+
+    Row 0 starts at block 0 from the head metrics and keeps every block
+    it runs.  Row i > 0 starts ``_WARM_UP`` blocks before its first kept
+    block k_i from zero metrics, and keeps its blocks from k_i up to the
+    next row's first kept block, which is where its run ends.  All rows
+    run the same length; the last one runs on past the stream's end over
+    erased blocks, and its end metrics are read at the stream's end.
+
+    A row's decisions are kept only from a block where its metrics
+    provably equal the true ones, less their minimum.  Row i's true
+    metrics at k_i are row i - 1's end metrics, once row i - 1 is
+    settled; row 0 is settled from the start.  So:
+
+    - row i is accepted when its metrics at k_i equal row i - 1's end
+      metrics, less the minimum of each;
+    - otherwise it is rerun from row i - 1's end metrics
+      (:func:`_rerun`).  The rerun stops at the first block where its
+      metrics equal the row's kept run's, and keeps that run's decisions
+      and end metrics after it; if they never meet, it runs to the row's
+      end and keeps its own.
+
+    Each round reruns every row that disagrees with its predecessor, each
+    from the predecessor's end metrics as they stand.  The first of them
+    follows a settled row, so its rerun makes it settled: each round
+    settles at least one row, and the loop ends.  Per-block metrics are
+    kept only for the first ``_MEET`` blocks of a row's kept run, the
+    window of the meeting test.
+    """
+    n_blocks = codes.size
+    span = max(_ROW, -(-(n_blocks - _WARM_UP) // _ROWS))  # kept blocks per row
+    rows = -(-(n_blocks - _WARM_UP) // span)
+    run = _WARM_UP + span  # blocks each row runs
+    size = rows * span + _WARM_UP
+    padded = np.zeros(size, dtype=np.int16)  # code 0: three erased pairs
+    padded[:n_blocks] = codes
+    ranks = np.empty((size, 64), dtype=np.uint8)
+    # kept[i, d]: block k_i + d of row i > 0, k_i = i * span + _WARM_UP;
+    # row 0 keeps every block, and kept[0] holds its blocks from _WARM_UP
+    kept = ranks[_WARM_UP:].reshape(rows, span, 64)
+    lengths = np.full(rows, span)
+    lengths[-1] = n_blocks - (rows - 1) * span - _WARM_UP
+
+    metrics = np.zeros((8, rows, 8), dtype=np.int16)
+    metrics[:, 0] = first.reshape(8, 8) << 3
+    best = np.empty((_LOCKSTEP, 8, rows, 8), dtype=np.int16)
+    meet = min(_MEET, span)
+    # trail[d]: row i's keyed metrics at block k_i + d, read [U, row, m]
+    trail = np.empty((meet + 1, 8, rows, 8), dtype=np.int16)
+    ends = np.empty((8, rows, 8), dtype=np.int16)
+    cols = np.lib.stride_tricks.as_strided(
+        padded, (run, rows), (padded.strides[0], span * padded.strides[0]), writeable=False
+    )
+    t_last = _WARM_UP + lengths[-1] - 1  # the last row's step that reaches the end
+    for t0 in range(0, run, _LOCKSTEP):
+        t1 = min(run, t0 + _LOCKSTEP)
+        chunk = best[: t1 - t0]
+        _advance(metrics, cols[t0:t1].astype(np.intp), chunk)
+        # step t leaves the metrics at block t + 1 of each row
+        if t0 < _WARM_UP:
+            w = min(t1, _WARM_UP) - t0
+            np.bitwise_and(
+                chunk[:w, :, 0].transpose(0, 2, 1), 7,
+                out=ranks[t0 : t0 + w].reshape(w, 8, 8), casting="unsafe",
+            )
+        lo = max(t0, _WARM_UP)
+        if lo < t1:
+            np.bitwise_and(
+                chunk[lo - t0 :].transpose(2, 0, 3, 1), 7,
+                out=kept[:, lo - _WARM_UP : t1 - _WARM_UP].reshape(rows, t1 - lo, 8, 8),
+                casting="unsafe",
+            )
+        a, b = max(t0, _WARM_UP - 1), min(t1, _WARM_UP + meet)
+        if a < b:
+            trail[a - _WARM_UP + 1 : b - _WARM_UP + 1] = chunk[a - t0 : b - t0]
+        if t0 <= t_last < t1:
+            ends[:, -1] = chunk[t_last - t0, :, -1]
+    ends[:, :-1] = chunk[-1, :, :-1]
+
+    settled = 1  # rows below it hold true decisions and end metrics
+    while settled < rows:
+        # agree[i]: row settled + i starts from its predecessor's end
+        agree = _first_meeting(trail[:1, :, settled:], ends[None, :, settled - 1 : -1]) == 0
+        lead = agree.size if agree.all() else int(agree.argmin())
+        settled += lead
+        if settled == rows:
+            break
+        _rerun(settled + np.flatnonzero(~agree[lead:]), padded, kept, trail, ends, lengths)
+        settled += 1
+    return ranks, (ends[:, -1].T >> 3).ravel()
+
+
+def _rerun(
+    redo: np.ndarray,
+    codes: np.ndarray,
+    kept: np.ndarray,
+    trail: np.ndarray,
+    ends: np.ndarray,
+    lengths: np.ndarray,
+) -> None:
+    """Rerun rows ``redo`` of :func:`_cut_rows` side by side, each from its
+    predecessor's end metrics, over its kept blocks.
+
+    A row stops at the first block where its metrics meet those its kept
+    run holds in ``trail``, or else at its end, where its end metrics go
+    to ``ends``.  Its ranks go to ``kept`` and its metrics to ``trail``
+    as it runs.  Past a meeting, the rerun's decisions and metrics are
+    the kept run's, so the chunk it meets in may write them again.
+    """
+    span = kept.shape[1]
+    meet = trail.shape[0] - 1
+    start = ends[:, redo - 1]
+    trail[0][:, redo] = start
+    metrics = np.ascontiguousarray(start.transpose(2, 1, 0)) & -8
+    first = redo * span + _WARM_UP
+    d0 = 0
+    while redo.size:
+        d1 = min(d0 + _LOCKSTEP, span)
+        best = np.empty((d1 - d0, 8, redo.size, 8), dtype=np.int16)
+        _advance(metrics, codes[first + np.arange(d0, d1)[:, None]].astype(np.intp), best)
+        kept[redo, d0:d1] = (best & 7).transpose(2, 0, 3, 1).reshape(redo.size, d1 - d0, 64)
+        met = np.zeros(redo.size, dtype=bool)
+        if d0 < meet:
+            m1 = min(d1, meet)
+            met = _first_meeting(best[: m1 - d0], trail[d0 + 1 : m1 + 1, :, redo]) < m1 - d0
+            trail[d0 + 1 : m1 + 1, :, redo] = best[: m1 - d0]
+        done = lengths[redo] <= d1
+        if done.any():
+            at = np.flatnonzero(done)
+            ends[:, redo[at]] = best[lengths[redo[at]] - 1 - d0, :, at].transpose(1, 0, 2)
+        go = ~(met | done)
+        redo, first, metrics = redo[go], first[go], metrics[:, go]
+        d0 = d1
+
+
+def _first_meeting(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, the first block at which two runs' metrics agree less
+    their minimum, or the block count where they never do; ``a`` and
+    ``b`` hold keyed metrics read [block, U, row, m]."""
+    gap = (a >> 3) - (b >> 3)
+    same = (gap == gap[:, :1, :, :1]).all(axis=(1, 3))
+    return np.where(same.any(axis=0), same.argmax(axis=0), len(same))
 
 
 # ---------------------------------------------------------------------------

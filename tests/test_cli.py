@@ -763,6 +763,37 @@ def test_out_path_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == [taken]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rx", "--in", "a\x00b"],
+        ["tx", "--in", "a\x00b"],
+        ["emulate", "--in", "a\x00b"],
+        ["selftest", "--quick", "--config", "a\x00b"],
+        ["emulate", "--symbols", "5", "--out", "a\x00b"],
+        ["sweep", "--systems", "zero_shot", "--models", "a\x00b"],
+    ],
+    ids=["rx-in", "tx-in", "emulate-in", "selftest-config", "emulate-out", "sweep-models"],
+)
+def test_nul_byte_in_a_path_exits_2(argv, tmp_path, capsys, monkeypatch):
+    # no path can hold a NUL byte: refused before any set-up or work,
+    # naming the flag, and nothing is created
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(EmulationSetup, "build", unreachable)
+    for steps in _OUT_WORK.values():
+        for step in steps[1]:
+            monkeypatch.setattr(step, unreachable)
+    monkeypatch.setattr("ofdmemu.cli.parse_config_file", unreachable)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1024
+    assert f"{argv[-2]} holds a NUL byte" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_non_utf8_out_path_prints_on_a_strict_utf8_stdout(tmp_path):
     # argv carries undecodable bytes as surrogates; echoing the path back
     # must not raise UnicodeEncodeError

@@ -477,6 +477,126 @@ def test_noiseless_frame_decodes_by_the_zero_cost_walk(m, rate, rng, full_decode
     assert full_decodes == []
 
 
+# The cut decoder: a stream of at least phy._CUT_MIN blocks runs as rows
+# side by side (phy._cut_rows), some of which are rerun to settle them.
+
+
+def _noisy_codeword(rng, steps, rate, flip):
+    coded, _ = phy.conv_encode(rng.integers(0, 2, steps, dtype=np.uint8), 0)
+    coded ^= (rng.random(coded.size) < flip).astype(np.uint8)
+    return _punctured(coded, rate)
+
+
+def _cut_blocks(rows, span, tail):
+    """The block count of a stream the cut decoder lays out as ``rows``
+    rows of ``span`` kept blocks, the last of which keeps ``tail``."""
+    return phy._WARM_UP + (rows - 1) * span + tail
+
+
+@pytest.fixture
+def reruns(monkeypatch):
+    """The rows of each rerun round of the cut decoder."""
+    seen = []
+    rerun = phy._rerun
+
+    def spy(redo, *args):
+        seen.append(redo.tolist())
+        return rerun(redo, *args)
+
+    monkeypatch.setattr(phy, "_rerun", spy)
+    return seen
+
+
+@pytest.mark.parametrize("flip", [0.01, 0.1, 0.5])
+@pytest.mark.parametrize("rate", _RATES)
+def test_cut_decoder_matches_reference_on_long_noisy_codewords(rate, flip, rng, full_decodes):
+    # 30k-60k steps: rows of 64 kept blocks, and past 49k steps longer rows
+    steps = int(rng.integers(30_000, 60_001))
+    received = _noisy_codeword(rng, steps, rate, flip)
+    assert np.array_equal(phy.viterbi_decode(received), oracles.viterbi_reference(received))
+    assert full_decodes == [steps // 3]
+
+
+@pytest.mark.parametrize("erased", [0.5, 0.9, 0.99])
+def test_cut_decoder_matches_reference_on_heavily_erased_streams(erased, rng):
+    # erased steps cost nothing, so long runs of them are ties throughout
+    steps = int(rng.integers(30_000, 60_001))
+    received = rng.integers(0, 2, 2 * steps).astype(np.int8)
+    received[rng.random(received.size) < erased] = -1
+    assert np.array_equal(phy.viterbi_decode(received), oracles.viterbi_reference(received))
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        _cut_blocks(10, phy._ROW, 1),
+        _cut_blocks(10, phy._ROW, 2),
+        _cut_blocks(10, phy._ROW, phy._ROW - 1),
+        _cut_blocks(10, phy._ROW, phy._ROW),
+        _cut_blocks(phy._ROWS, phy._ROW + 6, 1),
+        _cut_blocks(phy._ROWS, phy._ROW + 6, phy._ROW + 6),
+    ],
+    ids=["tail-1", "tail-2", "tail-63", "tail-64", "long-rows-tail-1", "long-rows-tail-70"],
+)
+def test_cut_decoder_last_row_runs_past_the_end(blocks, rng, monkeypatch):
+    # the last row keeps from 1 block to a whole row; it runs on past the
+    # stream's end over erased blocks, and its end metrics are read at
+    # the end
+    layouts = []
+    cut_rows = phy._cut_rows
+
+    def spy(first, codes):
+        ranks, last = cut_rows(first, codes)
+        layouts.append(ranks.shape[0] - codes.size)
+        return ranks, last
+
+    monkeypatch.setattr(phy, "_cut_rows", spy)
+    for head in (0, 1):
+        received = _noisy_codeword(rng, 3 * blocks + head, "3/4", 0.1)
+        assert np.array_equal(phy.viterbi_decode(received), oracles.viterbi_reference(received))
+    span = max(phy._ROW, -(-(blocks - phy._WARM_UP) // phy._ROWS))
+    # blocks past the end that the last row runs over
+    assert layouts == [span - (blocks - phy._WARM_UP - 1) % span - 1] * 2
+
+
+@pytest.mark.parametrize("blocks", [phy._CUT_MIN - 1, phy._CUT_MIN, phy._CUT_MIN + 1])
+@pytest.mark.parametrize("head", [0, 2])
+def test_cut_decoder_threshold(blocks, head, rng, monkeypatch):
+    cut = []
+    cut_rows = phy._cut_rows
+
+    def spy(first, codes):
+        cut.append(codes.size)
+        return cut_rows(first, codes)
+
+    monkeypatch.setattr(phy, "_cut_rows", spy)
+    received = _noisy_codeword(rng, 3 * blocks + head, "2/3", 0.1)
+    assert np.array_equal(phy.viterbi_decode(received), oracles.viterbi_reference(received))
+    assert cut == ([blocks] if blocks >= phy._CUT_MIN else [])
+
+
+def test_cut_decoder_reruns_rows(rng, reruns):
+    # frames the size of a sweep's float_serial cell (2160 blocks): some
+    # row disagrees with its predecessor's end at its first kept block,
+    # and some round reruns two consecutive rows, the second from the
+    # first's end as it stood before the round
+    for flip in (0.05, 0.1, 0.2, 0.3, 0.3, 0.5):
+        received = _noisy_codeword(rng, 6480, "3/4", flip)
+        assert np.array_equal(phy.viterbi_decode(received), oracles.viterbi_reference(received))
+    assert reruns
+    assert any(np.any(np.diff(rows) == 1) for rows in reruns)
+
+
+def test_cut_decoder_is_exact_without_meetings(rng, reruns, monkeypatch):
+    # no run ever meets another: every row is rerun to its end, and each
+    # round settles one row
+    monkeypatch.setattr(phy, "_first_meeting", lambda a, b: np.full(a.shape[2], len(a)))
+    blocks = _cut_blocks(40, phy._ROW, 20)
+    received = _noisy_codeword(rng, 3 * blocks, "1/2", 0.1)
+    assert np.array_equal(phy.viterbi_decode(received), oracles.viterbi_reference(received))
+    assert reruns == [list(range(i, 40)) for i in range(1, 40)]
+
+
 @pytest.mark.parametrize(
     "received",
     [
