@@ -254,85 +254,140 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     return Tensor._node(out_data, tuple(tensors), backward)
 
 
-def _axis_taps(n: int, k: int) -> list[tuple[int, slice, slice]]:
-    """(kernel index, output slice, input slice) along one axis of length n.
+def _axis_taps(n: int, k: int) -> list[int]:
+    """Kernel indices along one axis of length n that read real input.
 
-    Kernel index i moves input index y + i - k//2 to output index y; the
-    slices cover the y where both lie inside 0..n-1.  Indices with
-    |i - k//2| >= n see only SAME padding and are left out.
+    Kernel index i moves input index y + i - k//2 to output index y.
+    Indices with |i - k//2| >= n see only SAME padding and are left out.
     """
-    taps = []
-    for i in range(k):
-        d = i - k // 2
-        if abs(d) < n:
-            taps.append((i, slice(max(0, -d), n - max(0, d)), slice(max(0, d), n + min(0, d))))
-    return taps
+    return [i for i in range(k) if abs(i - k // 2) < n]
 
 
 @lru_cache(maxsize=None)
 def _conv_taps(h: int, w: int, kh: int, kw: int) -> tuple:
-    """(i, j, output window, input window) of each tap of a kh x kw kernel
-    that reads real input of an H x W plane, built once per shape."""
-    return tuple(
-        (i, j, (slice(None), ro, co), (slice(None), ri, ci))
-        for i, ro, ri in _axis_taps(h, kh)
-        for j, co, ci in _axis_taps(w, kw)
+    """(hp, wp, start, taps): the zero-gapped grid of an H x W plane under
+    a kh x kw kernel, built once per shape (see ``conv2d``).
+
+    Each batch item is hp = H + rh rows of wp = W + rw columns, where rh
+    and rw are the reach of the taps that read real input, and the flat
+    grid has ``start`` zero rows before and after it.  ``taps`` holds
+    (i, j, offset) of each such tap: its flat grid slice starts at
+    ``offset``.
+    """
+    rows, cols = _axis_taps(h, kh), _axis_taps(w, kw)
+    rh = max(abs(i - kh // 2) for i in rows)
+    rw = max(abs(j - kw // 2) for j in cols)
+    hp, wp = h + rh, w + rw
+    start = rh * wp + rw
+    taps = tuple(
+        (i, j, start + (i - kh // 2) * wp + (j - kw // 2)) for i in rows for j in cols
     )
+    return hp, wp, start, taps
+
+
+def _grid(a: np.ndarray, hp: int, wp: int, start: int) -> np.ndarray:
+    """(B, H, W, C) ``a`` on its flat zero-gapped grid, (B·hp·wp + 2·start, C)."""
+    b, h, w, c = a.shape
+    flat = np.zeros((b * hp * wp + 2 * start, c))
+    flat[start : len(flat) - start].reshape(b, hp, wp, c)[:, :h, :w] = a
+    return flat
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """2D convolution, stride 1, SAME zero padding, channels last.
 
     ``x`` is (B, H, W, Cin), ``weight`` is (kh, kw, Cin, Cout), output is
-    (B, H, W, Cout).  Each tap that reads real input is one 2-D matmul of
-    the whole unpadded input, (B·H·W, Cin) @ (Cin, Cout), whose valid
-    window is added into the output; the taps and their windows come from
-    a table built once per (H, W, kh, kw).  The input gradient mirrors the
-    forward on one C-contiguous copy of the transposed kernel: a tap's
-    transposed view would send BLAS down its slower transposed-operand
-    path for the same sums.  Taps that read only padding add exact zeros,
-    so they are skipped and their weight gradient is +0.0.  The weight
-    gradient of the other taps is one ``np.dot`` of the tap's zero-padded
-    patch, reshaped to (Cin, B·H·W), with the (B·H·W, Cout) output
-    gradient: the product ``tensordot`` over the patch makes, on the same
-    operands, without its per-call bookkeeping; those operands fix its
-    rounding, so they stay.  Where W, Cin and Cout are all above 1, as in
-    every conv the pipeline runs, every result is bit for bit what a
-    pad-and-loop over all kh·kw taps gives.
+    (B, H, W, Cout).  Taps that read only padding add exact zeros, so they
+    are skipped and their weight gradient is +0.0.  Where W, Cin and Cout
+    are all above 1, as in every conv the pipeline runs, every result is
+    bit for bit what a pad-and-loop over all kh·kw taps gives.
+
+    The grid.  The live taps reach rh rows and rw columns from the
+    centre.  Each batch item becomes H + rh rows of W + rw columns with
+    its data in the top-left corner: the rh zero rows under one item are
+    the padding above the next, and the rw zero columns right of one row
+    are the padding left of the next.  Flattened to size = B·(H+rh)·(W+rw)
+    positions with start = rh·(W+rw) + rw zeros on each side, tap (i, j)
+    reads the grid slice at offset start + (i - kh//2)·(W+rw) + (j - kw//2).
+    The geometry and the live taps come from a table built once per
+    (H, W, kh, kw); the batch size only scales the length.
+
+    Forward: each live tap, in table order, adds one (size, Cin) @ (Cin,
+    Cout) matmul of its contiguous slice into a zeroed (size, Cout)
+    accumulator, which is cropped into a new array.  The input gradient
+    does the same on the grid of the output gradient, at the mirrored
+    offset 2·start - offset, with one C-contiguous copy of the transposed
+    kernel: a tap's transposed view would send BLAS down its slower
+    transposed-operand path for the same sums.  The weight gradient of
+    tap (i, j) is ``np.dot(patch.reshape(Cin, -1), g)``, the patch being
+    the crop of the input grid's slice at the tap's offset, transposed to
+    (Cin, B, H, W): the product ``tensordot`` over a zero-padded patch
+    makes, without its per-call bookkeeping.
+
+    Why it is exact.  A tap's product at a gap position is ±0.0.  The
+    running sum starts at +0.0 and, in round-to-nearest, never becomes
+    -0.0, so adding those products changes no bit, and every real
+    position receives the same live-tap products, in table order, as
+    from a pad-and-loop.  That a matmul row does not depend on the
+    slice's offset or row count was checked by experiment, not argued;
+    the property tests keep checking it.
+
+    The copy rule.  BLAS rounds the weight gradient differently by
+    operand layout, so the patch is copied to C order exactly where the
+    pad-and-loop's patch copies: where reshaping it cannot merge its
+    non-unit (B, H, W) axes.  That patch merges H and W only when
+    kw = 1, B and H only when kh = 1, and B and W (at H = 1) only when
+    kh = kw = 1; the grid's patch merges more often, since the grid
+    drops the padding of dead taps.
     """
     kh, kw, cin, cout = weight.data.shape
     b, h, w, cx = x.data.shape
     if cx != cin:
         raise ValueError(f"input has {cx} channels, weight expects {cin}")
-    taps = _conv_taps(h, w, kh, kw)
-    x2 = x.data.reshape(-1, cin)
-    out_data = np.zeros((b, h, w, cout))
-    for i, j, o, n in taps:
-        out_data[o] += (x2 @ weight.data[i, j]).reshape(b, h, w, cout)[n]
+    hp, wp, start, taps = _conv_taps(h, w, kh, kw)
+    size = b * hp * wp
+
+    def crop(flat):
+        """The real positions of a (size, C) grid, as a (B, H, W, C) view."""
+        return flat.reshape(b, hp, wp, -1)[:, :h, :w]
+
+    xf = _grid(x.data, hp, wp, start)
+    acc = np.zeros((size, cout))
+    for i, j, o in taps:
+        acc += xf[o : o + size] @ weight.data[i, j]
+    del xf
+    # a copy: the graph holds the output until backward, not the grid
+    out_data = crop(acc).copy()
     if bias is not None:
         out_data += bias.data
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
-        g2 = g.reshape(-1, cout)
         if x.requires_grad:
-            gx = np.zeros_like(x.data)
+            gf = _grid(g, hp, wp, start)
             wt = np.ascontiguousarray(weight.data.transpose(0, 1, 3, 2))
-            for i, j, o, n in taps:
-                gx[n] += (g2 @ wt[i, j]).reshape(b, h, w, cin)[o]
-            x._accum(gx)
+            gacc = np.zeros((size, cin))
+            for i, j, o in taps:
+                m = 2 * start - o
+                gacc += gf[m : m + size] @ wt[i, j]
+            del gf
+            x._accum(crop(gacc))
         if weight.requires_grad:
-            # summing over the padded patch, zeros included, keeps BLAS's
-            # accumulation order (and so the bits) of the full-tap kernel
-            ph, pw = kh // 2, kw // 2
-            xp = np.zeros((b, h + kh - 1, w + kw - 1, cin))
-            xp[:, ph : ph + h, pw : pw + w, :] = x.data
+            # the copy rule (see above): where the pad-and-loop's patch
+            # reshapes as a view
+            merges = (
+                (h == 1 or w == 1 or kw == 1)
+                and (b == 1 or h == 1 or kh == 1)
+                and (b == 1 or h > 1 or w == 1 or kh == kw == 1)
+            )
+            xg = _grid(x.data, hp, wp, start)
+            g2 = g.reshape(-1, cout)
             gw = np.zeros_like(weight.data)
-            for i, j, _, _ in taps:
-                # a copy, or a strided view where the patch's (B, H, W) axes
-                # merge, as tensordot has it
-                patch = xp[:, i : i + h, j : j + w, :].transpose(3, 0, 1, 2)
+            for i, j, o in taps:
+                patch = crop(xg[o : o + size]).transpose(3, 0, 1, 2)
+                if not merges:
+                    patch = np.ascontiguousarray(patch)
                 gw[i, j] = np.dot(patch.reshape(cin, -1), g2)
             weight._accum(gw)
         if bias is not None and bias.requires_grad:

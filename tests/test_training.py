@@ -39,6 +39,7 @@ from ofdmemu.training import (
     stage3_alternate,
     train_jscc_ideal,
 )
+from test_autodiff import PIPELINE_CONVS
 from test_golden import TINY_TRAIN
 
 
@@ -306,6 +307,24 @@ def test_training_pipeline_bit_identical_with_reference_conv2d(default_setup, mo
     want = _pipeline_bytes(default_setup)
     for name, a, e in zip(("state vectors", "loss traces", "stage metrics"), got, want):
         assert a == e, name
+
+
+def test_pipeline_convs_lists_every_layer_the_training_hash_runs(default_setup, monkeypatch):
+    # the conv2d bit-identity properties sample their layers from
+    # PIPELINE_CONVS, so it must hold every conv layer of the training
+    # hash's run: the TINY_TRAIN pipeline and its image evaluation
+    seen = set()
+
+    def recording_conv2d(x, weight, bias=None):
+        seen.add(x.shape[1:3] + weight.shape)
+        return autodiff.conv2d(x, weight, bias)
+
+    monkeypatch.setattr(layers, "conv2d", recording_conv2d)
+    r = run_training_pipeline(default_setup, TINY_TRAIN)
+    images = glyph_images(8, np.random.default_rng(5))
+    evaluate_image_link(r.jscc, default_setup, 12.0, 3, images, compensator=r.compensator)
+    assert seen
+    assert seen - {shape[1:] for shape in PIPELINE_CONVS} == set()
 
 
 def test_pipeline_adapts_a_copy_of_the_zero_shot_codec(default_setup):
