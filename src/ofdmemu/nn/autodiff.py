@@ -254,6 +254,13 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     return Tensor._node(out_data, tuple(tensors), backward)
 
 
+# widest plane whose weight-gradient patches are gathered by flat index
+# (see ``conv2d``): on 40-row planes the flat index takes 0.55 of a
+# strided copy's time at W = 4, the two tie at W = 8, and the copy wins
+# from W = 16 up
+_TAKE_MAX_W = 4
+
+
 def _axis_taps(n: int, k: int) -> list[int]:
     """Kernel indices along one axis of length n that read real input.
 
@@ -318,11 +325,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     does the same on the grid of the output gradient, at the mirrored
     offset 2·start - offset, with one C-contiguous copy of the transposed
     kernel: a tap's transposed view would send BLAS down its slower
-    transposed-operand path for the same sums.  The weight gradient of
-    tap (i, j) is ``np.dot(patch.reshape(Cin, -1), g)``, the patch being
-    the crop of the input grid's slice at the tap's offset, transposed to
-    (Cin, B, H, W): the product ``tensordot`` over a zero-padded patch
-    makes, without its per-call bookkeeping.
+    transposed-operand path for the same sums.
+
+    The weight gradient of tap (i, j) is ``np.dot(patch, g)``, the
+    (Cin, B·H·W) patch of input the tap reads times the (B·H·W, Cout)
+    output gradient: the product ``tensordot`` over a zero-padded patch
+    makes, without its per-call bookkeeping.  Where the patch must be a
+    copy (the copy rule below), ``x`` is written once, transposed, into a
+    zeroed channels-first grid of the same geometry, (Cin, size + 2·start),
+    and every tap gathers its patch from its slice into one C-ordered
+    buffer, reused across taps, and writes its product in place.  The
+    gather is a strided copy of the slice's crop, or, where the crop's
+    rows are runs of at most ``_TAKE_MAX_W`` samples between gap columns
+    (the 2-wide source folds), one ``np.take`` over a flat index, which
+    reads such short rows faster.  Elsewhere the patch is the crop of the
+    channels-last grid's slice, transposed to (Cin, B, H, W) and reshaped
+    as a view.
 
     Why it is exact.  A tap's product at a gap position is ±0.0.  The
     running sum starts at +0.0 and, in round-to-nearest, never becomes
@@ -333,12 +351,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     the property tests keep checking it.
 
     The copy rule.  BLAS rounds the weight gradient differently by
-    operand layout, so the patch is copied to C order exactly where the
+    operand layout, so the patch is a C-ordered copy exactly where the
     pad-and-loop's patch copies: where reshaping it cannot merge its
     non-unit (B, H, W) axes.  That patch merges H and W only when
     kw = 1, B and H only when kh = 1, and B and W (at H = 1) only when
     kh = kw = 1; the grid's patch merges more often, since the grid
-    drops the padding of dead taps.
+    drops the padding of dead taps.  Both gathers hand BLAS what that
+    copy does, a C-ordered (Cin, B·H·W) patch and the C-ordered gradient,
+    so the products keep their bits.
     """
     kh, kw, cin, cout = weight.data.shape
     b, h, w, cx = x.data.shape
@@ -381,14 +401,33 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
                 and (b == 1 or h == 1 or kh == 1)
                 and (b == 1 or h > 1 or w == 1 or kh == kw == 1)
             )
-            xg = _grid(x.data, hp, wp, start)
             g2 = g.reshape(-1, cout)
             gw = np.zeros_like(weight.data)
-            for i, j, o in taps:
-                patch = crop(xg[o : o + size]).transpose(3, 0, 1, 2)
-                if not merges:
-                    patch = np.ascontiguousarray(patch)
-                gw[i, j] = np.dot(patch.reshape(cin, -1), g2)
+            if merges:
+                xg = _grid(x.data, hp, wp, start)
+                for i, j, o in taps:
+                    patch = crop(xg[o : o + size]).transpose(3, 0, 1, 2)
+                    gw[i, j] = np.dot(patch.reshape(cin, -1), g2)
+            else:
+                xt = np.zeros((cin, size + 2 * start))
+                xt[:, start : start + size].reshape(cin, b, hp, wp)[:, :, :h, :w] = (
+                    x.data.transpose(3, 0, 1, 2)
+                )
+                patch = np.empty((cin, b * h * w))
+                if w < wp and w <= _TAKE_MAX_W:
+                    # the flat index of each real position, from the slice's start
+                    rows = np.arange(b * hp).reshape(b, hp)[:, :h, None]
+                    base = (rows * wp + np.arange(w)).ravel()
+                    for i, j, o in taps:
+                        np.take(xt, base + o, axis=1, out=patch, mode="clip")
+                        np.dot(patch, g2, out=gw[i, j])
+                else:
+                    for i, j, o in taps:
+                        np.copyto(
+                            patch.reshape(cin, b, h, w),
+                            xt[:, o : o + size].reshape(cin, b, hp, wp)[:, :, :h, :w],
+                        )
+                        np.dot(patch, g2, out=gw[i, j])
             weight._accum(gw)
         if bias is not None and bias.requires_grad:
             bias._accum(g.sum(axis=(0, 1, 2)))

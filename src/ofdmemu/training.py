@@ -120,6 +120,12 @@ _LINK_CALLS = (
 # stage 2 holds out a quarter of its records, at least 2, and fits the rest
 _MIN_STAGE2_RECORDS = 8
 
+# waveform samples per compensator call in evaluate_image_link: 64 images
+# of 80 samples, whose 40x2 source fold runs (8064, 8) @ (8, 8) tap
+# matmuls.  Past about 16,000 rows OpenBLAS splits such a matmul over two
+# threads, and on a 2-CPU box each call then costs about 8 ms
+_COMPENSATE_SAMPLES = 5120
+
 
 @dataclass
 class TrainConfig:
@@ -631,8 +637,9 @@ def evaluate_image_link(
     seeds derive from ``seed`` so runs stay reproducible.  A compensator,
     if given, corrects the received waveforms before the estimates are
     read.  Every image sends ``latent_pairs`` symbols, so the images go
-    through the link as one stack, and the compensator runs once, on
-    their (B, N_s, 2) waveform stack.
+    through the link as one stack, and the compensator corrects their
+    (B, N_s, 2) waveform stack in slices of at most ``_COMPENSATE_SAMPLES``
+    samples.  Rows never mix, so the slicing changes no byte.
     """
     flat = images.reshape(len(images), -1)
     # (B, 2K) latents at unit average power, as (B, K) symbols
@@ -642,8 +649,11 @@ def evaluate_image_link(
     est, record = emulated_link(targets, [snr_db] * len(flat), rngs, setup)
     if compensator is not None:
         waves = complex_to_wave(output_waveforms(record))
-        corrected = wave_to_complex(compensator(Tensor(waves)).data)
-        est = extract_estimates(corrected, record.plan, setup)
+        step = max(1, _COMPENSATE_SAMPLES // waves.shape[1])
+        corrected = np.concatenate(
+            [compensator(Tensor(waves[lo : lo + step])).data for lo in range(0, len(waves), step)]
+        )
+        est = extract_estimates(wave_to_complex(corrected), record.plan, setup)
     # each image's clip rate, added in image order
     clip_total = sum((record.plan.clip_counts / (2 * symbols.shape[1])).tolist())
     recon = jscc.decode(Tensor(est.view(np.float64))).data  # estimates as (B, 2K) reals

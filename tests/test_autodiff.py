@@ -293,6 +293,27 @@ def test_conv2d_bit_identical_to_reference_on_drawn_shapes(shape, zero_tail, see
     _assert_bit_identical_to_reference(shape, np.random.default_rng(seed), zero_tail)
 
 
+# each weight-gradient path at batch 1 and above: the channels-last view
+# (a one-row plane at batch 1, where the patch reshapes as a view), the
+# strided copy of wide planes and the flat-index gather of 2-wide folds.
+# The last layer's Cout = 2 is where the patch's layout decides the rounding
+@pytest.mark.parametrize(
+    "shape",
+    [
+        pytest.param((1, 1, 80, 5, 11, 8, 8), id="view"),
+        pytest.param((1, 1, 80, 5, 11, 8, 2), id="view-cout2"),
+        pytest.param((1, 4, 80, 5, 11, 8, 2), id="copy-batch1-cout2"),
+        pytest.param((12, 4, 80, 5, 11, 8, 2), id="copy-cout2"),
+        pytest.param((1, 40, 2, 5, 11, 8, 8), id="take-batch1"),
+        pytest.param((1, 40, 2, 5, 11, 8, 2), id="take-batch1-cout2"),
+        pytest.param((12, 160, 2, 5, 11, 8, 2), id="take-cout2"),
+    ],
+)
+def test_conv2d_weight_gradient_paths_bit_identical_to_reference(shape, rng):
+    for zero_tail in (False, True):
+        _assert_bit_identical_to_reference(shape, rng, zero_tail)
+
+
 def _conv2d_tensors(shape, rng):
     """Drawn x, weight and bias Tensors of ``shape`` (B, H, W, kh, kw, Cin,
     Cout), each requiring a gradient."""
@@ -311,11 +332,20 @@ def test_conv2d_output_owns_its_data(rng):
             assert out.base is None, shape
 
 
-@pytest.mark.parametrize("shape", [(128, 1, 80, 5, 11, 8, 8), (32, 40, 2, 5, 11, 8, 8)])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (128, 1, 80, 5, 11, 8, 8),
+        (32, 40, 2, 5, 11, 8, 8),
+        (12, 4, 80, 5, 11, 8, 8),
+        (12, 160, 2, 5, 11, 8, 8),
+    ],
+)
 def test_conv2d_backward_memory_stays_under_7x_the_input(shape, rng):
     # the backward pass holds one grid at a time; a fully padded copy of
     # the input for the weight gradient, 5.6x the input of a 1x80 layer,
-    # would not fit under this bound
+    # would not fit under this bound, nor would a channels-first grid
+    # beside a channels-last one on stage 1's 4x80 and 160x2 folds
     x, wt, bias = _conv2d_tensors(shape, rng)
     out = conv2d(x, wt, bias)
     g = rng.normal(size=out.shape)

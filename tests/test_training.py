@@ -374,11 +374,11 @@ def _random_compensator(setup, rng):
     return comp
 
 
-@pytest.mark.parametrize("n_images", [1, 3, 16])
+@pytest.mark.parametrize("n_images", [1, 3, 16, 130])
 def test_evaluate_image_link_batched_equals_per_image(default_setup, n_images):
-    # one compensator call on the stack gives every image the bytes of a
-    # batch of one; a drawn compensator changes each row differently, so
-    # rows swapped inside the batch would show
+    # compensator calls on slices of the stack give every image the bytes
+    # of a batch of one; a drawn compensator changes each row differently,
+    # so rows swapped inside a slice or between slices would show
     cfg = quick_cfg()
     jscc = ToyJsccModel(cfg.child_rng(0))
     comp = _random_compensator(default_setup, cfg.child_rng(1))
@@ -390,6 +390,24 @@ def test_evaluate_image_link_batched_equals_per_image(default_setup, n_images):
     assert got.keys() == want.keys()
     for key, value in want.items():
         assert np.asarray(got[key]).tobytes() == np.asarray(value).tobytes(), key
+
+
+def test_evaluate_image_link_compensates_in_slices(default_setup, monkeypatch):
+    # 64 images of 80 samples a call keep the source fold's tap matmuls at
+    # 8064 rows, under the ~16,000 where OpenBLAS turns to a second thread
+    rows = []
+    call = CompensatorModel.__call__
+
+    def spy(self, wave):
+        rows.append(wave.shape[0])
+        return call(self, wave)
+
+    monkeypatch.setattr(CompensatorModel, "__call__", spy)
+    cfg = quick_cfg()
+    comp = _random_compensator(default_setup, cfg.child_rng(1))
+    images = glyph_images(130, cfg.child_rng(3))
+    evaluate_image_link(ToyJsccModel(cfg.child_rng(0)), default_setup, 15.0, 5, images, comp)
+    assert rows == [64, 64, 2]
 
 
 @pytest.mark.parametrize(
