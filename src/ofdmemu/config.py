@@ -227,9 +227,8 @@ class PhyConfig:
 
     @classmethod
     def from_sections(cls, sections: dict[str, dict[str, str]]) -> "PhyConfig":
-        """The PHY of parsed config sections: keys before any header, then [phy]."""
-        phy = {**sections.get("", {}), **sections.get("phy", {})}
-        kv = section_values("phy", phy, _PHY_PARSERS)
+        """The PHY of parsed config sections' [phy] keys."""
+        kv = section_values("phy", sections.get("phy", {}), _PHY_PARSERS)
         if "modulation" in kv:
             kv["modulation_order"] = kv.pop("modulation")
         return cls(**kv)
@@ -301,10 +300,11 @@ CONFIG_SECTIONS = ("phy", "train", "sweep")
 def parse_config_file(path: str | Path) -> dict[str, dict[str, str]]:
     """Parse a plain text ``key = value`` file with optional [section] headers.
 
-    Keys before any header land in the "" section.  A header must name
-    one of ``CONFIG_SECTIONS``, so a misspelled one cannot drop its keys.
-    '#' and ';' start comments.  Returns {section: {key: value}} with
-    lower-cased keys.  A file of more than ``MAX_CONFIG_BYTES`` is refused.
+    Keys before any header are [phy] keys.  A header must name one of
+    ``CONFIG_SECTIONS``, so a misspelled one cannot drop its keys, and a
+    key given twice in a section is refused, so neither value drops the
+    other.  '#' and ';' start comments.  Returns {section: {key: value}}
+    with lower-cased keys.  A file of more than ``MAX_CONFIG_BYTES`` is refused.
     """
     try:
         text = read_bounded(path, MAX_CONFIG_BYTES).decode("utf-8")
@@ -312,8 +312,8 @@ def parse_config_file(path: str | Path) -> dict[str, dict[str, str]]:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise ConfigError(f"config file {path} is not UTF-8 text") from None
-    sections: dict[str, dict[str, str]] = {"": {}}
-    current = ""
+    sections: dict[str, dict[str, str]] = {"phy": {}}
+    current = "phy"
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
         if not line:
@@ -330,5 +330,8 @@ def parse_config_file(path: str | Path) -> dict[str, dict[str, str]]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {_quote(raw)}")
         key, _, value = line.partition("=")
-        sections[current][key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in sections[current]:
+            raise ConfigError(f"{path}:{lineno}: [{current}] key {_quote(key)} given twice")
+        sections[current][key] = value.strip()
     return sections

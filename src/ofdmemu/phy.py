@@ -469,10 +469,10 @@ def _trellis() -> tuple[list[np.ndarray], np.ndarray, list[bytes]]:
     Block code 81*p1 + 9*p2 + p3 packs the block's three pair codes.
 
     Returns ``costs``, where costs[code][j, m, U] is the int16 path cost
-    of the block; ``keyed``, the same costs times 8 plus k, the rank of j
-    in the tie-break order (k = j with its three bits reversed); and
-    ``pred``, where pred[s][k] is the start state (j << 3) | (s >> 3) of
-    end state s's predecessor of rank k.
+    of the block; ``keyed``, read-only, where keyed[U, j, code, m] is the
+    same cost times 8 plus k, the rank of j in the tie-break order (k = j
+    with its three bits reversed); and ``pred``, where pred[s][k] is the
+    start state (j << 3) | (s >> 3) of end state s's predecessor of rank k.
     """
     s = np.arange(64)[:, None]
     x = (s << 3) | np.arange(8)
@@ -482,17 +482,9 @@ def _trellis() -> tuple[list[np.ndarray], np.ndarray, list[bytes]]:
         step_costs[0][:, None, None] + step_costs[1][None, :, None] + step_costs[2][None, None, :]
     ).reshape(729, 8, 8, 8)
     rank = np.array([0, 4, 2, 6, 1, 5, 3, 7], dtype=np.int16)
-    keyed = (costs << 3) | rank[:, None, None]
+    keyed = np.ascontiguousarray(((costs << 3) | rank[:, None, None]).transpose(3, 1, 0, 2))
     pred = ((rank << 3) | (np.arange(64)[:, None] >> 3)).astype(np.uint8)
-    return list(costs), keyed, [bytes(row) for row in pred]
-
-
-@lru_cache(maxsize=None)
-def _row_table() -> np.ndarray:
-    """``_trellis()``'s keyed costs read [U, j, code, m]: one take along
-    the code axis gives every row's block, with the predecessor axis
-    second and each row's eight m contiguous."""
-    return _read_only(np.ascontiguousarray(_trellis()[1].transpose(3, 1, 0, 2)))
+    return list(costs), _read_only(keyed), [bytes(row) for row in pred]
 
 
 _NO_WALK = 255
@@ -643,8 +635,8 @@ def _survivor_path(first: np.ndarray, codes: np.ndarray) -> bytearray:
 
     Storage that grows with the stream is one byte per state per block,
     about 21 bytes per step, against 99 for the one-step decoder's cost
-    and backpointer arrays; tables and the rows' working set take under
-    8 MB.
+    and backpointer arrays.  The tables take 1.7 MB, one keyed table
+    serving both loops, and the rows' working set 3.6 MB.
     """
     n_blocks = codes.size
     if n_blocks < _CUT_MIN:
@@ -670,17 +662,17 @@ def _one_row(first: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     Each block takes two NumPy calls on (8, 8, 8) arrays.  After each
     chunk of ``_CHUNK`` blocks one vectorised pass recovers every block's
-    ranks.
+    ranks from the keyed costs that :func:`_advance` reads too.
     """
     n_blocks = codes.size
     costs, keyed, _ = _trellis()
     # metrics[b] holds the chunk's block b start, read as [j, m], which
-    # is block b - 1's end, written as [m, U]; the row views are made
-    # once and serve every chunk
+    # is block b - 1's end, written as [m, U]; the views are made once
+    # and serve every chunk
     metrics = np.empty((min(n_blocks, _CHUNK) + 1, 64), dtype=np.int16)
     metrics[0] = first
-    start = metrics.reshape(-1, 8, 8, 1)
-    starts, ends = list(start), list(metrics.reshape(-1, 8, 8)[1:])
+    grid = metrics.reshape(-1, 8, 8)
+    starts, ends = list(grid[..., None]), list(grid[1:])
     cand = np.empty((8, 8, 8), dtype=np.int16)
     ranks = np.empty((n_blocks, 64), dtype=np.uint8)
     add, least = np.add, np.minimum.reduce
@@ -695,10 +687,10 @@ def _one_row(first: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarr
         n = chunk.size
         # k sits below the metric in a keyed cost, so the minimum over
         # the predecessors is the lowest k among the equal best metrics
-        keyed_paths = keyed[chunk]
-        keyed_paths += start[:n] << 3
-        best = least(keyed_paths.reshape(n, 8, 64), 1)
-        np.bitwise_and(best, 7, out=ranks[c0 : c0 + n], casting="unsafe")
+        keyed_paths = keyed.take(chunk, axis=2)  # [U, j, block, m]
+        keyed_paths += grid[:n].transpose(1, 0, 2) << 3  # start metrics [j, block, m]
+        out = ranks[c0 : c0 + n].reshape(n, 8, 8).transpose(2, 0, 1)  # [U, block, m]
+        np.bitwise_and(least(keyed_paths, 1), 7, out=out, casting="unsafe")
     return ranks, metrics[n]
 
 
@@ -709,10 +701,11 @@ def _advance(metrics: np.ndarray, cols: np.ndarray, best: np.ndarray) -> None:
     [j, row, m] for state (j << 3) | m; they are shifted to a minimum of
     0 first, and left as the chunk's end metrics.  ``cols[t]`` holds
     each row's block code at step t, and ``best[t]`` receives its keyed
-    minima 8 * metric + k, read [U, row, m] for end state (m << 3) | U.
+    minima 8 * metric + k, read [U, row, m] for end state (m << 3) | U,
+    from the keyed costs that :func:`_one_row` reads too.
     """
     metrics -= metrics.min(axis=(0, 2), keepdims=True)
-    table = _row_table()
+    table = _trellis()[1]
     cand = np.empty((8, 8, metrics.shape[1], 8), dtype=np.int16)
     # end state (m << 3) | U starts the next block as [j, m] = [m, U]
     following = metrics.transpose(2, 1, 0)

@@ -807,11 +807,20 @@ def test_non_utf8_out_path_prints_on_a_strict_utf8_stdout(tmp_path):
 # ---------------------------------------------------------------------------
 # CLI-wide property: any argv ends in exit 0, 1 or 2, never a traceback
 
+
+def _setting(text, **values):
+    """Config ``text`` with the lines of the given keys set to new values
+    (a key may be given once per section)."""
+    kept = [line for line in text.splitlines() if line.split("=")[0].strip() not in values]
+    return "\n".join(kept + [f"{key} = {value}" for key, value in values.items()]) + "\n"
+
+
 TINY_SWEEP = "[sweep]\nsnr_list = 10\nn_symbols = 2\nn_images = 1\n"
 # TINY_TRAIN cut further: a drawn train command runs often
-TINIER_TRAIN = TINY_TRAIN + (
-    "stage1_epochs = 1\nstage1_waveforms = 4\nstage1_val_waveforms = 1\nstage1_ofdm_symbols = 1\n"
-    "stage2_epochs = 1\nstage2_ofdm_symbols = 1\nstage3_images = 8\nrefresh_batch_count = 2\n"
+TINIER_TRAIN = _setting(
+    TINY_TRAIN, stage1_epochs=1, stage1_waveforms=4, stage1_val_waveforms=1,
+    stage1_ofdm_symbols=1, stage2_epochs=1, stage2_ofdm_symbols=1, stage3_images=8,
+    refresh_batch_count=2,
 )
 
 # Every config a drawn sweep or train command can read is tiny or
@@ -822,15 +831,15 @@ _CONFIG_TEXTS = {
     "bad_phy.cfg": "coding_rate = 4/5\n",
     "empty.cfg": "",
     "sweep.cfg": TINY_SWEEP + "systems = ideal_analog emulated float_serial\n",
-    "sweep_zero.cfg": TINY_SWEEP + "n_symbols = 0\n",
-    "sweep_nan.cfg": TINY_SWEEP + "snr_list = nan\n",
-    "sweep_huge.cfg": TINY_SWEEP + "n_images = 100000000000\n",
+    "sweep_zero.cfg": _setting(TINY_SWEEP, n_symbols=0),
+    "sweep_nan.cfg": _setting(TINY_SWEEP, snr_list="nan"),
+    "sweep_huge.cfg": _setting(TINY_SWEEP, n_images=100000000000),
     "sweep_key.cfg": TINY_SWEEP + "bogus = 1\n",
     "train.cfg": TINIER_TRAIN + TINY_SWEEP,
     "train_key.cfg": TINIER_TRAIN + "warp_speed = 9\n",
-    "train_negative.cfg": TINIER_TRAIN + "stage1_epochs = -1\n",
-    "train_huge.cfg": TINIER_TRAIN + "stage3_images = 10000000000\n",
-    "train_nan.cfg": TINIER_TRAIN + "stage2_epochs = nan\n",
+    "train_negative.cfg": _setting(TINIER_TRAIN, stage1_epochs=-1),
+    "train_huge.cfg": _setting(TINIER_TRAIN, stage3_images=10000000000),
+    "train_nan.cfg": _setting(TINIER_TRAIN, stage2_epochs="nan"),
 }
 # names of undecodable bytes, as argv carries them on POSIX
 _NON_UTF8 = os.fsdecode(b"\xff\xfe")

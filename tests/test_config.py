@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ofdmemu.cli import main
 from ofdmemu.config import (
     MAX_CONFIG_BYTES,
     PhyConfig,
@@ -139,7 +140,7 @@ def test_config_file_sections_and_errors(tmp_path):
     path = tmp_path / "multi.cfg"
     path.write_text("top = 1\n[phy]\nmodulation = qpsk\n[sweep]\nn_symbols = 50\n")
     sections = parse_config_file(path)
-    assert sections[""]["top"] == "1"
+    assert sections["phy"]["top"] == "1"  # keys before any header are [phy] keys
     assert sections["sweep"]["n_symbols"] == "50"
 
     bad = tmp_path / "bad.cfg"
@@ -151,6 +152,31 @@ def test_config_file_sections_and_errors(tmp_path):
     bad.write_text("[phy]\nfft_size = 64\n[phyy]  # typo\nmodulation = qpsk\n")
     with pytest.raises(ConfigError, match=r"bad.cfg:3: unknown section '\[phyy\]'"):
         parse_config_file(bad)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("[phy]\nmodulation = qpsk\nmodulation = 64qam\n", ":3: [phy] key 'modulation' given"),
+        ("modulation = qpsk\n[phy]\nMODULATION = 64qam\n", ":3: [phy] key 'modulation' given"),
+        ("[phy]\ncoding_rate = 1/2\n[sweep]\n[phy]\ncoding_rate = 3/4\n", ":5: [phy] key"),
+        ("[sweep]\nn_symbols = 5\n\nn_symbols = 6\n", ":4: [sweep] key 'n_symbols' given twice"),
+        ("[phy]\n" + "k" * 500 + " = 1\n" + "k" * 500 + " = 2\n", ":3: [phy] key 'kkkk"),
+    ],
+    ids=["phy", "headerless-then-phy", "phy-reopened", "sweep", "long-key"],
+)
+def test_config_file_key_given_twice_refused(tmp_path, capsys, text, message):
+    # the last value used to win silently: this first case ran emulate
+    # as 64-QAM with exit 0
+    path = tmp_path / "twice.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        parse_config_file(path)
+    assert str(info.value).startswith(f"{path}{message}")
+    assert len(str(info.value)) < len(str(path)) + 160
+    assert main(["emulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "given twice" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_file_past_the_bound_refused_before_reading(tmp_path, monkeypatch):
