@@ -64,6 +64,10 @@ class ExperimentSpec:
             check_snr(snr)
         if list(snrs) != sorted(snrs):
             raise ConfigError("snr_list must be sorted ascending")
+        # sorted, so a repeat sits next to its twin; -0 repeats 0
+        repeated = sorted({a for a, b in zip(snrs, snrs[1:]) if a == b})
+        if repeated:
+            raise ConfigError(f"snr_list must not repeat: {_quote(', '.join(map(str, repeated)))}")
         object.__setattr__(self, "snr_list", snrs)
         check_count("n_symbols", self.n_symbols, MAX_SYMBOLS)
         check_count("n_images", self.n_images, MAX_IMAGES)

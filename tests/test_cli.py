@@ -569,13 +569,19 @@ _TRAIN_CONSTANTS = [
         ),
         # an empty --systems used to mean all four systems
         (["sweep", "--systems", ""], "[sweep]\nsnr_list = 10\n", "systems must not be empty"),
+        # a repeated SNR used to write two rows and two plot points at one x
+        (
+            ["sweep"],
+            "[sweep]\nsnr_list = 5, 5\nsystems = ideal_analog\n",
+            "snr_list must not repeat: '5.0'",
+        ),
     ],
     ids=[
         "fft_size", "cp_len", "subcarrier_map", "data_subcarriers", "pilot_subcarriers",
         "pilot_base", "scrambler_seed", *(key for key, _ in _TRAIN_CONSTANTS),
         "stage2_records-train-proxy",
         "stage2_records-train-e2e", "systems-repeated", "systems-repeated-flag",
-        "systems-empty-flag",
+        "systems-empty-flag", "snr-repeated",
     ],
 )
 def test_config_error_names_key_and_writes_nothing(tmp_path, capsys, command, text, message):

@@ -35,10 +35,9 @@ def test_default_snr_grid():
 
 
 def test_spec_validation():
-    with pytest.raises(ConfigError):
-        ExperimentSpec(snr_list=())
-    with pytest.raises(ConfigError):
-        ExperimentSpec(snr_list=(10.0, 0.0))
+    for bad in ((), (10.0, 0.0), (10.0, 10.0), (-0.0, 0.0)):
+        with pytest.raises(ConfigError):
+            ExperimentSpec(snr_list=bad)
     for bad in (float("nan"), float("-inf")):
         with pytest.raises(ConfigError):
             ExperimentSpec(snr_list=(0.0, bad))

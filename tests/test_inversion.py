@@ -179,9 +179,10 @@ def _climb_case(mod, rate, seed):
     return build_symbol_system(cfg), start, count * cfg.n_bpsc
 
 
-# The stored table holds exactly the search's answers from the 16 default
-# subsets, each of full rank.  On a mismatch the message is the fresh
-# entry, to paste into inversion._CERTIFIED.
+# The stored table holds exactly the search's swaps from the 16 default
+# subsets, and the selection certify_subset derives from them is the
+# search's, of full rank.  On a mismatch the message is the fresh entry,
+# to paste into inversion._CERTIFIED.
 @pytest.mark.parametrize("name", sorted(ALL_PAIRS))
 def test_stored_selection_is_the_search(name):
     cfg = ALL_PAIRS[name]
@@ -189,8 +190,9 @@ def test_stored_selection_is_the_search(name):
     start = default_subset(cfg)
     digest = _search_digest(sys, start)
     chosen, swaps = _search(sys, start)
-    fresh = f'"{digest}": ({chosen}, {tuple(swaps)})'
-    assert _CERTIFIED.get(digest) == (chosen, tuple(swaps)), fresh
+    fresh = f'"{digest}": {tuple(swaps)}'
+    assert _CERTIFIED.get(digest) == tuple(swaps), fresh
+    assert certify_subset(sys, start) == (chosen, swaps)
     assert rank(restrict_rows(sys, chosen)) == len(chosen) * cfg.n_bpsc
 
 
