@@ -93,10 +93,7 @@ def _experiment_spec(args, sections: dict, cfg: PhyConfig) -> ExperimentSpec:
 
 def _out_dir(args) -> Path:
     out = Path(args.out or DEFAULT_OUT)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot use {out} as the output directory: {exc.strerror}") from None
+    out.mkdir(parents=True, exist_ok=True)  # main reports an OSError
     return out
 
 
@@ -351,6 +348,11 @@ def main(argv=None) -> int:
     except OfdmEmuError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # every reader raises OfdmEmuError, so this is --out or a write into it
+        name = exc.filename if exc.filename is not None else "an output"
+        print(f"configuration error: cannot write {name}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,14 +7,8 @@ targets in one table product: one 216x216 solve takes tens of
 microseconds, and a batch of thousands about half a microsecond per
 target.
 
-One elimination, ``_eliminate``, serves all three uses: ``rank``,
-``Gf2Solver``'s factorization, and ``stacked_left_null``, which returns
-the rank and a basis of the left null space of a base matrix stacked
-with each block of a stack.  It eliminates the base once and then takes
-each block as a one-block update of that elimination.  The certification
-climb uses it to rate deleting any row set R of a matrix M:
-rank(M without R) = rank(M) - |R| + rank(N[:, R]), with N M's left null
-basis.
+One elimination, ``_eliminate``, serves both uses: ``rank`` and
+``Gf2Solver``'s factorization.
 """
 
 from __future__ import annotations
@@ -25,7 +19,7 @@ import numpy as np
 
 from .errors import FramingError
 
-__all__ = ["Unsolvable", "Gf2Solver", "rank", "stacked_left_null"]
+__all__ = ["Unsolvable", "Gf2Solver", "rank"]
 
 
 def _matrix(a) -> np.ndarray:
@@ -193,52 +187,3 @@ def rank(matrix: np.ndarray) -> int:
     a = _matrix(matrix)
     return int(_eliminate(_pack(a), a.shape[1]).size)
 
-
-def stacked_left_null(
-    base: np.ndarray, blocks: np.ndarray
-) -> tuple[int, list[tuple[int, np.ndarray]]]:
-    """Rank of ``base`` and, for each block of a (q, k, cols) stack, the
-    rank of M = [base; block] and a basis N of its left null space
-    (N*M = 0), as a (rows + k - rank(M), rows + k) 0/1 array.
-
-    ``base`` is eliminated once, to reduced echelon rows E = T*base of
-    rank r with pivot columns P.  A block c then reduces against E in
-    one product, c' = c + a*E[:r] with a = c[:, P].  c' is zero on P, so
-    only its k x (cols - r) free part is eliminated, and rank(M) = r +
-    rank(c').  M's left null space is spanned by T's rows past r padded
-    with k zeros, and by (w*a*T[:r], w) for each w in c''s left null
-    basis, since w*a*T[:r]*base + w*c = w*c' = 0.
-    """
-    base = _matrix(base)
-    rows, cols = base.shape
-    blocks = np.asarray(blocks, dtype=np.uint8) & 1
-    if blocks.ndim != 3 or blocks.shape[2] != cols:
-        raise FramingError(f"blocks of shape {blocks.shape}, expected (q, k, {cols})")
-    q, k = blocks.shape[:2]
-    reduced, tr = _pack(base), _identity(rows)
-    pivots = _eliminate(reduced, cols, tr)
-    r = int(pivots.size)
-    t = _unpack(tr, rows)
-    free = np.ones(cols, dtype=bool)
-    free[pivots] = False
-    # one float32 product gives a*E[:r] on the free columns and a*T[:r]
-    # for every block row, exact while its sums of at most r ones stay
-    # below 2^24; at the default PHY's shapes a packed Four Russians
-    # product took 3.5x as long
-    maps = np.hstack([_unpack(reduced[:r], cols)[:, free], t[:r]]).astype(np.float32)
-    coef = blocks[:, :, pivots].reshape(q * k, r).astype(np.float32)
-    prod = ((coef @ maps).astype(np.int64) & 1).astype(np.uint8)
-    prod = prod.reshape(q, k, cols - r + rows)
-    reduced_free = blocks[:, :, free] ^ prod[:, :, : cols - r]
-    out = []
-    for c_free, a_t in zip(reduced_free, prod[:, :, cols - r :]):
-        tk = _identity(k)
-        rank_c = int(_eliminate(_pack(c_free), cols - r, tk).size)
-        w = _unpack(tk[rank_c:], k)
-        null = np.zeros((rows - r + k - rank_c, rows + k), dtype=np.uint8)
-        null[: rows - r, :rows] = t[r:]
-        # uint8 products wrap modulo 256, which keeps their parity
-        null[rows - r :, :rows] = (w @ a_t) & 1
-        null[rows - r :, rows:] = w
-        out.append((r + rank_c, null))
-    return r, out

@@ -27,7 +27,6 @@ import numpy as np
 
 from .config import CONV_G1, CONV_G2, PhyConfig, bin_to_logical
 from .errors import FramingError, SelectionError
-from .gf2 import stacked_left_null
 from .phy import _symbol_gather, _taps
 
 __all__ = [
@@ -113,20 +112,16 @@ def max_usable_subcarriers(cfg: PhyConfig) -> int:
     return int(cfg.coding_rate * cfg.n_data)
 
 
-def default_subset(cfg: PhyConfig, count: int | None = None) -> tuple[int, ...]:
-    """The ``count`` data subcarriers closest to DC, in logical order.
+def default_subset(cfg: PhyConfig) -> tuple[int, ...]:
+    """The ``max_usable_subcarriers`` data subcarriers closest to DC, in logical order.
 
     Dummies then sit at the band edges where real front ends are least
     reliable anyway.
     """
-    if count is None:
-        count = max_usable_subcarriers(cfg)
-    if not 0 < count <= cfg.n_data:
-        raise SelectionError(f"subset size {count} outside (0, {cfg.n_data}]")
     by_distance = sorted(
         cfg.data_subcarriers, key=lambda b: (abs(bin_to_logical(b)), bin_to_logical(b))
     )
-    return _by_logical(by_distance[:count])
+    return _by_logical(by_distance[: max_usable_subcarriers(cfg)])
 
 
 def _by_logical(bins) -> tuple[int, ...]:
@@ -157,86 +152,8 @@ def restrict_offsets(sys: SymbolSystem, chosen: tuple[int, ...]) -> np.ndarray:
     return sys.state_offsets[:, _selection_rows(sys, chosen)]
 
 
-def _climb_to_full_rank(
-    sys: SymbolSystem, chosen: list[int], target: int
-) -> tuple[list[int], list[tuple[int, int]], int]:
-    """First-improvement hill climb on selection rank.  Deterministic.
-
-    Trial swaps run positions outer, candidates inner, and the first one
-    that raises the rank wins.  Each pass eliminates the selection once
-    and stacks each candidate onto it as a one-block update
-    (``gf2.stacked_left_null``), which gives the pass's own rank and,
-    per candidate, the rank and left null basis N of M = [selection;
-    candidate].  Dropping block i of the selection leaves rank(M) -
-    n_bpsc + rank(N[:, block i]), so one update rates the candidate at
-    every position.  A block's rank is n_bpsc - log2 of its kernel,
-    counted over all 2^n_bpsc column combinations in one product.
-    """
-    nb = sys.cfg.n_bpsc
-    combos = (np.arange(1 << nb) >> np.arange(nb)[:, None]) & 1  # (nb, 2^nb)
-    swaps: list[tuple[int, int]] = []
-    while True:
-        sel = _selection_rows(sys, tuple(chosen))
-        others = [u for u in sys.cfg.data_subcarriers if u not in chosen]
-        candidates = sys.matrix[_selection_rows(sys, tuple(others))]
-        r, stacked = stacked_left_null(
-            sys.matrix[sel], candidates.reshape(len(others), nb, sys.beta)
-        )
-        if r >= target:
-            return chosen, swaps, r
-        trial = np.empty((len(chosen), len(others)), dtype=np.intp)
-        for j, (r_m, null) in enumerate(stacked):
-            blocks = null[:, : sel.size].reshape(null.shape[0], len(chosen), nb)
-            kernel = np.all(((blocks @ combos) & 1) == 0, axis=0).sum(axis=1)
-            # rank(M) - nb + (nb - log2 |kernel|), for every position at once
-            trial[:, j] = r_m - np.log2(kernel).astype(np.intp)
-        better = np.argwhere(trial > r)
-        if better.size == 0:
-            return chosen, swaps, r
-        i, j = better[0]
-        swaps.append((chosen[i], others[j]))
-        chosen = list(chosen)
-        chosen[i] = others[j]
-        if trial[i, j] >= target:
-            return chosen, swaps, int(trial[i, j])
-
-
-# seeded random restarts after the climb from the given selection stalls
-_RESTARTS = 8
-
-
-def _search(
-    sys: SymbolSystem, chosen: tuple[int, ...]
-) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-    """Climb from ``chosen`` to full row rank, then from seeded restarts.
-
-    The climb (``_climb_to_full_rank``) is a deterministic
-    first-improvement hill climb over single-subcarrier swaps; if it
-    stalls in a local maximum, seeded random restarts continue the
-    search.  Returns the selection sorted by logical index and the
-    swaps that turn ``chosen`` into it: its left-out bins and its new
-    bins, each in ascending bin order, paired up.
-    """
-    target = len(chosen) * sys.cfg.n_bpsc
-    fixed, swaps, r = _climb_to_full_rank(sys, list(chosen), target)
-    restart = 0
-    while r < target and restart < _RESTARTS:
-        rng = np.random.default_rng(restart)
-        start = sorted(
-            rng.choice(np.asarray(sys.cfg.data_subcarriers), len(chosen), replace=False).tolist()
-        )
-        fixed, _, r = _climb_to_full_rank(sys, start, target)
-        restart += 1
-    if r < target:
-        raise SelectionError(f"no subcarrier swap reaches full rank (stuck at {r}/{target})")
-    final = _by_logical(fixed)
-    original = set(chosen)
-    swaps = [(b, a) for b, a in zip(sorted(original - set(final)), sorted(set(final) - original))]
-    return final, swaps
-
-
 def _search_digest(sys: SymbolSystem, chosen: tuple[int, ...]) -> str:
-    """SHA-256 of everything ``_search`` reads: the system matrix (shape
+    """SHA-256 of all the selection search reads: the system matrix (shape
     and bytes), the data-subcarrier list and the starting selection."""
     h = hashlib.sha256()
     h.update(np.asarray(sys.matrix.shape, dtype="<i8").tobytes())
@@ -247,9 +164,10 @@ def _search_digest(sys: SymbolSystem, chosen: tuple[int, ...]) -> str:
 
 
 # _search_digest(system, default_subset(cfg)) -> the (out, in) swaps that
-# _search returns from it, for the 16 (modulation, rate) pairs; the
-# selection is the default subset with the swaps applied, sorted by
-# logical index.  tests/test_inversion.py re-derives every entry
+# the search in tests/selection_search.py returns from it, for the 16
+# (modulation, rate) pairs; tests/test_inversion.py re-derives every
+# entry with it.  The selection is the default subset with the swaps
+# applied, sorted by logical index
 _CERTIFIED: dict[str, tuple[tuple[int, int], ...]] = {
     # bpsk 1/2
     "4452e4fffe2e07da7e0e4f23ca366dc4eca34cf1832fbfd34d5fa3f0b8f5a057": (
@@ -328,31 +246,25 @@ _CERTIFIED: dict[str, tuple[tuple[int, int], ...]] = {
 def certify_subset(
     sys: SymbolSystem, chosen: tuple[int, ...]
 ) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-    """Certify full row rank for a selection, swapping subcarriers if needed.
+    """The certified full-row-rank selection for a default subset.
 
-    At the exact capacity bound, most selections (including the centered
-    default) sit a few rows short of full rank because the last info
-    bits of a symbol touch only a handful of coded bits before the
-    encoder state rolls into the next symbol; ``_search`` repairs this
-    with single-subcarrier swaps.  The swaps it takes from the 16
-    default subsets are stored, keyed by a digest of everything it
-    reads, and a hit applies them to ``chosen`` without searching; any
-    other input, or a system whose coded-bit map has changed, misses
-    and runs the search.  An empty selection, or one with more rows
-    than the symbol has info bits, cannot reach full row rank and is
-    rejected at once.  Returns the certified selection (sorted by
-    logical index) and a fresh list of the (out, in) swaps applied to
-    the original.
+    At the exact capacity bound, most selections (the centered default
+    among them) sit a few rows short of full rank: the last info bits of
+    a symbol touch only a handful of coded bits before the encoder state
+    rolls into the next symbol.  ``_CERTIFIED`` holds the swaps that
+    repair each default subset, as the search in
+    ``tests/selection_search.py`` finds them.  A hit applies them to
+    ``chosen``; any other start, or a system whose coded-bit map has
+    changed, misses and raises SelectionError.  Returns the certified
+    selection (sorted by logical index) and a fresh list of the (out, in)
+    swaps; ``EmulationSetup`` checks its rank.
     """
     _selection_rows(sys, chosen)  # validates bins, duplicates and emptiness
-    target = len(chosen) * sys.cfg.n_bpsc
-    if target > sys.beta:
-        raise SelectionError(
-            f"{len(chosen)} subcarriers need {target} independent rows, "
-            f"but a symbol has only {sys.beta} info bits"
-        )
     swaps = _CERTIFIED.get(_search_digest(sys, chosen))
     if swaps is None:
-        return _search(sys, chosen)
+        raise SelectionError(
+            "only the 16 default subsets are certified; after a change to the coded-bit "
+            "map, re-derive the table with the search in tests/selection_search.py"
+        )
     kept = set(chosen).difference(b for b, _ in swaps)
     return _by_logical(kept.union(a for _, a in swaps)), list(swaps)

@@ -770,6 +770,35 @@ def test_out_path_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "command,args,blocked,make,reason",
+    [
+        ("sweep", ["--systems", "ideal_analog"], "plotdata", "file", "File exists"),
+        ("tx", ["--in", "IN"], "waveform.bin", "dir", "Is a directory"),
+        ("train-comp", ["--config", "CFG"], "compensator.model", "dir", "Is a directory"),
+    ],
+    ids=["sweep-plotdata-file", "tx-waveform-dir", "train-comp-model-dir"],
+)
+def test_blocked_output_inside_out_exits_2(tmp_path, capsys, command, args, blocked, make, reason):
+    # an output that cannot be written inside a usable --out is one line
+    # naming the path and the OS reason, not a traceback
+    payload, cfgfile = tmp_path / "payload.bin", tmp_path / "train.cfg"
+    payload.write_bytes(b"\x01\x02")
+    cfgfile.write_text(TINY_TRAIN)
+    args = [{"IN": str(payload), "CFG": str(cfgfile)}.get(a, a) for a in args]
+    out = tmp_path / "o"
+    out.mkdir()
+    path = out / blocked
+    if make == "file":
+        path.write_bytes(b"")
+    else:
+        path.mkdir()
+    rc = main([command, *args, "--seed", "3", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"configuration error: cannot write {path}: {reason}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["rx", "--in", "a\x00b"],

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from ofdmemu import gf2
 from ofdmemu.errors import FramingError
-from ofdmemu.gf2 import (
-    Gf2Solver, Unsolvable, _eliminate, _identity, _pack, _unpack, rank, stacked_left_null,
-)
+from ofdmemu.gf2 import Gf2Solver, Unsolvable, _eliminate, _identity, _pack, _unpack, rank
+from selection_search import stacked_left_null
 
 
 def dense_rank(a):

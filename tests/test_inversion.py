@@ -11,8 +11,6 @@ from ofdmemu.errors import FramingError, SelectionError
 from ofdmemu.gf2 import rank
 from ofdmemu.inversion import (
     _CERTIFIED,
-    _climb_to_full_rank,
-    _search,
     _search_digest,
     build_symbol_system,
     certify_subset,
@@ -22,6 +20,7 @@ from ofdmemu.inversion import (
     restrict_rows,
 )
 from ofdmemu.phy import conv_encode
+from selection_search import climb_to_full_rank, search
 
 
 def test_system_dimensions(default_cfg):
@@ -84,16 +83,9 @@ def test_default_subset_is_centered(default_cfg):
     assert inside <= outside
 
 
-def test_default_subset_rejects_bad_count(default_cfg):
-    with pytest.raises(SelectionError):
-        default_subset(default_cfg, 0)
-    with pytest.raises(SelectionError):
-        default_subset(default_cfg, default_cfg.n_data + 1)
-
-
 def test_restrict_shapes(default_cfg):
     sys = build_symbol_system(default_cfg)
-    chosen = default_subset(default_cfg, 10)
+    chosen = default_subset(default_cfg)[:10]
     nb = default_cfg.n_bpsc
     sub = restrict_rows(sys, chosen)
     assert sub.shape == (10 * nb, sys.beta)
@@ -102,7 +94,7 @@ def test_restrict_shapes(default_cfg):
 
 def test_restricted_rows_track_full_prediction(default_cfg, rng):
     sys = build_symbol_system(default_cfg)
-    chosen = default_subset(default_cfg, 12)
+    chosen = default_subset(default_cfg)[:12]
     sub_dense = restrict_rows(sys, chosen)
     sub_off = restrict_offsets(sys, chosen)
     x = rng.integers(0, 2, sys.beta, dtype=np.uint8)
@@ -142,7 +134,8 @@ def test_certify_reaches_full_rank_at_capacity(default_cfg):
 
 def test_certify_rejects_oversized_selection(default_cfg):
     sys = build_symbol_system(default_cfg)
-    over = default_subset(default_cfg, max_usable_subcarriers(default_cfg) + 2)
+    count = max_usable_subcarriers(default_cfg) + 2
+    over = tuple(default_cfg.data_subcarriers[:count])
     with pytest.raises(SelectionError):
         certify_subset(sys, over)
 
@@ -189,7 +182,7 @@ def test_stored_selection_is_the_search(name):
     sys = build_symbol_system(cfg)
     start = default_subset(cfg)
     digest = _search_digest(sys, start)
-    chosen, swaps = _search(sys, start)
+    chosen, swaps = search(sys, start)
     fresh = f'"{digest}": {tuple(swaps)}'
     assert _CERTIFIED.get(digest) == tuple(swaps), fresh
     assert certify_subset(sys, start) == (chosen, swaps)
@@ -206,7 +199,7 @@ def test_stored_table_has_no_other_entries():
 @given(pair=st.sampled_from(CLIMB_PAIRS), seed=st.integers(0, 2**32 - 1))
 def test_climb_matches_reference(pair, seed):
     sys, start, target = _climb_case(*pair, seed)
-    got = _climb_to_full_rank(sys, list(start), target)
+    got = climb_to_full_rank(sys, list(start), target)
     assert got == oracles.climb_reference(sys, list(start), target)
 
 
@@ -214,19 +207,21 @@ def test_climb_matches_reference(pair, seed):
 @pytest.mark.parametrize("mod,rate,seed", [(4, Fraction(5, 6), 5), (16, Fraction(1, 2), 17)])
 def test_climb_matches_reference_when_stalled(mod, rate, seed):
     sys, start, target = _climb_case(mod, rate, seed)
-    got = _climb_to_full_rank(sys, list(start), target)
+    got = climb_to_full_rank(sys, list(start), target)
     assert got == oracles.climb_reference(sys, list(start), target)
     assert got[1] and got[2] < target
 
 
-# a start that is no default subset misses the stored table, and the
-# search's restarts take it to full rank
-def test_certify_searches_on_a_digest_miss():
+# a start that is no default subset misses the stored table and is
+# refused, though the search's restarts take it to full rank
+def test_certify_refuses_a_digest_miss():
     sys, start, target = _climb_case(16, Fraction(1, 2), 17)
     assert _search_digest(sys, start) not in _CERTIFIED
-    certified, swaps = certify_subset(sys, start)
+    with pytest.raises(SelectionError, match="only the 16 default subsets are certified"):
+        certify_subset(sys, tuple(start))
+    certified, swaps = search(sys, tuple(start))
     assert rank(restrict_rows(sys, certified)) == target
-    assert (certified, swaps) == _search(sys, start)
+    assert set(start) - set(certified) == {b for b, _ in swaps}
 
 
 # the default PHY's pairs from their default subsets: 3/4 stalls at 213
@@ -241,6 +236,6 @@ def test_climb_matches_reference_from_default_subset(rate, swaps, stall):
     sys = build_symbol_system(cfg)
     start = list(default_subset(cfg))
     target = len(start) * cfg.n_bpsc
-    got = _climb_to_full_rank(sys, list(start), target)
+    got = climb_to_full_rank(sys, list(start), target)
     assert got == oracles.climb_reference(sys, list(start), target)
     assert (len(got[1]), got[2]) == (swaps, stall)
